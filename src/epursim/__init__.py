@@ -6,12 +6,12 @@ from .model import (CellState, Direction, GateParams, LayerDescriptor,
                     NetworkDescriptor, NetworkWeights, Precision, Sequence,
                     WeightSet, cell_step, gate_preactivation, layer_infer,
                     network_infer)
-from .quant import DequantTable, QuantConfig, dequantize, quantize
+from .quant import DequantTable, QuantConfig, quantize
 from .sched import (AccessEvent, AccessTrace, Policy, ReuseStats, Target,
                     dram_traffic, reuse_analysis, trace_conventional,
                     trace_mwl)
 from .arch import (CapacityError, HardwareConfig, MuBottleneckError, SimReport,
-                   baseline_config, dpu_dot_cycles, mu_schedule, mwl_config,
+                   baseline_config, dpu_dot_cycles, mu_plan, mwl_config,
                    simulate)
 from .energy import EnergyReport, EnergyTable, account, compare
 
@@ -22,11 +22,11 @@ __all__ = [
     "NetworkDescriptor", "NetworkWeights", "Precision", "Sequence",
     "WeightSet", "cell_step", "gate_preactivation", "layer_infer",
     "network_infer",
-    "DequantTable", "QuantConfig", "dequantize", "quantize",
+    "DequantTable", "QuantConfig", "quantize",
     "AccessEvent", "AccessTrace", "Policy", "ReuseStats", "Target",
     "dram_traffic", "reuse_analysis", "trace_conventional", "trace_mwl",
     "CapacityError", "HardwareConfig", "MuBottleneckError", "SimReport",
-    "baseline_config", "dpu_dot_cycles", "mu_schedule", "mwl_config",
+    "baseline_config", "dpu_dot_cycles", "mu_plan", "mwl_config",
     "simulate",
     "EnergyReport", "EnergyTable", "account", "compare",
 ]

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .model import (ACC_DTYPE, GATES, Direction, NetworkDescriptor,
-                    NetworkWeights, Sequence, ShapeError, WeightSet,
-                    accumulate_dot, accumulate_dot_all_t,
-                    cell_weight_bytes, finish_step, gate_matrix_bytes,
-                    gate_weight_bytes, layer_infer, zero_state)
+from .model import (ACC_DTYPE, GATES, NetworkDescriptor, NetworkWeights,
+                    PartialsHook, Sequence, ShapeError, cell_weight_bytes,
+                    gate_matrix_bytes, gate_weight_bytes, layer_infer)
 from .quant import DequantTable, QuantConfig, calibrate_alpha, quantize
 from .sched import Policy, Target, dram_traffic
 
@@ -47,6 +45,10 @@ class CapacityError(RuntimeError):
 
 class MuBottleneckError(RuntimeError):
     """The multifunctional units cannot keep up with the dot-product units."""
+
+
+class ConfigError(ValueError):
+    """A hardware configuration document with an unknown key or a bad value."""
 
 
 @dataclass
@@ -98,10 +100,23 @@ class HardwareConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareConfig":
-        kwargs = dict(obj)
-        if "quant" in kwargs:
-            kwargs["quant"] = QuantConfig.from_json(kwargs["quant"])
-        return cls(**kwargs)
+        """Config from its JSON form: absent fields keep their defaults and a
+        partial op_latency table is merged over DEFAULT_OP_LATENCY.  Raises
+        ConfigError on an unknown key or an unusable value."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("op_latency", {}), dict):
+            raise ConfigError("hardware config and its op_latency must be JSON objects")
+        kwargs = dict(obj, op_latency={**DEFAULT_OP_LATENCY, **obj.get("op_latency", {})})
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        unknown += sorted(f"op_latency.{k}" for k in kwargs["op_latency"]
+                          if k not in DEFAULT_OP_LATENCY)
+        if unknown:
+            raise ConfigError(f"unknown hardware config key(s): {', '.join(unknown)}")
+        try:
+            if "quant" in kwargs:
+                kwargs["quant"] = QuantConfig.from_json(kwargs["quant"])
+            return cls(**kwargs)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad hardware config: {e}") from e
 
 
 def baseline_config(**overrides) -> HardwareConfig:
@@ -260,23 +275,6 @@ def mu_plan(cfg: HardwareConfig, peephole: bool = True,
         op.start = max((scheduled[d].ready for d in op.deps), default=0)
         scheduled[f"{op.gate}.{op.name}"] = op
     return MuPlan(scheduled, peephole, unit_latencies)
-
-
-def mu_schedule(gate: str, cfg: HardwareConfig, peephole: bool = True,
-                unit_latencies: bool = False) -> dict:
-    """Timed plan for one gate: per-op start cycles and the critical path."""
-    if gate not in GATES:
-        raise ShapeError(f"unknown gate {gate!r}")
-    plan = mu_plan(cfg, peephole=peephole, unit_latencies=unit_latencies)
-    gate_ops = plan.gate_ops(gate)
-    return {
-        "gate": gate,
-        "starts": {op.name: op.start for op in gate_ops},
-        "finishes": {op.name: op.start + op.latency - 1 for op in gate_ops},
-        "span_stages": plan.gate_span(gate) + 1,
-        "last_stage": plan.gate_span(gate),
-        "critical_path": plan.critical_path,
-    }
 
 
 def mu_initiation_interval(plan: MuPlan, gate: str) -> int:
@@ -533,77 +531,39 @@ def _dram_fetch_cycles(nbytes: int, cfg: HardwareConfig) -> int:
     return math.ceil(nbytes / per_cycle) + math.ceil(cfg.dram_latency_s * cfg.frequency_hz)
 
 
-def _conventional_pass(ws: WeightSet, frames: np.ndarray) -> np.ndarray:
-    """Functional datapath, conventional order: per timestep, per neuron."""
-    layer = ws.layer
-    T = frames.shape[0]
-    wx, wh, _ = ws.stacked()
-    out = np.empty((T, layer.hidden_size), dtype=ws.precision.storage_dtype)
-    state = zero_state(layer.hidden_size, ws.precision)
-    for t in range(T):
-        pre = np.zeros(4 * layer.hidden_size, dtype=ACC_DTYPE)
-        accumulate_dot(pre, wx, frames[t].astype(ACC_DTYPE))
-        accumulate_dot(pre, wh, state.h.astype(ACC_DTYPE))
-        state = finish_step(ws, pre, state.c.astype(ACC_DTYPE))
-        out[t] = state.h
-    return out
+def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
+                       alphas: list[float]) -> PartialsHook:
+    """partials_hook of the quantized MWL schedule: the forward partials are
+    stored as n-bit codes and read back through the dequantization table.
 
-
-def _mwl_pass(ws: WeightSet, frames: np.ndarray, quant: QuantConfig | None,
-              calibrate: bool = False) -> tuple[np.ndarray, QuantConfig | None]:
-    """Functional datapath, MWL order: forward phase for the whole sequence,
-    then the recurrent phase with the accumulator seeded from the stored
-    partial, preserving the per-neuron accumulation order.
-
-    With ``calibrate`` the pass uses its own clamp magnitude (the measured
+    With ``calibrate`` each pass uses its own clamp magnitude (the measured
     peak |partial|, rounded up), standing in for an offline calibration run:
     the dequantization constants travel with each layer's weights anyway.
-    Returns (outputs, quant config actually applied).
+    The hook appends the alpha it applied to ``alphas``, one per pass.
     """
-    layer = ws.layer
-    T = frames.shape[0]
-    wx, wh, _ = ws.stacked()
-    partials = np.zeros((4 * layer.hidden_size, T), dtype=ACC_DTYPE)
-    accumulate_dot_all_t(partials, wx, frames.astype(ACC_DTYPE))
-
-    applied = None
-    if quant is not None:
-        applied = quant
+    def hook(partials: np.ndarray) -> np.ndarray:
+        applied = qcfg
         if calibrate:
-            peak = float(np.max(np.abs(partials)))
-            applied = QuantConfig(quant.n_bits, calibrate_alpha(peak))
-        table = DequantTable(applied)
-        codes = quantize(partials, applied)
-        stored = table.lookup(codes).astype(ACC_DTYPE)
-    else:
-        stored = partials
-
-    out = np.empty((T, layer.hidden_size), dtype=ws.precision.storage_dtype)
-    state = zero_state(layer.hidden_size, ws.precision)
-    for t in range(T):
-        pre = stored[:, t].copy()
-        accumulate_dot(pre, wh, state.h.astype(ACC_DTYPE))
-        state = finish_step(ws, pre, state.c.astype(ACC_DTYPE))
-        out[t] = state.h
-    return out, applied
+            applied = QuantConfig(qcfg.n_bits,
+                                  calibrate_alpha(float(np.max(np.abs(partials)))))
+        alphas.append(applied.alpha)
+        return DequantTable(applied).lookup(quantize(partials, applied)).astype(ACC_DTYPE)
+    return hook
 
 
 def calibrate_network_alpha(net: NetworkDescriptor, weights: NetworkWeights,
                             inp: Sequence) -> float:
     """Measure max |forward partial| over a calibration run and round it up."""
+    peaks = [0.0]
+
+    def observe(partials: np.ndarray) -> np.ndarray:
+        peaks.append(float(np.max(np.abs(partials))))
+        return partials
+
     seq = inp
-    peak = 0.0
     for i, layer in enumerate(net.layers):
-        frames = np.asarray(seq.frames)
-        for d in range(layer.num_directions):
-            ws = weights.layers[i][d]
-            f = frames if d == 0 else frames[::-1]
-            wx, _, _ = ws.stacked()
-            partials = np.zeros((4 * layer.hidden_size, f.shape[0]), dtype=ACC_DTYPE)
-            accumulate_dot_all_t(partials, wx, f.astype(ACC_DTYPE))
-            peak = max(peak, float(np.max(np.abs(partials))))
-        seq = layer_infer(layer, weights.layers[i], seq)
-    return calibrate_alpha(peak)
+        seq = layer_infer(layer, weights.layers[i], seq, observe)
+    return calibrate_alpha(max(peaks))
 
 
 def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
@@ -646,8 +606,13 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
     counters.bump(Target.dram, "r", 1, T * net.input_dim * eb)
     counters.bump(Target.intermediate_memory, "w", T, T * net.input_dim * eb)
 
-    seq_frames = np.asarray(inp.frames)
+    # functional datapath: both schedules run the one ordered accumulation;
+    # quantized MWL stores its hoisted forward partials as codes
+    hook = (_quantize_partials(cfg_quant, quant_calibrate, pass_alphas)
+            if policy is Policy.mwl and cfg_quant is not None else None)
+    seq = inp
     for i, layer in enumerate(net.layers):
+        seq = layer_infer(layer, weights.layers[i], seq, hook)
         h, nx = layer.hidden_size, layer.input_size
         dotx = dpu_dot_cycles(nx, cfg)
         doth = dpu_dot_cycles(h, cfg)
@@ -670,20 +635,7 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         if max(read_lo, write_lo) < min(read_hi, write_hi):
             db_disjoint = False
 
-        dir_outputs = []
         for d in range(layer.num_directions):
-            ws = weights.layers[i][d]
-            frames = seq_frames if d == 0 else seq_frames[::-1]
-
-            # --- functional datapath
-            if policy is Policy.conventional:
-                out = _conventional_pass(ws, frames)
-            else:
-                out, applied = _mwl_pass(ws, frames, cfg_quant, quant_calibrate)
-                if applied is not None and quant_calibrate:
-                    pass_alphas.append(applied.alpha)
-            dir_outputs.append(out)
-
             # --- per-pass cycle model
             if policy is Policy.conventional:
                 stream = T * h * (dotx + doth)
@@ -741,11 +693,6 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
             counters.bump(Target.dram, "r", 1, pass_weight_bytes)
             passes.append(PassTiming(pass_cycles, _dram_fetch_cycles(pass_weight_bytes, cfg),
                                      f"layer{i}.dir{d}"))
-
-        if layer.direction is Direction.bidirectional:
-            seq_frames = np.concatenate([dir_outputs[0], dir_outputs[1][::-1]], axis=1)
-        else:
-            seq_frames = dir_outputs[0]
 
     # final outputs leave for the (pass-through) output stage
     counters.bump(Target.dram, "w", 1, T * net.output_dim * eb)
@@ -811,7 +758,7 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         checks=checks,
         mu_critical_path=mu_cp_worst,
         config=cfg,
-        outputs=Sequence(seq_frames),
+        outputs=seq,
         network_summary={
             "input_dim": net.input_dim,
             "precision": net.numeric_precision.value,
@@ -823,5 +770,5 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         },
         realtime=realtime,
         notes=notes,
-        pass_alphas=pass_alphas,
+        pass_alphas=pass_alphas if quant_calibrate else [],
     )

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -33,6 +34,10 @@ EXIT_NUMERIC = 6
 EXIT_CHECK = 7
 
 log = logging.getLogger("epursim")
+
+
+class UsageError(Exception):
+    """A command-line value outside its documented range."""
 
 
 def _setup_logging() -> None:
@@ -145,12 +150,20 @@ def cmd_infer(args) -> int:
     return EXIT_OK if report["output_finite"] else EXIT_CHECK
 
 
+def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
+    try:
+        return quant.QuantConfig(n_bits=n_bits, alpha=alpha)
+    except ValueError as e:
+        raise UsageError(e) from e
+
+
 def _run_simulation(args, policy: sched.Policy):
+    if not 0 < args.frames_per_second < math.inf:
+        raise UsageError(f"--frames-per-second must be positive and finite, "
+                         f"got {args.frames_per_second}")
+    qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
     net, weights, seq = _load_inputs(args)
     cfg = _hw_config(args)
-    qcfg = None
-    if args.quantize:
-        qcfg = quant.QuantConfig(n_bits=args.quant_bits, alpha=args.alpha)
     report = arch.simulate(net, weights, seq, policy, cfg, quant=qcfg,
                            quant_calibrate=bool(args.quantize and args.calibrate),
                            frames_per_second=args.frames_per_second)
@@ -172,6 +185,17 @@ def _oracle_check(net, weights, seq, report) -> dict:
             "passed": bool(cos >= 0.999)}
 
 
+def _checks_ok(*reports: arch.SimReport) -> bool:
+    """True when every built-in invariant check of the reports holds; names
+    the failed ones on stderr.  ``mu_bottleneck`` is a fault flag, not a
+    check: it reads true when the fault is present."""
+    failed = sorted({name for rep in reports for name, ok in rep.checks.items()
+                     if name != "mu_bottleneck" and not ok})
+    if failed:
+        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
+    return not failed
+
+
 def cmd_simulate(args) -> int:
     policy = sched.Policy(args.policy)
     net, weights, seq, cfg, report = _run_simulation(args, policy)
@@ -191,7 +215,8 @@ def cmd_simulate(args) -> int:
         _dump_trace_csv(args.trace_csv, traces)
     print(report.text_table())
     print(f"oracle check: {doc['oracle_check']}")
-    return EXIT_OK if doc["oracle_check"]["passed"] else EXIT_CHECK
+    ok = _checks_ok(report) and doc["oracle_check"]["passed"]
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_analyze_reuse(args) -> int:
@@ -265,17 +290,23 @@ def cmd_compare(args) -> int:
         print(f"{key:<{width}}  {a[key]:>14,}  {b[key]:>14,}  {ratio:.4f}")
     print(f"{'total energy ratio':<{width}}  {'':>14}  {'':>14}  "
           f"{cmp_report.total_ratio:.4f}")
-    ok = doc["oracle_check_a"]["passed"] and doc["oracle_check_b"]["passed"]
+    ok = (_checks_ok(rep_a, rep_b) and doc["oracle_check_a"]["passed"]
+          and doc["oracle_check_b"]["passed"])
     return EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_quantize_sweep(args) -> int:
+    if args.min_bits > args.max_bits:
+        raise UsageError(f"--min-bits {args.min_bits} is above "
+                         f"--max-bits {args.max_bits}")
+    qcfgs = [_quant_config(bits, args.alpha)
+             for bits in range(args.min_bits, args.max_bits + 1)]
     net, weights, seq = _load_inputs(args)
     cfg = _hw_config(args)
     oracle = model.network_infer(net, weights, seq).frames.astype(np.float64)
     rows = []
-    for bits in range(args.min_bits, args.max_bits + 1):
-        qcfg = quant.QuantConfig(n_bits=bits, alpha=args.alpha)
+    for qcfg in qcfgs:
+        bits = qcfg.n_bits
         rep = arch.simulate(net, weights, seq, sched.Policy.mwl, cfg, quant=qcfg,
                             quant_calibrate=bool(args.calibrate))
         got = rep.outputs.frames.astype(np.float64)
@@ -408,7 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except netio.FormatError as e:
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (netio.FormatError, arch.ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except json.JSONDecodeError as e:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +56,10 @@ class Direction(str, Enum):
 # Dot products accumulate in single precision in both modes; fp16 only
 # narrows storage of weights and activations.
 ACC_DTYPE = np.float32
+
+#: maps a pass's hoisted forward partials [4*hidden, T] to the values its
+#: recurrent phase starts from (MWL stores them quantized)
+PartialsHook = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -164,13 +169,15 @@ class WeightSet:
         """fp32 views of the four gates stacked row-wise, gate order as GATES.
 
         Stacking is a pure row concatenation: per-row accumulation order is
-        unchanged, so results are bit-identical to per-gate evaluation.
+        unchanged, so results are bit-identical to per-gate evaluation.  The
+        matrices are stored Fortran-ordered (shape unchanged), so a column
+        mat[:, k] and the transpose the dot kernels stream are contiguous.
         """
         if self._stacked is None:
             wx = np.concatenate([self.gates[g].w_x for g in GATES]).astype(ACC_DTYPE)
             wh = np.concatenate([self.gates[g].w_h for g in GATES]).astype(ACC_DTYPE)
             b = np.concatenate([self.gates[g].bias for g in GATES]).astype(ACC_DTYPE)
-            self._stacked = (np.ascontiguousarray(wx), np.ascontiguousarray(wh), b)
+            self._stacked = (np.asfortranarray(wx), np.asfortranarray(wh), b)
         return self._stacked
 
     def peephole_f32(self, gate: str) -> np.ndarray | None:
@@ -216,19 +223,30 @@ class Sequence:
 def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """acc[j] += mat[j, k] * vec[k] for k ascending, one fp32 add per step.
 
-    Vectorized over rows only; the per-row scalar operation sequence matches
-    a naive loop exactly, so results are bit-identical to one.
+    The products fill rows 1..K of a C-contiguous [K+1, rows] buffer under
+    acc in row 0, and one reduction over the outer axis sums it: numpy adds
+    whole buffer rows elementwise in ascending k, so each acc[j] sees the
+    same scalar operation sequence as a naive loop and is bit-identical to
+    it.  Pairwise summation only applies along a contiguous inner reduction
+    axis, which is what a single-row buffer would become, so that case
+    takes the running sum instead.
     """
-    for k in range(vec.shape[0]):
-        acc += mat[:, k] * vec[k]
-    return acc
+    rows = acc.shape[0]
+    buf = np.empty((vec.shape[0] + 1, rows), dtype=ACC_DTYPE)
+    buf[0] = acc
+    np.multiply(mat.T, vec[:, None], out=buf[1:])
+    if rows == 1:
+        acc[:] = np.add.accumulate(buf, axis=0)[-1]
+        return acc
+    return np.add.reduce(buf, axis=0, out=acc)
 
 
 def accumulate_dot_all_t(acc: np.ndarray, mat: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Batched form of accumulate_dot: acc[j, t] += mat[j, k] * frames[t, k].
 
-    Same per-(row, t) scalar order as accumulate_dot; only the python loop
-    count changes.
+    Same per-(row, t) scalar order as accumulate_dot, one column step at a
+    time; Fortran-ordered mat and frames keep each step's operands
+    contiguous.
     """
     for k in range(frames.shape[1]):
         acc += mat[:, k, None] * frames[:, k][None, :]
@@ -321,21 +339,25 @@ def finish_step(weights: WeightSet, pre: np.ndarray, c_prev32: np.ndarray) -> Ce
     return CellState(c_t.astype(dt), h_t.astype(dt))
 
 
-def _run_direction(weights: WeightSet, frames: np.ndarray) -> np.ndarray:
+def run_direction(weights: WeightSet, frames: np.ndarray,
+                  partials_hook: PartialsHook | None = None) -> np.ndarray:
     """Run one cell over frames [T, input_size]; returns h outputs [T, hidden].
 
-    The forward dot products are hoisted out of the time loop (they have no
-    sequential dependence); per-scalar accumulation order is identical to the
+    The forward dot products have no sequential dependence, so they are
+    evaluated for the whole sequence first into a [4*hidden, T] accumulator;
+    the time loop then seeds each step's accumulator with its column and
+    adds the recurrent dot.  Per-scalar accumulation order is that of the
     per-timestep loop, so the hoist does not change a single bit.
     """
     layer = weights.layer
     T = frames.shape[0]
     h = layer.hidden_size
     wx, wh, _ = weights.stacked()
-    frames32 = _upcast(frames)
 
     fwd = np.zeros((4 * h, T), dtype=ACC_DTYPE)
-    accumulate_dot_all_t(fwd, wx, frames32)
+    accumulate_dot_all_t(fwd, wx, np.asfortranarray(frames, dtype=ACC_DTYPE))
+    if partials_hook is not None:
+        fwd = partials_hook(fwd)
 
     state = zero_state(h, weights.precision)
     out = np.empty((T, h), dtype=weights.precision.storage_dtype)
@@ -348,7 +370,7 @@ def _run_direction(weights: WeightSet, frames: np.ndarray) -> np.ndarray:
 
 
 def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
-                inp: Sequence) -> Sequence:
+                inp: Sequence, partials_hook: PartialsHook | None = None) -> Sequence:
     """Run one layer; bidirectional layers concatenate fwd and bwd outputs."""
     if inp.dim != layer.input_size:
         raise ShapeError(f"input dim {inp.dim} != layer input_size {layer.input_size}")
@@ -357,10 +379,10 @@ def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
     for ws in weights:
         if ws.layer != layer:
             raise ShapeError("weight set does not match the layer descriptor")
-    fwd = _run_direction(weights[0], inp.frames)
+    fwd = run_direction(weights[0], inp.frames, partials_hook)
     if layer.direction is Direction.forward_only:
         return Sequence(fwd)
-    bwd = _run_direction(weights[1], inp.frames[::-1])
+    bwd = run_direction(weights[1], inp.frames[::-1], partials_hook)
     # bwd[i] belongs to input frame T-1-i; flip back to frame order
     return Sequence(np.concatenate([fwd, bwd[::-1]], axis=1))
 

@@ -98,11 +98,6 @@ class DequantTable:
         return out
 
 
-def dequantize(code, table: DequantTable):
-    """Convert an integer code (or array) back to floating point."""
-    return table.lookup(code)
-
-
 def calibrate_alpha(max_abs_partial: float, floor: float = 0.1) -> float:
     """Turn an observed maximum |partial output| into a clamp magnitude.
 

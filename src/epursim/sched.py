@@ -275,11 +275,6 @@ def weight_buffer_read_bytes(layer: LayerDescriptor, T: int, policy: Policy,
     return wx + T * wh
 
 
-def partial_store_bytes(layer: LayerDescriptor, T: int, quant: QuantConfig) -> int:
-    """Intermediate-memory bytes the four gates' quantized partials occupy."""
-    return 4 * T * layer.hidden_size * quant.storage_bytes
-
-
 # ---------------------------------------------------------------------------
 # DRAM traffic model
 

@@ -7,7 +7,7 @@ from conftest import cell_for_layer, random_frames, random_network
 from epursim.arch import (CapacityError, HardwareConfig, MuBottleneckError,
                           baseline_config, calibrate_network_alpha,
                           dpu_dot_cycles, mu_initiation_interval, mu_plan,
-                          mu_schedule, mwl_config, simulate)
+                          mwl_config, simulate)
 from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
                            NetworkWeights, ShapeError, network_infer)
 from epursim.quant import QuantConfig
@@ -93,13 +93,11 @@ class TestMuPlanTableLatencies:
         assert a == b
 
     def test_mu_schedule_api(self):
-        sched = mu_schedule("output", CFG, unit_latencies=True)
-        assert sched["starts"]["mul_h"] == 17
-        assert sched["last_stage"] == 17
-        sched_i = mu_schedule("input", CFG, unit_latencies=True)
-        assert sched_i["span_stages"] == 8
-        with pytest.raises(ShapeError):
-            mu_schedule("bogus", CFG)
+        plan = mu_plan(CFG, unit_latencies=True)
+        assert plan.start_of("output", "mul_h") == 17
+        assert plan.gate_span("output") == 17
+        assert plan.gate_span("input") + 1 == 8
+        assert plan.gate_ops("bogus") == []
 
     def test_initiation_interval_leaves_dpu_in_charge(self):
         # per-element MU issue slots never exceed the smallest DPU interval

@@ -185,3 +185,75 @@ class TestQuantizeSweep:
         doc = json.loads(out.read_text())
         errs = [row["max_abs_error"] for row in doc["sweep"]]
         assert errs[-1] <= errs[0]
+
+
+class TestBoundary:
+    """Bad values at the command line end in the documented exit code and a
+    one-line message, never a traceback or a silent empty result."""
+
+    @staticmethod
+    def one_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1, err
+        return err
+
+    def simulate(self, gen, *extra):
+        desc, blob = gen
+        return run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "3", *extra)
+
+    def test_failed_invariant_exits_7(self, gen, monkeypatch, capsys):
+        from epursim import arch
+        real = arch.dram_traffic
+
+        def inflated(*args):
+            traffic = real(*args)
+            traffic.input_bytes += 1
+            return traffic
+
+        monkeypatch.setattr(arch, "dram_traffic", inflated)
+        assert self.simulate(gen) == cli.EXIT_CHECK
+        assert "dram_counters_consistent" in capsys.readouterr().err
+        desc, blob = gen
+        rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "3")
+        assert rc == cli.EXIT_CHECK
+
+    def test_quant_bits_out_of_range(self, gen, capsys):
+        rc = self.simulate(gen, "--policy", "mwl", "--quantize", "--quant-bits", "20")
+        assert rc == cli.EXIT_USAGE
+        assert "n_bits" in self.one_line(capsys)
+
+    def test_sweep_min_above_max(self, gen, tmp_path, capsys):
+        desc, blob = gen
+        out = tmp_path / "sweep.json"
+        rc = run_cli("quantize-sweep", "--network", str(desc), "--weights", str(blob),
+                     "--min-bits", "9", "--max-bits", "4", "--out", str(out))
+        assert rc == cli.EXIT_USAGE
+        assert "--min-bits" in self.one_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fps", ["-5", "0", "nan", "inf"])
+    def test_frames_per_second_must_be_positive(self, gen, fps, capsys):
+        assert self.simulate(gen, "--frames-per-second", fps) == cli.EXIT_USAGE
+        assert "--frames-per-second" in self.one_line(capsys)
+
+    @pytest.mark.parametrize("doc", [{"dpu_widht": 16},
+                                     {"op_latency": {"fma": 3}},
+                                     {"dpu_width": 3},
+                                     {"op_latency": [2, 4]}])
+    def test_bad_hw_config_exits_3(self, gen, tmp_path, doc, capsys):
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.simulate(gen, "--hw-config", str(hw)) == cli.EXIT_PARSE
+        self.one_line(capsys)
+
+    def test_partial_op_latency_merges_over_defaults(self, gen, tmp_path):
+        from epursim.arch import DEFAULT_OP_LATENCY
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps({"op_latency": {"add": 3}}), encoding="utf-8")
+        out = tmp_path / "sim.json"
+        assert self.simulate(gen, "--hw-config", str(hw), "--out", str(out)) == cli.EXIT_OK
+        lat = json.loads(out.read_text())["hardware"]["op_latency"]
+        assert lat == dict(DEFAULT_OP_LATENCY, add=3)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_cell, naive_cell_step, naive_preactivation,
+from conftest import (F32, make_cell, naive_cell_step, naive_preactivation,
                       random_frames, random_network)
 from epursim.model import (GATES, CellState, Direction, GateParams,
                            LayerDescriptor, NetworkDescriptor, NetworkWeights,
                            NumericError, Precision, Sequence, ShapeError,
-                           WeightSet, cell_step, gate_preactivation,
-                           layer_infer, network_infer, zero_state)
+                           WeightSet, accumulate_dot, accumulate_dot_all_t,
+                           cell_step, gate_preactivation, layer_infer,
+                           network_infer, zero_state)
 
 
 def zeros_cell(hidden, input_size, bias=0.0):
@@ -18,6 +19,74 @@ def zeros_cell(hidden, input_size, bias=0.0):
                            np.zeros((hidden, hidden)),
                            np.full(hidden, bias)) for g in GATES}
     return WeightSet(layer, gates)
+
+
+def scalar_dot(acc, mat, vec) -> np.ndarray:
+    """acc[j] + mat[j, 0]*vec[0] + mat[j, 1]*vec[1] + ..., one fp32 scalar
+    multiply and add per step, left to right."""
+    out = np.array(acc, dtype=F32)
+    v = [F32(x) for x in vec]
+    for j in range(mat.shape[0]):
+        a = F32(out[j])
+        for m, x in zip(mat[j], v):
+            a = F32(a + F32(m * x))
+        out[j] = a
+    return out
+
+
+def spread(rng, shape) -> np.ndarray:
+    """Random signs, magnitudes log-uniform over [1e-3, 1e3]."""
+    signs = rng.choice(np.array([-1.0, 1.0]), shape)
+    return (signs * 10.0 ** rng.uniform(-3, 3, shape)).astype(F32)
+
+
+class TestAccumulationOrder:
+    """The dot kernels must equal a scalar loop over k bit for bit; a change
+    to numpy's reduction order (e.g. pairwise summation) fails here."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 320), k=st.integers(1, 700),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+    @example(rows=4, k=1, order="C", seed=0)
+    @example(rows=320, k=700, order="F", seed=1)
+    def test_accumulate_dot_matches_scalar_loop(self, rows, k, order, seed):
+        rng = np.random.default_rng(seed)
+        mat = np.asarray(spread(rng, (rows, k)), order=order)
+        vec = spread(rng, k)
+        acc = spread(rng, rows)
+        want = scalar_dot(acc, mat, vec)
+        got = accumulate_dot(acc.copy(), mat, vec)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(rows=st.integers(1, 320), k=st.integers(1, 700), T=st.integers(1, 3),
+           order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+    @example(rows=4, k=1, T=1, order="F", seed=0)
+    def test_accumulate_dot_all_t_matches_scalar_loop(self, rows, k, T, order, seed):
+        rng = np.random.default_rng(seed)
+        mat = np.asarray(spread(rng, (rows, k)), order=order)
+        frames = np.asarray(spread(rng, (T, k)), order=order)
+        acc = spread(rng, (rows, T))
+        want = np.stack([scalar_dot(acc[:, t], mat, frames[t]) for t in range(T)],
+                        axis=1)
+        got = accumulate_dot_all_t(acc.copy(), mat, frames)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows", [1, 4, 320])
+    def test_sequential_not_pairwise(self, rows):
+        # in fp32, 1e8 + 1 rounds back to 1e8, so the ascending-k sum of
+        # [1e8, 1, ..., 1, -1e8] is 0; pairwise or blocked summation adds
+        # the ones up separately and keeps them
+        prods = np.ones(300, dtype=F32)
+        prods[0], prods[-1] = 1e8, -1e8
+        assert np.add.reduce(prods) != 0  # numpy's pairwise sum differs
+        mat = np.tile(prods, (rows, 1))
+        zeros = np.zeros(rows, dtype=F32)
+        assert np.array_equal(accumulate_dot(zeros.copy(), mat, np.ones(300, F32)),
+                              zeros)
+        got = accumulate_dot_all_t(np.zeros((rows, 2), F32), mat,
+                                   np.ones((2, 300), F32))
+        assert np.array_equal(got, np.zeros((rows, 2), F32))
 
 
 class TestGatePreactivation:

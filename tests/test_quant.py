@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from epursim.model import NumericError
 from epursim.quant import (DequantTable, QuantConfig, QuantRangeError,
-                           calibrate_alpha, dequantize, quantize)
+                           calibrate_alpha, quantize)
 
 CFG = QuantConfig(n_bits=8, alpha=20.0)
 TABLE = DequantTable(CFG)
@@ -57,10 +57,10 @@ class TestQuantize:
 
 class TestDequantize:
     def test_zero(self):
-        assert dequantize(0, TABLE) == 0.0
+        assert TABLE.lookup(0) == 0.0
 
     def test_max_code_is_alpha(self):
-        got = dequantize(127, TABLE)
+        got = TABLE.lookup(127)
         assert got == pytest.approx(20.0, abs=np.spacing(np.float32(20.0)))
 
     def test_table_size(self):
@@ -69,12 +69,12 @@ class TestDequantize:
 
     def test_out_of_range_code(self):
         with pytest.raises(QuantRangeError):
-            dequantize(128, TABLE)
+            TABLE.lookup(128)
         with pytest.raises(QuantRangeError):
-            dequantize(-128, TABLE)
+            TABLE.lookup(-128)
 
     def test_round_trip_of_zero(self):
-        assert dequantize(quantize(0.0, CFG), TABLE) == 0.0
+        assert TABLE.lookup(quantize(0.0, CFG)) == 0.0
 
 
 class TestRoundTrip:

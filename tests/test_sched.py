@@ -8,7 +8,7 @@ from epursim.model import (GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, gate_matrix_bytes)
 from epursim.quant import QuantConfig
 from epursim.sched import (AccessEvent, Policy, Target, dram_traffic,
-                           layer_traces, partial_store_bytes, reuse_analysis,
+                           layer_traces, reuse_analysis,
                            trace_conventional, trace_mwl,
                            weight_buffer_read_bytes, _analyze_stream)
 
@@ -103,7 +103,7 @@ class TestMwlTrace:
         written = sum(ev.bytes for ev in trace.all_events()
                       if ev.target is Target.intermediate_memory and ev.rw == "w")
         assert written == 4 * T * layer.hidden_size * 1
-        assert written == partial_store_bytes(layer, T, q)
+        assert written == 4 * T * layer.hidden_size * q.storage_bytes
         read_back = sum(ev.bytes for ev in trace.all_events()
                         if ev.target is Target.intermediate_memory and ev.rw == "r")
         assert read_back == written
