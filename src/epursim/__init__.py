@@ -11,8 +11,8 @@ from .sched import (AccessEvent, AccessTrace, Policy, ReuseStats, Target,
                     dram_traffic, reuse_analysis, trace_conventional,
                     trace_mwl)
 from .arch import (CapacityError, HardwareConfig, MuBottleneckError, SimReport,
-                   baseline_config, dpu_dot_cycles, mu_plan, mwl_config,
-                   simulate)
+                   baseline_config, cost_model, dpu_dot_cycles, mu_plan,
+                   mwl_config, simulate)
 from .energy import EnergyReport, EnergyTable, account, compare
 
 __version__ = "0.1.0"
@@ -27,6 +27,6 @@ __all__ = [
     "dram_traffic", "reuse_analysis", "trace_conventional", "trace_mwl",
     "CapacityError", "HardwareConfig", "MuBottleneckError", "SimReport",
     "baseline_config", "dpu_dot_cycles", "mu_plan", "mwl_config",
-    "simulate",
+    "cost_model", "simulate",
     "EnergyReport", "EnergyTable", "account", "compare",
 ]

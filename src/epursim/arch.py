@@ -4,13 +4,14 @@ weight/input buffers and a shared double-buffered intermediate memory.
 
 The functional values produced by a simulation follow the exact accumulation
 order contract of the reference model, so exact-mode runs are bit-identical
-to it; the timing and event counts are layered on top of that datapath.
+to it.  The timing and event counts come from ``cost_model``, which reads
+only shapes, the sequence length, the schedule and the configuration.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -19,7 +20,8 @@ from .model import (ACC_DTYPE, GATES, NetworkDescriptor, NetworkWeights,
                     PartialsHook, Sequence, ShapeError, cell_weight_bytes,
                     gate_matrix_bytes, gate_weight_bytes, layer_infer)
 from .quant import DequantTable, QuantConfig, calibrate_alpha, quantize
-from .sched import Policy, Target, dram_traffic
+from .sched import (Policy, Target, dram_traffic, gate_accesses,
+                    partial_bytes, pins_forward_rows)
 
 DEFAULT_OP_LATENCY = {
     # add/mul/exp come straight from the hardware parameter table; div and
@@ -64,7 +66,6 @@ class HardwareConfig:
     peak_dram_bandwidth: float = 30e9
     dram_latency_s: float = 100e-9
     bank_bytes: int = 256 * 2**10
-    quant: QuantConfig = field(default_factory=QuantConfig)
 
     def __post_init__(self):
         n = self.dpu_width
@@ -83,39 +84,27 @@ class HardwareConfig:
             raise ValueError("mu_comm_cycles must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "frequency_hz": self.frequency_hz,
-            "dpu_width": self.dpu_width,
-            "weight_mem_bytes_per_cu": self.weight_mem_bytes_per_cu,
-            "input_mem_bytes_per_cu": self.input_mem_bytes_per_cu,
-            "intermediate_mem_bytes": self.intermediate_mem_bytes,
-            "row_buffer_bytes": self.row_buffer_bytes,
-            "op_latency": dict(self.op_latency),
-            "mu_comm_cycles": self.mu_comm_cycles,
-            "peak_dram_bandwidth": self.peak_dram_bandwidth,
-            "dram_latency_s": self.dram_latency_s,
-            "bank_bytes": self.bank_bytes,
-            "quant": self.quant.to_json(),
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HardwareConfig":
-        """Config from its JSON form: absent fields keep their defaults and a
-        partial op_latency table is merged over DEFAULT_OP_LATENCY.  Raises
+    def from_json(cls, obj: dict,
+                  base: "HardwareConfig | None" = None) -> "HardwareConfig":
+        """Config from its JSON form, merged over ``base`` (default: the epur
+        preset): absent fields keep the base's values and a partial
+        op_latency table is merged over the base's latencies.  Raises
         ConfigError on an unknown key or an unusable value."""
+        base = base or cls()
         if not isinstance(obj, dict) or not isinstance(obj.get("op_latency", {}), dict):
             raise ConfigError("hardware config and its op_latency must be JSON objects")
-        kwargs = dict(obj, op_latency={**DEFAULT_OP_LATENCY, **obj.get("op_latency", {})})
+        kwargs = dict(obj, op_latency={**base.op_latency, **obj.get("op_latency", {})})
         unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
         unknown += sorted(f"op_latency.{k}" for k in kwargs["op_latency"]
                           if k not in DEFAULT_OP_LATENCY)
         if unknown:
             raise ConfigError(f"unknown hardware config key(s): {', '.join(unknown)}")
         try:
-            if "quant" in kwargs:
-                kwargs["quant"] = QuantConfig.from_json(kwargs["quant"])
-            return cls(**kwargs)
-        except (KeyError, TypeError, ValueError) as e:
+            return replace(base, **kwargs)
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad hardware config: {e}") from e
 
 
@@ -296,11 +285,8 @@ def mu_initiation_interval(plan: MuPlan, gate: str) -> int:
 _QUANT_FU_OPS = (("mul", 1), ("add", 1), ("move", 2))
 _QUANT_OP_COUNT = 4
 _DEQUANT_OP_COUNT = 1
-
-
-def _quant_mu_interval(cfg: HardwareConfig) -> int:
-    del cfg  # pipelined units: the interval is an issue-slot count
-    return max(math.ceil(c / FU_UNITS[fu]) for fu, c in _QUANT_FU_OPS)
+# pipelined units: the cycles between quantized elements are an issue-slot count
+_QUANT_MU_INTERVAL = max(math.ceil(c / FU_UNITS[fu]) for fu, c in _QUANT_FU_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +315,6 @@ class Counters:
 class PassTiming:
     compute_cycles: int
     dram_fetch_cycles: int
-    label: str
 
 
 @dataclass
@@ -349,10 +334,11 @@ class SimReport:
     checks: dict
     mu_critical_path: int
     config: HardwareConfig
-    outputs: Sequence
     network_summary: dict
     realtime: dict | None = None
     notes: list[str] = field(default_factory=list)
+    # attached by simulate(), empty from cost_model()
+    outputs: Sequence | None = None
     pass_alphas: list[float] = field(default_factory=list)
 
     @property
@@ -419,15 +405,15 @@ def _check_capacity(net: NetworkDescriptor, T: int, policy: Policy,
     row_hwm = 0
     partial_hwm = 0
     for i, layer in enumerate(net.layers):
-        rowx = layer.input_size * eb
-        fallback = rowx > cfg.row_buffer_bytes
+        pinned = (policy is Policy.mwl
+                  and pins_forward_rows(layer, eb, cfg.row_buffer_bytes))
         for g in GATES:
             full = gate_weight_bytes(layer, g, eb)
-            if policy is Policy.mwl and not fallback:
+            if pinned:
                 # recurrent matrix, bias, peephole stay resident; forward rows
                 # stream through the row buffer
                 wb_need = full - gate_matrix_bytes(layer, eb)[0]
-                row_hwm = max(row_hwm, rowx)
+                row_hwm = max(row_hwm, layer.input_size * eb)
             else:
                 wb_need = full
             if wb_need > cfg.weight_mem_bytes_per_cu:
@@ -488,14 +474,12 @@ def _check_mu_throughput(net: NetworkDescriptor, policy: Policy,
         dotx = dpu_dot_cycles(layer.input_size, cfg)
         doth = dpu_dot_cycles(layer.hidden_size, cfg)
         plan = mu_plan(cfg, peephole=layer.peephole)
-        if policy is Policy.mwl:
-            qii = _quant_mu_interval(cfg)
-            if qii > dotx:
-                raise MuBottleneckError(
-                    f"quantization work ({qii} cycles/element) outpaces the "
-                    f"forward DPU interval ({dotx}) for layer with "
-                    f"input_size={layer.input_size}"
-                )
+        if policy is Policy.mwl and _QUANT_MU_INTERVAL > dotx:
+            raise MuBottleneckError(
+                f"quantization work ({_QUANT_MU_INTERVAL} cycles/element) outpaces "
+                f"the forward DPU interval ({dotx}) for layer with "
+                f"input_size={layer.input_size}"
+            )
         interval, phase, stream, tail = (
             (dotx + doth, "conventional",
              layer.hidden_size * (dotx + doth),
@@ -539,14 +523,14 @@ def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
     With ``calibrate`` each pass uses its own clamp magnitude (the measured
     peak |partial|, rounded up), standing in for an offline calibration run:
     the dequantization constants travel with each layer's weights anyway.
-    The hook appends the alpha it applied to ``alphas``, one per pass.
+    The hook then appends the alpha it applied to ``alphas``, one per pass.
     """
     def hook(partials: np.ndarray) -> np.ndarray:
         applied = qcfg
         if calibrate:
             applied = QuantConfig(qcfg.n_bits,
                                   calibrate_alpha(float(np.max(np.abs(partials)))))
-        alphas.append(applied.alpha)
+            alphas.append(applied.alpha)
         return DequantTable(applied).lookup(quantize(partials, applied)).astype(ACC_DTYPE)
     return hook
 
@@ -566,53 +550,38 @@ def calibrate_network_alpha(net: NetworkDescriptor, weights: NetworkWeights,
     return calibrate_alpha(max(peaks))
 
 
-def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
-             policy: Policy, cfg: HardwareConfig,
-             quant: QuantConfig | None = None,
-             quant_calibrate: bool = False,
-             frames_per_second: float | None = None) -> SimReport:
-    """Run one inference through the cycle model.
+def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
+               cfg: HardwareConfig, quant: QuantConfig | None = None,
+               frames_per_second: float | None = None) -> SimReport:
+    """Cycles, event counts, storage and DRAM traffic of one inference over
+    a T-frame sequence, from shapes alone; the report carries no outputs.
 
-    ``quant=None`` is exact mode; a QuantConfig enables quantized partial
-    storage (it only affects the MWL schedule).  ``quant_calibrate`` swaps
-    the config's clamp magnitude for a per-pass calibrated one.  Raises
-    CapacityError when a layer does not fit on chip and MuBottleneckError
-    when the configured MU latencies cannot keep up with the DPUs.
+    ``quant=None`` is exact mode; a QuantConfig stores the MWL partials as
+    codes (the conventional schedule stores none, so it ignores ``quant``).
+    Raises CapacityError when a layer does not fit on chip and
+    MuBottleneckError when the MU latencies cannot keep up with the DPUs.
     """
-    if inp.dim != net.input_dim:
-        raise ShapeError(f"input dim {inp.dim} != network input_dim {net.input_dim}")
-    T = inp.length
+    if policy is Policy.conventional:
+        quant = None
     eb = net.numeric_precision.elem_bytes
-    cfg_quant = quant
-    # with quantization disabled the partials stay in full accumulator precision
-    qbytes = (cfg_quant.storage_bytes if cfg_quant is not None
-              else np.dtype(ACC_DTYPE).itemsize)
+    qbytes = partial_bytes(quant)
     storage = _check_capacity(net, T, policy, cfg, qbytes)
     _check_mu_throughput(net, policy, cfg)
 
     counters = Counters()
     notes: list[str] = []
-    compute_cycles = 0
     mu_cp_worst = 0
     passes: list[PassTiming] = []
-    pass_alphas: list[float] = []
 
     # intermediate-memory layout: two sequence halves plus the partial region
-    partial_region_bytes = storage["partial_store_hwm"]
-    half = (cfg.intermediate_mem_bytes - partial_region_bytes) // 2
+    half = (cfg.intermediate_mem_bytes - storage["partial_store_hwm"]) // 2
     db_disjoint = True
 
     # input sequence arrives from DRAM into the first read half
     counters.bump(Target.dram, "r", 1, T * net.input_dim * eb)
     counters.bump(Target.intermediate_memory, "w", T, T * net.input_dim * eb)
 
-    # functional datapath: both schedules run the one ordered accumulation;
-    # quantized MWL stores its hoisted forward partials as codes
-    hook = (_quantize_partials(cfg_quant, quant_calibrate, pass_alphas)
-            if policy is Policy.mwl and cfg_quant is not None else None)
-    seq = inp
     for i, layer in enumerate(net.layers):
-        seq = layer_infer(layer, weights.layers[i], seq, hook)
         h, nx = layer.hidden_size, layer.input_size
         dotx = dpu_dot_cycles(nx, cfg)
         doth = dpu_dot_cycles(h, cfg)
@@ -621,13 +590,12 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         plan = mu_plan(cfg, peephole=layer.peephole)
         mu_cp = plan.critical_path
         mu_cp_worst = max(mu_cp_worst, mu_cp)
-        rowx = nx * eb
-        mwl_fallback = policy is Policy.mwl and rowx > cfg.row_buffer_bytes
-        if mwl_fallback:
+        if policy is Policy.mwl and not pins_forward_rows(layer, eb, cfg.row_buffer_bytes):
             notes.append(
-                f"layer {i}: forward row ({rowx} B) exceeds the row buffer; "
+                f"layer {i}: forward row ({nx * eb} B) exceeds the row buffer; "
                 "forward reads fall back to the weight buffer"
             )
+        gate_traffic = gate_accesses(layer, T, policy, eb, qbytes, cfg.row_buffer_bytes)
 
         read_lo, read_hi = (i % 2) * half, (i % 2) * half + T * nx * eb
         write_lo = ((i + 1) % 2) * half
@@ -635,7 +603,7 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         if max(read_lo, write_lo) < min(read_hi, write_hi):
             db_disjoint = False
 
-        for d in range(layer.num_directions):
+        for _ in range(layer.num_directions):
             # --- per-pass cycle model
             if policy is Policy.conventional:
                 stream = T * h * (dotx + doth)
@@ -644,40 +612,24 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
                 pass_cycles = stream + tail
             else:
                 phase1 = T * h * dotx
-                if cfg_quant is not None:
-                    phase1 += _quant_mu_interval(cfg)  # quantizer drain, once
+                if quant is not None:
+                    phase1 += _QUANT_MU_INTERVAL  # quantizer drain, once
                 phase2 = T * h * doth + T * mu_cp
                 pass_cycles = phase1 + phase2
-            compute_cycles += pass_cycles
 
             # --- event counters
-            wxb, whb = gate_matrix_bytes(layer, eb)
             for g in GATES:
                 counters.dpu_ops_per_cu[g] += T * h * (kx + kh)
                 counters.mu_ops += T * h * plan.op_count(g)
+                if quant is not None:
+                    counters.mu_ops += (_QUANT_OP_COUNT + _DEQUANT_OP_COUNT) * T * h
                 # per-element bias (and peephole) scalars via the weight buffer
                 mu_soft = T * h
                 counters.bump(Target.weight_buffer, "r", mu_soft, mu_soft * eb)
                 if layer.peephole and g in ("input", "forget", "output"):
                     counters.bump(Target.weight_buffer, "r", mu_soft, mu_soft * eb)
-                if policy is Policy.conventional:
-                    counters.bump(Target.weight_buffer, "r", T * 2 * h,
-                                  T * (wxb + whb))
-                elif mwl_fallback:
-                    counters.bump(Target.weight_buffer, "r", T * 2 * h,
-                                  T * (wxb + whb))
-                    if cfg_quant is not None:
-                        counters.mu_ops += (_QUANT_OP_COUNT + _DEQUANT_OP_COUNT) * T * h
-                    counters.bump(Target.intermediate_memory, "w", T * h, T * h * qbytes)
-                    counters.bump(Target.intermediate_memory, "r", T * h, T * h * qbytes)
-                else:
-                    counters.bump(Target.weight_buffer, "r", h + T * h, wxb + T * whb)
-                    counters.bump(Target.row_buffer, "w", h, wxb)
-                    counters.bump(Target.row_buffer, "r", T * h, T * wxb)
-                    if cfg_quant is not None:
-                        counters.mu_ops += (_QUANT_OP_COUNT + _DEQUANT_OP_COUNT) * T * h
-                    counters.bump(Target.intermediate_memory, "w", T * h, T * h * qbytes)
-                    counters.bump(Target.intermediate_memory, "r", T * h, T * h * qbytes)
+                for (target, rw), (count, nbytes) in gate_traffic.items():
+                    counters.bump(target, rw, count, nbytes)
                 # the DPU streams x_t and h_{t-1} from the input buffer
                 counters.bump(Target.input_buffer, "r", T * h * (kx + kh),
                               T * h * (nx + h) * eb)
@@ -691,12 +643,12 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
             # weights of this pass arrive from DRAM exactly once
             pass_weight_bytes = cell_weight_bytes(layer, eb)
             counters.bump(Target.dram, "r", 1, pass_weight_bytes)
-            passes.append(PassTiming(pass_cycles, _dram_fetch_cycles(pass_weight_bytes, cfg),
-                                     f"layer{i}.dir{d}"))
+            passes.append(PassTiming(pass_cycles, _dram_fetch_cycles(pass_weight_bytes, cfg)))
 
     # final outputs leave for the (pass-through) output stage
     counters.bump(Target.dram, "w", 1, T * net.output_dim * eb)
 
+    compute_cycles = sum(p.compute_cycles for p in passes)
     # weight prefetch for pass p overlaps compute of pass p-1
     stall_cycles = passes[0].dram_fetch_cycles
     for prev, cur in zip(passes, passes[1:]):
@@ -736,7 +688,7 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         "double_buffer_disjoint": db_disjoint,
         "cu_dot_products_balanced": len(dpu_counts) == 1,
         "dram_counters_consistent": dram_consistent,
-        "mu_bottleneck": False,  # simulate() raises before reporting otherwise
+        "mu_bottleneck": False,  # cost_model() raises before reporting otherwise
     }
     if not db_disjoint:
         raise RuntimeError("double-buffer invariant violated: read and write "
@@ -744,8 +696,8 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
 
     return SimReport(
         policy=policy,
-        exact_mode=cfg_quant is None,
-        quant=cfg_quant,
+        exact_mode=quant is None,
+        quant=quant,
         precision=net.numeric_precision.value,
         T=T,
         cycles=cycles,
@@ -758,7 +710,6 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         checks=checks,
         mu_critical_path=mu_cp_worst,
         config=cfg,
-        outputs=seq,
         network_summary={
             "input_dim": net.input_dim,
             "precision": net.numeric_precision.value,
@@ -770,5 +721,27 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
         },
         realtime=realtime,
         notes=notes,
-        pass_alphas=pass_alphas if quant_calibrate else [],
     )
+
+
+def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
+             policy: Policy, cfg: HardwareConfig,
+             quant: QuantConfig | None = None,
+             quant_calibrate: bool = False,
+             frames_per_second: float | None = None) -> SimReport:
+    """``cost_model``'s report of one inference, with the datapath's outputs
+    attached.  ``quant_calibrate`` swaps the clamp magnitude of ``quant``
+    for a per-pass calibrated one.
+    """
+    if inp.dim != net.input_dim:
+        raise ShapeError(f"input dim {inp.dim} != network input_dim {net.input_dim}")
+    report = cost_model(net, inp.length, policy, cfg, quant, frames_per_second)
+    # both schedules run the one ordered accumulation; quantized MWL stores
+    # its hoisted forward partials as codes
+    hook = (_quantize_partials(report.quant, quant_calibrate, report.pass_alphas)
+            if report.quant is not None else None)
+    seq = inp
+    for i, layer in enumerate(net.layers):
+        seq = layer_infer(layer, weights.layers[i], seq, hook)
+    report.outputs = seq
+    return report

@@ -47,16 +47,19 @@ def _setup_logging() -> None:
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
+    """Write via a temp file beside ``path``, which an OSError names."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_json(path: str | Path, obj: dict) -> None:
@@ -78,22 +81,34 @@ def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
 
 
 def _hw_config(args) -> arch.HardwareConfig:
-    if getattr(args, "hw_config", None):
+    """The --hw-preset config, with a --hw-config file merged over it."""
+    cfg = arch.HW_PRESETS[args.hw_preset]()
+    if args.hw_config:
         return arch.HardwareConfig.from_json(
-            json.loads(Path(args.hw_config).read_text(encoding="utf-8")))
-    return arch.HW_PRESETS[args.hw_preset]()
+            json.loads(Path(args.hw_config).read_text(encoding="utf-8")), base=cfg)
+    return cfg
 
 
-def _dump_trace_csv(path: str | Path, traces: list[tuple[str, sched.AccessTrace]]) -> None:
+def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,
+            qcfg: quant.QuantConfig | None, row_buffer_bytes: int,
+            only_layer: int | None = None) -> dict[int, list[sched.AccessTrace]]:
+    """Per layer (all, or only ``only_layer``), one access trace per direction."""
+    eb = net.numeric_precision.elem_bytes
+    return {i: sched.layer_traces(layer, T, policy, eb, qcfg, row_buffer_bytes)
+            for i, layer in enumerate(net.layers) if only_layer in (None, i)}
+
+
+def _dump_trace_csv(path: str | Path, traces: dict[int, list[sched.AccessTrace]]) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["pass", "gate", "target", "object_id", "rw", "bytes", "t", "neuron"])
-    for label, trace in traces:
-        for gate in model.GATES:
-            for ev in trace.gate_events(gate):
-                w.writerow([label, gate, ev.target.value,
-                            "/".join(map(str, ev.object_id)),
-                            ev.rw, ev.bytes, ev.timestep, ev.neuron])
+    for i, per_dir in traces.items():
+        for d, trace in enumerate(per_dir):
+            for gate in model.GATES:
+                for ev in trace.gate_events(gate):
+                    w.writerow([f"layer{i}.dir{d}", gate, ev.target.value,
+                                "/".join(map(str, ev.object_id)),
+                                ev.rw, ev.bytes, ev.timestep, ev.neuron])
     _write_atomic(path, buf.getvalue())
 
 
@@ -157,17 +172,19 @@ def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
         raise UsageError(e) from e
 
 
-def _run_simulation(args, policy: sched.Policy):
+def _run_simulations(args, policies: list[sched.Policy]):
+    """Simulate each policy with the inputs, hardware and quantization of args."""
     if not 0 < args.frames_per_second < math.inf:
         raise UsageError(f"--frames-per-second must be positive and finite, "
                          f"got {args.frames_per_second}")
     qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
     net, weights, seq = _load_inputs(args)
     cfg = _hw_config(args)
-    report = arch.simulate(net, weights, seq, policy, cfg, quant=qcfg,
-                           quant_calibrate=bool(args.quantize and args.calibrate),
-                           frames_per_second=args.frames_per_second)
-    return net, weights, seq, cfg, report
+    reports = [arch.simulate(net, weights, seq, policy, cfg, quant=qcfg,
+                             quant_calibrate=args.calibrate,
+                             frames_per_second=args.frames_per_second)
+               for policy in policies]
+    return net, weights, seq, reports
 
 
 def _oracle_check(net, weights, seq, report) -> dict:
@@ -198,7 +215,7 @@ def _checks_ok(*reports: arch.SimReport) -> bool:
 
 def cmd_simulate(args) -> int:
     policy = sched.Policy(args.policy)
-    net, weights, seq, cfg, report = _run_simulation(args, policy)
+    net, weights, seq, (report,) = _run_simulations(args, [policy])
     doc = report.to_json()
     doc["oracle_check"] = _oracle_check(net, weights, seq, report)
     if args.energy:
@@ -206,13 +223,8 @@ def cmd_simulate(args) -> int:
     if args.out:
         _write_json(args.out, doc)
     if args.trace_csv:
-        traces = []
-        for i, layer in enumerate(net.layers):
-            for d, tr in enumerate(sched.layer_traces(
-                    layer, seq.length, policy, net.numeric_precision.elem_bytes,
-                    cfg.quant, cfg.row_buffer_bytes)):
-                traces.append((f"layer{i}.dir{d}", tr))
-        _dump_trace_csv(args.trace_csv, traces)
+        _dump_trace_csv(args.trace_csv, _traces(
+            net, seq.length, policy, report.quant, report.config.row_buffer_bytes))
     print(report.text_table())
     print(f"oracle check: {doc['oracle_check']}")
     ok = _checks_ok(report) and doc["oracle_check"]["passed"]
@@ -222,25 +234,16 @@ def cmd_simulate(args) -> int:
 def cmd_analyze_reuse(args) -> int:
     net = netio.load_descriptor(args.network)
     policy = sched.Policy(args.policy)
-    cfg = _hw_config(args)
-    eb = net.numeric_precision.elem_bytes
+    # the design's partial width: 8-bit codes
+    traces = _traces(net, args.t, policy, quant.QuantConfig(),
+                     _hw_config(args).row_buffer_bytes, args.layer)
     doc = {"policy": policy.value, "sequence_length": args.t, "layers": []}
-    traces = []
-    for i, layer in enumerate(net.layers):
-        if args.layer is not None and i != args.layer:
-            continue
-        per_dir = []
-        for d, tr in enumerate(sched.layer_traces(layer, args.t, policy, eb,
-                                                  cfg.quant, cfg.row_buffer_bytes)):
-            stats = sched.reuse_analysis(tr)
-            per_dir.append({
-                "direction": d,
-                "stats": stats.to_json(),
-                "weight_storage_bytes": {
-                    g: stats.weight_storage_bytes(g) for g in model.GATES},
-            })
-            traces.append((f"layer{i}.dir{d}", tr))
-        doc["layers"].append({"layer": i, "directions": per_dir})
+    for i, per_dir in traces.items():
+        stats = [sched.reuse_analysis(tr) for tr in per_dir]
+        doc["layers"].append({"layer": i, "directions": [
+            {"direction": d, "stats": st.to_json(),
+             "weight_storage_bytes": {g: st.weight_storage_bytes(g) for g in model.GATES}}
+            for d, st in enumerate(stats)]})
     if args.out:
         _write_json(args.out, doc)
     if args.trace_csv:
@@ -252,11 +255,7 @@ def cmd_analyze_reuse(args) -> int:
 def cmd_compare(args) -> int:
     pol_a = sched.Policy(args.policy_a)
     pol_b = sched.Policy(args.policy_b)
-    net, weights, seq, cfg, rep_a = _run_simulation(args, pol_a)
-    rep_b = arch.simulate(net, weights, seq, pol_b, cfg,
-                          quant=rep_a.quant,
-                          quant_calibrate=bool(args.quantize and args.calibrate),
-                          frames_per_second=args.frames_per_second)
+    net, weights, seq, (rep_a, rep_b) = _run_simulations(args, [pol_a, pol_b])
     table = energy.EnergyTable()
     en_a = energy.account(rep_a, table)
     en_b = energy.account(rep_b, table)

@@ -23,7 +23,9 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import (GATES, LayerDescriptor, NetworkDescriptor,
+import numpy as np
+
+from .model import (ACC_DTYPE, GATES, LayerDescriptor, NetworkDescriptor,
                     ShapeError, cell_weight_bytes, gate_matrix_bytes)
 from .quant import QuantConfig
 
@@ -96,7 +98,8 @@ def trace_conventional(layer: LayerDescriptor, T: int,
 def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
               quant: QuantConfig | None = None,
               row_buffer_bytes: int = 4096) -> AccessTrace:
-    """Two-phase MWL access stream for one cell.
+    """Two-phase MWL access stream for one cell, partials stored as codes of
+    ``quant`` (None: at full accumulator precision, as in exact mode).
 
     Forward rows wider than the row buffer cannot be pinned; those gates fall
     back to re-reading the weight buffer every timestep (with a warning), so
@@ -104,11 +107,11 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
     """
     if T < 1:
         raise ShapeError("T must be >= 1")
-    quant = quant or QuantConfig()
     rowx = layer.input_size * elem_bytes
     rowh = layer.hidden_size * elem_bytes
-    qbytes = quant.storage_bytes
-    if rowx > row_buffer_bytes:
+    qbytes = partial_bytes(quant)
+    pinned = pins_forward_rows(layer, elem_bytes, row_buffer_bytes)
+    if not pinned:
         warnings.warn(
             f"forward row ({rowx} B) exceeds the row buffer ({row_buffer_bytes} B); "
             "falling back to weight-buffer reads for forward connections",
@@ -119,16 +122,12 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
         ev = []
         # phase 1: forward connections, whole sequence per neuron
         for j in range(layer.hidden_size):
-            if rowx > row_buffer_bytes:
-                for t in range(1, T + 1):
-                    ev.append(AccessEvent(Target.weight_buffer, ("wx", gate, j), "r", rowx, t, j))
-                    ev.append(AccessEvent(Target.intermediate_memory,
-                                          ("partial", gate, j, t), "w", qbytes, t, j))
-                continue
-            ev.append(AccessEvent(Target.weight_buffer, ("wx", gate, j), "r", rowx, 1, j))
-            ev.append(AccessEvent(Target.row_buffer, ("wx", gate, j), "w", rowx, 1, j))
+            if pinned:
+                ev.append(AccessEvent(Target.weight_buffer, ("wx", gate, j), "r", rowx, 1, j))
+                ev.append(AccessEvent(Target.row_buffer, ("wx", gate, j), "w", rowx, 1, j))
+            source = Target.row_buffer if pinned else Target.weight_buffer
             for t in range(1, T + 1):
-                ev.append(AccessEvent(Target.row_buffer, ("wx", gate, j), "r", rowx, t, j))
+                ev.append(AccessEvent(source, ("wx", gate, j), "r", rowx, t, j))
                 ev.append(AccessEvent(Target.intermediate_memory,
                                       ("partial", gate, j, t), "w", qbytes, t, j))
         # phase 2: recurrent connections in conventional order
@@ -145,11 +144,9 @@ def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,
                  elem_bytes: int = 4, quant: QuantConfig | None = None,
                  row_buffer_bytes: int = 4096) -> list[AccessTrace]:
     """One trace per direction; a bidirectional layer is two independent cells."""
-    if policy is Policy.conventional:
-        one = lambda: trace_conventional(layer, T, elem_bytes)
-    else:
-        one = lambda: trace_mwl(layer, T, elem_bytes, quant, row_buffer_bytes)
-    return [one() for _ in range(layer.num_directions)]
+    return [trace_conventional(layer, T, elem_bytes) if policy is Policy.conventional
+            else trace_mwl(layer, T, elem_bytes, quant, row_buffer_bytes)
+            for _ in range(layer.num_directions)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +259,47 @@ def reuse_analysis(trace: AccessTrace) -> ReuseStats:
 
 
 # ---------------------------------------------------------------------------
-# closed-form access counts (cross-checked against the traces in tests)
+# the schedule in closed form (cross-checked against the traces in tests)
+
+def partial_bytes(quant: QuantConfig | None) -> int:
+    """Bytes one stored MWL partial occupies: a code of ``quant``, or the
+    full accumulator precision when the partials are not quantized."""
+    return quant.storage_bytes if quant is not None else np.dtype(ACC_DTYPE).itemsize
+
+
+def pins_forward_rows(layer: LayerDescriptor, elem_bytes: int,
+                      row_buffer_bytes: int) -> bool:
+    """True when a forward row fits the row buffer, where MWL pins it for the
+    whole sequence; otherwise its reads fall back to the weight buffer."""
+    return layer.input_size * elem_bytes <= row_buffer_bytes
+
+
+def gate_accesses(layer: LayerDescriptor, T: int, policy: Policy,
+                  elem_bytes: int, qbytes: int,
+                  row_buffer_bytes: int) -> dict[tuple[Target, str], tuple[int, int]]:
+    """``{(target, rw): (count, bytes)}`` of the weight-matrix rows, pinned
+    forward rows and ``qbytes``-wide stored partials one gate moves in one
+    pass: the traces above, summed."""
+    h = layer.hidden_size
+    wx, wh = gate_matrix_bytes(layer, elem_bytes)
+    if policy is Policy.mwl and pins_forward_rows(layer, elem_bytes, row_buffer_bytes):
+        accesses = {(Target.weight_buffer, "r"): (h + T * h, wx + T * wh),
+                    (Target.row_buffer, "w"): (h, wx),
+                    (Target.row_buffer, "r"): (T * h, T * wx)}
+    else:
+        accesses = {(Target.weight_buffer, "r"): (2 * T * h, T * (wx + wh))}
+    if policy is Policy.mwl:
+        accesses[(Target.intermediate_memory, "w")] = (T * h, T * h * qbytes)
+        accesses[(Target.intermediate_memory, "r")] = (T * h, T * h * qbytes)
+    return accesses
+
 
 def weight_buffer_read_bytes(layer: LayerDescriptor, T: int, policy: Policy,
                              elem_bytes: int = 4,
                              row_buffer_bytes: int = 4096) -> int:
     """Weight-matrix bytes one gate reads from its weight buffer."""
-    wx, wh = gate_matrix_bytes(layer, elem_bytes)
-    rowx = layer.input_size * elem_bytes
-    if policy is Policy.conventional or rowx > row_buffer_bytes:
-        return T * (wx + wh)
-    return wx + T * wh
+    return gate_accesses(layer, T, policy, elem_bytes, partial_bytes(None),
+                         row_buffer_bytes)[(Target.weight_buffer, "r")][1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cell_for_layer, random_frames, random_network
 from epursim.arch import (CapacityError, HardwareConfig, MuBottleneckError,
-                          baseline_config, calibrate_network_alpha,
+                          baseline_config, calibrate_network_alpha, cost_model,
                           dpu_dot_cycles, mu_initiation_interval, mu_plan,
                           mwl_config, simulate)
 from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
@@ -327,6 +327,18 @@ class TestSimulateCounters:
             trace_bytes(Target.intermediate_memory, "w") + extra_w
         assert rep.access.data[Target.intermediate_memory]["r"]["bytes"] == \
             trace_bytes(Target.intermediate_memory, "r") + extra_r
+
+    @pytest.mark.parametrize("policy", [Policy.conventional, Policy.mwl])
+    def test_cost_model_reads_shapes_only(self, policy):
+        T = 4
+        net, _ = tiny_net(layers=2, bidirectional=True)
+        want = cost_model(net, T, policy, CFG, frames_per_second=100.0).to_json()
+        for weight_seed in (0, 1):
+            _, weights = tiny_net(layers=2, bidirectional=True, seed=weight_seed)
+            for input_seed in (0, 1):
+                rep = simulate(net, weights, random_frames(net, T, input_seed),
+                               policy, CFG, frames_per_second=100.0)
+                assert rep.to_json() == want
 
     def test_dpu_ops_balanced_and_sized(self):
         net, weights = tiny_net(hidden=32)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -114,6 +115,39 @@ class TestSimulate:
         assert header == "pass,gate,target,object_id,rw,bytes,t,neuron"
         assert first.startswith("layer0.dir0,input,")
 
+    @pytest.mark.parametrize("quant", [(), ("--quantize", "--quant-bits", "12")])
+    def test_trace_csv_partials_match_report(self, gen, tmp_path, quant):
+        desc, blob = gen
+        out, csv_path = tmp_path / "sim.json", tmp_path / "trace.csv"
+        T, seq_bytes = 4, 4 * 16 * 4  # one 16-wide fp32 sequence of 4 frames
+        rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", str(T), "--policy", "mwl", *quant,
+                     "--trace-csv", str(csv_path), "--out", str(out))
+        assert rc == cli.EXIT_OK
+        with csv_path.open(newline="") as f:
+            rows = [r for r in csv.DictReader(f) if r["target"] == "intermediate_memory"]
+        traced = {rw: sum(int(r["bytes"]) for r in rows if r["rw"] == rw)
+                  for rw in ("r", "w")}
+        doc = json.loads(out.read_text())
+        im = doc["access_counts"]["intermediate_memory"]
+        # beside the partials, the report counts the input sequence's staging
+        # and read, and the h_t write-back
+        assert traced["w"] == im["w"]["bytes"] - 2 * seq_bytes
+        assert traced["r"] == im["r"]["bytes"] - seq_bytes
+        assert traced["w"] == doc["storage"]["partial_store_hwm"] > 0
+
+    def test_conventional_quantize_is_exact_mode(self, gen, tmp_path):
+        desc, blob = gen
+        out = tmp_path / "sim.json"
+        rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "5", "--policy", "conventional",
+                     "--quantize", "--quant-bits", "12", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["exact_mode"] is True
+        assert doc["quant"] is None
+        assert doc["oracle_check"] == {"mode": "bit-exact", "passed": True}
+
     def test_mwl_preset(self, gen, tmp_path):
         desc, blob = gen
         rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
@@ -172,6 +206,18 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert doc["weight_buffer_read_ratio"] == pytest.approx(0.5, abs=0.05)
         assert "weight_buffer_read_bytes" in capsys.readouterr().out
+
+    def test_quantize_applies_to_the_mwl_side(self, gen, tmp_path):
+        desc, blob = gen
+        out = tmp_path / "cmp.json"
+        rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "5", "--policy-a", "conventional",
+                     "--policy-b", "mwl", "--quantize", "--calibrate",
+                     "--out", str(out))
+        assert rc == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["oracle_check_a"]["mode"] == "bit-exact"
+        assert doc["oracle_check_b"]["mode"] == "cosine"
 
 
 class TestQuantizeSweep:
@@ -242,7 +288,8 @@ class TestBoundary:
     @pytest.mark.parametrize("doc", [{"dpu_widht": 16},
                                      {"op_latency": {"fma": 3}},
                                      {"dpu_width": 3},
-                                     {"op_latency": [2, 4]}])
+                                     {"op_latency": [2, 4]},
+                                     {"quant": {"n_bits": 8, "alpha": 20.0}}])
     def test_bad_hw_config_exits_3(self, gen, tmp_path, doc, capsys):
         hw = tmp_path / "hw.json"
         hw.write_text(json.dumps(doc), encoding="utf-8")
@@ -257,3 +304,34 @@ class TestBoundary:
         assert self.simulate(gen, "--hw-config", str(hw), "--out", str(out)) == cli.EXIT_OK
         lat = json.loads(out.read_text())["hardware"]["op_latency"]
         assert lat == dict(DEFAULT_OP_LATENCY, add=3)
+
+    def test_hw_config_merges_over_the_chosen_preset(self, gen, tmp_path):
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps({"op_latency": {"add": 2}}), encoding="utf-8")
+        out = tmp_path / "sim.json"
+        rc = self.simulate(gen, "--hw-preset", "epur-mwl", "--hw-config", str(hw),
+                           "--out", str(out))
+        assert rc == cli.EXIT_OK
+        assert json.loads(out.read_text())["hardware"]["weight_mem_bytes_per_cu"] == 2 * 2**20
+
+    def test_out_in_missing_directory_names_the_target(self, gen, tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.json"
+        assert self.simulate(gen, "--out", str(target)) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and err.rstrip().endswith(f"'{target}'")
+        assert err.count(str(target)) == 1  # the temp file goes unnamed
+        assert not (tmp_path / "nodir").exists()
+
+    def test_out_onto_a_directory_names_the_target(self, gen, tmp_path, capsys):
+        desc, blob = gen
+        target = tmp_path / "adir"
+        target.mkdir()
+        before = sorted(tmp_path.iterdir())
+        rc = run_cli("infer", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "2", "--out", str(target))
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and err.rstrip().endswith(f"'{target}'")
+        assert err.count(str(target)) == 1  # the temp file goes unnamed
+        assert sorted(tmp_path.iterdir()) == before  # no temp file left behind
+        assert not any(target.iterdir())

@@ -8,8 +8,8 @@ from epursim.model import (GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, gate_matrix_bytes)
 from epursim.quant import QuantConfig
 from epursim.sched import (AccessEvent, Policy, Target, dram_traffic,
-                           layer_traces, reuse_analysis,
-                           trace_conventional, trace_mwl,
+                           gate_accesses, layer_traces, pins_forward_rows,
+                           reuse_analysis, trace_conventional, trace_mwl,
                            weight_buffer_read_bytes, _analyze_stream)
 
 
@@ -117,18 +117,33 @@ class TestMwlTrace:
             assert wb_read_bytes_from_trace(trace, g) == wb_read_bytes_from_trace(conv, g)
             assert not any(ev.target is Target.row_buffer
                            for ev in trace.gate_events(g))
+        # a row of exactly the buffer's size is still pinned
+        assert pins_forward_rows(LayerDescriptor(4, 1024), 4, 4096)
+        assert not pins_forward_rows(LayerDescriptor(4, 1025), 4, 4096)
 
 
 class TestClosedFormCounts:
     @pytest.mark.parametrize("policy", [Policy.conventional, Policy.mwl])
-    @pytest.mark.parametrize("hidden,nx,T", [(8, 8, 1), (8, 8, 5), (6, 11, 4)])
+    # (3, 1100, 2): 4400-byte forward rows overflow the 4 KB row buffer
+    @pytest.mark.parametrize("hidden,nx,T", [(8, 8, 1), (8, 8, 5), (6, 11, 4),
+                                             (3, 1100, 2)])
+    @pytest.mark.filterwarnings("ignore:forward row:RuntimeWarning")
     def test_trace_matches_closed_form(self, policy, hidden, nx, T):
         layer = LayerDescriptor(hidden, nx)
-        trace = (trace_conventional(layer, T) if policy is Policy.conventional
-                 else trace_mwl(layer, T))
-        for g in GATES:
-            assert wb_read_bytes_from_trace(trace, g) == \
-                weight_buffer_read_bytes(layer, T, policy)
+        # partial width: fp32 when not quantized, else whole bytes per code
+        for bits, qbytes in ((None, 4), (8, 1), (12, 2)):
+            quant = QuantConfig(bits) if bits else None
+            trace = (trace_conventional(layer, T) if policy is Policy.conventional
+                     else trace_mwl(layer, T, quant=quant))
+            want = gate_accesses(layer, T, policy, 4, qbytes, 4096)
+            for g in GATES:
+                got = {}
+                for ev in trace.gate_events(g):
+                    count, nbytes = got.get((ev.target, ev.rw), (0, 0))
+                    got[(ev.target, ev.rw)] = (count + 1, nbytes + ev.bytes)
+                assert got == want
+                assert wb_read_bytes_from_trace(trace, g) == \
+                    weight_buffer_read_bytes(layer, T, policy)
 
     def test_reduction_fraction_approaches_half(self):
         layer = LayerDescriptor(8, 8)
