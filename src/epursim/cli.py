@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -46,24 +47,38 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file beside ``path``, which an OSError names."""
-    path = Path(path)
-    tmp = None
+def _write_atomic(files: dict[str | Path, str | bytes | Iterable[bytes]]) -> None:
+    """Write every output of a run, or none: each (text, bytes or byte
+    chunks) goes to a temp file beside its path, and only when all are
+    written do they move into place.  An OSError names the path it concerns;
+    the files already moved are removed and no temp file is left."""
+    paths = [Path(p) for p in files]
+    temps: list[str] = []
+    placed: list[Path] = []
+    path = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
+        for path, data in zip(paths, files.values()):
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+            temps.append(tmp)
+            if isinstance(data, str):
+                data = data.encode("utf-8")
+            with os.fdopen(fd, "wb") as f:
+                f.writelines([data] if isinstance(data, bytes) else data)
+        for path, tmp in zip(paths, temps):
+            os.replace(tmp, path)
+            placed.append(path)
     except OSError as e:
+        for done in placed:
+            done.unlink(missing_ok=True)
         raise OSError(e.errno, e.strerror, str(path)) from e
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
-def _write_json(path: str | Path, obj: dict) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2) + "\n")
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
@@ -84,8 +99,11 @@ def _hw_config(args) -> arch.HardwareConfig:
     """The --hw-preset config, with a --hw-config file merged over it."""
     cfg = arch.HW_PRESETS[args.hw_preset]()
     if args.hw_config:
-        return arch.HardwareConfig.from_json(
-            json.loads(Path(args.hw_config).read_text(encoding="utf-8")), base=cfg)
+        try:
+            obj = json.loads(Path(args.hw_config).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise arch.ConfigError(f"{args.hw_config}: not valid JSON: {e}") from e
+        return arch.HardwareConfig.from_json(obj, base=cfg)
     return cfg
 
 
@@ -98,18 +116,19 @@ def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,
             for i, layer in enumerate(net.layers) if only_layer in (None, i)}
 
 
-def _dump_trace_csv(path: str | Path, traces: dict[int, list[sched.AccessTrace]]) -> None:
+def _trace_csv(traces: dict[int, list[sched.AccessTrace]]) -> str:
+    """The traces as CSV text, written from their columns."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["pass", "gate", "target", "object_id", "rw", "bytes", "t", "neuron"])
     for i, per_dir in traces.items():
         for d, trace in enumerate(per_dir):
             for gate in model.GATES:
-                for ev in trace.gate_events(gate):
-                    w.writerow([f"layer{i}.dir{d}", gate, ev.target.value,
-                                "/".join(map(str, ev.object_id)),
-                                ev.rw, ev.bytes, ev.timestep, ev.neuron])
-    _write_atomic(path, buf.getvalue())
+                w.writerows([f"layer{i}.dir{d}", gate, target.value,
+                             "/".join(map(str, oid)), rw, nbytes, t, j]
+                            for target, oid, rw, nbytes, t, j
+                            in trace.events[gate].rows(gate))
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +152,8 @@ def cmd_gen_network(args) -> int:
             "single_layer_ratio": presets.single_layer_ratio(net)["ratio"],
         }
     weights = presets.random_weights(net, args.seed)
-    netio.save_descriptor(net, args.out_descriptor)
-    netio.save_weights(net, weights, args.out_weights)
+    _write_atomic({args.out_descriptor: netio.descriptor_to_bytes(net),
+                   args.out_weights: netio.weight_blob_chunks(net, weights)})
     report["seed"] = args.seed
     report["descriptor"] = netio.descriptor_to_json(net)
     print(json.dumps(report, indent=2))
@@ -156,11 +175,13 @@ def cmd_infer(args) -> int:
         "output_finite": bool(np.all(np.isfinite(out.frames))),
         "output_max_abs": float(np.max(np.abs(out.frames))),
     }
+    outputs = {}
     if args.save_output:
-        netio.save_sequence(out, args.save_output)
+        outputs[args.save_output] = netio.sequence_to_bytes(out)
         report["output_path"] = str(args.save_output)
     if args.out:
-        _write_json(args.out, report)
+        outputs[args.out] = _json_text(report)
+    _write_atomic(outputs)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["output_finite"] else EXIT_CHECK
 
@@ -220,11 +241,13 @@ def cmd_simulate(args) -> int:
     doc["oracle_check"] = _oracle_check(net, weights, seq, report)
     if args.energy:
         doc["energy"] = energy.account(report, energy.EnergyTable()).to_json()
+    outputs = {}
     if args.out:
-        _write_json(args.out, doc)
+        outputs[args.out] = _json_text(doc)
     if args.trace_csv:
-        _dump_trace_csv(args.trace_csv, _traces(
+        outputs[args.trace_csv] = _trace_csv(_traces(
             net, seq.length, policy, report.quant, report.config.row_buffer_bytes))
+    _write_atomic(outputs)
     print(report.text_table())
     print(f"oracle check: {doc['oracle_check']}")
     ok = _checks_ok(report) and doc["oracle_check"]["passed"]
@@ -244,10 +267,12 @@ def cmd_analyze_reuse(args) -> int:
             {"direction": d, "stats": st.to_json(),
              "weight_storage_bytes": {g: st.weight_storage_bytes(g) for g in model.GATES}}
             for d, st in enumerate(stats)]})
+    outputs = {}
     if args.out:
-        _write_json(args.out, doc)
+        outputs[args.out] = _json_text(doc)
     if args.trace_csv:
-        _dump_trace_csv(args.trace_csv, traces)
+        outputs[args.trace_csv] = _trace_csv(traces)
+    _write_atomic(outputs)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -281,7 +306,7 @@ def cmd_compare(args) -> int:
         "oracle_check_b": _oracle_check(net, weights, seq, rep_b),
     }
     if args.out:
-        _write_json(args.out, doc)
+        _write_atomic({args.out: _json_text(doc)})
     width = 28
     print(f"{'metric':<{width}}  {pol_a.value:>14}  {pol_b.value:>14}  ratio")
     for key in ("cycles", "weight_buffer_read_bytes", "dram_bytes"):
@@ -321,7 +346,7 @@ def cmd_quantize_sweep(args) -> int:
         })
     doc = {"calibrated": bool(args.calibrate), "sweep": rows}
     if args.out:
-        _write_json(args.out, doc)
+        _write_atomic({args.out: _json_text(doc)})
     print(f"{'bits':>4}  {'step':>12}  {'max |err|':>12}  {'cosine':>10}")
     for r in rows:
         print(f"{r['n_bits']:>4}  {r['quant_step']:>12.5g}  "
@@ -443,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (netio.FormatError, arch.ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as e:
-        print(f"error: bad JSON: {e}", file=sys.stderr)
         return EXIT_PARSE
     except KeyError as e:
         print(f"error: {e}", file=sys.stderr)

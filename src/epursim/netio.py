@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +76,18 @@ def descriptor_from_json(obj: dict) -> NetworkDescriptor:
         raise FormatError(f"bad network descriptor: {e}") from e
 
 
+def descriptor_to_bytes(net: NetworkDescriptor) -> bytes:
+    return (json.dumps(descriptor_to_json(net), indent=2) + "\n").encode("utf-8")
+
+
 def save_descriptor(net: NetworkDescriptor, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(descriptor_to_json(net), indent=2) + "\n",
-                          encoding="utf-8")
+    Path(path).write_bytes(descriptor_to_bytes(net))
 
 
 def load_descriptor(path: str | Path) -> NetworkDescriptor:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: not valid JSON: {e}") from e
     return descriptor_from_json(obj)
 
@@ -98,18 +103,23 @@ def _gate_arrays(layer: LayerDescriptor, gate: str, ws: WeightSet):
     return arrs
 
 
+def weight_blob_chunks(net: NetworkDescriptor, weights: NetworkWeights) -> Iterator[bytes]:
+    """The weight blob, as the header and then one chunk per array."""
+    dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
+    yield struct.pack("<4sIII", MAGIC, VERSION,
+                      _PRECISION_TAG[net.numeric_precision], 0)
+    for i, layer in enumerate(net.layers):
+        for d in range(layer.num_directions):
+            ws = weights.layers[i][d]
+            for gate in GATES:
+                for arr in _gate_arrays(layer, gate, ws):
+                    yield np.ascontiguousarray(arr, dtype=dt).tobytes()
+
+
 def save_weights(net: NetworkDescriptor, weights: NetworkWeights,
                  path: str | Path) -> None:
-    dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", MAGIC, VERSION,
-                            _PRECISION_TAG[net.numeric_precision], 0))
-        for i, layer in enumerate(net.layers):
-            for d in range(layer.num_directions):
-                ws = weights.layers[i][d]
-                for gate in GATES:
-                    for arr in _gate_arrays(layer, gate, ws):
-                        f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+        f.writelines(weight_blob_chunks(net, weights))
 
 
 def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
@@ -129,6 +139,9 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
             f"descriptor precision {net.numeric_precision.value}"
         )
     dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
+    if (len(raw) - 16) % dt.itemsize:
+        raise FormatError(f"{path}: payload is not a whole number of "
+                          f"{dt.itemsize}-byte values")
     data = np.frombuffer(raw, dtype=dt, offset=16)
 
     pos = 0
@@ -166,17 +179,23 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
 # ---------------------------------------------------------------------------
 # input sequences
 
+def sequence_to_bytes(seq: Sequence) -> bytes:
+    return (struct.pack("<II", seq.length, seq.dim)
+            + np.ascontiguousarray(seq.frames, dtype="<f4").tobytes())
+
+
 def save_sequence(seq: Sequence, path: str | Path) -> None:
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", seq.length, seq.dim))
-        f.write(np.ascontiguousarray(seq.frames, dtype="<f4").tobytes())
+    Path(path).write_bytes(sequence_to_bytes(seq))
 
 
 def load_sequence(path: str | Path) -> Sequence:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         try:
-            frames = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file is rejected below, as a sequence of no frames
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                frames = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as e:
             raise FormatError(f"{path}: bad CSV sequence: {e}") from e
         return Sequence(frames)
@@ -184,6 +203,8 @@ def load_sequence(path: str | Path) -> Sequence:
     if len(raw) < 8:
         raise FormatError(f"{path}: truncated sequence header")
     t, dim = struct.unpack("<II", raw[:8])
+    if (len(raw) - 8) % 4:
+        raise FormatError(f"{path}: payload is not a whole number of 4-byte values")
     data = np.frombuffer(raw, dtype="<f4", offset=8)
     if data.size != t * dim:
         raise FormatError(f"{path}: header says {t}x{dim} but {data.size} values follow")

@@ -14,13 +14,14 @@ mwl (maximize weight locality)
     reading the partials back.
 
 Traces record weight-matrix row accesses (plus the row buffer and partial
-traffic mwl adds); reuse distances are exact LRU stack distances measured in
-bytes of distinct data touched, computed per computation-unit stream.
+traffic mwl adds) as integer columns; reuse distances are exact LRU stack
+distances measured in bytes of distinct data touched, computed per
+computation-unit stream.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -59,22 +60,80 @@ class AccessEvent:
             raise ValueError(f"rw must be 'r' or 'w', got {self.rw!r}")
 
 
+# column codes of a GateTrace
+TARGETS = tuple(Target)
+_WB, _RB, _IM = (TARGETS.index(t) for t in (Target.weight_buffer, Target.row_buffer,
+                                             Target.intermediate_memory))
+KINDS = ("wx", "wh", "partial")
+_WX, _WH, _PARTIAL = range(3)
+RW = ("r", "w")
+_R, _W = range(2)
+
+
+@dataclass(frozen=True)
+class GateTrace:
+    """One gate's access stream as equal-length, read-only integer columns.
+
+    ``target`` indexes ``TARGETS`` and ``rw`` indexes ``RW``.  ``kind``
+    indexes ``KINDS``: forward row ``neuron`` ("wx"), recurrent row
+    ``neuron`` ("wh"), or the partial of ``neuron`` at step ``t``.  ``obj``
+    numbers those objects within the gate (wx j is j, wh j is h + j, the
+    partial of j at t is (t + 1) * h + j).
+    """
+
+    target: np.ndarray
+    kind: np.ndarray
+    obj: np.ndarray
+    rw: np.ndarray
+    bytes: np.ndarray
+    t: np.ndarray
+    neuron: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.obj)
+
+    def rows(self, gate: str):
+        """Each event as (target, object_id, rw, bytes, t, neuron), in order."""
+        cols = (self.target, self.kind, self.rw, self.bytes, self.t, self.neuron)
+        for tgt, kind, rw, nbytes, t, j in zip(*(c.tolist() for c in cols)):
+            oid = (KINDS[kind], gate, j, t) if kind == _PARTIAL else (KINDS[kind], gate, j)
+            yield TARGETS[tgt], oid, RW[rw], nbytes, t, j
+
+
+def _gate_trace(hidden: int, widths: tuple[int, int, int], target, kind, rw,
+                t, neuron) -> GateTrace:
+    """A GateTrace from its columns; ``widths`` gives the bytes of a wx row,
+    a wh row and a partial."""
+    kind = np.asarray(kind, np.int8)
+    t = np.asarray(t, np.int32)
+    neuron = np.asarray(neuron, np.int32)
+    obj = (kind.astype(np.int64) + (kind == _PARTIAL) * (t - 1)) * hidden + neuron
+    cols = dict(target=np.asarray(target, np.int8), kind=kind, obj=obj,
+                rw=np.asarray(rw, np.int8),
+                bytes=np.asarray(widths, np.int32)[kind], t=t, neuron=neuron)
+    for col in cols.values():
+        col.flags.writeable = False
+    return GateTrace(**cols)
+
+
 @dataclass
 class AccessTrace:
-    """Per-gate event streams for one cell; the four CUs are independent."""
+    """Per-gate event streams for one cell; the four CUs are independent.
+    The four gates follow one schedule, so they share one GateTrace."""
 
     layer: LayerDescriptor
     T: int
     policy: Policy
     elem_bytes: int
-    events: dict[str, list[AccessEvent]] = field(default_factory=dict)
+    events: dict[str, GateTrace] = field(default_factory=dict)
 
     def gate_events(self, gate: str) -> list[AccessEvent]:
-        return self.events[gate]
+        """One gate's stream as AccessEvent rows, built on demand."""
+        return [AccessEvent(*row) for row in self.events[gate].rows(gate)]
 
     def all_events(self):
         for g in GATES:
-            yield from self.events[g]
+            yield from self.gate_events(g)
 
 
 def trace_conventional(layer: LayerDescriptor, T: int,
@@ -82,17 +141,14 @@ def trace_conventional(layer: LayerDescriptor, T: int,
     """Weight-buffer reads for T sweeps in per-neuron interleaved order."""
     if T < 1:
         raise ShapeError("T must be >= 1")
-    rowx = layer.input_size * elem_bytes
-    rowh = layer.hidden_size * elem_bytes
-    trace = AccessTrace(layer, T, Policy.conventional, elem_bytes)
-    for gate in GATES:
-        ev = []
-        for t in range(1, T + 1):
-            for j in range(layer.hidden_size):
-                ev.append(AccessEvent(Target.weight_buffer, ("wx", gate, j), "r", rowx, t, j))
-                ev.append(AccessEvent(Target.weight_buffer, ("wh", gate, j), "r", rowh, t, j))
-        trace.events[gate] = ev
-    return trace
+    h = layer.hidden_size
+    widths = (layer.input_size * elem_bytes, h * elem_bytes, 0)
+    n = 2 * T * h  # per step and neuron: wx row, then wh row
+    gt = _gate_trace(h, widths, np.full(n, _WB), np.tile([_WX, _WH], T * h),
+                     np.full(n, _R), np.repeat(np.arange(1, T + 1), 2 * h),
+                     np.tile(np.repeat(np.arange(h), 2), T))
+    return AccessTrace(layer, T, Policy.conventional, elem_bytes,
+                       dict.fromkeys(GATES, gt))
 
 
 def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
@@ -107,9 +163,9 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
     """
     if T < 1:
         raise ShapeError("T must be >= 1")
+    h = layer.hidden_size
     rowx = layer.input_size * elem_bytes
-    rowh = layer.hidden_size * elem_bytes
-    qbytes = partial_bytes(quant)
+    widths = (rowx, h * elem_bytes, partial_bytes(quant))
     pinned = pins_forward_rows(layer, elem_bytes, row_buffer_bytes)
     if not pinned:
         warnings.warn(
@@ -117,27 +173,25 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
             "falling back to weight-buffer reads for forward connections",
             RuntimeWarning,
         )
-    trace = AccessTrace(layer, T, Policy.mwl, elem_bytes)
-    for gate in GATES:
-        ev = []
-        # phase 1: forward connections, whole sequence per neuron
-        for j in range(layer.hidden_size):
-            if pinned:
-                ev.append(AccessEvent(Target.weight_buffer, ("wx", gate, j), "r", rowx, 1, j))
-                ev.append(AccessEvent(Target.row_buffer, ("wx", gate, j), "w", rowx, 1, j))
-            source = Target.row_buffer if pinned else Target.weight_buffer
-            for t in range(1, T + 1):
-                ev.append(AccessEvent(source, ("wx", gate, j), "r", rowx, t, j))
-                ev.append(AccessEvent(Target.intermediate_memory,
-                                      ("partial", gate, j, t), "w", qbytes, t, j))
-        # phase 2: recurrent connections in conventional order
-        for t in range(1, T + 1):
-            for j in range(layer.hidden_size):
-                ev.append(AccessEvent(Target.intermediate_memory,
-                                      ("partial", gate, j, t), "r", qbytes, t, j))
-                ev.append(AccessEvent(Target.weight_buffer, ("wh", gate, j), "r", rowh, t, j))
-        trace.events[gate] = ev
-    return trace
+    steps = np.arange(1, T + 1)
+    # phase 1, per neuron: pin the forward row (weight-buffer read, row-buffer
+    # write), then per step read it and write the partial
+    pin = 2 if pinned else 0
+    source = _RB if pinned else _WB
+    per_neuron = pin + 2 * T
+    target = [np.tile([_WB, _RB][:pin] + [source, _IM] * T, h)]
+    kind = [np.tile([_WX] * pin + [_WX, _PARTIAL] * T, h)]
+    rw = [np.tile([_R, _W], h * per_neuron // 2)]
+    t = [np.tile(np.concatenate([np.ones(pin, int), np.repeat(steps, 2)]), h)]
+    neuron = [np.repeat(np.arange(h), per_neuron)]
+    # phase 2, per step and neuron: read the partial, then the wh row
+    target.append(np.tile([_IM, _WB], T * h))
+    kind.append(np.tile([_PARTIAL, _WH], T * h))
+    rw.append(np.full(2 * T * h, _R))
+    t.append(np.repeat(steps, 2 * h))
+    neuron.append(np.tile(np.repeat(np.arange(h), 2), T))
+    gt = _gate_trace(h, widths, *map(np.concatenate, (target, kind, rw, t, neuron)))
+    return AccessTrace(layer, T, Policy.mwl, elem_bytes, dict.fromkeys(GATES, gt))
 
 
 def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,
@@ -150,28 +204,7 @@ def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,
 
 
 # ---------------------------------------------------------------------------
-# reuse analysis (exact LRU stack distances, Olken-style)
-
-class _Fenwick:
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int, v: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] += v
-            i += i & -i
-
-    def prefix(self, i: int) -> int:
-        # sum of [0, i]; i may be -1 for an empty prefix
-        i += 1
-        s = 0
-        while i > 0:
-            s += self.tree[i]
-            i -= i & -i
-        return s
-
+# reuse analysis (exact LRU stack distances, Mattson et al. 1970)
 
 @dataclass
 class TargetStats:
@@ -213,36 +246,91 @@ class ReuseStats:
         }
 
 
-def _analyze_stream(events: list[AccessEvent]) -> TargetStats:
-    st = TargetStats()
-    n = len(events)
-    bit = _Fenwick(n)
-    last_pos: dict[tuple, int] = {}
-    sizes: dict[tuple, int] = {}
-    max_single = 0
-    for i, ev in enumerate(events):
-        st.access_count += 1
-        if ev.rw == "r":
-            st.read_bytes += ev.bytes
-        else:
-            st.write_bytes += ev.bytes
-        max_single = max(max_single, ev.bytes)
-        prev = last_pos.get(ev.object_id)
-        if prev is not None:
-            # bytes of distinct objects touched since the previous access,
-            # inclusive of the object itself
-            dist = bit.prefix(i - 1) - bit.prefix(prev - 1)
-            st.reuse_count += 1
-            st.max_reuse_distance = max(st.max_reuse_distance, dist)
-            st.total_reuse_distance += dist
-            bit.add(prev, -sizes[ev.object_id])
-        else:
-            sizes[ev.object_id] = ev.bytes
-            st.distinct_bytes += ev.bytes
-        bit.add(i, sizes[ev.object_id])
-        last_pos[ev.object_id] = i
-    st.min_buffer_bytes = max(st.max_reuse_distance, max_single)
-    return st
+def _live_sums(size: np.ndarray, nxt: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+    """For each query q, the sum of ``size[j]`` over ``lo[q] <= j < hi[q]``
+    with ``nxt[j] >= hi[q]``.
+
+    Offline, on a bottom-up merge-sort tree: at level k, block b holds
+    positions [b * 2**k, (b + 1) * 2**k) sorted by ``nxt``, with a running
+    sum of their sizes.  Each query's range splits into at most two blocks
+    per level, as in an iterative segment tree, and one binary search per
+    block finds the entries with ``nxt >= hi``.
+    """
+    n = len(size)
+    order = np.arange(n)
+    out = np.zeros(len(lo), np.int64)
+    left, right = lo.copy(), hi.copy()
+    level = 0
+    while True:
+        active = left < right
+        if not active.any():
+            return out
+        take_l = np.flatnonzero(active & ((left & 1) == 1))
+        take_r = np.flatnonzero(active & ((right & 1) == 1))
+        right[take_r] -= 1
+        # sort each block by (block, nxt); the previous level's order leaves
+        # two sorted runs per block, which a stable sort merges
+        key = (order >> level) * (n + 1) + nxt[order]
+        resort = np.argsort(key, kind="stable")
+        order, key = order[resort], key[resort]
+        csum = np.concatenate(([0], np.cumsum(size[order])))
+        blocks = np.concatenate((left[take_l], right[take_r]))
+        queries = np.concatenate((take_l, take_r))
+        first = np.searchsorted(key, blocks * (n + 1) + hi[queries])
+        end = np.minimum((blocks + 1) << level, n)
+        got = csum[end] - csum[first]
+        out[take_l] += got[:len(take_l)]
+        out[take_r] += got[len(take_l):]
+        left[take_l] += 1
+        left >>= 1
+        right >>= 1
+        level += 1
+
+
+def _analyze_stream(obj: np.ndarray, nbytes: np.ndarray,
+                    write: np.ndarray) -> TargetStats:
+    """Access totals and exact LRU stack distances of one stream of object
+    ids, their access bytes and a write mask.
+
+    The distance of a reuse at i is the bytes of the distinct objects
+    touched since the previous access to the same object (at ``prev``),
+    inclusive of it: the sizes of the accesses j in [prev, i) that are the
+    last to their object before i.  An object's size is its first access's.
+    """
+    n = len(obj)
+    nbytes = np.asarray(nbytes, np.int64)
+    order = np.argsort(obj, kind="stable")
+    same = obj[order][1:] == obj[order][:-1]  # order[k + 1] reuses order[k]'s object
+    first = np.concatenate(([True], ~same))
+    size = np.empty(n, np.int64)
+    size[order] = nbytes[order[first]][np.cumsum(first) - 1]
+    reuse, before = order[1:][same], order[:-1][same]
+    nxt = np.full(n, n)
+    nxt[before] = reuse
+    dist = _live_sums(size, nxt, before, reuse)
+    max_dist = int(dist.max(initial=0))
+    return TargetStats(
+        access_count=n,
+        read_bytes=int(nbytes[~write].sum()),
+        write_bytes=int(nbytes[write].sum()),
+        distinct_bytes=int(nbytes[order[first]].sum()),
+        reuse_count=len(dist),
+        max_reuse_distance=max_dist,
+        total_reuse_distance=int(dist.sum()),
+        min_buffer_bytes=max(max_dist, int(nbytes.max())),
+    )
+
+
+def _gate_stats(gt: GateTrace) -> dict[Target, TargetStats]:
+    """One gate's stats per target, targets in order of first access."""
+    codes, first_at = np.unique(gt.target, return_index=True)
+    stats = {}
+    for code in codes[np.argsort(first_at)]:
+        mask = gt.target == code
+        stats[TARGETS[code]] = _analyze_stream(gt.obj[mask], gt.bytes[mask],
+                                               gt.rw[mask] == _W)
+    return stats
 
 
 def reuse_analysis(trace: AccessTrace) -> ReuseStats:
@@ -250,11 +338,13 @@ def reuse_analysis(trace: AccessTrace) -> ReuseStats:
     if not any(trace.events.values()):
         raise ValueError("trace is empty")
     per_gate: dict[str, dict[Target, TargetStats]] = {}
+    analyzed: dict[int, dict[Target, TargetStats]] = {}  # by GateTrace identity
     for gate in GATES:
-        streams: dict[Target, list[AccessEvent]] = {}
-        for ev in trace.events.get(gate, []):
-            streams.setdefault(ev.target, []).append(ev)
-        per_gate[gate] = {tgt: _analyze_stream(evs) for tgt, evs in streams.items()}
+        gt = trace.events.get(gate)
+        # trace_conventional and trace_mwl give all four gates one read-only GateTrace
+        if id(gt) not in analyzed:
+            analyzed[id(gt)] = _gate_stats(gt) if gt else {}
+        per_gate[gate] = {tgt: replace(st) for tgt, st in analyzed[id(gt)].items()}
     return ReuseStats(per_gate)
 
 

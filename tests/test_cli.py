@@ -1,10 +1,14 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from epursim import cli
-from epursim.netio import load_sequence
+from epursim import cli, model, presets, sched
+from epursim.netio import load_sequence, save_descriptor
+
+DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -191,6 +195,43 @@ class TestAnalyzeReuse:
         assert gate["row_buffer"]["max_reuse_distance"] == 16 * 4
         assert gate["weight_buffer"]["max_reuse_distance"] == 16 * 16 * 4
 
+    def test_eesen_layer1_mwl(self, tmp_path):
+        net = presets.preset_descriptor("eesen")
+        desc, out = tmp_path / "eesen.json", tmp_path / "reuse.json"
+        save_descriptor(net, desc)
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                     "--t", "50", "--layer", "1", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        (layer,) = json.loads(out.read_text())["layers"]
+        want = sched.weight_buffer_read_bytes(net.layers[1], 50, sched.Policy.mwl)
+        storage = 0
+        for direction in layer["directions"]:
+            for g in model.GATES:
+                assert direction["stats"][g]["weight_buffer"]["read_bytes"] == want
+                storage += direction["weight_storage_bytes"][g]
+        # per gate and direction: the 320x320 recurrent matrix plus one
+        # 640-wide forward row, in fp32
+        assert storage == 2 * 4 * (320 * 320 + 640) * 4 == 3_297_280
+
+    def test_trace_csv_golden(self, tmp_path):
+        """A layer whose 4400-byte forward rows overflow the row buffer, then
+        a bidirectional layer whose rows are pinned; the CSV as recorded
+        from the event-list implementation the columnar traces replaced."""
+        desc, csv_path = tmp_path / "net.json", tmp_path / "trace.csv"
+        desc.write_text(json.dumps({"input_dim": 1100, "layers": [
+            {"hidden_size": 1, "input_size": 1100},
+            {"hidden_size": 1, "input_size": 1, "direction": "bidirectional"}]}),
+            encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="row buffer"):
+            rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                         "--t", "2", "--trace-csv", str(csv_path))
+        assert rc == cli.EXIT_OK
+        golden = (DATA / "trace_mwl_t2.csv").read_bytes()
+        assert csv_path.read_bytes() == golden
+        # the README documents the header
+        header = golden.decode().splitlines()[0]
+        assert f"**Trace CSV** (`--trace-csv`): `{header}`." in README.read_text()
+
 
 class TestCompare:
     def test_square_layer_access_ratio_prints_half(self, tmp_path, capsys):
@@ -296,6 +337,13 @@ class TestBoundary:
         assert self.simulate(gen, "--hw-config", str(hw)) == cli.EXIT_PARSE
         self.one_line(capsys)
 
+    @pytest.mark.parametrize("raw", [b"{oops", b"\x80"])
+    def test_hw_config_not_json_exits_3(self, gen, tmp_path, raw, capsys):
+        hw = tmp_path / "hw.json"
+        hw.write_bytes(raw)
+        assert self.simulate(gen, "--hw-config", str(hw)) == cli.EXIT_PARSE
+        assert str(hw) in self.one_line(capsys)
+
     def test_partial_op_latency_merges_over_defaults(self, gen, tmp_path):
         from epursim.arch import DEFAULT_OP_LATENCY
         hw = tmp_path / "hw.json"
@@ -321,6 +369,33 @@ class TestBoundary:
         assert err.startswith("i/o error:") and err.rstrip().endswith(f"'{target}'")
         assert err.count(str(target)) == 1  # the temp file goes unnamed
         assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("bad", ["descriptor", "weights", "weights_is_dir"])
+    def test_gen_network_writes_both_files_or_neither(self, tmp_path, bad, capsys):
+        paths = {"descriptor": tmp_path / "d.json", "weights": tmp_path / "w.bin"}
+        if bad == "weights_is_dir":  # written, but cannot be moved into place
+            paths["weights"].mkdir()
+        else:
+            paths[bad] = tmp_path / "nodir" / paths[bad].name
+        rc = run_cli("gen-network", "--preset", "ldlrnn",
+                     "--out-descriptor", str(paths["descriptor"]),
+                     "--out-weights", str(paths["weights"]))
+        assert rc == cli.EXIT_IO
+        assert self.one_line(capsys).rstrip().endswith(
+            f"'{paths[bad.removesuffix('_is_dir')]}'")
+        assert not paths["descriptor"].exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["w.bin"] if bad == "weights_is_dir" else [])
+
+    def test_infer_failed_report_leaves_no_saved_output(self, gen, tmp_path, capsys):
+        desc, blob = gen
+        before = sorted(tmp_path.iterdir())
+        rc = run_cli("infer", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "2", "--save-output", str(tmp_path / "h.bin"),
+                     "--out", str(tmp_path / "nodir" / "report.json"))
+        assert rc == cli.EXIT_IO
+        self.one_line(capsys)
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_out_onto_a_directory_names_the_target(self, gen, tmp_path, capsys):
         desc, blob = gen

@@ -1,5 +1,7 @@
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,15 @@ from epursim.sched import (AccessEvent, Policy, Target, dram_traffic,
                            gate_accesses, layer_traces, pins_forward_rows,
                            reuse_analysis, trace_conventional, trace_mwl,
                            weight_buffer_read_bytes, _analyze_stream)
+
+
+def stream_stats(events):
+    """The reuse kernel on a list of AccessEvents, objects numbered in order
+    of first touch."""
+    ids = {}
+    obj = [ids.setdefault(ev.object_id, len(ids)) for ev in events]
+    return _analyze_stream(np.array(obj), np.array([ev.bytes for ev in events]),
+                           np.array([ev.rw == "w" for ev in events]))
 
 
 def wb_read_bytes_from_trace(trace, gate):
@@ -158,7 +169,7 @@ class TestReuseAnalysis:
     def test_single_repeated_row(self):
         ev = [AccessEvent(Target.weight_buffer, ("wx", "input", 0), "r", 64, t, 0)
               for t in (1, 2, 3)]
-        st = _analyze_stream(ev)
+        st = stream_stats(ev)
         assert st.max_reuse_distance == 64
         assert st.reuse_count == 2
         assert st.min_buffer_bytes == 64
@@ -168,8 +179,8 @@ class TestReuseAnalysis:
         trace = trace_conventional(layer, 3)
         base = reuse_analysis(trace).gate_target("input", Target.weight_buffer)
         # sorting groups accesses to the same row together, collapsing distances
-        grouped = sorted(trace.events["input"], key=lambda e: e.object_id)
-        sorted_stats = _analyze_stream(grouped)
+        grouped = sorted(trace.gate_events("input"), key=lambda e: e.object_id)
+        sorted_stats = stream_stats(grouped)
         assert sorted_stats.max_reuse_distance < base.max_reuse_distance
         assert sorted_stats.max_reuse_distance == 6 * 4  # one row
 
@@ -183,12 +194,12 @@ class TestReuseAnalysis:
     def test_shuffle_changes_distances(self):
         layer = LayerDescriptor(6, 6)
         trace = trace_conventional(layer, 3)
-        events = list(trace.events["input"])
-        base = _analyze_stream(events).total_reuse_distance
+        events = trace.gate_events("input")
+        base = stream_stats(events).total_reuse_distance
         rng = random.Random(5)
         shuffled = events[:]
         rng.shuffle(shuffled)
-        assert _analyze_stream(shuffled).total_reuse_distance != base
+        assert stream_stats(shuffled).total_reuse_distance != base
 
     def test_empty_trace_rejected(self):
         layer = LayerDescriptor(2, 2)
@@ -233,11 +244,96 @@ class TestReuseAnalysis:
             sizes.setdefault(obj, size)  # object size is fixed at first touch
             events.append(AccessEvent(Target.weight_buffer, ("o", obj), "r",
                                       sizes[obj], 1, 0))
-        got = _analyze_stream(events)
+        got = stream_stats(events)
         reuses, max_dist, total = self._brute_force(events)
         assert got.reuse_count == reuses
         assert got.max_reuse_distance == max_dist
         assert got.total_reuse_distance == total
+
+    # long enough that the kernel's merge-sort tree spans several levels,
+    # with lengths that are rarely a power of two
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 39), st.integers(1, 9), st.booleans()),
+                    min_size=1, max_size=400))
+    def test_matches_brute_force_on_long_streams(self, accesses):
+        sizes = {}
+        events = []
+        for obj, size, write in accesses:
+            sizes.setdefault(obj, size)  # object size is fixed at first touch
+            events.append(AccessEvent(Target.weight_buffer, ("o", obj),
+                                      "w" if write else "r", sizes[obj], 1, 0))
+        got = stream_stats(events)
+        assert (got.reuse_count, got.max_reuse_distance,
+                got.total_reuse_distance) == self._brute_force(events)
+        assert got.access_count == len(events)
+        assert got.write_bytes == sum(ev.bytes for ev in events if ev.rw == "w")
+        assert got.read_bytes == sum(ev.bytes for ev in events if ev.rw == "r")
+        assert got.distinct_bytes == sum(sizes.values())
+
+    def test_one_event_stream(self):
+        st_ = stream_stats([AccessEvent(Target.dram, ("x",), "w", 7, 1, 0)])
+        assert st_.to_json() == dict(
+            access_count=1, read_bytes=0, write_bytes=7, distinct_bytes=7,
+            reuse_count=0, max_reuse_distance=0, total_reuse_distance=0,
+            min_buffer_bytes=7)
+
+    def test_stream_without_reuse(self):
+        events = [AccessEvent(Target.weight_buffer, ("o", k), "r", k + 1, 1, 0)
+                  for k in range(5)]
+        st_ = stream_stats(events)
+        assert st_.to_json() == dict(
+            access_count=5, read_bytes=15, write_bytes=0, distinct_bytes=15,
+            reuse_count=0, max_reuse_distance=0, total_reuse_distance=0,
+            min_buffer_bytes=5)
+
+    def test_object_size_is_its_first_access(self):
+        # as recorded from the Fenwick-tree implementation: every distance
+        # counts object 0 at 5 bytes and object 1 at 3
+        events = [AccessEvent(Target.weight_buffer, ("o", obj), "r", nbytes, 1, 0)
+                  for obj, nbytes in [(0, 5), (1, 3), (0, 9), (1, 1), (0, 2)]]
+        assert stream_stats(events).to_json() == dict(
+            access_count=5, read_bytes=20, write_bytes=0, distinct_bytes=8,
+            reuse_count=3, max_reuse_distance=8, total_reuse_distance=24,
+            min_buffer_bytes=9)
+
+
+def _stats(access_count, read_bytes, write_bytes, distinct_bytes, reuse_count,
+           max_reuse_distance, total_reuse_distance, min_buffer_bytes):
+    return dict(access_count=access_count, read_bytes=read_bytes,
+                write_bytes=write_bytes, distinct_bytes=distinct_bytes,
+                reuse_count=reuse_count, max_reuse_distance=max_reuse_distance,
+                total_reuse_distance=total_reuse_distance,
+                min_buffer_bytes=min_buffer_bytes)
+
+
+class TestReuseGoldens:
+    """``reuse_analysis(...).to_json()`` as recorded from the Fenwick-tree
+    implementation this kernel replaced; every gate of a trace is the same,
+    and the targets appear in order of first access."""
+
+    @staticmethod
+    def check(trace, per_gate):
+        got = reuse_analysis(trace).to_json()
+        assert json.dumps(got) == json.dumps({g: per_gate for g in GATES})
+
+    def test_mwl_quantized_partials(self):
+        self.check(trace_mwl(LayerDescriptor(24, 40), 6, quant=QuantConfig()), {
+            "weight_buffer": _stats(168, 17664, 0, 6144, 120, 2304, 276480, 2304),
+            "row_buffer": _stats(168, 23040, 3840, 3840, 144, 160, 23040, 160),
+            "intermediate_memory": _stats(288, 144, 144, 144, 144, 144, 16596, 144),
+        })
+
+    @pytest.mark.filterwarnings("ignore:forward row:RuntimeWarning")
+    def test_mwl_wide_row_fallback(self):
+        self.check(trace_mwl(LayerDescriptor(3, 1100), 2), {
+            "weight_buffer": _stats(12, 26472, 0, 13236, 6, 4400, 13308, 4400),
+            "intermediate_memory": _stats(12, 24, 24, 24, 6, 24, 132, 24),
+        })
+
+    def test_conventional(self):
+        self.check(trace_conventional(LayerDescriptor(5, 9), 4), {
+            "weight_buffer": _stats(40, 1120, 0, 280, 30, 280, 8400, 280),
+        })
 
 
 class TestEventValidation:
