@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Baseline vs weight-locality energy comparison on a benchmark preset.
 
-Runs both schedules through the cycle model with their matching hardware
-presets (baseline 4 MB/CU weight memory vs 2 MB/CU for the locality
+Runs both schedules through the shape-only cost model with their matching
+hardware presets (baseline 4 MB/CU weight memory vs 2 MB/CU for the locality
 schedule), accounts energy with the default cost table, and prints the
-per-component ratios.  Absolute joules depend entirely on the cost table;
+per-component ratios.  Energy depends only on event counts, so no weights or
+frames are generated.  Absolute joules depend entirely on the cost table;
 the ratios are the meaningful output.
 
 Usage: python scripts/energy_comparison.py [--preset ldlrnn] [--t 64]
@@ -15,6 +16,7 @@ import argparse
 import json
 
 from epursim import arch, energy, presets
+from epursim.quant import QuantConfig
 from epursim.sched import Policy
 
 
@@ -23,27 +25,19 @@ def main() -> int:
     ap.add_argument("--preset", default="ldlrnn",
                     help="network preset (must fit the per-CU weight memory)")
     ap.add_argument("--t", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quantize", action="store_true",
                     help="quantize partials in the locality run")
     ap.add_argument("--json", help="write the comparison as JSON")
     args = ap.parse_args()
 
     net = presets.preset_descriptor(args.preset)
-    weights = presets.random_weights(net, args.seed)
-    seq = presets.random_sequence(net, args.t, args.seed + 1)
     table = energy.EnergyTable()
+    # a stored partial is n_bits wide whatever the clamp magnitude, so the
+    # alpha changes no count
+    qcfg = QuantConfig(8) if args.quantize else None
 
-    qcfg = None
-    if args.quantize:
-        alpha = arch.calibrate_network_alpha(net, weights, seq)
-        from epursim.quant import QuantConfig
-        qcfg = QuantConfig(8, alpha)
-
-    base = arch.simulate(net, weights, seq, Policy.conventional,
-                         arch.baseline_config())
-    mwl = arch.simulate(net, weights, seq, Policy.mwl, arch.mwl_config(),
-                        quant=qcfg)
+    base = arch.cost_model(net, args.t, Policy.conventional, arch.baseline_config())
+    mwl = arch.cost_model(net, args.t, Policy.mwl, arch.mwl_config(), quant=qcfg)
     e_base = energy.account(base, table)
     e_mwl = energy.account(mwl, table)
     cmp = energy.compare(e_base, e_mwl)

@@ -535,21 +535,6 @@ def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
     return hook
 
 
-def calibrate_network_alpha(net: NetworkDescriptor, weights: NetworkWeights,
-                            inp: Sequence) -> float:
-    """Measure max |forward partial| over a calibration run and round it up."""
-    peaks = [0.0]
-
-    def observe(partials: np.ndarray) -> np.ndarray:
-        peaks.append(float(np.max(np.abs(partials))))
-        return partials
-
-    seq = inp
-    for i, layer in enumerate(net.layers):
-        seq = layer_infer(layer, weights.layers[i], seq, observe)
-    return calibrate_alpha(max(peaks))
-
-
 def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
                cfg: HardwareConfig, quant: QuantConfig | None = None,
                frames_per_second: float | None = None) -> SimReport:

@@ -4,8 +4,8 @@ Subcommands: gen-network, infer, simulate, analyze-reuse, compare,
 quantize-sweep.  Every report embeds the fully resolved configuration, and
 output files are written atomically (a failed run leaves nothing behind).
 
-Exit codes: 0 ok, 2 usage, 3 parse/format, 4 I/O, 5 capacity,
-6 numeric, 7 a built-in oracle or invariant check failed.
+Exit codes: 0 ok, 2 usage, 3 parse/format, 4 I/O, 5 capacity (on chip, or
+host memory), 6 numeric, 7 a built-in oracle or invariant check failed.
 Set EPURSIM_LOG=debug|info|warning to control verbosity.
 """
 from __future__ import annotations
@@ -208,17 +208,22 @@ def _run_simulations(args, policies: list[sched.Policy]):
     return net, weights, seq, reports
 
 
-def _oracle_check(net, weights, seq, report) -> dict:
-    oracle = model.network_infer(net, weights, seq)
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two output sequences, in float64."""
+    a = a.astype(np.float64).ravel()
+    b = b.astype(np.float64).ravel()
+    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
+    return float(a @ b / denom) if denom > 0 else 1.0
+
+
+def _oracle_check(oracle: np.ndarray, report) -> dict:
+    """Every output of ``report`` against the reference frames ``oracle``:
+    bit for bit in exact mode, by cosine similarity otherwise."""
     got = report.outputs.frames
     if report.exact_mode:
-        ok = (got.shape == oracle.frames.shape
-              and np.array_equal(got, oracle.frames))
+        ok = got.shape == oracle.shape and np.array_equal(got, oracle)
         return {"mode": "bit-exact", "passed": bool(ok)}
-    a = oracle.frames.astype(np.float64).ravel()
-    b = got.astype(np.float64).ravel()
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    cos = float(a @ b / denom) if denom > 0 else 1.0
+    cos = _cosine(oracle, got)
     return {"mode": "cosine", "cosine_similarity": cos,
             "passed": bool(cos >= 0.999)}
 
@@ -238,7 +243,8 @@ def cmd_simulate(args) -> int:
     policy = sched.Policy(args.policy)
     net, weights, seq, (report,) = _run_simulations(args, [policy])
     doc = report.to_json()
-    doc["oracle_check"] = _oracle_check(net, weights, seq, report)
+    doc["oracle_check"] = _oracle_check(
+        model.network_infer(net, weights, seq).frames, report)
     if args.energy:
         doc["energy"] = energy.account(report, energy.EnergyTable()).to_json()
     outputs = {}
@@ -285,6 +291,7 @@ def cmd_compare(args) -> int:
     en_a = energy.account(rep_a, table)
     en_b = energy.account(rep_b, table)
     cmp_report = energy.compare(en_a, en_b)
+    oracle = model.network_infer(net, weights, seq).frames
 
     def side(rep):
         wb = rep.access.data[sched.Target.weight_buffer]
@@ -302,8 +309,8 @@ def cmd_compare(args) -> int:
             b["weight_buffer_read_bytes"] / a["weight_buffer_read_bytes"],
         "cycle_ratio": b["cycles"] / a["cycles"],
         "energy": cmp_report.to_json(),
-        "oracle_check_a": _oracle_check(net, weights, seq, rep_a),
-        "oracle_check_b": _oracle_check(net, weights, seq, rep_b),
+        "oracle_check_a": _oracle_check(oracle, rep_a),
+        "oracle_check_b": _oracle_check(oracle, rep_b),
     }
     if args.out:
         _write_atomic({args.out: _json_text(doc)})
@@ -334,15 +341,13 @@ def cmd_quantize_sweep(args) -> int:
         rep = arch.simulate(net, weights, seq, sched.Policy.mwl, cfg, quant=qcfg,
                             quant_calibrate=bool(args.calibrate))
         got = rep.outputs.frames.astype(np.float64)
-        denom = float(np.linalg.norm(oracle) * np.linalg.norm(got))
-        cos = float(oracle.ravel() @ got.ravel() / denom) if denom else 1.0
         rows.append({
             "n_bits": bits,
             "alpha": rep.pass_alphas or args.alpha,
             "quant_step": (qcfg.step if not rep.pass_alphas
                            else quant.QuantConfig(bits, max(rep.pass_alphas)).step),
             "max_abs_error": float(np.max(np.abs(got - oracle))),
-            "cosine_similarity": cos,
+            "cosine_similarity": _cosine(oracle, got),
         })
     doc = {"calibrated": bool(args.calibrate), "sweep": rows}
     if args.out:
@@ -474,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except arch.CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as e:
+        print(f"host memory error: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (arch.MuBottleneckError,) as e:
         print(f"check failed: {e}", file=sys.stderr)

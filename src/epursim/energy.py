@@ -64,10 +64,6 @@ class EnergyTable:
     def to_json(self) -> dict:
         return dict(self.__dict__)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "EnergyTable":
-        return cls(**obj)
-
 
 _BYTE_CLASSES = {
     Target.weight_buffer: ("weight_buffer_read", "weight_buffer_write"),

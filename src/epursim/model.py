@@ -272,48 +272,6 @@ def _upcast(vec: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 
-def gate_preactivation(weights: WeightSet, gate: str, x_t: np.ndarray,
-                       h_prev: np.ndarray, c_prev: np.ndarray | None = None) -> np.ndarray:
-    """Preactivation of one gate: W_gx.x_t + W_gh.h_prev + peephole + bias.
-
-    ``c_prev`` is the cell state the gate's peephole taps (the previous state
-    for input/forget, the freshly updated one for the output gate).  It is
-    only read when the gate has a peephole vector.
-    """
-    if gate not in GATES:
-        raise ShapeError(f"unknown gate {gate!r}")
-    p = weights.gates[gate]
-    x_t = _upcast(_as_finite("x_t", np.asarray(x_t)))
-    h_prev = _upcast(_as_finite("h_prev", np.asarray(h_prev)))
-    if x_t.shape != (weights.layer.input_size,):
-        raise ShapeError(f"x_t has shape {x_t.shape}, want ({weights.layer.input_size},)")
-    if h_prev.shape != (weights.layer.hidden_size,):
-        raise ShapeError(f"h_prev has shape {h_prev.shape}, want ({weights.layer.hidden_size},)")
-    acc = np.zeros(weights.layer.hidden_size, dtype=ACC_DTYPE)
-    accumulate_dot(acc, _upcast(p.w_x), x_t)
-    accumulate_dot(acc, _upcast(p.w_h), h_prev)
-    if p.peephole is not None:
-        if c_prev is None:
-            raise ShapeError(f"{gate} gate has a peephole but no cell state was given")
-        acc += _upcast(p.peephole) * _upcast(np.asarray(c_prev))
-    acc += _upcast(p.bias)
-    return acc
-
-
-def cell_step(weights: WeightSet, x_t: np.ndarray, prev: CellState) -> CellState:
-    """One timestep of one cell; returns the new (c_t, h_t)."""
-    h = weights.layer.hidden_size
-    x32 = _upcast(_as_finite("x_t", np.asarray(x_t)))
-    h32 = _upcast(np.asarray(prev.h))
-    c32 = _upcast(np.asarray(prev.c))
-
-    wx, wh, bias = weights.stacked()
-    pre = np.zeros(4 * h, dtype=ACC_DTYPE)
-    accumulate_dot(pre, wx, x32)
-    accumulate_dot(pre, wh, h32)
-    return finish_step(weights, pre, c32)
-
-
 def finish_step(weights: WeightSet, pre: np.ndarray, c_prev32: np.ndarray) -> CellState:
     """Apply peepholes, biases and activations to stacked dot-product results."""
     h = weights.layer.hidden_size

@@ -56,23 +56,64 @@ def descriptor_to_json(net: NetworkDescriptor) -> dict:
     }
 
 
-def descriptor_from_json(obj: dict) -> NetworkDescriptor:
+def _positive_int(v) -> bool:
+    return type(v) is int and v > 0
+
+
+def _one_of(enum):
+    values = [m.value for m in enum]
+    return (lambda v: v in values), " or ".join(values)
+
+
+# field: (accepts the JSON value?, what it accepts, default; None: required)
+_NETWORK_FIELDS = {
+    "input_dim": (_positive_int, "a positive integer", None),
+    "numeric_precision": (*_one_of(Precision), "fp32"),
+    "layers": (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list", None),
+}
+_LAYER_FIELDS = {
+    "hidden_size": (_positive_int, "a positive integer", None),
+    "input_size": (_positive_int, "a positive integer", None),
+    "direction": (*_one_of(Direction), "forward_only"),
+    "peephole": (lambda v: type(v) is bool, "true or false", False),
+}
+
+
+def _fields(obj, spec: dict, where: str) -> dict:
+    """The fields of a descriptor object, absent optional ones defaulted;
+    FormatError on an unknown key, a missing required one or a value of the
+    wrong JSON type or range (nothing is coerced)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"bad network descriptor: {where} is not a JSON object")
+    unknown = sorted(set(obj) - set(spec))
+    if unknown:
+        raise FormatError(f"bad network descriptor: unknown key(s) in {where}: "
+                          + ", ".join(map(json.dumps, unknown)))
+    out = {}
+    for key, (accepts, want, default) in spec.items():
+        if key not in obj and default is None:
+            raise FormatError(f"bad network descriptor: {where} has no {key}")
+        out[key] = obj.get(key, default)
+        if not accepts(out[key]):
+            raise FormatError(f"bad network descriptor: {where}.{key} must be "
+                              f"{want}, got {json.dumps(out[key])}")
+    return out
+
+
+def descriptor_from_json(obj) -> NetworkDescriptor:
+    """The descriptor of its JSON form, parsed strictly (see ``_fields``)."""
+    top = _fields(obj, _NETWORK_FIELDS, "descriptor")
+    layers = [_fields(l, _LAYER_FIELDS, f"layers[{i}]")
+              for i, l in enumerate(top["layers"])]
     try:
-        layers = tuple(
-            LayerDescriptor(
-                hidden_size=int(l["hidden_size"]),
-                input_size=int(l["input_size"]),
-                direction=Direction(l.get("direction", "forward_only")),
-                peephole=bool(l.get("peephole", False)),
-            )
-            for l in obj["layers"]
-        )
         return NetworkDescriptor(
-            layers=layers,
-            input_dim=int(obj["input_dim"]),
-            numeric_precision=Precision(obj.get("numeric_precision", "fp32")),
+            layers=tuple(LayerDescriptor(l["hidden_size"], l["input_size"],
+                                         Direction(l["direction"]), l["peephole"])
+                         for l in layers),
+            input_dim=top["input_dim"],
+            numeric_precision=Precision(top["numeric_precision"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:  # layer widths that do not chain
         raise FormatError(f"bad network descriptor: {e}") from e
 
 

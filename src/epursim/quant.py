@@ -51,10 +51,6 @@ class QuantConfig:
     def to_json(self) -> dict:
         return {"n_bits": self.n_bits, "alpha": self.alpha}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuantConfig":
-        return cls(n_bits=int(obj["n_bits"]), alpha=float(obj["alpha"]))
-
 
 def quantize(value, cfg: QuantConfig):
     """Map a real (or array of reals) to its integer code.

@@ -44,22 +44,6 @@ class Target(str, Enum):
     dram = "dram"
 
 
-@dataclass(frozen=True)
-class AccessEvent:
-    target: Target
-    object_id: tuple
-    rw: str  # "r" or "w"
-    bytes: int
-    timestep: int
-    neuron: int
-
-    def __post_init__(self):
-        if self.bytes <= 0:
-            raise ValueError("every access moves at least one byte")
-        if self.rw not in ("r", "w"):
-            raise ValueError(f"rw must be 'r' or 'w', got {self.rw!r}")
-
-
 # column codes of a GateTrace
 TARGETS = tuple(Target)
 _WB, _RB, _IM = (TARGETS.index(t) for t in (Target.weight_buffer, Target.row_buffer,
@@ -126,14 +110,6 @@ class AccessTrace:
     policy: Policy
     elem_bytes: int
     events: dict[str, GateTrace] = field(default_factory=dict)
-
-    def gate_events(self, gate: str) -> list[AccessEvent]:
-        """One gate's stream as AccessEvent rows, built on demand."""
-        return [AccessEvent(*row) for row in self.events[gate].rows(gate)]
-
-    def all_events(self):
-        for g in GATES:
-            yield from self.gate_events(g)
 
 
 def trace_conventional(layer: LayerDescriptor, T: int,

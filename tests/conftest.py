@@ -92,7 +92,7 @@ def naive_sigmoid(x: np.ndarray) -> np.ndarray:
     return F32(1.0) / (F32(1.0) + np.exp(-x))
 
 
-def naive_cell_step(ws: WeightSet, x, c_prev, h_prev):
+def naive_lstm_step(ws: WeightSet, x, c_prev, h_prev):
     """The six cell equations written out one by one."""
     g = ws.gates
     peep = {name: (g[name].peephole if ws.layer.peephole else None)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cell_for_layer, random_frames, random_network
 from epursim.arch import (CapacityError, HardwareConfig, MuBottleneckError,
-                          baseline_config, calibrate_network_alpha, cost_model,
+                          baseline_config, cost_model,
                           dpu_dot_cycles, mu_initiation_interval, mu_plan,
                           mwl_config, simulate)
 from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
@@ -136,18 +136,28 @@ class TestSimulateFunctional:
         b = simulate(net, weights, seq, Policy.mwl, CFG)
         assert np.array_equal(a.outputs.frames, b.outputs.frames)
 
+    def test_mwl_long_sequence_bit_identical_to_oracle(self):
+        # the one tier-1 run of the datapath at a long T: LDLRNN, 2000 frames
+        from epursim.presets import preset_descriptor, random_sequence, random_weights
+        net = preset_descriptor("ldlrnn")
+        weights = random_weights(net, 0)
+        seq = random_sequence(net, 2000, 1)
+        rep = simulate(net, weights, seq, Policy.mwl, CFG)
+        assert rep.exact_mode
+        want = network_infer(net, weights, seq)
+        assert np.array_equal(rep.outputs.frames, want.frames)
+
     def test_quantized_mwl_close_but_not_exact(self):
         net, weights = tiny_net(hidden=24, layers=1)
         seq = random_frames(net, 6, 4)
-        alpha = calibrate_network_alpha(net, weights, seq)
-        rep = simulate(net, weights, seq, Policy.mwl, CFG,
-                       quant=QuantConfig(8, alpha))
+        rep = simulate(net, weights, seq, Policy.mwl, CFG, quant=QuantConfig(8),
+                       quant_calibrate=True)
         want = network_infer(net, weights, seq)
         diff = np.abs(rep.outputs.frames.astype(np.float64)
                       - want.frames.astype(np.float64))
         assert diff.max() > 0  # quantization really happened
         # preactivation error is at most half a step; activations contract it
-        assert diff.max() <= QuantConfig(8, alpha).step
+        assert diff.max() <= QuantConfig(8, rep.pass_alphas[0]).step
 
     def test_fp16_simulation_matches_fp16_oracle(self):
         from epursim.model import Precision
@@ -302,7 +312,7 @@ class TestSimulateCounters:
     def test_counters_match_materialized_traces(self):
         # the simulator counts events in closed form; the sched module can
         # materialize the same schedule as an explicit trace
-        from epursim.sched import trace_mwl
+        from epursim.sched import RW, TARGETS, trace_mwl
         layer = LayerDescriptor(12, 20, Direction.forward_only, peephole=True)
         net = NetworkDescriptor((layer,), input_dim=20)
         weights = NetworkWeights.for_network(net, lambda i, d, l: cell_for_layer(l, 7))
@@ -313,8 +323,9 @@ class TestSimulateCounters:
                           row_buffer_bytes=CFG.row_buffer_bytes)
 
         def trace_bytes(target, rw):
-            return sum(e.bytes for e in trace.all_events()
-                       if e.target is target and e.rw == rw)
+            return sum(int(gt.bytes[(gt.target == TARGETS.index(target))
+                                    & (gt.rw == RW.index(rw))].sum())
+                       for gt in trace.events.values())
 
         assert rep.access.data[Target.row_buffer]["r"]["bytes"] == \
             trace_bytes(Target.row_buffer, "r")

@@ -261,6 +261,24 @@ class TestCompare:
         assert doc["oracle_check_b"]["mode"] == "cosine"
 
 
+    def test_one_oracle_run_serves_both_sides(self, gen, tmp_path, monkeypatch):
+        real, calls = model.network_infer, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model, "network_infer", counted)
+        desc, blob = gen
+        out = tmp_path / "cmp.json"
+        rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "5", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        assert len(calls) == 1
+        doc = json.loads(out.read_text())
+        assert doc["oracle_check_a"] == doc["oracle_check_b"] == \
+            {"mode": "bit-exact", "passed": True}
+
 class TestQuantizeSweep:
     def test_sweep_runs_and_improves_with_bits(self, gen, tmp_path):
         desc, blob = gen
@@ -410,3 +428,18 @@ class TestBoundary:
         assert err.count(str(target)) == 1  # the temp file goes unnamed
         assert sorted(tmp_path.iterdir()) == before  # no temp file left behind
         assert not any(target.iterdir())
+
+    def test_host_memory_exhaustion_exits_5(self, gen, tmp_path, monkeypatch, capsys):
+        # stands in for numpy's "Unable to allocate 43.7 TiB" on a huge trace,
+        # so the test itself allocates nothing
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 43.7 TiB for an array")
+
+        monkeypatch.setattr(sched, "layer_traces", exhausted)
+        desc, _ = gen
+        out = tmp_path / "reuse.json"
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                     "--t", "2", "--out", str(out))
+        assert rc == cli.EXIT_CAPACITY
+        assert self.one_line(capsys).startswith("host memory error: Unable to allocate")
+        assert not out.exists()

@@ -150,11 +150,6 @@ class TestCompare:
 
 
 class TestTableSerialization:
-    def test_round_trip(self):
-        table = EnergyTable(dram_read=150e-12)
-        back = EnergyTable.from_json(table.to_json())
-        assert back == table
-
     def test_negative_cost_rejected(self):
         with pytest.raises(EnergyConfigError):
             EnergyTable(mu_op=-1.0)

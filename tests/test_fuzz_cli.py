@@ -29,9 +29,8 @@ _json = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
 
 
 @st.composite
-def _descriptor(draw):
-    """A valid descriptor of up to three small layers, or one with a field
-    replaced by an arbitrary scalar or removed."""
+def _valid_descriptor(draw):
+    """A valid descriptor of up to three small layers."""
     dim = draw(st.integers(1, 4))
     doc = {"input_dim": dim, "numeric_precision": draw(st.sampled_from(["fp32", "fp16"])),
            "layers": []}
@@ -41,6 +40,14 @@ def _descriptor(draw):
             "hidden_size": hidden, "input_size": dim, "peephole": draw(st.booleans()),
             "direction": "bidirectional" if bidirectional else "forward_only"})
         dim = hidden * (2 if bidirectional else 1)
+    return doc
+
+
+@st.composite
+def _descriptor(draw):
+    """A valid descriptor, or one with a field replaced by an arbitrary
+    scalar or removed."""
+    doc = draw(_valid_descriptor())
     if draw(st.booleans()):
         obj = draw(st.sampled_from([doc, *doc["layers"]]))
         key = draw(st.sampled_from(sorted(obj)))
@@ -49,6 +56,34 @@ def _descriptor(draw):
         else:
             obj[key] = draw(_json)
     return doc
+
+
+_SIZE_KEYS = ("input_dim", "hidden_size", "input_size")
+_ENUM_KEYS = ("numeric_precision", "direction")
+# values each kind of field must refuse: strings or bools where numbers go,
+# floats, zero and negative sizes; numbers or other strings for enums and bools
+_not_size = (st.booleans() | st.text(max_size=3) | st.floats(-3, 6) | st.integers(-3, 0)
+             | st.sampled_from(["3", "2.0", "true"]) | st.just(2.0))
+_not_enum = (st.booleans() | st.integers(-1, 2) | st.floats(-1, 2)
+             | st.text(max_size=3) | st.sampled_from(["FP32", "forward"]))
+_not_bool = (st.integers(-1, 2) | st.floats(-1, 2) | st.none()
+             | st.sampled_from(["false", "true", "0", ""]))
+
+
+@st.composite
+def _typed_mutation(draw):
+    """A valid descriptor with one field set to a value of the wrong type or
+    range, or with one extra key."""
+    doc = draw(_valid_descriptor())
+    obj = draw(st.sampled_from([doc, *doc["layers"]]))
+    if draw(st.booleans()):
+        obj[draw(st.text(max_size=4).filter(lambda k: k not in obj))] = draw(_scalars)
+        return doc
+    key = draw(st.sampled_from(sorted(k for k in obj if k != "layers")))
+    obj[key] = draw(_not_size if key in _SIZE_KEYS
+                    else _not_enum if key in _ENUM_KEYS else _not_bool)
+    return doc
+
 
 # one forward-only 2x3 layer with peepholes: 4 gates x (6 + 4 + 2 + 2) values
 NET = {"input_dim": 3, "layers": [{"hidden_size": 2, "input_size": 3,
@@ -87,6 +122,15 @@ def test_descriptor_json(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     run(capsys, "analyze-reuse", "--network", str(path), "--policy", "mwl",
         "--t", "2")
+
+
+@FUZZ
+@given(doc=_typed_mutation())
+def test_descriptor_typed_mutations_exit_3(tmp_path, capsys, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "analyze-reuse", "--network", str(path), "--policy", "mwl",
+               "--t", "2") == cli.EXIT_PARSE
 
 
 @FUZZ

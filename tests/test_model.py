@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (F32, make_cell, naive_cell_step, naive_preactivation,
+from conftest import (F32, make_cell, naive_lstm_step, naive_preactivation,
                       random_frames, random_network)
-from epursim.model import (GATES, CellState, Direction, GateParams,
-                           LayerDescriptor, NetworkDescriptor, NetworkWeights,
-                           NumericError, Precision, Sequence, ShapeError,
-                           WeightSet, accumulate_dot, accumulate_dot_all_t,
-                           cell_step, gate_preactivation, layer_infer,
-                           network_infer, zero_state)
+from epursim.model import (GATES, Direction, GateParams, LayerDescriptor,
+                           NetworkDescriptor, NetworkWeights, NumericError,
+                           Precision, Sequence, ShapeError, WeightSet,
+                           accumulate_dot, accumulate_dot_all_t, finish_step,
+                           layer_infer, network_infer, run_direction, sigmoid,
+                           tanh)
 
 
 def zeros_cell(hidden, input_size, bias=0.0):
@@ -19,6 +19,16 @@ def zeros_cell(hidden, input_size, bias=0.0):
                            np.zeros((hidden, hidden)),
                            np.full(hidden, bias)) for g in GATES}
     return WeightSet(layer, gates)
+
+
+def naive_run(ws, frames) -> np.ndarray:
+    """naive_lstm_step iterated over frames from the zero state: h per step."""
+    c = h = np.zeros(ws.layer.hidden_size, dtype=ws.precision.storage_dtype)
+    out = []
+    for x in frames:
+        c, h = naive_lstm_step(ws, x, c, h)
+        out.append(h)
+    return np.array(out)
 
 
 def scalar_dot(acc, mat, vec) -> np.ndarray:
@@ -91,56 +101,53 @@ class TestAccumulationOrder:
 
 class TestGatePreactivation:
     def test_all_zero_weights_annihilate(self):
+        # every gate sees 0: i = f = o = 1/2 and g = 0, so c and h stay 0
         ws = zeros_cell(4, 3)
-        rng = np.random.default_rng(0)
-        out = gate_preactivation(ws, "input", rng.normal(size=3),
-                                 rng.normal(size=4), rng.normal(size=4))
-        assert np.array_equal(out, np.zeros(4, dtype=np.float32))
+        frames = np.random.default_rng(0).normal(size=(5, 3))
+        assert np.array_equal(run_direction(ws, frames), np.zeros((5, 4), F32))
 
     def test_bias_passthrough(self):
         ws = zeros_cell(5, 2, bias=0.75)
-        out = gate_preactivation(ws, "forget", np.zeros(2), np.zeros(5), np.zeros(5))
-        assert np.array_equal(out, np.full(5, 0.75, dtype=np.float32))
+        frames = np.random.default_rng(1).normal(size=(1, 2))
+        b = np.full(5, 0.75, dtype=F32)
+        c = sigmoid(b) * np.zeros(5, F32) + sigmoid(b) * tanh(b)
+        assert np.array_equal(run_direction(ws, frames)[0], sigmoid(b) * tanh(c))
 
     @pytest.mark.parametrize("peephole", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_naive_triple_loop(self, peephole, seed):
+        # the forward dots run_direction hoists over the whole sequence
         ws = make_cell(4, 4, peephole, seed)
-        rng = np.random.default_rng(seed + 100)
-        x = rng.uniform(-1, 1, 4).astype(np.float32)
-        h = rng.uniform(-1, 1, 4).astype(np.float32)
-        c = rng.uniform(-1, 1, 4).astype(np.float32)
-        for gate in GATES:
+        frames = np.random.default_rng(seed + 100).uniform(-1, 1, (3, 4)).astype(F32)
+        seen = []
+        run_direction(ws, frames, lambda fwd: seen.append(fwd.copy()) or fwd)
+        zero = np.zeros(4, F32)
+        for i, gate in enumerate(GATES):
             p = ws.gates[gate]
-            got = gate_preactivation(ws, gate, x, h, c)
-            want = naive_preactivation(p.w_x, p.w_h, p.bias, p.peephole, x, h, c)
-            assert np.array_equal(got, want), f"{gate} diverges from triple loop"
-
-    def test_dimension_mismatch(self):
-        ws = make_cell(4, 3, False, 0)
-        with pytest.raises(ShapeError):
-            gate_preactivation(ws, "input", np.zeros(4), np.zeros(4))
-
-    def test_unknown_gate(self):
-        ws = make_cell(4, 3, False, 0)
-        with pytest.raises(ShapeError):
-            gate_preactivation(ws, "sideways", np.zeros(3), np.zeros(4))
+            for t, x in enumerate(frames):
+                want = naive_preactivation(p.w_x, np.zeros((4, 4)), zero, None,
+                                           x, zero, zero)
+                assert np.array_equal(seen[0][4 * i:4 * (i + 1), t], want), \
+                    f"{gate} diverges from triple loop at t={t}"
 
     def test_non_finite_input(self):
         ws = make_cell(4, 3, False, 0)
-        x = np.array([1.0, np.nan, 0.0])
         with pytest.raises(NumericError):
-            gate_preactivation(ws, "input", x, np.zeros(4))
+            layer_infer(ws.layer, [ws], Sequence(np.array([[1.0, np.nan, 0.0]])))
 
     def test_no_peephole_means_cell_state_ignored(self):
+        # a forget preactivation of -200 saturates f to exactly 0, so only
+        # a peephole can carry the previous cell state into the step
+        pre = np.zeros(24, dtype=F32)
+        pre[6:12] = -200.0
+        small, huge = np.zeros(6, F32), np.full(6, 1e6, F32)
         ws = make_cell(6, 6, False, 3)
-        x = np.ones(6, dtype=np.float32)
-        h = np.ones(6, dtype=np.float32)
-        a = gate_preactivation(ws, "input", x, h, np.zeros(6))
-        b = gate_preactivation(ws, "input", x, h, np.full(6, 1e6))
-        c = gate_preactivation(ws, "input", x, h, None)
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
+        a, b = finish_step(ws, pre, small), finish_step(ws, pre, huge)
+        assert np.array_equal(a.c, b.c)
+        assert np.array_equal(a.h, b.h)
+        peep = make_cell(6, 6, True, 3)
+        assert not np.array_equal(finish_step(peep, pre, small).h,
+                                  finish_step(peep, pre, huge).h)
 
 
 class TestCellStep:
@@ -157,60 +164,47 @@ class TestCellStep:
                                     np.full(hidden, -100.0))
         ws = WeightSet(layer, gates)
         c0 = np.linspace(-0.5, 0.5, hidden).astype(np.float32)
-        prev = CellState(c0.copy(), np.zeros(hidden, dtype=np.float32))
-        nxt = cell_step(ws, np.ones(nx), prev)
+        # the dot products of all-zero matrices
+        nxt = finish_step(ws, np.zeros(4 * hidden, dtype=F32), c0.copy())
         assert np.array_equal(nxt.c, c0)
 
     def test_all_zero_first_step(self):
         ws = zeros_cell(4, 4)
-        out = cell_step(ws, np.zeros(4), zero_state(4))
+        out = finish_step(ws, np.zeros(16, dtype=F32), np.zeros(4, dtype=F32))
         assert np.array_equal(out.c, np.zeros(4, dtype=np.float32))
         assert np.array_equal(out.h, np.zeros(4, dtype=np.float32))
 
     @pytest.mark.parametrize("peephole", [False, True])
     def test_three_steps_match_equation_oracle(self, peephole):
         ws = make_cell(8, 8, peephole, 11)
-        rng = np.random.default_rng(42)
-        state = zero_state(8)
-        c_ref = np.zeros(8, dtype=np.float32)
-        h_ref = np.zeros(8, dtype=np.float32)
-        for _ in range(3):
-            x = rng.uniform(-1, 1, 8).astype(np.float32)
-            state = cell_step(ws, x, state)
-            c_ref, h_ref = naive_cell_step(ws, x, c_ref, h_ref)
-            assert np.array_equal(state.c, c_ref)
-            assert np.array_equal(state.h, h_ref)
+        frames = np.random.default_rng(42).uniform(-1, 1, (3, 8)).astype(np.float32)
+        assert np.array_equal(run_direction(ws, frames), naive_run(ws, frames))
 
     def test_equation_oracle_thousand_random_cells(self):
-        # cell_step against the six equations coded as separate expressions
+        # run_direction against the six equations coded as separate expressions
         rng = np.random.default_rng(7)
         for i in range(1000):
             hidden = int(rng.integers(2, 9))
             nx = int(rng.integers(2, 9))
             ws = make_cell(hidden, nx, bool(i % 2), 5000 + i)
-            x = rng.uniform(-1, 1, nx).astype(np.float32)
-            c0 = rng.uniform(-0.5, 0.5, hidden).astype(np.float32)
-            h0 = rng.uniform(-0.5, 0.5, hidden).astype(np.float32)
-            got = cell_step(ws, x, CellState(c0.copy(), h0.copy()))
-            c_ref, h_ref = naive_cell_step(ws, x, c0, h0)
-            assert np.array_equal(got.c, c_ref)
-            assert np.array_equal(got.h, h_ref)
+            frames = rng.uniform(-1, 1, (int(rng.integers(1, 4)), nx)).astype(np.float32)
+            assert np.array_equal(run_direction(ws, frames), naive_run(ws, frames))
 
     def test_fp16_storage_fp32_accumulation(self):
         ws = make_cell(8, 8, True, 13, Precision.fp16)
-        state = zero_state(8, Precision.fp16)
-        out = cell_step(ws, np.ones(8, dtype=np.float16), state)
-        assert out.h.dtype == np.float16
-        assert np.all(np.abs(out.h.astype(np.float64)) <= 1.0)
+        out = run_direction(ws, np.ones((3, 8), dtype=np.float16))
+        assert out.dtype == np.float16
+        assert np.all(np.abs(out.astype(np.float64)) <= 1.0)
 
 
 class TestLayerInfer:
-    def test_t1_equals_cell_step(self):
+    def test_t1_equals_naive_step(self):
         ws = make_cell(5, 3, True, 21)
         x = np.random.default_rng(3).uniform(-1, 1, (1, 3)).astype(np.float32)
         out = layer_infer(ws.layer, [ws], Sequence(x))
-        want = cell_step(ws, x[0], zero_state(5))
-        assert np.array_equal(out.frames[0], want.h)
+        zero = np.zeros(5, dtype=np.float32)
+        _, want = naive_lstm_step(ws, x[0], zero, zero)
+        assert np.array_equal(out.frames[0], want)
 
     def test_palindrome_symmetry(self):
         layer = LayerDescriptor(6, 4, Direction.bidirectional, peephole=False)
@@ -308,11 +302,12 @@ class TestInvariants:
         x = rng.uniform(-1, 1, nx).astype(np.float32)
         h = rng.uniform(-1, 1, hidden).astype(np.float32)
         c = rng.uniform(-1, 1, hidden).astype(np.float32)
-        from epursim.model import sigmoid, tanh
+        pre = {gate: naive_preactivation(p.w_x, p.w_h, p.bias, p.peephole, x, h, c)
+               for gate, p in ws.gates.items()}
         for gate in ("input", "forget", "output"):
-            val = sigmoid(gate_preactivation(ws, gate, x, h, c))
+            val = sigmoid(pre[gate])
             assert np.all((val > 0) & (val < 1))
-        g = tanh(gate_preactivation(ws, "cell_updater", x, h, c))
+        g = tanh(pre["cell_updater"])
         assert np.all((g > -1) & (g < 1))
 
     @settings(max_examples=20, deadline=None)

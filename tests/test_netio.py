@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from conftest import random_frames, random_network
 from epursim.model import GATES, Precision, Sequence
 from epursim.netio import (FormatError, descriptor_from_json,
-                           load_descriptor, load_sequence, load_weights,
-                           save_descriptor, save_sequence, save_weights)
+                           descriptor_to_bytes, load_descriptor, load_sequence,
+                           load_weights, save_descriptor, save_sequence,
+                           save_weights)
+from epursim.presets import PRESETS, custom_descriptor, preset_descriptor
 
 
 class TestDescriptor:
@@ -34,6 +37,62 @@ class TestDescriptor:
     def test_missing_field_is_format_error(self):
         with pytest.raises(FormatError):
             descriptor_from_json({"layers": []})
+
+    @pytest.mark.parametrize("layer,match", [
+        pytest.param({"peephole": "false"}, "peephole must be true or false",
+                     id="peephole-string"),
+        pytest.param({"peephole": 1}, "peephole must be true or false", id="peephole-int"),
+        pytest.param({"hidden_size": 2.7},
+                     "hidden_size must be a positive integer, got 2.7", id="size-float"),
+        pytest.param({"hidden_size": 4.0}, "hidden_size must be a positive integer",
+                     id="size-integral-float"),
+        pytest.param({"hidden_size": "4"}, "hidden_size must be a positive integer",
+                     id="size-string"),
+        pytest.param({"input_size": True},
+                     "input_size must be a positive integer, got true", id="size-bool"),
+        pytest.param({"hidden_size": 0}, "hidden_size must be a positive integer",
+                     id="size-zero"),
+        pytest.param({"hidden_size": -3}, "hidden_size must be a positive integer",
+                     id="size-negative"),
+        pytest.param({"direction": "sideways"},
+                     "direction must be forward_only or bidirectional", id="direction"),
+        pytest.param({"gates": 4}, r'unknown key\(s\) in layers\[0\]: "gates"',
+                     id="extra-key"),
+    ])
+    def test_layer_fields_are_not_coerced(self, layer, match):
+        doc = {"input_dim": 4, "layers": [{"hidden_size": 4, "input_size": 4, **layer}]}
+        with pytest.raises(FormatError, match=match):
+            descriptor_from_json(doc)
+
+    @pytest.mark.parametrize("top,match", [
+        pytest.param({"input_dim": 4.0}, "input_dim must be a positive integer",
+                     id="dim-float"),
+        pytest.param({"input_dim": False}, "input_dim must be a positive integer",
+                     id="dim-bool"),
+        pytest.param({"numeric_precision": "fp64"},
+                     "numeric_precision must be fp32 or fp16", id="precision"),
+        pytest.param({"layers": []}, "layers must be a non-empty list", id="no-layers"),
+        pytest.param({"layers": [4]}, r"layers\[0\] is not a JSON object",
+                     id="layer-not-object"),
+        pytest.param({"name": "x"}, r'unknown key\(s\) in descriptor: "name"',
+                     id="extra-key"),
+    ])
+    def test_network_fields_are_not_coerced(self, top, match):
+        doc = {"input_dim": 4, "layers": [{"hidden_size": 4, "input_size": 4}], **top}
+        with pytest.raises(FormatError, match=match):
+            descriptor_from_json(doc)
+
+    def test_not_an_object(self):
+        with pytest.raises(FormatError, match="descriptor is not a JSON object"):
+            descriptor_from_json([])
+
+    @pytest.mark.parametrize("precision", [Precision.fp32, Precision.fp16])
+    def test_every_written_descriptor_loads(self, precision):
+        # what gen-network writes: every preset, and a custom stack
+        nets = [preset_descriptor(name, precision) for name in PRESETS]
+        nets.append(custom_descriptor(3, 5, True, True, 7, precision))
+        for net in nets:
+            assert descriptor_from_json(json.loads(descriptor_to_bytes(net))) == net
 
 
 class TestWeightBlob:

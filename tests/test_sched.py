@@ -1,5 +1,4 @@
 import json
-import random
 
 import numpy as np
 import pytest
@@ -9,24 +8,28 @@ from hypothesis import strategies as st
 from epursim.model import (GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, gate_matrix_bytes)
 from epursim.quant import QuantConfig
-from epursim.sched import (AccessEvent, Policy, Target, dram_traffic,
+from epursim.sched import (KINDS, RW, TARGETS, Policy, Target, dram_traffic,
                            gate_accesses, layer_traces, pins_forward_rows,
                            reuse_analysis, trace_conventional, trace_mwl,
                            weight_buffer_read_bytes, _analyze_stream)
 
 
-def stream_stats(events):
-    """The reuse kernel on a list of AccessEvents, objects numbered in order
-    of first touch."""
-    ids = {}
-    obj = [ids.setdefault(ev.object_id, len(ids)) for ev in events]
-    return _analyze_stream(np.array(obj), np.array([ev.bytes for ev in events]),
-                           np.array([ev.rw == "w" for ev in events]))
+def stream_stats(obj, nbytes, write):
+    """The reuse kernel on one stream given as (object id, bytes, is-write)
+    columns."""
+    return _analyze_stream(np.asarray(obj), np.asarray(nbytes),
+                           np.asarray(write, bool))
+
+
+def trace_bytes(trace, gate, target, rw):
+    """Bytes one gate's stream moves to or from ``target``, by its columns."""
+    gt = trace.events[gate]
+    mask = (gt.target == TARGETS.index(target)) & (gt.rw == RW.index(rw))
+    return int(gt.bytes[mask].sum())
 
 
 def wb_read_bytes_from_trace(trace, gate):
-    return sum(ev.bytes for ev in trace.gate_events(gate)
-               if ev.target is Target.weight_buffer and ev.rw == "r")
+    return trace_bytes(trace, gate, Target.weight_buffer, "r")
 
 
 class TestConventionalTrace:
@@ -57,8 +60,8 @@ class TestConventionalTrace:
 
     def test_interleaves_per_neuron(self):
         layer = LayerDescriptor(3, 3)
-        ev = trace_conventional(layer, 1).gate_events("input")
-        kinds = [e.object_id[0] for e in ev]
+        gt = trace_conventional(layer, 1).events["input"]
+        kinds = [KINDS[k] for k in gt.kind]
         assert kinds == ["wx", "wh"] * 3
 
 
@@ -111,12 +114,12 @@ class TestMwlTrace:
         layer = LayerDescriptor(12, 9)
         T, q = 7, QuantConfig(n_bits=8, alpha=20.0)
         trace = trace_mwl(layer, T, quant=q)
-        written = sum(ev.bytes for ev in trace.all_events()
-                      if ev.target is Target.intermediate_memory and ev.rw == "w")
+        written = sum(trace_bytes(trace, g, Target.intermediate_memory, "w")
+                      for g in GATES)
         assert written == 4 * T * layer.hidden_size * 1
         assert written == 4 * T * layer.hidden_size * q.storage_bytes
-        read_back = sum(ev.bytes for ev in trace.all_events()
-                        if ev.target is Target.intermediate_memory and ev.rw == "r")
+        read_back = sum(trace_bytes(trace, g, Target.intermediate_memory, "r")
+                        for g in GATES)
         assert read_back == written
 
     def test_row_larger_than_buffer_falls_back(self):
@@ -126,8 +129,8 @@ class TestMwlTrace:
         conv = trace_conventional(layer, 3)
         for g in GATES:
             assert wb_read_bytes_from_trace(trace, g) == wb_read_bytes_from_trace(conv, g)
-            assert not any(ev.target is Target.row_buffer
-                           for ev in trace.gate_events(g))
+            assert not np.any(trace.events[g].target
+                              == TARGETS.index(Target.row_buffer))
         # a row of exactly the buffer's size is still pinned
         assert pins_forward_rows(LayerDescriptor(4, 1024), 4, 4096)
         assert not pins_forward_rows(LayerDescriptor(4, 1025), 4, 4096)
@@ -148,10 +151,12 @@ class TestClosedFormCounts:
                      else trace_mwl(layer, T, quant=quant))
             want = gate_accesses(layer, T, policy, 4, qbytes, 4096)
             for g in GATES:
+                gt = trace.events[g]
                 got = {}
-                for ev in trace.gate_events(g):
-                    count, nbytes = got.get((ev.target, ev.rw), (0, 0))
-                    got[(ev.target, ev.rw)] = (count + 1, nbytes + ev.bytes)
+                for code, r in set(zip(gt.target.tolist(), gt.rw.tolist())):
+                    mask = (gt.target == code) & (gt.rw == r)
+                    got[(TARGETS[code], RW[r])] = (int(mask.sum()),
+                                                   int(gt.bytes[mask].sum()))
                 assert got == want
                 assert wb_read_bytes_from_trace(trace, g) == \
                     weight_buffer_read_bytes(layer, T, policy)
@@ -167,9 +172,7 @@ class TestClosedFormCounts:
 
 class TestReuseAnalysis:
     def test_single_repeated_row(self):
-        ev = [AccessEvent(Target.weight_buffer, ("wx", "input", 0), "r", 64, t, 0)
-              for t in (1, 2, 3)]
-        st = stream_stats(ev)
+        st = stream_stats([0] * 3, [64] * 3, [False] * 3)
         assert st.max_reuse_distance == 64
         assert st.reuse_count == 2
         assert st.min_buffer_bytes == 64
@@ -179,8 +182,10 @@ class TestReuseAnalysis:
         trace = trace_conventional(layer, 3)
         base = reuse_analysis(trace).gate_target("input", Target.weight_buffer)
         # sorting groups accesses to the same row together, collapsing distances
-        grouped = sorted(trace.gate_events("input"), key=lambda e: e.object_id)
-        sorted_stats = stream_stats(grouped)
+        gt = trace.events["input"]
+        grouped = np.argsort(gt.obj, kind="stable")
+        sorted_stats = stream_stats(gt.obj[grouped], gt.bytes[grouped],
+                                    gt.rw[grouped] == RW.index("w"))
         assert sorted_stats.max_reuse_distance < base.max_reuse_distance
         assert sorted_stats.max_reuse_distance == 6 * 4  # one row
 
@@ -194,12 +199,12 @@ class TestReuseAnalysis:
     def test_shuffle_changes_distances(self):
         layer = LayerDescriptor(6, 6)
         trace = trace_conventional(layer, 3)
-        events = trace.gate_events("input")
-        base = stream_stats(events).total_reuse_distance
-        rng = random.Random(5)
-        shuffled = events[:]
-        rng.shuffle(shuffled)
-        assert stream_stats(shuffled).total_reuse_distance != base
+        gt = trace.events["input"]
+        write = gt.rw == RW.index("w")
+        base = stream_stats(gt.obj, gt.bytes, write).total_reuse_distance
+        shuffled = np.random.default_rng(5).permutation(len(gt))
+        assert stream_stats(gt.obj[shuffled], gt.bytes[shuffled],
+                            write[shuffled]).total_reuse_distance != base
 
     def test_empty_trace_rejected(self):
         layer = LayerDescriptor(2, 2)
@@ -216,22 +221,21 @@ class TestReuseAnalysis:
             assert st.min_buffer_bytes <= st.distinct_bytes
 
     @staticmethod
-    def _brute_force(events):
+    def _brute_force(obj, nbytes):
         """Set-based reference: distance = bytes of distinct objects touched
         since the previous access to the same object, inclusive of it."""
         history = []
         sizes = {}
         max_dist = total = reuses = 0
-        for ev in events:
-            if ev.object_id in sizes:
-                since = history[len(history) - 1 - history[::-1].index(ev.object_id):]
-                touched = {ev.object_id} | set(since)
-                dist = sum(sizes[o] for o in touched)
+        for o, size in zip(obj, nbytes):
+            if o in sizes:
+                since = history[len(history) - 1 - history[::-1].index(o):]
+                dist = sum(sizes[x] for x in {o} | set(since))
                 max_dist = max(max_dist, dist)
                 total += dist
                 reuses += 1
-            sizes[ev.object_id] = ev.bytes
-            history.append(ev.object_id)
+            sizes[o] = size
+            history.append(o)
         return reuses, max_dist, total
 
     @settings(max_examples=60, deadline=None)
@@ -239,13 +243,11 @@ class TestReuseAnalysis:
                     min_size=1, max_size=60))
     def test_matches_brute_force_on_random_streams(self, accesses):
         sizes = {}
-        events = []
-        for obj, size in accesses:
-            sizes.setdefault(obj, size)  # object size is fixed at first touch
-            events.append(AccessEvent(Target.weight_buffer, ("o", obj), "r",
-                                      sizes[obj], 1, 0))
-        got = stream_stats(events)
-        reuses, max_dist, total = self._brute_force(events)
+        obj = [o for o, _ in accesses]
+        # object size is fixed at first touch
+        nbytes = [sizes.setdefault(o, size) for o, size in accesses]
+        got = stream_stats(obj, nbytes, [False] * len(obj))
+        reuses, max_dist, total = self._brute_force(obj, nbytes)
         assert got.reuse_count == reuses
         assert got.max_reuse_distance == max_dist
         assert got.total_reuse_distance == total
@@ -257,30 +259,27 @@ class TestReuseAnalysis:
                     min_size=1, max_size=400))
     def test_matches_brute_force_on_long_streams(self, accesses):
         sizes = {}
-        events = []
-        for obj, size, write in accesses:
-            sizes.setdefault(obj, size)  # object size is fixed at first touch
-            events.append(AccessEvent(Target.weight_buffer, ("o", obj),
-                                      "w" if write else "r", sizes[obj], 1, 0))
-        got = stream_stats(events)
+        obj = [o for o, _, _ in accesses]
+        # object size is fixed at first touch
+        nbytes = [sizes.setdefault(o, size) for o, size, _ in accesses]
+        write = [w for _, _, w in accesses]
+        got = stream_stats(obj, nbytes, write)
         assert (got.reuse_count, got.max_reuse_distance,
-                got.total_reuse_distance) == self._brute_force(events)
-        assert got.access_count == len(events)
-        assert got.write_bytes == sum(ev.bytes for ev in events if ev.rw == "w")
-        assert got.read_bytes == sum(ev.bytes for ev in events if ev.rw == "r")
+                got.total_reuse_distance) == self._brute_force(obj, nbytes)
+        assert got.access_count == len(obj)
+        assert got.write_bytes == sum(b for b, w in zip(nbytes, write) if w)
+        assert got.read_bytes == sum(b for b, w in zip(nbytes, write) if not w)
         assert got.distinct_bytes == sum(sizes.values())
 
     def test_one_event_stream(self):
-        st_ = stream_stats([AccessEvent(Target.dram, ("x",), "w", 7, 1, 0)])
+        st_ = stream_stats([0], [7], [True])
         assert st_.to_json() == dict(
             access_count=1, read_bytes=0, write_bytes=7, distinct_bytes=7,
             reuse_count=0, max_reuse_distance=0, total_reuse_distance=0,
             min_buffer_bytes=7)
 
     def test_stream_without_reuse(self):
-        events = [AccessEvent(Target.weight_buffer, ("o", k), "r", k + 1, 1, 0)
-                  for k in range(5)]
-        st_ = stream_stats(events)
+        st_ = stream_stats(range(5), [k + 1 for k in range(5)], [False] * 5)
         assert st_.to_json() == dict(
             access_count=5, read_bytes=15, write_bytes=0, distinct_bytes=15,
             reuse_count=0, max_reuse_distance=0, total_reuse_distance=0,
@@ -289,9 +288,8 @@ class TestReuseAnalysis:
     def test_object_size_is_its_first_access(self):
         # as recorded from the Fenwick-tree implementation: every distance
         # counts object 0 at 5 bytes and object 1 at 3
-        events = [AccessEvent(Target.weight_buffer, ("o", obj), "r", nbytes, 1, 0)
-                  for obj, nbytes in [(0, 5), (1, 3), (0, 9), (1, 1), (0, 2)]]
-        assert stream_stats(events).to_json() == dict(
+        assert stream_stats([0, 1, 0, 1, 0], [5, 3, 9, 1, 2],
+                            [False] * 5).to_json() == dict(
             access_count=5, read_bytes=20, write_bytes=0, distinct_bytes=8,
             reuse_count=3, max_reuse_distance=8, total_reuse_distance=24,
             min_buffer_bytes=9)
@@ -336,23 +334,14 @@ class TestReuseGoldens:
         })
 
 
-class TestEventValidation:
-    def test_zero_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            AccessEvent(Target.dram, ("x",), "r", 0, 1, 0)
-
-    def test_bad_rw_rejected(self):
-        with pytest.raises(ValueError):
-            AccessEvent(Target.dram, ("x",), "rw", 4, 1, 0)
-
-
 class TestLayerTraces:
     def test_bidirectional_yields_two_independent_traces(self):
         layer = LayerDescriptor(4, 4, Direction.bidirectional)
         traces = layer_traces(layer, 3, Policy.conventional)
         assert len(traces) == 2
         a, b = traces
-        assert [e for e in a.all_events()] == [e for e in b.all_events()]
+        for g in GATES:
+            assert list(a.events[g].rows(g)) == list(b.events[g].rows(g))
         assert a is not b
 
 

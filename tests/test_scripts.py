@@ -1,4 +1,5 @@
-"""The experiment scripts run end to end on tiny arguments."""
+"""The experiment scripts run end to end on tiny arguments, and the energy
+comparison reproduces its recorded JSON."""
 import os
 import subprocess
 import sys
@@ -9,14 +10,31 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("script,args", [
     ("energy_comparison.py", ["--preset", "ldlrnn", "--t", "4"]),
     ("energy_comparison.py", ["--preset", "ldlrnn", "--t", "4", "--quantize"]),
     ("locality_experiment.py", ["--hidden", "8", "--t", "1", "2"]),
 ])
 def test_script_exits_zero(script, args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("golden,args", [
+    ("energy_ldlrnn_t4.json", []),
+    ("energy_ldlrnn_t4_quantize.json", ["--quantize"]),
+])
+def test_energy_comparison_matches_golden(tmp_path, golden, args):
+    out = tmp_path / "energy.json"
+    proc = run_script("energy_comparison.py", ["--preset", "ldlrnn", "--t", "4",
+                                               *args, "--json", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8") == \
+        (ROOT / "tests" / "data" / golden).read_text(encoding="utf-8")
