@@ -21,45 +21,38 @@ MIB = float(2**20)
 
 
 class EnergyConfigError(ValueError):
-    """A counted event class has no cost entry."""
+    """A negative cost, or DRAM no dearer per byte than an on-chip memory."""
 
 
 @dataclass(frozen=True)
 class EnergyTable:
     # joules per byte moved
-    weight_buffer_read: float | None = 1.0e-12
-    weight_buffer_write: float | None = 1.2e-12
-    row_buffer_read: float | None = 0.10e-12
-    row_buffer_write: float | None = 0.12e-12
-    input_buffer_read: float | None = 0.15e-12
-    input_buffer_write: float | None = 0.18e-12
-    intermediate_memory_read: float | None = 1.2e-12
-    intermediate_memory_write: float | None = 1.4e-12
-    dram_read: float | None = 200.0e-12
-    dram_write: float | None = 200.0e-12
+    weight_buffer_read: float = 1.0e-12
+    weight_buffer_write: float = 1.2e-12
+    row_buffer_read: float = 0.10e-12
+    row_buffer_write: float = 0.12e-12
+    input_buffer_read: float = 0.15e-12
+    input_buffer_write: float = 0.18e-12
+    intermediate_memory_read: float = 1.2e-12
+    intermediate_memory_write: float = 1.4e-12
+    dram_read: float = 200.0e-12
+    dram_write: float = 200.0e-12
     # joules per operation
-    dpu_subvector_op: float | None = 30.0e-12
-    mu_op: float | None = 4.0e-12
+    dpu_subvector_op: float = 30.0e-12
+    mu_op: float = 4.0e-12
     # leakage, watts; memories scale with powered capacity
     sram_leakage_w_per_mib: float = 3.0e-3
     logic_leakage_w: float = 20.0e-3
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if v is not None and v < 0:
+            if v < 0:
                 raise EnergyConfigError(f"{name} must be non-negative")
         onchip = [self.weight_buffer_read, self.row_buffer_read,
                   self.input_buffer_read, self.intermediate_memory_read]
-        if self.dram_read is not None and any(
-                c is not None and self.dram_read <= c for c in onchip):
+        if any(self.dram_read <= c for c in onchip):
             raise EnergyConfigError(
                 "dram per-byte cost must exceed every on-chip per-byte cost")
-
-    def cost(self, name: str) -> float:
-        v = getattr(self, name)
-        if v is None:
-            raise EnergyConfigError(f"no cost entry for counted event class '{name}'")
-        return v
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -126,15 +119,10 @@ def account(report: "SimReport", table: EnergyTable) -> EnergyReport:
     dynamic: dict[str, float] = {}
     for target, (rname, wname) in _BYTE_CLASSES.items():
         sides = report.access.data[target]
-        e = 0.0
-        if sides["r"]["bytes"]:
-            e += sides["r"]["bytes"] * table.cost(rname)
-        if sides["w"]["bytes"]:
-            e += sides["w"]["bytes"] * table.cost(wname)
-        dynamic[target.value] = e
-    dpu_ops = sum(report.access.dpu_ops_per_cu.values())
-    dynamic["dpu"] = dpu_ops * table.cost("dpu_subvector_op") if dpu_ops else 0.0
-    dynamic["mu"] = report.access.mu_ops * table.cost("mu_op") if report.access.mu_ops else 0.0
+        dynamic[target.value] = (sides["r"]["bytes"] * getattr(table, rname)
+                                 + sides["w"]["bytes"] * getattr(table, wname))
+    dynamic["dpu"] = sum(report.access.dpu_ops_per_cu.values()) * table.dpu_subvector_op
+    dynamic["mu"] = report.access.mu_ops * table.mu_op
 
     # leakage: banks actually touched stay powered for the whole run
     bank = report.config.bank_bytes

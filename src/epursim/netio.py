@@ -56,6 +56,11 @@ def descriptor_to_json(net: NetworkDescriptor) -> dict:
     }
 
 
+#: the largest size a descriptor may give: traces store steps and neuron
+#: indices as 32-bit integers
+MAX_SIZE = 2**31 - 1
+
+
 def _positive_int(v) -> bool:
     return type(v) is int and v > 0
 
@@ -82,7 +87,8 @@ _LAYER_FIELDS = {
 def _fields(obj, spec: dict, where: str) -> dict:
     """The fields of a descriptor object, absent optional ones defaulted;
     FormatError on an unknown key, a missing required one or a value of the
-    wrong JSON type or range (nothing is coerced)."""
+    wrong JSON type or range, sizes above MAX_SIZE included (nothing is
+    coerced)."""
     if not isinstance(obj, dict):
         raise FormatError(f"bad network descriptor: {where} is not a JSON object")
     unknown = sorted(set(obj) - set(spec))
@@ -97,6 +103,9 @@ def _fields(obj, spec: dict, where: str) -> dict:
         if not accepts(out[key]):
             raise FormatError(f"bad network descriptor: {where}.{key} must be "
                               f"{want}, got {json.dumps(out[key])}")
+        if accepts is _positive_int and out[key] > MAX_SIZE:
+            raise FormatError(f"bad network descriptor: {where}.{key} must be at "
+                              f"most {MAX_SIZE}, got {out[key]}")
     return out
 
 

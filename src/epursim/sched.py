@@ -94,7 +94,7 @@ def _gate_trace(hidden: int, widths: tuple[int, int, int], target, kind, rw,
     obj = (kind.astype(np.int64) + (kind == _PARTIAL) * (t - 1)) * hidden + neuron
     cols = dict(target=np.asarray(target, np.int8), kind=kind, obj=obj,
                 rw=np.asarray(rw, np.int8),
-                bytes=np.asarray(widths, np.int32)[kind], t=t, neuron=neuron)
+                bytes=np.asarray(widths, np.int64)[kind], t=t, neuron=neuron)
     for col in cols.values():
         col.flags.writeable = False
     return GateTrace(**cols)

@@ -182,6 +182,12 @@ class TestCriterion8Quantization:
                    f">= 0.999 on the suite (worst {worst:.6f})")
 
 
+def _check_mu(net, policy, cfg):
+    """The MU throughput checks of every layer, which a one-step pass runs."""
+    for layer in net.layers:
+        arch._pass_cost(layer, 1, policy, cfg, None, net.numeric_precision.elem_bytes)
+
+
 class TestCriterion9TimingModel:
     def test_dpu_dot_cycles_320(self):
         assert arch.dpu_dot_cycles(320, CFG) == 30
@@ -198,18 +204,17 @@ class TestCriterion9TimingModel:
         for name in presets.PRESETS:
             net = presets.preset_descriptor(name)
             for policy in (Policy.conventional, Policy.mwl):
-                arch._check_mu_throughput(net, policy, CFG)
+                _check_mu(net, policy, CFG)
         for net, _, _ in acceptance_suite:
             for policy in (Policy.conventional, Policy.mwl):
-                arch._check_mu_throughput(net, policy, CFG)
+                _check_mu(net, policy, CFG)
 
     def test_doctored_latencies_fail_with_diagnostic(self):
         lat = dict(baseline_config().op_latency)
         lat["exp"] = 400
         net = presets.custom_descriptor(1, 8, False, True)
         with pytest.raises(arch.MuBottleneckError, match="bottleneck"):
-            arch._check_mu_throughput(net, Policy.conventional,
-                                      arch.HardwareConfig(op_latency=lat))
+            _check_mu(net, Policy.conventional, arch.HardwareConfig(op_latency=lat))
         _report(9, "dpu_dot_cycles(320, N=16) = 30; unit-latency MU plan spans "
                    "the published stage grid (8 stages / stage 17); MU never "
                    "the bottleneck under the shipped latencies, doctored "

@@ -1,15 +1,21 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cell_for_layer, random_frames, random_network
-from epursim.arch import (CapacityError, HardwareConfig, MuBottleneckError,
-                          baseline_config, cost_model,
+from epursim.arch import (HW_PRESETS, CapacityError, HardwareConfig,
+                          MuBottleneckError, baseline_config, cost_model,
                           dpu_dot_cycles, mu_initiation_interval, mu_plan,
                           mwl_config, simulate)
 from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
                            NetworkWeights, ShapeError, network_infer)
+from epursim.presets import custom_descriptor, preset_descriptor
 from epursim.quant import QuantConfig
 from epursim.sched import Policy, Target
 
@@ -404,3 +410,72 @@ class TestHardwareConfig:
     def test_latencies_at_least_one(self):
         with pytest.raises(ValueError):
             HardwareConfig(op_latency={**HardwareConfig().op_latency, "add": 0})
+
+
+GOLDENS = Path(__file__).resolve().parent / "data" / "cost_model_goldens.json"
+# the two presets, and one whose MU latency tail outlasts a small layer's timestep
+GOLDEN_HW = {**HW_PRESETS, "slow-exp": lambda: HardwareConfig(
+    op_latency=dict(HardwareConfig().op_latency, exp=400))}
+
+
+def golden_cases():
+    """(key, net, policy, n_bits or None, hardware preset) of each golden."""
+    nets = {"ldlrnn": preset_descriptor("ldlrnn"),
+            "eesen": preset_descriptor("eesen"),
+            "bidir-peephole": custom_descriptor(2, 8, True, True, input_dim=5),
+            # a 2000-wide forward row overflows the 4 KiB row buffer
+            "wide-row": custom_descriptor(1, 8, False, False, input_dim=2000)}
+    for (name, net), policy, bits, hw in itertools.product(
+            nets.items(), Policy, (None, 8), GOLDEN_HW):
+        yield f"{name}/{policy.value}/{bits or 'exact'}/{hw}", net, policy, bits, hw
+
+
+def cost_model_doc(net, policy, bits, hw) -> dict:
+    """The T=7 report as JSON, or the error the cost model raised."""
+    try:
+        rep = cost_model(net, 7, policy, GOLDEN_HW[hw](),
+                         QuantConfig(bits) if bits else None, frames_per_second=100.0)
+    except (CapacityError, MuBottleneckError) as e:
+        return {"error": f"{type(e).__name__}: {e}"}
+    return json.loads(json.dumps(rep.to_json()))
+
+
+class TestCostModelGoldens:
+    def test_reports_match_recorded(self):
+        golden = json.loads(GOLDENS.read_text(encoding="utf-8"))
+        got = {key: cost_model_doc(*case) for key, *case in golden_cases()}
+        assert sorted(got) == sorted(golden)
+        for key, doc in golden.items():
+            assert got[key] == doc, key
+
+
+@st.composite
+def _stack(draw):
+    """A stack of one to three small layers."""
+    dim = draw(st.integers(1, 24))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        layer = LayerDescriptor(draw(st.integers(1, 24)), dim,
+                                draw(st.sampled_from(Direction)), draw(st.booleans()))
+        layers.append(layer)
+        dim = layer.output_size
+    return NetworkDescriptor(tuple(layers), input_dim=layers[0].input_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=_stack(), T=st.integers(1, 4), policy=st.sampled_from(Policy),
+       bits=st.sampled_from([None, 8]), mem=st.integers(64, 4096))
+# layer 0's sequences fit beside its own partials, not beside layer 1's
+@example(net=NetworkDescriptor((LayerDescriptor(8, 64), LayerDescriptor(16, 8)),
+                               input_dim=64),
+         T=1, policy=Policy.mwl, bits=None, mem=700)
+def test_cost_model_reports_or_refuses(net, T, policy, bits, mem):
+    """Any intermediate-memory size either fits, with every check true, or
+    is refused with a capacity or MU error."""
+    cfg = HardwareConfig(intermediate_mem_bytes=mem)
+    try:
+        rep = cost_model(net, T, policy, cfg, QuantConfig(bits) if bits else None)
+    except (CapacityError, MuBottleneckError):
+        return
+    assert not rep.checks.pop("mu_bottleneck")
+    assert all(rep.checks.values()), rep.checks

@@ -1,11 +1,12 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from epursim import cli, model, presets, sched
-from epursim.netio import load_sequence, save_descriptor
+from epursim.netio import load_sequence, save_descriptor, save_weights
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -212,6 +213,21 @@ class TestAnalyzeReuse:
         # per gate and direction: the 320x320 recurrent matrix plus one
         # 640-wide forward row, in fp32
         assert storage == 2 * 4 * (320 * 320 + 640) * 4 == 3_297_280
+
+    @pytest.mark.parametrize("policy", ["conventional", "mwl"])
+    def test_forward_row_of_2_gib(self, tmp_path, policy):
+        # a 2**29-wide fp32 forward row is 2**31 bytes; the trace has a few events
+        desc, out = tmp_path / "net.json", tmp_path / "reuse.json"
+        desc.write_text(json.dumps({"input_dim": 2**29, "layers": [
+            {"hidden_size": 1, "input_size": 2**29}]}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the row-buffer fallback
+            rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", policy,
+                         "--t", "1", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        (direction,) = json.loads(out.read_text())["layers"][0]["directions"]
+        for g in model.GATES:
+            assert direction["stats"][g]["weight_buffer"]["read_bytes"] == 2**31 + 4
 
     def test_trace_csv_golden(self, tmp_path):
         """A layer whose 4400-byte forward rows overflow the row buffer, then
@@ -428,6 +444,31 @@ class TestBoundary:
         assert err.count(str(target)) == 1  # the temp file goes unnamed
         assert sorted(tmp_path.iterdir()) == before  # no temp file left behind
         assert not any(target.iterdir())
+
+    def test_intermediate_layout_overflow_exits_5(self, tmp_path, capsys):
+        # layer 0 has the longer sequences, layer 1 the larger partial region;
+        # both must fit beside the one partial region sized for layer 1
+        net = model.NetworkDescriptor((model.LayerDescriptor(8, 64),
+                                       model.LayerDescriptor(16, 8)), input_dim=64)
+        desc, blob, hw = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "hw.json"
+        save_descriptor(net, desc)
+        save_weights(net, presets.random_weights(net, 0), blob)
+        hw.write_text(json.dumps({"intermediate_mem_bytes": 700}), encoding="utf-8")
+        rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                     "--policy", "mwl", "--synthetic-t", "1", "--hw-config", str(hw))
+        assert rc == cli.EXIT_CAPACITY
+        assert self.one_line(capsys) == (
+            "capacity error: layer 0: intermediate memory needs 768 B (sequences "
+            "256/32 B plus 256 B of partials), 68 B over the 700 B configured\n")
+
+    def test_size_past_32_bits_exits_3(self, tmp_path, capsys):
+        desc = tmp_path / "net.json"
+        desc.write_text(json.dumps({"input_dim": 2, "layers": [
+            {"hidden_size": 10**30, "input_size": 2}]}), encoding="utf-8")
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                     "--t", "2")
+        assert rc == cli.EXIT_PARSE
+        assert "hidden_size must be at most 2147483647" in self.one_line(capsys)
 
     def test_host_memory_exhaustion_exits_5(self, gen, tmp_path, monkeypatch, capsys):
         # stands in for numpy's "Unable to allocate 43.7 TiB" on a huge trace,

@@ -69,17 +69,6 @@ class TestAccount:
         assert got.leakage_total == pytest.approx(3 * base.leakage_total, rel=1e-12)
         assert got.dynamic_total == pytest.approx(base.dynamic_total, rel=1e-12)
 
-    def test_missing_entry_for_counted_class(self):
-        sim = run(16, 2, Policy.conventional)
-        table = EnergyTable(weight_buffer_read=None)
-        with pytest.raises(EnergyConfigError, match="weight_buffer_read"):
-            account(sim, table)
-
-    def test_missing_entry_tolerated_when_not_counted(self):
-        sim = run(16, 2, Policy.conventional)  # no row-buffer traffic
-        table = EnergyTable(row_buffer_read=None, row_buffer_write=None)
-        account(sim, table)
-
     def test_fractions_sum_to_one(self):
         sim = run(16, 4, Policy.mwl)
         rep = account(sim, TABLE)

@@ -61,9 +61,11 @@ def _descriptor(draw):
 _SIZE_KEYS = ("input_dim", "hidden_size", "input_size")
 _ENUM_KEYS = ("numeric_precision", "direction")
 # values each kind of field must refuse: strings or bools where numbers go,
-# floats, zero and negative sizes; numbers or other strings for enums and bools
+# floats, zero and negative sizes, sizes past 32 bits; numbers or other
+# strings for enums and bools
 _not_size = (st.booleans() | st.text(max_size=3) | st.floats(-3, 6) | st.integers(-3, 0)
-             | st.sampled_from(["3", "2.0", "true"]) | st.just(2.0))
+             | st.sampled_from(["3", "2.0", "true"]) | st.just(2.0)
+             | st.integers(2**31, 10**40))
 _not_enum = (st.booleans() | st.integers(-1, 2) | st.floats(-1, 2)
              | st.text(max_size=3) | st.sampled_from(["FP32", "forward"]))
 _not_bool = (st.integers(-1, 2) | st.floats(-1, 2) | st.none()

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_frames, random_network
 from epursim.model import GATES, Precision, Sequence
-from epursim.netio import (FormatError, descriptor_from_json,
+from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
                            descriptor_to_bytes, load_descriptor, load_sequence,
                            load_weights, save_descriptor, save_sequence,
                            save_weights)
@@ -54,6 +54,9 @@ class TestDescriptor:
                      id="size-zero"),
         pytest.param({"hidden_size": -3}, "hidden_size must be a positive integer",
                      id="size-negative"),
+        pytest.param({"hidden_size": 2**31},
+                     r"layers\[0\].hidden_size must be at most 2147483647, got 2147483648",
+                     id="size-over-int32"),
         pytest.param({"direction": "sideways"},
                      "direction must be forward_only or bidirectional", id="direction"),
         pytest.param({"gates": 4}, r'unknown key\(s\) in layers\[0\]: "gates"',
@@ -69,6 +72,8 @@ class TestDescriptor:
                      id="dim-float"),
         pytest.param({"input_dim": False}, "input_dim must be a positive integer",
                      id="dim-bool"),
+        pytest.param({"input_dim": 10**30}, "input_dim must be at most 2147483647",
+                     id="dim-huge"),
         pytest.param({"numeric_precision": "fp64"},
                      "numeric_precision must be fp32 or fp16", id="precision"),
         pytest.param({"layers": []}, "layers must be a non-empty list", id="no-layers"),
@@ -81,6 +86,11 @@ class TestDescriptor:
         doc = {"input_dim": 4, "layers": [{"hidden_size": 4, "input_size": 4}], **top}
         with pytest.raises(FormatError, match=match):
             descriptor_from_json(doc)
+
+    def test_largest_sizes_load(self):
+        net = descriptor_from_json({"input_dim": MAX_SIZE, "layers": [
+            {"hidden_size": MAX_SIZE, "input_size": MAX_SIZE}]})
+        assert net.input_dim == net.layers[0].hidden_size == MAX_SIZE == 2**31 - 1
 
     def test_not_an_object(self):
         with pytest.raises(FormatError, match="descriptor is not a JSON object"):

@@ -1,5 +1,8 @@
-"""The experiment scripts run end to end on tiny arguments, and the energy
-comparison reproduces its recorded JSON."""
+"""The experiment scripts run end to end on tiny arguments, the energy
+comparison reproduces its recorded JSON, and the benchmark's traced
+functions exist."""
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -38,3 +41,17 @@ def test_energy_comparison_matches_golden(tmp_path, golden, args):
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8") == \
         (ROOT / "tests" / "data" / golden).read_text(encoding="utf-8")
+
+
+def test_benchmark_traced_functions_exist():
+    # read, not imported: a traced name the program lost would leave the
+    # benchmark's per-layer metrics that need it absent
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (traced,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    assert traced
+    for module, names in traced.items():
+        mod = importlib.import_module(f"epursim.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"epursim.{module}.{name}"
