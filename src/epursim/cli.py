@@ -11,8 +11,6 @@ Set EPURSIM_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import math
@@ -116,19 +114,57 @@ def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,
             for i, layer in enumerate(net.layers) if only_layer in (None, i)}
 
 
+# placeholders in a GateTrace's CSV rows: "pass,gate" at the start of a row,
+# and the gate inside the object id
+_CSV_PASS, _CSV_GATE = "\0", "\1"
+
+
+def _gate_csv(gt: sched.GateTrace) -> str:
+    """A GateTrace's CSV rows with the pass and gate left as placeholders.
+
+    Every field comes from a small table of strings indexed by the columns,
+    so no row is formatted on its own.
+    """
+    n_kinds = len(sched.KINDS)
+    nums = [str(n) for n in range(max(int(gt.t.max()), int(gt.neuron.max())) + 1)]
+    head = np.array([f"{_CSV_PASS},{tgt.value},{kind}/{_CSV_GATE}/"
+                     for tgt in sched.TARGETS for kind in sched.KINDS], dtype=object)
+    # a partial's object id also names its step
+    t_id = np.array([f"/{n}" for n in nums] + [""], dtype=object)
+    widths, width_idx = np.unique(gt.bytes, return_inverse=True)
+    mid = np.array([f",{rw},{b}," for rw in sched.RW for b in widths.tolist()],
+                   dtype=object)
+    neuron = gt.neuron.astype(np.intp)
+    fields = np.empty((len(gt), 6), dtype=object)
+    fields[:, 0] = head[gt.target.astype(np.intp) * n_kinds + gt.kind]
+    fields[:, 1] = np.array(nums, dtype=object)[neuron]
+    fields[:, 2] = t_id[np.where(gt.kind == sched.KINDS.index("partial"),
+                                 gt.t, len(nums))]
+    fields[:, 3] = mid[gt.rw.astype(np.intp) * len(widths) + width_idx]
+    fields[:, 4] = np.array([f"{n}," for n in nums], dtype=object)[gt.t]
+    fields[:, 5] = np.array([f"{n}\n" for n in nums], dtype=object)[neuron]
+    return "".join(fields.ravel().tolist())
+
+
 def _trace_csv(traces: dict[int, list[sched.AccessTrace]]) -> str:
-    """The traces as CSV text, written from their columns."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["pass", "gate", "target", "object_id", "rw", "bytes", "t", "neuron"])
+    """The traces as CSV text, formatted from their columns.
+
+    The four gates of a trace share one GateTrace, so each distinct
+    GateTrace is formatted once and each gate's rows are that text with the
+    pass and gate filled in.
+    """
+    parts = ["pass,gate,target,object_id,rw,bytes,t,neuron\n"]
+    formatted: dict[int, str] = {}
     for i, per_dir in traces.items():
         for d, trace in enumerate(per_dir):
             for gate in model.GATES:
-                w.writerows([f"layer{i}.dir{d}", gate, target.value,
-                             "/".join(map(str, oid)), rw, nbytes, t, j]
-                            for target, oid, rw, nbytes, t, j
-                            in trace.events[gate].rows(gate))
-    return buf.getvalue()
+                gt = trace.events[gate]
+                if id(gt) not in formatted:
+                    formatted[id(gt)] = _gate_csv(gt)
+                parts.append(formatted[id(gt)]
+                             .replace(_CSV_PASS, f"layer{i}.dir{d},{gate}")
+                             .replace(_CSV_GATE, gate))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

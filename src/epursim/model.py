@@ -164,6 +164,7 @@ class WeightSet:
                 raise ShapeError(f"peephole layer is missing the {g} peephole vector")
             self.gates[g] = GateParams(w_x, w_h, bias, peep)
         self._stacked: tuple | None = None
+        self._peepholes: tuple | None = None
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """fp32 views of the four gates stacked row-wise, gate order as GATES.
@@ -180,9 +181,13 @@ class WeightSet:
             self._stacked = (np.asfortranarray(wx), np.asfortranarray(wh), b)
         return self._stacked
 
-    def peephole_f32(self, gate: str) -> np.ndarray | None:
-        p = self.gates[gate].peephole
-        return None if p is None else p.astype(ACC_DTYPE)
+    def stacked_peepholes(self) -> tuple[np.ndarray, np.ndarray]:
+        """fp32 peephole vectors of a peephole layer: input and forget
+        stacked as [2, hidden], and the output gate's [hidden]."""
+        if self._peepholes is None:
+            p = {g: self.gates[g].peephole.astype(ACC_DTYPE) for g in PEEPHOLE_GATES}
+            self._peepholes = (np.stack([p["input"], p["forget"]]), p["output"])
+        return self._peepholes
 
 
 @dataclass
@@ -220,7 +225,16 @@ class Sequence:
 # ---------------------------------------------------------------------------
 # accumulation primitives (the order contract lives here)
 
-def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+#: fp32 elements of one tile of the forward hoist: whole frames of the
+#: [T, rows] accumulator, few enough that a tile and its product buffer stay
+#: in the L2 cache across all K column steps
+HOIST_TILE_ELEMS = 96 * 1024
+
+_ONE = ACC_DTYPE(1.0)
+
+
+def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
+                   buf: np.ndarray | None = None) -> np.ndarray:
     """acc[j] += mat[j, k] * vec[k] for k ascending, one fp32 add per step.
 
     The products fill rows 1..K of a C-contiguous [K+1, rows] buffer under
@@ -229,10 +243,12 @@ def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray) -> np.ndar
     same scalar operation sequence as a naive loop and is bit-identical to
     it.  Pairwise summation only applies along a contiguous inner reduction
     axis, which is what a single-row buffer would become, so that case
-    takes the running sum instead.
+    takes the running sum instead.  A caller making many calls of one shape
+    may pass that buffer as ``buf``; its contents are overwritten.
     """
     rows = acc.shape[0]
-    buf = np.empty((vec.shape[0] + 1, rows), dtype=ACC_DTYPE)
+    if buf is None:
+        buf = np.empty((vec.shape[0] + 1, rows), dtype=ACC_DTYPE)
     buf[0] = acc
     np.multiply(mat.T, vec[:, None], out=buf[1:])
     if rows == 1:
@@ -244,21 +260,40 @@ def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray) -> np.ndar
 def accumulate_dot_all_t(acc: np.ndarray, mat: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Batched form of accumulate_dot: acc[j, t] += mat[j, k] * frames[t, k].
 
-    Same per-(row, t) scalar order as accumulate_dot, one column step at a
-    time; Fortran-ordered mat and frames keep each step's operands
-    contiguous.
+    Works time-major on acc.T, a tile of whole frames at a time: within a
+    tile each column step k multiplies the frames' k-th values by row k of
+    mat.T and adds the product to the tile, for k ascending.  Tiling splits
+    only the independent t axis, so every acc[j, t] still sees the scalar
+    order of accumulate_dot.  An F-ordered acc and mat (and frames) keep
+    the tile and each step's operands contiguous; any layout is correct.
     """
-    for k in range(frames.shape[1]):
-        acc += mat[:, k, None] * frames[:, k][None, :]
+    acc_t, mat_t = acc.T, mat.T
+    T, rows = acc_t.shape
+    step = max(1, HOIST_TILE_ELEMS // rows)
+    tmp = np.empty((min(step, T), rows), dtype=ACC_DTYPE)
+    for t0 in range(0, T, step):
+        blk = acc_t[t0:t0 + step]
+        f = frames[t0:t0 + step]
+        prod = tmp[:blk.shape[0]]
+        for k in range(frames.shape[1]):
+            np.multiply(f[:, k, None], mat_t[k], out=prod)
+            np.add(blk, prod, out=blk)
     return acc
+
+
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """sigmoid of x, in place; the caller ignores exp overflow."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(x, _ONE, out=x)
+    return np.divide(_ONE, x, out=x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # composed from exp exactly like the datapath evaluates it; saturates
     # cleanly to 0.0 / 1.0 for large |x| (the exp overflow is the saturation)
-    one = ACC_DTYPE(1.0)
     with np.errstate(over="ignore"):
-        return one / (one + np.exp(-x))
+        return _sigmoid_(np.array(x))
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -273,28 +308,33 @@ def _upcast(vec: np.ndarray) -> np.ndarray:
 # operations
 
 def finish_step(weights: WeightSet, pre: np.ndarray, c_prev32: np.ndarray) -> CellState:
-    """Apply peepholes, biases and activations to stacked dot-product results."""
+    """Apply peepholes, biases and activations to stacked dot-product results.
+
+    Each gate's preactivation is dot + peephole term + bias, in that order;
+    the input and forget gates go through one sigmoid.  ``pre`` is not
+    modified.
+    """
     h = weights.layer.hidden_size
     _, _, bias = weights.stacked()
-    pre_i = pre[0:h].copy()
-    pre_f = pre[h:2 * h].copy()
-    pre_g = pre[2 * h:3 * h].copy()
-    pre_o = pre[3 * h:4 * h].copy()
-
+    z = pre.copy()
     if weights.layer.peephole:
-        pre_i += weights.peephole_f32("input") * c_prev32
-        pre_f += weights.peephole_f32("forget") * c_prev32
-    i_t = sigmoid(pre_i + bias[0:h])
-    f_t = sigmoid(pre_f + bias[h:2 * h])
-    g_t = tanh(pre_g + bias[2 * h:3 * h])
-    c_t = f_t * c_prev32 + i_t * g_t
-    if weights.layer.peephole:
-        pre_o += weights.peephole_f32("output") * c_t
-    o_t = sigmoid(pre_o + bias[3 * h:4 * h])
-    h_t = o_t * tanh(c_t)
+        peep_if, peep_o = weights.stacked_peepholes()
+        z_if = z[:2 * h].reshape(2, h)
+        z_if += peep_if * c_prev32
+    z[:3 * h] += bias[:3 * h]
+    with np.errstate(over="ignore"):
+        i_f = _sigmoid_(z[:2 * h])
+        i_t, f_t = i_f[:h], i_f[h:]
+        g_t = np.tanh(z[2 * h:3 * h], out=z[2 * h:3 * h])
+        c_t = f_t * c_prev32 + i_t * g_t
+        o_t = z[3 * h:]
+        if weights.layer.peephole:
+            o_t += peep_o * c_t
+        o_t += bias[3 * h:]
+        h_t = _sigmoid_(o_t) * np.tanh(c_t)
 
     dt = weights.precision.storage_dtype
-    return CellState(c_t.astype(dt), h_t.astype(dt))
+    return CellState(c_t.astype(dt, copy=False), h_t.astype(dt, copy=False))
 
 
 def run_direction(weights: WeightSet, frames: np.ndarray,
@@ -302,26 +342,30 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     """Run one cell over frames [T, input_size]; returns h outputs [T, hidden].
 
     The forward dot products have no sequential dependence, so they are
-    evaluated for the whole sequence first into a [4*hidden, T] accumulator;
-    the time loop then seeds each step's accumulator with its column and
-    adds the recurrent dot.  Per-scalar accumulation order is that of the
-    per-timestep loop, so the hoist does not change a single bit.
+    evaluated for the whole sequence first into a [4*hidden, T] accumulator
+    (F-ordered, so its time-major tiles are contiguous); the time loop then
+    seeds each step's accumulator with its column and adds the recurrent
+    dot.  Per-scalar accumulation order is that of the per-timestep loop,
+    so the hoist does not change a single bit.
     """
     layer = weights.layer
     T = frames.shape[0]
     h = layer.hidden_size
     wx, wh, _ = weights.stacked()
 
-    fwd = np.zeros((4 * h, T), dtype=ACC_DTYPE)
+    fwd = np.zeros((T, 4 * h), dtype=ACC_DTYPE).T
     accumulate_dot_all_t(fwd, wx, np.asfortranarray(frames, dtype=ACC_DTYPE))
     if partials_hook is not None:
         fwd = partials_hook(fwd)
+    steps = np.ascontiguousarray(fwd.T)  # [T, 4*hidden]
 
+    buf = np.empty((h + 1, 4 * h), dtype=ACC_DTYPE)
+    pre = np.empty(4 * h, dtype=ACC_DTYPE)
     state = zero_state(h, weights.precision)
     out = np.empty((T, h), dtype=weights.precision.storage_dtype)
     for t in range(T):
-        pre = fwd[:, t].copy()
-        accumulate_dot(pre, wh, _upcast(state.h))
+        pre[:] = steps[t]
+        accumulate_dot(pre, wh, _upcast(state.h), buf)
         state = finish_step(weights, pre, _upcast(state.c))
         out[t] = state.h
     return out

@@ -1,10 +1,14 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (F32, make_cell, naive_lstm_step, naive_preactivation,
-                      random_frames, random_network)
+from conftest import (F32, cell_for_layer, make_cell, naive_lstm_step,
+                      naive_preactivation, random_frames, random_network)
+from epursim import model
 from epursim.model import (GATES, Direction, GateParams, LayerDescriptor,
                            NetworkDescriptor, NetworkWeights, NumericError,
                            Precision, Sequence, ShapeError, WeightSet,
@@ -98,6 +102,33 @@ class TestAccumulationOrder:
                                    np.ones((2, 300), F32))
         assert np.array_equal(got, np.zeros((rows, 2), F32))
 
+    @pytest.mark.parametrize("rows", [1, 4, 320])
+    def test_sequential_not_pairwise_across_tiles(self, monkeypatch, rows):
+        # the same sum at every step of a sequence cut into two-frame tiles,
+        # into the F-ordered accumulator run_direction uses
+        monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 2 * rows)
+        prods = np.ones(300, dtype=F32)
+        prods[0], prods[-1] = 1e8, -1e8
+        got = accumulate_dot_all_t(np.zeros((5, rows), F32).T,
+                                   np.tile(prods, (rows, 1)), np.ones((5, 300), F32))
+        assert np.array_equal(got, np.zeros((rows, 5), F32))
+
+    @pytest.mark.parametrize("orders", ["".join(o) for o in itertools.product("CF", repeat=3)])
+    @pytest.mark.parametrize("rows, k, T", [(1, 3, 10), (5, 7, 23), (16, 40, 13)])
+    def test_accumulate_dot_all_t_across_tiles(self, monkeypatch, rows, k, T, orders):
+        # three frames per tile: T crosses several tile boundaries and the
+        # last tile is ragged; orders are those of acc, mat and frames
+        monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 3 * rows)
+        rng = np.random.default_rng(1000 * rows + T)
+        acc_order, mat_order, frames_order = orders
+        mat = np.asarray(spread(rng, (rows, k)), order=mat_order)
+        frames = np.asarray(spread(rng, (T, k)), order=frames_order)
+        acc = np.asarray(spread(rng, (rows, T)), order=acc_order)
+        want = np.stack([scalar_dot(acc[:, t], mat, frames[t]) for t in range(T)],
+                        axis=1)
+        got = accumulate_dot_all_t(acc.copy(order="K"), mat, frames)
+        assert np.array_equal(got, want)
+
 
 class TestGatePreactivation:
     def test_all_zero_weights_annihilate(self):
@@ -190,6 +221,25 @@ class TestCellStep:
             frames = rng.uniform(-1, 1, (int(rng.integers(1, 4)), nx)).astype(np.float32)
             assert np.array_equal(run_direction(ws, frames), naive_run(ws, frames))
 
+    @pytest.mark.parametrize("peephole, precision", [
+        (False, Precision.fp32), (True, Precision.fp32), (True, Precision.fp16)])
+    def test_long_sequence_across_tiles_matches_equation_oracle(
+            self, monkeypatch, peephole, precision):
+        # five frames per hoist tile, so 23 frames cross four tile
+        # boundaries and end in a ragged tile
+        ws = make_cell(4, 3, peephole, 19, precision)
+        monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 5 * 16)
+        frames = (np.random.default_rng(23).uniform(-1, 1, (23, 3))
+                  .astype(precision.storage_dtype))
+
+        def identity(fwd):
+            assert fwd.shape == (16, 23)
+            return fwd
+
+        got = run_direction(ws, frames, identity)
+        assert got.dtype == precision.storage_dtype
+        assert np.array_equal(got, naive_run(ws, frames))
+
     def test_fp16_storage_fp32_accumulation(self):
         ws = make_cell(8, 8, True, 13, Precision.fp16)
         out = run_direction(ws, np.ones((3, 8), dtype=np.float16))
@@ -272,6 +322,40 @@ class TestNetworkInfer:
         seq = random_frames(net, 2, 0)
         with pytest.raises(ShapeError, match=f"layer {len(net.layers) - 1}"):
             network_infer(net, weights, seq)
+
+    def test_kernel_calls_per_pass_and_step(self, monkeypatch):
+        # what a traced benchmark run counts: one forward hoist per
+        # layer-direction pass, one recurrent dot and one step per timestep,
+        # and the MACs of both dots
+        l0 = LayerDescriptor(6, 4, Direction.bidirectional, peephole=True)
+        l1 = LayerDescriptor(5, 12)
+        net = NetworkDescriptor((l0, l1), input_dim=4)
+        weights = NetworkWeights.for_network(
+            net, lambda i, d, layer: cell_for_layer(layer, 80 + 2 * i + d))
+        T = 7
+        calls, macs = Counter(), Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                if name != "finish_step":
+                    _acc, mat, vec = args[:3]
+                    macs[name] += mat.shape[0] * vec.size
+                return fn(*args)
+            return wrapper
+
+        for name in ("accumulate_dot_all_t", "accumulate_dot", "finish_step"):
+            monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
+        network_infer(net, weights, random_frames(net, T, 3))
+        passes = [l0, l0, l1]
+        assert calls == {"accumulate_dot_all_t": len(passes),
+                         "accumulate_dot": len(passes) * T,
+                         "finish_step": len(passes) * T}
+        assert macs == {
+            "accumulate_dot_all_t": sum(4 * l.hidden_size * T * l.input_size
+                                        for l in passes),
+            "accumulate_dot": sum(4 * l.hidden_size * T * l.hidden_size
+                                  for l in passes)}
 
     def test_deterministic(self):
         net, weights = random_network(77)
