@@ -687,17 +687,17 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
 
 
 def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
-             policy: Policy, cfg: HardwareConfig,
-             quant: QuantConfig | None = None,
-             quant_calibrate: bool = False,
-             frames_per_second: float | None = None) -> SimReport:
-    """``cost_model``'s report of one inference, with the datapath's outputs
-    attached.  ``quant_calibrate`` swaps the clamp magnitude of ``quant``
-    for a per-pass calibrated one.
+             report: SimReport, quant_calibrate: bool = False) -> SimReport:
+    """``report`` (``cost_model``'s report of ``net`` over ``inp``'s length)
+    with the datapath's outputs attached.  ``quant_calibrate`` swaps the
+    clamp magnitude of the report's quant for a per-pass calibrated one.
+
+    The refusals of a run (capacity, MU bottleneck) are ``cost_model``'s, so
+    a caller learns of them before any datapath work starts.
     """
-    if inp.dim != net.input_dim:
-        raise ShapeError(f"input dim {inp.dim} != network input_dim {net.input_dim}")
-    report = cost_model(net, inp.length, policy, cfg, quant, frames_per_second)
+    if inp.dim != net.input_dim or inp.length != report.T:
+        raise ShapeError(f"input [{inp.length}, {inp.dim}] != report's "
+                         f"[{report.T}, {net.input_dim}]")
     # both schedules run the one ordered accumulation; quantized MWL stores
     # its hoisted forward partials as codes
     hook = (_quantize_partials(report.quant, quant_calibrate, report.pass_alphas)

@@ -11,13 +11,16 @@ Set EPURSIM_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+import threading
+from collections.abc import Callable, Iterable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +93,8 @@ def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
             net.numeric_precision.storage_dtype))
     else:
         seq = presets.random_sequence(net, args.synthetic_t, args.synthetic_seed)
+    if seq.dim != net.input_dim:
+        raise model.ShapeError(f"input dim {seq.dim} != network input_dim {net.input_dim}")
     return net, weights, seq
 
 
@@ -103,6 +108,50 @@ def _hw_config(args) -> arch.HardwareConfig:
             raise arch.ConfigError(f"{args.hw_config}: not valid JSON: {e}") from e
         return arch.HardwareConfig.from_json(obj, base=cfg)
     return cfg
+
+
+def _concurrently(calls: list[Callable[[], object]]) -> list:
+    """The results of the zero-argument ``calls``, in call order.
+
+    As many calls run at once as there are CPUs in this process's affinity:
+    the calling thread runs calls too, and worker threads run the rest.
+    numpy releases the GIL in its large loops, so independent inference
+    runs overlap.  Every worker is joined before this returns or raises.
+    When calls fail, the error of the first failing call in call order is
+    raised; once a call fails, calls not yet started are skipped, since
+    their errors could not be the one raised.
+    """
+    n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    results: list = [None] * len(calls)
+    errors: list[BaseException | None] = [None] * len(calls)
+    pending = list(enumerate(calls))[::-1]
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                if not pending or any(errors):
+                    return
+                i, call = pending.pop()
+            try:
+                results[i] = call()
+            except BaseException as e:  # re-raised on the calling thread
+                errors[i] = e
+
+    workers = [threading.Thread(target=drain, daemon=True)
+               for _ in range(min(n_cpus, len(calls)) - 1)]
+    for w in workers:
+        w.start()
+    try:
+        drain()
+    finally:
+        for w in workers:
+            w.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
 
 
 def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,
@@ -229,19 +278,36 @@ def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
         raise UsageError(e) from e
 
 
+def _with_oracle(net: model.NetworkDescriptor, weights: model.NetworkWeights,
+                 seq: model.Sequence, reports: list[arch.SimReport],
+                 calibrate: bool) -> tuple[list[arch.SimReport], np.ndarray]:
+    """Each cost-model report with its datapath's outputs attached, and the
+    oracle's output frames; the runs are independent and run concurrently."""
+    # the stacked weights live until the command ends; made here, they come
+    # from this thread's heap rather than from whichever run reaches a layer
+    # first (EESEN peak RSS then varied from 132 to 152 MiB between runs)
+    for ws in itertools.chain.from_iterable(weights.layers):
+        ws.stacked()
+    *reports, oracle = _concurrently(
+        [partial(arch.simulate, net, weights, seq, rep, calibrate) for rep in reports]
+        + [lambda: model.network_infer(net, weights, seq).frames])
+    return reports, oracle
+
+
 def _run_simulations(args, policies: list[sched.Policy]):
-    """Simulate each policy with the inputs, hardware and quantization of args."""
+    """Simulate each policy with the inputs, hardware and quantization of
+    args, beside one oracle run.  Every cost model runs first, so a refused
+    run starts no inference."""
     if not 0 < args.frames_per_second < math.inf:
         raise UsageError(f"--frames-per-second must be positive and finite, "
                          f"got {args.frames_per_second}")
     qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
     net, weights, seq = _load_inputs(args)
     cfg = _hw_config(args)
-    reports = [arch.simulate(net, weights, seq, policy, cfg, quant=qcfg,
-                             quant_calibrate=args.calibrate,
-                             frames_per_second=args.frames_per_second)
+    reports = [arch.cost_model(net, seq.length, policy, cfg, qcfg, args.frames_per_second)
                for policy in policies]
-    return net, weights, seq, reports
+    reports, oracle = _with_oracle(net, weights, seq, reports, args.calibrate)
+    return net, seq, reports, oracle
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -277,10 +343,9 @@ def _checks_ok(*reports: arch.SimReport) -> bool:
 
 def cmd_simulate(args) -> int:
     policy = sched.Policy(args.policy)
-    net, weights, seq, (report,) = _run_simulations(args, [policy])
+    net, seq, (report,), oracle = _run_simulations(args, [policy])
     doc = report.to_json()
-    doc["oracle_check"] = _oracle_check(
-        model.network_infer(net, weights, seq).frames, report)
+    doc["oracle_check"] = _oracle_check(oracle, report)
     if args.energy:
         doc["energy"] = energy.account(report, energy.EnergyTable()).to_json()
     outputs = {}
@@ -322,12 +387,11 @@ def cmd_analyze_reuse(args) -> int:
 def cmd_compare(args) -> int:
     pol_a = sched.Policy(args.policy_a)
     pol_b = sched.Policy(args.policy_b)
-    net, weights, seq, (rep_a, rep_b) = _run_simulations(args, [pol_a, pol_b])
+    _, _, (rep_a, rep_b), oracle = _run_simulations(args, [pol_a, pol_b])
     table = energy.EnergyTable()
     en_a = energy.account(rep_a, table)
     en_b = energy.account(rep_b, table)
     cmp_report = energy.compare(en_a, en_b)
-    oracle = model.network_infer(net, weights, seq).frames
 
     def side(rep):
         wb = rep.access.data[sched.Target.weight_buffer]
@@ -370,12 +434,13 @@ def cmd_quantize_sweep(args) -> int:
              for bits in range(args.min_bits, args.max_bits + 1)]
     net, weights, seq = _load_inputs(args)
     cfg = _hw_config(args)
-    oracle = model.network_infer(net, weights, seq).frames.astype(np.float64)
+    reports = [arch.cost_model(net, seq.length, sched.Policy.mwl, cfg, qcfg)
+               for qcfg in qcfgs]
+    reports, oracle = _with_oracle(net, weights, seq, reports, args.calibrate)
+    oracle = oracle.astype(np.float64)
     rows = []
-    for qcfg in qcfgs:
+    for qcfg, rep in zip(qcfgs, reports):
         bits = qcfg.n_bits
-        rep = arch.simulate(net, weights, seq, sched.Policy.mwl, cfg, quant=qcfg,
-                            quant_calibrate=bool(args.calibrate))
         got = rep.outputs.frames.astype(np.float64)
         rows.append({
             "n_bits": bits,

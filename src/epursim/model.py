@@ -15,6 +15,7 @@ results in exact mode.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -163,6 +164,8 @@ class WeightSet:
             elif layer.peephole and g != "cell_updater":
                 raise ShapeError(f"peephole layer is missing the {g} peephole vector")
             self.gates[g] = GateParams(w_x, w_h, bias, peep)
+        # threads running passes over these weights fill the caches once
+        self._fill = threading.Lock()
         self._stacked: tuple | None = None
         self._peepholes: tuple | None = None
 
@@ -175,18 +178,26 @@ class WeightSet:
         mat[:, k] and the transpose the dot kernels stream are contiguous.
         """
         if self._stacked is None:
-            wx = np.concatenate([self.gates[g].w_x for g in GATES]).astype(ACC_DTYPE)
-            wh = np.concatenate([self.gates[g].w_h for g in GATES]).astype(ACC_DTYPE)
-            b = np.concatenate([self.gates[g].bias for g in GATES]).astype(ACC_DTYPE)
-            self._stacked = (np.asfortranarray(wx), np.asfortranarray(wh), b)
+            with self._fill:
+                if self._stacked is None:
+                    h, nx = self.layer.hidden_size, self.layer.input_size
+                    wx = np.empty((4 * h, nx), ACC_DTYPE, order="F")
+                    wh = np.empty((4 * h, h), ACC_DTYPE, order="F")
+                    np.concatenate([self.gates[g].w_x for g in GATES], out=wx)
+                    np.concatenate([self.gates[g].w_h for g in GATES], out=wh)
+                    b = np.concatenate([self.gates[g].bias for g in GATES], dtype=ACC_DTYPE)
+                    self._stacked = (wx, wh, b)
         return self._stacked
 
     def stacked_peepholes(self) -> tuple[np.ndarray, np.ndarray]:
         """fp32 peephole vectors of a peephole layer: input and forget
         stacked as [2, hidden], and the output gate's [hidden]."""
         if self._peepholes is None:
-            p = {g: self.gates[g].peephole.astype(ACC_DTYPE) for g in PEEPHOLE_GATES}
-            self._peepholes = (np.stack([p["input"], p["forget"]]), p["output"])
+            with self._fill:
+                if self._peepholes is None:
+                    p = {g: self.gates[g].peephole.astype(ACC_DTYPE)
+                         for g in PEEPHOLE_GATES}
+                    self._peepholes = (np.stack([p["input"], p["forget"]]), p["output"])
         return self._peepholes
 
 

@@ -76,13 +76,6 @@ class GateTrace:
     def __len__(self) -> int:
         return len(self.obj)
 
-    def rows(self, gate: str):
-        """Each event as (target, object_id, rw, bytes, t, neuron), in order."""
-        cols = (self.target, self.kind, self.rw, self.bytes, self.t, self.neuron)
-        for tgt, kind, rw, nbytes, t, j in zip(*(c.tolist() for c in cols)):
-            oid = (KINDS[kind], gate, j, t) if kind == _PARTIAL else (KINDS[kind], gate, j)
-            yield TARGETS[tgt], oid, RW[rw], nbytes, t, j
-
 
 def _gate_trace(hidden: int, widths: tuple[int, int, int], target, kind, rw,
                 t, neuron) -> GateTrace:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from epursim import arch
 from epursim.model import (GATES, Direction, GateParams, LayerDescriptor,
                            NetworkDescriptor, NetworkWeights, Precision,
                            Sequence, WeightSet)
@@ -68,6 +69,14 @@ def random_frames(net: NetworkDescriptor, T: int, seed: int) -> Sequence:
     rng = np.random.default_rng(seed)
     return Sequence(rng.uniform(-1, 1, (T, net.input_dim))
                     .astype(net.numeric_precision.storage_dtype))
+
+
+def simulate(net, weights, seq, policy, cfg, quant=None, quant_calibrate=False,
+             frames_per_second=None) -> arch.SimReport:
+    """One simulated inference as the CLI runs it: the cost model's report,
+    then the datapath's outputs attached to it."""
+    report = arch.cost_model(net, seq.length, policy, cfg, quant, frames_per_second)
+    return arch.simulate(net, weights, seq, report, quant_calibrate)
 
 
 # ---------------------------------------------------------------------------

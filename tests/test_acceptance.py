@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cosine_similarity
+from conftest import cosine_similarity, simulate
 from epursim import arch, energy, model, presets, quant, sched
-from epursim.arch import baseline_config, cost_model, mwl_config, simulate
+from epursim.arch import baseline_config, cost_model, mwl_config
 from epursim.sched import Policy, Target
 
 CFG = baseline_config()

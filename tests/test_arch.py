@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_for_layer, random_frames, random_network
+from conftest import cell_for_layer, random_frames, random_network, simulate
+from epursim import arch
 from epursim.arch import (HW_PRESETS, CapacityError, HardwareConfig,
                           MuBottleneckError, baseline_config, cost_model,
                           dpu_dot_cycles, mu_initiation_interval, mu_plan,
-                          mwl_config, simulate)
+                          mwl_config)
 from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
                            NetworkWeights, ShapeError, network_infer)
 from epursim.presets import custom_descriptor, preset_descriptor
@@ -217,6 +218,15 @@ class TestSimulateTiming:
 
 
 class TestChecksAndErrors:
+    def test_datapath_input_must_match_the_report(self):
+        net, weights = tiny_net()
+        report = cost_model(net, 3, Policy.conventional, CFG)
+        for T in (2, 4):
+            want = rf"input \[{T}, 16\] != report's \[3, 16\]"
+            with pytest.raises(ShapeError, match=want):
+                arch.simulate(net, weights, random_frames(net, T, 0), report)
+        assert report.outputs is None
+
     def test_weight_capacity_error_names_layer_and_deficit(self):
         net, weights = tiny_net(hidden=512)
         cfg = HardwareConfig(weight_mem_bytes_per_cu=2**20)

@@ -1,11 +1,13 @@
 import csv
 import json
+import threading
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from epursim import cli, model, presets, sched
+from epursim import arch, cli, model, presets, sched
 from epursim.netio import load_sequence, save_descriptor, save_weights
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -484,3 +486,120 @@ class TestBoundary:
         assert rc == cli.EXIT_CAPACITY
         assert self.one_line(capsys).startswith("host memory error: Unable to allocate")
         assert not out.exists()
+
+    @pytest.mark.parametrize("refusal", ["capacity", "mu_bottleneck", "input_dim"])
+    def test_refusal_starts_no_inference(self, tmp_path, monkeypatch, capsys, refusal):
+        # the cost model and the input check run on the calling thread,
+        # before any thread, the datapath or the oracle starts
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        monkeypatch.setattr(arch, "simulate", lambda *a: started.append("datapath"))
+        monkeypatch.setattr(model, "network_infer", lambda *a: started.append("oracle"))
+        net = model.NetworkDescriptor((model.LayerDescriptor(8, 64),
+                                       model.LayerDescriptor(16, 8)), input_dim=64)
+        desc, blob, hw = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "hw.json"
+        save_descriptor(net, desc)
+        save_weights(net, presets.random_weights(net, 0), blob)
+        argv = ["--network", str(desc), "--weights", str(blob), "--synthetic-t", "1"]
+        hw_doc, want_rc, want_err = {
+            "capacity": ({"intermediate_mem_bytes": 500}, cli.EXIT_CAPACITY,
+                         "capacity error: layer 0: intermediate memory needs"),
+            "mu_bottleneck": ({"op_latency": {"exp": 400}}, cli.EXIT_CHECK,
+                              "check failed: the MU"),
+            "input_dim": ({}, cli.EXIT_PARSE, "error: input dim 3 != network input_dim 64"),
+        }[refusal]
+        hw.write_text(json.dumps(hw_doc), encoding="utf-8")
+        argv += ["--hw-config", str(hw)]
+        if refusal == "input_dim":
+            frames = tmp_path / "x.csv"
+            frames.write_text("1,2,3\n", encoding="utf-8")
+            argv += ["--input", str(frames)]
+        for cmd in (["simulate", "--policy", "mwl"], ["compare"], ["quantize-sweep"]):
+            assert run_cli(*cmd, *argv) == want_rc
+            assert self.one_line(capsys).startswith(want_err)
+        assert started == []
+
+    def test_memory_error_in_the_oracle_exits_5(self, gen, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 1.25 GiB for an array")
+
+        monkeypatch.setattr(model, "network_infer", exhausted)
+        out = tmp_path / "sim.json"
+        assert self.simulate(gen, "--out", str(out)) == cli.EXIT_CAPACITY
+        assert self.one_line(capsys).startswith("host memory error: Unable to allocate")
+        assert not out.exists()
+
+    def test_simulated_run_error_wins_over_the_oracle(self, gen, monkeypatch, capsys):
+        # the oracle fails first in time; the datapath comes first in call order
+        def datapath(*args):
+            time.sleep(0.05)
+            raise model.NumericError("datapath overflow")
+
+        def oracle(*args):
+            raise MemoryError("oracle allocation")
+
+        monkeypatch.setattr(arch, "simulate", datapath)
+        monkeypatch.setattr(model, "network_infer", oracle)
+        assert self.simulate(gen) == cli.EXIT_NUMERIC
+        assert self.one_line(capsys) == "numeric error: datapath overflow\n"
+
+    @pytest.mark.parametrize("cmd", [["simulate", "--policy", "mwl"],
+                                     ["compare"],
+                                     ["quantize-sweep", "--min-bits", "6", "--max-bits", "8"]])
+    def test_no_thread_outlives_the_command(self, gen, cmd):
+        desc, blob = gen
+        threads = threading.active_count()
+        assert run_cli(*cmd, "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "3") == cli.EXIT_OK
+        assert threading.active_count() == threads
+
+
+class TestConcurrently:
+    """cli._concurrently: results in call order, at most one running call
+    per CPU, every worker joined, and the first failing call's error."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_results_in_call_order_on_at_most_one_thread_per_cpu(self, monkeypatch,
+                                                                  n_cpus):
+        self.cpus(monkeypatch, n_cpus)
+        lock, running, peak, idents = threading.Lock(), [0], [0], set()
+
+        def call(i):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                idents.add(threading.get_ident())
+            time.sleep(0.01 * (7 - i))  # later calls finish first
+            with lock:
+                running[0] -= 1
+            return i
+
+        threads = threading.active_count()
+        assert cli._concurrently([lambda i=i: call(i) for i in range(7)]) == list(range(7))
+        assert threading.active_count() == threads
+        assert peak[0] <= n_cpus and len(idents) <= n_cpus
+        if n_cpus == 1:
+            assert idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_first_failing_call_in_call_order_is_raised(self, monkeypatch, n_cpus):
+        self.cpus(monkeypatch, n_cpus)
+        ran = []
+
+        def fail(name, delay):
+            time.sleep(delay)
+            ran.append(name)
+            raise ValueError(name)
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^first$"):
+            cli._concurrently([lambda: fail("first", 0.05), lambda: fail("second", 0.0),
+                               lambda: ran.append("after")])
+        assert threading.active_count() == threads
+        # a call not yet started when a call failed is skipped
+        assert "after" not in ran

@@ -3,9 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import cell_for_layer, random_frames
-from epursim.arch import (Counters, SimReport, baseline_config,
-                          mwl_config, simulate)
+from conftest import cell_for_layer, random_frames, simulate
+from epursim.arch import Counters, SimReport, baseline_config, mwl_config
 from epursim.energy import (EnergyConfigError, EnergyTable, account, compare)
 from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
                            NetworkWeights, Sequence)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -356,6 +359,54 @@ class TestNetworkInfer:
                                         for l in passes),
             "accumulate_dot": sum(4 * l.hidden_size * T * l.hidden_size
                                   for l in passes)}
+
+    def test_shared_weights_across_threads(self, monkeypatch):
+        # more threads than cores run the oracle on one NetworkWeights whose
+        # stacked caches start empty; each cache is filled once, and every
+        # thread's output is bit-identical to a sequential run
+        l0 = LayerDescriptor(12, 6, Direction.bidirectional, peephole=True)
+        l1 = LayerDescriptor(8, 24, Direction.bidirectional, peephole=True)
+        net = NetworkDescriptor((l0, l1), input_dim=6)
+
+        def fresh():
+            return NetworkWeights.for_network(
+                net, lambda i, d, layer: cell_for_layer(layer, 40 + 2 * i + d))
+
+        seq = random_frames(net, 9, 4)
+        want = network_infer(net, fresh(), seq).frames
+        handed = {name: [] for name in ("stacked", "stacked_peepholes")}
+        for name, got in handed.items():
+            def recorded(ws, _fn=getattr(WeightSet, name), _got=got):
+                result = _fn(ws)
+                _got.append((ws, result))
+                return result
+            monkeypatch.setattr(WeightSet, name, recorded)
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        outputs = []
+
+        def run(shared, start):
+            start.wait()
+            outputs.append(network_infer(net, shared, seq).frames)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # fresh caches each round
+                shared, start = fresh(), threading.Barrier(n_threads, timeout=60)
+                threads = [threading.Thread(target=run, args=(shared, start), daemon=True)
+                           for _ in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs) == 10 * n_threads
+        assert all(np.array_equal(out, want) for out in outputs)
+        for got in handed.values():
+            first = {}
+            assert all(first.setdefault(id(ws), result) is result for ws, result in got)
 
     def test_deterministic(self):
         net, weights = random_network(77)

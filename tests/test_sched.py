@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from epursim.model import (GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, gate_matrix_bytes)
 from epursim.quant import QuantConfig
-from epursim.sched import (KINDS, RW, TARGETS, Policy, Target, dram_traffic,
+from epursim.sched import (KINDS, RW, TARGETS, GateTrace, Policy, Target, dram_traffic,
                            gate_accesses, layer_traces, pins_forward_rows,
                            reuse_analysis, trace_conventional, trace_mwl,
                            weight_buffer_read_bytes, _analyze_stream)
@@ -341,7 +342,9 @@ class TestLayerTraces:
         assert len(traces) == 2
         a, b = traces
         for g in GATES:
-            assert list(a.events[g].rows(g)) == list(b.events[g].rows(g))
+            for col in fields(GateTrace):
+                assert np.array_equal(getattr(a.events[g], col.name),
+                                      getattr(b.events[g], col.name))
         assert a is not b
 
 
