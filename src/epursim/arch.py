@@ -573,7 +573,8 @@ def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
             applied = QuantConfig(qcfg.n_bits,
                                   calibrate_alpha(float(np.max(np.abs(partials)))))
             alphas.append(applied.alpha)
-        return DequantTable(applied).lookup(quantize(partials, applied)).astype(ACC_DTYPE)
+        return DequantTable(applied).lookup(quantize(partials, applied)).astype(
+            ACC_DTYPE, copy=False)
     return hook
 
 

@@ -11,7 +11,6 @@ Set EPURSIM_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import math
@@ -283,11 +282,6 @@ def _with_oracle(net: model.NetworkDescriptor, weights: model.NetworkWeights,
                  calibrate: bool) -> tuple[list[arch.SimReport], np.ndarray]:
     """Each cost-model report with its datapath's outputs attached, and the
     oracle's output frames; the runs are independent and run concurrently."""
-    # the stacked weights live until the command ends; made here, they come
-    # from this thread's heap rather than from whichever run reaches a layer
-    # first (EESEN peak RSS then varied from 132 to 152 MiB between runs)
-    for ws in itertools.chain.from_iterable(weights.layers):
-        ws.stacked()
     *reports, oracle = _concurrently(
         [partial(arch.simulate, net, weights, seq, rep, calibrate) for rep in reports]
         + [lambda: model.network_infer(net, weights, seq).frames])

@@ -15,7 +15,6 @@ results in exact mode.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -130,74 +129,106 @@ class GateParams:
 
 
 class WeightSet:
-    """All four gates of one LSTM cell (one direction of one layer)."""
+    """All four gates of one LSTM cell (one direction of one layer).
+
+    The weights are held once, in the layout the datapath reads: fp32
+    arrays with the four gates stacked row-wise in GATES order (see
+    ``stacked``).  An fp16 cell rounds every value through fp16 before it
+    is held, so its values are those fp16 storage would hold.
+    """
 
     def __init__(self, layer: LayerDescriptor, gates: dict[str, GateParams],
                  precision: Precision = Precision.fp32):
-        self.layer = layer
-        self.precision = precision
-        self.gates: dict[str, GateParams] = {}
-        h, nx = layer.hidden_size, layer.input_size
-        dt = precision.storage_dtype
         for g in GATES:
             if g not in gates:
                 raise ShapeError(f"missing gate '{g}'")
-            p = gates[g]
-            w_x = _as_finite(f"{g}.w_x", np.asarray(p.w_x, dtype=dt))
-            w_h = _as_finite(f"{g}.w_h", np.asarray(p.w_h, dtype=dt))
-            bias = _as_finite(f"{g}.bias", np.asarray(p.bias, dtype=dt))
-            if w_x.shape != (h, nx):
-                raise ShapeError(f"{g}.w_x has shape {w_x.shape}, want {(h, nx)}")
-            if w_h.shape != (h, h):
-                raise ShapeError(f"{g}.w_h has shape {w_h.shape}, want {(h, h)}")
-            if bias.shape != (h,):
-                raise ShapeError(f"{g}.bias has shape {bias.shape}, want {(h,)}")
-            peep = None
-            if p.peephole is not None:
+            if gates[g].peephole is not None:
                 if g == "cell_updater":
                     raise ShapeError("cell_updater gate takes no peephole vector")
                 if not layer.peephole:
                     raise ShapeError("peephole vector on a non-peephole layer")
-                peep = _as_finite(f"{g}.peephole", np.asarray(p.peephole, dtype=dt))
-                if peep.shape != (h,):
-                    raise ShapeError(f"{g}.peephole has shape {peep.shape}, want {(h,)}")
             elif layer.peephole and g != "cell_updater":
                 raise ShapeError(f"peephole layer is missing the {g} peephole vector")
-            self.gates[g] = GateParams(w_x, w_h, bias, peep)
-        # threads running passes over these weights fill the caches once
-        self._fill = threading.Lock()
-        self._stacked: tuple | None = None
-        self._peepholes: tuple | None = None
+
+        def value_of(name: str, _shape: tuple[int, ...]) -> np.ndarray:
+            gate, field = name.split(".")
+            return getattr(gates[gate], field)
+
+        self._fill(layer, precision, value_of)
+
+    @classmethod
+    def filled(cls, layer: LayerDescriptor, precision: Precision,
+               value_of: Callable[[str, tuple[int, ...]], np.ndarray]) -> "WeightSet":
+        """The weight set whose arrays are ``value_of(name, shape)``, asked
+        for one at a time in the order of ``parts``."""
+        ws = cls.__new__(cls)
+        ws._fill(layer, precision, value_of)
+        return ws
+
+    def _fill(self, layer: LayerDescriptor, precision: Precision,
+              value_of: Callable[[str, tuple[int, ...]], np.ndarray]) -> None:
+        self.layer = layer
+        self.precision = precision
+        h, nx = layer.hidden_size, layer.input_size
+        self._stacked = (np.empty((4 * h, nx), ACC_DTYPE, order="F"),
+                         np.empty((4 * h, h), ACC_DTYPE, order="F"),
+                         np.empty(4 * h, ACC_DTYPE))
+        peep = np.empty((len(PEEPHOLE_GATES), h), ACC_DTYPE) if layer.peephole else None
+        self._peep = peep
+        self._peepholes = None if peep is None else (peep[:2], peep[2])
+        dt = precision.storage_dtype
+        for name, dst in self.parts():
+            src = np.asarray(value_of(name, dst.shape))
+            if src.shape != dst.shape:
+                raise ShapeError(f"{name} has shape {src.shape}, want {dst.shape}")
+            if dt != ACC_DTYPE:
+                src = src.astype(dt)  # an fp16 cell rounds each value to fp16
+            # copying row-major values into Fortran-ordered rows transposes
+            # them; blocks of 64 rows keep it in cache, 2-4x faster than
+            # one whole-array copy
+            for r in range(0, len(dst), 64):
+                dst[r:r + 64] = src[r:r + 64]
+            _as_finite(name, dst)
+
+    def parts(self) -> list[tuple[str, np.ndarray]]:
+        """Every weight array as (name, its rows of the stacked fp32 arrays),
+        in weight-blob order: gates as GATES; within a gate ``w_x``, ``w_h``,
+        ``bias``, then on a peephole layer the ``peephole`` vector.  A name
+        is ``"{gate}.{field}"``, as in GateParams."""
+        h = self.layer.hidden_size
+        wx, wh, b = self._stacked
+        out = []
+        for i, g in enumerate(GATES):
+            rows = slice(i * h, (i + 1) * h)
+            out += [(f"{g}.w_x", wx[rows]), (f"{g}.w_h", wh[rows]), (f"{g}.bias", b[rows])]
+            if self._peep is not None and g in PEEPHOLE_GATES:
+                out.append((f"{g}.peephole", self._peep[PEEPHOLE_GATES.index(g)]))
+        return out
+
+    @property
+    def gates(self) -> dict[str, GateParams]:
+        """Each gate's weights at storage precision: for an fp32 cell, views
+        of the stacked arrays; for an fp16 cell, fp16 copies of them."""
+        dt = self.precision.storage_dtype
+        p = {name: arr.astype(dt, copy=False) for name, arr in self.parts()}
+        return {g: GateParams(p[f"{g}.w_x"], p[f"{g}.w_h"], p[f"{g}.bias"],
+                              p.get(f"{g}.peephole"))
+                for g in GATES}
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """fp32 views of the four gates stacked row-wise, gate order as GATES.
+        """The four gates' fp32 forward matrix [4h, input_size], recurrent
+        matrix [4h, h] and bias [4h], stacked row-wise in GATES order.
 
         Stacking is a pure row concatenation: per-row accumulation order is
         unchanged, so results are bit-identical to per-gate evaluation.  The
         matrices are stored Fortran-ordered (shape unchanged), so a column
         mat[:, k] and the transpose the dot kernels stream are contiguous.
         """
-        if self._stacked is None:
-            with self._fill:
-                if self._stacked is None:
-                    h, nx = self.layer.hidden_size, self.layer.input_size
-                    wx = np.empty((4 * h, nx), ACC_DTYPE, order="F")
-                    wh = np.empty((4 * h, h), ACC_DTYPE, order="F")
-                    np.concatenate([self.gates[g].w_x for g in GATES], out=wx)
-                    np.concatenate([self.gates[g].w_h for g in GATES], out=wh)
-                    b = np.concatenate([self.gates[g].bias for g in GATES], dtype=ACC_DTYPE)
-                    self._stacked = (wx, wh, b)
         return self._stacked
 
     def stacked_peepholes(self) -> tuple[np.ndarray, np.ndarray]:
         """fp32 peephole vectors of a peephole layer: input and forget
         stacked as [2, hidden], and the output gate's [hidden]."""
-        if self._peepholes is None:
-            with self._fill:
-                if self._peepholes is None:
-                    p = {g: self.gates[g].peephole.astype(ACC_DTYPE)
-                         for g in PEEPHOLE_GATES}
-                    self._peepholes = (np.stack([p["input"], p["forget"]]), p["output"])
         return self._peepholes
 
 

@@ -16,6 +16,8 @@ values, or a headerless CSV with one frame per row.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import warnings
 from collections.abc import Iterator
@@ -23,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (GATES, Direction, GateParams, LayerDescriptor,
-                    NetworkDescriptor, NetworkWeights, Precision, Sequence,
-                    WeightSet)
+from .model import (Direction, LayerDescriptor, NetworkDescriptor,
+                    NetworkWeights, Precision, Sequence, WeightSet,
+                    network_weight_bytes)
 
 MAGIC = b"LSTW"
 VERSION = 1
@@ -145,14 +147,6 @@ def load_descriptor(path: str | Path) -> NetworkDescriptor:
 # ---------------------------------------------------------------------------
 # weight blob
 
-def _gate_arrays(layer: LayerDescriptor, gate: str, ws: WeightSet):
-    p = ws.gates[gate]
-    arrs = [p.w_x, p.w_h, p.bias]
-    if layer.peephole and gate != "cell_updater":
-        arrs.append(p.peephole)
-    return arrs
-
-
 def weight_blob_chunks(net: NetworkDescriptor, weights: NetworkWeights) -> Iterator[bytes]:
     """The weight blob, as the header and then one chunk per array."""
     dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
@@ -160,10 +154,8 @@ def weight_blob_chunks(net: NetworkDescriptor, weights: NetworkWeights) -> Itera
                       _PRECISION_TAG[net.numeric_precision], 0)
     for i, layer in enumerate(net.layers):
         for d in range(layer.num_directions):
-            ws = weights.layers[i][d]
-            for gate in GATES:
-                for arr in _gate_arrays(layer, gate, ws):
-                    yield np.ascontiguousarray(arr, dtype=dt).tobytes()
+            for _, arr in weights.layers[i][d].parts():
+                yield arr.astype(dt, copy=False).tobytes()
 
 
 def save_weights(net: NetworkDescriptor, weights: NetworkWeights,
@@ -173,57 +165,51 @@ def save_weights(net: NetworkDescriptor, weights: NetworkWeights,
 
 
 def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, tag, _ = struct.unpack("<4sIII", raw[:16])
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if tag not in _TAG_PRECISION:
-        raise FormatError(f"{path}: unknown precision tag {tag}")
-    if _TAG_PRECISION[tag] != net.numeric_precision:
-        raise FormatError(
-            f"{path}: blob precision {_TAG_PRECISION[tag].value} does not match "
-            f"descriptor precision {net.numeric_precision.value}"
-        )
-    dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
-    if (len(raw) - 16) % dt.itemsize:
-        raise FormatError(f"{path}: payload is not a whole number of "
-                          f"{dt.itemsize}-byte values")
-    data = np.frombuffer(raw, dtype=dt, offset=16)
+    """The weights of a blob for ``net``.
 
-    pos = 0
-
-    def take(shape) -> np.ndarray:
-        nonlocal pos
-        n = int(np.prod(shape))
-        if pos + n > data.size:
+    The header and the payload size are checked against the descriptor
+    before any weight array is allocated; then each array is read, one at a
+    time, straight into its rows of the weight set's stacked arrays.
+    """
+    with open(path, "rb") as f:
+        header = f.read(16)
+        if len(header) < 16:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, tag, _ = struct.unpack("<4sIII", header)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if tag not in _TAG_PRECISION:
+            raise FormatError(f"{path}: unknown precision tag {tag}")
+        if _TAG_PRECISION[tag] != net.numeric_precision:
+            raise FormatError(
+                f"{path}: blob precision {_TAG_PRECISION[tag].value} does not match "
+                f"descriptor precision {net.numeric_precision.value}"
+            )
+        dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
+        payload = os.fstat(f.fileno()).st_size - 16
+        if payload % dt.itemsize:
+            raise FormatError(f"{path}: payload is not a whole number of "
+                              f"{dt.itemsize}-byte values")
+        extra = payload // dt.itemsize - network_weight_bytes(net) // dt.itemsize
+        if extra < 0:
             raise FormatError(f"{path}: blob too short")
-        out = data[pos:pos + n].reshape(shape).astype(net.numeric_precision.storage_dtype)
-        pos += n
-        return out
+        if extra > 0:
+            raise FormatError(f"{path}: {extra} trailing values in blob")
 
-    layers = []
-    for layer in net.layers:
-        h, nx = layer.hidden_size, layer.input_size
-        dirs = []
-        for _ in range(layer.num_directions):
-            gates = {}
-            for gate in GATES:
-                w_x = take((h, nx))
-                w_h = take((h, h))
-                bias = take((h,))
-                peep = None
-                if layer.peephole and gate != "cell_updater":
-                    peep = take((h,))
-                gates[gate] = GateParams(w_x, w_h, bias, peep)
-            dirs.append(WeightSet(layer, gates, net.numeric_precision))
-        layers.append(dirs)
-    if pos != data.size:
-        raise FormatError(f"{path}: {data.size - pos} trailing values in blob")
-    return NetworkWeights(layers)
+        # one array at a time passes through this buffer
+        buf = np.empty(max(l.hidden_size * max(l.hidden_size, l.input_size)
+                           for l in net.layers), dt)
+
+        def read(_name: str, shape: tuple[int, ...]) -> np.ndarray:
+            chunk = buf[:math.prod(shape)]
+            if f.readinto(chunk) != chunk.nbytes:
+                raise FormatError(f"{path}: blob too short")
+            return chunk.reshape(shape)
+
+        return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet.filled(
+            layer, net.numeric_precision, read))
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,16 @@ def quantize(value, cfg: QuantConfig):
 
     round(beta * value), half away from zero, saturated to +-max_code.
     """
-    arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    scaled = np.array(value, dtype=np.float64)
+    if not np.all(np.isfinite(scaled)):
         raise NumericError("cannot quantize non-finite values")
-    scaled = arr * cfg.beta
-    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    codes = np.clip(codes, -cfg.max_code, cfg.max_code).astype(np.int32)
+    # two float64 arrays, updated in place: the scaled value and its magnitude
+    np.multiply(scaled, cfg.beta, out=scaled)
+    mag = np.abs(scaled, out=np.empty_like(scaled))
+    np.add(mag, 0.5, out=mag)
+    np.floor(mag, out=mag)
+    np.minimum(mag, cfg.max_code, out=mag)
+    codes = np.copysign(mag, scaled, out=mag).astype(np.int32)
     if codes.ndim == 0:
         return int(codes)
     return codes
@@ -83,12 +87,14 @@ class DequantTable:
         return len(self.values)
 
     def lookup(self, code):
-        codes = np.asarray(code, dtype=np.int64)
+        codes = np.asarray(code)
         if np.any(codes > self.cfg.max_code) or np.any(codes < -self.cfg.max_code):
             raise QuantRangeError(
                 f"code outside [-{self.cfg.max_code}, {self.cfg.max_code}]"
             )
-        out = self.values[codes + self.cfg.max_code]
+        # widened to numpy's index type in the same pass as the offset:
+        # numpy gathers with int32 indices at about half the speed
+        out = self.values[np.add(codes, self.cfg.max_code, dtype=np.intp)]
         if np.ndim(code) == 0:
             return float(out)
         return out

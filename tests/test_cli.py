@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -552,6 +555,50 @@ class TestBoundary:
         assert run_cli(*cmd, "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "3") == cli.EXIT_OK
         assert threading.active_count() == threads
+
+
+# Runs a command, then prints the process's peak RSS.
+PEAK_RSS_CHILD = """\
+import resource, sys
+from epursim import cli
+rc = cli.main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(rc)
+"""
+# Linux keeps the peak RSS of the process image an exec replaces, so a child
+# started straight from this test process would report at least this
+# process's peak; the child is started from a small launcher instead.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+class TestHostMemory:
+    def test_simulate_holds_the_weights_once(self, tmp_path):
+        # the peak RSS a ~33 MB blob adds to simulate, over a tiny net's:
+        # holding the weights twice (the whole blob beside per-gate copies,
+        # or per-gate copies beside stacked ones) would add twice its size
+        pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+
+        def peak_bytes(layers, hidden):
+            desc, blob = tmp_path / f"{hidden}.json", tmp_path / f"{hidden}.bin"
+            assert run_cli("gen-network", "--layers", str(layers), "--hidden", str(hidden),
+                           "--seed", "1", "--out-descriptor", str(desc),
+                           "--out-weights", str(blob)) == cli.EXIT_OK
+            proc = subprocess.run(
+                [sys.executable, "-c", LAUNCHER, sys.executable, "-c", PEAK_RSS_CHILD,
+                 "simulate", "--network", str(desc), "--weights", str(blob),
+                 "--synthetic-t", "2", "--policy", "conventional"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in KiB on Linux
+            return int(proc.stdout.splitlines()[-1]) * unit, blob.stat().st_size
+
+        base, _ = peak_bytes(1, 8)
+        peak, blob_bytes = peak_bytes(16, 256)
+        assert blob_bytes > 32 * 10**6
+        assert peak - base < 1.5 * blob_bytes, (peak - base) / blob_bytes
 
 
 class TestConcurrently:

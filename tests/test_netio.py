@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import random_frames, random_network
+from epursim import cli
 from epursim.model import GATES, Precision, Sequence
 from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
                            descriptor_to_bytes, load_descriptor, load_sequence,
                            load_weights, save_descriptor, save_sequence,
                            save_weights)
-from epursim.presets import PRESETS, custom_descriptor, preset_descriptor
+from epursim.presets import (PRESETS, custom_descriptor, preset_descriptor,
+                             random_weights)
 
 
 class TestDescriptor:
@@ -165,6 +167,26 @@ class TestWeightBlob:
         with pytest.raises(FormatError, match="short"):
             load_weights(net, path)
 
+    @pytest.mark.parametrize("values", [0, 1000], ids=["header-only", "some-values"])
+    def test_short_blob_is_refused_before_allocation(self, tmp_path, capsys, values):
+        # one stacked forward matrix of this layer would take 16 EiB, so the
+        # blob's size must be checked against the descriptor before any
+        # weight array is allocated
+        size = 2**30
+        assert size < MAX_SIZE
+        desc, path = tmp_path / "net.json", tmp_path / "w.bin"
+        desc.write_text(json.dumps({"input_dim": size, "layers": [
+            {"hidden_size": size, "input_size": size}]}), encoding="utf-8")
+        path.write_bytes(struct.pack("<4sIII", b"LSTW", 1, 0, 0) + bytes(4 * values))
+        with pytest.raises(FormatError, match="short"):
+            load_weights(load_descriptor(desc), path)
+        rc = cli.main(["simulate", "--network", str(desc), "--weights", str(path),
+                       "--synthetic-t", "2"])
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "short" in err
+        assert len(err.strip().splitlines()) == 1, err
+
     def test_trailing_bytes(self, tmp_path):
         net, weights = random_network(1)
         path = tmp_path / "w.bin"
@@ -180,6 +202,38 @@ class TestWeightBlob:
         net32, _ = random_network(1, precision=Precision.fp32)
         with pytest.raises(FormatError, match="precision"):
             load_weights(net32, path)
+
+
+class TestWeightsHeldOnce:
+    """A weight set holds each weight once: its per-gate arrays are rows of
+    the stacked arrays the datapath reads."""
+
+    @pytest.mark.parametrize("source", ["loaded", "generated"])
+    def test_gates_are_views_of_the_stacked_arrays(self, tmp_path, source):
+        net = custom_descriptor(2, 6, True, True, 5)
+        weights = random_weights(net, 4)
+        if source == "loaded":
+            path = tmp_path / "w.bin"
+            save_weights(net, weights, path)
+            weights = load_weights(net, path)
+        for layer, sets in zip(net.layers, weights.layers):
+            h = layer.hidden_size
+            for ws in sets:
+                wx, wh, b = ws.stacked()
+                peep_if, peep_o = ws.stacked_peepholes()
+                assert all(x is y for x, y in zip(ws.stacked(), ws.stacked()))
+                assert all(x is y for x, y in zip(ws.stacked_peepholes(),
+                                                  ws.stacked_peepholes()))
+                peeps = {"input": peep_if[0], "forget": peep_if[1], "output": peep_o}
+                gates = ws.gates
+                for i, g in enumerate(GATES):
+                    p, rows = gates[g], slice(i * h, (i + 1) * h)
+                    for arr, stacked in ((p.w_x, wx[rows]), (p.w_h, wh[rows]),
+                                         (p.bias, b[rows])):
+                        assert np.shares_memory(arr, stacked)
+                        assert np.array_equal(arr, stacked)
+                    if g in peeps:
+                        assert np.shares_memory(p.peephole, peeps[g])
 
 
 class TestSequences:

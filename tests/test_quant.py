@@ -41,6 +41,24 @@ class TestQuantize:
         with pytest.raises(NumericError):
             quantize(np.array([0.0, np.inf]), CFG)
 
+    @pytest.mark.parametrize("n_bits", [2, 8, 16])
+    def test_array_matches_scalar_path(self, n_bits):
+        # the array path works in place; element for element it gives the
+        # codes of the 0-d path, on rounding ties, signed zeros, saturation
+        # and extreme magnitudes, for float64 and float32 partials
+        cfg = QuantConfig(n_bits=n_bits, alpha=20.0)
+        beta = cfg.beta
+        edge = np.array([0.0, -0.0, 0.5 / beta, -0.5 / beta, 1.5 / beta, -1.5 / beta,
+                         cfg.alpha, -cfg.alpha, 1.5 * cfg.alpha, -1e9,
+                         float(np.float32(1e-45)), -float(np.float32(1e-45)),
+                         3.4e38, -3.4e38])
+        for arr in (edge, edge.astype(np.float32)):
+            got = quantize(arr, cfg)
+            assert got.dtype == np.int32
+            want = [quantize(float(x), cfg) for x in arr]
+            assert all(type(code) is int for code in want)
+            assert got.tolist() == want
+
     def test_beta_definition(self):
         for n in (2, 4, 8, 12, 16):
             cfg = QuantConfig(n_bits=n, alpha=7.3)
