@@ -22,7 +22,7 @@ from .model import (ACC_DTYPE, GATES, PEEPHOLE_GATES, LayerDescriptor,
                     ShapeError, cell_weight_bytes, gate_matrix_bytes,
                     gate_weight_bytes, layer_infer)
 from .quant import DequantTable, QuantConfig, calibrate_alpha, quantize
-from .sched import (Policy, Target, dram_traffic, gate_accesses,
+from .sched import (RW, Policy, Target, dram_traffic, gate_accesses,
                     partial_bytes, pins_forward_rows)
 
 DEFAULT_OP_LATENCY = {
@@ -289,7 +289,18 @@ _QUANT_MU_INTERVAL = max(math.ceil(c / FU_UNITS[fu]) for fu, c in _QUANT_FU_OPS)
 
 
 # ---------------------------------------------------------------------------
-# event counters
+# event counts
+
+#: ``{(target, rw): (count, bytes)}``, the format of ``sched.gate_accesses``
+Traffic = dict[tuple[Target, str], tuple[int, int]]
+
+
+def _add_traffic(total: Traffic, traffic: Traffic, scale: int = 1) -> None:
+    """Add ``scale`` times each entry of ``traffic`` into ``total``."""
+    for key, (count, nbytes) in traffic.items():
+        c, b = total.get(key, (0, 0))
+        total[key] = (c + scale * count, b + scale * nbytes)
+
 
 @dataclass(frozen=True)
 class PassCost:
@@ -300,33 +311,7 @@ class PassCost:
     mu_critical_path: int
     dpu_ops_per_cu: int
     mu_ops: int
-    traffic: tuple[tuple[Target, str, int, int], ...]  # (target, rw, count, bytes)
-
-
-class Counters:
-    def __init__(self):
-        self.data: dict[Target, dict[str, dict[str, int]]] = {
-            t: {"r": {"count": 0, "bytes": 0}, "w": {"count": 0, "bytes": 0}}
-            for t in Target
-        }
-        self.dpu_ops_per_cu: dict[str, int] = {g: 0 for g in GATES}
-        self.mu_ops: int = 0
-
-    def bump(self, target: Target, rw: str, count: int, nbytes: int) -> None:
-        cell = self.data[target][rw]
-        cell["count"] += count
-        cell["bytes"] += nbytes
-
-    def add(self, cost: PassCost) -> None:
-        for target, rw, count, nbytes in cost.traffic:
-            self.bump(target, rw, count, nbytes)
-        for g in GATES:
-            self.dpu_ops_per_cu[g] += cost.dpu_ops_per_cu
-        self.mu_ops += cost.mu_ops
-
-    def to_json(self) -> dict:
-        return {t.value: {rw: dict(v) for rw, v in sides.items()}
-                for t, sides in self.data.items()}
+    traffic: Traffic
 
 
 @dataclass
@@ -340,7 +325,9 @@ class SimReport:
     compute_cycles: int
     stall_cycles: int
     seconds: float
-    access: Counters
+    access: Traffic  # every (target, rw) key
+    dpu_ops_per_cu: int  # the four CUs run one schedule
+    mu_ops: int
     dram: dict
     storage: dict
     checks: dict
@@ -360,7 +347,7 @@ class SimReport:
     def to_json(self) -> dict:
         """Fixed report schema; functional outputs are kept off-document."""
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "policy": self.policy.value,
             "exact_mode": self.exact_mode,
             "quant": (dict(self.quant.to_json(),
@@ -375,9 +362,10 @@ class SimReport:
             "compute_cycles": self.compute_cycles,
             "stall_cycles": self.stall_cycles,
             "seconds": self.seconds,
-            "access_counts": self.access.to_json(),
-            "dpu_ops_per_cu": dict(self.access.dpu_ops_per_cu),
-            "mu_ops": self.access.mu_ops,
+            "access_counts": {t.value: {rw: dict(zip(("count", "bytes"), self.access[t, rw]))
+                                        for rw in RW} for t in Target},
+            "dpu_ops_per_cu": {g: self.dpu_ops_per_cu for g in GATES},
+            "mu_ops": self.mu_ops,
             "dram": dict(self.dram),
             "avg_dram_bandwidth_bytes_per_s": self.avg_dram_bandwidth,
             "storage": dict(self.storage),
@@ -399,9 +387,9 @@ class SimReport:
         if self.realtime:
             rows.append(("realtime dram bandwidth",
                          f"{self.realtime['bandwidth_bytes_per_s'] / 1e6:.3g} MB/s"))
-        for t, sides in self.access.data.items():
-            rows.append((f"{t.value} read bytes", f"{sides['r']['bytes']:,}"))
-            rows.append((f"{t.value} write bytes", f"{sides['w']['bytes']:,}"))
+        for t in Target:
+            rows.append((f"{t.value} read bytes", f"{self.access[t, 'r'][1]:,}"))
+            rows.append((f"{t.value} write bytes", f"{self.access[t, 'w'][1]:,}"))
         width = max(len(r[0]) for r in rows)
         return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
 
@@ -410,8 +398,8 @@ class SimReport:
 # capacity and pass costs
 
 def _check_capacity(net: NetworkDescriptor, T: int, policy: Policy,
-                    cfg: HardwareConfig, qbytes: int) -> tuple[dict, int]:
-    """Storage high-water marks, and the bytes of one sequence half.
+                    cfg: HardwareConfig, qbytes: int) -> dict:
+    """Storage high-water marks.
 
     The intermediate memory holds two sequence halves, one read and one
     written by each layer, beside one partial region sized for the largest
@@ -473,7 +461,7 @@ def _check_capacity(net: NetworkDescriptor, T: int, policy: Policy,
         "partial_store_hwm": partial,
         "intermediate_hwm": inter_hwm,
         "intermediate_banks": math.ceil(inter_hwm / cfg.bank_bytes),
-    }, half
+    }
 
 
 def _dram_fetch_cycles(nbytes: int, cfg: HardwareConfig) -> int:
@@ -536,20 +524,19 @@ def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
     # per-element bias and peephole scalars, read through the weight buffer
     scalars = T * h * (n + (len(PEEPHOLE_GATES) if layer.peephole else 0))
     weight_bytes = cell_weight_bytes(layer, eb)
-    gate_traffic = gate_accesses(layer, T, policy, eb, partial_bytes(quant),
-                                 cfg.row_buffer_bytes)
-    traffic = (*((target, rw, n * count, n * nbytes)
-                 for (target, rw), (count, nbytes) in gate_traffic.items()),
-               (Target.weight_buffer, "r", scalars, scalars * eb),
-               # the DPUs stream x_t and h_{t-1} from the input buffers
-               (Target.input_buffer, "r", n * T * h * (kx + kh),
-                n * T * h * (nx + h) * eb),
-               # the step's inputs are broadcast into the four input buffers
-               (Target.input_buffer, "w", n * T, n * T * (nx + h) * eb),
-               # h_t is written back and the layer input read, once per step
-               (Target.intermediate_memory, "w", T, T * h * eb),
-               (Target.intermediate_memory, "r", T, T * nx * eb),
-               (Target.dram, "r", 1, weight_bytes))
+    traffic: Traffic = {}
+    _add_traffic(traffic, gate_accesses(layer, T, policy, eb, partial_bytes(quant),
+                                        cfg.row_buffer_bytes), scale=n)
+    _add_traffic(traffic, {
+        (Target.weight_buffer, "r"): (scalars, scalars * eb),
+        # the DPUs stream x_t and h_{t-1} from the input buffers
+        (Target.input_buffer, "r"): (n * T * h * (kx + kh), n * T * h * (nx + h) * eb),
+        # the step's inputs are broadcast into the four input buffers
+        (Target.input_buffer, "w"): (n * T, n * T * (nx + h) * eb),
+        # h_t is written back and the layer input read, once per step
+        (Target.intermediate_memory, "w"): (T, T * h * eb),
+        (Target.intermediate_memory, "r"): (T, T * nx * eb),
+        (Target.dram, "r"): (1, weight_bytes)})
     return PassCost(cycles, _dram_fetch_cycles(weight_bytes, cfg), cp,
                     T * h * (kx + kh), T * h * (len(plan.ops) + quant_ops), traffic)
 
@@ -592,11 +579,10 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
     if policy is Policy.conventional:
         quant = None
     eb = net.numeric_precision.elem_bytes
-    storage, half = _check_capacity(net, T, policy, cfg, partial_bytes(quant))
+    storage = _check_capacity(net, T, policy, cfg, partial_bytes(quant))
 
     notes: list[str] = []
     passes: list[PassCost] = []
-    db_disjoint = True
     for i, layer in enumerate(net.layers):
         passes += [_pass_cost(layer, T, policy, cfg, quant, eb)] * layer.num_directions
         if policy is Policy.mwl and not pins_forward_rows(layer, eb, cfg.row_buffer_bytes):
@@ -604,19 +590,15 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
                 f"layer {i}: forward row ({layer.input_size * eb} B) exceeds the "
                 "row buffer; forward reads fall back to the weight buffer"
             )
-        # layer i reads half i % 2 and writes the other
-        read_lo, write_lo = (i % 2) * half, (1 - i % 2) * half
-        db_disjoint &= max(read_lo, write_lo) >= min(read_lo + T * layer.input_size * eb,
-                                                     write_lo + T * layer.output_size * eb)
 
-    # the input sequence arrives from DRAM into the first read half, and
-    # the final outputs leave for the (pass-through) output stage
-    counters = Counters()
-    counters.bump(Target.dram, "r", 1, T * net.input_dim * eb)
-    counters.bump(Target.intermediate_memory, "w", T, T * net.input_dim * eb)
-    for cost in passes:
-        counters.add(cost)
-    counters.bump(Target.dram, "w", 1, T * net.output_dim * eb)
+    # the passes, plus the input sequence in from DRAM to the first read
+    # half and the final outputs out to the (pass-through) output stage
+    access: Traffic = {(t, rw): (0, 0) for t in Target for rw in RW}
+    network_io = {(Target.dram, "r"): (1, T * net.input_dim * eb),
+                  (Target.intermediate_memory, "w"): (T, T * net.input_dim * eb),
+                  (Target.dram, "w"): (1, T * net.output_dim * eb)}
+    for traffic in (network_io, *(p.traffic for p in passes)):
+        _add_traffic(access, traffic)
 
     compute_cycles = sum(p.compute_cycles for p in passes)
     # weight prefetch for pass p overlaps compute of pass p-1
@@ -627,7 +609,7 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
     cycles = compute_cycles + stall_cycles
     seconds = cycles / cfg.frequency_hz
 
-    dram_summary = dram_traffic(net, policy, T).to_json()
+    dram_summary = dram_traffic(net, T).to_json()
     avg_bw = dram_summary["total_bytes"] / seconds
     if avg_bw > cfg.peak_dram_bandwidth:
         warnings.warn(
@@ -647,14 +629,10 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
             "faster_than_realtime": audio_s / seconds,
         }
 
-    dram = counters.data[Target.dram]
     checks = {
-        "double_buffer_disjoint": db_disjoint,
-        "cu_dot_products_balanced": len(set(counters.dpu_ops_per_cu.values())) == 1,
-        # the simulator's own DRAM counters against the traffic model
-        "dram_counters_consistent":
-            dram["r"]["bytes"] + dram["w"]["bytes"] == dram_summary["total_bytes"],
-        "mu_bottleneck": False,  # cost_model() raises before reporting otherwise
+        # the simulator's own DRAM counts against the traffic model
+        "dram_counters_consistent": (access[Target.dram, "r"][1] + access[Target.dram, "w"][1]
+                                     == dram_summary["total_bytes"]),
     }
 
     return SimReport(
@@ -667,7 +645,9 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
         compute_cycles=compute_cycles,
         stall_cycles=stall_cycles,
         seconds=seconds,
-        access=counters,
+        access=access,
+        dpu_ops_per_cu=sum(p.dpu_ops_per_cu for p in passes),
+        mu_ops=sum(p.mu_ops for p in passes),
         dram=dram_summary,
         storage=storage,
         checks=checks,

@@ -288,17 +288,15 @@ def _with_oracle(net: model.NetworkDescriptor, weights: model.NetworkWeights,
     return reports, oracle
 
 
-def _run_simulations(args, policies: list[sched.Policy]):
+def _run_simulations(args, policies: list[sched.Policy],
+                     frames_per_second: float | None = None):
     """Simulate each policy with the inputs, hardware and quantization of
     args, beside one oracle run.  Every cost model runs first, so a refused
     run starts no inference."""
-    if not 0 < args.frames_per_second < math.inf:
-        raise UsageError(f"--frames-per-second must be positive and finite, "
-                         f"got {args.frames_per_second}")
     qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
     net, weights, seq = _load_inputs(args)
     cfg = _hw_config(args)
-    reports = [arch.cost_model(net, seq.length, policy, cfg, qcfg, args.frames_per_second)
+    reports = [arch.cost_model(net, seq.length, policy, cfg, qcfg, frames_per_second)
                for policy in policies]
     reports, oracle = _with_oracle(net, weights, seq, reports, args.calibrate)
     return net, seq, reports, oracle
@@ -326,10 +324,9 @@ def _oracle_check(oracle: np.ndarray, report) -> dict:
 
 def _checks_ok(*reports: arch.SimReport) -> bool:
     """True when every built-in invariant check of the reports holds; names
-    the failed ones on stderr.  ``mu_bottleneck`` is a fault flag, not a
-    check: it reads true when the fault is present."""
+    the failed ones on stderr."""
     failed = sorted({name for rep in reports for name, ok in rep.checks.items()
-                     if name != "mu_bottleneck" and not ok})
+                     if not ok})
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
     return not failed
@@ -337,7 +334,10 @@ def _checks_ok(*reports: arch.SimReport) -> bool:
 
 def cmd_simulate(args) -> int:
     policy = sched.Policy(args.policy)
-    net, seq, (report,), oracle = _run_simulations(args, [policy])
+    if not 0 < args.frames_per_second < math.inf:
+        raise UsageError(f"--frames-per-second must be positive and finite, "
+                         f"got {args.frames_per_second}")
+    net, seq, (report,), oracle = _run_simulations(args, [policy], args.frames_per_second)
     doc = report.to_json()
     doc["oracle_check"] = _oracle_check(oracle, report)
     if args.energy:
@@ -363,11 +363,12 @@ def cmd_analyze_reuse(args) -> int:
                      _hw_config(args).row_buffer_bytes, args.layer)
     doc = {"policy": policy.value, "sequence_length": args.t, "layers": []}
     for i, per_dir in traces.items():
-        stats = [sched.reuse_analysis(tr) for tr in per_dir]
+        # a layer's directions share one trace
+        st = sched.reuse_analysis(per_dir[0])
+        result = {"stats": st.to_json(),
+                  "weight_storage_bytes": {g: st.weight_storage_bytes(g) for g in model.GATES}}
         doc["layers"].append({"layer": i, "directions": [
-            {"direction": d, "stats": st.to_json(),
-             "weight_storage_bytes": {g: st.weight_storage_bytes(g) for g in model.GATES}}
-            for d, st in enumerate(stats)]})
+            {"direction": d, **result} for d in range(len(per_dir))]})
     outputs = {}
     if args.out:
         outputs[args.out] = _json_text(doc)
@@ -388,9 +389,8 @@ def cmd_compare(args) -> int:
     cmp_report = energy.compare(en_a, en_b)
 
     def side(rep):
-        wb = rep.access.data[sched.Target.weight_buffer]
         return {"cycles": rep.cycles,
-                "weight_buffer_read_bytes": wb["r"]["bytes"],
+                "weight_buffer_read_bytes": rep.access[sched.Target.weight_buffer, "r"][1],
                 "dram_bytes": rep.dram["total_bytes"]}
 
     a, b = side(rep_a), side(rep_b)
@@ -542,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quant_args(p)
     p.add_argument("--policy-a", default="conventional")
     p.add_argument("--policy-b", default="mwl")
-    p.add_argument("--frames-per-second", type=float, default=100.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 

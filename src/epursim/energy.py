@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .model import GATES
 from .sched import Target
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,11 +119,10 @@ def account(report: "SimReport", table: EnergyTable) -> EnergyReport:
     """Convert a simulation's event counts into an energy breakdown."""
     dynamic: dict[str, float] = {}
     for target, (rname, wname) in _BYTE_CLASSES.items():
-        sides = report.access.data[target]
-        dynamic[target.value] = (sides["r"]["bytes"] * getattr(table, rname)
-                                 + sides["w"]["bytes"] * getattr(table, wname))
-    dynamic["dpu"] = sum(report.access.dpu_ops_per_cu.values()) * table.dpu_subvector_op
-    dynamic["mu"] = report.access.mu_ops * table.mu_op
+        dynamic[target.value] = (report.access[target, "r"][1] * getattr(table, rname)
+                                 + report.access[target, "w"][1] * getattr(table, wname))
+    dynamic["dpu"] = len(GATES) * report.dpu_ops_per_cu * table.dpu_subvector_op
+    dynamic["mu"] = report.mu_ops * table.mu_op
 
     # leakage: banks actually touched stay powered for the whole run
     bank = report.config.bank_bytes

@@ -166,10 +166,11 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
 def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,
                  elem_bytes: int = 4, quant: QuantConfig | None = None,
                  row_buffer_bytes: int = 4096) -> list[AccessTrace]:
-    """One trace per direction; a bidirectional layer is two independent cells."""
-    return [trace_conventional(layer, T, elem_bytes) if policy is Policy.conventional
-            else trace_mwl(layer, T, elem_bytes, quant, row_buffer_bytes)
-            for _ in range(layer.num_directions)]
+    """One trace per direction.  The directions of a bidirectional layer are
+    two cells that follow one schedule, so they share one trace."""
+    trace = (trace_conventional(layer, T, elem_bytes) if policy is Policy.conventional
+             else trace_mwl(layer, T, elem_bytes, quant, row_buffer_bytes))
+    return [trace] * layer.num_directions
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,7 @@ class DramTraffic:
         }
 
 
-def dram_traffic(net: NetworkDescriptor, policy: Policy, T: int) -> DramTraffic:
+def dram_traffic(net: NetworkDescriptor, T: int) -> DramTraffic:
     """DRAM bytes for one full inference pass over a T-frame sequence.
 
     The schedule does not change DRAM traffic: both orders fetch each

@@ -138,13 +138,13 @@ class TestCriterion7DramTraffic:
     def test_weight_bytes_independent_of_t(self):
         for name in presets.PRESETS:
             net = presets.preset_descriptor(name)
-            per_pass = {T: sched.dram_traffic(net, Policy.conventional, T)
+            per_pass = {T: sched.dram_traffic(net, T)
                         .per_pass_weight_bytes for T in (1, 10, 100)}
             assert per_pass[1] == per_pass[10] == per_pass[100]
 
     def test_eesen_total_near_42mb(self):
         net = presets.preset_descriptor("eesen")
-        rep = sched.dram_traffic(net, Policy.conventional, 100)
+        rep = sched.dram_traffic(net, 100)
         mib = rep.weight_bytes / 2**20
         tol = presets.PRESETS["eesen"].size_tolerance
         assert abs(mib / 42 - 1) <= tol
@@ -237,12 +237,10 @@ class TestCriterion10EnergyModel:
 
         # linearity
         doubled = copy.deepcopy(sim)
-        for sides in doubled.access.data.values():
-            for cell in sides.values():
-                cell["bytes"] *= 2
-        for g in doubled.access.dpu_ops_per_cu:
-            doubled.access.dpu_ops_per_cu[g] *= 2
-        doubled.access.mu_ops *= 2
+        doubled.access = {key: (count, 2 * nbytes)
+                          for key, (count, nbytes) in sim.access.items()}
+        doubled.dpu_ops_per_cu *= 2
+        doubled.mu_ops *= 2
         assert energy.account(doubled, table).dynamic_total == \
             pytest.approx(2 * base.dynamic_total, rel=1e-12)
 
@@ -250,9 +248,10 @@ class TestCriterion10EnergyModel:
         with pytest.raises(energy.EnergyConfigError):
             energy.EnergyTable(dram_read=0.1e-12)
         moved = copy.deepcopy(sim)
-        nbytes = moved.access.data[Target.weight_buffer]["r"]["bytes"]
-        moved.access.data[Target.weight_buffer]["r"]["bytes"] = 0
-        moved.access.data[Target.dram]["r"]["bytes"] += nbytes
+        wb, dram = (Target.weight_buffer, "r"), (Target.dram, "r")
+        nbytes = moved.access[wb][1]
+        moved.access[wb] = (moved.access[wb][0], 0)
+        moved.access[dram] = (moved.access[dram][0], moved.access[dram][1] + nbytes)
         assert energy.account(moved, table).dynamic_total > base.dynamic_total
 
     def test_weight_memory_leakage_ratio(self):

@@ -14,7 +14,7 @@ from epursim.arch import (HW_PRESETS, CapacityError, HardwareConfig,
                           MuBottleneckError, baseline_config, cost_model,
                           dpu_dot_cycles, mu_initiation_interval, mu_plan,
                           mwl_config)
-from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
+from epursim.model import (GATES, Direction, LayerDescriptor, NetworkDescriptor,
                            NetworkWeights, ShapeError, network_infer)
 from epursim.presets import custom_descriptor, preset_descriptor
 from epursim.quant import QuantConfig
@@ -267,10 +267,7 @@ class TestChecksAndErrors:
     def test_run_checks_recorded(self):
         net, weights = tiny_net(layers=2, bidirectional=True)
         rep = simulate(net, weights, random_frames(net, 3, 1), Policy.mwl, CFG)
-        assert rep.checks["double_buffer_disjoint"]
-        assert rep.checks["cu_dot_products_balanced"]
-        assert rep.checks["dram_counters_consistent"]
-        assert not rep.checks["mu_bottleneck"]
+        assert rep.checks == {"dram_counters_consistent": True}
 
     def test_bandwidth_warning(self):
         net, weights = tiny_net()
@@ -301,7 +298,7 @@ class TestSimulateCounters:
         extras = 4 * T * 16 * 4  # per-element bias scalars, four gates
         for policy in (Policy.conventional, Policy.mwl):
             rep = simulate(net, weights, seq, policy, CFG)
-            wb = rep.access.data[Target.weight_buffer]["r"]["bytes"]
+            wb = rep.access[Target.weight_buffer, "r"][1]
             want = 4 * weight_buffer_read_bytes(layer, T, policy) + extras
             assert wb == want
 
@@ -310,20 +307,20 @@ class TestSimulateCounters:
         T = 5
         rep = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG,
                        quant=QuantConfig(8, 2.0))
-        im = rep.access.data[Target.intermediate_memory]
+        im = Target.intermediate_memory
         partial = 4 * T * 16 * 1  # quantized to one byte per value
         # writes: input staging + h_t write-back + partials
-        assert im["w"]["bytes"] == T * 16 * 4 + T * 16 * 4 + partial
-        assert im["r"]["bytes"] == T * 16 * 4 + partial
+        assert rep.access[im, "w"][1] == T * 16 * 4 + T * 16 * 4 + partial
+        assert rep.access[im, "r"][1] == T * 16 * 4 + partial
 
     def test_mwl_partial_traffic_exact_mode_full_precision(self):
         net, weights = tiny_net(hidden=16)
         T = 5
         rep = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG)
-        im = rep.access.data[Target.intermediate_memory]
+        im = Target.intermediate_memory
         partial = 4 * T * 16 * 4  # partials kept in fp32 when not quantized
-        assert im["w"]["bytes"] == T * 16 * 4 + T * 16 * 4 + partial
-        assert im["r"]["bytes"] == T * 16 * 4 + partial
+        assert rep.access[im, "w"][1] == T * 16 * 4 + T * 16 * 4 + partial
+        assert rep.access[im, "r"][1] == T * 16 * 4 + partial
 
     def test_counters_match_materialized_traces(self):
         # the simulator counts events in closed form; the sched module can
@@ -343,16 +340,16 @@ class TestSimulateCounters:
                                     & (gt.rw == RW.index(rw))].sum())
                        for gt in trace.events.values())
 
-        assert rep.access.data[Target.row_buffer]["r"]["bytes"] == \
+        assert rep.access[Target.row_buffer, "r"][1] == \
             trace_bytes(Target.row_buffer, "r")
-        assert rep.access.data[Target.row_buffer]["w"]["bytes"] == \
+        assert rep.access[Target.row_buffer, "w"][1] == \
             trace_bytes(Target.row_buffer, "w")
         # simulator adds h_t write-back and input staging on top of partials
         extra_w = T * 12 * 4 + T * 20 * 4
         extra_r = T * 20 * 4
-        assert rep.access.data[Target.intermediate_memory]["w"]["bytes"] == \
+        assert rep.access[Target.intermediate_memory, "w"][1] == \
             trace_bytes(Target.intermediate_memory, "w") + extra_w
-        assert rep.access.data[Target.intermediate_memory]["r"]["bytes"] == \
+        assert rep.access[Target.intermediate_memory, "r"][1] == \
             trace_bytes(Target.intermediate_memory, "r") + extra_r
 
     @pytest.mark.parametrize("policy", [Policy.conventional, Policy.mwl])
@@ -373,7 +370,8 @@ class TestSimulateCounters:
         rep = simulate(net, weights, random_frames(net, T, 0), Policy.conventional, CFG)
         kx = kh = math.ceil(32 / 16)
         per_cu = T * 32 * (kx + kh)
-        assert set(rep.access.dpu_ops_per_cu.values()) == {per_cu}
+        assert rep.dpu_ops_per_cu == per_cu
+        assert rep.to_json()["dpu_ops_per_cu"] == dict.fromkeys(GATES, per_cu)
 
     def test_report_json_schema(self):
         net, weights = tiny_net()
@@ -480,12 +478,17 @@ def _stack(draw):
                                input_dim=64),
          T=1, policy=Policy.mwl, bits=None, mem=700)
 def test_cost_model_reports_or_refuses(net, T, policy, bits, mem):
-    """Any intermediate-memory size either fits, with every check true, or
-    is refused with a capacity or MU error."""
+    """Any intermediate-memory size either fits, with every check true and
+    each layer's sequences in one double-buffer half, or is refused with a
+    capacity or MU error."""
     cfg = HardwareConfig(intermediate_mem_bytes=mem)
     try:
         rep = cost_model(net, T, policy, cfg, QuantConfig(bits) if bits else None)
     except (CapacityError, MuBottleneckError):
         return
-    assert not rep.checks.pop("mu_bottleneck")
     assert all(rep.checks.values()), rep.checks
+    eb = net.numeric_precision.elem_bytes
+    half = (mem - rep.storage["partial_store_hwm"]) // 2
+    for layer in net.layers:
+        assert T * layer.input_size * eb <= half
+        assert T * layer.output_size * eb <= half

@@ -365,6 +365,15 @@ class TestBoundary:
         assert self.simulate(gen, "--frames-per-second", fps) == cli.EXIT_USAGE
         assert "--frames-per-second" in self.one_line(capsys)
 
+    def test_compare_has_no_frames_per_second(self, gen, capsys):
+        # only simulate reports the real-time figures
+        desc, blob = gen
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("compare", "--network", str(desc), "--weights", str(blob),
+                    "--frames-per-second", "50")
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --frames-per-second" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [{"dpu_widht": 16},
                                      {"op_latency": {"fma": 3}},
                                      {"dpu_width": 3},

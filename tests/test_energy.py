@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import cell_for_layer, random_frames, simulate
-from epursim.arch import Counters, SimReport, baseline_config, mwl_config
+from epursim.arch import SimReport, baseline_config, mwl_config
 from epursim.energy import (EnergyConfigError, EnergyTable, account, compare)
 from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
                            NetworkWeights, Sequence)
-from epursim.sched import Policy, Target
+from epursim.sched import RW, Policy, Target
 
 TABLE = EnergyTable()
 
@@ -30,7 +30,8 @@ def empty_report():
     return SimReport(
         policy=Policy.conventional, exact_mode=True, quant=None, precision="fp32",
         T=0, cycles=0, compute_cycles=0, stall_cycles=0, seconds=0.0,
-        access=Counters(), dram={"total_bytes": 0}, storage={
+        access={(t, rw): (0, 0) for t in Target for rw in RW}, dpu_ops_per_cu=0,
+        mu_ops=0, dram={"total_bytes": 0}, storage={
             "weight_banks_per_cu": 0, "intermediate_banks": 0},
         checks={}, mu_critical_path=0, config=baseline_config(),
         outputs=Sequence(np.zeros((1, 1))), network_summary={},
@@ -48,13 +49,10 @@ class TestAccount:
         sim = run(16, 4, Policy.conventional)
         base = account(sim, TABLE)
         doubled = copy.deepcopy(sim)
-        for sides in doubled.access.data.values():
-            for cell in sides.values():
-                cell["bytes"] *= 2
-                cell["count"] *= 2
-        for g in doubled.access.dpu_ops_per_cu:
-            doubled.access.dpu_ops_per_cu[g] *= 2
-        doubled.access.mu_ops *= 2
+        doubled.access = {key: (2 * count, 2 * nbytes)
+                          for key, (count, nbytes) in sim.access.items()}
+        doubled.dpu_ops_per_cu *= 2
+        doubled.mu_ops *= 2
         got = account(doubled, TABLE)
         assert got.dynamic_total == pytest.approx(2 * base.dynamic_total, rel=1e-12)
         assert got.leakage_total == pytest.approx(base.leakage_total, rel=1e-12)
@@ -82,9 +80,10 @@ class TestAccount:
         sim = run(16, 4, Policy.conventional)
         base = account(sim, TABLE)
         moved = copy.deepcopy(sim)
-        nbytes = moved.access.data[Target.weight_buffer]["r"]["bytes"]
-        moved.access.data[Target.weight_buffer]["r"]["bytes"] = 0
-        moved.access.data[Target.dram]["r"]["bytes"] += nbytes
+        wb, dram = (Target.weight_buffer, "r"), (Target.dram, "r")
+        nbytes = moved.access[wb][1]
+        moved.access[wb] = (moved.access[wb][0], 0)
+        moved.access[dram] = (moved.access[dram][0], moved.access[dram][1] + nbytes)
         got = account(moved, TABLE)
         assert got.dynamic_total > base.dynamic_total
 

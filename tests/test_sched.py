@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from epursim.model import (GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, gate_matrix_bytes)
 from epursim.quant import QuantConfig
-from epursim.sched import (KINDS, RW, TARGETS, GateTrace, Policy, Target, dram_traffic,
+from epursim.sched import (KINDS, RW, TARGETS, Policy, Target, dram_traffic,
                            gate_accesses, layer_traces, pins_forward_rows,
                            reuse_analysis, trace_conventional, trace_mwl,
                            weight_buffer_read_bytes, _analyze_stream)
@@ -336,16 +335,15 @@ class TestReuseGoldens:
 
 
 class TestLayerTraces:
-    def test_bidirectional_yields_two_independent_traces(self):
+    def test_bidirectional_directions_share_one_trace(self):
+        # the two directions are independent cells that follow one schedule,
+        # so they share one trace
         layer = LayerDescriptor(4, 4, Direction.bidirectional)
-        traces = layer_traces(layer, 3, Policy.conventional)
-        assert len(traces) == 2
-        a, b = traces
-        for g in GATES:
-            for col in fields(GateTrace):
-                assert np.array_equal(getattr(a.events[g], col.name),
-                                      getattr(b.events[g], col.name))
-        assert a is not b
+        for policy in Policy:
+            traces = layer_traces(layer, 3, policy)
+            assert len(traces) == 2
+            a, b = traces
+            assert a is b
 
 
 class TestDramTraffic:
@@ -354,28 +352,21 @@ class TestDramTraffic:
 
     def test_weight_bytes_independent_of_t(self):
         net = self._one_layer_net()
-        totals = {dram_traffic(net, Policy.conventional, T).weight_bytes
+        totals = {dram_traffic(net, T).weight_bytes
                   for T in (1, 10, 100)}
         assert len(totals) == 1
-
-    def test_policy_does_not_change_dram(self):
-        net = self._one_layer_net()
-        a = dram_traffic(net, Policy.conventional, 10)
-        b = dram_traffic(net, Policy.mwl, 10)
-        assert a.weight_bytes == b.weight_bytes
-        assert a.total_bytes == b.total_bytes
 
     def test_one_pass_per_layer_direction(self):
         l0 = LayerDescriptor(4, 4, Direction.bidirectional)
         l1 = LayerDescriptor(4, 8)
         net = NetworkDescriptor((l0, l1), input_dim=4)
-        rep = dram_traffic(net, Policy.conventional, 5)
+        rep = dram_traffic(net, 5)
         assert len(rep.per_pass_weight_bytes) == 3  # 2 directions + 1
 
     def test_spill_fraction_counts_intermediates(self):
         net = NetworkDescriptor((LayerDescriptor(16, 16), LayerDescriptor(16, 16)),
                                 input_dim=16)
-        rep = dram_traffic(net, Policy.conventional, 50)
+        rep = dram_traffic(net, 50)
         eb = 4
         assert rep.spill_write_bytes == 2 * 50 * 16 * eb
         # layer 0 output read by layer 1 once, layer 1 output by the out stage
@@ -385,6 +376,6 @@ class TestDramTraffic:
     def test_eesen_preset_footprint(self):
         from epursim.presets import preset_descriptor
         net = preset_descriptor("eesen")
-        rep = dram_traffic(net, Policy.conventional, 100)
+        rep = dram_traffic(net, 100)
         mib = rep.weight_bytes / 2**20
         assert abs(mib / 42 - 1) < 0.15  # published size, input dims assumed
