@@ -15,6 +15,7 @@ results in exact mode.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -275,6 +276,27 @@ HOIST_TILE_ELEMS = 96 * 1024
 _ONE = ACC_DTYPE(1.0)
 
 
+@contextmanager
+def _one_row_ufunc_buffer(rows: int):
+    """Hold numpy's ufunc buffer to at most one accumulator row of ``rows``
+    elements (a multiple of 16, at least 16) for the duration.
+
+    Both dot kernels multiply a row-long operand by a broadcast one.  With
+    room for more than a row, numpy fills its buffer through strided copies
+    of the operands, at 0.65-0.75 ns per element on [50, 1280] with the
+    default 8192 elements; with one row it multiplies in place at 0.18-0.22
+    ns (numpy 2.4.6, 2-vCPU Xeon).  A buffer's size never changes an
+    elementwise result, and it is per thread, so concurrent runs do not
+    see each other's.  The old size comes back in a ``finally``, which
+    also scopes it on numpy 1.x, where ``errstate`` does not.
+    """
+    old = np.setbufsize(max(16, rows // 16 * 16))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
                    buf: np.ndarray | None = None) -> np.ndarray:
     """acc[j] += mat[j, k] * vec[k] for k ascending, one fp32 add per step.
@@ -388,28 +410,31 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     (F-ordered, so its time-major tiles are contiguous); the time loop then
     seeds each step's accumulator with its column and adds the recurrent
     dot.  Per-scalar accumulation order is that of the per-timestep loop,
-    so the hoist does not change a single bit.
+    so the hoist does not change a single bit.  Both phases run with
+    numpy's ufunc buffer held to one accumulator row (see
+    ``_one_row_ufunc_buffer``).
     """
     layer = weights.layer
     T = frames.shape[0]
     h = layer.hidden_size
     wx, wh, _ = weights.stacked()
 
-    fwd = np.zeros((T, 4 * h), dtype=ACC_DTYPE).T
-    accumulate_dot_all_t(fwd, wx, np.asfortranarray(frames, dtype=ACC_DTYPE))
-    if partials_hook is not None:
-        fwd = partials_hook(fwd)
-    steps = np.ascontiguousarray(fwd.T)  # [T, 4*hidden]
+    with _one_row_ufunc_buffer(4 * h):
+        fwd = np.zeros((T, 4 * h), dtype=ACC_DTYPE).T
+        accumulate_dot_all_t(fwd, wx, np.asfortranarray(frames, dtype=ACC_DTYPE))
+        if partials_hook is not None:
+            fwd = partials_hook(fwd)
+        steps = np.ascontiguousarray(fwd.T)  # [T, 4*hidden]
 
-    buf = np.empty((h + 1, 4 * h), dtype=ACC_DTYPE)
-    pre = np.empty(4 * h, dtype=ACC_DTYPE)
-    state = zero_state(h, weights.precision)
-    out = np.empty((T, h), dtype=weights.precision.storage_dtype)
-    for t in range(T):
-        pre[:] = steps[t]
-        accumulate_dot(pre, wh, _upcast(state.h), buf)
-        state = finish_step(weights, pre, _upcast(state.c))
-        out[t] = state.h
+        buf = np.empty((h + 1, 4 * h), dtype=ACC_DTYPE)
+        pre = np.empty(4 * h, dtype=ACC_DTYPE)
+        state = zero_state(h, weights.precision)
+        out = np.empty((T, h), dtype=weights.precision.storage_dtype)
+        for t in range(T):
+            pre[:] = steps[t]
+            accumulate_dot(pre, wh, _upcast(state.h), buf)
+            state = finish_step(weights, pre, _upcast(state.c))
+            out[t] = state.h
     return out
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import os
 import sys
@@ -51,6 +52,12 @@ def scalar_dot(acc, mat, vec) -> np.ndarray:
     return out
 
 
+def buffer_sizes(rows):
+    """numpy's default ufunc buffer, then the one-row size run_direction
+    sets for a ``rows``-long accumulator."""
+    return [contextlib.nullcontext(), model._one_row_ufunc_buffer(rows)]
+
+
 def spread(rng, shape) -> np.ndarray:
     """Random signs, magnitudes log-uniform over [1e-3, 1e3]."""
     signs = rng.choice(np.array([-1.0, 1.0]), shape)
@@ -59,7 +66,10 @@ def spread(rng, shape) -> np.ndarray:
 
 class TestAccumulationOrder:
     """The dot kernels must equal a scalar loop over k bit for bit; a change
-    to numpy's reduction order (e.g. pairwise summation) fails here."""
+    to numpy's reduction order (e.g. pairwise summation) fails here.
+
+    Each case runs under numpy's default ufunc buffer and again under the
+    one-row size run_direction sets (``buffer_sizes``)."""
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 320), k=st.integers(1, 700),
@@ -72,8 +82,10 @@ class TestAccumulationOrder:
         vec = spread(rng, k)
         acc = spread(rng, rows)
         want = scalar_dot(acc, mat, vec)
-        got = accumulate_dot(acc.copy(), mat, vec)
-        assert np.array_equal(got, want)
+        for size in buffer_sizes(rows):
+            with size:
+                got = accumulate_dot(acc.copy(), mat, vec)
+            assert np.array_equal(got, want)
 
     @settings(max_examples=15, deadline=None)
     @given(rows=st.integers(1, 320), k=st.integers(1, 700), T=st.integers(1, 3),
@@ -86,8 +98,10 @@ class TestAccumulationOrder:
         acc = spread(rng, (rows, T))
         want = np.stack([scalar_dot(acc[:, t], mat, frames[t]) for t in range(T)],
                         axis=1)
-        got = accumulate_dot_all_t(acc.copy(), mat, frames)
-        assert np.array_equal(got, want)
+        for size in buffer_sizes(rows):
+            with size:
+                got = accumulate_dot_all_t(acc.copy(), mat, frames)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows", [1, 4, 320])
     def test_sequential_not_pairwise(self, rows):
@@ -99,11 +113,13 @@ class TestAccumulationOrder:
         assert np.add.reduce(prods) != 0  # numpy's pairwise sum differs
         mat = np.tile(prods, (rows, 1))
         zeros = np.zeros(rows, dtype=F32)
-        assert np.array_equal(accumulate_dot(zeros.copy(), mat, np.ones(300, F32)),
-                              zeros)
-        got = accumulate_dot_all_t(np.zeros((rows, 2), F32), mat,
-                                   np.ones((2, 300), F32))
-        assert np.array_equal(got, np.zeros((rows, 2), F32))
+        for size in buffer_sizes(rows):
+            with size:
+                dot = accumulate_dot(zeros.copy(), mat, np.ones(300, F32))
+                got = accumulate_dot_all_t(np.zeros((rows, 2), F32), mat,
+                                           np.ones((2, 300), F32))
+            assert np.array_equal(dot, zeros)
+            assert np.array_equal(got, np.zeros((rows, 2), F32))
 
     @pytest.mark.parametrize("rows", [1, 4, 320])
     def test_sequential_not_pairwise_across_tiles(self, monkeypatch, rows):
@@ -112,9 +128,11 @@ class TestAccumulationOrder:
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 2 * rows)
         prods = np.ones(300, dtype=F32)
         prods[0], prods[-1] = 1e8, -1e8
-        got = accumulate_dot_all_t(np.zeros((5, rows), F32).T,
-                                   np.tile(prods, (rows, 1)), np.ones((5, 300), F32))
-        assert np.array_equal(got, np.zeros((rows, 5), F32))
+        for size in buffer_sizes(rows):
+            with size:
+                got = accumulate_dot_all_t(np.zeros((5, rows), F32).T,
+                                           np.tile(prods, (rows, 1)), np.ones((5, 300), F32))
+            assert np.array_equal(got, np.zeros((rows, 5), F32))
 
     @pytest.mark.parametrize("orders", ["".join(o) for o in itertools.product("CF", repeat=3)])
     @pytest.mark.parametrize("rows, k, T", [(1, 3, 10), (5, 7, 23), (16, 40, 13)])
@@ -129,8 +147,82 @@ class TestAccumulationOrder:
         acc = np.asarray(spread(rng, (rows, T)), order=acc_order)
         want = np.stack([scalar_dot(acc[:, t], mat, frames[t]) for t in range(T)],
                         axis=1)
-        got = accumulate_dot_all_t(acc.copy(order="K"), mat, frames)
-        assert np.array_equal(got, want)
+        for size in buffer_sizes(rows):
+            with size:
+                got = accumulate_dot_all_t(acc.copy(order="K"), mat, frames)
+            assert np.array_equal(got, want)
+
+
+class TestUfuncBufferScope:
+    """run_direction holds numpy's ufunc buffer to one accumulator row for
+    its own thread, for the duration of the call only."""
+
+    H = 20  # one row is 4 * 20 = 80 elements, a multiple of 16
+
+    @staticmethod
+    def frames(T, seed=0):
+        return np.random.default_rng(seed).uniform(-1, 1, (T, 3)).astype(F32)
+
+    @pytest.fixture(autouse=True)
+    def outer_size(self):
+        old = np.setbufsize(2048)
+        yield 2048
+        np.setbufsize(old)
+
+    def test_restored_after_return(self, outer_size):
+        run_direction(make_cell(self.H, 3, False, 0), self.frames(4))
+        assert np.getbufsize() == outer_size
+
+    def test_restored_after_raise(self, outer_size):
+        def hook(_partials):
+            raise RuntimeError("hook failed")
+        with pytest.raises(RuntimeError, match="hook failed"):
+            run_direction(make_cell(self.H, 3, False, 0), self.frames(4), hook)
+        assert np.getbufsize() == outer_size
+
+    def test_one_row_while_running(self, monkeypatch):
+        seen = []
+        dot = model.accumulate_dot
+
+        def recording_dot(*args):
+            seen.append(np.getbufsize())
+            return dot(*args)
+        monkeypatch.setattr(model, "accumulate_dot", recording_dot)
+        run_direction(make_cell(self.H, 3, False, 0), self.frames(4))
+        assert seen == [4 * self.H] * 4
+
+    def test_rows_rounded_down_to_a_multiple_of_16(self):
+        for rows, want in [(1, 16), (8, 16), (16, 16), (100, 96), (1280, 1280)]:
+            with model._one_row_ufunc_buffer(rows):
+                assert np.getbufsize() == want
+
+    def test_per_thread(self, monkeypatch, outer_size):
+        # two runs of different widths park inside their recurrent loops
+        # while this thread reads its own size; each run sees only its own
+        gate = threading.Barrier(3, timeout=10)
+        seen = {}
+        dot = model.accumulate_dot
+
+        def parking_dot(acc, *args):
+            if acc.shape[0] not in seen:
+                gate.wait()
+                seen[acc.shape[0]] = np.getbufsize()
+                gate.wait()
+            return dot(acc, *args)
+        monkeypatch.setattr(model, "accumulate_dot", parking_dot)
+        runs = [threading.Thread(target=run_direction,
+                                 args=(make_cell(h, 3, False, h), self.frames(2, h)))
+                for h in (self.H, 36)]
+        for t in runs:
+            t.start()
+        gate.wait()
+        here = np.getbufsize()
+        gate.wait()
+        for t in runs:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert here == outer_size
+        assert seen == {80: 80, 144: 144}
 
 
 class TestGatePreactivation:
