@@ -226,8 +226,6 @@ def _mu_op_list(peephole: bool) -> list[MuOp]:
 @dataclass
 class MuPlan:
     ops: dict[str, MuOp]  # keyed "gate.name"
-    peephole: bool
-    unit_latencies: bool
 
     def gate_ops(self, gate: str) -> list[MuOp]:
         return [op for op in self.ops.values() if op.gate == gate]
@@ -251,18 +249,14 @@ class MuPlan:
         return counts
 
 
-def mu_plan(cfg: HardwareConfig, peephole: bool = True,
-            unit_latencies: bool = False) -> MuPlan:
+def mu_plan(cfg: HardwareConfig, peephole: bool = True) -> MuPlan:
     """ASAP schedule of the per-element MU dependency graph (all gates)."""
-    lat = {k: 1 for k in DEFAULT_OP_LATENCY} if unit_latencies else cfg.op_latency
-    comm = 1 if unit_latencies else cfg.mu_comm_cycles
-    ops = _mu_op_list(peephole)
     scheduled: dict[str, MuOp] = {}
-    for op in ops:  # the list is already in topological order
-        op.latency = comm if op.fu == "link" else lat[op.fu]
+    for op in _mu_op_list(peephole):  # the list is already in topological order
+        op.latency = cfg.mu_comm_cycles if op.fu == "link" else cfg.op_latency[op.fu]
         op.start = max((scheduled[d].ready for d in op.deps), default=0)
         scheduled[f"{op.gate}.{op.name}"] = op
-    return MuPlan(scheduled, peephole, unit_latencies)
+    return MuPlan(scheduled)
 
 
 def mu_initiation_interval(plan: MuPlan, gate: str) -> int:
@@ -411,24 +405,21 @@ def _check_capacity(net: NetworkDescriptor, T: int, policy: Policy,
     half = (cfg.intermediate_mem_bytes - partial) // 2
     weight_hwm = input_hwm = row_hwm = 0
     for i, layer in enumerate(net.layers):
-        pinned = (policy is Policy.mwl
-                  and pins_forward_rows(layer, eb, cfg.row_buffer_bytes))
-        for g in GATES:
-            full = gate_weight_bytes(layer, g, eb)
-            if pinned:
-                # recurrent matrix, bias, peephole stay resident; forward rows
-                # stream through the row buffer
-                wb_need = full - gate_matrix_bytes(layer, eb)[0]
-                row_hwm = max(row_hwm, layer.input_size * eb)
-            else:
-                wb_need = full
-            if wb_need > cfg.weight_mem_bytes_per_cu:
-                raise CapacityError(
-                    f"layer {i}: gate '{g}' needs {wb_need} B of weight memory "
-                    f"per CU, {wb_need - cfg.weight_mem_bytes_per_cu} B over the "
-                    f"{cfg.weight_mem_bytes_per_cu} B configured"
-                )
-            weight_hwm = max(weight_hwm, wb_need)
+        # every gate holds the same matrices and bias, and the input gate has
+        # a peephole whenever any gate does, so it is a largest gate
+        wb_need = gate_weight_bytes(layer, "input", eb)
+        if policy is Policy.mwl and pins_forward_rows(layer, eb, cfg.row_buffer_bytes):
+            # recurrent matrix, bias, peephole stay resident; forward rows
+            # stream through the row buffer
+            wb_need -= gate_matrix_bytes(layer, eb)[0]
+            row_hwm = max(row_hwm, layer.input_size * eb)
+        if wb_need > cfg.weight_mem_bytes_per_cu:
+            raise CapacityError(
+                f"layer {i}: gate 'input' needs {wb_need} B of weight memory "
+                f"per CU, {wb_need - cfg.weight_mem_bytes_per_cu} B over the "
+                f"{cfg.weight_mem_bytes_per_cu} B configured"
+            )
+        weight_hwm = max(weight_hwm, wb_need)
         if policy is Policy.mwl:
             in_need = max(layer.input_size, layer.hidden_size) * eb
         else:

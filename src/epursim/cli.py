@@ -197,20 +197,16 @@ def _gate_csv(gt: sched.GateTrace) -> str:
 def _trace_csv(traces: dict[int, list[sched.AccessTrace]]) -> str:
     """The traces as CSV text, formatted from their columns.
 
-    The four gates of a trace share one GateTrace, so each distinct
-    GateTrace is formatted once and each gate's rows are that text with the
-    pass and gate filled in.
+    A layer's directions share one trace and a trace's gates one stream, so
+    each layer's stream is formatted once and each gate's rows are that text
+    with the pass and gate filled in.
     """
     parts = ["pass,gate,target,object_id,rw,bytes,t,neuron\n"]
-    formatted: dict[int, str] = {}
     for i, per_dir in traces.items():
-        for d, trace in enumerate(per_dir):
+        text = _gate_csv(per_dir[0].stream)
+        for d in range(len(per_dir)):
             for gate in model.GATES:
-                gt = trace.events[gate]
-                if id(gt) not in formatted:
-                    formatted[id(gt)] = _gate_csv(gt)
-                parts.append(formatted[id(gt)]
-                             .replace(_CSV_PASS, f"layer{i}.dir{d},{gate}")
+                parts.append(text.replace(_CSV_PASS, f"layer{i}.dir{d},{gate}")
                              .replace(_CSV_GATE, gate))
     return "".join(parts)
 
@@ -277,28 +273,20 @@ def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
         raise UsageError(e) from e
 
 
-def _with_oracle(net: model.NetworkDescriptor, weights: model.NetworkWeights,
-                 seq: model.Sequence, reports: list[arch.SimReport],
-                 calibrate: bool) -> tuple[list[arch.SimReport], np.ndarray]:
-    """Each cost-model report with its datapath's outputs attached, and the
-    oracle's output frames; the runs are independent and run concurrently."""
-    *reports, oracle = _concurrently(
-        [partial(arch.simulate, net, weights, seq, rep, calibrate) for rep in reports]
-        + [lambda: model.network_infer(net, weights, seq).frames])
-    return reports, oracle
-
-
-def _run_simulations(args, policies: list[sched.Policy],
+def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | None]],
                      frames_per_second: float | None = None):
-    """Simulate each policy with the inputs, hardware and quantization of
-    args, beside one oracle run.  Every cost model runs first, so a refused
-    run starts no inference."""
-    qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
+    """Simulate each (policy, quantization) run with the inputs and hardware
+    of args, beside one oracle run.  Every cost model runs first, so a
+    refused run starts no inference; the datapaths and the oracle are
+    independent and run concurrently."""
     net, weights, seq = _load_inputs(args)
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, seq.length, policy, cfg, qcfg, frames_per_second)
-               for policy in policies]
-    reports, oracle = _with_oracle(net, weights, seq, reports, args.calibrate)
+               for policy, qcfg in runs]
+    *reports, oracle = _concurrently(
+        [partial(arch.simulate, net, weights, seq, rep, args.calibrate)
+         for rep in reports]
+        + [lambda: model.network_infer(net, weights, seq).frames])
     return net, seq, reports, oracle
 
 
@@ -337,7 +325,9 @@ def cmd_simulate(args) -> int:
     if not 0 < args.frames_per_second < math.inf:
         raise UsageError(f"--frames-per-second must be positive and finite, "
                          f"got {args.frames_per_second}")
-    net, seq, (report,), oracle = _run_simulations(args, [policy], args.frames_per_second)
+    qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
+    net, seq, (report,), oracle = _run_simulations(args, [(policy, qcfg)],
+                                                   args.frames_per_second)
     doc = report.to_json()
     doc["oracle_check"] = _oracle_check(oracle, report)
     if args.energy:
@@ -382,7 +372,8 @@ def cmd_analyze_reuse(args) -> int:
 def cmd_compare(args) -> int:
     pol_a = sched.Policy(args.policy_a)
     pol_b = sched.Policy(args.policy_b)
-    _, _, (rep_a, rep_b), oracle = _run_simulations(args, [pol_a, pol_b])
+    qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
+    _, _, (rep_a, rep_b), oracle = _run_simulations(args, [(pol_a, qcfg), (pol_b, qcfg)])
     table = energy.EnergyTable()
     en_a = energy.account(rep_a, table)
     en_b = energy.account(rep_b, table)
@@ -426,11 +417,7 @@ def cmd_quantize_sweep(args) -> int:
                          f"--max-bits {args.max_bits}")
     qcfgs = [_quant_config(bits, args.alpha)
              for bits in range(args.min_bits, args.max_bits + 1)]
-    net, weights, seq = _load_inputs(args)
-    cfg = _hw_config(args)
-    reports = [arch.cost_model(net, seq.length, sched.Policy.mwl, cfg, qcfg)
-               for qcfg in qcfgs]
-    reports, oracle = _with_oracle(net, weights, seq, reports, args.calibrate)
+    _, _, reports, oracle = _run_simulations(args, [(sched.Policy.mwl, q) for q in qcfgs])
     oracle = oracle.astype(np.float64)
     rows = []
     for qcfg, rep in zip(qcfgs, reports):
@@ -577,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as e:
         print(f"host memory error: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (arch.MuBottleneckError,) as e:
+    except arch.MuBottleneckError as e:
         print(f"check failed: {e}", file=sys.stderr)
         return EXIT_CHECK
     except model.NumericError as e:

@@ -353,17 +353,6 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return np.divide(_ONE, x, out=x)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # composed from exp exactly like the datapath evaluates it; saturates
-    # cleanly to 0.0 / 1.0 for large |x| (the exp overflow is the saturation)
-    with np.errstate(over="ignore"):
-        return _sigmoid_(np.array(x))
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def _upcast(vec: np.ndarray) -> np.ndarray:
     return vec.astype(ACC_DTYPE) if vec.dtype != ACC_DTYPE else vec
 

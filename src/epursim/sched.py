@@ -21,7 +21,7 @@ computation-unit stream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -95,14 +95,19 @@ def _gate_trace(hidden: int, widths: tuple[int, int, int], target, kind, rw,
 
 @dataclass
 class AccessTrace:
-    """Per-gate event streams for one cell; the four CUs are independent.
-    The four gates follow one schedule, so they share one GateTrace."""
+    """The access stream of one cell.  Its four CUs are independent but
+    follow one schedule, so every gate's stream is ``stream``."""
 
     layer: LayerDescriptor
     T: int
     policy: Policy
     elem_bytes: int
-    events: dict[str, GateTrace] = field(default_factory=dict)
+    stream: GateTrace
+
+    @property
+    def events(self) -> dict[str, GateTrace]:
+        """Each gate's stream: ``stream``, for every gate."""
+        return dict.fromkeys(GATES, self.stream)
 
 
 def trace_conventional(layer: LayerDescriptor, T: int,
@@ -116,8 +121,7 @@ def trace_conventional(layer: LayerDescriptor, T: int,
     gt = _gate_trace(h, widths, np.full(n, _WB), np.tile([_WX, _WH], T * h),
                      np.full(n, _R), np.repeat(np.arange(1, T + 1), 2 * h),
                      np.tile(np.repeat(np.arange(h), 2), T))
-    return AccessTrace(layer, T, Policy.conventional, elem_bytes,
-                       dict.fromkeys(GATES, gt))
+    return AccessTrace(layer, T, Policy.conventional, elem_bytes, gt)
 
 
 def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
@@ -160,7 +164,7 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
     t.append(np.repeat(steps, 2 * h))
     neuron.append(np.tile(np.repeat(np.arange(h), 2), T))
     gt = _gate_trace(h, widths, *map(np.concatenate, (target, kind, rw, t, neuron)))
-    return AccessTrace(layer, T, Policy.mwl, elem_bytes, dict.fromkeys(GATES, gt))
+    return AccessTrace(layer, T, Policy.mwl, elem_bytes, gt)
 
 
 def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,
@@ -293,7 +297,7 @@ def _analyze_stream(obj: np.ndarray, nbytes: np.ndarray,
 
 
 def _gate_stats(gt: GateTrace) -> dict[Target, TargetStats]:
-    """One gate's stats per target, targets in order of first access."""
+    """A stream's stats per target, targets in order of first access."""
     codes, first_at = np.unique(gt.target, return_index=True)
     stats = {}
     for code in codes[np.argsort(first_at)]:
@@ -304,18 +308,11 @@ def _gate_stats(gt: GateTrace) -> dict[Target, TargetStats]:
 
 
 def reuse_analysis(trace: AccessTrace) -> ReuseStats:
-    """Exact LRU stack distances per gate and per target, in byte units."""
-    if not any(trace.events.values()):
+    """Exact LRU stack distances per gate and per target, in byte units.
+    The gates share one stream, so they share one set of stats."""
+    if not len(trace.stream):
         raise ValueError("trace is empty")
-    per_gate: dict[str, dict[Target, TargetStats]] = {}
-    analyzed: dict[int, dict[Target, TargetStats]] = {}  # by GateTrace identity
-    for gate in GATES:
-        gt = trace.events.get(gate)
-        # trace_conventional and trace_mwl give all four gates one read-only GateTrace
-        if id(gt) not in analyzed:
-            analyzed[id(gt)] = _gate_stats(gt) if gt else {}
-        per_gate[gate] = {tgt: replace(st) for tgt, st in analyzed[id(gt)].items()}
-    return ReuseStats(per_gate)
+    return ReuseStats(dict.fromkeys(GATES, _gate_stats(trace.stream)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from epursim.arch import baseline_config, cost_model, mwl_config
 from epursim.sched import Policy, Target
 
 CFG = baseline_config()
+UNIT = baseline_config(op_latency=dict.fromkeys(arch.DEFAULT_OP_LATENCY, 1),
+                       mu_comm_cycles=1)
 
 
 def _report(n: int, text: str) -> None:
@@ -193,7 +195,7 @@ class TestCriterion9TimingModel:
         assert arch.dpu_dot_cycles(320, CFG) == 30
 
     def test_mu_stage_grid_under_unit_latencies(self):
-        plan = arch.mu_plan(CFG, peephole=True, unit_latencies=True)
+        plan = arch.mu_plan(UNIT, peephole=True)
         assert plan.gate_span("input") == 7
         assert plan.gate_span("forget") == 7
         assert plan.start_of("output", "mul_h") == 17

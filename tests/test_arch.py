@@ -21,6 +21,8 @@ from epursim.quant import QuantConfig
 from epursim.sched import Policy, Target
 
 CFG = baseline_config()
+UNIT = baseline_config(op_latency=dict.fromkeys(arch.DEFAULT_OP_LATENCY, 1),
+                       mu_comm_cycles=1)
 
 
 class TestDpuDotCycles:
@@ -44,7 +46,7 @@ class TestMuPlanUnitLatencies:
     the published stage grid."""
 
     def test_input_gate_stage_grid(self):
-        plan = mu_plan(CFG, peephole=True, unit_latencies=True)
+        plan = mu_plan(UNIT, peephole=True)
         expected = {"load": 0, "peep_mul": 0, "acc_peep": 1, "acc_bias": 2,
                     "neg": 3, "exp": 4, "inc": 5, "recip": 6, "send": 7}
         for name, stage in expected.items():
@@ -52,12 +54,12 @@ class TestMuPlanUnitLatencies:
             assert plan.start_of("forget", name) == stage, name
 
     def test_input_and_forget_span_eight_stages(self):
-        plan = mu_plan(CFG, peephole=True, unit_latencies=True)
+        plan = mu_plan(UNIT, peephole=True)
         assert plan.gate_span("input") == 7
         assert plan.gate_span("forget") == 7
 
     def test_cell_updater_grid_points(self):
-        plan = mu_plan(CFG, peephole=True, unit_latencies=True)
+        plan = mu_plan(UNIT, peephole=True)
         assert plan.start_of("cell_updater", "t1_div") == 4
         assert plan.start_of("cell_updater", "mul_i") == 8  # after recv i_t & f_t
         assert plan.start_of("cell_updater", "mul_f") == 8
@@ -65,14 +67,14 @@ class TestMuPlanUnitLatencies:
         assert plan.start_of("cell_updater", "send_phi") == 14
 
     def test_output_gate_completes_at_stage_17(self):
-        plan = mu_plan(CFG, peephole=True, unit_latencies=True)
+        plan = mu_plan(UNIT, peephole=True)
         assert plan.start_of("output", "peep_mul") == 11  # c_t usable at 11
         assert plan.start_of("output", "mul_h") == 17
         assert plan.gate_span("output") == 17
 
     def test_receive_precedes_use(self):
-        for unit in (True, False):
-            plan = mu_plan(CFG, peephole=True, unit_latencies=unit)
+        for cfg in (UNIT, CFG):
+            plan = mu_plan(cfg, peephole=True)
             i_ready = plan.ops["input.send"].ready
             f_ready = plan.ops["forget.send"].ready
             assert plan.start_of("cell_updater", "mul_i") >= i_ready
@@ -100,7 +102,7 @@ class TestMuPlanTableLatencies:
         assert a == b
 
     def test_mu_schedule_api(self):
-        plan = mu_plan(CFG, unit_latencies=True)
+        plan = mu_plan(UNIT)
         assert plan.start_of("output", "mul_h") == 17
         assert plan.gate_span("output") == 17
         assert plan.gate_span("input") + 1 == 8

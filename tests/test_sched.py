@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -209,7 +210,9 @@ class TestReuseAnalysis:
     def test_empty_trace_rejected(self):
         layer = LayerDescriptor(2, 2)
         trace = trace_conventional(layer, 1)
-        trace.events = {g: [] for g in GATES}
+        trace.stream = dataclasses.replace(trace.stream, **{
+            f.name: getattr(trace.stream, f.name)[:0]
+            for f in dataclasses.fields(trace.stream)})
         with pytest.raises(ValueError):
             reuse_analysis(trace)
 
@@ -344,6 +347,18 @@ class TestLayerTraces:
             assert len(traces) == 2
             a, b = traces
             assert a is b
+
+    def test_every_gate_of_every_direction_reads_one_stream(self):
+        # the count behind the benchmark's sched.events: one stream, read as
+        # four gates of each direction
+        layer = LayerDescriptor(4, 4, Direction.bidirectional)
+        for policy in Policy:
+            traces = layer_traces(layer, 3, policy)
+            stream = traces[0].stream
+            for tr in traces:
+                assert all(tr.events[g] is stream for g in GATES)
+            assert (sum(len(v) for tr in traces for v in tr.events.values())
+                    == layer.num_directions * 4 * len(stream))
 
 
 class TestDramTraffic:
