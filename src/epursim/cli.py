@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from pathlib import Path
 
@@ -155,11 +155,13 @@ def _concurrently(calls: list[Callable[[], object]]) -> list:
 
 def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,
             qcfg: quant.QuantConfig | None, row_buffer_bytes: int,
-            only_layer: int | None = None) -> dict[int, list[sched.AccessTrace]]:
-    """Per layer (all, or only ``only_layer``), one access trace per direction."""
+            only_layer: int | None = None
+            ) -> Iterator[tuple[int, list[sched.AccessTrace]]]:
+    """Per layer (all, or only ``only_layer``), its index and one access
+    trace per direction, each layer's built only when it is reached."""
     eb = net.numeric_precision.elem_bytes
-    return {i: sched.layer_traces(layer, T, policy, eb, qcfg, row_buffer_bytes)
-            for i, layer in enumerate(net.layers) if only_layer in (None, i)}
+    return ((i, sched.layer_traces(layer, T, policy, eb, qcfg, row_buffer_bytes))
+            for i, layer in enumerate(net.layers) if only_layer in (None, i))
 
 
 # placeholders in a GateTrace's CSV rows: "pass,gate" at the start of a row,
@@ -194,21 +196,21 @@ def _gate_csv(gt: sched.GateTrace) -> str:
     return "".join(fields.ravel().tolist())
 
 
-def _trace_csv(traces: dict[int, list[sched.AccessTrace]]) -> str:
-    """The traces as CSV text, formatted from their columns.
+def _trace_csv(traces: Iterable[tuple[int, list[sched.AccessTrace]]]) -> Iterator[bytes]:
+    """The traces as CSV, formatted from their columns: the header, then one
+    chunk per pass and gate.
 
     A layer's directions share one trace and a trace's gates one stream, so
     each layer's stream is formatted once and each gate's rows are that text
     with the pass and gate filled in.
     """
-    parts = ["pass,gate,target,object_id,rw,bytes,t,neuron\n"]
-    for i, per_dir in traces.items():
+    yield b"pass,gate,target,object_id,rw,bytes,t,neuron\n"
+    for i, per_dir in traces:
         text = _gate_csv(per_dir[0].stream)
         for d in range(len(per_dir)):
             for gate in model.GATES:
-                parts.append(text.replace(_CSV_PASS, f"layer{i}.dir{d},{gate}")
-                             .replace(_CSV_GATE, gate))
-    return "".join(parts)
+                yield (text.replace(_CSV_PASS, f"layer{i}.dir{d},{gate}")
+                       .replace(_CSV_GATE, gate).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +233,9 @@ def cmd_gen_network(args) -> int:
             "footprint_bytes": model.network_weight_bytes(net),
             "single_layer_ratio": presets.single_layer_ratio(net)["ratio"],
         }
-    weights = presets.random_weights(net, args.seed)
     _write_atomic({args.out_descriptor: netio.descriptor_to_bytes(net),
-                   args.out_weights: netio.weight_blob_chunks(net, weights)})
+                   args.out_weights: netio.weight_blob_chunks(
+                       net, presets.random_parts(net, args.seed))})
     report["seed"] = args.seed
     report["descriptor"] = netio.descriptor_to_json(net)
     print(json.dumps(report, indent=2))
@@ -349,10 +351,10 @@ def cmd_analyze_reuse(args) -> int:
     net = netio.load_descriptor(args.network)
     policy = sched.Policy(args.policy)
     # the design's partial width: 8-bit codes
-    traces = _traces(net, args.t, policy, quant.QuantConfig(),
-                     _hw_config(args).row_buffer_bytes, args.layer)
+    traces = list(_traces(net, args.t, policy, quant.QuantConfig(),
+                          _hw_config(args).row_buffer_bytes, args.layer))
     doc = {"policy": policy.value, "sequence_length": args.t, "layers": []}
-    for i, per_dir in traces.items():
+    for i, per_dir in traces:
         # a layer's directions share one trace
         st = sched.reuse_analysis(per_dir[0])
         result = {"stats": st.to_json(),

@@ -11,13 +11,14 @@ scale inputs, so activations stay far from saturation.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Direction, GateParams, LayerDescriptor, NetworkDescriptor,
-                    NetworkWeights, Precision, Sequence, WeightSet,
-                    cell_weight_bytes, network_weight_bytes)
+from .model import (GATES, PEEPHOLE_GATES, Direction, LayerDescriptor,
+                    NetworkDescriptor, NetworkWeights, Precision, Sequence,
+                    WeightSet, cell_weight_bytes, network_weight_bytes)
 
 MIB = float(2**20)
 
@@ -51,16 +52,9 @@ def preset_descriptor(name: str,
         raise KeyError(f"unknown network preset {name!r}; "
                        f"choose from {sorted(PRESETS)}")
     p = PRESETS[key]
-    direction = Direction.bidirectional if p.passes == 2 else Direction.forward_only
-    layers = []
-    in_size = p.neurons  # assumed: first layer input width equals hidden size
-    for _ in range(p.layers):
-        layer = LayerDescriptor(hidden_size=p.neurons, input_size=in_size,
-                                direction=direction, peephole=p.peephole)
-        layers.append(layer)
-        in_size = layer.output_size
-    return NetworkDescriptor(tuple(layers), input_dim=p.neurons,
-                             numeric_precision=precision)
+    # assumed: first layer input width equals hidden size
+    return custom_descriptor(p.layers, p.neurons, p.passes == 2, p.peephole,
+                             precision=precision)
 
 
 def custom_descriptor(layers: int, hidden: int, bidirectional: bool,
@@ -78,27 +72,32 @@ def custom_descriptor(layers: int, hidden: int, bidirectional: bool,
                              numeric_precision=precision)
 
 
-def random_weights(net: NetworkDescriptor, seed: int) -> NetworkWeights:
-    """Deterministic pseudo-random weights, tame preactivation scale."""
+def random_parts(net: NetworkDescriptor,
+                 seed: int) -> Iterator[tuple[str, np.ndarray]]:
+    """Deterministic pseudo-random weights, tame preactivation scale: every
+    cell's arrays as (name, float64 array), in weight-blob order (see
+    ``WeightSet.parts``), each drawn only when it is reached."""
     rng = np.random.default_rng(seed)
-
-    def make(_i: int, _d: int, layer: LayerDescriptor) -> WeightSet:
+    for layer in net.layers:
         h, nx = layer.hidden_size, layer.input_size
         a = 1.0 / np.sqrt(nx + h)
-        gates = {}
-        for gate in ("input", "forget", "cell_updater", "output"):
-            peep = None
-            if layer.peephole and gate != "cell_updater":
-                peep = rng.uniform(-a, a, h)
-            gates[gate] = GateParams(
-                w_x=rng.uniform(-a, a, (h, nx)),
-                w_h=rng.uniform(-a, a, (h, h)),
-                bias=rng.uniform(-0.1, 0.1, h),
-                peephole=peep,
-            )
-        return WeightSet(layer, gates, net.numeric_precision)
+        for _ in range(layer.num_directions):
+            for gate in GATES:
+                # a gate's peephole is drawn first and comes last in the blob
+                peep = (rng.uniform(-a, a, h)
+                        if layer.peephole and gate in PEEPHOLE_GATES else None)
+                yield f"{gate}.w_x", rng.uniform(-a, a, (h, nx))
+                yield f"{gate}.w_h", rng.uniform(-a, a, (h, h))
+                yield f"{gate}.bias", rng.uniform(-0.1, 0.1, h)
+                if peep is not None:
+                    yield f"{gate}.peephole", peep
 
-    return NetworkWeights.for_network(net, make)
+
+def random_weights(net: NetworkDescriptor, seed: int) -> NetworkWeights:
+    """The weights of ``random_parts``, held as weight sets."""
+    parts = random_parts(net, seed)
+    return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet.filled(
+        layer, net.numeric_precision, lambda _name, _shape: next(parts)[1]))
 
 
 def random_sequence(net: NetworkDescriptor, T: int, seed: int) -> Sequence:

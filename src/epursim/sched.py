@@ -98,10 +98,6 @@ class AccessTrace:
     """The access stream of one cell.  Its four CUs are independent but
     follow one schedule, so every gate's stream is ``stream``."""
 
-    layer: LayerDescriptor
-    T: int
-    policy: Policy
-    elem_bytes: int
     stream: GateTrace
 
     @property
@@ -121,7 +117,7 @@ def trace_conventional(layer: LayerDescriptor, T: int,
     gt = _gate_trace(h, widths, np.full(n, _WB), np.tile([_WX, _WH], T * h),
                      np.full(n, _R), np.repeat(np.arange(1, T + 1), 2 * h),
                      np.tile(np.repeat(np.arange(h), 2), T))
-    return AccessTrace(layer, T, Policy.conventional, elem_bytes, gt)
+    return AccessTrace(gt)
 
 
 def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
@@ -164,7 +160,7 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
     t.append(np.repeat(steps, 2 * h))
     neuron.append(np.tile(np.repeat(np.arange(h), 2), T))
     gt = _gate_trace(h, widths, *map(np.concatenate, (target, kind, rw, t, neuron)))
-    return AccessTrace(layer, T, Policy.mwl, elem_bytes, gt)
+    return AccessTrace(gt)
 
 
 def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,

@@ -499,6 +499,33 @@ class TestBoundary:
         assert self.one_line(capsys).startswith("host memory error: Unable to allocate")
         assert not out.exists()
 
+    def test_memory_error_mid_trace_csv_leaves_no_file(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # the CSV is streamed: layer 0's rows are written before layer 1's
+        # trace is built, and still no file of the run is left behind
+        net = presets.custom_descriptor(2, 16, False, False)
+        desc, blob = tmp_path / "net.json", tmp_path / "net.bin"
+        save_descriptor(net, desc)
+        save_weights(net, presets.random_weights(net, 0), blob)
+        real, built = sched.layer_traces, []
+
+        def second_exhausted(*args):
+            built.append(args[0])
+            if len(built) == 2:
+                raise MemoryError("Unable to allocate 43.7 TiB for an array")
+            return real(*args)
+
+        monkeypatch.setattr(sched, "layer_traces", second_exhausted)
+        before = sorted(tmp_path.iterdir())
+        rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "3", "--policy", "mwl",
+                     "--out", str(tmp_path / "r.json"),
+                     "--trace-csv", str(tmp_path / "t.csv"))
+        assert rc == cli.EXIT_CAPACITY
+        assert self.one_line(capsys).startswith("host memory error: Unable to allocate")
+        assert built == list(net.layers)
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("refusal", ["capacity", "mu_bottleneck", "input_dim"])
     def test_refusal_starts_no_inference(self, tmp_path, monkeypatch, capsys, refusal):
         # the cost model and the input check run on the calling thread,
@@ -580,6 +607,19 @@ sys.exit(rc)
 LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
 
+def _peak_rss_bytes(*argv) -> int:
+    """The peak RSS of a fresh process that runs the command ``argv``."""
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in KiB on Linux
+    return int(proc.stdout.splitlines()[-1]) * unit
+
+
 class TestHostMemory:
     def test_simulate_holds_the_weights_once(self, tmp_path):
         # the peak RSS a ~33 MB blob adds to simulate, over a tiny net's:
@@ -608,6 +648,43 @@ class TestHostMemory:
         peak, blob_bytes = peak_bytes(16, 256)
         assert blob_bytes > 32 * 10**6
         assert peak - base < 1.5 * blob_bytes, (peak - base) / blob_bytes
+
+    def test_gen_network_holds_one_array(self, tmp_path):
+        # the peak RSS a ~34 MB blob adds to gen-network, over a tiny net's:
+        # the blob is written from the draws, so no more than about one
+        # array of it is held at a time
+        def peak_and_blob(layers, hidden):
+            blob = tmp_path / f"{hidden}.bin"
+            peak = _peak_rss_bytes("gen-network", "--layers", str(layers),
+                                   "--hidden", str(hidden), "--seed", "1",
+                                   "--out-descriptor", str(tmp_path / f"{hidden}.json"),
+                                   "--out-weights", str(blob))
+            return peak, blob.stat().st_size
+
+        base, _ = peak_and_blob(1, 8)
+        peak, blob_bytes = peak_and_blob(16, 256)
+        assert blob_bytes > 32 * 10**6
+        assert peak - base < 0.25 * blob_bytes, (peak - base) / blob_bytes
+
+    def test_trace_csv_is_streamed(self, tmp_path):
+        # the peak RSS an ~80 MB trace CSV adds to simulate, over a tiny
+        # run's: the file is written one pass and gate at a time, so no
+        # more than about one layer's text is held at once
+        def peak_and_csv(layers, hidden, T):
+            desc, blob = tmp_path / f"{hidden}.json", tmp_path / f"{hidden}.bin"
+            csv_path = tmp_path / f"{hidden}.csv"
+            assert run_cli("gen-network", "--layers", str(layers), "--hidden", str(hidden),
+                           "--seed", "1", "--out-descriptor", str(desc),
+                           "--out-weights", str(blob)) == cli.EXIT_OK
+            peak = _peak_rss_bytes("simulate", "--network", str(desc), "--weights", str(blob),
+                                   "--synthetic-t", str(T), "--policy", "mwl",
+                                   "--trace-csv", str(csv_path))
+            return peak, csv_path.stat().st_size
+
+        base, _ = peak_and_csv(1, 8, 2)
+        peak, csv_bytes = peak_and_csv(4, 48, 400)
+        assert csv_bytes > 75 * 10**6
+        assert peak - base < 0.75 * csv_bytes, (peak - base) / csv_bytes
 
 
 class TestConcurrently:

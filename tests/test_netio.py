@@ -1,18 +1,20 @@
+import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_frames, random_network
 from epursim import cli
-from epursim.model import GATES, Precision, Sequence
+from epursim.model import GATES, NumericError, Precision, Sequence
 from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
                            descriptor_to_bytes, load_descriptor, load_sequence,
                            load_weights, save_descriptor, save_sequence,
-                           save_weights)
+                           save_weights, weight_blob_chunks)
 from epursim.presets import (PRESETS, custom_descriptor, preset_descriptor,
-                             random_weights)
+                             random_parts, random_weights)
 
 
 class TestDescriptor:
@@ -202,6 +204,49 @@ class TestWeightBlob:
         net32, _ = random_network(1, precision=Precision.fp32)
         with pytest.raises(FormatError, match="precision"):
             load_weights(net32, path)
+
+
+class TestBlobFromDraws:
+    """gen-network writes the blob from the generator's draws, one array at
+    a time; the bytes are those of the weight sets the draws fill."""
+
+    # sha256 of gen-network's blob for --layers 2 --hidden 16 --bidirectional
+    # --peephole --input-dim 5 (seed 0), recorded before the blob was written
+    # from the draws
+    GOLDEN_SHA256 = {
+        "fp32": "f1c1bca4913b54b796901bca5bd9ec5b8e502090d0b9b6f9c480c1860430655b",
+        "fp16": "8532e90563044230dbd6468d196551a249643ce70f91c682b77a9308493ab3ae",
+    }
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp16"])
+    def test_gen_network_blob_golden(self, tmp_path, precision):
+        blob = tmp_path / "w.bin"
+        rc = cli.main(["gen-network", "--layers", "2", "--hidden", "16",
+                       "--bidirectional", "--peephole", "--input-dim", "5",
+                       "--precision", precision, "--out-descriptor",
+                       str(tmp_path / "n.json"), "--out-weights", str(blob)])
+        assert rc == cli.EXIT_OK
+        assert hashlib.sha256(blob.read_bytes()).hexdigest() == self.GOLDEN_SHA256[precision]
+
+    @pytest.mark.parametrize("precision", [Precision.fp32, Precision.fp16])
+    def test_chunks_are_the_saved_weight_sets(self, tmp_path, precision):
+        net = custom_descriptor(2, 6, True, True, 5, precision)
+        path = tmp_path / "w.bin"
+        save_weights(net, random_weights(net, 9), path)
+        assert b"".join(weight_blob_chunks(net, random_parts(net, 9))) == path.read_bytes()
+
+    @pytest.mark.parametrize("precision,value", [(Precision.fp32, np.inf),
+                                                 (Precision.fp16, 7e4)],
+                             ids=["inf", "fp16-overflow"])
+    def test_non_finite_array_is_refused_by_name(self, precision, value):
+        net = custom_descriptor(1, 4, False, True, 3, precision)
+        parts = [(name, arr.copy()) for name, arr in random_parts(net, 0)]
+        dict(parts)["forget.w_h"][1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the fp16 cast overflows
+            with pytest.raises(NumericError,
+                               match=r"^forget\.w_h contains non-finite values$"):
+                list(weight_blob_chunks(net, parts))
 
 
 class TestWeightsHeldOnce:
