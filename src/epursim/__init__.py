@@ -2,9 +2,9 @@
 built around four per-gate computation units, with a weight-locality
 (MWL) schedule option and event-based energy accounting."""
 
-from .model import (CellState, Direction, GateParams, LayerDescriptor,
-                    NetworkDescriptor, NetworkWeights, Precision, Sequence,
-                    WeightSet, layer_infer, network_infer)
+from .model import (CellState, Direction, LayerDescriptor, NetworkDescriptor,
+                    NetworkWeights, Precision, Sequence, WeightSet,
+                    layer_infer, network_infer)
 from .quant import DequantTable, QuantConfig, quantize
 from .sched import (AccessTrace, Policy, ReuseStats, Target, dram_traffic,
                     reuse_analysis, trace_conventional, trace_mwl)
@@ -16,7 +16,7 @@ from .energy import EnergyReport, EnergyTable, account, compare
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellState", "Direction", "GateParams", "LayerDescriptor",
+    "CellState", "Direction", "LayerDescriptor",
     "NetworkDescriptor", "NetworkWeights", "Precision", "Sequence",
     "WeightSet", "layer_infer", "network_infer",
     "DequantTable", "QuantConfig", "quantize",

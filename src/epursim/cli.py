@@ -87,9 +87,11 @@ def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
     weights = netio.load_weights(net, args.weights)
     if args.input:
         loaded = netio.load_sequence(args.input)
-        # activations are stored at the network's precision on chip
-        seq = model.Sequence(loaded.frames.astype(
-            net.numeric_precision.storage_dtype))
+        # activations are stored at the network's precision on chip; a value
+        # past fp16's range becomes inf, which Sequence refuses (exit 6)
+        with np.errstate(over="ignore"):
+            frames = loaded.frames.astype(net.numeric_precision.storage_dtype)
+        seq = model.Sequence(frames)
     else:
         seq = presets.random_sequence(net, args.synthetic_t, args.synthetic_seed)
     if seq.dim != net.input_dim:

@@ -55,9 +55,6 @@ class EnergyTable:
             raise EnergyConfigError(
                 "dram per-byte cost must exceed every on-chip per-byte cost")
 
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
 
 _BYTE_CLASSES = {
     Target.weight_buffer: ("weight_buffer_read", "weight_buffer_write"),

@@ -119,16 +119,6 @@ def _as_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass
-class GateParams:
-    """Weights of one gate: forward matrix, recurrent matrix, bias, peephole."""
-
-    w_x: np.ndarray  # [hidden, input_size]
-    w_h: np.ndarray  # [hidden, hidden]
-    bias: np.ndarray  # [hidden]
-    peephole: np.ndarray | None = None  # [hidden]
-
-
 class WeightSet:
     """All four gates of one LSTM cell (one direction of one layer).
 
@@ -138,36 +128,10 @@ class WeightSet:
     is held, so its values are those fp16 storage would hold.
     """
 
-    def __init__(self, layer: LayerDescriptor, gates: dict[str, GateParams],
-                 precision: Precision = Precision.fp32):
-        for g in GATES:
-            if g not in gates:
-                raise ShapeError(f"missing gate '{g}'")
-            if gates[g].peephole is not None:
-                if g == "cell_updater":
-                    raise ShapeError("cell_updater gate takes no peephole vector")
-                if not layer.peephole:
-                    raise ShapeError("peephole vector on a non-peephole layer")
-            elif layer.peephole and g != "cell_updater":
-                raise ShapeError(f"peephole layer is missing the {g} peephole vector")
-
-        def value_of(name: str, _shape: tuple[int, ...]) -> np.ndarray:
-            gate, field = name.split(".")
-            return getattr(gates[gate], field)
-
-        self._fill(layer, precision, value_of)
-
-    @classmethod
-    def filled(cls, layer: LayerDescriptor, precision: Precision,
-               value_of: Callable[[str, tuple[int, ...]], np.ndarray]) -> "WeightSet":
+    def __init__(self, layer: LayerDescriptor, precision: Precision,
+                 value_of: Callable[[str, tuple[int, ...]], np.ndarray]):
         """The weight set whose arrays are ``value_of(name, shape)``, asked
         for one at a time in the order of ``parts``."""
-        ws = cls.__new__(cls)
-        ws._fill(layer, precision, value_of)
-        return ws
-
-    def _fill(self, layer: LayerDescriptor, precision: Precision,
-              value_of: Callable[[str, tuple[int, ...]], np.ndarray]) -> None:
         self.layer = layer
         self.precision = precision
         h, nx = layer.hidden_size, layer.input_size
@@ -195,7 +159,7 @@ class WeightSet:
         """Every weight array as (name, its rows of the stacked fp32 arrays),
         in weight-blob order: gates as GATES; within a gate ``w_x``, ``w_h``,
         ``bias``, then on a peephole layer the ``peephole`` vector.  A name
-        is ``"{gate}.{field}"``, as in GateParams."""
+        is ``"{gate}.{field}"``."""
         h = self.layer.hidden_size
         wx, wh, b = self._stacked
         out = []
@@ -205,16 +169,6 @@ class WeightSet:
             if self._peep is not None and g in PEEPHOLE_GATES:
                 out.append((f"{g}.peephole", self._peep[PEEPHOLE_GATES.index(g)]))
         return out
-
-    @property
-    def gates(self) -> dict[str, GateParams]:
-        """Each gate's weights at storage precision: for an fp32 cell, views
-        of the stacked arrays; for an fp16 cell, fp16 copies of them."""
-        dt = self.precision.storage_dtype
-        p = {name: arr.astype(dt, copy=False) for name, arr in self.parts()}
-        return {g: GateParams(p[f"{g}.w_x"], p[f"{g}.w_h"], p[f"{g}.bias"],
-                              p.get(f"{g}.peephole"))
-                for g in GATES}
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The four gates' fp32 forward matrix [4h, input_size], recurrent

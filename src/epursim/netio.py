@@ -132,10 +132,6 @@ def descriptor_to_bytes(net: NetworkDescriptor) -> bytes:
     return (json.dumps(descriptor_to_json(net), indent=2) + "\n").encode("utf-8")
 
 
-def save_descriptor(net: NetworkDescriptor, path: str | Path) -> None:
-    Path(path).write_bytes(descriptor_to_bytes(net))
-
-
 def load_descriptor(path: str | Path) -> NetworkDescriptor:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -158,13 +154,6 @@ def weight_blob_chunks(net: NetworkDescriptor, parts: Iterable[tuple[str, np.nda
                       _PRECISION_TAG[net.numeric_precision], 0)
     for name, arr in parts:
         yield _as_finite(name, np.ascontiguousarray(arr, dtype=dt))
-
-
-def save_weights(net: NetworkDescriptor, weights: NetworkWeights,
-                 path: str | Path) -> None:
-    with open(path, "wb") as f:
-        f.writelines(weight_blob_chunks(
-            net, (part for cells in weights.layers for ws in cells for part in ws.parts())))
 
 
 def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
@@ -211,7 +200,7 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
                 raise FormatError(f"{path}: blob too short")
             return chunk.reshape(shape)
 
-        return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet.filled(
+        return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet(
             layer, net.numeric_precision, read))
 
 
@@ -221,10 +210,6 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
 def sequence_to_bytes(seq: Sequence) -> bytes:
     return (struct.pack("<II", seq.length, seq.dim)
             + np.ascontiguousarray(seq.frames, dtype="<f4").tobytes())
-
-
-def save_sequence(seq: Sequence, path: str | Path) -> None:
-    Path(path).write_bytes(sequence_to_bytes(seq))
 
 
 def load_sequence(path: str | Path) -> Sequence:

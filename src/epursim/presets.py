@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (GATES, PEEPHOLE_GATES, Direction, LayerDescriptor,
-                    NetworkDescriptor, NetworkWeights, Precision, Sequence,
-                    WeightSet, cell_weight_bytes, network_weight_bytes)
+                    NetworkDescriptor, Precision, Sequence, cell_weight_bytes,
+                    network_weight_bytes)
 
 MIB = float(2**20)
 
@@ -61,14 +61,14 @@ def custom_descriptor(layers: int, hidden: int, bidirectional: bool,
                       peephole: bool, input_dim: int | None = None,
                       precision: Precision = Precision.fp32) -> NetworkDescriptor:
     direction = Direction.bidirectional if bidirectional else Direction.forward_only
-    in_size = input_dim if input_dim is not None else hidden
+    first = in_size = input_dim if input_dim is not None else hidden
     descs = []
     for _ in range(layers):
         layer = LayerDescriptor(hidden_size=hidden, input_size=in_size,
                                 direction=direction, peephole=peephole)
         descs.append(layer)
         in_size = layer.output_size
-    return NetworkDescriptor(tuple(descs), input_dim=descs[0].input_size,
+    return NetworkDescriptor(tuple(descs), input_dim=first,
                              numeric_precision=precision)
 
 
@@ -91,13 +91,6 @@ def random_parts(net: NetworkDescriptor,
                 yield f"{gate}.bias", rng.uniform(-0.1, 0.1, h)
                 if peep is not None:
                     yield f"{gate}.peephole", peep
-
-
-def random_weights(net: NetworkDescriptor, seed: int) -> NetworkWeights:
-    """The weights of ``random_parts``, held as weight sets."""
-    parts = random_parts(net, seed)
-    return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet.filled(
-        layer, net.numeric_precision, lambda _name, _shape: next(parts)[1]))
 
 
 def random_sequence(net: NetworkDescriptor, T: int, seed: int) -> Sequence:

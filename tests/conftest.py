@@ -6,15 +6,66 @@ so they can serve as an independent oracle for bit-exactness tests.
 """
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from epursim import arch
-from epursim.model import (GATES, Direction, GateParams, LayerDescriptor,
+from epursim import arch, netio, presets
+from epursim.model import (GATES, PEEPHOLE_GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, NetworkWeights, Precision,
                            Sequence, WeightSet)
 
 F32 = np.float32
+
+
+# ---------------------------------------------------------------------------
+# building, reading and saving weights, networks and sequences
+
+def weight_set(layer: LayerDescriptor, arrays: dict[str, np.ndarray],
+               precision: Precision = Precision.fp32) -> WeightSet:
+    """The weight set whose arrays are ``arrays``, keyed by their
+    ``WeightSet.parts`` names ("{gate}.{field}")."""
+    return WeightSet(layer, precision, lambda name, _shape: arrays[name])
+
+
+def arrays_of(ws: WeightSet) -> dict[str, np.ndarray]:
+    """Every weight array of ``ws`` by its ``parts`` name, at storage
+    precision: views for an fp32 cell, fp16 copies for an fp16 one."""
+    dt = ws.precision.storage_dtype
+    return {name: arr.astype(dt, copy=False) for name, arr in ws.parts()}
+
+
+def random_weights(net: NetworkDescriptor, seed: int) -> NetworkWeights:
+    """The weights of ``presets.random_parts``, held as weight sets: those
+    of the blob ``gen-network --seed`` writes."""
+    parts = presets.random_parts(net, seed)
+    return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet(
+        layer, net.numeric_precision, lambda _name, _shape: next(parts)[1]))
+
+
+def save_descriptor(net: NetworkDescriptor, path) -> None:
+    Path(path).write_bytes(netio.descriptor_to_bytes(net))
+
+
+def save_weights(net: NetworkDescriptor, weights: NetworkWeights, path) -> None:
+    with open(path, "wb") as f:
+        f.writelines(netio.weight_blob_chunks(
+            net, (part for cells in weights.layers for ws in cells for part in ws.parts())))
+
+
+def save_sequence(seq: Sequence, path) -> None:
+    Path(path).write_bytes(netio.sequence_to_bytes(seq))
+
+
+def start_of(plan: arch.MuPlan, gate: str, name: str) -> int:
+    """The cycle at which MU op ``gate.name`` starts."""
+    return plan.ops[f"{gate}.{name}"].start
+
+
+def gate_span(plan: arch.MuPlan, gate: str) -> int:
+    """Index of the last stage the gate occupies (unit-latency view)."""
+    return max(op.start + op.latency - 1 for op in plan.gate_ops(gate))
 
 
 def make_cell(hidden: int, input_size: int, peephole: bool, seed: int,
@@ -30,15 +81,14 @@ def cell_for_layer(layer: LayerDescriptor, seed: int,
     rng = np.random.default_rng(seed)
     hidden, input_size = layer.hidden_size, layer.input_size
     a = scale if scale is not None else 1.0 / np.sqrt(hidden + input_size)
-    gates = {}
+    arrays = {}
     for g in GATES:
-        peep = None
-        if layer.peephole and g != "cell_updater":
-            peep = rng.uniform(-a, a, hidden)
-        gates[g] = GateParams(rng.uniform(-a, a, (hidden, input_size)),
-                              rng.uniform(-a, a, (hidden, hidden)),
-                              rng.uniform(-0.1, 0.1, hidden), peep)
-    return WeightSet(layer, gates, precision)
+        if layer.peephole and g in PEEPHOLE_GATES:
+            arrays[f"{g}.peephole"] = rng.uniform(-a, a, hidden)
+        arrays[f"{g}.w_x"] = rng.uniform(-a, a, (hidden, input_size))
+        arrays[f"{g}.w_h"] = rng.uniform(-a, a, (hidden, hidden))
+        arrays[f"{g}.bias"] = rng.uniform(-0.1, 0.1, hidden)
+    return weight_set(layer, arrays, precision)
 
 
 def random_network(seed: int, max_layers: int = 4,
@@ -103,21 +153,17 @@ def naive_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def naive_lstm_step(ws: WeightSet, x, c_prev, h_prev):
     """The six cell equations written out one by one."""
-    g = ws.gates
-    peep = {name: (g[name].peephole if ws.layer.peephole else None)
-            for name in GATES}
-    pre_i = naive_preactivation(g["input"].w_x, g["input"].w_h, g["input"].bias,
-                                peep["input"], x, h_prev, c_prev)
-    i_t = naive_sigmoid(pre_i)
-    pre_f = naive_preactivation(g["forget"].w_x, g["forget"].w_h, g["forget"].bias,
-                                peep["forget"], x, h_prev, c_prev)
-    f_t = naive_sigmoid(pre_f)
-    pre_g = naive_preactivation(g["cell_updater"].w_x, g["cell_updater"].w_h,
-                                g["cell_updater"].bias, None, x, h_prev, c_prev)
-    g_t = np.tanh(pre_g)
+    p = arrays_of(ws)
+
+    def pre(gate, c):
+        return naive_preactivation(p[f"{gate}.w_x"], p[f"{gate}.w_h"], p[f"{gate}.bias"],
+                                   p.get(f"{gate}.peephole"), x, h_prev, c)
+
+    i_t = naive_sigmoid(pre("input", c_prev))
+    f_t = naive_sigmoid(pre("forget", c_prev))
+    g_t = np.tanh(pre("cell_updater", c_prev))
     c_t = f_t * c_prev.astype(F32) + i_t * g_t
-    pre_o = naive_preactivation(g["output"].w_x, g["output"].w_h, g["output"].bias,
-                                peep["output"], x, h_prev, c_t)
+    pre_o = pre("output", c_t)
     o_t = naive_sigmoid(pre_o)
     h_t = o_t * np.tanh(c_t)
     dt = ws.precision.storage_dtype

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cosine_similarity, simulate
+from conftest import cosine_similarity, gate_span, random_weights, simulate, start_of
 from epursim import arch, energy, model, presets, quant, sched
 from epursim.arch import baseline_config, cost_model, mwl_config
 from epursim.sched import Policy, Target
@@ -196,10 +196,10 @@ class TestCriterion9TimingModel:
 
     def test_mu_stage_grid_under_unit_latencies(self):
         plan = arch.mu_plan(UNIT, peephole=True)
-        assert plan.gate_span("input") == 7
-        assert plan.gate_span("forget") == 7
-        assert plan.start_of("output", "mul_h") == 17
-        assert plan.gate_span("output") == 17
+        assert gate_span(plan, "input") == 7
+        assert gate_span(plan, "forget") == 7
+        assert start_of(plan, "output", "mul_h") == 17
+        assert gate_span(plan, "output") == 17
 
     def test_mu_never_bottleneck_with_table_latencies(self, acceptance_suite):
         # shape-level check across every preset and the random suite
@@ -227,7 +227,7 @@ class TestCriterion10EnergyModel:
     def test_energy_properties(self):
         table = energy.EnergyTable()
         net = presets.custom_descriptor(1, 32, False, False)
-        weights = presets.random_weights(net, 0)
+        weights = random_weights(net, 0)
         seq = presets.random_sequence(net, 8, 1)
         sim = simulate(net, weights, seq, Policy.conventional, CFG)
         base = energy.account(sim, table)
@@ -259,7 +259,7 @@ class TestCriterion10EnergyModel:
     def test_weight_memory_leakage_ratio(self):
         table = energy.EnergyTable()
         net = presets.custom_descriptor(1, 512, False, False)
-        weights = presets.random_weights(net, 2)
+        weights = random_weights(net, 2)
         seq = presets.random_sequence(net, 2, 3)
         a = energy.account(simulate(net, weights, seq, Policy.conventional,
                                     baseline_config()), table)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_for_layer, random_frames, random_network, simulate
+from conftest import (cell_for_layer, gate_span, random_frames, random_network,
+                      random_weights, simulate, start_of)
 from epursim import arch
 from epursim.arch import (HW_PRESETS, CapacityError, HardwareConfig,
                           MuBottleneckError, baseline_config, cost_model,
@@ -40,6 +41,15 @@ class TestDpuDotCycles:
         with pytest.raises(ShapeError):
             dpu_dot_cycles(0, CFG)
 
+    def test_quantizer_keeps_pace_with_the_fastest_forward_dot(self):
+        # MWL has no refusal for a quantizer slower than the forward dots
+        # because none can be: the shortest dot any valid config allows is
+        # one sub-vector on a 1-wide DPU at unit mul and add latency.  If
+        # this fails, that refusal has to come back to arch._pass_cost.
+        fastest = HardwareConfig(dpu_width=1, op_latency={
+            **arch.DEFAULT_OP_LATENCY, "mul": 1, "add": 1})
+        assert arch._QUANT_MU_INTERVAL <= dpu_dot_cycles(1, fastest)
+
 
 class TestMuPlanUnitLatencies:
     """With every op and transfer at one cycle the plan must land exactly on
@@ -50,37 +60,37 @@ class TestMuPlanUnitLatencies:
         expected = {"load": 0, "peep_mul": 0, "acc_peep": 1, "acc_bias": 2,
                     "neg": 3, "exp": 4, "inc": 5, "recip": 6, "send": 7}
         for name, stage in expected.items():
-            assert plan.start_of("input", name) == stage, name
-            assert plan.start_of("forget", name) == stage, name
+            assert start_of(plan, "input", name) == stage, name
+            assert start_of(plan, "forget", name) == stage, name
 
     def test_input_and_forget_span_eight_stages(self):
         plan = mu_plan(UNIT, peephole=True)
-        assert plan.gate_span("input") == 7
-        assert plan.gate_span("forget") == 7
+        assert gate_span(plan, "input") == 7
+        assert gate_span(plan, "forget") == 7
 
     def test_cell_updater_grid_points(self):
         plan = mu_plan(UNIT, peephole=True)
-        assert plan.start_of("cell_updater", "t1_div") == 4
-        assert plan.start_of("cell_updater", "mul_i") == 8  # after recv i_t & f_t
-        assert plan.start_of("cell_updater", "mul_f") == 8
-        assert plan.start_of("cell_updater", "acc_c") == 9  # c_t at stage 9
-        assert plan.start_of("cell_updater", "send_phi") == 14
+        assert start_of(plan, "cell_updater", "t1_div") == 4
+        assert start_of(plan, "cell_updater", "mul_i") == 8  # after recv i_t & f_t
+        assert start_of(plan, "cell_updater", "mul_f") == 8
+        assert start_of(plan, "cell_updater", "acc_c") == 9  # c_t at stage 9
+        assert start_of(plan, "cell_updater", "send_phi") == 14
 
     def test_output_gate_completes_at_stage_17(self):
         plan = mu_plan(UNIT, peephole=True)
-        assert plan.start_of("output", "peep_mul") == 11  # c_t usable at 11
-        assert plan.start_of("output", "mul_h") == 17
-        assert plan.gate_span("output") == 17
+        assert start_of(plan, "output", "peep_mul") == 11  # c_t usable at 11
+        assert start_of(plan, "output", "mul_h") == 17
+        assert gate_span(plan, "output") == 17
 
     def test_receive_precedes_use(self):
         for cfg in (UNIT, CFG):
             plan = mu_plan(cfg, peephole=True)
             i_ready = plan.ops["input.send"].ready
             f_ready = plan.ops["forget.send"].ready
-            assert plan.start_of("cell_updater", "mul_i") >= i_ready
-            assert plan.start_of("cell_updater", "mul_f") >= f_ready
+            assert start_of(plan, "cell_updater", "mul_i") >= i_ready
+            assert start_of(plan, "cell_updater", "mul_f") >= f_ready
             c_ready = plan.ops["cell_updater.send_c"].ready
-            assert plan.start_of("output", "peep_mul") >= c_ready
+            assert start_of(plan, "output", "peep_mul") >= c_ready
 
 
 class TestMuPlanTableLatencies:
@@ -103,9 +113,9 @@ class TestMuPlanTableLatencies:
 
     def test_mu_schedule_api(self):
         plan = mu_plan(UNIT)
-        assert plan.start_of("output", "mul_h") == 17
-        assert plan.gate_span("output") == 17
-        assert plan.gate_span("input") + 1 == 8
+        assert start_of(plan, "output", "mul_h") == 17
+        assert gate_span(plan, "output") == 17
+        assert gate_span(plan, "input") + 1 == 8
         assert plan.gate_ops("bogus") == []
 
     def test_initiation_interval_leaves_dpu_in_charge(self):
@@ -147,7 +157,7 @@ class TestSimulateFunctional:
 
     def test_mwl_long_sequence_bit_identical_to_oracle(self):
         # the one tier-1 run of the datapath at a long T: LDLRNN, 2000 frames
-        from epursim.presets import preset_descriptor, random_sequence, random_weights
+        from epursim.presets import preset_descriptor, random_sequence
         net = preset_descriptor("ldlrnn")
         weights = random_weights(net, 0)
         seq = random_sequence(net, 2000, 1)

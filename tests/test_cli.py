@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_weights, save_descriptor, save_weights
 from epursim import arch, cli, model, presets, sched
-from epursim.netio import load_sequence, save_descriptor, save_weights
+from epursim.netio import load_sequence
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -459,6 +460,73 @@ class TestBoundary:
         assert sorted(tmp_path.iterdir()) == before  # no temp file left behind
         assert not any(target.iterdir())
 
+    def test_mu_issue_slots_exit_7(self, tmp_path, capsys):
+        # a 1-wide DPU at unit mul and add latency delivers a recurrent dot
+        # of length 1 every 3 cycles; the cell updater's MU needs 4 slots
+        desc, blob, hw = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "hw.json"
+        assert run_cli("gen-network", "--layers", "1", "--hidden", "1", "--input-dim", "1",
+                       "--out-descriptor", str(desc), "--out-weights", str(blob)) == cli.EXIT_OK
+        capsys.readouterr()
+        hw.write_text(json.dumps({"dpu_width": 1, "op_latency": {"mul": 1, "add": 1}}),
+                      encoding="utf-8")
+        rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "2", "--policy", "mwl", "--hw-config", str(hw))
+        assert rc == cli.EXIT_CHECK
+        assert self.one_line(capsys) == (
+            "check failed: MU of gate 'cell_updater' needs 4 issue slots/element but "
+            "the DPU delivers one every 3 cycles (mwl-recurrent, hidden=1, input=1); "
+            "the MU would be the end-to-end bottleneck\n")
+
+    @pytest.mark.parametrize("key,message", [
+        ("frequency_hz", "frequency and bandwidth must be positive"),
+        ("mu_comm_cycles", "mu_comm_cycles must be >= 1"),
+        ("bank_bytes", "bank_bytes must be positive"),
+    ])
+    def test_hw_config_zero_exits_3(self, gen, tmp_path, key, message, capsys):
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps({key: 0}), encoding="utf-8")
+        assert self.simulate(gen, "--hw-config", str(hw)) == cli.EXIT_PARSE
+        assert self.one_line(capsys) == f"error: bad hardware config: {message}\n"
+
+    def test_gen_network_without_shape_exits_2(self, tmp_path, capsys):
+        rc = run_cli("gen-network", "--layers", "2", "--out-descriptor",
+                     str(tmp_path / "d.json"), "--out-weights", str(tmp_path / "w.bin"))
+        assert rc == cli.EXIT_USAGE
+        assert self.one_line(capsys) == "gen-network needs --preset or --layers/--hidden\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("shape,message", [
+        (["--layers", "1", "--hidden", "2", "--input-dim", "0"],
+         "layer dimensions must be positive, got hidden=2 input=0"),
+        (["--layers", "-1", "--hidden", "2"], "network needs at least one layer"),
+    ])
+    def test_gen_network_bad_shape_exits_3(self, tmp_path, shape, message, capsys):
+        rc = run_cli("gen-network", *shape, "--out-descriptor", str(tmp_path / "d.json"),
+                     "--out-weights", str(tmp_path / "w.bin"))
+        assert rc == cli.EXIT_PARSE
+        assert self.one_line(capsys) == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("policy", ["conventional", "mwl"])
+    def test_analyze_reuse_t0_exits_3(self, gen, policy, capsys):
+        desc, _ = gen
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", policy,
+                     "--t", "0")
+        assert rc == cli.EXIT_PARSE
+        assert self.one_line(capsys) == "error: T must be >= 1\n"
+
+    def test_unchained_layer_widths_exit_3(self, tmp_path, capsys):
+        desc = tmp_path / "net.json"
+        desc.write_text(json.dumps({"input_dim": 2, "layers": [
+            {"hidden_size": 2, "input_size": 2, "direction": "bidirectional"},
+            {"hidden_size": 2, "input_size": 2}]}), encoding="utf-8")
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                     "--t", "2")
+        assert rc == cli.EXIT_PARSE
+        assert self.one_line(capsys) == (
+            "error: bad network descriptor: layer 1 expects input_size=2, but the "
+            "preceding layer produces 4\n")
+
     def test_intermediate_layout_overflow_exits_5(self, tmp_path, capsys):
         # layer 0 has the longer sequences, layer 1 the larger partial region;
         # both must fit beside the one partial region sized for layer 1
@@ -466,7 +534,7 @@ class TestBoundary:
                                        model.LayerDescriptor(16, 8)), input_dim=64)
         desc, blob, hw = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "hw.json"
         save_descriptor(net, desc)
-        save_weights(net, presets.random_weights(net, 0), blob)
+        save_weights(net, random_weights(net, 0), blob)
         hw.write_text(json.dumps({"intermediate_mem_bytes": 700}), encoding="utf-8")
         rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
                      "--policy", "mwl", "--synthetic-t", "1", "--hw-config", str(hw))
@@ -506,7 +574,7 @@ class TestBoundary:
         net = presets.custom_descriptor(2, 16, False, False)
         desc, blob = tmp_path / "net.json", tmp_path / "net.bin"
         save_descriptor(net, desc)
-        save_weights(net, presets.random_weights(net, 0), blob)
+        save_weights(net, random_weights(net, 0), blob)
         real, built = sched.layer_traces, []
 
         def second_exhausted(*args):
@@ -538,7 +606,7 @@ class TestBoundary:
                                        model.LayerDescriptor(16, 8)), input_dim=64)
         desc, blob, hw = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "hw.json"
         save_descriptor(net, desc)
-        save_weights(net, presets.random_weights(net, 0), blob)
+        save_weights(net, random_weights(net, 0), blob)
         argv = ["--network", str(desc), "--weights", str(blob), "--synthetic-t", "1"]
         hw_doc, want_rc, want_err = {
             "capacity": ({"intermediate_mem_bytes": 500}, cli.EXIT_CAPACITY,

@@ -173,3 +173,18 @@ def test_sequence(tmp_path, capsys, net, raw, suffix):
     seq.write_bytes(raw)
     run(capsys, "infer", "--network", str(net), "--weights", str(weights),
         "--input", str(seq))
+
+
+def test_fp16_input_past_range_exits_6_with_one_line(tmp_path, capsys):
+    # 70000 is past fp16's largest finite value: the cast to the network's
+    # storage precision makes it inf, which is refused without numpy's
+    # overflow warning beside the one line
+    desc, weights = tmp_path / "n.json", tmp_path / "w.bin"
+    cli.main(["gen-network", "--layers", "1", "--hidden", "2", "--input-dim", "2",
+              "--precision", "fp16", "--out-descriptor", str(desc),
+              "--out-weights", str(weights)])
+    capsys.readouterr()
+    seq = tmp_path / "in.csv"
+    seq.write_text("1.0,70000\n", encoding="utf-8")
+    assert run(capsys, "infer", "--network", str(desc), "--weights", str(weights),
+               "--input", str(seq)) == cli.EXIT_NUMERIC

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (F32, cell_for_layer, make_cell, naive_lstm_step,
-                      naive_preactivation, naive_sigmoid, random_frames,
-                      random_network)
+from conftest import (F32, arrays_of, cell_for_layer, make_cell,
+                      naive_lstm_step, naive_preactivation, naive_sigmoid,
+                      random_frames, random_network, random_weights, weight_set)
 from epursim import model
-from epursim.model import (GATES, Direction, GateParams, LayerDescriptor,
+from epursim.model import (GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, NetworkWeights, NumericError,
                            Precision, Sequence, ShapeError, WeightSet,
                            accumulate_dot, accumulate_dot_all_t, finish_step,
@@ -23,10 +23,8 @@ from epursim.model import (GATES, Direction, GateParams, LayerDescriptor,
 
 def zeros_cell(hidden, input_size, bias=0.0):
     layer = LayerDescriptor(hidden, input_size)
-    gates = {g: GateParams(np.zeros((hidden, input_size)),
-                           np.zeros((hidden, hidden)),
-                           np.full(hidden, bias)) for g in GATES}
-    return WeightSet(layer, gates)
+    return WeightSet(layer, Precision.fp32,
+                     lambda name, shape: np.full(shape, bias if name.endswith(".bias") else 0.0))
 
 
 def naive_run(ws, frames) -> np.ndarray:
@@ -249,10 +247,10 @@ class TestGatePreactivation:
         seen = []
         run_direction(ws, frames, lambda fwd: seen.append(fwd.copy()) or fwd)
         zero = np.zeros(4, F32)
+        p = arrays_of(ws)
         for i, gate in enumerate(GATES):
-            p = ws.gates[gate]
             for t, x in enumerate(frames):
-                want = naive_preactivation(p.w_x, np.zeros((4, 4)), zero, None,
+                want = naive_preactivation(p[f"{gate}.w_x"], np.zeros((4, 4)), zero, None,
                                            x, zero, zero)
                 assert np.array_equal(seen[0][4 * i:4 * (i + 1), t], want), \
                     f"{gate} diverges from triple loop at t={t}"
@@ -283,13 +281,9 @@ class TestCellStep:
         # drives i to exactly 0.0, so c_t must equal c_{t-1} bit for bit
         hidden, nx = 6, 4
         layer = LayerDescriptor(hidden, nx)
-        gates = {g: GateParams(np.zeros((hidden, nx)), np.zeros((hidden, hidden)),
-                               np.zeros(hidden)) for g in GATES}
-        gates["forget"] = GateParams(np.zeros((hidden, nx)), np.zeros((hidden, hidden)),
-                                     np.full(hidden, 100.0))
-        gates["input"] = GateParams(np.zeros((hidden, nx)), np.zeros((hidden, hidden)),
-                                    np.full(hidden, -100.0))
-        ws = WeightSet(layer, gates)
+        bias = {"forget.bias": 100.0, "input.bias": -100.0}
+        ws = WeightSet(layer, Precision.fp32,
+                       lambda name, shape: np.full(shape, bias.get(name, 0.0)))
         c0 = np.linspace(-0.5, 0.5, hidden).astype(np.float32)
         # the dot products of all-zero matrices
         nxt = finish_step(ws, np.zeros(4 * hidden, dtype=F32), c0.copy())
@@ -355,8 +349,8 @@ class TestLayerInfer:
     def test_palindrome_symmetry(self):
         layer = LayerDescriptor(6, 4, Direction.bidirectional, peephole=False)
         ws = make_cell(6, 4, False, 31)
-        ws_b = WeightSet(layer, ws.gates)  # identical weights both directions
-        ws_f = WeightSet(layer, ws.gates)
+        ws_b = weight_set(layer, arrays_of(ws))  # identical weights both directions
+        ws_f = weight_set(layer, arrays_of(ws))
         rng = np.random.default_rng(8)
         half = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
         frames = np.concatenate([half, half[::-1]])  # palindrome, T=6
@@ -372,8 +366,8 @@ class TestLayerInfer:
         rng = np.random.default_rng(12)
         frames = rng.uniform(-1, 1, (5, 5)).astype(np.float32)
 
-        bi_f = WeightSet(layer, ws_f.gates)
-        bi_b = WeightSet(layer, ws_b.gates)
+        bi_f = weight_set(layer, arrays_of(ws_f))
+        bi_b = weight_set(layer, arrays_of(ws_b))
         got = layer_infer(layer, [bi_f, bi_b], Sequence(frames)).frames
 
         fwd = layer_infer(uni, [ws_f], Sequence(frames)).frames
@@ -401,7 +395,7 @@ class TestNetworkInfer:
         l1 = LayerDescriptor(5, 12, Direction.forward_only, peephole=False)
         net = NetworkDescriptor((l0, l1), input_dim=4)
         w0 = [make_cell(6, 4, True, 61), make_cell(6, 4, True, 62)]
-        w0 = [WeightSet(l0, w.gates) for w in w0]
+        w0 = [weight_set(l0, arrays_of(w)) for w in w0]
         w1 = [make_cell(5, 12, False, 63)]
         weights = NetworkWeights([w0, w1])
         seq = Sequence(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
@@ -498,7 +492,7 @@ class TestNetworkInfer:
         assert np.array_equal(a.frames, b.frames)
 
     def test_eesen_shaped_network_runs_finite(self):
-        from epursim.presets import preset_descriptor, random_sequence, random_weights
+        from epursim.presets import preset_descriptor, random_sequence
         net = preset_descriptor("eesen")
         assert len(net.layers) == 5
         assert all(l.hidden_size == 320 for l in net.layers)
@@ -506,6 +500,23 @@ class TestNetworkInfer:
         out = network_infer(net, weights, random_sequence(net, 100, 1))
         assert out.frames.shape == (100, 640)
         assert np.all(np.isfinite(out.frames))
+
+    def test_prefix_of_the_sequence_gives_prefix_of_the_outputs(self):
+        # a forward-only network is causal: output t depends on frames 0..t
+        # only, so a prefix of the input yields exactly that prefix of the
+        # outputs, across the hoist's tile boundary (192 frames of LDLRNN's
+        # 512 stacked rows) too.  Exact mode only: under calibration a
+        # pass's alpha comes from all its partials, so a prefix may get
+        # another alpha and other bits.
+        from epursim.presets import preset_descriptor, random_sequence
+        net = preset_descriptor("ldlrnn")
+        assert model.HOIST_TILE_ELEMS // (4 * net.layers[0].hidden_size) == 192
+        weights = random_weights(net, 0)
+        frames = random_sequence(net, 500, 1).frames
+        whole = network_infer(net, weights, Sequence(frames)).frames
+        for t in (1, 191, 192, 193, 400):
+            part = network_infer(net, weights, Sequence(frames[:t])).frames
+            assert np.array_equal(part, whole[:t]), t
 
 
 class TestInvariants:
@@ -519,8 +530,10 @@ class TestInvariants:
         x = rng.uniform(-1, 1, nx).astype(np.float32)
         h = rng.uniform(-1, 1, hidden).astype(np.float32)
         c = rng.uniform(-1, 1, hidden).astype(np.float32)
-        pre = {gate: naive_preactivation(p.w_x, p.w_h, p.bias, p.peephole, x, h, c)
-               for gate, p in ws.gates.items()}
+        p = arrays_of(ws)
+        pre = {gate: naive_preactivation(p[f"{gate}.w_x"], p[f"{gate}.w_h"], p[f"{gate}.bias"],
+                                         p.get(f"{gate}.peephole"), x, h, c)
+               for gate in GATES}
         for gate in ("input", "forget", "output"):
             val = naive_sigmoid(pre[gate])
             assert np.all((val > 0) & (val < 1))
@@ -534,23 +547,18 @@ class TestInvariants:
         out = network_infer(net, weights, random_frames(net, T, seed))
         assert np.all(np.abs(out.frames.astype(np.float64)) <= 1.0)
 
-    def test_cell_state_invariant_on_weightset(self):
-        with pytest.raises(ShapeError):
-            layer = LayerDescriptor(4, 4, peephole=True)
-            gates = {g: GateParams(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros(4),
-                                   np.zeros(4))  # cell_updater must not have one
-                     for g in GATES}
-            WeightSet(layer, gates)
-
     def test_nan_weights_rejected(self):
         layer = LayerDescriptor(2, 2)
-        w = np.zeros((2, 2))
-        bad = w.copy()
+        bad = np.zeros((2, 2))
         bad[0, 0] = np.inf
-        with pytest.raises(NumericError):
-            WeightSet(layer, {g: GateParams(bad if g == "forget" else w,
-                                            np.zeros((2, 2)), np.zeros(2))
-                              for g in GATES})
+        with pytest.raises(NumericError, match="forget.w_x"):
+            WeightSet(layer, Precision.fp32,
+                      lambda name, shape: bad if name == "forget.w_x" else np.zeros(shape))
+
+    def test_weight_of_the_wrong_shape_rejected(self):
+        layer = LayerDescriptor(2, 3)
+        with pytest.raises(ShapeError, match=r"^input\.w_x has shape \(3, 2\), want \(2, 3\)$"):
+            WeightSet(layer, Precision.fp32, lambda _name, shape: np.zeros(shape[::-1]))
 
     def test_descriptor_chaining_enforced(self):
         l0 = LayerDescriptor(4, 4, Direction.bidirectional)

@@ -6,15 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_frames, random_network
+from conftest import (random_frames, random_network, random_weights,
+                      save_descriptor, save_sequence, save_weights)
 from epursim import cli
 from epursim.model import GATES, NumericError, Precision, Sequence
 from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
                            descriptor_to_bytes, load_descriptor, load_sequence,
-                           load_weights, save_descriptor, save_sequence,
-                           save_weights, weight_blob_chunks)
+                           load_weights, weight_blob_chunks)
 from epursim.presets import (PRESETS, custom_descriptor, preset_descriptor,
-                             random_parts, random_weights)
+                             random_parts)
 
 
 class TestDescriptor:
@@ -118,13 +118,10 @@ class TestWeightBlob:
         back = load_weights(net, path)
         for li, layer in enumerate(net.layers):
             for d in range(layer.num_directions):
-                a, b = weights.layers[li][d], back.layers[li][d]
-                for g in GATES:
-                    assert np.array_equal(a.gates[g].w_x, b.gates[g].w_x)
-                    assert np.array_equal(a.gates[g].w_h, b.gates[g].w_h)
-                    assert np.array_equal(a.gates[g].bias, b.gates[g].bias)
-                    if a.gates[g].peephole is not None:
-                        assert np.array_equal(a.gates[g].peephole, b.gates[g].peephole)
+                a, b = weights.layers[li][d].parts(), back.layers[li][d].parts()
+                assert [name for name, _ in a] == [name for name, _ in b]
+                for (_, x), (_, y) in zip(a, b):
+                    assert np.array_equal(x, y)
 
     def test_header_layout(self, tmp_path):
         net, weights = random_network(1)
@@ -148,7 +145,7 @@ class TestWeightBlob:
         path = tmp_path / "w.bin"
         save_weights(net, weights, path)
         payload = np.frombuffer(path.read_bytes(), dtype="<f4", offset=16)
-        want = weights.layers[0][0].gates["input"].w_x.reshape(-1)
+        want = dict(weights.layers[0][0].parts())["input.w_x"].reshape(-1)
         assert np.array_equal(payload[:6], want)
 
     def test_bad_magic(self, tmp_path):
@@ -159,6 +156,16 @@ class TestWeightBlob:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="magic"):
+            load_weights(net, path)
+
+    def test_unknown_precision_tag(self, tmp_path):
+        net, weights = random_network(1)
+        path = tmp_path / "w.bin"
+        save_weights(net, weights, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unknown precision tag 2$"):
             load_weights(net, path)
 
     def test_truncated_blob(self, tmp_path):
@@ -250,8 +257,8 @@ class TestBlobFromDraws:
 
 
 class TestWeightsHeldOnce:
-    """A weight set holds each weight once: its per-gate arrays are rows of
-    the stacked arrays the datapath reads."""
+    """A weight set holds each weight once: the per-gate arrays of its
+    ``parts`` are rows of the stacked arrays the datapath reads."""
 
     @pytest.mark.parametrize("source", ["loaded", "generated"])
     def test_gates_are_views_of_the_stacked_arrays(self, tmp_path, source):
@@ -270,15 +277,15 @@ class TestWeightsHeldOnce:
                 assert all(x is y for x, y in zip(ws.stacked_peepholes(),
                                                   ws.stacked_peepholes()))
                 peeps = {"input": peep_if[0], "forget": peep_if[1], "output": peep_o}
-                gates = ws.gates
+                p = dict(ws.parts())
                 for i, g in enumerate(GATES):
-                    p, rows = gates[g], slice(i * h, (i + 1) * h)
-                    for arr, stacked in ((p.w_x, wx[rows]), (p.w_h, wh[rows]),
-                                         (p.bias, b[rows])):
-                        assert np.shares_memory(arr, stacked)
-                        assert np.array_equal(arr, stacked)
+                    rows = slice(i * h, (i + 1) * h)
+                    for field, stacked in (("w_x", wx[rows]), ("w_h", wh[rows]),
+                                           ("bias", b[rows])):
+                        assert np.shares_memory(p[f"{g}.{field}"], stacked)
+                        assert np.array_equal(p[f"{g}.{field}"], stacked)
                     if g in peeps:
-                        assert np.shares_memory(p.peephole, peeps[g])
+                        assert np.shares_memory(p[f"{g}.peephole"], peeps[g])
 
 
 class TestSequences:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epursim.model import (GATES, Direction, LayerDescriptor,
-                           NetworkDescriptor, gate_matrix_bytes)
+                           NetworkDescriptor, ShapeError, gate_matrix_bytes)
 from epursim.quant import QuantConfig
 from epursim.sched import (KINDS, RW, TARGETS, Policy, Target, dram_traffic,
                            gate_accesses, layer_traces, pins_forward_rows,
@@ -370,6 +370,11 @@ class TestDramTraffic:
         totals = {dram_traffic(net, T).weight_bytes
                   for T in (1, 10, 100)}
         assert len(totals) == 1
+
+    def test_t_below_one_is_refused(self):
+        # Sequence holds at least one frame, so no command reaches this
+        with pytest.raises(ShapeError, match="T must be >= 1"):
+            dram_traffic(self._one_layer_net(), 0)
 
     def test_one_pass_per_layer_direction(self):
         l0 = LayerDescriptor(4, 4, Direction.bidirectional)
