@@ -2,7 +2,7 @@
 built around four per-gate computation units, with a weight-locality
 (MWL) schedule option and event-based energy accounting."""
 
-from .model import (CellState, Direction, LayerDescriptor, NetworkDescriptor,
+from .model import (Direction, LayerDescriptor, NetworkDescriptor,
                     NetworkWeights, Precision, Sequence, WeightSet,
                     layer_infer, network_infer)
 from .quant import DequantTable, QuantConfig, quantize
@@ -16,7 +16,7 @@ from .energy import EnergyReport, EnergyTable, account, compare
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellState", "Direction", "LayerDescriptor",
+    "Direction", "LayerDescriptor",
     "NetworkDescriptor", "NetworkWeights", "Precision", "Sequence",
     "WeightSet", "layer_infer", "network_infer",
     "DequantTable", "QuantConfig", "quantize",

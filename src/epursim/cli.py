@@ -224,7 +224,7 @@ def cmd_gen_network(args) -> int:
         net = presets.preset_descriptor(args.preset, precision)
         report = presets.preset_report(args.preset, precision)
     else:
-        if not (args.layers and args.hidden):
+        if args.layers is None or args.hidden is None:
             print("gen-network needs --preset or --layers/--hidden", file=sys.stderr)
             return EXIT_USAGE
         net = presets.custom_descriptor(args.layers, args.hidden,

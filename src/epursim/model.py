@@ -23,6 +23,9 @@ from typing import Callable
 import numpy as np
 
 GATES = ("input", "forget", "cell_updater", "output")
+#: row order of a cell's stacked arrays: the three sigmoid gates follow the
+#: cell updater as one contiguous block
+STACK_ORDER = ("cell_updater", "input", "forget", "output")
 #: gates whose preactivation includes a peephole term (the cell-updater
 #: equation has none)
 PEEPHOLE_GATES = ("input", "forget", "output")
@@ -123,7 +126,7 @@ class WeightSet:
     """All four gates of one LSTM cell (one direction of one layer).
 
     The weights are held once, in the layout the datapath reads: fp32
-    arrays with the four gates stacked row-wise in GATES order (see
+    arrays with the four gates stacked row-wise in STACK_ORDER (see
     ``stacked``).  An fp16 cell rounds every value through fp16 before it
     is held, so its values are those fp16 storage would hold.
     """
@@ -159,11 +162,13 @@ class WeightSet:
         """Every weight array as (name, its rows of the stacked fp32 arrays),
         in weight-blob order: gates as GATES; within a gate ``w_x``, ``w_h``,
         ``bias``, then on a peephole layer the ``peephole`` vector.  A name
-        is ``"{gate}.{field}"``."""
+        is ``"{gate}.{field}"``; a gate's rows are where STACK_ORDER puts
+        them."""
         h = self.layer.hidden_size
         wx, wh, b = self._stacked
         out = []
-        for i, g in enumerate(GATES):
+        for g in GATES:
+            i = STACK_ORDER.index(g)
             rows = slice(i * h, (i + 1) * h)
             out += [(f"{g}.w_x", wx[rows]), (f"{g}.w_h", wh[rows]), (f"{g}.bias", b[rows])]
             if self._peep is not None and g in PEEPHOLE_GATES:
@@ -172,7 +177,7 @@ class WeightSet:
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The four gates' fp32 forward matrix [4h, input_size], recurrent
-        matrix [4h, h] and bias [4h], stacked row-wise in GATES order.
+        matrix [4h, h] and bias [4h], stacked row-wise in STACK_ORDER.
 
         Stacking is a pure row concatenation: per-row accumulation order is
         unchanged, so results are bit-identical to per-gate evaluation.  The
@@ -185,17 +190,6 @@ class WeightSet:
         """fp32 peephole vectors of a peephole layer: input and forget
         stacked as [2, hidden], and the output gate's [hidden]."""
         return self._peepholes
-
-
-@dataclass
-class CellState:
-    c: np.ndarray
-    h: np.ndarray
-
-
-def zero_state(hidden_size: int, precision: Precision = Precision.fp32) -> CellState:
-    dt = precision.storage_dtype
-    return CellState(np.zeros(hidden_size, dtype=dt), np.zeros(hidden_size, dtype=dt))
 
 
 @dataclass
@@ -307,41 +301,47 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return np.divide(_ONE, x, out=x)
 
 
-def _upcast(vec: np.ndarray) -> np.ndarray:
-    return vec.astype(ACC_DTYPE) if vec.dtype != ACC_DTYPE else vec
-
-
 # ---------------------------------------------------------------------------
 # operations
 
-def finish_step(weights: WeightSet, pre: np.ndarray, c_prev32: np.ndarray) -> CellState:
-    """Apply peepholes, biases and activations to stacked dot-product results.
+def finish_step(weights: WeightSet, z: np.ndarray, c: np.ndarray,
+                h: np.ndarray) -> None:
+    """One step's gates from its stacked dot products ``z`` (overwritten):
+    the fp32 state ``c`` and ``h`` go from c_{t-1}, h_{t-1} to c_t, h_t in
+    place (an fp16 cell rounds them through fp16).
 
-    Each gate's preactivation is dot + peephole term + bias, in that order;
-    the input and forget gates go through one sigmoid.  ``pre`` is not
-    modified.
+    Each gate's preactivation is dot + peephole term + bias, in that order.
+    The input, forget and output gates go through one sigmoid; on a
+    peephole layer the output gate waits for c_t.  The caller has already
+    read h_{t-1} and ignores exp overflow.
     """
-    h = weights.layer.hidden_size
+    n = weights.layer.hidden_size
     _, _, bias = weights.stacked()
-    z = pre.copy()
+    g_t, i_t, f_t, o_t = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
     if weights.layer.peephole:
         peep_if, peep_o = weights.stacked_peepholes()
-        z_if = z[:2 * h].reshape(2, h)
-        z_if += peep_if * c_prev32
-    z[:3 * h] += bias[:3 * h]
-    with np.errstate(over="ignore"):
-        i_f = _sigmoid_(z[:2 * h])
-        i_t, f_t = i_f[:h], i_f[h:]
-        g_t = np.tanh(z[2 * h:3 * h], out=z[2 * h:3 * h])
-        c_t = f_t * c_prev32 + i_t * g_t
-        o_t = z[3 * h:]
-        if weights.layer.peephole:
-            o_t += peep_o * c_t
-        o_t += bias[3 * h:]
-        h_t = _sigmoid_(o_t) * np.tanh(c_t)
-
+        # h_{t-1} is spent: h holds each peephole product
+        i_t += np.multiply(peep_if[0], c, out=h)
+        f_t += np.multiply(peep_if[1], c, out=h)
+        z[:3 * n] += bias[:3 * n]
+        _sigmoid_(z[n:3 * n])
+    else:
+        z += bias
+        _sigmoid_(z[n:])
+    np.tanh(g_t, out=g_t)
+    c *= f_t
+    g_t *= i_t
+    c += g_t
+    if weights.layer.peephole:
+        o_t += np.multiply(peep_o, c, out=h)
+        o_t += bias[3 * n:]
+        _sigmoid_(o_t)
+    np.tanh(c, out=h)
+    h *= o_t
     dt = weights.precision.storage_dtype
-    return CellState(c_t.astype(dt, copy=False), h_t.astype(dt, copy=False))
+    if dt != ACC_DTYPE:
+        c[:] = c.astype(dt)
+        h[:] = h.astype(dt)
 
 
 def run_direction(weights: WeightSet, frames: np.ndarray,
@@ -353,31 +353,31 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     (F-ordered, so its time-major tiles are contiguous); the time loop then
     seeds each step's accumulator with its column and adds the recurrent
     dot.  Per-scalar accumulation order is that of the per-timestep loop,
-    so the hoist does not change a single bit.  Both phases run with
+    so the hoist does not change a single bit.  The whole pass runs with
     numpy's ufunc buffer held to one accumulator row (see
-    ``_one_row_ufunc_buffer``).
+    ``_one_row_ufunc_buffer``) and exp overflow ignored; on an fp32 cell
+    the loop allocates nothing.
     """
-    layer = weights.layer
     T = frames.shape[0]
-    h = layer.hidden_size
+    n = weights.layer.hidden_size
     wx, wh, _ = weights.stacked()
 
-    with _one_row_ufunc_buffer(4 * h):
-        fwd = np.zeros((T, 4 * h), dtype=ACC_DTYPE).T
+    with _one_row_ufunc_buffer(4 * n), np.errstate(over="ignore"):
+        fwd = np.zeros((T, 4 * n), dtype=ACC_DTYPE).T
         accumulate_dot_all_t(fwd, wx, np.asfortranarray(frames, dtype=ACC_DTYPE))
         if partials_hook is not None:
             fwd = partials_hook(fwd)
         steps = np.ascontiguousarray(fwd.T)  # [T, 4*hidden]
 
-        buf = np.empty((h + 1, 4 * h), dtype=ACC_DTYPE)
-        pre = np.empty(4 * h, dtype=ACC_DTYPE)
-        state = zero_state(h, weights.precision)
-        out = np.empty((T, h), dtype=weights.precision.storage_dtype)
+        buf = np.empty((n + 1, 4 * n), dtype=ACC_DTYPE)
+        z = np.empty(4 * n, dtype=ACC_DTYPE)
+        c, h = np.zeros(n, dtype=ACC_DTYPE), np.zeros(n, dtype=ACC_DTYPE)
+        out = np.empty((T, n), dtype=weights.precision.storage_dtype)
         for t in range(T):
-            pre[:] = steps[t]
-            accumulate_dot(pre, wh, _upcast(state.h), buf)
-            state = finish_step(weights, pre, _upcast(state.c))
-            out[t] = state.h
+            z[:] = steps[t]
+            accumulate_dot(z, wh, h, buf)
+            finish_step(weights, z, c, h)
+            out[t] = h
     return out
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +468,47 @@ class TestCostModelGoldens:
         assert sorted(got) == sorted(golden)
         for key, doc in golden.items():
             assert got[key] == doc, key
+
+
+def shape_report(net, T, policy, bits):
+    """The cost model of ``net`` at T on its policy's hardware preset."""
+    cfg = baseline_config() if policy is Policy.conventional else mwl_config()
+    return cost_model(net, T, policy, cfg, QuantConfig(bits) if bits else None)
+
+
+class TestCostModelRelations:
+    """Metamorphic relations of the shape-only cost model: each holds for
+    any correct closed form, so none needs an oracle or a golden."""
+
+    CASES = list(itertools.product(("eesen", "ldlrnn"), Policy, (None, 8)))
+
+    @pytest.mark.parametrize("preset, policy, bits", CASES)
+    def test_affine_in_t_and_stalls_do_not_grow(self, preset, policy, bits):
+        r3, r4, r5 = (shape_report(preset_descriptor(preset), T, policy, bits)
+                      for T in (3, 4, 5))
+        assert (r5.compute_cycles - r4.compute_cycles
+                == r4.compute_cycles - r3.compute_cycles)
+        for key in r3.access:
+            for a, b, c in zip(r3.access[key], r4.access[key], r5.access[key]):
+                assert c - b == b - a, key
+        assert r3.stall_cycles >= r4.stall_cycles >= r5.stall_cycles
+
+    @pytest.mark.parametrize("preset, policy, bits", CASES)
+    def test_bidirectional_doubles_compute_cycles(self, preset, policy, bits):
+        for layer in preset_descriptor(preset).layers:
+            fwd, bi = (shape_report(NetworkDescriptor((replace(layer, direction=d),),
+                                                      layer.input_size), 4, policy, bits)
+                       for d in (Direction.forward_only, Direction.bidirectional))
+            assert bi.compute_cycles == 2 * fwd.compute_cycles
+
+    @pytest.mark.parametrize("preset, bits", itertools.product(("eesen", "ldlrnn"),
+                                                               (None, 8)))
+    def test_dram_traffic_is_the_same_under_both_policies(self, preset, bits):
+        for T in (3, 4, 5):
+            conv, mwl = (shape_report(preset_descriptor(preset), T, p, bits)
+                         for p in (Policy.conventional, Policy.mwl))
+            for rw in ("r", "w"):
+                assert conv.access[Target.dram, rw] == mwl.access[Target.dram, rw]
 
 
 @st.composite

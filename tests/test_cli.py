@@ -499,6 +499,10 @@ class TestBoundary:
         (["--layers", "1", "--hidden", "2", "--input-dim", "0"],
          "layer dimensions must be positive, got hidden=2 input=0"),
         (["--layers", "-1", "--hidden", "2"], "network needs at least one layer"),
+        # a zero size was given, so it is a bad shape, not a missing one
+        (["--layers", "0", "--hidden", "4"], "network needs at least one layer"),
+        (["--layers", "2", "--hidden", "0"],
+         "layer dimensions must be positive, got hidden=0 input=0"),
     ])
     def test_gen_network_bad_shape_exits_3(self, tmp_path, shape, message, capsys):
         rc = run_cli("gen-network", *shape, "--out-descriptor", str(tmp_path / "d.json"),

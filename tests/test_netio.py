@@ -9,7 +9,7 @@ import pytest
 from conftest import (random_frames, random_network, random_weights,
                       save_descriptor, save_sequence, save_weights)
 from epursim import cli
-from epursim.model import GATES, NumericError, Precision, Sequence
+from epursim.model import GATES, STACK_ORDER, NumericError, Precision, Sequence
 from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
                            descriptor_to_bytes, load_descriptor, load_sequence,
                            load_weights, weight_blob_chunks)
@@ -278,7 +278,8 @@ class TestWeightsHeldOnce:
                                                   ws.stacked_peepholes()))
                 peeps = {"input": peep_if[0], "forget": peep_if[1], "output": peep_o}
                 p = dict(ws.parts())
-                for i, g in enumerate(GATES):
+                for g in GATES:
+                    i = STACK_ORDER.index(g)
                     rows = slice(i * h, (i + 1) * h)
                     for field, stacked in (("w_x", wx[rows]), ("w_h", wh[rows]),
                                            ("bias", b[rows])):
