@@ -9,6 +9,12 @@ Tests that run the program in a subprocess (the scripts, the host-memory
 limits) are not counted: their lines run in another interpreter, out of the
 tracer's sight, so a line only they reach is listed as unreached.
 
+The script pins its own process to one CPU, so that the command line runs
+its concurrent inference runs in this process rather than in forked
+children.  Tests that stand in more CPUs for ``cli._concurrently`` still
+fork, and the child branch of ``_concurrently`` (``cli._child``) is reached
+only in those children, so it is listed as unreached.
+
 Tracing makes the suite 3-4 times slower (about a minute), so no test
 runs this script.
 
@@ -64,10 +70,12 @@ def main(argv: list[str]) -> int:
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     import pytest
 
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     # no ignoredirs: trace caches its ignore verdict by bare module name,
     # so an ignored numpy ``__init__`` would hide the package's own
     tracer = trace.Trace(count=1, trace=0)
-    threading.settrace(tracer.globaltrace)  # the CLI runs inferences on threads
+    threading.settrace(tracer.globaltrace)  # some tests run the datapath on threads
     try:
         rc = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider",
                                           "--continue-on-collection-errors",

@@ -15,12 +15,15 @@ import json
 import logging
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 import tempfile
-import threading
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -115,44 +118,109 @@ def _concurrently(calls: list[Callable[[], object]]) -> list:
     """The results of the zero-argument ``calls``, in call order.
 
     As many calls run at once as there are CPUs in this process's affinity:
-    the calling thread runs calls too, and worker threads run the rest.
-    numpy releases the GIL in its large loops, so independent inference
-    runs overlap.  Every worker is joined before this returns or raises.
+    the caller runs calls itself and forks a child process for each of the
+    rest, so that independent inference runs overlap without sharing one
+    interpreter.  A call reaches its child through the fork; only its
+    ``(ok, value)`` comes back, pickled through a pipe.  Between its own
+    calls the caller collects the children that have finished.  With one
+    CPU, or without ``os.fork``, every call runs on the caller.  The caller
+    must run no other thread, since only the forking thread lives on in a
+    child.
+
     When calls fail, the error of the first failing call in call order is
     raised; once a call fails, calls not yet started are skipped, since
-    their errors could not be the one raised.
+    their errors could not be the one raised.  A child that ends without a
+    result (killed by a signal, as by the kernel's OOM killer) raises
+    MemoryError.  Every child is reaped before this returns or raises: on
+    an error of the caller's own (KeyboardInterrupt included), the children
+    still running are killed.
     """
     n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
-    results: list = [None] * len(calls)
-    errors: list[BaseException | None] = [None] * len(calls)
-    pending = list(enumerate(calls))[::-1]
-    lock = threading.Lock()
+    slots = n_cpus - 1 if hasattr(os, "fork") else 0
+    outcomes: list[tuple[bool, object] | None] = [None] * len(calls)
+    children: dict[int, tuple[int, int, list[bytes]]] = {}  # fd: (call, pid, chunks)
 
-    def drain() -> None:
-        while True:
-            with lock:
-                if not pending or any(errors):
-                    return
-                i, call = pending.pop()
-            try:
-                results[i] = call()
-            except BaseException as e:  # re-raised on the calling thread
-                errors[i] = e
+    def collect(timeout: float | None) -> bool:
+        """Reads what the children have sent, reaping each one whose pipe
+        is at its end; False when none was ready within ``timeout``."""
+        ready, _, _ = select.select(list(children), [], [], timeout)
+        for fd in ready:
+            chunk = os.read(fd, 1 << 16)
+            if chunk:
+                children[fd][2].append(chunk)
+                continue
+            i, pid, chunks = children.pop(fd)
+            os.close(fd)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status == 0:
+                outcomes[i] = pickle.loads(b"".join(chunks))
+            else:
+                how = (f"by signal {-status} ({signal.strsignal(-status)})" if status < 0
+                       else f"with exit status {status}")
+                outcomes[i] = (False, MemoryError(
+                    f"run {i + 1} of {len(calls)} ended without a result, {how}"))
+        return bool(ready)
 
-    workers = [threading.Thread(target=drain, daemon=True)
-               for _ in range(min(n_cpus, len(calls)) - 1)]
-    for w in workers:
-        w.start()
     try:
-        drain()
+        for i, call in enumerate(calls):
+            while children and collect(0):
+                pass
+            if any(o is not None and not o[0] for o in outcomes):
+                break
+            if len(children) < slots and i < len(calls) - 1:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(call, w)
+                except OSError:
+                    os.close(r)
+                    raise
+                finally:
+                    os.close(w)  # the child's end; the child never gets here
+                children[r] = (i, pid, [])
+            else:
+                try:
+                    outcomes[i] = (True, call())
+                except Exception as e:  # raised below, in call order
+                    outcomes[i] = (False, e)
+        while children:
+            collect(None)
     finally:
-        for w in workers:
-            w.join()
-    for e in errors:
-        if e is not None:
-            raise e
-    return results
+        for fd, (_, pid, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    for o in outcomes:
+        if o is not None and not o[0]:
+            raise o[1]
+    return [o[1] for o in outcomes]
+
+
+def _child(call: Callable[[], object], w: int) -> NoReturn:
+    """In a forked child: runs ``call``, writes its pickled ``(ok, value)``
+    to the pipe ``w`` and ends the process, with no atexit handler or
+    buffered output of the parent's run.  An error that cannot be pickled
+    is sent as a RuntimeError with its type name and message."""
+    status = 1
+    try:
+        try:
+            outcome = (True, call())
+        except Exception as e:
+            outcome = (False, e)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            if not outcome[0]:
+                pickle.loads(data)  # an exception may pickle but not unpickle
+        except Exception as e:
+            bad = e if outcome[0] else outcome[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(bad).__name__}: {bad}")))
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,

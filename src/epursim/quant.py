@@ -15,8 +15,8 @@ import numpy as np
 from .model import NumericError
 
 
-class QuantRangeError(ValueError):
-    """Integer code outside the representable range."""
+class QuantRangeError(NumericError):
+    """Integer code outside the representable range (exit 6 at the CLI)."""
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from conftest import random_weights, save_descriptor, save_weights
-from epursim import arch, cli, model, presets, sched
+from epursim import arch, cli, model, presets, quant, sched
 from epursim.netio import load_sequence
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -284,10 +286,12 @@ class TestCompare:
 
 
     def test_one_oracle_run_serves_both_sides(self, gen, tmp_path, monkeypatch):
-        real, calls = model.network_infer, []
+        # counted in a file, which a run in a forked child writes to as well
+        real, calls = model.network_infer, tmp_path / "calls"
 
         def counted(*args):
-            calls.append(args)
+            with open(calls, "a") as f:
+                f.write("network_infer\n")
             return real(*args)
 
         monkeypatch.setattr(model, "network_infer", counted)
@@ -296,7 +300,7 @@ class TestCompare:
         rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
                      "--synthetic-t", "5", "--out", str(out))
         assert rc == cli.EXIT_OK
-        assert len(calls) == 1
+        assert calls.read_text() == "network_infer\n"
         doc = json.loads(out.read_text())
         assert doc["oracle_check_a"] == doc["oracle_check_b"] == \
             {"mode": "bit-exact", "passed": True}
@@ -600,10 +604,16 @@ class TestBoundary:
 
     @pytest.mark.parametrize("refusal", ["capacity", "mu_bottleneck", "input_dim"])
     def test_refusal_starts_no_inference(self, tmp_path, monkeypatch, capsys, refusal):
-        # the cost model and the input check run on the calling thread,
-        # before any thread, the datapath or the oracle starts
+        # the cost model and the input check run on the caller, before any
+        # thread or process, the datapath or the oracle starts
         started = []
+
+        def fork():
+            started.append("fork")
+            raise AssertionError("forked")
+
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(arch, "simulate", lambda *a: started.append("datapath"))
         monkeypatch.setattr(model, "network_infer", lambda *a: started.append("oracle"))
         net = model.NetworkDescriptor((model.LayerDescriptor(8, 64),
@@ -663,14 +673,18 @@ class TestBoundary:
         assert run_cli(*cmd, "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "3") == cli.EXIT_OK
         assert threading.active_count() == threads
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
-# Runs a command, then prints the process's peak RSS.
+# Runs a command, then prints the largest peak RSS of its process and of
+# the children it forked for concurrent runs (each reaped, so counted).
 PEAK_RSS_CHILD = """\
 import resource, sys
 from epursim import cli
 rc = cli.main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(max(resource.getrusage(who).ru_maxrss
+          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
 sys.exit(rc)
 """
 # Linux keeps the peak RSS of the process image an exec replaces, so a child
@@ -761,50 +775,191 @@ class TestHostMemory:
 
 class TestConcurrently:
     """cli._concurrently: results in call order, at most one running call
-    per CPU, every worker joined, and the first failing call's error."""
+    per CPU with the caller running calls too, every child reaped, and the
+    first failing call's error.  A call in a forked child changes nothing
+    in this process, so each call records what it saw in a file."""
 
     @staticmethod
     def cpus(monkeypatch, n):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)),
                             raising=False)
+        if n == 1:
+            def no_fork():
+                raise AssertionError("forked with one CPU")
+
+            monkeypatch.setattr(cli.os, "fork", no_fork)
+
+    @staticmethod
+    def record(log, *fields):
+        # one append per line, so lines from several processes never mix
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, (" ".join(map(str, fields)) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    @staticmethod
+    def records(log):
+        return [line.split() for line in log.read_text().splitlines()]
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     def test_results_in_call_order_on_at_most_one_thread_per_cpu(self, monkeypatch,
-                                                                  n_cpus):
+                                                                  tmp_path, n_cpus):
         self.cpus(monkeypatch, n_cpus)
-        lock, running, peak, idents = threading.Lock(), [0], [0], set()
+        log = tmp_path / "calls"
 
         def call(i):
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-                idents.add(threading.get_ident())
-            time.sleep(0.01 * (7 - i))  # later calls finish first
-            with lock:
-                running[0] -= 1
+            start = time.monotonic()
+            time.sleep(0.005 * (7 - i))  # later calls finish first
+            self.record(log, i, os.getpid(), start, time.monotonic())
             return i
 
-        threads = threading.active_count()
-        assert cli._concurrently([lambda i=i: call(i) for i in range(7)]) == list(range(7))
-        assert threading.active_count() == threads
-        assert peak[0] <= n_cpus and len(idents) <= n_cpus
-        if n_cpus == 1:
-            assert idents == {threading.get_ident()}
+        assert cli._concurrently([partial(call, i) for i in range(7)]) == list(range(7))
+        self.no_child_left()
+        recs = self.records(log)
+        assert sorted(int(r[0]) for r in recs) == list(range(7))
+        # an end sorts before a start at the same instant
+        edges = sorted([(float(r[2]), 1) for r in recs] + [(float(r[3]), -1) for r in recs])
+        running = [sum(step for _, step in edges[:k + 1]) for k in range(len(edges))]
+        assert max(running) <= n_cpus
+        pids = {int(r[1]) for r in recs}
+        assert os.getpid() in pids  # the caller runs calls
+        assert len(pids) == 1 if n_cpus == 1 else len(pids) > 1
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_first_failing_call_in_call_order_is_raised(self, monkeypatch, n_cpus):
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_first_failing_call_in_call_order_is_raised(self, monkeypatch, tmp_path,
+                                                        n_cpus):
+        # the first n_cpus - 1 calls go to children, which wait until the
+        # next call, on the caller, has failed: the failure of "first" comes
+        # later in time but first in call order, and the calls after the
+        # caller's never start
         self.cpus(monkeypatch, n_cpus)
-        ran = []
+        log, release, caller = tmp_path / "calls", tmp_path / "release", os.getpid()
 
-        def fail(name, delay):
-            time.sleep(delay)
-            ran.append(name)
+        def wait_in_a_child():
+            deadline = time.monotonic() + 10
+            while (os.getpid() != caller and not release.exists()
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+
+        def fail(name):
+            wait_in_a_child()
+            self.record(log, name)
+            release.touch()
             raise ValueError(name)
 
-        threads = threading.active_count()
+        calls = ([partial(fail, "first")] + [wait_in_a_child] * (n_cpus - 2)
+                 + [partial(fail, "second")] + [partial(self.record, log, "after")] * 2)
         with pytest.raises(ValueError, match="^first$"):
-            cli._concurrently([lambda: fail("first", 0.05), lambda: fail("second", 0.0),
-                               lambda: ran.append("after")])
-        assert threading.active_count() == threads
-        # a call not yet started when a call failed is skipped
-        assert "after" not in ran
+            cli._concurrently(calls)
+        self.no_child_left()
+        ran = [r[0] for r in self.records(log)]
+        assert ran == (["first"] if n_cpus == 1 else ["second", "first"])
+
+    def test_interrupt_kills_the_children(self, monkeypatch):
+        # the caller's own call is interrupted while a child still runs
+        self.cpus(monkeypatch, 2)
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._concurrently([partial(time.sleep, 30), interrupted])
+        assert time.monotonic() - start < 10
+        self.no_child_left()
+
+    def test_unpicklable_error_comes_back_by_name(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+
+        class TwoArgError(Exception):  # pickles, but cannot be unpickled
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def fail():
+            raise TwoArgError("this", "that")
+
+        with pytest.raises(RuntimeError, match="^TwoArgError: this and that$"):
+            cli._concurrently([fail, lambda: None])
+        self.no_child_left()
+
+    def test_killed_run_exits_5(self, gen, monkeypatch, capsys):
+        # both runs kill themselves if they run in a child, and never the
+        # test process itself
+        self.cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def killed_in_a_child(real):
+            def run(*args):
+                if os.getpid() != caller:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(*args)
+            return run
+
+        monkeypatch.setattr(arch, "simulate", killed_in_a_child(arch.simulate))
+        monkeypatch.setattr(model, "network_infer", killed_in_a_child(model.network_infer))
+        desc, blob = gen
+        assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "3") == cli.EXIT_CAPACITY
+        assert TestBoundary.one_line(capsys).startswith(
+            f"host memory error: run 1 of 2 ended without a result, by signal "
+            f"{int(signal.SIGKILL)} (")
+        self.no_child_left()
+
+    @pytest.mark.parametrize("error,rc,line", [
+        (model.NumericError("overflow"), cli.EXIT_NUMERIC, "numeric error: overflow"),
+        (model.ShapeError("bad shape"), cli.EXIT_PARSE, "error: bad shape"),
+        (MemoryError("Unable to allocate"), cli.EXIT_CAPACITY,
+         "host memory error: Unable to allocate"),
+        (quant.QuantRangeError("code outside [-127, 127]"), cli.EXIT_NUMERIC,
+         "numeric error: code outside [-127, 127]"),
+    ])
+    def test_error_in_a_child_exits_with_its_code(self, gen, monkeypatch, capsys,
+                                                  error, rc, line):
+        # the datapath, call 0 of 2, is the one that runs in a child
+        self.cpus(monkeypatch, 2)
+        caller, real = os.getpid(), arch.simulate
+
+        def datapath(*args):
+            if os.getpid() != caller:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(arch, "simulate", datapath)
+        desc, blob = gen
+        assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "3") == rc
+        assert TestBoundary.one_line(capsys) == line + "\n"
+        self.no_child_left()
+
+    @pytest.fixture()
+    def tiny(self, tmp_path):
+        desc, blob = tmp_path / "net.json", tmp_path / "net.bin"
+        assert run_cli("gen-network", "--layers", "2", "--hidden", "8", "--bidirectional",
+                       "--seed", "4", "--out-descriptor", str(desc),
+                       "--out-weights", str(blob)) == cli.EXIT_OK
+        return ["--network", str(desc), "--weights", str(blob), "--synthetic-t", "6"]
+
+    @pytest.mark.parametrize("cmd", [
+        ["simulate", "--policy", "conventional", "--energy"],
+        ["simulate", "--policy", "mwl", "--quantize", "--quant-bits", "8", "--calibrate"],
+        ["compare", "--quantize", "--calibrate"],
+        ["quantize-sweep", "--min-bits", "4", "--max-bits", "8", "--calibrate"],
+    ])
+    def test_outputs_do_not_depend_on_the_cpus(self, tiny, tmp_path, monkeypatch,
+                                               capsys, cmd):
+        # calibrated alphas are set inside each run: one left behind in a
+        # child would change the report
+        seen = []
+        for n_cpus in (1, 2, 3):
+            self.cpus(monkeypatch, n_cpus)
+            out = tmp_path / f"report{n_cpus}.json"
+            assert run_cli(*cmd, *tiny, "--out", str(out)) == cli.EXIT_OK
+            seen.append((capsys.readouterr(), out.read_bytes()))
+            monkeypatch.undo()
+        assert seen[0] == seen[1] == seen[2]
