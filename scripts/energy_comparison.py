@@ -36,8 +36,9 @@ def main() -> int:
     # alpha changes no count
     qcfg = QuantConfig(8) if args.quantize else None
 
-    base = arch.cost_model(net, args.t, Policy.conventional, arch.baseline_config())
-    mwl = arch.cost_model(net, args.t, Policy.mwl, arch.mwl_config(), quant=qcfg)
+    base = arch.cost_model(net, args.t, Policy.conventional, arch.HardwareConfig())
+    mwl = arch.cost_model(net, args.t, Policy.mwl, arch.HW_PRESETS["epur-mwl"](),
+                          quant=qcfg)
     e_base = energy.account(base, table)
     e_mwl = energy.account(mwl, table)
     cmp = energy.compare(e_base, e_mwl)

@@ -15,7 +15,7 @@ import json
 
 from epursim.model import LayerDescriptor
 from epursim.sched import (Target, reuse_analysis, trace_conventional,
-                           trace_mwl)
+                           trace_mwl, weight_storage_bytes)
 
 
 def sweep(hidden: int, ts: list[int]) -> list[dict]:
@@ -24,9 +24,9 @@ def sweep(hidden: int, ts: list[int]) -> list[dict]:
     for T in ts:
         conv = reuse_analysis(trace_conventional(layer, T))
         mwl = reuse_analysis(trace_mwl(layer, T))
-        cwb = conv.gate_target("input", Target.weight_buffer)
-        mwb = mwl.gate_target("input", Target.weight_buffer)
-        mrb = mwl.gate_target("input", Target.row_buffer)
+        cwb = conv[Target.weight_buffer]
+        mwb = mwl[Target.weight_buffer]
+        mrb = mwl[Target.row_buffer]
         rows.append({
             "T": T,
             "conventional_read_bytes": cwb.read_bytes,
@@ -35,8 +35,8 @@ def sweep(hidden: int, ts: list[int]) -> list[dict]:
             "conventional_max_reuse": cwb.max_reuse_distance,
             "mwl_forward_max_reuse": mrb.max_reuse_distance,
             "mwl_recurrent_max_reuse": mwb.max_reuse_distance,
-            "conventional_min_storage": conv.weight_storage_bytes("input"),
-            "mwl_min_storage": mwl.weight_storage_bytes("input"),
+            "conventional_min_storage": weight_storage_bytes(conv),
+            "mwl_min_storage": weight_storage_bytes(mwl),
         })
     return rows
 

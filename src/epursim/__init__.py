@@ -6,11 +6,10 @@ from .model import (Direction, LayerDescriptor, NetworkDescriptor,
                     NetworkWeights, Precision, Sequence, WeightSet,
                     layer_infer, network_infer)
 from .quant import DequantTable, QuantConfig, quantize
-from .sched import (AccessTrace, Policy, ReuseStats, Target, dram_traffic,
+from .sched import (AccessTrace, Policy, Target, dram_traffic,
                     reuse_analysis, trace_conventional, trace_mwl)
 from .arch import (CapacityError, HardwareConfig, MuBottleneckError, SimReport,
-                   baseline_config, cost_model, dpu_dot_cycles, mu_plan,
-                   mwl_config, simulate)
+                   cost_model, dpu_dot_cycles, mu_plan, simulate)
 from .energy import EnergyReport, EnergyTable, account, compare
 
 __version__ = "0.1.0"
@@ -20,10 +19,9 @@ __all__ = [
     "NetworkDescriptor", "NetworkWeights", "Precision", "Sequence",
     "WeightSet", "layer_infer", "network_infer",
     "DequantTable", "QuantConfig", "quantize",
-    "AccessTrace", "Policy", "ReuseStats", "Target",
+    "AccessTrace", "Policy", "Target",
     "dram_traffic", "reuse_analysis", "trace_conventional", "trace_mwl",
     "CapacityError", "HardwareConfig", "MuBottleneckError", "SimReport",
-    "baseline_config", "dpu_dot_cycles", "mu_plan", "mwl_config",
-    "cost_model", "simulate",
+    "dpu_dot_cycles", "mu_plan", "cost_model", "simulate",
     "EnergyReport", "EnergyTable", "account", "compare",
 ]

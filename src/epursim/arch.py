@@ -10,6 +10,7 @@ sums one ``PassCost`` record per layer-direction pass.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -110,22 +111,12 @@ class HardwareConfig:
             raise ConfigError(f"bad hardware config: {e}") from e
 
 
-def baseline_config(**overrides) -> HardwareConfig:
-    """Baseline preset: 4 MB weight memory and 8 KB input memory per CU."""
-    return HardwareConfig(**overrides)
-
-
-def mwl_config(**overrides) -> HardwareConfig:
-    """MWL preset: weight and input memories halved (2 MB / 4 KB per CU)."""
-    kwargs = dict(weight_mem_bytes_per_cu=2 * 2**20,
-                  input_mem_bytes_per_cu=4 * 2**10)
-    kwargs.update(overrides)
-    return HardwareConfig(**kwargs)
-
-
+#: Each ``--hw-preset`` name and the constructor of its config: ``epur``
+#: has 4 MiB weight and 8 KiB input memory per CU, ``epur-mwl`` halves both.
 HW_PRESETS: dict[str, Callable[..., HardwareConfig]] = {
-    "epur": baseline_config,
-    "epur-mwl": mwl_config,
+    "epur": HardwareConfig,
+    "epur-mwl": functools.partial(HardwareConfig, weight_mem_bytes_per_cu=2 * 2**20,
+                                  input_mem_bytes_per_cu=4 * 2**10),
 }
 
 
@@ -269,7 +260,7 @@ def mu_initiation_interval(plan: MuPlan, gate: str) -> int:
 # quantize: scale multiply, round (add-one plus two logic steps), pack;
 # dequantize: one table lookup.  Overlapped with the DPU's next element.
 _QUANT_FU_OPS = (("mul", 1), ("add", 1), ("move", 2))
-_QUANT_OP_COUNT = 4
+_QUANT_OP_COUNT = sum(c for _, c in _QUANT_FU_OPS)
 _DEQUANT_OP_COUNT = 1
 # pipelined units: the cycles between quantized elements are an issue-slot count
 _QUANT_MU_INTERVAL = max(math.ceil(c / FU_UNITS[fu]) for fu, c in _QUANT_FU_OPS)
@@ -665,6 +656,6 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
             if report.quant is not None else None)
     seq = inp
     for i, layer in enumerate(net.layers):
-        seq = layer_infer(layer, weights.layers[i], seq, hook)
+        seq = layer_infer(layer, weights[i], seq, hook)
     report.outputs = seq
     return report

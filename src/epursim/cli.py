@@ -20,6 +20,7 @@ import select
 import signal
 import sys
 import tempfile
+import warnings
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from pathlib import Path
@@ -419,16 +420,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze_reuse(args) -> int:
     net = netio.load_descriptor(args.network)
+    if args.layer is not None and not 0 <= args.layer < len(net.layers):
+        raise UsageError(f"--layer must be in 0..{len(net.layers) - 1}, got {args.layer}")
     policy = sched.Policy(args.policy)
     # the design's partial width: 8-bit codes
     traces = list(_traces(net, args.t, policy, quant.QuantConfig(),
                           _hw_config(args).row_buffer_bytes, args.layer))
     doc = {"policy": policy.value, "sequence_length": args.t, "layers": []}
     for i, per_dir in traces:
-        # a layer's directions share one trace
-        st = sched.reuse_analysis(per_dir[0])
-        result = {"stats": st.to_json(),
-                  "weight_storage_bytes": {g: st.weight_storage_bytes(g) for g in model.GATES}}
+        # a layer's directions share one trace, and its gates one stream
+        stats = sched.reuse_analysis(per_dir[0])
+        result = {"stats": dict.fromkeys(model.GATES, {tgt.value: st.to_json()
+                                                       for tgt, st in stats.items()}),
+                  "weight_storage_bytes": dict.fromkeys(
+                      model.GATES, sched.weight_storage_bytes(stats))}
         doc["layers"].append({"layer": i, "directions": [
             {"direction": d, **result} for d in range(len(per_dir))]})
     outputs = {}
@@ -617,8 +622,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs one command and returns its exit code.  An error prints one
+    line.  The command's warnings are recorded and each distinct message
+    prints once, as ``warning: <message>``, only when the command exits 0,
+    so a failing run still prints its one line.  A warning raised in a run
+    forked by ``_concurrently`` ends with that process; none of them warns."""
     _setup_logging()
     args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run(args)
+    if rc == EXIT_OK:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+    return rc
+
+
+def _run(args) -> int:
+    """The command's exit code, with each error mapped to its one line."""
     try:
         return args.func(args)
     except UsageError as e:

@@ -192,6 +192,10 @@ class WeightSet:
         return self._peepholes
 
 
+#: A whole network's weights: per layer, one weight set per direction.
+NetworkWeights = list[list[WeightSet]]
+
+
 @dataclass
 class Sequence:
     """Ordered input frames, shape [T, dim]."""
@@ -399,7 +403,7 @@ def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
     return Sequence(np.concatenate([fwd, bwd[::-1]], axis=1))
 
 
-def network_infer(net: NetworkDescriptor, weights: "NetworkWeights",
+def network_infer(net: NetworkDescriptor, weights: NetworkWeights,
                   inp: Sequence) -> Sequence:
     """Fold layer_infer over the stack; returns the last hidden layer's output."""
     if inp.dim != net.input_dim:
@@ -407,26 +411,10 @@ def network_infer(net: NetworkDescriptor, weights: "NetworkWeights",
     seq = inp
     for i, layer in enumerate(net.layers):
         try:
-            seq = layer_infer(layer, weights.layers[i], seq)
+            seq = layer_infer(layer, weights[i], seq)
         except (ShapeError, NumericError) as e:
             raise type(e)(f"layer {i}: {e}") from e
     return seq
-
-
-@dataclass
-class NetworkWeights:
-    """Per-layer, per-direction weight sets for a whole network."""
-
-    layers: list[list[WeightSet]]
-
-    @classmethod
-    def for_network(cls, net: NetworkDescriptor,
-                    make: "callable") -> "NetworkWeights":
-        """Build weights by calling make(layer_index, direction_index, layer)."""
-        out = []
-        for i, layer in enumerate(net.layers):
-            out.append([make(i, d, layer) for d in range(layer.num_directions)])
-        return cls(out)
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,8 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
                 raise FormatError(f"{path}: blob too short")
             return chunk.reshape(shape)
 
-        return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet(
-            layer, net.numeric_precision, read))
+        return [[WeightSet(layer, net.numeric_precision, read)
+                 for _ in range(layer.num_directions)] for layer in net.layers]
 
 
 # ---------------------------------------------------------------------------

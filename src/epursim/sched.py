@@ -191,29 +191,11 @@ class TargetStats:
         return dict(self.__dict__)
 
 
-@dataclass
-class ReuseStats:
-    """Per gate, per target: access totals and LRU stack-distance results."""
-
-    per_gate: dict[str, dict[Target, TargetStats]]
-
-    def gate_target(self, gate: str, target: Target) -> TargetStats:
-        return self.per_gate[gate][target]
-
-    def weight_storage_bytes(self, gate: str) -> int:
-        """Smallest weight storage with no capacity refetch: the sum of the
-        weight-holding buffers' minimal LRU capacities."""
-        total = 0
-        for tgt in (Target.weight_buffer, Target.row_buffer):
-            if tgt in self.per_gate[gate]:
-                total += self.per_gate[gate][tgt].min_buffer_bytes
-        return total
-
-    def to_json(self) -> dict:
-        return {
-            gate: {tgt.value: st.to_json() for tgt, st in targets.items()}
-            for gate, targets in self.per_gate.items()
-        }
+def weight_storage_bytes(stats: dict[Target, TargetStats]) -> int:
+    """Smallest weight storage with no capacity refetch: the sum of the
+    weight-holding buffers' minimal LRU capacities."""
+    return sum(stats[tgt].min_buffer_bytes
+               for tgt in (Target.weight_buffer, Target.row_buffer) if tgt in stats)
 
 
 def _live_sums(size: np.ndarray, nxt: np.ndarray, lo: np.ndarray,
@@ -292,8 +274,13 @@ def _analyze_stream(obj: np.ndarray, nbytes: np.ndarray,
     )
 
 
-def _gate_stats(gt: GateTrace) -> dict[Target, TargetStats]:
-    """A stream's stats per target, targets in order of first access."""
+def reuse_analysis(trace: AccessTrace) -> dict[Target, TargetStats]:
+    """Exact LRU stack distances of a trace's stream, in byte units, per
+    target in order of first access.  The four gates share the stream, so
+    this is every gate's result."""
+    gt = trace.stream
+    if not len(gt):
+        raise ValueError("trace is empty")
     codes, first_at = np.unique(gt.target, return_index=True)
     stats = {}
     for code in codes[np.argsort(first_at)]:
@@ -301,14 +288,6 @@ def _gate_stats(gt: GateTrace) -> dict[Target, TargetStats]:
         stats[TARGETS[code]] = _analyze_stream(gt.obj[mask], gt.bytes[mask],
                                                gt.rw[mask] == _W)
     return stats
-
-
-def reuse_analysis(trace: AccessTrace) -> ReuseStats:
-    """Exact LRU stack distances per gate and per target, in byte units.
-    The gates share one stream, so they share one set of stats."""
-    if not len(trace.stream):
-        raise ValueError("trace is empty")
-    return ReuseStats(dict.fromkeys(GATES, _gate_stats(trace.stream)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,17 @@ def arrays_of(ws: WeightSet) -> dict[str, np.ndarray]:
     return {name: arr.astype(dt, copy=False) for name, arr in ws.parts()}
 
 
+def weights_for(net: NetworkDescriptor, make) -> NetworkWeights:
+    """A network's weights from ``make(layer_index, direction_index, layer)``."""
+    return [[make(i, d, layer) for d in range(layer.num_directions)]
+            for i, layer in enumerate(net.layers)]
+
+
 def random_weights(net: NetworkDescriptor, seed: int) -> NetworkWeights:
     """The weights of ``presets.random_parts``, held as weight sets: those
     of the blob ``gen-network --seed`` writes."""
     parts = presets.random_parts(net, seed)
-    return NetworkWeights.for_network(net, lambda _i, _d, layer: WeightSet(
+    return weights_for(net, lambda _i, _d, layer: WeightSet(
         layer, net.numeric_precision, lambda _name, _shape: next(parts)[1]))
 
 
@@ -51,7 +57,7 @@ def save_descriptor(net: NetworkDescriptor, path) -> None:
 def save_weights(net: NetworkDescriptor, weights: NetworkWeights, path) -> None:
     with open(path, "wb") as f:
         f.writelines(netio.weight_blob_chunks(
-            net, (part for cells in weights.layers for ws in cells for part in ws.parts())))
+            net, (part for cells in weights for ws in cells for part in ws.parts())))
 
 
 def save_sequence(seq: Sequence, path) -> None:
@@ -112,7 +118,7 @@ def random_network(seed: int, max_layers: int = 4,
     def make(i, d, layer):
         return cell_for_layer(layer, seed * 7919 + i * 101 + d, precision)
 
-    return net, NetworkWeights.for_network(net, make)
+    return net, weights_for(net, make)
 
 
 def random_frames(net: NetworkDescriptor, T: int, seed: int) -> Sequence:

@@ -14,12 +14,12 @@ import pytest
 
 from conftest import cosine_similarity, gate_span, random_weights, simulate, start_of
 from epursim import arch, energy, model, presets, quant, sched
-from epursim.arch import baseline_config, cost_model, mwl_config
+from epursim.arch import HW_PRESETS, HardwareConfig, cost_model
 from epursim.sched import Policy, Target
 
-CFG = baseline_config()
-UNIT = baseline_config(op_latency=dict.fromkeys(arch.DEFAULT_OP_LATENCY, 1),
-                       mu_comm_cycles=1)
+CFG = HardwareConfig()
+UNIT = HardwareConfig(op_latency=dict.fromkeys(arch.DEFAULT_OP_LATENCY, 1),
+                      mu_comm_cycles=1)
 
 
 def _report(n: int, text: str) -> None:
@@ -85,13 +85,10 @@ class TestCriterion4ReuseDistances:
         eb = 4
         conv = sched.reuse_analysis(sched.trace_conventional(layer, 4))
         mwl = sched.reuse_analysis(sched.trace_mwl(layer, 4))
-        for g in model.GATES:
-            assert conv.gate_target(g, Target.weight_buffer).max_reuse_distance \
-                == hidden * nx * eb + hidden * hidden * eb
-            assert mwl.gate_target(g, Target.row_buffer).max_reuse_distance \
-                == nx * eb
-            assert mwl.gate_target(g, Target.weight_buffer).max_reuse_distance \
-                == hidden * hidden * eb
+        assert conv[Target.weight_buffer].max_reuse_distance \
+            == hidden * nx * eb + hidden * hidden * eb
+        assert mwl[Target.row_buffer].max_reuse_distance == nx * eb
+        assert mwl[Target.weight_buffer].max_reuse_distance == hidden * hidden * eb
 
     def test_report(self):
         _report(4, "LRU stack distances: conventional = both matrices, MWL "
@@ -106,11 +103,10 @@ class TestCriterion5StorageHighWaterMarks:
             conv = sched.reuse_analysis(sched.trace_conventional(layer, 6))
             mwl = sched.reuse_analysis(sched.trace_mwl(layer, 6))
             row = nx * eb
-            for g in model.GATES:
-                need_mwl = mwl.weight_storage_bytes(g)
-                need_conv = conv.weight_storage_bytes(g)
-                assert need_mwl == hidden * hidden * eb + row
-                assert need_mwl <= need_conv // 2 + row  # square: exactly half + row
+            need_mwl = sched.weight_storage_bytes(mwl)
+            need_conv = sched.weight_storage_bytes(conv)
+            assert need_mwl == hidden * hidden * eb + row
+            assert need_mwl <= need_conv // 2 + row  # square: exactly half + row
         _report(5, "MWL minimal weight storage = recurrent matrix + one forward "
                    "row (50% of conventional + one row on square layers)")
 
@@ -212,7 +208,7 @@ class TestCriterion9TimingModel:
                 _check_mu(net, policy, CFG)
 
     def test_doctored_latencies_fail_with_diagnostic(self):
-        lat = dict(baseline_config().op_latency)
+        lat = dict(HardwareConfig().op_latency)
         lat["exp"] = 400
         net = presets.custom_descriptor(1, 8, False, True)
         with pytest.raises(arch.MuBottleneckError, match="bottleneck"):
@@ -262,9 +258,9 @@ class TestCriterion10EnergyModel:
         weights = random_weights(net, 2)
         seq = presets.random_sequence(net, 2, 3)
         a = energy.account(simulate(net, weights, seq, Policy.conventional,
-                                    baseline_config()), table)
+                                    HardwareConfig()), table)
         b = energy.account(simulate(net, weights, seq, Policy.mwl,
-                                    mwl_config()), table)
+                                    HW_PRESETS["epur-mwl"]()), table)
         ra = a.leakage_by_component["weight_memory"] / a.meta["seconds"]
         rb = b.leakage_by_component["weight_memory"] / b.meta["seconds"]
         assert abs(rb / ra - 0.5) <= 0.1

@@ -10,21 +10,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (cell_for_layer, gate_span, random_frames, random_network,
-                      random_weights, simulate, start_of)
+                      random_weights, simulate, start_of, weights_for)
 from epursim import arch
 from epursim.arch import (HW_PRESETS, CapacityError, HardwareConfig,
-                          MuBottleneckError, baseline_config, cost_model,
-                          dpu_dot_cycles, mu_initiation_interval, mu_plan,
-                          mwl_config)
+                          MuBottleneckError, cost_model, dpu_dot_cycles,
+                          mu_initiation_interval, mu_plan)
 from epursim.model import (GATES, Direction, LayerDescriptor, NetworkDescriptor,
-                           NetworkWeights, ShapeError, network_infer)
+                           ShapeError, network_infer)
 from epursim.presets import custom_descriptor, preset_descriptor
 from epursim.quant import QuantConfig
 from epursim.sched import Policy, Target
 
-CFG = baseline_config()
-UNIT = baseline_config(op_latency=dict.fromkeys(arch.DEFAULT_OP_LATENCY, 1),
-                       mu_comm_cycles=1)
+CFG = HardwareConfig()
+UNIT = HardwareConfig(op_latency=dict.fromkeys(arch.DEFAULT_OP_LATENCY, 1),
+                      mu_comm_cycles=1)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestDpuDotCycles:
@@ -136,8 +136,7 @@ def tiny_net(hidden=16, layers=1, bidirectional=False, peephole=True, seed=0):
         descs.append(layer)
         in_size = layer.output_size
     net = NetworkDescriptor(tuple(descs), input_dim=hidden)
-    weights = NetworkWeights.for_network(
-        net, lambda i, d, l: cell_for_layer(l, seed + 31 * i + d))
+    weights = weights_for(net, lambda i, d, l: cell_for_layer(l, seed + 31 * i + d))
     return net, weights
 
 
@@ -293,7 +292,7 @@ class TestChecksAndErrors:
     def test_row_buffer_fallback_noted(self):
         layer = LayerDescriptor(8, 2000)
         net = NetworkDescriptor((layer,), input_dim=2000)
-        weights = NetworkWeights.for_network(net, lambda i, d, l: cell_for_layer(l, 0))
+        weights = weights_for(net, lambda i, d, l: cell_for_layer(l, 0))
         seq = random_frames(net, 2, 0)
         rep = simulate(net, weights, seq, Policy.mwl, CFG)
         assert any("row buffer" in n for n in rep.notes)
@@ -341,7 +340,7 @@ class TestSimulateCounters:
         from epursim.sched import RW, TARGETS, trace_mwl
         layer = LayerDescriptor(12, 20, Direction.forward_only, peephole=True)
         net = NetworkDescriptor((layer,), input_dim=20)
-        weights = NetworkWeights.for_network(net, lambda i, d, l: cell_for_layer(l, 7))
+        weights = weights_for(net, lambda i, d, l: cell_for_layer(l, 7))
         T, qcfg = 6, QuantConfig(8, 2.0)
         rep = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG,
                        quant=qcfg)
@@ -415,12 +414,37 @@ class TestSimulateCounters:
 
 class TestHardwareConfig:
     def test_presets(self):
-        assert baseline_config().weight_mem_bytes_per_cu == 4 * 2**20
-        assert mwl_config().weight_mem_bytes_per_cu == 2 * 2**20
-        assert mwl_config().input_mem_bytes_per_cu == 4 * 2**10
+        assert HW_PRESETS["epur"]().weight_mem_bytes_per_cu == 4 * 2**20
+        assert HW_PRESETS["epur-mwl"]().weight_mem_bytes_per_cu == 2 * 2**20
+        assert HW_PRESETS["epur-mwl"]().input_mem_bytes_per_cu == 4 * 2**10
+
+    @pytest.mark.parametrize("name", sorted(HW_PRESETS))
+    def test_preset_matches_the_readme_table(self, name):
+        # | `epur` | 4 MiB | 8 KiB | 6 MiB | 16 | 500 MHz |
+        (row,) = [line.split("|")[2:-1] for line in README.read_text().splitlines()
+                  if line.startswith(f"| `{name}` ")]
+        units = {"KiB": 2**10, "MiB": 2**20, "MHz": 1e6}
+
+        def value(cell):
+            n, unit = cell.split()
+            return float(n) * units[unit]
+
+        weight, inp, inter, width, freq = row
+        cfg = HW_PRESETS[name]()
+        assert cfg.weight_mem_bytes_per_cu == value(weight)
+        assert cfg.input_mem_bytes_per_cu == value(inp)
+        assert cfg.intermediate_mem_bytes == value(inter)
+        assert cfg.dpu_width == int(width)
+        assert cfg.frequency_hz == value(freq)
+
+    @pytest.mark.parametrize("name", sorted(HW_PRESETS))
+    def test_each_preset_call_is_a_new_config(self, name):
+        first = HW_PRESETS[name]()
+        first.op_latency["add"] = 9
+        assert HW_PRESETS[name]().op_latency == arch.DEFAULT_OP_LATENCY
 
     def test_json_round_trip(self):
-        cfg = mwl_config(frequency_hz=600e6)
+        cfg = HW_PRESETS["epur-mwl"](frequency_hz=600e6)
         back = HardwareConfig.from_json(cfg.to_json())
         assert back == cfg
 
@@ -472,7 +496,7 @@ class TestCostModelGoldens:
 
 def shape_report(net, T, policy, bits):
     """The cost model of ``net`` at T on its policy's hardware preset."""
-    cfg = baseline_config() if policy is Policy.conventional else mwl_config()
+    cfg = HW_PRESETS["epur" if policy is Policy.conventional else "epur-mwl"]()
     return cost_model(net, T, policy, cfg, QuantConfig(bits) if bits else None)
 
 

@@ -183,8 +183,7 @@ class TestSimulate:
         run_cli("gen-network", "--layers", "1", "--hidden", "512", "--seed", "1",
                 "--out-descriptor", str(desc), "--out-weights", str(blob))
         hw = tmp_path / "hw.json"
-        from epursim.arch import baseline_config
-        cfg = baseline_config().to_json()
+        cfg = arch.HardwareConfig().to_json()
         cfg["weight_mem_bytes_per_cu"] = 2**20
         hw.write_text(json.dumps(cfg), encoding="utf-8")
         rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
@@ -237,7 +236,7 @@ class TestAnalyzeReuse:
         for g in model.GATES:
             assert direction["stats"][g]["weight_buffer"]["read_bytes"] == 2**31 + 4
 
-    def test_trace_csv_golden(self, tmp_path):
+    def test_trace_csv_golden(self, tmp_path, capsys):
         """A layer whose 4400-byte forward rows overflow the row buffer, then
         a bidirectional layer whose rows are pinned; the CSV as recorded
         from the event-list implementation the columnar traces replaced."""
@@ -246,10 +245,11 @@ class TestAnalyzeReuse:
             {"hidden_size": 1, "input_size": 1100},
             {"hidden_size": 1, "input_size": 1, "direction": "bidirectional"}]}),
             encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="row buffer"):
-            rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
-                         "--t", "2", "--trace-csv", str(csv_path))
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                     "--t", "2", "--trace-csv", str(csv_path))
         assert rc == cli.EXIT_OK
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: forward row (4400 B) exceeds the row buffer")
         golden = (DATA / "trace_mwl_t2.csv").read_bytes()
         assert csv_path.read_bytes() == golden
         # the README documents the header
@@ -522,6 +522,54 @@ class TestBoundary:
                      "--t", "0")
         assert rc == cli.EXIT_PARSE
         assert self.one_line(capsys) == "error: T must be >= 1\n"
+
+    @pytest.mark.parametrize("layer", ["99", "-1"])
+    def test_analyze_reuse_layer_out_of_range_exits_2(self, tmp_path, monkeypatch,
+                                                     capsys, layer):
+        desc = tmp_path / "eesen.json"
+        save_descriptor(presets.preset_descriptor("eesen"), desc)
+
+        def traced(*args):
+            raise AssertionError("a trace was built")
+
+        monkeypatch.setattr(sched, "layer_traces", traced)
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                     "--t", "50", "--layer", layer)
+        assert rc == cli.EXIT_USAGE
+        assert self.one_line(capsys) == f"usage error: --layer must be in 0..4, got {layer}\n"
+
+    @pytest.fixture()
+    def warned(self, tmp_path):
+        """Two runs that raise a RuntimeWarning before they write: a layer
+        whose 4400-byte forward rows overflow the row buffer, and one that
+        needs more DRAM bandwidth than the peak."""
+        wide, hw = tmp_path / "wide.json", tmp_path / "hw.json"
+        wide.write_text(json.dumps({"input_dim": 1100, "layers": [
+            {"hidden_size": 1, "input_size": 1100}]}), encoding="utf-8")
+        hw.write_text(json.dumps({"dpu_width": 1024}), encoding="utf-8")
+        desc, blob = tmp_path / "bw.json", tmp_path / "bw.bin"
+        assert run_cli("gen-network", "--layers", "1", "--hidden", "1",
+                       "--input-dim", "1024", "--out-descriptor", str(desc),
+                       "--out-weights", str(blob)) == cli.EXIT_OK
+        return {"row buffer": ["analyze-reuse", "--network", str(wide), "--policy", "mwl",
+                               "--t", "3"],
+                "bandwidth": ["simulate", "--network", str(desc), "--weights", str(blob),
+                              "--hw-config", str(hw), "--synthetic-t", "700"]}
+
+    @pytest.mark.parametrize("run,message", [
+        ("row buffer", "forward row (4400 B) exceeds the row buffer (4096 B); "
+                       "falling back to weight-buffer reads for forward connections"),
+        ("bandwidth", "required average DRAM bandwidth 32.47 GB/s exceeds the peak "
+                      "30.00 GB/s"),
+    ])
+    def test_warning_prints_one_line_on_success_only(self, warned, tmp_path, capsys,
+                                                     run, message):
+        capsys.readouterr()
+        rc = run_cli(*warned[run], "--out", str(tmp_path / "missing" / "r.json"))
+        assert rc == cli.EXIT_IO
+        assert self.one_line(capsys).startswith("i/o error: ")
+        assert run_cli(*warned[run], "--out", str(tmp_path / "r.json")) == cli.EXIT_OK
+        assert capsys.readouterr().err == f"warning: {message}\n"
 
     def test_unchained_layer_widths_exit_3(self, tmp_path, capsys):
         desc = tmp_path / "net.json"

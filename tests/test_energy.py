@@ -3,11 +3,10 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import cell_for_layer, random_frames, simulate
-from epursim.arch import SimReport, baseline_config, mwl_config
+from conftest import cell_for_layer, random_frames, simulate, weights_for
+from epursim.arch import HW_PRESETS, HardwareConfig, SimReport
 from epursim.energy import (EnergyConfigError, EnergyTable, account, compare)
-from epursim.model import (Direction, LayerDescriptor, NetworkDescriptor,
-                           NetworkWeights, Sequence)
+from epursim.model import Direction, LayerDescriptor, NetworkDescriptor, Sequence
 from epursim.sched import RW, Policy, Target
 
 TABLE = EnergyTable()
@@ -16,13 +15,13 @@ TABLE = EnergyTable()
 def square_net(hidden, peephole=False, seed=0):
     layer = LayerDescriptor(hidden, hidden, Direction.forward_only, peephole)
     net = NetworkDescriptor((layer,), input_dim=hidden)
-    weights = NetworkWeights.for_network(net, lambda i, d, l: cell_for_layer(l, seed))
+    weights = weights_for(net, lambda i, d, l: cell_for_layer(l, seed))
     return net, weights
 
 
 def run(hidden, T, policy, cfg=None, peephole=False):
     net, weights = square_net(hidden, peephole)
-    cfg = cfg or baseline_config()
+    cfg = cfg or HardwareConfig()
     return simulate(net, weights, random_frames(net, T, 1), policy, cfg)
 
 
@@ -33,7 +32,7 @@ def empty_report():
         access={(t, rw): (0, 0) for t in Target for rw in RW}, dpu_ops_per_cu=0,
         mu_ops=0, dram={"total_bytes": 0}, storage={
             "weight_banks_per_cu": 0, "intermediate_banks": 0},
-        checks={}, mu_critical_path=0, config=baseline_config(),
+        checks={}, mu_critical_path=0, config=HardwareConfig(),
         outputs=Sequence(np.zeros((1, 1))), network_summary={},
     )
 
@@ -122,8 +121,9 @@ class TestCompare:
         net, weights = square_net(512)
         seq = random_frames(net, 2, 0)
         a = account(simulate(net, weights, seq, Policy.conventional,
-                             baseline_config()), TABLE)
-        b = account(simulate(net, weights, seq, Policy.mwl, mwl_config()), TABLE)
+                             HardwareConfig()), TABLE)
+        b = account(simulate(net, weights, seq, Policy.mwl, HW_PRESETS["epur-mwl"]()),
+                    TABLE)
         # normalize out the (slightly) different wall times
         ra = a.leakage_by_component["weight_memory"] / a.meta["seconds"]
         rb = b.leakage_by_component["weight_memory"] / b.meta["seconds"]

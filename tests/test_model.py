@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import (F32, arrays_of, cell_for_layer, make_cell,
                       naive_lstm_step, naive_preactivation, naive_sigmoid,
-                      random_frames, random_network, random_weights, weight_set)
+                      random_frames, random_network, random_weights, weight_set,
+                      weights_for)
 from epursim import model
 from epursim.model import (GATES, STACK_ORDER, Direction, LayerDescriptor,
-                           NetworkDescriptor, NetworkWeights, NumericError,
+                           NetworkDescriptor, NumericError,
                            Precision, Sequence, ShapeError, WeightSet,
                            accumulate_dot, accumulate_dot_all_t, finish_step,
                            layer_infer, network_infer, run_direction)
@@ -397,7 +398,7 @@ class TestNetworkInfer:
         net, weights = random_network(123, max_layers=1)
         seq = random_frames(net, 4, 5)
         got = network_infer(net, weights, seq)
-        want = layer_infer(net.layers[0], weights.layers[0], seq)
+        want = layer_infer(net.layers[0], weights[0], seq)
         assert np.array_equal(got.frames, want.frames)
 
     def test_two_layers_equal_manual_composition(self):
@@ -408,7 +409,7 @@ class TestNetworkInfer:
         w0 = [make_cell(6, 4, True, 61), make_cell(6, 4, True, 62)]
         w0 = [weight_set(l0, arrays_of(w)) for w in w0]
         w1 = [make_cell(5, 12, False, 63)]
-        weights = NetworkWeights([w0, w1])
+        weights = [w0, w1]
         seq = Sequence(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
         got = network_infer(net, weights, seq)
         want = layer_infer(l1, w1, layer_infer(l0, w0, seq))
@@ -416,9 +417,9 @@ class TestNetworkInfer:
 
     def test_layer_error_names_the_layer(self):
         net, weights = random_network(5, max_layers=3)
-        bad = weights.layers[-1][0]
+        bad = weights[-1][0]
         # corrupt the last layer's weights so shapes no longer chain
-        weights.layers[-1][0] = make_cell(bad.layer.hidden_size + 1,
+        weights[-1][0] = make_cell(bad.layer.hidden_size + 1,
                                           bad.layer.input_size, False, 1)
         seq = random_frames(net, 2, 0)
         with pytest.raises(ShapeError, match=f"layer {len(net.layers) - 1}"):
@@ -431,7 +432,7 @@ class TestNetworkInfer:
         l0 = LayerDescriptor(6, 4, Direction.bidirectional, peephole=True)
         l1 = LayerDescriptor(5, 12)
         net = NetworkDescriptor((l0, l1), input_dim=4)
-        weights = NetworkWeights.for_network(
+        weights = weights_for(
             net, lambda i, d, layer: cell_for_layer(layer, 80 + 2 * i + d))
         T = 7
         calls, macs = Counter(), Counter()
@@ -459,14 +460,14 @@ class TestNetworkInfer:
                                   for l in passes)}
 
     def test_shared_weights_across_threads(self):
-        # more threads than cores run the oracle on one NetworkWeights, and
+        # more threads than cores run the oracle on one network's weights, and
         # every thread's output is bit-identical to a sequential run
         l0 = LayerDescriptor(12, 6, Direction.bidirectional, peephole=True)
         l1 = LayerDescriptor(8, 24, Direction.bidirectional, peephole=True)
         net = NetworkDescriptor((l0, l1), input_dim=6)
 
         def fresh():
-            return NetworkWeights.for_network(
+            return weights_for(
                 net, lambda i, d, layer: cell_for_layer(layer, 40 + 2 * i + d))
 
         seq = random_frames(net, 9, 4)

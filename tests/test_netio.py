@@ -118,7 +118,7 @@ class TestWeightBlob:
         back = load_weights(net, path)
         for li, layer in enumerate(net.layers):
             for d in range(layer.num_directions):
-                a, b = weights.layers[li][d].parts(), back.layers[li][d].parts()
+                a, b = weights[li][d].parts(), back[li][d].parts()
                 assert [name for name, _ in a] == [name for name, _ in b]
                 for (_, x), (_, y) in zip(a, b):
                     assert np.array_equal(x, y)
@@ -136,16 +136,15 @@ class TestWeightBlob:
     def test_payload_order_is_documented_order(self, tmp_path):
         # one tiny layer: first values after the header are row 0 of the
         # input gate's forward matrix
-        from epursim.model import (LayerDescriptor, NetworkDescriptor,
-                                   NetworkWeights)
-        from conftest import cell_for_layer
+        from epursim.model import LayerDescriptor, NetworkDescriptor
+        from conftest import cell_for_layer, weights_for
         layer = LayerDescriptor(2, 3)
         net = NetworkDescriptor((layer,), input_dim=3)
-        weights = NetworkWeights.for_network(net, lambda i, d, l: cell_for_layer(l, 5))
+        weights = weights_for(net, lambda i, d, l: cell_for_layer(l, 5))
         path = tmp_path / "w.bin"
         save_weights(net, weights, path)
         payload = np.frombuffer(path.read_bytes(), dtype="<f4", offset=16)
-        want = dict(weights.layers[0][0].parts())["input.w_x"].reshape(-1)
+        want = dict(weights[0][0].parts())["input.w_x"].reshape(-1)
         assert np.array_equal(payload[:6], want)
 
     def test_bad_magic(self, tmp_path):
@@ -268,7 +267,7 @@ class TestWeightsHeldOnce:
             path = tmp_path / "w.bin"
             save_weights(net, weights, path)
             weights = load_weights(net, path)
-        for layer, sets in zip(net.layers, weights.layers):
+        for layer, sets in zip(net.layers, weights):
             h = layer.hidden_size
             for ws in sets:
                 wx, wh, b = ws.stacked()

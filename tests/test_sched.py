@@ -12,7 +12,8 @@ from epursim.quant import QuantConfig
 from epursim.sched import (KINDS, RW, TARGETS, Policy, Target, dram_traffic,
                            gate_accesses, layer_traces, pins_forward_rows,
                            reuse_analysis, trace_conventional, trace_mwl,
-                           weight_buffer_read_bytes, _analyze_stream)
+                           weight_buffer_read_bytes, weight_storage_bytes,
+                           _analyze_stream)
 
 
 def stream_stats(obj, nbytes, write):
@@ -40,8 +41,8 @@ class TestConventionalTrace:
         trace = trace_conventional(layer, 1)
         for g in GATES:
             assert wb_read_bytes_from_trace(trace, g) == wx + wh
-            stats = reuse_analysis(trace).gate_target(g, Target.weight_buffer)
-            assert stats.reuse_count == 0  # every access compulsory
+        stats = reuse_analysis(trace)[Target.weight_buffer]
+        assert stats.reuse_count == 0  # every access compulsory
 
     def test_t3_reads_every_weight_byte_three_times(self):
         layer = LayerDescriptor(5, 7)
@@ -53,11 +54,9 @@ class TestConventionalTrace:
     def test_max_reuse_distance_is_both_matrices(self):
         layer = LayerDescriptor(320, 320)
         trace = trace_conventional(layer, 2)
-        stats = reuse_analysis(trace)
-        for g in GATES:
-            st = stats.gate_target(g, Target.weight_buffer)
-            assert st.max_reuse_distance == 2 * 320 * 320 * 4
-            assert st.min_buffer_bytes == 2 * 320 * 320 * 4
+        st = reuse_analysis(trace)[Target.weight_buffer]
+        assert st.max_reuse_distance == 2 * 320 * 320 * 4
+        assert st.min_buffer_bytes == 2 * 320 * 320 * 4
 
     def test_interleaves_per_neuron(self):
         layer = LayerDescriptor(3, 3)
@@ -87,29 +86,22 @@ class TestMwlTrace:
 
     def test_forward_phase_reuse_is_one_row(self):
         layer = LayerDescriptor(24, 40)
-        stats = reuse_analysis(trace_mwl(layer, 6))
-        for g in GATES:
-            rb = stats.gate_target(g, Target.row_buffer)
-            assert rb.max_reuse_distance == 40 * 4
-            assert rb.min_buffer_bytes == 40 * 4
+        rb = reuse_analysis(trace_mwl(layer, 6))[Target.row_buffer]
+        assert rb.max_reuse_distance == 40 * 4
+        assert rb.min_buffer_bytes == 40 * 4
 
     def test_recurrent_phase_reuse_is_recurrent_matrix(self):
         layer = LayerDescriptor(24, 40)
-        stats = reuse_analysis(trace_mwl(layer, 6))
-        for g in GATES:
-            wb = stats.gate_target(g, Target.weight_buffer)
-            assert wb.max_reuse_distance == 24 * 24 * 4
+        wb = reuse_analysis(trace_mwl(layer, 6))[Target.weight_buffer]
+        assert wb.max_reuse_distance == 24 * 24 * 4
 
     def test_min_weight_storage_is_recurrent_plus_one_row(self):
         layer = LayerDescriptor(16, 16)
-        stats = reuse_analysis(trace_mwl(layer, 5))
-        conv_stats = reuse_analysis(trace_conventional(layer, 5))
-        for g in GATES:
-            mwl_need = stats.weight_storage_bytes(g)
-            conv_need = conv_stats.weight_storage_bytes(g)
-            assert mwl_need == 16 * 16 * 4 + 16 * 4
-            assert conv_need == 2 * 16 * 16 * 4
-            assert mwl_need == conv_need // 2 + 16 * 4
+        mwl_need = weight_storage_bytes(reuse_analysis(trace_mwl(layer, 5)))
+        conv_need = weight_storage_bytes(reuse_analysis(trace_conventional(layer, 5)))
+        assert mwl_need == 16 * 16 * 4 + 16 * 4
+        assert conv_need == 2 * 16 * 16 * 4
+        assert mwl_need == conv_need // 2 + 16 * 4
 
     def test_partial_write_bytes_identity(self):
         layer = LayerDescriptor(12, 9)
@@ -181,7 +173,7 @@ class TestReuseAnalysis:
     def test_permutation_sensitive(self):
         layer = LayerDescriptor(6, 6)
         trace = trace_conventional(layer, 3)
-        base = reuse_analysis(trace).gate_target("input", Target.weight_buffer)
+        base = reuse_analysis(trace)[Target.weight_buffer]
         # sorting groups accesses to the same row together, collapsing distances
         gt = trace.events["input"]
         grouped = np.argsort(gt.obj, kind="stable")
@@ -193,8 +185,8 @@ class TestReuseAnalysis:
     def test_deterministic(self):
         layer = LayerDescriptor(5, 9)
         trace = trace_mwl(layer, 4)
-        a = reuse_analysis(trace).to_json()
-        b = reuse_analysis(trace).to_json()
+        a = reuse_analysis(trace)
+        b = reuse_analysis(trace)
         assert a == b
 
     def test_shuffle_changes_distances(self):
@@ -218,10 +210,8 @@ class TestReuseAnalysis:
 
     def test_min_buffer_not_more_than_footprint(self):
         layer = LayerDescriptor(10, 14)
-        stats = reuse_analysis(trace_conventional(layer, 3))
-        for g in GATES:
-            st = stats.gate_target(g, Target.weight_buffer)
-            assert st.min_buffer_bytes <= st.distinct_bytes
+        st = reuse_analysis(trace_conventional(layer, 3))[Target.weight_buffer]
+        assert st.min_buffer_bytes <= st.distinct_bytes
 
     @staticmethod
     def _brute_force(obj, nbytes):
@@ -308,14 +298,14 @@ def _stats(access_count, read_bytes, write_bytes, distinct_bytes, reuse_count,
 
 
 class TestReuseGoldens:
-    """``reuse_analysis(...).to_json()`` as recorded from the Fenwick-tree
-    implementation this kernel replaced; every gate of a trace is the same,
-    and the targets appear in order of first access."""
+    """``reuse_analysis``'s per-target stats as recorded from the
+    Fenwick-tree implementation this kernel replaced, with the targets in
+    order of first access."""
 
     @staticmethod
-    def check(trace, per_gate):
-        got = reuse_analysis(trace).to_json()
-        assert json.dumps(got) == json.dumps({g: per_gate for g in GATES})
+    def check(trace, per_target):
+        got = {t.value: st.to_json() for t, st in reuse_analysis(trace).items()}
+        assert json.dumps(got) == json.dumps(per_target)
 
     def test_mwl_quantized_partials(self):
         self.check(trace_mwl(LayerDescriptor(24, 40), 6, quant=QuantConfig()), {

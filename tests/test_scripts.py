@@ -1,8 +1,9 @@
 """The experiment scripts run end to end on tiny arguments, the energy
-comparison reproduces its recorded JSON, and the benchmark's traced
-functions exist."""
+comparison reproduces its recorded JSON, the output-identity matrix gives
+the same manifest twice, and the benchmark's traced functions exist."""
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,19 @@ def test_energy_comparison_matches_golden(tmp_path, golden, args):
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8") == \
         (ROOT / "tests" / "data" / golden).read_text(encoding="utf-8")
+
+
+def test_output_identity_matrix_repeats(tmp_path):
+    # the matrix twice in this checkout, at 2x16 sizes: a difference is
+    # nondeterminism, e.g. in the concurrent runs.  No manifest is a golden,
+    # since a float output's hash holds on one host only.
+    manifest = tmp_path / "manifest.json"
+    proc = run_script("output_identity.py", ["--tiny", "--out", str(manifest),
+                                             "--against", str(ROOT)])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    entries = json.loads(manifest.read_text(encoding="utf-8")).values()
+    assert {e["exit"] for e in entries} == {0, 2, 3, 4, 5, 7}
+    assert all("Traceback" not in e["stderr"] for e in entries)
 
 
 def test_benchmark_traced_functions_exist():
