@@ -10,18 +10,19 @@ wrote: ``{command: {exit, stdout, stderr, files: {name: sha256}}}``.  The
 matrix covers every subcommand: four generated networks (EESEN, LDLRNN, a
 2x16 fp16 bidirectional peephole network and a 1x8 layer whose 4400-byte
 forward rows overflow the row buffer), both schedules, exact, quantized and
-calibrated runs, the trace CSV, a run that warns, and one refusal for each
-of the exit codes 2, 3, 4, 5 and 7.  ``--tiny`` puts 2x16 networks in place
-of EESEN and LDLRNN.
+calibrated runs, the trace CSV, runs that warn with and without it, and
+refusals for each of the exit codes 2, 3, 4, 5 and 7.  ``--tiny`` puts 2x16
+networks in place of EESEN and LDLRNN.
 
 A checkout's matrix runs in a new process that imports ``epursim`` from
 that checkout's ``src`` (checked, as the benchmark checks it), in a new
 temporary directory, with every path relative to it, so that no output
 names the directory.  Each command is one in-process call of
 ``epursim.cli.main``, the call the console script makes, with its warning
-filters reset as in a new process.  ``--against DIR`` runs the same matrix
-on ``DIR/src`` and prints each entry that differs, exiting 1 if one does;
-DIR needs no copy of this script.  Without ``--against`` or ``--out`` the
+filters reset as in a new process; an exception that escapes it is recorded
+as exit ``"uncaught"`` with its traceback as the standard error.
+``--against DIR`` runs the same matrix on ``DIR/src`` and prints each entry
+that differs, exiting 1 if one does; DIR needs no copy of this script.  Without ``--against`` or ``--out`` the
 manifest goes to standard output.
 
 A float output is bit-exact only against the same host and numpy build
@@ -39,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
@@ -84,6 +86,8 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--out", "sim_fp16.json"],
         ["simulate", *net("wide"), "--synthetic-t", "3", "--policy", "mwl",
          "--trace-csv", "sim_wide.csv", "--out", "sim_wide.json"],
+        ["simulate", *net("wide"), "--synthetic-t", "3", "--policy", "mwl",
+         "--out", "sim_wide_nocsv.json"],
         ["compare", *net("ldlrnn"), "--synthetic-t", "20", "--out", "cmp.json"],
         ["compare", *net("ldlrnn"), "--synthetic-t", "20", "--quantize",
          "--quant-bits", "6", "--out", "cmp6.json"],
@@ -95,11 +99,14 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--layer", "1", "--trace-csv", "reuse_mwl.csv", "--out", "reuse_mwl.json"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--trace-csv", "reuse_wide.csv", "--out", "reuse_wide.json"],
-        # refusals: exit 2 twice, then 3, 4 (after a warning), 5 and 7
+        # refusals: exit 2 four times, then 3 twice, 4 (after a warning), 5 and 7
         ["simulate", *net("ldlrnn"), "--quantize", "--quant-bits", "20"],
         ["analyze-reuse", "--network", "eesen.json", "--policy", "mwl", "--t", "6",
          "--layer", "99"],
+        ["infer", *net("ldlrnn"), "--synthetic-seed", "-1"],
+        ["compare", *net("ldlrnn"), "--policy-a", "bogus"],
         ["simulate", *net("ldlrnn"), "--hw-config", "bad_hw.json"],
+        ["simulate", *net("ldlrnn"), "--synthetic-t", "-1"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--out", "missing/reuse.json"],
         ["simulate", *net("ldlrnn"), "--hw-config", "small_hw.json"],
@@ -128,6 +135,9 @@ def run_matrix(tiny: bool) -> dict:
                 code = cli.main(argv)
             except SystemExit as e:
                 code = e.code
+            except Exception:
+                code = "uncaught"
+                err.write(traceback.format_exc())
         manifest[" ".join(argv)] = {
             "exit": code,
             "stdout": _sha256(out.getvalue().encode()),

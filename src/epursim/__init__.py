@@ -6,8 +6,8 @@ from .model import (Direction, LayerDescriptor, NetworkDescriptor,
                     NetworkWeights, Precision, Sequence, WeightSet,
                     layer_infer, network_infer)
 from .quant import DequantTable, QuantConfig, quantize
-from .sched import (AccessTrace, Policy, Target, dram_traffic,
-                    reuse_analysis, trace_conventional, trace_mwl)
+from .sched import (GateTrace, Policy, Target, dram_traffic, reuse_analysis,
+                    trace_conventional, trace_mwl)
 from .arch import (CapacityError, HardwareConfig, MuBottleneckError, SimReport,
                    cost_model, dpu_dot_cycles, mu_plan, simulate)
 from .energy import EnergyReport, EnergyTable, account, compare
@@ -19,7 +19,7 @@ __all__ = [
     "NetworkDescriptor", "NetworkWeights", "Precision", "Sequence",
     "WeightSet", "layer_infer", "network_infer",
     "DequantTable", "QuantConfig", "quantize",
-    "AccessTrace", "Policy", "Target",
+    "GateTrace", "Policy", "Target",
     "dram_traffic", "reuse_analysis", "trace_conventional", "trace_mwl",
     "CapacityError", "HardwareConfig", "MuBottleneckError", "SimReport",
     "dpu_dot_cycles", "mu_plan", "cost_model", "simulate",

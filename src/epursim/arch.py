@@ -24,17 +24,16 @@ from .model import (ACC_DTYPE, GATES, PEEPHOLE_GATES, LayerDescriptor,
                     gate_weight_bytes, layer_infer)
 from .quant import DequantTable, QuantConfig, calibrate_alpha, quantize
 from .sched import (RW, Policy, Target, dram_traffic, gate_accesses,
-                    partial_bytes, pins_forward_rows)
+                    partial_bytes, pins_forward_rows, warn_row_buffer_fallback)
 
 DEFAULT_OP_LATENCY = {
-    # add/mul/exp come straight from the hardware parameter table; div and
-    # cmp are not listed there and default to the exp/add values, move is a
+    # add/mul/exp come straight from the hardware parameter table; div is
+    # not listed there and defaults to the exp value, move is a
     # register-file transfer
     "add": 2,
     "mul": 4,
     "exp": 5,
     "div": 5,
-    "cmp": 2,
     "move": 1,
 }
 
@@ -557,6 +556,7 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
     for i, layer in enumerate(net.layers):
         passes += [_pass_cost(layer, T, policy, cfg, quant, eb)] * layer.num_directions
         if policy is Policy.mwl and not pins_forward_rows(layer, eb, cfg.row_buffer_bytes):
+            warn_row_buffer_fallback(layer.input_size * eb, cfg.row_buffer_bytes)
             notes.append(
                 f"layer {i}: forward row ({layer.input_size * eb} B) exceeds the "
                 "row buffer; forward reads fall back to the weight buffer"

@@ -46,9 +46,18 @@ class UsageError(Exception):
 
 
 def _setup_logging() -> None:
+    """Logs at the EPURSIM_LOG level to the ``sys.stderr`` of this call, so
+    that each in-process call of ``main`` logs to its own stream."""
     level = os.environ.get("EPURSIM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.handlers[:] = [handler]
+    log.setLevel(getattr(logging, level, logging.WARNING))
+
+
+def _check_seed(option: str, seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"{option} must be >= 0, got {seed}")
 
 
 def _write_atomic(files: dict[str | Path, str | bytes | Iterable[bytes]]) -> None:
@@ -97,6 +106,7 @@ def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
             frames = loaded.frames.astype(net.numeric_precision.storage_dtype)
         seq = model.Sequence(frames)
     else:
+        _check_seed("--synthetic-seed", args.synthetic_seed)
         seq = presets.random_sequence(net, args.synthetic_t, args.synthetic_seed)
     if seq.dim != net.input_dim:
         raise model.ShapeError(f"input dim {seq.dim} != network input_dim {net.input_dim}")
@@ -227,7 +237,7 @@ def _child(call: Callable[[], object], w: int) -> NoReturn:
 def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,
             qcfg: quant.QuantConfig | None, row_buffer_bytes: int,
             only_layer: int | None = None
-            ) -> Iterator[tuple[int, list[sched.AccessTrace]]]:
+            ) -> Iterator[tuple[int, list[sched.GateTrace]]]:
     """Per layer (all, or only ``only_layer``), its index and one access
     trace per direction, each layer's built only when it is reached."""
     eb = net.numeric_precision.elem_bytes
@@ -267,17 +277,17 @@ def _gate_csv(gt: sched.GateTrace) -> str:
     return "".join(fields.ravel().tolist())
 
 
-def _trace_csv(traces: Iterable[tuple[int, list[sched.AccessTrace]]]) -> Iterator[bytes]:
+def _trace_csv(traces: Iterable[tuple[int, list[sched.GateTrace]]]) -> Iterator[bytes]:
     """The traces as CSV, formatted from their columns: the header, then one
     chunk per pass and gate.
 
-    A layer's directions share one trace and a trace's gates one stream, so
-    each layer's stream is formatted once and each gate's rows are that text
-    with the pass and gate filled in.
+    A layer's directions and gates share one trace, so each layer's trace
+    is formatted once and each gate's rows are that text with the pass and
+    gate filled in.
     """
     yield b"pass,gate,target,object_id,rw,bytes,t,neuron\n"
     for i, per_dir in traces:
-        text = _gate_csv(per_dir[0].stream)
+        text = _gate_csv(per_dir[0])
         for d in range(len(per_dir)):
             for gate in model.GATES:
                 yield (text.replace(_CSV_PASS, f"layer{i}.dir{d},{gate}")
@@ -288,6 +298,7 @@ def _trace_csv(traces: Iterable[tuple[int, list[sched.AccessTrace]]]) -> Iterato
 # subcommands
 
 def cmd_gen_network(args) -> int:
+    _check_seed("--seed", args.seed)
     precision = model.Precision(args.precision)
     if args.preset:
         net = presets.preset_descriptor(args.preset, precision)
@@ -428,7 +439,7 @@ def cmd_analyze_reuse(args) -> int:
                           _hw_config(args).row_buffer_bytes, args.layer))
     doc = {"policy": policy.value, "sequence_length": args.t, "layers": []}
     for i, per_dir in traces:
-        # a layer's directions share one trace, and its gates one stream
+        # a layer's directions and gates share one trace
         stats = sched.reuse_analysis(per_dir[0])
         result = {"stats": dict.fromkeys(model.GATES, {tgt.value: st.to_json()
                                                        for tgt, st in stats.items()}),
@@ -521,14 +532,13 @@ def cmd_quantize_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_io_args(p: argparse.ArgumentParser, need_weights=True) -> None:
+def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--network", required=True, help="network descriptor JSON")
-    if need_weights:
-        p.add_argument("--weights", required=True, help="weight blob")
-        p.add_argument("--input", help="input sequence (.bin or .csv)")
-        p.add_argument("--synthetic-t", type=int, default=16,
-                       help="frames of synthetic input when --input is omitted")
-        p.add_argument("--synthetic-seed", type=int, default=0)
+    p.add_argument("--weights", required=True, help="weight blob")
+    p.add_argument("--input", help="input sequence (.bin or .csv)")
+    p.add_argument("--synthetic-t", type=int, default=16,
+                   help="frames of synthetic input when --input is omitted")
+    p.add_argument("--synthetic-seed", type=int, default=0)
 
 
 def _add_hw_args(p: argparse.ArgumentParser) -> None:
@@ -554,6 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    policies = [pl.value for pl in sched.Policy]
 
     p = sub.add_parser("gen-network", help="emit a descriptor and weight blob")
     p.add_argument("--preset", help="named network preset "
@@ -579,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     _add_hw_args(p)
     _add_quant_args(p)
-    p.add_argument("--policy", choices=[pl.value for pl in sched.Policy],
-                   default="conventional")
+    p.add_argument("--policy", choices=policies, default="conventional")
     p.add_argument("--frames-per-second", type=float, default=100.0,
                    help="input frame rate for the real-time bandwidth figure")
     p.add_argument("--energy", action="store_true",
@@ -592,8 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-reuse", help="reuse-distance analysis of a schedule")
     p.add_argument("--network", required=True)
     _add_hw_args(p)
-    p.add_argument("--policy", choices=[pl.value for pl in sched.Policy],
-                   required=True)
+    p.add_argument("--policy", choices=policies, required=True)
     p.add_argument("--t", type=int, required=True, help="sequence length")
     p.add_argument("--layer", type=int, help="restrict to one layer index")
     p.add_argument("--trace-csv")
@@ -604,8 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     _add_hw_args(p)
     _add_quant_args(p)
-    p.add_argument("--policy-a", default="conventional")
-    p.add_argument("--policy-b", default="mwl")
+    p.add_argument("--policy-a", choices=policies, default="conventional")
+    p.add_argument("--policy-b", choices=policies, default="mwl")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 

@@ -62,7 +62,8 @@ class Direction(str, Enum):
 ACC_DTYPE = np.float32
 
 #: maps a pass's hoisted forward partials [4*hidden, T] to the values its
-#: recurrent phase starts from (MWL stores them quantized)
+#: recurrent phase starts from (MWL stores them quantized); the recurrent
+#: loop overwrites the array the hook returns
 PartialsHook = Callable[[np.ndarray], np.ndarray]
 
 
@@ -355,12 +356,11 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     The forward dot products have no sequential dependence, so they are
     evaluated for the whole sequence first into a [4*hidden, T] accumulator
     (F-ordered, so its time-major tiles are contiguous); the time loop then
-    seeds each step's accumulator with its column and adds the recurrent
-    dot.  Per-scalar accumulation order is that of the per-timestep loop,
-    so the hoist does not change a single bit.  The whole pass runs with
-    numpy's ufunc buffer held to one accumulator row (see
-    ``_one_row_ufunc_buffer``) and exp overflow ignored; on an fp32 cell
-    the loop allocates nothing.
+    adds the recurrent dot into each step's column, in place.  Per-scalar
+    accumulation order is that of the per-timestep loop, so the hoist does
+    not change a single bit.  The whole pass runs with numpy's ufunc buffer
+    held to one accumulator row (see ``_one_row_ufunc_buffer``) and exp
+    overflow ignored; on an fp32 cell the loop allocates nothing.
     """
     T = frames.shape[0]
     n = weights.layer.hidden_size
@@ -374,11 +374,9 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
         steps = np.ascontiguousarray(fwd.T)  # [T, 4*hidden]
 
         buf = np.empty((n + 1, 4 * n), dtype=ACC_DTYPE)
-        z = np.empty(4 * n, dtype=ACC_DTYPE)
         c, h = np.zeros(n, dtype=ACC_DTYPE), np.zeros(n, dtype=ACC_DTYPE)
         out = np.empty((T, n), dtype=weights.precision.storage_dtype)
-        for t in range(T):
-            z[:] = steps[t]
+        for t, z in enumerate(steps):  # each step's row is its accumulator
             accumulate_dot(z, wh, h, buf)
             finish_step(weights, z, c, h)
             out[t] = h

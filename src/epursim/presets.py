@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (GATES, PEEPHOLE_GATES, Direction, LayerDescriptor,
-                    NetworkDescriptor, Precision, Sequence, cell_weight_bytes,
-                    network_weight_bytes)
+                    NetworkDescriptor, Precision, Sequence, ShapeError,
+                    cell_weight_bytes, network_weight_bytes)
 
 MIB = float(2**20)
 
@@ -94,6 +94,8 @@ def random_parts(net: NetworkDescriptor,
 
 
 def random_sequence(net: NetworkDescriptor, T: int, seed: int) -> Sequence:
+    if T < 1:
+        raise ShapeError(f"sequence must be [T>=1, dim], got {(T, net.input_dim)}")
     rng = np.random.default_rng(seed)
     frames = rng.uniform(-1.0, 1.0, (T, net.input_dim))
     return Sequence(frames.astype(net.numeric_precision.storage_dtype))

@@ -100,12 +100,12 @@ class DequantTable:
         return out
 
 
-def calibrate_alpha(max_abs_partial: float, floor: float = 0.1) -> float:
+def calibrate_alpha(max_abs_partial: float) -> float:
     """Turn an observed maximum |partial output| into a clamp magnitude.
 
-    Rounds up to one decimal so the stored config stays readable; a small
-    floor keeps beta finite for degenerate all-zero calibration runs.
+    Rounds up to one decimal so the stored config stays readable; a floor of
+    0.1 keeps beta finite for degenerate all-zero calibration runs.
     """
     if not np.isfinite(max_abs_partial):
         raise NumericError("calibration saw a non-finite partial output")
-    return max(float(np.ceil(max_abs_partial * 10.0) / 10.0), floor)
+    return max(float(np.ceil(max_abs_partial * 10.0) / 10.0), 0.1)

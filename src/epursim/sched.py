@@ -56,7 +56,9 @@ _R, _W = range(2)
 
 @dataclass(frozen=True)
 class GateTrace:
-    """One gate's access stream as equal-length, read-only integer columns.
+    """The access stream of one cell as equal-length, read-only integer
+    columns.  Its four CUs are independent but follow one schedule, so this
+    is every gate's stream.
 
     ``target`` indexes ``TARGETS`` and ``rw`` indexes ``RW``.  ``kind``
     indexes ``KINDS``: forward row ``neuron`` ("wx"), recurrent row
@@ -76,6 +78,12 @@ class GateTrace:
     def __len__(self) -> int:
         return len(self.obj)
 
+    @property
+    def events(self) -> dict[str, GateTrace]:
+        """Each gate's stream: this one, for every gate (the benchmark
+        counts these as ``sched.events``)."""
+        return dict.fromkeys(GATES, self)
+
 
 def _gate_trace(hidden: int, widths: tuple[int, int, int], target, kind, rw,
                 t, neuron) -> GateTrace:
@@ -93,36 +101,22 @@ def _gate_trace(hidden: int, widths: tuple[int, int, int], target, kind, rw,
     return GateTrace(**cols)
 
 
-@dataclass
-class AccessTrace:
-    """The access stream of one cell.  Its four CUs are independent but
-    follow one schedule, so every gate's stream is ``stream``."""
-
-    stream: GateTrace
-
-    @property
-    def events(self) -> dict[str, GateTrace]:
-        """Each gate's stream: ``stream``, for every gate."""
-        return dict.fromkeys(GATES, self.stream)
-
-
 def trace_conventional(layer: LayerDescriptor, T: int,
-                       elem_bytes: int = 4) -> AccessTrace:
+                       elem_bytes: int = 4) -> GateTrace:
     """Weight-buffer reads for T sweeps in per-neuron interleaved order."""
     if T < 1:
         raise ShapeError("T must be >= 1")
     h = layer.hidden_size
     widths = (layer.input_size * elem_bytes, h * elem_bytes, 0)
     n = 2 * T * h  # per step and neuron: wx row, then wh row
-    gt = _gate_trace(h, widths, np.full(n, _WB), np.tile([_WX, _WH], T * h),
-                     np.full(n, _R), np.repeat(np.arange(1, T + 1), 2 * h),
-                     np.tile(np.repeat(np.arange(h), 2), T))
-    return AccessTrace(gt)
+    return _gate_trace(h, widths, np.full(n, _WB), np.tile([_WX, _WH], T * h),
+                       np.full(n, _R), np.repeat(np.arange(1, T + 1), 2 * h),
+                       np.tile(np.repeat(np.arange(h), 2), T))
 
 
 def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
               quant: QuantConfig | None = None,
-              row_buffer_bytes: int = 4096) -> AccessTrace:
+              row_buffer_bytes: int = 4096) -> GateTrace:
     """Two-phase MWL access stream for one cell, partials stored as codes of
     ``quant`` (None: at full accumulator precision, as in exact mode).
 
@@ -137,11 +131,7 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
     widths = (rowx, h * elem_bytes, partial_bytes(quant))
     pinned = pins_forward_rows(layer, elem_bytes, row_buffer_bytes)
     if not pinned:
-        warnings.warn(
-            f"forward row ({rowx} B) exceeds the row buffer ({row_buffer_bytes} B); "
-            "falling back to weight-buffer reads for forward connections",
-            RuntimeWarning,
-        )
+        warn_row_buffer_fallback(rowx, row_buffer_bytes)
     steps = np.arange(1, T + 1)
     # phase 1, per neuron: pin the forward row (weight-buffer read, row-buffer
     # write), then per step read it and write the partial
@@ -159,13 +149,12 @@ def trace_mwl(layer: LayerDescriptor, T: int, elem_bytes: int = 4,
     rw.append(np.full(2 * T * h, _R))
     t.append(np.repeat(steps, 2 * h))
     neuron.append(np.tile(np.repeat(np.arange(h), 2), T))
-    gt = _gate_trace(h, widths, *map(np.concatenate, (target, kind, rw, t, neuron)))
-    return AccessTrace(gt)
+    return _gate_trace(h, widths, *map(np.concatenate, (target, kind, rw, t, neuron)))
 
 
 def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,
                  elem_bytes: int = 4, quant: QuantConfig | None = None,
-                 row_buffer_bytes: int = 4096) -> list[AccessTrace]:
+                 row_buffer_bytes: int = 4096) -> list[GateTrace]:
     """One trace per direction.  The directions of a bidirectional layer are
     two cells that follow one schedule, so they share one trace."""
     trace = (trace_conventional(layer, T, elem_bytes) if policy is Policy.conventional
@@ -274,11 +263,10 @@ def _analyze_stream(obj: np.ndarray, nbytes: np.ndarray,
     )
 
 
-def reuse_analysis(trace: AccessTrace) -> dict[Target, TargetStats]:
-    """Exact LRU stack distances of a trace's stream, in byte units, per
-    target in order of first access.  The four gates share the stream, so
-    this is every gate's result."""
-    gt = trace.stream
+def reuse_analysis(gt: GateTrace) -> dict[Target, TargetStats]:
+    """Exact LRU stack distances of a trace, in byte units, per target in
+    order of first access.  The four gates share the trace, so this is
+    every gate's result."""
     if not len(gt):
         raise ValueError("trace is empty")
     codes, first_at = np.unique(gt.target, return_index=True)
@@ -304,6 +292,14 @@ def pins_forward_rows(layer: LayerDescriptor, elem_bytes: int,
     """True when a forward row fits the row buffer, where MWL pins it for the
     whole sequence; otherwise its reads fall back to the weight buffer."""
     return layer.input_size * elem_bytes <= row_buffer_bytes
+
+
+def warn_row_buffer_fallback(row_bytes: int, row_buffer_bytes: int) -> None:
+    """Warns that forward rows of ``row_bytes`` cannot be pinned in the row
+    buffer, so MWL reads them from the weight buffer every timestep."""
+    warnings.warn(f"forward row ({row_bytes} B) exceeds the row buffer "
+                  f"({row_buffer_bytes} B); falling back to weight-buffer reads "
+                  "for forward connections", RuntimeWarning)
 
 
 def gate_accesses(layer: LayerDescriptor, T: int, policy: Policy,

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import signal
@@ -75,6 +77,36 @@ class TestGenNetwork:
                      "--out-descriptor", str(tmp_path / "n.json"),
                      "--out-weights", str(tmp_path / "n.bin"))
         assert rc == cli.EXIT_PARSE
+
+    FOOTPRINT = ("INFO epursim: footprint 1.00 MiB vs published 1 MB (0.4%, "
+                 "input dims assumed)")
+
+    def test_info_log_goes_to_the_stderr_of_each_call(self, tmp_path, monkeypatch):
+        # in-process callers (perfbench, scripts/output_identity.py) redirect
+        # stderr around each call of main
+        monkeypatch.setenv("EPURSIM_LOG", "info")
+        streams = [io.StringIO(), io.StringIO()]
+        for i, err in enumerate(streams):
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli("gen-network", "--preset", "ldlrnn",
+                               "--out-descriptor", str(tmp_path / f"{i}.json"),
+                               "--out-weights", str(tmp_path / f"{i}.bin")) == cli.EXIT_OK
+        for err in streams:
+            assert [line for line in err.getvalue().splitlines()
+                    if "footprint" in line] == [self.FOOTPRINT]
+
+    def test_info_log_line_once_in_a_new_process(self, tmp_path):
+        env = dict(os.environ, EPURSIM_LOG="info", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "epursim.cli", "gen-network", "--preset", "ldlrnn",
+             "--out-descriptor", str(tmp_path / "n.json"),
+             "--out-weights", str(tmp_path / "n.bin")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stderr.splitlines() == [self.FOOTPRINT]
 
 
 class TestInfer:
@@ -538,6 +570,59 @@ class TestBoundary:
         assert rc == cli.EXIT_USAGE
         assert self.one_line(capsys) == f"usage error: --layer must be in 0..4, got {layer}\n"
 
+    COMMANDS = ["infer", "simulate", "compare", "quantize-sweep"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("t", ["0", "-1", "-7"])
+    def test_synthetic_t_below_1_exits_3(self, gen, capsys, command, t):
+        desc, blob = gen
+        rc = run_cli(command, "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", t)
+        assert rc == cli.EXIT_PARSE
+        assert self.one_line(capsys) == (
+            f"error: sequence must be [T>=1, dim], got ({t}, 16)\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_synthetic_seed_exits_2(self, gen, tmp_path, capsys, command):
+        desc, blob = gen
+        out = tmp_path / "out.json"
+        rc = run_cli(command, "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-seed", "-1", "--out", str(out))
+        assert rc == cli.EXIT_USAGE
+        assert self.one_line(capsys) == "usage error: --synthetic-seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_gen_network_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = run_cli("gen-network", "--preset", "ldlrnn", "--seed", "-1",
+                     "--out-descriptor", str(tmp_path / "d.json"),
+                     "--out-weights", str(tmp_path / "w.bin"))
+        assert rc == cli.EXIT_USAGE
+        assert self.one_line(capsys) == "usage error: --seed must be >= 0, got -1\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--policy-a", "--policy-b"])
+    def test_compare_unknown_policy_exits_2(self, gen, capsys, option):
+        # refused by the parser's choices, as simulate --policy is: its usage
+        # lines, then one error line
+        desc, blob = gen
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("compare", "--network", str(desc), "--weights", str(blob),
+                    option, "bogus")
+        assert exit_info.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"epursim compare: error: argument {option}: invalid choice: 'bogus' "
+            "(choose from 'conventional', 'mwl')")
+
+    def test_cmp_latency_is_an_unknown_key(self, gen, tmp_path, capsys):
+        # no MU, quantizer or DPU op is a compare
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps({"op_latency": {"cmp": 2}}), encoding="utf-8")
+        assert self.simulate(gen, "--hw-config", str(hw)) == cli.EXIT_PARSE
+        assert self.one_line(capsys) == (
+            "error: unknown hardware config key(s): op_latency.cmp\n")
+
     @pytest.fixture()
     def warned(self, tmp_path):
         """Two runs that raise a RuntimeWarning before they write: a layer
@@ -570,6 +655,27 @@ class TestBoundary:
         assert self.one_line(capsys).startswith("i/o error: ")
         assert run_cli(*warned[run], "--out", str(tmp_path / "r.json")) == cli.EXIT_OK
         assert capsys.readouterr().err == f"warning: {message}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--policy", "mwl"],
+        ["simulate", "--policy", "mwl", "--trace-csv", "trace.csv"],
+        ["compare"],
+        ["quantize-sweep", "--min-bits", "4", "--max-bits", "6"],
+    ])
+    def test_row_buffer_fallback_warns_once(self, tmp_path, monkeypatch, capsys,
+                                            command):
+        # the cost model warns, and so does the trace when the CSV is asked for
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen-network", "--layers", "1", "--hidden", "8", "--input-dim",
+                       "1100", "--out-descriptor", "wide.json",
+                       "--out-weights", "wide.bin") == cli.EXIT_OK
+        capsys.readouterr()
+        rc = run_cli(command[0], "--network", "wide.json", "--weights", "wide.bin",
+                     "--synthetic-t", "3", *command[1:])
+        assert rc == cli.EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: forward row (4400 B) exceeds the row buffer (4096 B); "
+            "falling back to weight-buffer reads for forward connections\n")
 
     def test_unchained_layer_widths_exit_3(self, tmp_path, capsys):
         desc = tmp_path / "net.json"

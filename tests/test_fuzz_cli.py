@@ -93,13 +93,13 @@ NET = {"input_dim": 3, "layers": [{"hidden_size": 2, "input_size": 3,
 BLOB_VALUES = 4 * (6 + 4 + 2) + 3 * 2
 
 
-def run(capsys, *argv) -> int:
+def run(capsys, *argv, documented=DOCUMENTED) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(list(argv))
     # outside pytest, a warning is printed on stderr too
     err = capsys.readouterr().err + "".join(f"{w.message}\n" for w in caught)
-    assert rc in DOCUMENTED, (rc, err)
+    assert rc in documented, (rc, err)
     assert "Traceback" not in err
     if rc != cli.EXIT_OK:
         assert len(err.strip().splitlines()) == 1, err
@@ -115,6 +115,17 @@ def net(tmp_path):
 
 def blob(payload: bytes, header=(MAGIC, VERSION, 0, 0)) -> bytes:
     return struct.pack("<4sIII", *header) + payload
+
+
+def net_weights(tmp_path, capsys):
+    """A weight blob for NET, generated on the first call."""
+    weights = tmp_path / "net.bin"
+    if not weights.exists():
+        cli.main(["gen-network", "--layers", "1", "--hidden", "2", "--input-dim", "3",
+                  "--peephole", "--out-descriptor", str(tmp_path / "g.json"),
+                  "--out-weights", str(weights)])
+        capsys.readouterr()
+    return weights
 
 
 @FUZZ
@@ -163,16 +174,20 @@ def test_weight_blob(tmp_path, capsys, net, raw):
            lambda t: struct.pack("<II", t[0], t[1]) + t[2]),
        suffix=st.sampled_from([".bin", ".csv"]))
 def test_sequence(tmp_path, capsys, net, raw, suffix):
-    weights = tmp_path / "net.bin"
-    if not weights.exists():
-        cli.main(["gen-network", "--layers", "1", "--hidden", "2", "--input-dim", "3",
-                  "--peephole", "--out-descriptor", str(tmp_path / "g.json"),
-                  "--out-weights", str(weights)])
-        capsys.readouterr()
     seq = tmp_path / f"fuzz{suffix}"
     seq.write_bytes(raw)
-    run(capsys, "infer", "--network", str(net), "--weights", str(weights),
-        "--input", str(seq))
+    run(capsys, "infer", "--network", str(net), "--weights",
+        str(net_weights(tmp_path, capsys)), "--input", str(seq))
+
+
+@FUZZ
+@given(t=st.integers(-3, 3), seed=st.integers(-3, 3))
+def test_synthetic_input_options(tmp_path, capsys, net, t, seed):
+    # a negative seed is a usage error, a length below 1 a bad sequence
+    want = cli.EXIT_USAGE if seed < 0 else cli.EXIT_PARSE if t < 1 else cli.EXIT_OK
+    assert run(capsys, "infer", "--network", str(net), "--weights",
+               str(net_weights(tmp_path, capsys)), "--synthetic-t", str(t),
+               "--synthetic-seed", str(seed), documented={want}) == want
 
 
 def test_fp16_input_past_range_exits_6_with_one_line(tmp_path, capsys):

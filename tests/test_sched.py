@@ -23,15 +23,15 @@ def stream_stats(obj, nbytes, write):
                            np.asarray(write, bool))
 
 
-def trace_bytes(trace, gate, target, rw):
-    """Bytes one gate's stream moves to or from ``target``, by its columns."""
-    gt = trace.events[gate]
+def trace_bytes(gt, target, rw):
+    """Bytes a trace (every gate's stream) moves to or from ``target``, by
+    its columns."""
     mask = (gt.target == TARGETS.index(target)) & (gt.rw == RW.index(rw))
     return int(gt.bytes[mask].sum())
 
 
-def wb_read_bytes_from_trace(trace, gate):
-    return trace_bytes(trace, gate, Target.weight_buffer, "r")
+def wb_read_bytes_from_trace(gt):
+    return trace_bytes(gt, Target.weight_buffer, "r")
 
 
 class TestConventionalTrace:
@@ -39,8 +39,7 @@ class TestConventionalTrace:
         layer = LayerDescriptor(8, 6)
         wx, wh = gate_matrix_bytes(layer, 4)
         trace = trace_conventional(layer, 1)
-        for g in GATES:
-            assert wb_read_bytes_from_trace(trace, g) == wx + wh
+        assert wb_read_bytes_from_trace(trace) == wx + wh
         stats = reuse_analysis(trace)[Target.weight_buffer]
         assert stats.reuse_count == 0  # every access compulsory
 
@@ -48,8 +47,7 @@ class TestConventionalTrace:
         layer = LayerDescriptor(5, 7)
         wx, wh = gate_matrix_bytes(layer, 4)
         trace = trace_conventional(layer, 3)
-        for g in GATES:
-            assert wb_read_bytes_from_trace(trace, g) == 3 * (wx + wh)
+        assert wb_read_bytes_from_trace(trace) == 3 * (wx + wh)
 
     def test_max_reuse_distance_is_both_matrices(self):
         layer = LayerDescriptor(320, 320)
@@ -60,7 +58,7 @@ class TestConventionalTrace:
 
     def test_interleaves_per_neuron(self):
         layer = LayerDescriptor(3, 3)
-        gt = trace_conventional(layer, 1).events["input"]
+        gt = trace_conventional(layer, 1)
         kinds = [KINDS[k] for k in gt.kind]
         assert kinds == ["wx", "wh"] * 3
 
@@ -70,8 +68,7 @@ class TestMwlTrace:
         layer = LayerDescriptor(8, 8)
         conv = trace_conventional(layer, 1)
         mwl = trace_mwl(layer, 1)
-        for g in GATES:
-            assert wb_read_bytes_from_trace(mwl, g) == wb_read_bytes_from_trace(conv, g)
+        assert wb_read_bytes_from_trace(mwl) == wb_read_bytes_from_trace(conv)
 
     @pytest.mark.parametrize("T", [1, 10, 100])
     def test_square_layer_access_identity(self, T):
@@ -79,10 +76,9 @@ class TestMwlTrace:
         layer = LayerDescriptor(8, 8)
         conv = trace_conventional(layer, T)
         mwl = trace_mwl(layer, T)
-        for g in GATES:
-            c = wb_read_bytes_from_trace(conv, g)
-            m = wb_read_bytes_from_trace(mwl, g)
-            assert m * 2 * T == c * (1 + T)
+        c = wb_read_bytes_from_trace(conv)
+        m = wb_read_bytes_from_trace(mwl)
+        assert m * 2 * T == c * (1 + T)
 
     def test_forward_phase_reuse_is_one_row(self):
         layer = LayerDescriptor(24, 40)
@@ -107,23 +103,18 @@ class TestMwlTrace:
         layer = LayerDescriptor(12, 9)
         T, q = 7, QuantConfig(n_bits=8, alpha=20.0)
         trace = trace_mwl(layer, T, quant=q)
-        written = sum(trace_bytes(trace, g, Target.intermediate_memory, "w")
-                      for g in GATES)
-        assert written == 4 * T * layer.hidden_size * 1
-        assert written == 4 * T * layer.hidden_size * q.storage_bytes
-        read_back = sum(trace_bytes(trace, g, Target.intermediate_memory, "r")
-                        for g in GATES)
-        assert read_back == written
+        written = trace_bytes(trace, Target.intermediate_memory, "w")
+        assert written == T * layer.hidden_size * 1
+        assert written == T * layer.hidden_size * q.storage_bytes
+        assert trace_bytes(trace, Target.intermediate_memory, "r") == written
 
     def test_row_larger_than_buffer_falls_back(self):
         layer = LayerDescriptor(4, 2000)  # 8000-byte rows vs 4 KB buffer
         with pytest.warns(RuntimeWarning, match="row buffer"):
             trace = trace_mwl(layer, 3)
         conv = trace_conventional(layer, 3)
-        for g in GATES:
-            assert wb_read_bytes_from_trace(trace, g) == wb_read_bytes_from_trace(conv, g)
-            assert not np.any(trace.events[g].target
-                              == TARGETS.index(Target.row_buffer))
+        assert wb_read_bytes_from_trace(trace) == wb_read_bytes_from_trace(conv)
+        assert not np.any(trace.target == TARGETS.index(Target.row_buffer))
         # a row of exactly the buffer's size is still pinned
         assert pins_forward_rows(LayerDescriptor(4, 1024), 4, 4096)
         assert not pins_forward_rows(LayerDescriptor(4, 1025), 4, 4096)
@@ -143,16 +134,14 @@ class TestClosedFormCounts:
             trace = (trace_conventional(layer, T) if policy is Policy.conventional
                      else trace_mwl(layer, T, quant=quant))
             want = gate_accesses(layer, T, policy, 4, qbytes, 4096)
-            for g in GATES:
-                gt = trace.events[g]
-                got = {}
-                for code, r in set(zip(gt.target.tolist(), gt.rw.tolist())):
-                    mask = (gt.target == code) & (gt.rw == r)
-                    got[(TARGETS[code], RW[r])] = (int(mask.sum()),
-                                                   int(gt.bytes[mask].sum()))
-                assert got == want
-                assert wb_read_bytes_from_trace(trace, g) == \
-                    weight_buffer_read_bytes(layer, T, policy)
+            got = {}
+            for code, r in set(zip(trace.target.tolist(), trace.rw.tolist())):
+                mask = (trace.target == code) & (trace.rw == r)
+                got[(TARGETS[code], RW[r])] = (int(mask.sum()),
+                                               int(trace.bytes[mask].sum()))
+            assert got == want
+            assert wb_read_bytes_from_trace(trace) == \
+                weight_buffer_read_bytes(layer, T, policy)
 
     def test_reduction_fraction_approaches_half(self):
         layer = LayerDescriptor(8, 8)
@@ -172,10 +161,9 @@ class TestReuseAnalysis:
 
     def test_permutation_sensitive(self):
         layer = LayerDescriptor(6, 6)
-        trace = trace_conventional(layer, 3)
-        base = reuse_analysis(trace)[Target.weight_buffer]
+        gt = trace_conventional(layer, 3)
+        base = reuse_analysis(gt)[Target.weight_buffer]
         # sorting groups accesses to the same row together, collapsing distances
-        gt = trace.events["input"]
         grouped = np.argsort(gt.obj, kind="stable")
         sorted_stats = stream_stats(gt.obj[grouped], gt.bytes[grouped],
                                     gt.rw[grouped] == RW.index("w"))
@@ -191,8 +179,7 @@ class TestReuseAnalysis:
 
     def test_shuffle_changes_distances(self):
         layer = LayerDescriptor(6, 6)
-        trace = trace_conventional(layer, 3)
-        gt = trace.events["input"]
+        gt = trace_conventional(layer, 3)
         write = gt.rw == RW.index("w")
         base = stream_stats(gt.obj, gt.bytes, write).total_reuse_distance
         shuffled = np.random.default_rng(5).permutation(len(gt))
@@ -202,11 +189,10 @@ class TestReuseAnalysis:
     def test_empty_trace_rejected(self):
         layer = LayerDescriptor(2, 2)
         trace = trace_conventional(layer, 1)
-        trace.stream = dataclasses.replace(trace.stream, **{
-            f.name: getattr(trace.stream, f.name)[:0]
-            for f in dataclasses.fields(trace.stream)})
+        empty = dataclasses.replace(trace, **{
+            f.name: getattr(trace, f.name)[:0] for f in dataclasses.fields(trace)})
         with pytest.raises(ValueError):
-            reuse_analysis(trace)
+            reuse_analysis(empty)
 
     def test_min_buffer_not_more_than_footprint(self):
         layer = LayerDescriptor(10, 14)
@@ -344,7 +330,7 @@ class TestLayerTraces:
         layer = LayerDescriptor(4, 4, Direction.bidirectional)
         for policy in Policy:
             traces = layer_traces(layer, 3, policy)
-            stream = traces[0].stream
+            stream = traces[0]
             for tr in traces:
                 assert all(tr.events[g] is stream for g in GATES)
             assert (sum(len(v) for tr in traces for v in tr.events.values())
