@@ -12,10 +12,12 @@ tracer's sight, so a line only they reach is listed as unreached.
 The script pins its own process to one CPU, so that the command line runs
 its concurrent inference runs in this process rather than in forked
 children.  Tests that stand in more CPUs for ``cli._concurrently`` still
-fork, and the child branch of ``_concurrently`` (``cli._child``) is reached
-only in those children, so it is listed as unreached.
+fork.  A forked child inherits the tracer, and ``cli._child`` is wrapped so
+that the child writes the package lines it counted to a file just before
+``os._exit``; those lines count as reached.  A child killed by a signal
+writes nothing.
 
-Tracing makes the suite 3-4 times slower (about a minute), so no test
+Tracing makes the suite 4-5 times slower (about 100 s), so no test
 runs this script.
 
 Usage: python scripts/coverage_map.py [PYTEST_ARGS ...]
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 import dis
 import os
+import pickle
 import sys
+import tempfile
 import threading
 import trace
 from pathlib import Path
@@ -62,6 +66,32 @@ def unreached(counts: dict[tuple[str, int], int]) -> list[tuple[Path, int]]:
     return out
 
 
+def counting_children(tracer: trace.Trace, out_dir: str) -> None:
+    """Wrap ``cli._child`` so that each forked child pickles its counts of
+    package lines into ``out_dir`` as it ends, through ``os._exit``."""
+    from epursim import cli
+
+    real_child = cli._child
+
+    def child(call, w):
+        real_exit = os._exit
+
+        def exit_(status):
+            sys.settrace(None)  # the counts stop changing
+            try:
+                counts = {k: n for k, n in tracer.counts.items()
+                          if k[0].startswith(str(PACKAGE))}
+                with open(os.path.join(out_dir, f"{os.getpid()}.pickle"), "wb") as f:
+                    pickle.dump(counts, f)
+            finally:
+                real_exit(status)
+
+        os._exit = exit_  # this process is the child
+        real_child(call, w)
+
+    cli._child = child
+
+
 def main(argv: list[str]) -> int:
     # the package is first imported under the tracer, so its module-level
     # lines count too
@@ -75,15 +105,25 @@ def main(argv: list[str]) -> int:
     # no ignoredirs: trace caches its ignore verdict by bare module name,
     # so an ignored numpy ``__init__`` would hide the package's own
     tracer = trace.Trace(count=1, trace=0)
+
+    def run_tests(children_dir: str) -> int:
+        counting_children(tracer, children_dir)  # imports the package, traced
+        return pytest.main(["-q", "-p", "no:cacheprovider",
+                            "--continue-on-collection-errors",
+                            *(argv or [str(ROOT / "tests")])])
+
     threading.settrace(tracer.globaltrace)  # some tests run the datapath on threads
     try:
-        rc = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider",
-                                          "--continue-on-collection-errors",
-                                          *(argv or [str(ROOT / "tests")])])
+        with tempfile.TemporaryDirectory(prefix="coverage-children-") as children_dir:
+            rc = tracer.runfunc(run_tests, children_dir)
+            counts = dict(tracer.results().counts)
+            for name in os.listdir(children_dir):
+                with open(os.path.join(children_dir, name), "rb") as f:
+                    counts.update(pickle.load(f))
     finally:
         threading.settrace(None)
 
-    missing = unreached(tracer.results().counts)
+    missing = unreached(counts)
     for path, line in missing:
         text = path.read_text(encoding="utf-8").splitlines()[line - 1].strip()
         print(f"{path.relative_to(ROOT)}:{line}  {text}")

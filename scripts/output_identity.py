@@ -99,8 +99,11 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--layer", "1", "--trace-csv", "reuse_mwl.csv", "--out", "reuse_mwl.json"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--trace-csv", "reuse_wide.csv", "--out", "reuse_wide.json"],
-        # refusals: exit 2 four times, then 3 twice, 4 (after a warning), 5 and 7
+        # refusals: exit 2 seven times, then 3 twice, 4 (after a warning), 5 and 7
         ["simulate", *net("ldlrnn"), "--quantize", "--quant-bits", "20"],
+        ["simulate", *net("ldlrnn"), "--policy", "mwl", "--quantize", "--alpha", "1e-310"],
+        ["quantize-sweep", *net("ldlrnn"), "--alpha", "1e-310"],
+        ["simulate", *net("ldlrnn"), "--bogus"],
         ["analyze-reuse", "--network", "eesen.json", "--policy", "mwl", "--t", "6",
          "--layer", "99"],
         ["infer", *net("ldlrnn"), "--synthetic-seed", "-1"],

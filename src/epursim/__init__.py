@@ -5,7 +5,7 @@ built around four per-gate computation units, with a weight-locality
 from .model import (Direction, LayerDescriptor, NetworkDescriptor,
                     NetworkWeights, Precision, Sequence, WeightSet,
                     layer_infer, network_infer)
-from .quant import DequantTable, QuantConfig, quantize
+from .quant import QuantConfig, quantize
 from .sched import (GateTrace, Policy, Target, dram_traffic, reuse_analysis,
                     trace_conventional, trace_mwl)
 from .arch import (CapacityError, HardwareConfig, MuBottleneckError, SimReport,
@@ -18,7 +18,7 @@ __all__ = [
     "Direction", "LayerDescriptor",
     "NetworkDescriptor", "NetworkWeights", "Precision", "Sequence",
     "WeightSet", "layer_infer", "network_infer",
-    "DequantTable", "QuantConfig", "quantize",
+    "QuantConfig", "quantize",
     "GateTrace", "Policy", "Target",
     "dram_traffic", "reuse_analysis", "trace_conventional", "trace_mwl",
     "CapacityError", "HardwareConfig", "MuBottleneckError", "SimReport",

@@ -1,0 +1,7 @@
+"""``python -m epursim``: the ``epursim`` command."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,11 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (ACC_DTYPE, GATES, PEEPHOLE_GATES, LayerDescriptor,
+from .model import (GATES, PEEPHOLE_GATES, LayerDescriptor,
                     NetworkDescriptor, NetworkWeights, PartialsHook, Sequence,
                     ShapeError, cell_weight_bytes, gate_matrix_bytes,
                     gate_weight_bytes, layer_infer)
-from .quant import DequantTable, QuantConfig, calibrate_alpha, quantize
+from .quant import QuantConfig, calibrate_alpha, quantize
 from .sched import (RW, Policy, Target, dram_traffic, gate_accesses,
                     partial_bytes, pins_forward_rows, warn_row_buffer_fallback)
 
@@ -517,7 +517,7 @@ def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
 def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
                        alphas: list[float]) -> PartialsHook:
     """partials_hook of the quantized MWL schedule: the forward partials are
-    stored as n-bit codes and read back through the dequantization table.
+    stored as n-bit codes and read back as the table's values, in place.
 
     With ``calibrate`` each pass uses its own clamp magnitude (the measured
     peak |partial|, rounded up), standing in for an offline calibration run:
@@ -530,8 +530,7 @@ def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
             applied = QuantConfig(qcfg.n_bits,
                                   calibrate_alpha(float(np.max(np.abs(partials)))))
             alphas.append(applied.alpha)
-        return DequantTable(applied).lookup(quantize(partials, applied)).astype(
-            ACC_DTYPE, copy=False)
+        return quantize(partials, applied)
     return hook
 
 

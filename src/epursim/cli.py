@@ -557,8 +557,16 @@ def _add_quant_args(p: argparse.ArgumentParser) -> None:
                    help="calibrate the clamp magnitude on the input sequence")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with one ``usage error:`` line and exit 2;
+    ``--help`` still prints the usage.  Subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="epursim",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -678,7 +686,3 @@ def _run(args) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

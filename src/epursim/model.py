@@ -100,8 +100,6 @@ class NetworkDescriptor:
     def __post_init__(self):
         if not self.layers:
             raise ShapeError("network needs at least one layer")
-        if self.input_dim <= 0:
-            raise ShapeError("input_dim must be positive")
         object.__setattr__(self, "layers", tuple(self.layers))
         expected = self.input_dim
         for i, layer in enumerate(self.layers):
@@ -403,9 +401,8 @@ def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
 
 def network_infer(net: NetworkDescriptor, weights: NetworkWeights,
                   inp: Sequence) -> Sequence:
-    """Fold layer_infer over the stack; returns the last hidden layer's output."""
-    if inp.dim != net.input_dim:
-        raise ShapeError(f"input dim {inp.dim} != network input_dim {net.input_dim}")
+    """Fold layer_infer over the stack; returns the last hidden layer's output.
+    Layer 0 refuses an input that does not match ``net.input_dim``."""
     seq = inp
     for i, layer in enumerate(net.layers):
         try:

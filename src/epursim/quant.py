@@ -1,22 +1,20 @@
-"""Linear quantization of partial gate outputs and table-based dequantization.
+"""Linear quantization of partial gate outputs.
 
 Partial sums produced while the forward connections are evaluated ahead of
 time are stored as n-bit integers: code = round(beta * value) with
 beta = (2^(n-1) - 1) / alpha, saturated to the symmetric range
 [-(2^(n-1)-1), 2^(n-1)-1].  Rounding is half-away-from-zero so the mapping
-is odd-symmetric and bit-stable across platforms.
+is odd-symmetric and bit-stable across platforms.  The recurrent phase reads
+each code back through a 2^n - 1 entry table of code / beta in fp32; the
+model computes that read-back value directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import NumericError
-
-
-class QuantRangeError(NumericError):
-    """Integer code outside the representable range (exit 6 at the CLI)."""
 
 
 @dataclass(frozen=True)
@@ -27,8 +25,9 @@ class QuantConfig:
     def __post_init__(self):
         if not 2 <= self.n_bits <= 16:
             raise ValueError(f"n_bits must be in [2, 16], got {self.n_bits}")
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (self.alpha > 0 and np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValueError(f"alpha must be positive and finite, with a finite "
+                             f"beta = {self.max_code}/alpha, got {self.alpha}")
 
     @property
     def max_code(self) -> int:
@@ -52,52 +51,26 @@ class QuantConfig:
         return {"n_bits": self.n_bits, "alpha": self.alpha}
 
 
-def quantize(value, cfg: QuantConfig):
-    """Map a real (or array of reals) to its integer code.
+def quantize(values: np.ndarray, cfg: QuantConfig) -> np.ndarray:
+    """Store the fp32 array ``values`` as codes and read them back, in place.
 
-    round(beta * value), half away from zero, saturated to +-max_code.
+    Each element's code is round(beta * value) in float64, half away from
+    zero, saturated to +-max_code; the element becomes code / beta rounded
+    to fp32, the dequantization table's entry (+0.0 for code 0).  Returns
+    ``values``.
     """
-    scaled = np.array(value, dtype=np.float64)
-    if not np.all(np.isfinite(scaled)):
+    if not np.all(np.isfinite(values)):
         raise NumericError("cannot quantize non-finite values")
-    # two float64 arrays, updated in place: the scaled value and its magnitude
-    np.multiply(scaled, cfg.beta, out=scaled)
-    mag = np.abs(scaled, out=np.empty_like(scaled))
-    np.add(mag, 0.5, out=mag)
-    np.floor(mag, out=mag)
-    np.minimum(mag, cfg.max_code, out=mag)
-    codes = np.copysign(mag, scaled, out=mag).astype(np.int32)
-    if codes.ndim == 0:
-        return int(codes)
-    return codes
-
-
-@dataclass
-class DequantTable:
-    """Lookup table mapping every representable code to code/beta."""
-
-    cfg: QuantConfig
-    values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        codes = np.arange(-self.cfg.max_code, self.cfg.max_code + 1, dtype=np.int32)
-        self.values = (codes.astype(np.float64) / self.cfg.beta).astype(np.float32)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def lookup(self, code):
-        codes = np.asarray(code)
-        if np.any(codes > self.cfg.max_code) or np.any(codes < -self.cfg.max_code):
-            raise QuantRangeError(
-                f"code outside [-{self.cfg.max_code}, {self.cfg.max_code}]"
-            )
-        # widened to numpy's index type in the same pass as the offset:
-        # numpy gathers with int32 indices at about half the speed
-        out = self.values[np.add(codes, self.cfg.max_code, dtype=np.intp)]
-        if np.ndim(code) == 0:
-            return float(out)
-        return out
+    # one float64 array, updated in place: the code's magnitude, then the code
+    with np.errstate(over="ignore"):  # an overflow to inf saturates below
+        code = np.multiply(values, cfg.beta, dtype=np.float64)
+    np.abs(code, out=code)
+    np.add(code, 0.5, out=code)
+    np.floor(code, out=code)
+    np.minimum(code, cfg.max_code, out=code)
+    np.copysign(code, values, out=code)
+    code += 0.0  # code 0 is +0.0, as in the table, not copysign's -0.0
+    return np.divide(code, cfg.beta, out=values)
 
 
 def calibrate_alpha(max_abs_partial: float) -> float:

@@ -6,6 +6,7 @@ so they can serve as an independent oracle for bit-exactness tests.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,31 @@ def naive_lstm_step(ws: WeightSet, x, c_prev, h_prev):
     h_t = o_t * np.tanh(c_t)
     dt = ws.precision.storage_dtype
     return c_t.astype(dt), h_t.astype(dt)
+
+
+def reference_table(n_bits: int, alpha: float) -> np.ndarray:
+    """The 2^n - 1 entry dequantization table: code / beta in fp32, for the
+    codes -max_code..max_code."""
+    max_code = 2 ** (n_bits - 1) - 1
+    beta = max_code / alpha
+    return np.array([code / beta for code in range(-max_code, max_code + 1)],
+                    dtype=F32)
+
+
+def reference_readback(values, n_bits: int, alpha: float) -> np.ndarray:
+    """What the recurrent phase reads back for each fp32 value, one Python
+    float at a time: the code floor(|x| * beta + 0.5), clamped to max_code
+    (before the floor, so that an infinite |x| * beta clamps too) and given
+    the sign of x, looked up in ``reference_table``."""
+    max_code = 2 ** (n_bits - 1) - 1
+    beta = max_code / alpha
+    table = reference_table(n_bits, alpha)
+    values = np.asarray(values, dtype=F32)
+    codes = []
+    for x in values.ravel().tolist():
+        code = math.floor(min(abs(x) * beta, max_code) + 0.5)
+        codes.append(max_code - code if x < 0 else max_code + code)
+    return table[codes].reshape(values.shape)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cosine_similarity, gate_span, random_weights, simulate, start_of
+from conftest import (cosine_similarity, gate_span, random_weights, reference_table,
+                      simulate, start_of)
 from epursim import arch, energy, model, presets, quant, sched
 from epursim.arch import HW_PRESETS, HardwareConfig, cost_model
 from epursim.sched import Policy, Target
@@ -154,15 +155,16 @@ class TestCriterion7DramTraffic:
 
 class TestCriterion8Quantization:
     def test_exhaustive_code_and_real_sweeps(self):
+        # every code's table entry (independent reference) reads back as itself
         cfg = quant.QuantConfig(8, 20.0)
-        table = quant.DequantTable(cfg)
-        codes = np.arange(-127, 128)
+        table = reference_table(8, 20.0)
         assert len(table) == 255
-        assert np.array_equal(quant.quantize(table.lookup(codes), cfg), codes)
-        o = np.linspace(-cfg.alpha, cfg.alpha, 100_001)
-        rt = table.lookup(quant.quantize(o, cfg))
-        assert np.max(np.abs(rt - o)) <= cfg.step / 2 + np.spacing(np.float32(cfg.alpha))
-        q = quant.quantize(o, cfg)
+        rt = quant.quantize(table.copy(), cfg)
+        assert np.array_equal(rt.view(np.uint32), table.view(np.uint32))
+        o = np.linspace(-cfg.alpha, cfg.alpha, 100_001, dtype=np.float32)
+        q = quant.quantize(o.copy(), cfg)
+        err = np.abs(q.astype(np.float64) - o)
+        assert np.max(err) <= cfg.step / 2 + np.spacing(np.float32(cfg.alpha))
         assert np.all(np.diff(q) >= 0)  # monotone
         assert np.array_equal(quant.quantize(-o, cfg), -q)  # symmetric
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_weights, save_descriptor, save_weights
-from epursim import arch, cli, model, presets, quant, sched
+from epursim import arch, cli, model, presets, sched
 from epursim.netio import load_sequence
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -24,6 +25,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def run_module(*argv, **env):
+    """``python -m epursim`` in a new process, on this checkout's package."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "epursim", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 @pytest.fixture()
@@ -97,16 +106,16 @@ class TestGenNetwork:
                     if "footprint" in line] == [self.FOOTPRINT]
 
     def test_info_log_line_once_in_a_new_process(self, tmp_path):
-        env = dict(os.environ, EPURSIM_LOG="info", PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(cli.__file__).parents[1]),
-                          os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "epursim.cli", "gen-network", "--preset", "ldlrnn",
-             "--out-descriptor", str(tmp_path / "n.json"),
-             "--out-weights", str(tmp_path / "n.bin")],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = run_module("gen-network", "--preset", "ldlrnn",
+                          "--out-descriptor", str(tmp_path / "n.json"),
+                          "--out-weights", str(tmp_path / "n.bin"), EPURSIM_LOG="info")
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stderr.splitlines() == [self.FOOTPRINT]
+
+    def test_module_entry_point_prints_help(self):
+        proc = run_module("--help")
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("usage: epursim ")
 
 
 class TestInfer:
@@ -409,7 +418,31 @@ class TestBoundary:
             run_cli("compare", "--network", str(desc), "--weights", str(blob),
                     "--frames-per-second", "50")
         assert exit_info.value.code == cli.EXIT_USAGE
-        assert "unrecognized arguments: --frames-per-second" in capsys.readouterr().err
+        assert self.one_line(capsys) == (
+            "usage error: unrecognized arguments: --frames-per-second 50\n")
+
+    def test_missing_network_is_one_usage_line(self, gen, capsys):
+        _, blob = gen
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("simulate", "--weights", str(blob))
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert self.one_line(capsys) == (
+            "usage error: the following arguments are required: --network\n")
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--policy", "mwl", "--quantize"],
+        ["compare", "--quantize"],
+        ["quantize-sweep"],
+    ])
+    def test_alpha_whose_beta_overflows_exits_2(self, gen, tmp_path, capsys, command):
+        # beta = 127 / 1e-310 is inf, and the quantization step 0
+        desc, blob = gen
+        out = tmp_path / "report.json"
+        assert run_cli(*command, "--network", str(desc), "--weights", str(blob),
+                       "--alpha", "1e-310", "--out", str(out)) == cli.EXIT_USAGE
+        assert self.one_line(capsys).startswith(
+            "usage error: alpha must be positive and finite, with a finite beta")
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [{"dpu_widht": 16},
                                      {"op_latency": {"fma": 3}},
@@ -602,18 +635,15 @@ class TestBoundary:
 
     @pytest.mark.parametrize("option", ["--policy-a", "--policy-b"])
     def test_compare_unknown_policy_exits_2(self, gen, capsys, option):
-        # refused by the parser's choices, as simulate --policy is: its usage
-        # lines, then one error line
+        # refused by the parser's choices, as simulate --policy is
         desc, blob = gen
         with pytest.raises(SystemExit) as exit_info:
             run_cli("compare", "--network", str(desc), "--weights", str(blob),
                     option, "bogus")
         assert exit_info.value.code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.splitlines()[-1] == (
-            f"epursim compare: error: argument {option}: invalid choice: 'bogus' "
-            "(choose from 'conventional', 'mwl')")
+        assert self.one_line(capsys) == (
+            f"usage error: argument {option}: invalid choice: 'bogus' "
+            "(choose from 'conventional', 'mwl')\n")
 
     def test_cmp_latency_is_an_unknown_key(self, gen, tmp_path, capsys):
         # no MU, quantizer or DPU op is a compare
@@ -1042,6 +1072,46 @@ class TestConcurrently:
             cli._concurrently([fail, lambda: None])
         self.no_child_left()
 
+    def test_child_ending_with_a_status_raises_memory_error(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def exit_in_a_child():
+            if os.getpid() != caller:
+                os._exit(3)
+
+        with pytest.raises(MemoryError, match=(
+                "^run 1 of 2 ended without a result, with exit status 3$")):
+            cli._concurrently([exit_in_a_child, lambda: None])
+        self.no_child_left()
+
+    def test_failed_fork_is_raised_with_its_pipe_closed(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        pipes, real_pipe = [], os.pipe
+
+        def pipe():
+            r, w = real_pipe()
+            pipes.extend((r, w))
+            return r, w
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli.os, "pipe", pipe)
+        monkeypatch.setattr(cli.os, "fork", no_fork)
+        with pytest.raises(OSError, match="Resource temporarily unavailable"):
+            cli._concurrently([lambda: None, lambda: None])
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_cpu_count_stands_in_for_the_affinity(self, monkeypatch):
+        # where os has no sched_getaffinity; an unknown count is one CPU
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(cli.os, "fork", lambda: pytest.fail("forked with one CPU"))
+        assert cli._concurrently([lambda: 1, lambda: 2]) == [1, 2]
+
     def test_killed_run_exits_5(self, gen, monkeypatch, capsys):
         # both runs kill themselves if they run in a child, and never the
         # test process itself
@@ -1070,8 +1140,8 @@ class TestConcurrently:
         (model.ShapeError("bad shape"), cli.EXIT_PARSE, "error: bad shape"),
         (MemoryError("Unable to allocate"), cli.EXIT_CAPACITY,
          "host memory error: Unable to allocate"),
-        (quant.QuantRangeError("code outside [-127, 127]"), cli.EXIT_NUMERIC,
-         "numeric error: code outside [-127, 127]"),
+        (model.NumericError("cannot quantize non-finite values"), cli.EXIT_NUMERIC,
+         "numeric error: cannot quantize non-finite values"),
     ])
     def test_error_in_a_child_exits_with_its_code(self, gen, monkeypatch, capsys,
                                                   error, rc, line):

@@ -392,6 +392,12 @@ class TestLayerInfer:
         with pytest.raises(ShapeError):
             layer_infer(ws.layer, [ws], Sequence(np.zeros((2, 4))))
 
+    def test_weight_set_count_must_match_the_directions(self):
+        layer = LayerDescriptor(4, 3, Direction.bidirectional)
+        ws = weight_set(layer, arrays_of(make_cell(4, 3, False, 1)))
+        with pytest.raises(ShapeError, match=r"^layer wants 2 weight sets, got 1$"):
+            layer_infer(layer, [ws], Sequence(np.zeros((2, 3))))
+
 
 class TestNetworkInfer:
     def test_one_layer_equals_layer_infer(self):
@@ -414,6 +420,14 @@ class TestNetworkInfer:
         got = network_infer(net, weights, seq)
         want = layer_infer(l1, w1, layer_infer(l0, w0, seq))
         assert np.array_equal(got.frames, want.frames)
+
+    def test_input_of_the_wrong_width_is_refused_by_layer_0(self):
+        net, weights = random_network(5, max_layers=2)
+        frames = np.zeros((2, net.input_dim + 1), dtype=np.float32)
+        with pytest.raises(ShapeError, match=(
+                rf"^layer 0: input dim {net.input_dim + 1} != layer input_size "
+                rf"{net.input_dim}$")):
+            network_infer(net, weights, Sequence(frames))
 
     def test_layer_error_names_the_layer(self):
         net, weights = random_network(5, max_layers=3)
@@ -577,3 +591,11 @@ class TestInvariants:
         l1 = LayerDescriptor(4, 4)  # wrong: l0 outputs 8 wide
         with pytest.raises(ShapeError):
             NetworkDescriptor((l0, l1), input_dim=4)
+
+    @pytest.mark.parametrize("input_dim", [0, -3])
+    def test_input_dim_below_one_is_refused_by_the_layer_chain(self, input_dim):
+        # a layer's input_size is positive, so it never matches
+        with pytest.raises(ShapeError, match=(
+                rf"^layer 0 expects input_size=4, but the preceding layer "
+                rf"produces {input_dim}$")):
+            NetworkDescriptor((LayerDescriptor(4, 4),), input_dim=input_dim)

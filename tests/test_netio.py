@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import (random_frames, random_network, random_weights,
                       save_descriptor, save_sequence, save_weights)
-from epursim import cli
+from epursim import cli, netio
 from epursim.model import GATES, STACK_ORDER, NumericError, Precision, Sequence
 from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
                            descriptor_to_bytes, load_descriptor, load_sequence,
@@ -173,6 +174,18 @@ class TestWeightBlob:
         save_weights(net, weights, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="short"):
+            load_weights(net, path)
+
+    def test_blob_that_shrinks_during_the_read(self, tmp_path, monkeypatch):
+        # the size check passed on the whole blob, then the file lost bytes
+        net, weights = random_network(1)
+        path = tmp_path / "w.bin"
+        save_weights(net, weights, path)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(netio.os, "fstat", lambda _fd: os.stat_result(
+            (0,) * 6 + (full,) + (0,) * 3))
+        with pytest.raises(FormatError, match="blob too short$"):
             load_weights(net, path)
 
     @pytest.mark.parametrize("values", [0, 1000], ids=["header-only", "some-values"])
