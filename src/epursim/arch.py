@@ -527,8 +527,10 @@ def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
     def hook(partials: np.ndarray) -> np.ndarray:
         applied = qcfg
         if calibrate:
-            applied = QuantConfig(qcfg.n_bits,
-                                  calibrate_alpha(float(np.max(np.abs(partials)))))
+            # the peak |partial| without an abs temporary; a NaN propagates
+            # through max and min alike
+            peak = max(float(partials.max()), -float(partials.min()))
+            applied = QuantConfig(qcfg.n_bits, calibrate_alpha(peak))
             alphas.append(applied.alpha)
         return quantize(partials, applied)
     return hook

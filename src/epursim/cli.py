@@ -95,7 +95,11 @@ def _json_text(obj: dict) -> str:
 
 
 def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
-                                model.Sequence]:
+                                int, Callable[[], model.Sequence]]:
+    """The network, its weights, the input's frame count T and a call that
+    returns the input sequence.  An --input file is read here, since T is
+    its frame count; a synthetic sequence is drawn only when the call is
+    made, so a run refused from shapes and T allocates no frames."""
     net = netio.load_descriptor(args.network)
     weights = netio.load_weights(net, args.weights)
     if args.input:
@@ -105,12 +109,14 @@ def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
         with np.errstate(over="ignore"):
             frames = loaded.frames.astype(net.numeric_precision.storage_dtype)
         seq = model.Sequence(frames)
-    else:
-        _check_seed("--synthetic-seed", args.synthetic_seed)
-        seq = presets.random_sequence(net, args.synthetic_t, args.synthetic_seed)
-    if seq.dim != net.input_dim:
-        raise model.ShapeError(f"input dim {seq.dim} != network input_dim {net.input_dim}")
-    return net, weights, seq
+        if seq.dim != net.input_dim:
+            raise model.ShapeError(f"input dim {seq.dim} != network input_dim {net.input_dim}")
+        return net, weights, seq.length, lambda: seq
+    _check_seed("--synthetic-seed", args.synthetic_seed)
+    T = args.synthetic_t
+    if T < 1:
+        raise model.ShapeError(f"sequence must be [T>=1, dim], got {(T, net.input_dim)}")
+    return net, weights, T, partial(presets.random_sequence, net, T, args.synthetic_seed)
 
 
 def _hw_config(args) -> arch.HardwareConfig:
@@ -305,8 +311,7 @@ def cmd_gen_network(args) -> int:
         report = presets.preset_report(args.preset, precision)
     else:
         if args.layers is None or args.hidden is None:
-            print("gen-network needs --preset or --layers/--hidden", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("gen-network needs --preset or --layers/--hidden")
         net = presets.custom_descriptor(args.layers, args.hidden,
                                         args.bidirectional, args.peephole,
                                         args.input_dim, precision)
@@ -329,7 +334,8 @@ def cmd_gen_network(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    net, weights, seq = _load_inputs(args)
+    net, weights, _, sequence = _load_inputs(args)
+    seq = sequence()
     out = model.network_infer(net, weights, seq)
     report = {
         "sequence_length": seq.length,
@@ -361,12 +367,13 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
                      frames_per_second: float | None = None):
     """Simulate each (policy, quantization) run with the inputs and hardware
     of args, beside one oracle run.  Every cost model runs first, so a
-    refused run starts no inference; the datapaths and the oracle are
-    independent and run concurrently."""
-    net, weights, seq = _load_inputs(args)
+    refused run draws no synthetic frames and starts no inference; the
+    datapaths and the oracle are independent and run concurrently."""
+    net, weights, T, sequence = _load_inputs(args)
     cfg = _hw_config(args)
-    reports = [arch.cost_model(net, seq.length, policy, cfg, qcfg, frames_per_second)
+    reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
                for policy, qcfg in runs]
+    seq = sequence()
     *reports, oracle = _concurrently(
         [partial(arch.simulate, net, weights, seq, rep, args.calibrate)
          for rep in reports]
@@ -645,6 +652,8 @@ def main(argv: list[str] | None = None) -> int:
     so a failing run still prints its one line.  A warning raised in a run
     forked by ``_concurrently`` ends with that process; none of them warns."""
     _setup_logging()
+    log.debug("dot kernels: %s", "einsum, unfused and in ascending k" if model.EINSUM_IN_ORDER
+              else "multiply-and-add (einsum failed the import probe)")
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -15,7 +15,7 @@ results in exact mode.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -219,12 +219,30 @@ class Sequence:
 # ---------------------------------------------------------------------------
 # accumulation primitives (the order contract lives here)
 
-#: fp32 elements of one tile of the forward hoist: whole frames of the
-#: [T, rows] accumulator, few enough that a tile and its product buffer stay
-#: in the L2 cache across all K column steps
-HOIST_TILE_ELEMS = 96 * 1024
-
 _ONE = ACC_DTYPE(1.0)
+
+
+def _einsum_adds_in_order() -> bool:
+    """Whether ``np.einsum`` (without ``optimize``) sums both kernels'
+    subscripts as a scalar loop does on this numpy build: per output
+    element, k ascending, each product rounded to fp32 before its add.
+
+    Two sums, each over accumulator rows of two 64-element SIMD blocks and
+    a ragged tail of 3, for both subscripts; every result must be 0.  With
+    a = 1 + 2**-12, fp32 rounds a*a to 1 + 2**-11, so -(1 + 2**-11) + a*a
+    is 0, but a fused multiply-add keeps the product's 2**-24.  In 1e8 +
+    1 + ... + 1 - 1e8, each 1e8 + 1 rounds back to 1e8, so only an
+    ascending running sum ends at 0.
+    """
+    a = 1 + 2.0 ** -12
+    for left, right in [([-(1 + 2.0 ** -11), a], [1.0, a]),
+                        ([1e8] + [1.0] * 298 + [-1e8], [1.0] * 300)]:
+        mat_t = np.repeat(np.array(left, ACC_DTYPE)[:, None], 2 * 64 + 3, axis=1)
+        vec = np.array(right, ACC_DTYPE)
+        if (np.einsum("kj,k->j", mat_t, vec).any()
+                or np.einsum("tk,kj->tj", np.tile(vec, (3, 1)), mat_t).any()):
+            return False
+    return True
 
 
 @contextmanager
@@ -232,11 +250,11 @@ def _one_row_ufunc_buffer(rows: int):
     """Hold numpy's ufunc buffer to at most one accumulator row of ``rows``
     elements (a multiple of 16, at least 16) for the duration.
 
-    Both dot kernels multiply a row-long operand by a broadcast one.  With
-    room for more than a row, numpy fills its buffer through strided copies
-    of the operands, at 0.65-0.75 ns per element on [50, 1280] with the
-    default 8192 elements; with one row it multiplies in place at 0.18-0.22
-    ns (numpy 2.4.6, 2-vCPU Xeon).  A buffer's size never changes an
+    Both multiply-and-add kernels multiply a row-long operand by a
+    broadcast one.  With room for more than a row, numpy fills its buffer
+    through strided copies of the operands, at 0.65-0.75 ns per element on
+    [50, 1280] with the default 8192 elements; with one row it multiplies
+    in place at 0.18-0.22 ns (numpy 2.4.6, 2-vCPU Xeon).  A buffer's size never changes an
     elementwise result, and it is per thread, so concurrent runs do not
     see each other's.  The old size comes back in a ``finally``, which
     also scopes it on numpy 1.x, where ``errstate`` does not.
@@ -248,41 +266,88 @@ def _one_row_ufunc_buffer(rows: int):
         np.setbufsize(old)
 
 
+#: fp32 elements of one tile of the multiply-and-add forward hoist: whole
+#: frames of the [T, rows] accumulator, few enough that a tile and its
+#: product buffer stay in the L2 cache across all K column steps
+HOIST_TILE_ELEMS = 96 * 1024
+
+#: both dot kernels run on np.einsum (True) or, where einsum's order failed
+#: the probe at import, multiply into a product buffer and add (False)
+EINSUM_IN_ORDER = _einsum_adds_in_order()
+
+
+def dot_operands(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``accumulate_dot`` reads for ``mat`` [rows, K], for a caller
+    making many calls with one matrix: a C-contiguous [K+1, rows] array
+    whose rows 1..K hold mat.T, and a [K+1] vector, 1 followed by zeros.
+    Each call writes its accumulator into row 0 and its vector into
+    elements 1..K, unless the vector already is that view; the
+    multiply-and-add kernel also writes its products into rows 1..K."""
+    rows, k = mat.shape
+    mat_t = np.empty((k + 1, rows), dtype=ACC_DTYPE)
+    mat_t[1:] = mat.T
+    vec = np.zeros(k + 1, dtype=ACC_DTYPE)
+    vec[0] = _ONE
+    return mat_t, vec
+
+
 def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
-                   buf: np.ndarray | None = None) -> np.ndarray:
+                   operands: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """acc[j] += mat[j, k] * vec[k] for k ascending, one fp32 add per step.
 
-    The products fill rows 1..K of a C-contiguous [K+1, rows] buffer under
-    acc in row 0, and one reduction over the outer axis sums it: numpy adds
-    whole buffer rows elementwise in ascending k, so each acc[j] sees the
-    same scalar operation sequence as a naive loop and is bit-identical to
-    it.  Pairwise summation only applies along a contiguous inner reduction
-    axis, which is what a single-row buffer would become, so that case
-    takes the running sum instead.  A caller making many calls of one shape
-    may pass that buffer as ``buf``; its contents are overwritten.
+    It is ``einsum("kj,k->j", M, v, out=acc)`` on the operands of
+    ``dot_operands(mat)``, with acc in row 0 of M and vec in v[1:]: einsum
+    keeps no product array and, per element, adds the rounded products in
+    ascending k to the 0.0 it fills ``out`` with, first 1 * acc[j].  That
+    first add keeps every value but -0.0, which becomes +0.0, so acc must
+    hold no -0.0.  The datapath never makes one: its sums start from +0.0,
+    and the quantizer reads code 0 back as +0.0.
+
+    A single-row accumulator, whose k axis einsum sums with SIMD partial
+    sums, and a build that failed the import probe (``EINSUM_IN_ORDER``)
+    take the multiply-and-add form instead: the products fill rows 1..K of
+    M under acc, and a running sum (one row) or a reduction over the outer
+    axis adds them; numpy performs the latter as K elementwise row
+    additions in ascending k.  A caller making many calls with one matrix
+    passes ``dot_operands(mat)`` as ``operands``.
     """
+    mat_t, v = dot_operands(mat) if operands is None else operands
+    if vec.base is not v:  # run_direction's h already is v[1:]
+        v[1:] = vec
+    mat_t[0] = acc
     rows = acc.shape[0]
-    if buf is None:
-        buf = np.empty((vec.shape[0] + 1, rows), dtype=ACC_DTYPE)
-    buf[0] = acc
-    np.multiply(mat.T, vec[:, None], out=buf[1:])
+    if EINSUM_IN_ORDER and rows > 1:
+        return np.einsum("kj,k->j", mat_t, v, out=acc)
+    np.multiply(mat.T, v[1:, None], out=mat_t[1:])
     if rows == 1:
-        acc[:] = np.add.accumulate(buf, axis=0)[-1]
+        acc[:] = np.add.accumulate(mat_t, axis=0)[-1]
         return acc
-    return np.add.reduce(buf, axis=0, out=acc)
+    return np.add.reduce(mat_t, axis=0, out=acc)
 
 
 def accumulate_dot_all_t(acc: np.ndarray, mat: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Batched form of accumulate_dot: acc[j, t] += mat[j, k] * frames[t, k].
+    """Batched form of accumulate_dot that overwrites acc: acc[j, t] is the
+    sum of mat[j, k] * frames[t, k] for k ascending, from +0.0.
 
-    Works time-major on acc.T, a tile of whole frames at a time: within a
-    tile each column step k multiplies the frames' k-th values by row k of
-    mat.T and adds the product to the tile, for k ascending.  Tiling splits
-    only the independent t axis, so every acc[j, t] still sees the scalar
-    order of accumulate_dot.  An F-ordered acc and mat (and frames) keep
-    the tile and each step's operands contiguous; any layout is correct.
+    It is ``einsum("tk,kj->tj", frames, mat.T, out=acc.T)`` on C-contiguous
+    operands, which for every (t, j) adds the rounded products in ascending
+    k into the zero-filled ``out``.  An F-ordered acc and mat and a
+    C-ordered frames are used as they are; other layouts are copied first.
+    A single-row accumulator and a build that failed the probe take column
+    steps on acc.T instead, a tile of whole frames at a time: within a tile
+    each step k multiplies the frames' k-th values by column k of mat and
+    adds the product to the tile.  Tiling splits only the independent t
+    axis, so every acc[j, t] still sees the order of a scalar loop.
     """
-    acc_t, mat_t = acc.T, mat.T
+    acc_t = acc.T
+    frames = np.ascontiguousarray(frames, dtype=ACC_DTYPE)
+    if EINSUM_IN_ORDER and acc.shape[0] > 1:
+        out = acc_t if acc_t.flags.c_contiguous else np.empty(acc_t.shape, ACC_DTYPE)
+        np.einsum("tk,kj->tj", frames, np.ascontiguousarray(mat.T), out=out)
+        if out is not acc_t:
+            acc_t[...] = out
+        return acc
+    acc_t[...] = 0.0
     T, rows = acc_t.shape
     step = max(1, HOIST_TILE_ELEMS // rows)
     tmp = np.empty((min(step, T), rows), dtype=ACC_DTYPE)
@@ -291,7 +356,7 @@ def accumulate_dot_all_t(acc: np.ndarray, mat: np.ndarray, frames: np.ndarray) -
         f = frames[t0:t0 + step]
         prod = tmp[:blk.shape[0]]
         for k in range(frames.shape[1]):
-            np.multiply(f[:, k, None], mat_t[k], out=prod)
+            np.multiply(f[:, k, None], mat[:, k], out=prod)
             np.add(blk, prod, out=blk)
     return acc
 
@@ -352,30 +417,34 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     """Run one cell over frames [T, input_size]; returns h outputs [T, hidden].
 
     The forward dot products have no sequential dependence, so they are
-    evaluated for the whole sequence first into a [4*hidden, T] accumulator
-    (F-ordered, so its time-major tiles are contiguous); the time loop then
-    adds the recurrent dot into each step's column, in place.  Per-scalar
-    accumulation order is that of the per-timestep loop, so the hoist does
-    not change a single bit.  The whole pass runs with numpy's ufunc buffer
-    held to one accumulator row (see ``_one_row_ufunc_buffer``) and exp
-    overflow ignored; on an fp32 cell the loop allocates nothing.
+    evaluated for the whole sequence first into a C-ordered [T, 4*hidden]
+    accumulator; the time loop then adds the recurrent dot into each
+    step's row, in place.  Per-scalar accumulation order is that of the
+    per-timestep loop, so the hoist does not change a single bit.  h is a
+    view of the recurrent kernel's vector operand (``dot_operands``), so
+    each step's h_{t-1} is where the kernel reads it.  Exp overflow is
+    ignored; on an fp32 cell the loop allocates nothing.  The
+    multiply-and-add kernels run with numpy's ufunc buffer held to one
+    accumulator row (see ``_one_row_ufunc_buffer``).
     """
     T = frames.shape[0]
     n = weights.layer.hidden_size
     wx, wh, _ = weights.stacked()
 
-    with _one_row_ufunc_buffer(4 * n), np.errstate(over="ignore"):
-        fwd = np.zeros((T, 4 * n), dtype=ACC_DTYPE).T
-        accumulate_dot_all_t(fwd, wx, np.asfortranarray(frames, dtype=ACC_DTYPE))
+    # einsum needs no ufunc buffer; the multiply-and-add kernels want one row
+    buffer = nullcontext() if EINSUM_IN_ORDER else _one_row_ufunc_buffer(4 * n)
+    with buffer, np.errstate(over="ignore"):
+        steps = np.empty((T, 4 * n), dtype=ACC_DTYPE)
+        accumulate_dot_all_t(steps.T, wx, frames)
         if partials_hook is not None:
-            fwd = partials_hook(fwd)
-        steps = np.ascontiguousarray(fwd.T)  # [T, 4*hidden]
+            steps = np.ascontiguousarray(partials_hook(steps.T).T)
 
-        buf = np.empty((n + 1, 4 * n), dtype=ACC_DTYPE)
-        c, h = np.zeros(n, dtype=ACC_DTYPE), np.zeros(n, dtype=ACC_DTYPE)
+        operands = dot_operands(wh)
+        h = operands[1][1:]
+        c = np.zeros(n, dtype=ACC_DTYPE)
         out = np.empty((T, n), dtype=weights.precision.storage_dtype)
         for t, z in enumerate(steps):  # each step's row is its accumulator
-            accumulate_dot(z, wh, h, buf)
+            accumulate_dot(z, wh, h, operands)
             finish_step(weights, z, c, h)
             out[t] = h
     return out

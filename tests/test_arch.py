@@ -16,9 +16,9 @@ from epursim.arch import (HW_PRESETS, CapacityError, HardwareConfig,
                           MuBottleneckError, cost_model, dpu_dot_cycles,
                           mu_initiation_interval, mu_plan)
 from epursim.model import (GATES, Direction, LayerDescriptor, NetworkDescriptor,
-                           ShapeError, network_infer)
+                           NumericError, ShapeError, network_infer)
 from epursim.presets import custom_descriptor, preset_descriptor
-from epursim.quant import QuantConfig
+from epursim.quant import QuantConfig, calibrate_alpha
 from epursim.sched import Policy, Target
 
 CFG = HardwareConfig()
@@ -177,6 +177,23 @@ class TestSimulateFunctional:
         assert diff.max() > 0  # quantization really happened
         # preactivation error is at most half a step; activations contract it
         assert diff.max() <= QuantConfig(8, rep.pass_alphas[0]).step
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_calibrated_alpha_is_the_peak_magnitude_rounded_up(self, seed):
+        # the peak |partial| from max and min, as np.abs would give it,
+        # whichever sign holds it
+        rng = np.random.default_rng(seed)
+        partials = rng.normal(0, 3, (48, 7)).astype(np.float32)
+        partials[seed, seed] = (-1) ** seed * 40.04
+        alphas = []
+        arch._quantize_partials(QuantConfig(8), True, alphas)(partials.copy())
+        assert alphas == [calibrate_alpha(float(np.max(np.abs(partials))))] == [40.1]
+
+    def test_calibration_refuses_a_nan_partial(self):
+        partials = np.zeros((8, 3), np.float32)
+        partials[5, 1] = np.nan
+        with pytest.raises(NumericError, match="calibration saw a non-finite"):
+            arch._quantize_partials(QuantConfig(8), True, [])(partials)
 
     def test_fp16_simulation_matches_fp16_oracle(self):
         from epursim.model import Precision

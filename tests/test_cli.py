@@ -112,6 +112,21 @@ class TestGenNetwork:
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stderr.splitlines() == [self.FOOTPRINT]
 
+    @pytest.mark.parametrize("einsum_in_order, kernels", [
+        (True, "einsum, unfused and in ascending k"),
+        (False, "multiply-and-add (einsum failed the import probe)")])
+    def test_debug_log_names_the_dot_kernels(self, tmp_path, monkeypatch, capsys,
+                                             einsum_in_order, kernels):
+        monkeypatch.setattr(cli.model, "EINSUM_IN_ORDER", einsum_in_order)
+        argv = ["gen-network", "--layers", "1", "--out-descriptor", str(tmp_path / "n.json"),
+                "--out-weights", str(tmp_path / "n.bin")]
+        monkeypatch.setenv("EPURSIM_LOG", "debug")
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[0] == f"DEBUG epursim: dot kernels: {kernels}"
+        monkeypatch.delenv("EPURSIM_LOG")
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert "dot kernels" not in capsys.readouterr().err
+
     def test_module_entry_point_prints_help(self):
         proc = run_module("--help")
         assert proc.returncode == cli.EXIT_OK, proc.stderr
@@ -561,7 +576,8 @@ class TestBoundary:
         rc = run_cli("gen-network", "--layers", "2", "--out-descriptor",
                      str(tmp_path / "d.json"), "--out-weights", str(tmp_path / "w.bin"))
         assert rc == cli.EXIT_USAGE
-        assert self.one_line(capsys) == "gen-network needs --preset or --layers/--hidden\n"
+        assert self.one_line(capsys) == ("usage error: gen-network needs --preset or "
+                                         "--layers/--hidden\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("shape,message", [
@@ -877,15 +893,16 @@ sys.exit(rc)
 LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
 
-def _peak_rss_bytes(*argv) -> int:
-    """The peak RSS of a fresh process that runs the command ``argv``."""
+def _peak_rss_bytes(*argv, exit_code: int = cli.EXIT_OK) -> int:
+    """The peak RSS of a fresh process that runs the command ``argv``,
+    which must exit with ``exit_code``."""
     pytest.importorskip("resource")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, "-c", PEAK_RSS_CHILD, *argv],
         env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in KiB on Linux
     return int(proc.stdout.splitlines()[-1]) * unit
 
@@ -955,6 +972,21 @@ class TestHostMemory:
         peak, csv_bytes = peak_and_csv(4, 48, 400)
         assert csv_bytes > 75 * 10**6
         assert peak - base < 0.75 * csv_bytes, (peak - base) / csv_bytes
+
+
+    def test_run_refused_from_shapes_draws_no_frames(self, tmp_path, capsys):
+        # 10**8 frames overflow a 1x4 network's intermediate memory (exit
+        # 5), which the cost model finds from the shapes and T alone: the
+        # run must refuse before it draws the sequence, whose float64
+        # draws alone would take 800 MB per input element of a frame
+        desc, blob = tmp_path / "d.json", tmp_path / "w.bin"
+        assert run_cli("gen-network", "--layers", "1", "--hidden", "4", "--seed", "1",
+                       "--out-descriptor", str(desc), "--out-weights", str(blob)) == cli.EXIT_OK
+        capsys.readouterr()
+        peak = _peak_rss_bytes("simulate", "--network", str(desc), "--weights", str(blob),
+                               "--synthetic-t", str(10**8), "--policy", "conventional",
+                               exit_code=cli.EXIT_CAPACITY)
+        assert peak < 200 * 2**20, peak / 2**20
 
 
 class TestConcurrently:

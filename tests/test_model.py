@@ -20,6 +20,7 @@ from epursim.model import (GATES, STACK_ORDER, Direction, LayerDescriptor,
                            Precision, Sequence, ShapeError, WeightSet,
                            accumulate_dot, accumulate_dot_all_t, finish_step,
                            layer_infer, network_infer, run_direction)
+from epursim.quant import QuantConfig, quantize
 
 
 def zeros_cell(hidden, input_size, bias=0.0):
@@ -60,10 +61,22 @@ def scalar_dot(acc, mat, vec) -> np.ndarray:
     return out
 
 
-def buffer_sizes(rows):
-    """numpy's default ufunc buffer, then the one-row size run_direction
-    sets for a ``rows``-long accumulator."""
-    return [contextlib.nullcontext(), model._one_row_ufunc_buffer(rows)]
+@contextlib.contextmanager
+def multiply_and_add():
+    """The dot kernels' multiply-and-add form, which a build whose einsum
+    fails the import probe runs."""
+    old = model.EINSUM_IN_ORDER
+    model.EINSUM_IN_ORDER = False
+    try:
+        yield
+    finally:
+        model.EINSUM_IN_ORDER = old
+
+
+def kernel_paths():
+    """The kernels as the import probe chose them (einsum on a build that
+    passes it), then the multiply-and-add form."""
+    return [contextlib.nullcontext(), multiply_and_add()]
 
 
 def spread(rng, shape) -> np.ndarray:
@@ -72,17 +85,45 @@ def spread(rng, shape) -> np.ndarray:
     return (signs * 10.0 ** rng.uniform(-3, 3, shape)).astype(F32)
 
 
+def sequential_column(rows):
+    """[rows, 300] rows of products 1e8, 1, ..., 1, -1e8: in fp32 1e8 + 1
+    rounds back to 1e8, so the ascending-k sum is 0, while pairwise or
+    blocked summation adds the ones up separately and keeps them."""
+    prods = np.ones(300, dtype=F32)
+    prods[0], prods[-1] = 1e8, -1e8
+    assert np.add.reduce(prods) != 0  # numpy's pairwise sum differs
+    return np.tile(prods, (rows, 1))
+
+
+NUMPY_EINSUM = np.einsum
+
+
+def fused_einsum(subscripts, *operands):
+    """einsum as a build with fused multiply-adds sums: each product keeps
+    its low bits into the add (here, all of them, in float64)."""
+    wide = [o.astype(np.float64) for o in operands]
+    return NUMPY_EINSUM(subscripts, *wide).astype(F32)
+
+
+def pairwise_einsum(subscripts, x, y):
+    """einsum's two subscripts as numpy's pairwise sum over a contiguous k
+    axis adds them."""
+    prods = x[:, None, :] * y.T[None] if subscripts == "tk,kj->tj" else (x * y[:, None]).T
+    return np.ascontiguousarray(prods).sum(axis=-1)
+
+
 class TestAccumulationOrder:
     """The dot kernels must equal a scalar loop over k bit for bit; a change
     to numpy's reduction order (e.g. pairwise summation) fails here.
 
-    Each case runs under numpy's default ufunc buffer and again under the
-    one-row size run_direction sets (``buffer_sizes``)."""
+    Each case runs on the kernels the import probe chose and again on the
+    multiply-and-add form (``kernel_paths``)."""
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 320), k=st.integers(1, 700),
            order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
     @example(rows=4, k=1, order="C", seed=0)
+    @example(rows=1, k=300, order="F", seed=2)
     @example(rows=320, k=700, order="F", seed=1)
     def test_accumulate_dot_matches_scalar_loop(self, rows, k, order, seed):
         rng = np.random.default_rng(seed)
@@ -90,39 +131,40 @@ class TestAccumulationOrder:
         vec = spread(rng, k)
         acc = spread(rng, rows)
         want = scalar_dot(acc, mat, vec)
-        for size in buffer_sizes(rows):
-            with size:
+        for path in kernel_paths():
+            with path:
                 got = accumulate_dot(acc.copy(), mat, vec)
+                # and with operands built once for the matrix, and h a view
+                # of the vector operand, as run_direction calls it
+                operands = model.dot_operands(mat)
+                operands[1][1:] = vec
+                again = accumulate_dot(acc.copy(), mat, operands[1][1:], operands)
             assert np.array_equal(got, want)
+            assert np.array_equal(again, want)
 
     @settings(max_examples=15, deadline=None)
     @given(rows=st.integers(1, 320), k=st.integers(1, 700), T=st.integers(1, 3),
            order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
     @example(rows=4, k=1, T=1, order="F", seed=0)
+    @example(rows=1, k=300, T=3, order="C", seed=2)
     def test_accumulate_dot_all_t_matches_scalar_loop(self, rows, k, T, order, seed):
+        # the hoist overwrites its accumulator: each sum starts from +0.0
         rng = np.random.default_rng(seed)
         mat = np.asarray(spread(rng, (rows, k)), order=order)
         frames = np.asarray(spread(rng, (T, k)), order=order)
-        acc = spread(rng, (rows, T))
-        want = np.stack([scalar_dot(acc[:, t], mat, frames[t]) for t in range(T)],
-                        axis=1)
-        for size in buffer_sizes(rows):
-            with size:
-                got = accumulate_dot_all_t(acc.copy(), mat, frames)
+        zero = np.zeros(rows, F32)
+        want = np.stack([scalar_dot(zero, mat, frames[t]) for t in range(T)], axis=1)
+        for path in kernel_paths():
+            with path:
+                got = accumulate_dot_all_t(spread(rng, (rows, T)), mat, frames)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows", [1, 4, 320])
     def test_sequential_not_pairwise(self, rows):
-        # in fp32, 1e8 + 1 rounds back to 1e8, so the ascending-k sum of
-        # [1e8, 1, ..., 1, -1e8] is 0; pairwise or blocked summation adds
-        # the ones up separately and keeps them
-        prods = np.ones(300, dtype=F32)
-        prods[0], prods[-1] = 1e8, -1e8
-        assert np.add.reduce(prods) != 0  # numpy's pairwise sum differs
-        mat = np.tile(prods, (rows, 1))
+        mat = sequential_column(rows)
         zeros = np.zeros(rows, dtype=F32)
-        for size in buffer_sizes(rows):
-            with size:
+        for path in kernel_paths():
+            with path:
                 dot = accumulate_dot(zeros.copy(), mat, np.ones(300, F32))
                 got = accumulate_dot_all_t(np.zeros((rows, 2), F32), mat,
                                            np.ones((2, 300), F32))
@@ -131,45 +173,111 @@ class TestAccumulationOrder:
 
     @pytest.mark.parametrize("rows", [1, 4, 320])
     def test_sequential_not_pairwise_across_tiles(self, monkeypatch, rows):
-        # the same sum at every step of a sequence cut into two-frame tiles,
-        # into the F-ordered accumulator run_direction uses
+        # the same sum at every step of a sequence, into the transposed
+        # C-ordered accumulator run_direction uses; the multiply-and-add
+        # hoist cuts it into two-frame tiles
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 2 * rows)
-        prods = np.ones(300, dtype=F32)
-        prods[0], prods[-1] = 1e8, -1e8
-        for size in buffer_sizes(rows):
-            with size:
+        for path in kernel_paths():
+            with path:
                 got = accumulate_dot_all_t(np.zeros((5, rows), F32).T,
-                                           np.tile(prods, (rows, 1)), np.ones((5, 300), F32))
+                                           sequential_column(rows), np.ones((5, 300), F32))
             assert np.array_equal(got, np.zeros((rows, 5), F32))
 
     @pytest.mark.parametrize("orders", ["".join(o) for o in itertools.product("CF", repeat=3)])
     @pytest.mark.parametrize("rows, k, T", [(1, 3, 10), (5, 7, 23), (16, 40, 13)])
     def test_accumulate_dot_all_t_across_tiles(self, monkeypatch, rows, k, T, orders):
-        # three frames per tile: T crosses several tile boundaries and the
-        # last tile is ragged; orders are those of acc, mat and frames
+        # orders are those of acc, mat and frames; einsum copies the ones
+        # it cannot use as they are.  The multiply-and-add hoist takes three
+        # frames per tile: T crosses several tile boundaries and the last
+        # tile is ragged
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 3 * rows)
         rng = np.random.default_rng(1000 * rows + T)
         acc_order, mat_order, frames_order = orders
         mat = np.asarray(spread(rng, (rows, k)), order=mat_order)
         frames = np.asarray(spread(rng, (T, k)), order=frames_order)
         acc = np.asarray(spread(rng, (rows, T)), order=acc_order)
-        want = np.stack([scalar_dot(acc[:, t], mat, frames[t]) for t in range(T)],
-                        axis=1)
-        for size in buffer_sizes(rows):
-            with size:
+        zero = np.zeros(rows, F32)
+        want = np.stack([scalar_dot(zero, mat, frames[t]) for t in range(T)], axis=1)
+        for path in kernel_paths():
+            with path:
                 got = accumulate_dot_all_t(acc.copy(order="K"), mat, frames)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("stride", [1, 3, 700])
+    def test_accumulate_dot_into_a_strided_accumulator(self, stride):
+        # a column of a C-ordered array is an accumulator with a long stride
+        rng = np.random.default_rng(stride)
+        mat, vec = spread(rng, (64, 300)), spread(rng, 300)
+        acc = spread(rng, (64, stride))
+        want = scalar_dot(acc[:, -1], mat, vec)
+        for path in kernel_paths():
+            with path:
+                got = acc.copy()
+                accumulate_dot(got[:, -1], mat, vec)
+            assert np.array_equal(got[:, -1], want)
+            assert np.array_equal(got[:, :-1], acc[:, :-1])
+
+    @pytest.mark.parametrize("rows", [2, 131])
+    def test_products_rounded_before_the_add(self, rows):
+        # fp32 rounds a*a for a = 1 + 2**-12 to 1 + 2**-11 before the add,
+        # so -(1 + 2**-11) + a*a is 0; a fused multiply-add leaves 2**-24
+        a = F32(1 + 2.0 ** -12)
+        mat = np.full((rows, 1), a, F32)
+        start = np.full(rows, -(1 + 2.0 ** -11), F32)
+        assert np.array_equal(scalar_dot(start, mat, [a]), np.zeros(rows, F32))
+        for path in kernel_paths():
+            with path:
+                dot = accumulate_dot(start.copy(), mat, np.array([a]))
+                hoist = accumulate_dot_all_t(
+                    np.empty((rows, 3), F32), np.hstack([start[:, None], mat]),
+                    np.tile(np.array([1, a], F32), (3, 1)))
+            assert not dot.any() and not hoist.any()
+
+    def test_negative_zero_products_on_a_positive_zero_start(self):
+        # every sum the datapath makes starts from +0.0, and +0.0 + -0.0 is
+        # +0.0, as in a scalar loop
+        mat = np.full((8, 5), -1.0, F32)
+        zero = np.zeros(5, F32)
+        for path in kernel_paths():
+            with path:
+                dot = accumulate_dot(np.zeros(8, F32), mat, zero)
+                hoist = accumulate_dot_all_t(np.empty((8, 2), F32), mat,
+                                             np.zeros((2, 5), F32))
+            for got in (dot, hoist):
+                assert not got.any() and not np.signbit(got).any()
+
+    def test_no_negative_zero_start_reaches_the_recurrent_dot(self):
+        # accumulate_dot's precondition: a scalar loop keeps a -0.0 start
+        # through -0.0 products, which einsum's 0.0 + 1 * acc does not.
+        # The recurrent dot starts from the hoist's sums, which start from
+        # +0.0 (above), or from the quantizer's read-back, +0.0 for code 0
+        start = np.full(8, -0.0, F32)
+        assert np.signbit(scalar_dot(start, np.full((8, 3), -1.0, F32),
+                                     np.zeros(3, F32))).all()
+        readback = quantize(np.array([-1e-9, -0.0, 1e-9], F32), QuantConfig(8, 1.0))
+        assert not readback.any() and not np.signbit(readback).any()
+
+    @pytest.mark.parametrize("einsum", [fused_einsum, pairwise_einsum])
+    def test_probe_refuses_an_einsum_out_of_order(self, monkeypatch, einsum):
+        assert model._einsum_adds_in_order() is model.EINSUM_IN_ORDER
+        monkeypatch.setattr(np, "einsum", einsum)
+        assert model._einsum_adds_in_order() is False
+
 
 class TestUfuncBufferScope:
-    """run_direction holds numpy's ufunc buffer to one accumulator row for
-    its own thread, for the duration of the call only."""
+    """On the multiply-and-add path, run_direction holds numpy's ufunc
+    buffer to one accumulator row for its own thread, for the duration of
+    the call only."""
 
     H = 20  # one row is 4 * 20 = 80 elements, a multiple of 16
 
     @staticmethod
     def frames(T, seed=0):
         return np.random.default_rng(seed).uniform(-1, 1, (T, 3)).astype(F32)
+
+    @pytest.fixture(autouse=True)
+    def multiply_and_add(self, monkeypatch):
+        monkeypatch.setattr(model, "EINSUM_IN_ORDER", False)
 
     @pytest.fixture(autouse=True)
     def outer_size(self):
@@ -327,8 +435,9 @@ class TestCellStep:
         (False, Precision.fp16), (True, Precision.fp16)])
     def test_long_sequence_across_tiles_matches_equation_oracle(
             self, monkeypatch, peephole, precision):
-        # five frames per hoist tile, so 23 frames cross four tile
-        # boundaries and end in a ragged tile
+        # on both kernel paths; the multiply-and-add hoist takes five frames
+        # per tile, so 23 frames cross four tile boundaries and end in a
+        # ragged tile
         ws = make_cell(4, 3, peephole, 19, precision)
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 5 * 16)
         frames = (np.random.default_rng(23).uniform(-1, 1, (23, 3))
@@ -338,9 +447,21 @@ class TestCellStep:
             assert fwd.shape == (16, 23)
             return fwd
 
-        got = run_direction(ws, frames, identity)
-        assert got.dtype == precision.storage_dtype
-        assert np.array_equal(got, naive_run(ws, frames))
+        for path in kernel_paths():
+            with path:
+                got = run_direction(ws, frames, identity)
+            assert got.dtype == precision.storage_dtype
+            assert np.array_equal(got, naive_run(ws, frames))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multiply_and_add_matches_equation_oracle(self, monkeypatch, seed):
+        # the kernels a build whose einsum fails the import probe runs
+        monkeypatch.setattr(model, "EINSUM_IN_ORDER", False)
+        rng = np.random.default_rng(seed)
+        ws = make_cell(int(rng.integers(1, 40)), int(rng.integers(1, 40)), seed % 2 == 1,
+                       300 + seed, Precision.fp16 if seed >= 4 else Precision.fp32)
+        frames = rng.uniform(-1, 1, (9, ws.layer.input_size)).astype(F32)
+        assert np.array_equal(run_direction(ws, frames), naive_run(ws, frames))
 
     def test_fp16_storage_fp32_accumulation(self):
         ws = make_cell(8, 8, True, 13, Precision.fp16)
