@@ -281,8 +281,8 @@ def dot_operands(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     making many calls with one matrix: a C-contiguous [K+1, rows] array
     whose rows 1..K hold mat.T, and a [K+1] vector, 1 followed by zeros.
     Each call writes its accumulator into row 0 and its vector into
-    elements 1..K, unless the vector already is that view; the
-    multiply-and-add kernel also writes its products into rows 1..K."""
+    elements 1..K; the multiply-and-add kernel also writes its products
+    into rows 1..K."""
     rows, k = mat.shape
     mat_t = np.empty((k + 1, rows), dtype=ACC_DTYPE)
     mat_t[1:] = mat.T
@@ -312,8 +312,7 @@ def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
     passes ``dot_operands(mat)`` as ``operands``.
     """
     mat_t, v = dot_operands(mat) if operands is None else operands
-    if vec.base is not v:  # run_direction's h already is v[1:]
-        v[1:] = vec
+    v[1:] = vec
     mat_t[0] = acc
     rows = acc.shape[0]
     if EINSUM_IN_ORDER and rows > 1:
@@ -420,10 +419,8 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     evaluated for the whole sequence first into a C-ordered [T, 4*hidden]
     accumulator; the time loop then adds the recurrent dot into each
     step's row, in place.  Per-scalar accumulation order is that of the
-    per-timestep loop, so the hoist does not change a single bit.  h is a
-    view of the recurrent kernel's vector operand (``dot_operands``), so
-    each step's h_{t-1} is where the kernel reads it.  Exp overflow is
-    ignored; on an fp32 cell the loop allocates nothing.  The
+    per-timestep loop, so the hoist does not change a single bit.  Exp
+    overflow is ignored; on an fp32 cell the loop allocates nothing.  The
     multiply-and-add kernels run with numpy's ufunc buffer held to one
     accumulator row (see ``_one_row_ufunc_buffer``).
     """
@@ -440,8 +437,7 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
             steps = np.ascontiguousarray(partials_hook(steps.T).T)
 
         operands = dot_operands(wh)
-        h = operands[1][1:]
-        c = np.zeros(n, dtype=ACC_DTYPE)
+        c, h = np.zeros(n, dtype=ACC_DTYPE), np.zeros(n, dtype=ACC_DTYPE)
         out = np.empty((T, n), dtype=weights.precision.storage_dtype)
         for t, z in enumerate(steps):  # each step's row is its accumulator
             accumulate_dot(z, wh, h, operands)

@@ -73,10 +73,19 @@ def multiply_and_add():
         model.EINSUM_IN_ORDER = old
 
 
-def kernel_paths():
+@contextlib.contextmanager
+def multiply_and_add_one_row(rows):
+    """The multiply-and-add form under the one-row ufunc buffer that
+    run_direction sets for it around a ``rows``-long accumulator."""
+    with multiply_and_add(), model._one_row_ufunc_buffer(rows):
+        yield
+
+
+def kernel_paths(rows):
     """The kernels as the import probe chose them (einsum on a build that
-    passes it), then the multiply-and-add form."""
-    return [contextlib.nullcontext(), multiply_and_add()]
+    passes it), then the multiply-and-add form under numpy's default ufunc
+    buffer and under the one-row size for a ``rows``-long accumulator."""
+    return [contextlib.nullcontext(), multiply_and_add(), multiply_and_add_one_row(rows)]
 
 
 def spread(rng, shape) -> np.ndarray:
@@ -117,7 +126,8 @@ class TestAccumulationOrder:
     to numpy's reduction order (e.g. pairwise summation) fails here.
 
     Each case runs on the kernels the import probe chose and again on the
-    multiply-and-add form (``kernel_paths``)."""
+    multiply-and-add form, under numpy's default ufunc buffer and under the
+    one-row size run_direction sets for it (``kernel_paths``)."""
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 320), k=st.integers(1, 700),
@@ -131,14 +141,14 @@ class TestAccumulationOrder:
         vec = spread(rng, k)
         acc = spread(rng, rows)
         want = scalar_dot(acc, mat, vec)
-        for path in kernel_paths():
+        for path in kernel_paths(rows):
             with path:
                 got = accumulate_dot(acc.copy(), mat, vec)
-                # and with operands built once for the matrix, and h a view
-                # of the vector operand, as run_direction calls it
+                # and twice on operands built once for the matrix, as
+                # run_direction calls it
                 operands = model.dot_operands(mat)
-                operands[1][1:] = vec
-                again = accumulate_dot(acc.copy(), mat, operands[1][1:], operands)
+                accumulate_dot(spread(rng, rows), mat, spread(rng, k), operands)
+                again = accumulate_dot(acc.copy(), mat, vec, operands)
             assert np.array_equal(got, want)
             assert np.array_equal(again, want)
 
@@ -154,7 +164,7 @@ class TestAccumulationOrder:
         frames = np.asarray(spread(rng, (T, k)), order=order)
         zero = np.zeros(rows, F32)
         want = np.stack([scalar_dot(zero, mat, frames[t]) for t in range(T)], axis=1)
-        for path in kernel_paths():
+        for path in kernel_paths(rows):
             with path:
                 got = accumulate_dot_all_t(spread(rng, (rows, T)), mat, frames)
             assert np.array_equal(got, want)
@@ -163,7 +173,7 @@ class TestAccumulationOrder:
     def test_sequential_not_pairwise(self, rows):
         mat = sequential_column(rows)
         zeros = np.zeros(rows, dtype=F32)
-        for path in kernel_paths():
+        for path in kernel_paths(rows):
             with path:
                 dot = accumulate_dot(zeros.copy(), mat, np.ones(300, F32))
                 got = accumulate_dot_all_t(np.zeros((rows, 2), F32), mat,
@@ -177,7 +187,7 @@ class TestAccumulationOrder:
         # C-ordered accumulator run_direction uses; the multiply-and-add
         # hoist cuts it into two-frame tiles
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 2 * rows)
-        for path in kernel_paths():
+        for path in kernel_paths(rows):
             with path:
                 got = accumulate_dot_all_t(np.zeros((5, rows), F32).T,
                                            sequential_column(rows), np.ones((5, 300), F32))
@@ -198,7 +208,7 @@ class TestAccumulationOrder:
         acc = np.asarray(spread(rng, (rows, T)), order=acc_order)
         zero = np.zeros(rows, F32)
         want = np.stack([scalar_dot(zero, mat, frames[t]) for t in range(T)], axis=1)
-        for path in kernel_paths():
+        for path in kernel_paths(rows):
             with path:
                 got = accumulate_dot_all_t(acc.copy(order="K"), mat, frames)
             assert np.array_equal(got, want)
@@ -210,7 +220,7 @@ class TestAccumulationOrder:
         mat, vec = spread(rng, (64, 300)), spread(rng, 300)
         acc = spread(rng, (64, stride))
         want = scalar_dot(acc[:, -1], mat, vec)
-        for path in kernel_paths():
+        for path in kernel_paths(64):
             with path:
                 got = acc.copy()
                 accumulate_dot(got[:, -1], mat, vec)
@@ -225,7 +235,7 @@ class TestAccumulationOrder:
         mat = np.full((rows, 1), a, F32)
         start = np.full(rows, -(1 + 2.0 ** -11), F32)
         assert np.array_equal(scalar_dot(start, mat, [a]), np.zeros(rows, F32))
-        for path in kernel_paths():
+        for path in kernel_paths(rows):
             with path:
                 dot = accumulate_dot(start.copy(), mat, np.array([a]))
                 hoist = accumulate_dot_all_t(
@@ -238,7 +248,7 @@ class TestAccumulationOrder:
         # +0.0, as in a scalar loop
         mat = np.full((8, 5), -1.0, F32)
         zero = np.zeros(5, F32)
-        for path in kernel_paths():
+        for path in kernel_paths(8):
             with path:
                 dot = accumulate_dot(np.zeros(8, F32), mat, zero)
                 hoist = accumulate_dot_all_t(np.empty((8, 2), F32), mat,
@@ -435,7 +445,8 @@ class TestCellStep:
         (False, Precision.fp16), (True, Precision.fp16)])
     def test_long_sequence_across_tiles_matches_equation_oracle(
             self, monkeypatch, peephole, precision):
-        # on both kernel paths; the multiply-and-add hoist takes five frames
+        # on both kernel paths (run_direction sets the multiply-and-add
+        # path's ufunc buffer itself); the multiply-and-add hoist takes five frames
         # per tile, so 23 frames cross four tile boundaries and end in a
         # ragged tile
         ws = make_cell(4, 3, peephole, 19, precision)
@@ -447,7 +458,7 @@ class TestCellStep:
             assert fwd.shape == (16, 23)
             return fwd
 
-        for path in kernel_paths():
+        for path in [contextlib.nullcontext(), multiply_and_add()]:
             with path:
                 got = run_direction(ws, frames, identity)
             assert got.dtype == precision.storage_dtype
