@@ -224,6 +224,35 @@ class TestWeightBlob:
         with pytest.raises(FormatError, match="precision"):
             load_weights(net32, path)
 
+    @pytest.mark.parametrize("cell", [0, -1], ids=["first-cell", "last-cell"])
+    @pytest.mark.parametrize("name", ["forget.w_x", "cell_updater.w_h",
+                                      "output.bias", "input.peephole"])
+    @pytest.mark.parametrize("precision,value", [(Precision.fp32, np.inf),
+                                                 (Precision.fp32, np.nan),
+                                                 (Precision.fp16, np.inf)],
+                             ids=["fp32-inf", "fp32-nan", "fp16-inf"])
+    def test_non_finite_value_is_refused_by_name(self, tmp_path, capsys, precision,
+                                                 value, name, cell):
+        # the blob is written by hand, past weight_blob_chunks' own check;
+        # the value sits in the middle of one cell's array
+        net = custom_descriptor(2, 4, True, True, 3, precision)
+        dt = np.dtype(precision.storage_dtype).newbyteorder("<")
+        parts = [(n, a.astype(dt)) for n, a in random_parts(net, 0)]
+        bad = [a for n, a in parts if n == name][cell]
+        bad.flat[bad.size // 2] = value
+        desc, path = tmp_path / "net.json", tmp_path / "w.bin"
+        save_descriptor(net, desc)
+        tag = {Precision.fp32: 0, Precision.fp16: 1}[precision]
+        path.write_bytes(struct.pack("<4sIII", b"LSTW", 1, tag, 0)
+                         + b"".join(a.tobytes() for _, a in parts))
+        msg = f"{name} contains non-finite values"
+        with pytest.raises(NumericError, match=f"^{msg}$".replace(".", r"\.")):
+            load_weights(net, path)
+        rc = cli.main(["simulate", "--network", str(desc), "--weights", str(path),
+                       "--synthetic-t", "2"])
+        assert rc == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric error: {msg}\n"
+
 
 class TestBlobFromDraws:
     """gen-network writes the blob from the generator's draws, one array at
@@ -300,6 +329,27 @@ class TestWeightsHeldOnce:
                     if g in peeps:
                         assert np.shares_memory(p[f"{g}.peephole"], peeps[g])
 
+    @pytest.mark.parametrize("precision", [Precision.fp32, Precision.fp16])
+    @pytest.mark.parametrize("source", ["loaded", "generated"])
+    def test_stacked_matrices_are_what_the_kernels_stream(self, tmp_path, source,
+                                                          precision):
+        # the dot kernels read mat.T; a C-contiguous fp32 transpose is used
+        # as it is, anything else costs a layout copy per pass
+        net = custom_descriptor(2, 6, True, True, 5, precision)
+        weights = random_weights(net, 4)
+        if source == "loaded":
+            path = tmp_path / "w.bin"
+            save_weights(net, weights, path)
+            weights = load_weights(net, path)
+        for layer, sets in zip(net.layers, weights):
+            h, nx = layer.hidden_size, layer.input_size
+            for ws in sets:
+                wx, wh, b = ws.stacked()
+                assert wx.shape == (4 * h, nx) and wh.shape == (4 * h, h)
+                for mat in (wx, wh):
+                    assert mat.dtype == np.float32
+                    assert mat.T.flags.c_contiguous
+                assert b.dtype == np.float32 and b.flags.c_contiguous
 
 class TestSequences:
     def test_binary_round_trip(self, tmp_path):
