@@ -695,3 +695,11 @@ def _run(args) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+
+
+if __name__ == "__main__":
+    # the module entry point is the package's __main__.py; running this
+    # module would otherwise define the command, run nothing and exit 0
+    print("usage error: epursim.cli is not an entry point; run python -m epursim",
+          file=sys.stderr)
+    sys.exit(EXIT_USAGE)

@@ -125,22 +125,33 @@ class WeightSet:
     """All four gates of one LSTM cell (one direction of one layer).
 
     The weights are held once, in the layout the datapath reads: fp32
-    arrays with the four gates stacked row-wise in STACK_ORDER (see
-    ``stacked``).  An fp16 cell rounds every value through fp16 before it
-    is held, so its values are those fp16 storage would hold.
+    views of one array of the cell's values, with the four gates stacked
+    row-wise in STACK_ORDER (see ``stacked``).  An fp16 cell rounds every
+    value through fp16 before it is held, so its values are those fp16
+    storage would hold.
     """
 
     def __init__(self, layer: LayerDescriptor, precision: Precision,
-                 value_of: Callable[[str, tuple[int, ...]], np.ndarray]):
+                 value_of: Callable[[str, tuple[int, ...]], np.ndarray],
+                 store: np.ndarray | None = None):
         """The weight set whose arrays are ``value_of(name, shape)``, asked
-        for one at a time in the order of ``parts``."""
+        for one at a time in the order of ``parts``, held in ``store``: a
+        contiguous fp32 array of ``cell_weight_bytes(layer, 1)`` values (a
+        new one if None).  NumericError names an array that is not finite
+        at storage precision."""
         self.layer = layer
         self.precision = precision
         h, nx = layer.hidden_size, layer.input_size
-        self._stacked = (np.empty((4 * h, nx), ACC_DTYPE, order="F"),
-                         np.empty((4 * h, h), ACC_DTYPE, order="F"),
-                         np.empty(4 * h, ACC_DTYPE))
-        peep = np.empty((len(PEEPHOLE_GATES), h), ACC_DTYPE) if layer.peephole else None
+        if store is None:
+            store = np.empty(cell_weight_bytes(layer, 1), ACC_DTYPE)
+        # the [4h, K] matrices are Fortran-ordered: each is the transpose
+        # of a C-ordered [K, 4h] run of the store, which the kernels stream
+        wh_at, b_at, p_at = 4 * h * nx, 4 * h * (nx + h), 4 * h * (nx + h + 1)
+        self._stacked = (store[:wh_at].reshape(nx, 4 * h).T,
+                         store[wh_at:b_at].reshape(h, 4 * h).T,
+                         store[b_at:p_at])
+        peep = (store[p_at:p_at + 3 * h].reshape(len(PEEPHOLE_GATES), h)
+                if layer.peephole else None)
         self._peep = peep
         self._peepholes = None if peep is None else (peep[:2], peep[2])
         dt = precision.storage_dtype
@@ -148,14 +159,14 @@ class WeightSet:
             src = np.asarray(value_of(name, dst.shape))
             if src.shape != dst.shape:
                 raise ShapeError(f"{name} has shape {src.shape}, want {dst.shape}")
-            if dt != ACC_DTYPE:
+            if src.dtype != dt:
                 src = src.astype(dt)  # an fp16 cell rounds each value to fp16
+            _as_finite(name, src)  # on the source: its elements are contiguous
             # copying row-major values into Fortran-ordered rows transposes
             # them; blocks of 64 rows keep it in cache, 2-4x faster than
             # one whole-array copy
             for r in range(0, len(dst), 64):
                 dst[r:r + 64] = src[r:r + 64]
-            _as_finite(name, dst)
 
     def parts(self) -> list[tuple[str, np.ndarray]]:
         """Every weight array as (name, its rows of the stacked fp32 arrays),
@@ -292,10 +303,12 @@ def dot_operands(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
-                   operands: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """acc[j] += mat[j, k] * vec[k] for k ascending, one fp32 add per step.
+                   operands: tuple[np.ndarray, np.ndarray] | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """acc[j] += mat[j, k] * vec[k] for k ascending, one fp32 add per step;
+    with ``out``, the sums go there and acc is left as it was.
 
-    It is ``einsum("kj,k->j", M, v, out=acc)`` on the operands of
+    It is ``einsum("kj,k->j", M, v, out=out)`` on the operands of
     ``dot_operands(mat)``, with acc in row 0 of M and vec in v[1:]: einsum
     keeps no product array and, per element, adds the rounded products in
     ascending k to the 0.0 it fills ``out`` with, first 1 * acc[j].  That
@@ -309,19 +322,21 @@ def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
     M under acc, and a running sum (one row) or a reduction over the outer
     axis adds them; numpy performs the latter as K elementwise row
     additions in ascending k.  A caller making many calls with one matrix
-    passes ``dot_operands(mat)`` as ``operands``.
+    passes ``dot_operands(mat)`` as ``operands``; vec may be a view of its
+    v[1:].
     """
     mat_t, v = dot_operands(mat) if operands is None else operands
     v[1:] = vec
     mat_t[0] = acc
+    out = acc if out is None else out
     rows = acc.shape[0]
     if EINSUM_IN_ORDER and rows > 1:
-        return np.einsum("kj,k->j", mat_t, v, out=acc)
+        return np.einsum("kj,k->j", mat_t, v, out=out)
     np.multiply(mat.T, v[1:, None], out=mat_t[1:])
     if rows == 1:
-        acc[:] = np.add.accumulate(mat_t, axis=0)[-1]
-        return acc
-    return np.add.reduce(mat_t, axis=0, out=acc)
+        out[:] = np.add.accumulate(mat_t, axis=0)[-1]
+        return out
+    return np.add.reduce(mat_t, axis=0, out=out)
 
 
 def accumulate_dot_all_t(acc: np.ndarray, mat: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -371,42 +386,55 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 
-def finish_step(weights: WeightSet, z: np.ndarray, c: np.ndarray,
-                h: np.ndarray) -> None:
-    """One step's gates from its stacked dot products ``z`` (overwritten):
-    the fp32 state ``c`` and ``h`` go from c_{t-1}, h_{t-1} to c_t, h_t in
-    place (an fp16 cell rounds them through fp16).
+def prepare_step(weights: WeightSet, z: np.ndarray, c: np.ndarray,
+                 h: np.ndarray) -> tuple:
+    """What ``finish_step`` reads at every step of one pass of ``weights``,
+    made once per pass: views of the [4h] work row ``z`` (the step's dot
+    products), of the bias and of the peepholes, the fp32 state ``c`` and
+    ``h``, and the storage dtype of an fp16 cell (None for fp32)."""
+    n = weights.layer.hidden_size
+    _, _, bias = weights.stacked()
+    dt = weights.precision.storage_dtype
+    gates = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+    state = c, h, (None if dt == ACC_DTYPE else dt)
+    if not weights.layer.peephole:
+        # the output gate joins the others' bias add and sigmoid
+        return (z, bias, z[n:], *gates, None, *state)
+    peep_if, peep_o = weights.stacked_peepholes()
+    peep = (z[n:3 * n].reshape(2, n), peep_if, np.empty((2, n), ACC_DTYPE),
+            peep_o, bias[3 * n:])
+    return (z[:3 * n], bias[:3 * n], z[n:3 * n], *gates, peep, *state)
+
+
+def finish_step(step: tuple) -> None:
+    """One step's gates from its stacked dot products in the work row of
+    ``step`` (see ``prepare_step``; the row is overwritten): the fp32 state
+    c and h go from c_{t-1}, h_{t-1} to c_t, h_t in place (an fp16 cell
+    rounds them through fp16).
 
     Each gate's preactivation is dot + peephole term + bias, in that order.
     The input, forget and output gates go through one sigmoid; on a
     peephole layer the output gate waits for c_t.  The caller has already
     read h_{t-1} and ignores exp overflow.
     """
-    n = weights.layer.hidden_size
-    _, _, bias = weights.stacked()
-    g_t, i_t, f_t, o_t = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-    if weights.layer.peephole:
-        peep_if, peep_o = weights.stacked_peepholes()
-        # h_{t-1} is spent: h holds each peephole product
-        i_t += np.multiply(peep_if[0], c, out=h)
-        f_t += np.multiply(peep_if[1], c, out=h)
-        z[:3 * n] += bias[:3 * n]
-        _sigmoid_(z[n:3 * n])
-    else:
-        z += bias
-        _sigmoid_(z[n:])
+    z, bias, sigmoid_gates, g_t, i_t, f_t, o_t, peep, c, h, dt = step
+    if peep is not None:
+        z_if, peep_if, products, peep_o, bias_o = peep
+        z_if += np.multiply(peep_if, c, out=products)
+    z += bias
+    _sigmoid_(sigmoid_gates)
     np.tanh(g_t, out=g_t)
     c *= f_t
     g_t *= i_t
     c += g_t
-    if weights.layer.peephole:
+    if peep is not None:
+        # h_{t-1} is spent: h holds the peephole product
         o_t += np.multiply(peep_o, c, out=h)
-        o_t += bias[3 * n:]
+        o_t += bias_o
         _sigmoid_(o_t)
     np.tanh(c, out=h)
     h *= o_t
-    dt = weights.precision.storage_dtype
-    if dt != ACC_DTYPE:
+    if dt is not None:
         c[:] = c.astype(dt)
         h[:] = h.astype(dt)
 
@@ -417,12 +445,14 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
 
     The forward dot products have no sequential dependence, so they are
     evaluated for the whole sequence first into a C-ordered [T, 4*hidden]
-    accumulator; the time loop then adds the recurrent dot into each
-    step's row, in place.  Per-scalar accumulation order is that of the
-    per-timestep loop, so the hoist does not change a single bit.  Exp
-    overflow is ignored; on an fp32 cell the loop allocates nothing.  The
-    multiply-and-add kernels run with numpy's ufunc buffer held to one
-    accumulator row (see ``_one_row_ufunc_buffer``).
+    array; the time loop then adds the recurrent dot to each step's row
+    into one work row.  Per-scalar accumulation order is that of the
+    per-timestep loop, so the hoist does not change a single bit.  What a
+    step reads is set up once per pass (``prepare_step``), and h lives in
+    the recurrent dot's operand vector, so each step writes h_t where the
+    next dot reads it.  Exp overflow is ignored; on an fp32 cell the loop
+    allocates nothing.  The multiply-and-add kernels run with numpy's ufunc
+    buffer held to one accumulator row (see ``_one_row_ufunc_buffer``).
     """
     T = frames.shape[0]
     n = weights.layer.hidden_size
@@ -437,11 +467,13 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
             steps = np.ascontiguousarray(partials_hook(steps.T).T)
 
         operands = dot_operands(wh)
-        c, h = np.zeros(n, dtype=ACC_DTYPE), np.zeros(n, dtype=ACC_DTYPE)
+        h = operands[1][1:]  # h_0 = 0
+        z = np.empty(4 * n, dtype=ACC_DTYPE)
+        step = prepare_step(weights, z, np.zeros(n, dtype=ACC_DTYPE), h)
         out = np.empty((T, n), dtype=weights.precision.storage_dtype)
-        for t, z in enumerate(steps):  # each step's row is its accumulator
-            accumulate_dot(z, wh, h, operands)
-            finish_step(weights, z, c, h)
+        for t, partials in enumerate(steps):
+            accumulate_dot(partials, wh, h, operands, z)
+            finish_step(step)
             out[t] = h
     return out
 

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (Direction, LayerDescriptor, NetworkDescriptor,
+from .model import (ACC_DTYPE, Direction, LayerDescriptor, NetworkDescriptor,
                     NetworkWeights, Precision, Sequence, WeightSet, _as_finite,
-                    network_weight_bytes)
+                    cell_weight_bytes, network_weight_bytes)
 
 MAGIC = b"LSTW"
 VERSION = 1
@@ -161,7 +161,8 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
 
     The header and the payload size are checked against the descriptor
     before any weight array is allocated; then each array is read, one at a
-    time, straight into its rows of the weight set's stacked arrays.
+    time, checked finite, and copied into its rows of the weight set's
+    stacked arrays, all views of one allocation for the whole network.
     """
     with open(path, "rb") as f:
         header = f.read(16)
@@ -184,7 +185,8 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
         if payload % dt.itemsize:
             raise FormatError(f"{path}: payload is not a whole number of "
                               f"{dt.itemsize}-byte values")
-        extra = payload // dt.itemsize - network_weight_bytes(net) // dt.itemsize
+        values = network_weight_bytes(net) // dt.itemsize
+        extra = payload // dt.itemsize - values
         if extra < 0:
             raise FormatError(f"{path}: blob too short")
         if extra > 0:
@@ -200,8 +202,16 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
                 raise FormatError(f"{path}: blob too short")
             return chunk.reshape(shape)
 
-        return [[WeightSet(layer, net.numeric_precision, read)
-                 for _ in range(layer.num_directions)] for layer in net.layers]
+        # the whole network's fp32 values in one allocation, each cell's
+        # weight set a view of its run
+        store, at, weights = np.empty(values, ACC_DTYPE), 0, []
+        for layer in net.layers:
+            n, cells = cell_weight_bytes(layer, 1), []
+            for _ in range(layer.num_directions):
+                cells.append(WeightSet(layer, net.numeric_precision, read, store[at:at + n]))
+                at += n
+            weights.append(cells)
+        return weights
 
 
 # ---------------------------------------------------------------------------

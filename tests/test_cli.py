@@ -27,11 +27,12 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def run_module(*argv, **env):
-    """``python -m epursim`` in a new process, on this checkout's package."""
+def run_module(*argv, module="epursim", **env):
+    """``python -m epursim`` (or another ``module``) in a new process, on
+    this checkout's package."""
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "epursim", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
 
 
@@ -131,6 +132,17 @@ class TestGenNetwork:
         proc = run_module("--help")
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stdout.startswith("usage: epursim ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--synthetic-t", "2"]])
+    def test_cli_module_is_refused_with_one_line(self, argv):
+        # python -m epursim is the one module entry point; running the cli
+        # module used to print nothing and exit 0
+        proc = run_module(*argv, module="epursim.cli")
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("usage error: ")
+        assert proc.stderr.endswith("; run python -m epursim\n")
 
 
 class TestInfer:

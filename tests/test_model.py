@@ -34,7 +34,7 @@ def step(ws, pre, c_prev):
     (c_t, h_t)."""
     z, c, h = pre.copy(), c_prev.copy(), np.zeros_like(c_prev)
     with np.errstate(over="ignore"):
-        assert finish_step(ws, z, c, h) is None
+        assert finish_step(model.prepare_step(ws, z, c, h)) is None
     return c, h
 
 
@@ -272,6 +272,31 @@ class TestAccumulationOrder:
         assert model._einsum_adds_in_order() is model.EINSUM_IN_ORDER
         monkeypatch.setattr(np, "einsum", einsum)
         assert model._einsum_adds_in_order() is False
+
+
+class TestRecurrentDotIntoWorkRow:
+    """run_direction's recurrent dot: the step's partials stay as they are,
+    the sums go to a fixed work row, and the vector is h, a view of the
+    operand vector."""
+
+    @pytest.mark.parametrize("rows, k", [(1, 7), (12, 5), (64, 48)])
+    def test_out_gets_the_sums_and_acc_is_kept(self, rows, k):
+        rng = np.random.default_rng(rows)
+        mat = np.asfortranarray(spread(rng, (rows, k)))
+        acc, vec = spread(rng, rows), spread(rng, k)
+        want = scalar_dot(acc, mat, vec)
+        for path in kernel_paths(rows):
+            with path:
+                operands = model.dot_operands(mat)
+                h = operands[1][1:]
+                h[:] = vec
+                out = np.empty(rows, F32)
+                assert accumulate_dot(acc.copy(), mat, h, operands, out) is out
+                kept = acc.copy()
+                accumulate_dot(kept, mat, h, operands, np.empty(rows, F32))
+            assert np.array_equal(out, want)
+            assert np.array_equal(kept, acc)
+            assert np.array_equal(h, vec)
 
 
 class TestUfuncBufferScope:

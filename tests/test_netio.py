@@ -351,6 +351,21 @@ class TestWeightsHeldOnce:
                     assert mat.T.flags.c_contiguous
                 assert b.dtype == np.float32 and b.flags.c_contiguous
 
+    def test_loaded_network_is_one_allocation(self, tmp_path):
+        # every array of every cell is a view of one array, and each of its
+        # values belongs to exactly one of them
+        net = custom_descriptor(3, 6, True, True, 5)
+        path = tmp_path / "w.bin"
+        save_weights(net, random_weights(net, 4), path)
+        arrays = [arr for sets in load_weights(net, path) for ws in sets
+                  for _, arr in ws.parts()]
+        store = arrays[0].base
+        assert all(arr.base is store for arr in arrays)
+        assert sum(arr.size for arr in arrays) == store.size
+        for i, arr in enumerate(arrays):
+            arr[...] = i
+        assert all((arr == i).all() for i, arr in enumerate(arrays))
+
 class TestSequences:
     def test_binary_round_trip(self, tmp_path):
         net, _ = random_network(9)
