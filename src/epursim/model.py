@@ -161,7 +161,9 @@ class WeightSet:
                 raise ShapeError(f"{name} has shape {src.shape}, want {dst.shape}")
             if src.dtype != dt:
                 src = src.astype(dt)  # an fp16 cell rounds each value to fp16
-            _as_finite(name, src)  # on the source: its elements are contiguous
+            # checked before the copy, on contiguous values, not on the
+            # strided rows they go to
+            _as_finite(name, src)
             # copying row-major values into Fortran-ordered rows transposes
             # them; blocks of 64 rows keep it in cache, 2-4x faster than
             # one whole-array copy

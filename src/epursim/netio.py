@@ -203,7 +203,9 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
             return chunk.reshape(shape)
 
         # the whole network's fp32 values in one allocation, each cell's
-        # weight set a view of its run
+        # weight set a view of its run; numpy advises huge pages for arrays
+        # of 4 MiB and up, so a large network's one array faults in far
+        # fewer pages than one array per cell
         store, at, weights = np.empty(values, ACC_DTYPE), 0, []
         for layer in net.layers:
             n, cells = cell_weight_bytes(layer, 1), []
