@@ -290,10 +290,8 @@ class TestRecurrentDotIntoWorkRow:
                 operands = model.dot_operands(mat)
                 h = operands[1][1:]
                 h[:] = vec
-                out = np.empty(rows, F32)
-                assert accumulate_dot(acc.copy(), mat, h, operands, out) is out
-                kept = acc.copy()
-                accumulate_dot(kept, mat, h, operands, np.empty(rows, F32))
+                kept, out = acc.copy(), np.empty(rows, F32)
+                assert accumulate_dot(kept, mat, h, operands, out) is out
             assert np.array_equal(out, want)
             assert np.array_equal(kept, acc)
             assert np.array_equal(h, vec)

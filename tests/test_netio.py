@@ -366,6 +366,7 @@ class TestWeightsHeldOnce:
             arr[...] = i
         assert all((arr == i).all() for i, arr in enumerate(arrays))
 
+
 class TestSequences:
     def test_binary_round_trip(self, tmp_path):
         net, _ = random_network(9)
