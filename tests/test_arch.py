@@ -127,6 +127,22 @@ class TestMuPlanTableLatencies:
         assert worst <= dpu_dot_cycles(1, CFG)
 
 
+class TestMuPlanPinned:
+    """The plan's figures under the default table and under unit latencies:
+    the issue slots do not depend on the latencies, the op count and the
+    critical path do (the critical path only)."""
+
+    @pytest.mark.parametrize("cfg, peephole, ops, critical_path", [
+        (CFG, True, 45, 56), (CFG, False, 39, 46),
+        (UNIT, True, 45, 18), (UNIT, False, 39, 16)])
+    def test_plan(self, cfg, peephole, ops, critical_path):
+        plan = mu_plan(cfg, peephole=peephole)
+        assert {g: mu_initiation_interval(plan, g) for g in GATES} == {
+            "input": 2, "forget": 2, "cell_updater": 4, "output": 2}
+        assert len(plan.ops) == ops
+        assert plan.ops["output.mul_h"].ready == critical_path
+
+
 def tiny_net(hidden=16, layers=1, bidirectional=False, peephole=True, seed=0):
     direction = Direction.bidirectional if bidirectional else Direction.forward_only
     descs = []

@@ -13,6 +13,7 @@ import warnings
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_weights, save_descriptor, save_weights
@@ -157,6 +158,29 @@ class TestInfer:
         assert seq.frames.shape == (4, 16)
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["output_finite"]
+
+    def test_non_finite_output_exits_6(self, tmp_path, capsys):
+        # each input.w_x row sums 3e38 + 3e38 (inf in fp32) and then adds
+        # -3e38 * 2 (-inf): the first hidden state is NaN
+        layer = model.LayerDescriptor(2, 4)
+        net = model.NetworkDescriptor((layer,), input_dim=4)
+
+        def value_of(name, shape):
+            arr = np.zeros(shape, np.float32)
+            if name == "input.w_x":
+                arr[:] = [3e38, 3e38, -3e38, -3e38]
+            return arr
+
+        desc, blob, frames = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "x.csv"
+        save_descriptor(net, desc)
+        save_weights(net, [[model.WeightSet(layer, model.Precision.fp32, value_of)]], blob)
+        frames.write_text("1,1,2,2\n", encoding="utf-8")
+        rc = run_cli("infer", "--network", str(desc), "--weights", str(blob),
+                     "--input", str(frames))
+        assert rc == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric error: layer 0: sequence contains non-finite values\n"
 
 
 class TestSimulate:
