@@ -11,8 +11,11 @@ matrix covers every subcommand: four generated networks (EESEN, LDLRNN, a
 2x16 fp16 bidirectional peephole network and a 1x8 layer whose 4400-byte
 forward rows overflow the row buffer), both schedules, exact, quantized and
 calibrated runs, the trace CSV, runs that warn with and without it, and
-refusals for each of the exit codes 2, 3, 4, 5 and 7.  ``--tiny`` puts 2x16
-networks in place of EESEN and LDLRNN.
+refusals for each of the exit codes 2, 3, 4, 5 and 7; exit 7 comes from both
+MU refusals, a latency tail longer than a timestep and more issue slots per
+element than the DPU's interval.  The latter runs on a 1x1 network that the
+setup writes with the hardware configs, so it is not one of the 29 recorded
+commands.  ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
 A checkout's matrix runs in a new process that imports ``epursim`` from
 that checkout's ``src`` (checked, as the benchmark checks it), in a new
@@ -51,7 +54,14 @@ HW_FILES = {
     "bad_hw.json": {"dpu_width": 12},
     "small_hw.json": {"weight_mem_bytes_per_cu": 1024},
     "slow_exp_hw.json": {"op_latency": {"exp": 400}},
+    # a 1-wide DPU at unit mul and add latency: a recurrent dot of length 1
+    # every 3 cycles, under the 4 issue slots of the cell updater's MU
+    "fast_dpu_hw.json": {"dpu_width": 1, "op_latency": {"mul": 1, "add": 1}},
 }
+
+# the network of the issue-slot refusal, written before the matrix runs
+SETUP = ["gen-network", "--layers", "1", "--hidden", "1", "--input-dim", "1",
+         "--out-descriptor", "one.json", "--out-weights", "one.bin"]
 
 
 def matrix(tiny: bool) -> list[list[str]]:
@@ -99,7 +109,8 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--layer", "1", "--trace-csv", "reuse_mwl.csv", "--out", "reuse_mwl.json"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--trace-csv", "reuse_wide.csv", "--out", "reuse_wide.json"],
-        # refusals: exit 2 seven times, then 3 twice, 4 (after a warning), 5 and 7
+        # refusals: exit 2 seven times, then 3 twice, 4 (after a warning), 5,
+        # and 7 twice (the MU's latency tail, then its issue slots)
         ["simulate", *net("ldlrnn"), "--quantize", "--quant-bits", "20"],
         ["simulate", *net("ldlrnn"), "--policy", "mwl", "--quantize", "--alpha", "1e-310"],
         ["quantize-sweep", *net("ldlrnn"), "--alpha", "1e-310"],
@@ -114,6 +125,8 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--out", "missing/reuse.json"],
         ["simulate", *net("ldlrnn"), "--hw-config", "small_hw.json"],
         ["simulate", *net("wide"), "--hw-config", "slow_exp_hw.json"],
+        ["simulate", *net("one"), "--synthetic-t", "2", "--policy", "mwl",
+         "--hw-config", "fast_dpu_hw.json"],
     ]
 
 
@@ -127,6 +140,9 @@ def run_matrix(tiny: bool) -> dict:
 
     for name, doc in HW_FILES.items():
         Path(name).write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(SETUP) != 0:
+            raise SystemExit(f"error: setup failed: {' '.join(SETUP)}")
     manifest = {}
     for argv in matrix(tiny):
         before = set(os.listdir())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
@@ -22,6 +23,7 @@ from .model import (GATES, PEEPHOLE_GATES, LayerDescriptor,
                     NetworkDescriptor, NetworkWeights, PartialsHook, Sequence,
                     ShapeError, cell_weight_bytes, gate_matrix_bytes,
                     gate_weight_bytes, layer_infer)
+from .netio import descriptor_to_json
 from .quant import QuantConfig, calibrate_alpha, quantize
 from .sched import (RW, Policy, Target, dram_traffic, gate_accesses,
                     partial_bytes, pins_forward_rows, warn_row_buffer_fallback)
@@ -213,47 +215,26 @@ def _mu_op_list(peephole: bool) -> list[MuOp]:
     return ops
 
 
-@dataclass
-class MuPlan:
-    ops: dict[str, MuOp]  # keyed "gate.name"
-
-    def gate_ops(self, gate: str) -> list[MuOp]:
-        return [op for op in self.ops.values() if op.gate == gate]
-
-    @property
-    def critical_path(self) -> int:
-        """Cycle at which h_t is ready, measured from DPU output delivery."""
-        return self.ops["output.mul_h"].ready
-
-    def fu_counts(self, gate: str) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for op in self.gate_ops(gate):
-            counts[op.fu] = counts.get(op.fu, 0) + 1
-        return counts
-
-
-def mu_plan(cfg: HardwareConfig, peephole: bool = True) -> MuPlan:
-    """ASAP schedule of the per-element MU dependency graph (all gates)."""
+def mu_plan(cfg: HardwareConfig, peephole: bool = True) -> dict[str, MuOp]:
+    """ASAP schedule of the per-element MU dependency graph (all gates),
+    keyed "gate.name".  ``output.mul_h``'s ``ready`` cycle is the critical
+    path: when h_t is ready, measured from DPU output delivery."""
     scheduled: dict[str, MuOp] = {}
     for op in _mu_op_list(peephole):  # the list is already in topological order
         op.latency = cfg.mu_comm_cycles if op.fu == "link" else cfg.op_latency[op.fu]
         op.start = max((scheduled[d].ready for d in op.deps), default=0)
         scheduled[f"{op.gate}.{op.name}"] = op
-    return MuPlan(scheduled)
+    return scheduled
 
 
-def mu_initiation_interval(plan: MuPlan, gate: str) -> int:
+def mu_initiation_interval(plan: dict[str, MuOp], gate: str) -> int:
     """Cycles between elements one MU can sustain (per-FU issue-slot bound).
 
     Functional units are pipelined, so each op occupies one issue slot on its
     unit; link transfers ride dedicated wires and occupy nothing.
     """
-    worst = 0
-    for fu, count in plan.fu_counts(gate).items():
-        if fu == "link":
-            continue
-        worst = max(worst, math.ceil(count / FU_UNITS[fu]))
-    return worst
+    counts = Counter(op.fu for op in plan.values() if op.gate == gate and op.fu != "link")
+    return max((math.ceil(c / FU_UNITS[fu]) for fu, c in counts.items()), default=0)
 
 
 # quantize: scale multiply, round (add-one plus two logic steps), pack;
@@ -457,7 +438,7 @@ def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
     h, nx = layer.hidden_size, layer.input_size
     dotx, doth = dpu_dot_cycles(nx, cfg), dpu_dot_cycles(h, cfg)
     plan = mu_plan(cfg, peephole=layer.peephole)
-    cp = plan.critical_path
+    cp = plan["output.mul_h"].ready
     if policy is Policy.conventional:
         # the next timestep's forward dots overlap part of the MU tail
         interval, phase, tail = dotx + doth, "conventional", max(0, cp - dotx)
@@ -508,7 +489,7 @@ def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
         (Target.intermediate_memory, "r"): (T, T * nx * eb),
         (Target.dram, "r"): (1, weight_bytes)})
     return PassCost(cycles, _dram_fetch_cycles(weight_bytes, cfg), cp,
-                    T * h * (kx + kh), T * h * (len(plan.ops) + quant_ops), traffic)
+                    T * h * (kx + kh), T * h * (len(plan) + quant_ops), traffic)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +562,7 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
     cycles = compute_cycles + stall_cycles
     seconds = cycles / cfg.frequency_hz
 
-    dram_summary = dram_traffic(net, T).to_json()
+    dram_summary = dram_traffic(net, T)
     avg_bw = dram_summary["total_bytes"] / seconds
     if avg_bw > cfg.peak_dram_bandwidth:
         warnings.warn(
@@ -628,11 +609,7 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
         network_summary={
             "input_dim": net.input_dim,
             "precision": net.numeric_precision.value,
-            "layers": [
-                {"hidden_size": l.hidden_size, "input_size": l.input_size,
-                 "direction": l.direction.value, "peephole": l.peephole}
-                for l in net.layers
-            ],
+            "layers": descriptor_to_json(net)["layers"],
         },
         realtime=realtime,
         notes=notes,

@@ -22,7 +22,7 @@ import sys
 import tempfile
 import warnings
 from collections.abc import Callable, Iterable, Iterator
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -342,6 +342,7 @@ def cmd_infer(args) -> int:
         "input_dim": seq.dim,
         "output_dim": out.dim,
         "network": netio.descriptor_to_json(net),
+        # always true: Sequence refuses a non-finite output (exit 6)
         "output_finite": bool(np.all(np.isfinite(out.frames))),
         "output_max_abs": float(np.max(np.abs(out.frames))),
     }
@@ -353,7 +354,7 @@ def cmd_infer(args) -> int:
         outputs[args.out] = _json_text(report)
     _write_atomic(outputs)
     print(json.dumps(report, indent=2))
-    return EXIT_OK if report["output_finite"] else EXIT_CHECK
+    return EXIT_OK
 
 
 def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
@@ -470,9 +471,6 @@ def cmd_compare(args) -> int:
     qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
     _, _, (rep_a, rep_b), oracle = _run_simulations(args, [(pol_a, qcfg), (pol_b, qcfg)])
     table = energy.EnergyTable()
-    en_a = energy.account(rep_a, table)
-    en_b = energy.account(rep_b, table)
-    cmp_report = energy.compare(en_a, en_b)
 
     def side(rep):
         return {"cycles": rep.cycles,
@@ -488,7 +486,8 @@ def cmd_compare(args) -> int:
         "weight_buffer_read_ratio":
             b["weight_buffer_read_bytes"] / a["weight_buffer_read_bytes"],
         "cycle_ratio": b["cycles"] / a["cycles"],
-        "energy": cmp_report.to_json(),
+        "energy": energy.compare(energy.account(rep_a, table),
+                                 energy.account(rep_b, table)),
         "oracle_check_a": _oracle_check(oracle, rep_a),
         "oracle_check_b": _oracle_check(oracle, rep_b),
     }
@@ -500,7 +499,7 @@ def cmd_compare(args) -> int:
         ratio = b[key] / a[key] if a[key] else float("inf")
         print(f"{key:<{width}}  {a[key]:>14,}  {b[key]:>14,}  {ratio:.4f}")
     print(f"{'total energy ratio':<{width}}  {'':>14}  {'':>14}  "
-          f"{cmp_report.total_ratio:.4f}")
+          f"{doc['energy']['total_ratio']:.4f}")
     ok = (_checks_ok(rep_a, rep_b) and doc["oracle_check_a"]["passed"]
           and doc["oracle_check_b"]["passed"])
     return EXIT_OK if ok else EXIT_CHECK
@@ -572,7 +571,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"usage error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a build costs about 20 parses."""
     ap = _Parser(
         prog="epursim",
         description=__doc__,

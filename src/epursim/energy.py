@@ -146,19 +146,9 @@ def account(report: "SimReport", table: EnergyTable) -> EnergyReport:
     return EnergyReport(dynamic, leakage, meta)
 
 
-@dataclass
-class EnergyComparison:
-    ratios: dict[str, float]
-    total_ratio: float
-    regressions: list[str]
-
-    def to_json(self) -> dict:
-        return {"ratios": dict(self.ratios), "total_ratio": self.total_ratio,
-                "regressions": list(self.regressions)}
-
-
-def compare(baseline: EnergyReport, other: EnergyReport) -> EnergyComparison:
-    """Per-component other/baseline energy ratios.
+def compare(baseline: EnergyReport, other: EnergyReport) -> dict:
+    """Per-component other/baseline energy ratios, as
+    ``{"ratios", "total_ratio", "regressions"}``.
 
     Components where the second run consumes more are flagged (expected for
     the intermediate memory under MWL, which stores the partial outputs).
@@ -184,4 +174,4 @@ def compare(baseline: EnergyReport, other: EnergyReport) -> EnergyComparison:
     ratio_into("dynamic", baseline.dynamic_by_component, other.dynamic_by_component)
     ratio_into("leakage", baseline.leakage_by_component, other.leakage_by_component)
     total_ratio = other.total / baseline.total if baseline.total > 0 else math.inf
-    return EnergyComparison(ratios, total_ratio, regressions)
+    return {"ratios": ratios, "total_ratio": total_ratio, "regressions": regressions}

@@ -333,79 +333,36 @@ def weight_buffer_read_bytes(layer: LayerDescriptor, T: int, policy: Policy,
 # ---------------------------------------------------------------------------
 # DRAM traffic model
 
-@dataclass
-class DramTraffic:
-    """Per-pass DRAM bytes, plus the spill-policy comparison.
+def dram_traffic(net: NetworkDescriptor, T: int) -> dict:
+    """DRAM bytes for one full inference pass over a T-frame sequence, as
+    the report's ``dram`` entry.
 
     Weights move from DRAM exactly once per layer-direction pass regardless
-    of sequence length.  The spill variant replaces the on-chip intermediate
+    of sequence length: the schedule does not change DRAM traffic, since
+    both orders fetch each layer-direction's weights once (MWL keeps its
+    partials on chip).  The spill variant replaces the on-chip intermediate
     memory with main memory: every layer's output sequence is written out
-    and read back once per consuming pass.
-    """
-
-    per_pass_weight_bytes: list[tuple[int, int, int]]  # (layer, direction, bytes)
-    weight_bytes: int
-    input_bytes: int
-    output_bytes: int
-    spill_write_bytes: int
-    spill_read_bytes: int
-
-    @property
-    def total_bytes(self) -> int:
-        return self.weight_bytes + self.input_bytes + self.output_bytes
-
-    @property
-    def spill_intermediate_bytes(self) -> int:
-        return self.spill_write_bytes + self.spill_read_bytes
-
-    @property
-    def avoided_fraction(self) -> float:
-        """Fraction of spill-policy DRAM traffic the on-chip memory removes."""
-        spill_total = self.total_bytes + self.spill_intermediate_bytes
-        return self.spill_intermediate_bytes / spill_total
-
-    def to_json(self) -> dict:
-        return {
-            "per_pass_weight_bytes": [
-                {"layer": l, "direction": d, "bytes": b}
-                for (l, d, b) in self.per_pass_weight_bytes
-            ],
-            "weight_bytes": self.weight_bytes,
-            "input_bytes": self.input_bytes,
-            "output_bytes": self.output_bytes,
-            "total_bytes": self.total_bytes,
-            "spill_write_bytes": self.spill_write_bytes,
-            "spill_read_bytes": self.spill_read_bytes,
-            "avoided_fraction": self.avoided_fraction,
-        }
-
-
-def dram_traffic(net: NetworkDescriptor, T: int) -> DramTraffic:
-    """DRAM bytes for one full inference pass over a T-frame sequence.
-
-    The schedule does not change DRAM traffic: both orders fetch each
-    layer-direction's weights once (MWL keeps its partials on chip).
+    and read back once per consuming pass; ``avoided_fraction`` is the share
+    of that variant's traffic the on-chip memory removes.
     """
     if T < 1:
         raise ShapeError("T must be >= 1")
     eb = net.numeric_precision.elem_bytes
-    per_pass = []
-    for i, layer in enumerate(net.layers):
-        for d in range(layer.num_directions):
-            per_pass.append((i, d, cell_weight_bytes(layer, eb)))
-    weight_bytes = sum(b for _, _, b in per_pass)
+    per_pass = [{"layer": i, "direction": d, "bytes": cell_weight_bytes(layer, eb)}
+                for i, layer in enumerate(net.layers)
+                for d in range(layer.num_directions)]
+    weight_bytes = sum(p["bytes"] for p in per_pass)
     input_bytes = T * net.input_dim * eb
     output_bytes = T * net.output_dim * eb
-
-    spill_write = 0
-    spill_read = 0
-    for i, layer in enumerate(net.layers):
-        produced = T * layer.output_size * eb
-        spill_write += produced
-        if i + 1 < len(net.layers):
-            readers = net.layers[i + 1].num_directions
-        else:
-            readers = 1  # consumed once by the output stage
-        spill_read += readers * produced
-    return DramTraffic(per_pass, weight_bytes, input_bytes, output_bytes,
-                       spill_write, spill_read)
+    total = weight_bytes + input_bytes + output_bytes
+    # each layer's outputs are read once per pass of the next layer; the
+    # last layer's, once by the output stage
+    produced = [T * layer.output_size * eb for layer in net.layers]
+    readers = [layer.num_directions for layer in net.layers[1:]] + [1]
+    spill_write = sum(produced)
+    spill_read = sum(r * p for r, p in zip(readers, produced))
+    spill = spill_write + spill_read
+    return {"per_pass_weight_bytes": per_pass, "weight_bytes": weight_bytes,
+            "input_bytes": input_bytes, "output_bytes": output_bytes,
+            "total_bytes": total, "spill_write_bytes": spill_write,
+            "spill_read_bytes": spill_read, "avoided_fraction": spill / (total + spill)}

@@ -65,14 +65,14 @@ def save_sequence(seq: Sequence, path) -> None:
     Path(path).write_bytes(netio.sequence_to_bytes(seq))
 
 
-def start_of(plan: arch.MuPlan, gate: str, name: str) -> int:
+def start_of(plan: dict[str, arch.MuOp], gate: str, name: str) -> int:
     """The cycle at which MU op ``gate.name`` starts."""
-    return plan.ops[f"{gate}.{name}"].start
+    return plan[f"{gate}.{name}"].start
 
 
-def gate_span(plan: arch.MuPlan, gate: str) -> int:
+def gate_span(plan: dict[str, arch.MuOp], gate: str) -> int:
     """Index of the last stage the gate occupies (unit-latency view)."""
-    return max(op.start + op.latency - 1 for op in plan.gate_ops(gate))
+    return max(op.start + op.latency - 1 for op in plan.values() if op.gate == gate)
 
 
 def make_cell(hidden: int, input_size: int, peephole: bool, seed: int,

@@ -137,14 +137,14 @@ class TestCriterion7DramTraffic:
     def test_weight_bytes_independent_of_t(self):
         for name in presets.PRESETS:
             net = presets.preset_descriptor(name)
-            per_pass = {T: sched.dram_traffic(net, T)
-                        .per_pass_weight_bytes for T in (1, 10, 100)}
+            per_pass = {T: sched.dram_traffic(net, T)["per_pass_weight_bytes"]
+                        for T in (1, 10, 100)}
             assert per_pass[1] == per_pass[10] == per_pass[100]
 
     def test_eesen_total_near_42mb(self):
         net = presets.preset_descriptor("eesen")
         rep = sched.dram_traffic(net, 100)
-        mib = rep.weight_bytes / 2**20
+        mib = rep["weight_bytes"] / 2**20
         tol = presets.PRESETS["eesen"].size_tolerance
         assert abs(mib / 42 - 1) <= tol
         _report(7, f"per-layer DRAM weight bytes independent of T; EESEN total "

@@ -432,7 +432,7 @@ class TestBoundary:
 
         def inflated(*args):
             traffic = real(*args)
-            traffic.input_bytes += 1
+            traffic["total_bytes"] += 1
             return traffic
 
         monkeypatch.setattr(arch, "dram_traffic", inflated)

@@ -102,18 +102,18 @@ class TestCompare:
         sim = run(16, 3, Policy.conventional)
         a = account(sim, TABLE)
         cmp = compare(a, account(sim, TABLE))
-        assert cmp.total_ratio == pytest.approx(1.0)
-        assert all(r == pytest.approx(1.0) for r in cmp.ratios.values())
-        assert not cmp.regressions
+        assert cmp["total_ratio"] == pytest.approx(1.0)
+        assert all(r == pytest.approx(1.0) for r in cmp["ratios"].values())
+        assert not cmp["regressions"]
 
     def test_mwl_flags_intermediate_memory_regression(self):
         T = 50
         a = account(run(32, T, Policy.conventional), TABLE)
         b = account(run(32, T, Policy.mwl), TABLE)
         cmp = compare(a, b)
-        assert "dynamic.intermediate_memory" in cmp.regressions
-        assert cmp.ratios["dynamic.weight_buffer"] == pytest.approx(0.5, abs=0.02)
-        assert cmp.ratios["dynamic.intermediate_memory"] > 1
+        assert "dynamic.intermediate_memory" in cmp["regressions"]
+        assert cmp["ratios"]["dynamic.weight_buffer"] == pytest.approx(0.5, abs=0.02)
+        assert cmp["ratios"]["dynamic.intermediate_memory"] > 1
 
     def test_weight_memory_leakage_halves_under_mwl_preset(self):
         # 512x512 gates: ~2.1 MiB per CU conventionally, ~1.05 MiB resident

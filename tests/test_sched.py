@@ -343,7 +343,7 @@ class TestDramTraffic:
 
     def test_weight_bytes_independent_of_t(self):
         net = self._one_layer_net()
-        totals = {dram_traffic(net, T).weight_bytes
+        totals = {dram_traffic(net, T)["weight_bytes"]
                   for T in (1, 10, 100)}
         assert len(totals) == 1
 
@@ -357,21 +357,21 @@ class TestDramTraffic:
         l1 = LayerDescriptor(4, 8)
         net = NetworkDescriptor((l0, l1), input_dim=4)
         rep = dram_traffic(net, 5)
-        assert len(rep.per_pass_weight_bytes) == 3  # 2 directions + 1
+        assert len(rep["per_pass_weight_bytes"]) == 3  # 2 directions + 1
 
     def test_spill_fraction_counts_intermediates(self):
         net = NetworkDescriptor((LayerDescriptor(16, 16), LayerDescriptor(16, 16)),
                                 input_dim=16)
         rep = dram_traffic(net, 50)
         eb = 4
-        assert rep.spill_write_bytes == 2 * 50 * 16 * eb
+        assert rep["spill_write_bytes"] == 2 * 50 * 16 * eb
         # layer 0 output read by layer 1 once, layer 1 output by the out stage
-        assert rep.spill_read_bytes == 2 * 50 * 16 * eb
-        assert 0 < rep.avoided_fraction < 1
+        assert rep["spill_read_bytes"] == 2 * 50 * 16 * eb
+        assert 0 < rep["avoided_fraction"] < 1
 
     def test_eesen_preset_footprint(self):
         from epursim.presets import preset_descriptor
         net = preset_descriptor("eesen")
         rep = dram_traffic(net, 100)
-        mib = rep.weight_bytes / 2**20
+        mib = rep["weight_bytes"] / 2**20
         assert abs(mib / 42 - 1) < 0.15  # published size, input dims assumed

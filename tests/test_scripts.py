@@ -54,6 +54,9 @@ def test_output_identity_matrix_repeats(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     entries = json.loads(manifest.read_text(encoding="utf-8")).values()
     assert {e["exit"] for e in entries} == {0, 2, 3, 4, 5, 7}
+    # both forms of the MU refusal
+    assert sum(e["stderr"].startswith("check failed: ") and "MU" in e["stderr"]
+               for e in entries) == 2
     assert all("Traceback" not in e["stderr"] for e in entries)
 
 
