@@ -573,7 +573,7 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: a build costs about 20 parses."""
+    """The parser, built once per process, since a build costs tens of parses."""
     ap = _Parser(
         prog="epursim",
         description=__doc__,

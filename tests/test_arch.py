@@ -127,9 +127,9 @@ class TestMuPlanTableLatencies:
 
 
 class TestMuPlanPinned:
-    """The plan's figures under the default table and under unit latencies:
-    the issue slots do not depend on the latencies, the op count and the
-    critical path do (the critical path only)."""
+    """The plan's figures under the default table and under unit latencies.
+    The issue slots and the op count are the same under both; the critical
+    path is not."""
 
     @pytest.mark.parametrize("cfg, peephole, ops, critical_path", [
         (CFG, True, 45, 56), (CFG, False, 39, 46),

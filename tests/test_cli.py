@@ -480,6 +480,14 @@ class TestBoundary:
         assert self.one_line(capsys) == (
             "usage error: the following arguments are required: --network\n")
 
+    def test_parser_is_built_once_and_parses_afresh(self):
+        # one parser per process; a parse leaves nothing for the next one
+        assert cli.build_parser() is cli.build_parser()
+        net = ["--network", "n.json", "--weights", "w.bin"]
+        a = cli.build_parser().parse_args(["simulate", *net, "--policy", "mwl"])
+        b = cli.build_parser().parse_args(["simulate", *net])
+        assert (a.policy, b.policy) == ("mwl", "conventional")
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--policy", "mwl", "--quantize"],
         ["compare", "--quantize"],
