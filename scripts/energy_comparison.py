@@ -46,24 +46,24 @@ def main() -> int:
     print(f"{args.preset.upper()}, T={args.t}"
           f"{', quantized partials' if qcfg else ''}\n")
     print(f"{'component':<32} {'baseline J':>12} {'mwl J':>12} {'ratio':>7}")
-    for comp, val in sorted(e_base.dynamic_by_component.items()):
+    for comp, val in sorted(e_base["dynamic_by_component"].items()):
         r = cmp["ratios"].get(f"dynamic.{comp}")
-        got = e_mwl.dynamic_by_component.get(comp, 0.0)
+        got = e_mwl["dynamic_by_component"].get(comp, 0.0)
         print(f"dynamic.{comp:<24} {val:>12.3e} {got:>12.3e} "
               f"{r if r is not None else float('nan'):>7.3f}")
-    for comp, val in sorted(e_base.leakage_by_component.items()):
+    for comp, val in sorted(e_base["leakage_by_component"].items()):
         r = cmp["ratios"].get(f"leakage.{comp}")
-        got = e_mwl.leakage_by_component.get(comp, 0.0)
+        got = e_mwl["leakage_by_component"].get(comp, 0.0)
         print(f"leakage.{comp:<24} {val:>12.3e} {got:>12.3e} "
               f"{r if r is not None else float('nan'):>7.3f}")
-    print(f"\n{'total':<32} {e_base.total:>12.3e} {e_mwl.total:>12.3e} "
+    print(f"\n{'total':<32} {e_base['total']:>12.3e} {e_mwl['total']:>12.3e} "
           f"{cmp['total_ratio']:>7.3f}")
     if cmp["regressions"]:
         print("components where the locality schedule costs more: "
               + ", ".join(cmp["regressions"]))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
-            json.dump({"baseline": e_base.to_json(), "mwl": e_mwl.to_json(),
+            json.dump({"baseline": e_base, "mwl": e_mwl,
                        "comparison": cmp}, f, indent=2)
     return 0
 

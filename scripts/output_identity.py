@@ -9,13 +9,16 @@ standard output, its standard error as text and the sha256 of each file it
 wrote: ``{command: {exit, stdout, stderr, files: {name: sha256}}}``.  The
 matrix covers every subcommand: four generated networks (EESEN, LDLRNN, a
 2x16 fp16 bidirectional peephole network and a 1x8 layer whose 4400-byte
-forward rows overflow the row buffer), both schedules, exact, quantized and
-calibrated runs, the trace CSV, runs that warn with and without it, and
-refusals for each of the exit codes 2, 3, 4, 5 and 7; exit 7 comes from both
-MU refusals, a latency tail longer than a timestep and more issue slots per
-element than the DPU's interval.  The latter runs on a 1x1 network that the
-setup writes with the hardware configs, so it is not one of the 29 recorded
-commands.  ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
+forward rows overflow the row buffer), both schedules, exact, quantized
+(calibrated and not) runs, the trace CSV, runs that warn with and without
+it, and refusals for each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 6 is
+a non-finite output, from ``infer`` and ``simulate``; exit 7 comes from
+quantized runs below their oracle check's cosine bound and from both MU
+refusals, a latency tail longer than a timestep and more issue slots per
+element than the DPU's interval.  The exit-6 runs read a 1x2 network and
+its input, and the issue-slot refusal a 1x1 network; the setup writes them
+with the hardware configs, so they are not among the 32 recorded commands.
+``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
 A checkout's matrix runs in a new process that imports ``epursim`` from
 that checkout's ``src`` (checked, as the benchmark checks it), in a new
@@ -40,6 +43,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -62,6 +66,23 @@ HW_FILES = {
 # the network of the issue-slot refusal, written before the matrix runs
 SETUP = ["gen-network", "--layers", "1", "--hidden", "1", "--input-dim", "1",
          "--out-descriptor", "one.json", "--out-weights", "one.bin"]
+
+
+def write_nan_network() -> None:
+    """The exit-6 network, its raw weight blob and its input: one layer of 2
+    neurons over 4 inputs, whose input gate's w_x rows sum 3e38 + 3e38 (inf
+    in fp32) and then -3e38 * 2 (-inf), so the first hidden state is NaN.
+    Every other weight is 0."""
+    Path("nan.json").write_text(json.dumps({
+        "input_dim": 4, "numeric_precision": "fp32",
+        "layers": [{"hidden_size": 2, "input_size": 4}]}), encoding="utf-8")
+    # the header (magic, version 1, fp32, reserved), then per gate (input,
+    # forget, cell_updater, output) w_x [2, 4], w_h [2, 2] and the bias [2]
+    zeros = [0.0] * (8 + 4 + 2)
+    values = [3e38, 3e38, -3e38, -3e38] * 2 + zeros[8:] + zeros * 3
+    Path("nan.bin").write_bytes(b"LSTW" + struct.pack("<3I", 1, 0, 0)
+                                + struct.pack(f"<{len(values)}f", *values))
+    Path("x.csv").write_text("1,1,2,2\n", encoding="utf-8")
 
 
 def matrix(tiny: bool) -> list[list[str]]:
@@ -92,6 +113,9 @@ def matrix(tiny: bool) -> list[list[str]]:
         ["simulate", *net("ldlrnn"), "--synthetic-t", "40", "--policy", "mwl",
          "--hw-preset", "epur-mwl", "--quantize", "--quant-bits", "8", "--calibrate",
          "--trace-csv", "sim_q8.csv", "--out", "sim_q8.json"],
+        # uncalibrated: no pass alphas, and below the oracle check's bound (exit 7)
+        ["simulate", *net("ldlrnn"), "--synthetic-t", "20", "--policy", "mwl",
+         "--quantize", "--energy", "--out", "sim_q8u.json"],
         ["simulate", *net("fp16"), "--synthetic-t", "8", "--policy", "mwl",
          "--out", "sim_fp16.json"],
         ["simulate", *net("wide"), "--synthetic-t", "3", "--policy", "mwl",
@@ -110,7 +134,8 @@ def matrix(tiny: bool) -> list[list[str]]:
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--trace-csv", "reuse_wide.csv", "--out", "reuse_wide.json"],
         # refusals: exit 2 seven times, then 3 twice, 4 (after a warning), 5,
-        # and 7 twice (the MU's latency tail, then its issue slots)
+        # 6 twice (a non-finite output) and 7 twice (the MU's latency tail,
+        # then its issue slots)
         ["simulate", *net("ldlrnn"), "--quantize", "--quant-bits", "20"],
         ["simulate", *net("ldlrnn"), "--policy", "mwl", "--quantize", "--alpha", "1e-310"],
         ["quantize-sweep", *net("ldlrnn"), "--alpha", "1e-310"],
@@ -124,6 +149,8 @@ def matrix(tiny: bool) -> list[list[str]]:
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--out", "missing/reuse.json"],
         ["simulate", *net("ldlrnn"), "--hw-config", "small_hw.json"],
+        ["infer", *net("nan"), "--input", "x.csv"],
+        ["simulate", *net("nan"), "--input", "x.csv"],
         ["simulate", *net("wide"), "--hw-config", "slow_exp_hw.json"],
         ["simulate", *net("one"), "--synthetic-t", "2", "--policy", "mwl",
          "--hw-config", "fast_dpu_hw.json"],
@@ -140,6 +167,7 @@ def run_matrix(tiny: bool) -> dict:
 
     for name, doc in HW_FILES.items():
         Path(name).write_text(json.dumps(doc), encoding="utf-8")
+    write_nan_network()
     with contextlib.redirect_stdout(io.StringIO()):
         if cli.main(SETUP) != 0:
             raise SystemExit(f"error: setup failed: {' '.join(SETUP)}")

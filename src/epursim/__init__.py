@@ -8,9 +8,9 @@ from .model import (Direction, LayerDescriptor, NetworkDescriptor,
 from .quant import QuantConfig, quantize
 from .sched import (GateTrace, Policy, Target, dram_traffic, reuse_analysis,
                     trace_conventional, trace_mwl)
-from .arch import (CapacityError, HardwareConfig, MuBottleneckError, SimReport,
-                   cost_model, dpu_dot_cycles, mu_plan, simulate)
-from .energy import EnergyReport, EnergyTable, account, compare
+from .arch import (CapacityError, HardwareConfig, MuBottleneckError, cost_model,
+                   dpu_dot_cycles, mu_plan, simulate)
+from .energy import EnergyTable, account, compare
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "QuantConfig", "quantize",
     "GateTrace", "Policy", "Target",
     "dram_traffic", "reuse_analysis", "trace_conventional", "trace_mwl",
-    "CapacityError", "HardwareConfig", "MuBottleneckError", "SimReport",
+    "CapacityError", "HardwareConfig", "MuBottleneckError",
     "dpu_dot_cycles", "mu_plan", "cost_model", "simulate",
-    "EnergyReport", "EnergyTable", "account", "compare",
+    "EnergyTable", "account", "compare",
 ]

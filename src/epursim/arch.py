@@ -22,7 +22,7 @@ import numpy as np
 from .model import (GATES, PEEPHOLE_GATES, LayerDescriptor,
                     NetworkDescriptor, NetworkWeights, PartialsHook, Sequence,
                     ShapeError, cell_weight_bytes, gate_matrix_bytes,
-                    gate_weight_bytes, layer_infer)
+                    gate_weight_bytes, network_infer)
 from .netio import descriptor_to_json
 from .quant import QuantConfig, calibrate_alpha, quantize
 from .sched import (RW, Policy, Target, dram_traffic, gate_accesses,
@@ -272,86 +272,6 @@ class PassCost:
     traffic: Traffic
 
 
-@dataclass
-class SimReport:
-    policy: Policy
-    exact_mode: bool
-    quant: QuantConfig | None
-    precision: str
-    T: int
-    cycles: int
-    compute_cycles: int
-    stall_cycles: int
-    seconds: float
-    access: Traffic  # every (target, rw) key
-    dpu_ops_per_cu: int  # the four CUs run one schedule
-    mu_ops: int
-    dram: dict
-    storage: dict
-    checks: dict
-    mu_critical_path: int
-    config: HardwareConfig
-    network_summary: dict
-    realtime: dict | None = None
-    notes: list[str] = field(default_factory=list)
-    # attached by simulate(), empty from cost_model()
-    outputs: Sequence | None = None
-    pass_alphas: list[float] = field(default_factory=list)
-
-    @property
-    def avg_dram_bandwidth(self) -> float:
-        return self.dram["total_bytes"] / self.seconds
-
-    def to_json(self) -> dict:
-        """Fixed report schema; functional outputs are kept off-document."""
-        return {
-            "schema_version": 2,
-            "policy": self.policy.value,
-            "exact_mode": self.exact_mode,
-            "quant": (dict(self.quant.to_json(),
-                           calibrated_per_pass=bool(self.pass_alphas),
-                           pass_alphas=list(self.pass_alphas))
-                      if self.quant else None),
-            "precision": self.precision,
-            "sequence_length": self.T,
-            "network": self.network_summary,
-            "hardware": self.config.to_json(),
-            "cycles": self.cycles,
-            "compute_cycles": self.compute_cycles,
-            "stall_cycles": self.stall_cycles,
-            "seconds": self.seconds,
-            "access_counts": {t.value: {rw: dict(zip(("count", "bytes"), self.access[t, rw]))
-                                        for rw in RW} for t in Target},
-            "dpu_ops_per_cu": {g: self.dpu_ops_per_cu for g in GATES},
-            "mu_ops": self.mu_ops,
-            "dram": dict(self.dram),
-            "avg_dram_bandwidth_bytes_per_s": self.avg_dram_bandwidth,
-            "storage": dict(self.storage),
-            "checks": dict(self.checks),
-            "mu_critical_path": self.mu_critical_path,
-            "realtime": self.realtime,
-            "notes": list(self.notes),
-        }
-
-    def text_table(self) -> str:
-        rows = [
-            ("policy", self.policy.value),
-            ("cycles", f"{self.cycles:,}"),
-            ("stall cycles", f"{self.stall_cycles:,}"),
-            ("seconds", f"{self.seconds:.6g}"),
-            ("dram bytes", f"{self.dram['total_bytes']:,}"),
-            ("avg dram bandwidth", f"{self.avg_dram_bandwidth / 1e6:.3g} MB/s"),
-        ]
-        if self.realtime:
-            rows.append(("realtime dram bandwidth",
-                         f"{self.realtime['bandwidth_bytes_per_s'] / 1e6:.3g} MB/s"))
-        for t in Target:
-            rows.append((f"{t.value} read bytes", f"{self.access[t, 'r'][1]:,}"))
-            rows.append((f"{t.value} write bytes", f"{self.access[t, 'w'][1]:,}"))
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
-
-
 # ---------------------------------------------------------------------------
 # capacity and pass costs
 
@@ -495,16 +415,19 @@ def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
 # ---------------------------------------------------------------------------
 # the simulator
 
-def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
-                       alphas: list[float]) -> PartialsHook:
-    """partials_hook of the quantized MWL schedule: the forward partials are
-    stored as n-bit codes and read back as the table's values, in place.
+def _quantize_partials(quant: dict, calibrate: bool) -> PartialsHook:
+    """partials_hook of the quantized MWL schedule, from a report's ``quant``
+    entry: the forward partials are stored as n-bit codes and read back as
+    the table's values, in place.
 
     With ``calibrate`` each pass uses its own clamp magnitude (the measured
     peak |partial|, rounded up), standing in for an offline calibration run:
     the dequantization constants travel with each layer's weights anyway.
-    The hook then appends the alpha it applied to ``alphas``, one per pass.
+    The hook then appends the alpha it applied to the entry's
+    ``pass_alphas``, one per pass, and sets its ``calibrated_per_pass``.
     """
+    qcfg = QuantConfig(quant["n_bits"], quant["alpha"])
+
     def hook(partials: np.ndarray) -> np.ndarray:
         applied = qcfg
         if calibrate:
@@ -512,16 +435,19 @@ def _quantize_partials(qcfg: QuantConfig, calibrate: bool,
             # through max and min alike
             peak = max(float(partials.max()), -float(partials.min()))
             applied = QuantConfig(qcfg.n_bits, calibrate_alpha(peak))
-            alphas.append(applied.alpha)
+            quant["pass_alphas"].append(applied.alpha)
+            quant["calibrated_per_pass"] = True
         return quantize(partials, applied)
     return hook
 
 
 def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
                cfg: HardwareConfig, quant: QuantConfig | None = None,
-               frames_per_second: float | None = None) -> SimReport:
+               frames_per_second: float | None = None) -> dict:
     """Cycles, event counts, storage and DRAM traffic of one inference over
-    a T-frame sequence, from shapes alone; the report carries no outputs.
+    a T-frame sequence, from shapes alone: the report, a dict in the JSON
+    form ``simulate`` writes (schema 2).  Its ``quant`` entry lists no
+    calibrated alphas until ``simulate`` runs the datapath.
 
     ``quant=None`` is exact mode; a QuantConfig stores the MWL partials as
     codes (the conventional schedule stores none, so it ignores ``quant``).
@@ -588,52 +514,76 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
                                      == dram_summary["total_bytes"]),
     }
 
-    return SimReport(
-        policy=policy,
-        exact_mode=quant is None,
-        quant=quant,
-        precision=net.numeric_precision.value,
-        T=T,
-        cycles=cycles,
-        compute_cycles=compute_cycles,
-        stall_cycles=stall_cycles,
-        seconds=seconds,
-        access=access,
-        dpu_ops_per_cu=sum(p.dpu_ops_per_cu for p in passes),
-        mu_ops=sum(p.mu_ops for p in passes),
-        dram=dram_summary,
-        storage=storage,
-        checks=checks,
-        mu_critical_path=max(p.mu_critical_path for p in passes),
-        config=cfg,
-        network_summary={
+    return {
+        "schema_version": 2,
+        "policy": policy.value,
+        "exact_mode": quant is None,
+        "quant": (dict(quant.to_json(), calibrated_per_pass=False, pass_alphas=[])
+                  if quant is not None else None),
+        "precision": net.numeric_precision.value,
+        "sequence_length": T,
+        "network": {
             "input_dim": net.input_dim,
             "precision": net.numeric_precision.value,
             "layers": descriptor_to_json(net)["layers"],
         },
-        realtime=realtime,
-        notes=notes,
-    )
+        "hardware": cfg.to_json(),
+        "cycles": cycles,
+        "compute_cycles": compute_cycles,
+        "stall_cycles": stall_cycles,
+        "seconds": seconds,
+        "access_counts": {t.value: {rw: dict(zip(("count", "bytes"), access[t, rw]))
+                                    for rw in RW} for t in Target},
+        # the four CUs run one schedule
+        "dpu_ops_per_cu": dict.fromkeys(GATES, sum(p.dpu_ops_per_cu for p in passes)),
+        "mu_ops": sum(p.mu_ops for p in passes),
+        "dram": dram_summary,
+        "avg_dram_bandwidth_bytes_per_s": avg_bw,
+        "storage": storage,
+        "checks": checks,
+        "mu_critical_path": max(p.mu_critical_path for p in passes),
+        "realtime": realtime,
+        "notes": notes,
+    }
 
 
 def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
-             report: SimReport, quant_calibrate: bool = False) -> SimReport:
+             report: dict, quant_calibrate: bool = False) -> tuple[dict, Sequence]:
     """``report`` (``cost_model``'s report of ``net`` over ``inp``'s length)
-    with the datapath's outputs attached.  ``quant_calibrate`` swaps the
-    clamp magnitude of the report's quant for a per-pass calibrated one.
+    and the datapath's outputs.  ``quant_calibrate`` swaps the clamp
+    magnitude of the report's quant for a per-pass calibrated one, recorded
+    in the report, which is returned since a forked run updates a copy.
 
     The refusals of a run (capacity, MU bottleneck) are ``cost_model``'s, so
     a caller learns of them before any datapath work starts.
     """
-    if inp.dim != net.input_dim or inp.length != report.T:
+    T = report["sequence_length"]
+    if inp.dim != net.input_dim or inp.length != T:
         raise ShapeError(f"input [{inp.length}, {inp.dim}] != report's "
-                         f"[{report.T}, {net.input_dim}]")
+                         f"[{T}, {net.input_dim}]")
     # both schedules run the one ordered accumulation; quantized MWL stores
     # its hoisted forward partials as codes
-    hook = (_quantize_partials(report.quant, quant_calibrate, report.pass_alphas)
-            if report.quant is not None else None)
-    seq = inp
-    for i, layer in enumerate(net.layers):
-        seq = layer_infer(layer, weights[i], seq, hook)
-    report.outputs = seq
-    return report
+    quant = report["quant"]
+    hook = _quantize_partials(quant, quant_calibrate) if quant is not None else None
+    return report, network_infer(net, weights, inp, hook)
+
+
+def text_table(report: dict) -> str:
+    """The report's headline figures, one aligned row each."""
+    rows = [
+        ("policy", report["policy"]),
+        ("cycles", f"{report['cycles']:,}"),
+        ("stall cycles", f"{report['stall_cycles']:,}"),
+        ("seconds", f"{report['seconds']:.6g}"),
+        ("dram bytes", f"{report['dram']['total_bytes']:,}"),
+        ("avg dram bandwidth",
+         f"{report['avg_dram_bandwidth_bytes_per_s'] / 1e6:.3g} MB/s"),
+    ]
+    if report["realtime"]:
+        rows.append(("realtime dram bandwidth",
+                     f"{report['realtime']['bandwidth_bytes_per_s'] / 1e6:.3g} MB/s"))
+    for target, counts in report["access_counts"].items():
+        rows.append((f"{target} read bytes", f"{counts['r']['bytes']:,}"))
+        rows.append((f"{target} write bytes", f"{counts['w']['bytes']:,}"))
+    width = max(len(r[0]) for r in rows)
+    return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)

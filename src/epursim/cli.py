@@ -367,19 +367,20 @@ def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
 def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | None]],
                      frames_per_second: float | None = None):
     """Simulate each (policy, quantization) run with the inputs and hardware
-    of args, beside one oracle run.  Every cost model runs first, so a
-    refused run draws no synthetic frames and starts no inference; the
-    datapaths and the oracle are independent and run concurrently."""
+    of args, beside one oracle run; each run gives its (report, outputs).
+    Every cost model runs first, so a refused run draws no synthetic frames
+    and starts no inference; the datapaths and the oracle are independent
+    and run concurrently."""
     net, weights, T, sequence = _load_inputs(args)
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
                for policy, qcfg in runs]
     seq = sequence()
-    *reports, oracle = _concurrently(
+    *results, oracle = _concurrently(
         [partial(arch.simulate, net, weights, seq, rep, args.calibrate)
          for rep in reports]
         + [lambda: model.network_infer(net, weights, seq).frames])
-    return net, seq, reports, oracle
+    return net, seq, results, oracle
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -390,23 +391,33 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / denom) if denom > 0 else 1.0
 
 
-def _oracle_check(oracle: np.ndarray, report) -> dict:
-    """Every output of ``report`` against the reference frames ``oracle``:
-    bit for bit in exact mode, by cosine similarity otherwise."""
-    got = report.outputs.frames
-    if report.exact_mode:
+#: the cosine similarity a quantized run's outputs must reach
+COSINE_BOUND = 0.999
+
+
+def _oracle_check(oracle: np.ndarray, report: dict, outputs: model.Sequence) -> dict:
+    """A run's ``outputs`` against the reference frames ``oracle``: bit for
+    bit in exact mode, by cosine similarity otherwise."""
+    got = outputs.frames
+    if report["exact_mode"]:
         ok = got.shape == oracle.shape and np.array_equal(got, oracle)
         return {"mode": "bit-exact", "passed": bool(ok)}
     cos = _cosine(oracle, got)
     return {"mode": "cosine", "cosine_similarity": cos,
-            "passed": bool(cos >= 0.999)}
+            "passed": bool(cos >= COSINE_BOUND)}
 
 
-def _checks_ok(*reports: arch.SimReport) -> bool:
-    """True when every built-in invariant check of the reports holds; names
-    the failed ones on stderr."""
-    failed = sorted({name for rep in reports for name, ok in rep.checks.items()
+def _checks_ok(reports: list[dict], oracle_checks: dict[str, dict]) -> bool:
+    """True when every invariant check of the reports and every oracle check
+    (keyed by its JSON name) holds; names the failed ones in one stderr line,
+    an oracle check with its mode, or with its cosine and the bound."""
+    failed = sorted({name for rep in reports for name, ok in rep["checks"].items()
                      if not ok})
+    for name, check in oracle_checks.items():
+        if not check["passed"]:
+            why = (f"cosine {check['cosine_similarity']:.4f} < {COSINE_BOUND}"
+                   if check["mode"] == "cosine" else check["mode"])
+            failed.append(f"{name} ({why})")
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
     return not failed
@@ -418,22 +429,22 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--frames-per-second must be positive and finite, "
                          f"got {args.frames_per_second}")
     qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
-    net, seq, (report,), oracle = _run_simulations(args, [(policy, qcfg)],
-                                                   args.frames_per_second)
-    doc = report.to_json()
-    doc["oracle_check"] = _oracle_check(oracle, report)
+    net, seq, ((report, out),), oracle = _run_simulations(
+        args, [(policy, qcfg)], args.frames_per_second)
+    report["oracle_check"] = _oracle_check(oracle, report, out)
     if args.energy:
-        doc["energy"] = energy.account(report, energy.EnergyTable()).to_json()
+        report["energy"] = energy.account(report, energy.EnergyTable())
     outputs = {}
     if args.out:
-        outputs[args.out] = _json_text(doc)
+        outputs[args.out] = _json_text(report)
     if args.trace_csv:
+        # a conventional trace reads no partial width
         outputs[args.trace_csv] = _trace_csv(_traces(
-            net, seq.length, policy, report.quant, report.config.row_buffer_bytes))
+            net, seq.length, policy, qcfg, report["hardware"]["row_buffer_bytes"]))
     _write_atomic(outputs)
-    print(report.text_table())
-    print(f"oracle check: {doc['oracle_check']}")
-    ok = _checks_ok(report) and doc["oracle_check"]["passed"]
+    print(arch.text_table(report))
+    print(f"oracle check: {report['oracle_check']}")
+    ok = _checks_ok([report], {"oracle_check": report["oracle_check"]})
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -469,13 +480,14 @@ def cmd_compare(args) -> int:
     pol_a = sched.Policy(args.policy_a)
     pol_b = sched.Policy(args.policy_b)
     qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
-    _, _, (rep_a, rep_b), oracle = _run_simulations(args, [(pol_a, qcfg), (pol_b, qcfg)])
+    _, _, ((rep_a, out_a), (rep_b, out_b)), oracle = _run_simulations(
+        args, [(pol_a, qcfg), (pol_b, qcfg)])
     table = energy.EnergyTable()
 
     def side(rep):
-        return {"cycles": rep.cycles,
-                "weight_buffer_read_bytes": rep.access[sched.Target.weight_buffer, "r"][1],
-                "dram_bytes": rep.dram["total_bytes"]}
+        wb = rep["access_counts"]["weight_buffer"]
+        return {"cycles": rep["cycles"], "weight_buffer_read_bytes": wb["r"]["bytes"],
+                "dram_bytes": rep["dram"]["total_bytes"]}
 
     a, b = side(rep_a), side(rep_b)
     doc = {
@@ -488,8 +500,8 @@ def cmd_compare(args) -> int:
         "cycle_ratio": b["cycles"] / a["cycles"],
         "energy": energy.compare(energy.account(rep_a, table),
                                  energy.account(rep_b, table)),
-        "oracle_check_a": _oracle_check(oracle, rep_a),
-        "oracle_check_b": _oracle_check(oracle, rep_b),
+        "oracle_check_a": _oracle_check(oracle, rep_a, out_a),
+        "oracle_check_b": _oracle_check(oracle, rep_b, out_b),
     }
     if args.out:
         _write_atomic({args.out: _json_text(doc)})
@@ -500,8 +512,7 @@ def cmd_compare(args) -> int:
         print(f"{key:<{width}}  {a[key]:>14,}  {b[key]:>14,}  {ratio:.4f}")
     print(f"{'total energy ratio':<{width}}  {'':>14}  {'':>14}  "
           f"{doc['energy']['total_ratio']:.4f}")
-    ok = (_checks_ok(rep_a, rep_b) and doc["oracle_check_a"]["passed"]
-          and doc["oracle_check_b"]["passed"])
+    ok = _checks_ok([rep_a, rep_b], {k: doc[k] for k in ("oracle_check_a", "oracle_check_b")})
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -511,17 +522,18 @@ def cmd_quantize_sweep(args) -> int:
                          f"--max-bits {args.max_bits}")
     qcfgs = [_quant_config(bits, args.alpha)
              for bits in range(args.min_bits, args.max_bits + 1)]
-    _, _, reports, oracle = _run_simulations(args, [(sched.Policy.mwl, q) for q in qcfgs])
+    _, _, results, oracle = _run_simulations(args, [(sched.Policy.mwl, q) for q in qcfgs])
     oracle = oracle.astype(np.float64)
     rows = []
-    for qcfg, rep in zip(qcfgs, reports):
+    for qcfg, (rep, out) in zip(qcfgs, results):
         bits = qcfg.n_bits
-        got = rep.outputs.frames.astype(np.float64)
+        got = out.frames.astype(np.float64)
+        alphas = rep["quant"]["pass_alphas"]
         rows.append({
             "n_bits": bits,
-            "alpha": rep.pass_alphas or args.alpha,
-            "quant_step": (qcfg.step if not rep.pass_alphas
-                           else quant.QuantConfig(bits, max(rep.pass_alphas)).step),
+            "alpha": alphas or args.alpha,
+            "quant_step": (qcfg.step if not alphas
+                           else quant.QuantConfig(bits, max(alphas)).step),
             "max_abs_error": float(np.max(np.abs(got - oracle))),
             "cosine_similarity": _cosine(oracle, got),
         })

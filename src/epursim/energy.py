@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .model import GATES
 from .sched import Target
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .arch import SimReport
 
 MIB = float(2**20)
 
@@ -69,92 +64,68 @@ SCRATCHPAD_COMPONENTS = ("weight_buffer", "row_buffer", "input_buffer",
 OPERATION_COMPONENTS = ("dpu", "mu")
 
 
-@dataclass
-class EnergyReport:
-    dynamic_by_component: dict[str, float]
-    leakage_by_component: dict[str, float]
-    meta: dict
-
-    @property
-    def dynamic_total(self) -> float:
-        return sum(self.dynamic_by_component.values())
-
-    @property
-    def leakage_total(self) -> float:
-        return sum(self.leakage_by_component.values())
-
-    @property
-    def total(self) -> float:
-        return self.dynamic_total + self.leakage_total
-
-    @property
-    def fractions(self) -> dict[str, float]:
-        """Share of total energy per group: on-chip scratchpads, operations, dram."""
-        scratch = (sum(self.dynamic_by_component[c] for c in SCRATCHPAD_COMPONENTS)
-                   + sum(v for k, v in self.leakage_by_component.items()
-                         if k != "logic"))
-        ops = (sum(self.dynamic_by_component[c] for c in OPERATION_COMPONENTS)
-               + self.leakage_by_component.get("logic", 0.0))
-        dram = self.dynamic_by_component.get("dram", 0.0)
-        total = self.total
-        return {"scratchpad": scratch / total, "operations": ops / total,
-                "dram": dram / total}
-
-    def to_json(self) -> dict:
-        return {
-            "dynamic_by_component": dict(self.dynamic_by_component),
-            "leakage_by_component": dict(self.leakage_by_component),
-            "dynamic_total": self.dynamic_total,
-            "leakage_total": self.leakage_total,
-            "total": self.total,
-            "fractions": self.fractions,
-            "meta": dict(self.meta),
-        }
-
-
-def account(report: "SimReport", table: EnergyTable) -> EnergyReport:
-    """Convert a simulation's event counts into an energy breakdown."""
+def account(report: dict, table: EnergyTable) -> dict:
+    """A report's event counts as an energy breakdown: joules per component,
+    dynamic and leakage, their totals, each group's share of the total (on-
+    chip scratchpads, operations, DRAM) and the run it describes."""
+    access = report["access_counts"]
     dynamic: dict[str, float] = {}
     for target, (rname, wname) in _BYTE_CLASSES.items():
-        dynamic[target.value] = (report.access[target, "r"][1] * getattr(table, rname)
-                                 + report.access[target, "w"][1] * getattr(table, wname))
-    dynamic["dpu"] = len(GATES) * report.dpu_ops_per_cu * table.dpu_subvector_op
-    dynamic["mu"] = report.mu_ops * table.mu_op
+        counts = access[target.value]
+        dynamic[target.value] = (counts["r"]["bytes"] * getattr(table, rname)
+                                 + counts["w"]["bytes"] * getattr(table, wname))
+    dynamic["dpu"] = sum(report["dpu_ops_per_cu"].values()) * table.dpu_subvector_op
+    dynamic["mu"] = report["mu_ops"] * table.mu_op
 
     # leakage: banks actually touched stay powered for the whole run
-    bank = report.config.bank_bytes
-    seconds = report.seconds
+    hw = report["hardware"]
+    bank = hw["bank_bytes"]
+    seconds = report["seconds"]
     powered = {
-        "weight_memory": 4 * report.storage["weight_banks_per_cu"] * bank,
-        "intermediate_memory": report.storage["intermediate_banks"] * bank,
+        "weight_memory": 4 * report["storage"]["weight_banks_per_cu"] * bank,
+        "intermediate_memory": report["storage"]["intermediate_banks"] * bank,
         # small per-CU buffers are not banked; they stay powered at capacity
-        "input_memory": 4 * report.config.input_mem_bytes_per_cu,
-        "row_buffer": 4 * report.config.row_buffer_bytes,
+        "input_memory": 4 * hw["input_mem_bytes_per_cu"],
+        "row_buffer": 4 * hw["row_buffer_bytes"],
     }
     leakage = {name: table.sram_leakage_w_per_mib * (nbytes / MIB) * seconds
                for name, nbytes in powered.items()}
     leakage["logic"] = table.logic_leakage_w * seconds
 
-    meta = {
-        "policy": report.policy.value,
-        "sequence_length": report.T,
-        "precision": report.precision,
-        "network": report.network_summary,
-        "seconds": seconds,
-        "powered_bytes": powered,
+    dynamic_total = sum(dynamic.values())
+    leakage_total = sum(leakage.values())
+    total = dynamic_total + leakage_total
+    scratch = (sum(dynamic[c] for c in SCRATCHPAD_COMPONENTS)
+               + sum(v for k, v in leakage.items() if k != "logic"))
+    ops = sum(dynamic[c] for c in OPERATION_COMPONENTS) + leakage["logic"]
+    return {
+        "dynamic_by_component": dynamic,
+        "leakage_by_component": leakage,
+        "dynamic_total": dynamic_total,
+        "leakage_total": leakage_total,
+        "total": total,
+        "fractions": {"scratchpad": scratch / total, "operations": ops / total,
+                      "dram": dynamic["dram"] / total},
+        "meta": {
+            "policy": report["policy"],
+            "sequence_length": report["sequence_length"],
+            "precision": report["precision"],
+            "network": report["network"],
+            "seconds": seconds,
+            "powered_bytes": powered,
+        },
     }
-    return EnergyReport(dynamic, leakage, meta)
 
 
-def compare(baseline: EnergyReport, other: EnergyReport) -> dict:
-    """Per-component other/baseline energy ratios, as
+def compare(baseline: dict, other: dict) -> dict:
+    """Per-component other/baseline energy ratios of two ``account`` dicts, as
     ``{"ratios", "total_ratio", "regressions"}``.
 
     Components where the second run consumes more are flagged (expected for
     the intermediate memory under MWL, which stores the partial outputs).
     """
     for key in ("sequence_length", "precision", "network"):
-        if baseline.meta.get(key) != other.meta.get(key):
+        if baseline["meta"][key] != other["meta"][key]:
             raise ValueError(f"reports disagree on {key}; refusing to compare")
     ratios: dict[str, float] = {}
     regressions: list[str] = []
@@ -171,7 +142,8 @@ def compare(baseline: EnergyReport, other: EnergyReport) -> dict:
                 ratios[name] = math.inf
                 regressions.append(name)
 
-    ratio_into("dynamic", baseline.dynamic_by_component, other.dynamic_by_component)
-    ratio_into("leakage", baseline.leakage_by_component, other.leakage_by_component)
-    total_ratio = other.total / baseline.total if baseline.total > 0 else math.inf
+    ratio_into("dynamic", baseline["dynamic_by_component"], other["dynamic_by_component"])
+    ratio_into("leakage", baseline["leakage_by_component"], other["leakage_by_component"])
+    total_ratio = (other["total"] / baseline["total"] if baseline["total"] > 0
+                   else math.inf)
     return {"ratios": ratios, "total_ratio": total_ratio, "regressions": regressions}

@@ -499,13 +499,14 @@ def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
 
 
 def network_infer(net: NetworkDescriptor, weights: NetworkWeights,
-                  inp: Sequence) -> Sequence:
+                  inp: Sequence, partials_hook: PartialsHook | None = None) -> Sequence:
     """Fold layer_infer over the stack; returns the last hidden layer's output.
-    Layer 0 refuses an input that does not match ``net.input_dim``."""
+    Layer 0 refuses an input that does not match ``net.input_dim``.  An error
+    names the layer that raised it."""
     seq = inp
     for i, layer in enumerate(net.layers):
         try:
-            seq = layer_infer(layer, weights[i], seq)
+            seq = layer_infer(layer, weights[i], seq, partials_hook)
         except (ShapeError, NumericError) as e:
             raise type(e)(f"layer {i}: {e}") from e
     return seq

@@ -129,9 +129,9 @@ def random_frames(net: NetworkDescriptor, T: int, seed: int) -> Sequence:
 
 
 def simulate(net, weights, seq, policy, cfg, quant=None, quant_calibrate=False,
-             frames_per_second=None) -> arch.SimReport:
+             frames_per_second=None) -> tuple[dict, Sequence]:
     """One simulated inference as the CLI runs it: the cost model's report,
-    then the datapath's outputs attached to it."""
+    then the datapath run on it; returns the report and the outputs."""
     report = arch.cost_model(net, seq.length, policy, cfg, quant, frames_per_second)
     return arch.simulate(net, weights, seq, report, quant_calibrate)
 

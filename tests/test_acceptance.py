@@ -34,7 +34,7 @@ def suite_runs(acceptance_suite):
     runs = []
     for net, weights, seq in acceptance_suite:
         oracle = model.network_infer(net, weights, seq)
-        conv = simulate(net, weights, seq, Policy.conventional, CFG)
+        _, conv = simulate(net, weights, seq, Policy.conventional, CFG)
         runs.append((oracle, conv))
     elapsed = time.monotonic() - t0
     return runs, elapsed
@@ -45,8 +45,8 @@ class TestCriterion1FunctionalOracle:
         runs, elapsed = suite_runs
         assert len(runs) >= 200
         for (net, weights, seq), (oracle, conv) in zip(acceptance_suite, runs):
-            assert conv.outputs.frames.dtype == oracle.frames.dtype
-            assert np.array_equal(conv.outputs.frames, oracle.frames), \
+            assert conv.frames.dtype == oracle.frames.dtype
+            assert np.array_equal(conv.frames, oracle.frames), \
                 f"divergence on net with layers={len(net.layers)}, T={seq.length}"
         assert elapsed < 60.0, f"suite took {elapsed:.1f}s, budget is 60s"
         _report(1, f"{len(runs)} random networks bit-identical to the oracle "
@@ -57,8 +57,8 @@ class TestCriterion2ScheduleEquivalence:
     def test_mwl_exact_mode_bit_identical(self, acceptance_suite, suite_runs):
         runs, _ = suite_runs
         for (net, weights, seq), (oracle, conv) in zip(acceptance_suite, runs):
-            mwl = simulate(net, weights, seq, Policy.mwl, CFG)
-            assert np.array_equal(mwl.outputs.frames, conv.outputs.frames)
+            _, mwl = simulate(net, weights, seq, Policy.mwl, CFG)
+            assert np.array_equal(mwl.frames, conv.frames)
         _report(2, f"{len(runs)} MWL runs (quantization disabled) bit-identical "
                    "to the conventional schedule")
 
@@ -172,9 +172,9 @@ class TestCriterion8Quantization:
         runs, _ = suite_runs
         worst = 1.0
         for (net, weights, seq), (oracle, _) in zip(acceptance_suite, runs):
-            rep = simulate(net, weights, seq, Policy.mwl, CFG,
-                           quant=quant.QuantConfig(8), quant_calibrate=True)
-            cos = cosine_similarity(oracle.frames, rep.outputs.frames)
+            _, out = simulate(net, weights, seq, Policy.mwl, CFG,
+                              quant=quant.QuantConfig(8), quant_calibrate=True)
+            cos = cosine_similarity(oracle.frames, out.frames)
             worst = min(worst, cos)
             assert cos >= 0.999, f"cosine {cos} below bound"
         _report(8, f"round-trip bounds hold exhaustively; quantized-MWL "
@@ -227,32 +227,32 @@ class TestCriterion10EnergyModel:
         net = presets.custom_descriptor(1, 32, False, False)
         weights = random_weights(net, 0)
         seq = presets.random_sequence(net, 8, 1)
-        sim = simulate(net, weights, seq, Policy.conventional, CFG)
+        sim, _ = simulate(net, weights, seq, Policy.conventional, CFG)
         base = energy.account(sim, table)
 
         # zero-run zero-energy
         from test_energy import empty_report
         zero = energy.account(empty_report(), table)
-        assert zero.total == 0.0
+        assert zero["dynamic_total"] == 0.0
 
         # linearity
         doubled = copy.deepcopy(sim)
-        doubled.access = {key: (count, 2 * nbytes)
-                          for key, (count, nbytes) in sim.access.items()}
-        doubled.dpu_ops_per_cu *= 2
-        doubled.mu_ops *= 2
-        assert energy.account(doubled, table).dynamic_total == \
-            pytest.approx(2 * base.dynamic_total, rel=1e-12)
+        for counts in doubled["access_counts"].values():
+            for c in counts.values():
+                c["bytes"] *= 2
+        doubled["dpu_ops_per_cu"] = {g: 2 * n for g, n in sim["dpu_ops_per_cu"].items()}
+        doubled["mu_ops"] *= 2
+        assert energy.account(doubled, table)["dynamic_total"] == \
+            pytest.approx(2 * base["dynamic_total"], rel=1e-12)
 
         # dram-vs-sram ordering
         with pytest.raises(energy.EnergyConfigError):
             energy.EnergyTable(dram_read=0.1e-12)
         moved = copy.deepcopy(sim)
-        wb, dram = (Target.weight_buffer, "r"), (Target.dram, "r")
-        nbytes = moved.access[wb][1]
-        moved.access[wb] = (moved.access[wb][0], 0)
-        moved.access[dram] = (moved.access[dram][0], moved.access[dram][1] + nbytes)
-        assert energy.account(moved, table).dynamic_total > base.dynamic_total
+        wb, dram = (moved["access_counts"][t]["r"] for t in ("weight_buffer", "dram"))
+        dram["bytes"] += wb["bytes"]
+        wb["bytes"] = 0
+        assert energy.account(moved, table)["dynamic_total"] > base["dynamic_total"]
 
     def test_weight_memory_leakage_ratio(self):
         table = energy.EnergyTable()
@@ -260,11 +260,11 @@ class TestCriterion10EnergyModel:
         weights = random_weights(net, 2)
         seq = presets.random_sequence(net, 2, 3)
         a = energy.account(simulate(net, weights, seq, Policy.conventional,
-                                    HardwareConfig()), table)
+                                    HardwareConfig())[0], table)
         b = energy.account(simulate(net, weights, seq, Policy.mwl,
-                                    HW_PRESETS["epur-mwl"]()), table)
-        ra = a.leakage_by_component["weight_memory"] / a.meta["seconds"]
-        rb = b.leakage_by_component["weight_memory"] / b.meta["seconds"]
+                                    HW_PRESETS["epur-mwl"]())[0], table)
+        ra = a["leakage_by_component"]["weight_memory"] / a["meta"]["seconds"]
+        rb = b["leakage_by_component"]["weight_memory"] / b["meta"]["seconds"]
         assert abs(rb / ra - 0.5) <= 0.1
         _report(10, f"energy linearity, zero-run, DRAM/SRAM ordering hold; "
                     f"weight-memory leakage power ratio {rb / ra:.3f} under the "
@@ -276,10 +276,10 @@ class TestCriterion11BandwidthSanity:
         net = presets.preset_descriptor("eesen")
         # 10 s of audio at 100 fps; the realtime figures depend on shapes only
         rep = cost_model(net, 1000, Policy.conventional, CFG, frames_per_second=100.0)
-        mb_s = rep.realtime["bandwidth_bytes_per_s"] / 1e6
+        mb_s = rep["realtime"]["bandwidth_bytes_per_s"] / 1e6
         assert 4.2 / 3 <= mb_s <= 4.2 * 3  # order-of-magnitude check
-        assert rep.realtime["faster_than_realtime"] > 1
+        assert rep["realtime"]["faster_than_realtime"] > 1
         _report(11, f"EESEN at 100 frames/s needs {mb_s:.2f} MB/s of DRAM "
                     "bandwidth (published figure: 4.2 MB/s; input dims "
-                    f"assumed), {rep.realtime['faster_than_realtime']:.0f}x "
+                    f"assumed), {rep['realtime']['faster_than_realtime']:.0f}x "
                     "faster than real time")

@@ -155,20 +155,25 @@ def tiny_net(hidden=16, layers=1, bidirectional=False, peephole=True, seed=0):
     return net, weights
 
 
+def quant_entry(qcfg):
+    """A report's ``quant`` entry before any pass ran."""
+    return dict(qcfg.to_json(), calibrated_per_pass=False, pass_alphas=[])
+
+
 class TestSimulateFunctional:
     def test_conventional_bit_identical_to_oracle(self):
         net, weights = tiny_net(hidden=16, layers=1)
         seq = random_frames(net, 2, 3)
-        rep = simulate(net, weights, seq, Policy.conventional, CFG)
+        _, out = simulate(net, weights, seq, Policy.conventional, CFG)
         want = network_infer(net, weights, seq)
-        assert np.array_equal(rep.outputs.frames, want.frames)
+        assert np.array_equal(out.frames, want.frames)
 
     def test_mwl_exact_mode_bit_identical_to_conventional(self):
         net, weights = tiny_net(hidden=16, layers=2, bidirectional=True)
         seq = random_frames(net, 4, 9)
-        a = simulate(net, weights, seq, Policy.conventional, CFG)
-        b = simulate(net, weights, seq, Policy.mwl, CFG)
-        assert np.array_equal(a.outputs.frames, b.outputs.frames)
+        _, a = simulate(net, weights, seq, Policy.conventional, CFG)
+        _, b = simulate(net, weights, seq, Policy.mwl, CFG)
+        assert np.array_equal(a.frames, b.frames)
 
     def test_mwl_long_sequence_bit_identical_to_oracle(self):
         # the one tier-1 run of the datapath at a long T: LDLRNN, 2000 frames
@@ -176,22 +181,22 @@ class TestSimulateFunctional:
         net = preset_descriptor("ldlrnn")
         weights = random_weights(net, 0)
         seq = random_sequence(net, 2000, 1)
-        rep = simulate(net, weights, seq, Policy.mwl, CFG)
-        assert rep.exact_mode
+        rep, out = simulate(net, weights, seq, Policy.mwl, CFG)
+        assert rep["exact_mode"]
         want = network_infer(net, weights, seq)
-        assert np.array_equal(rep.outputs.frames, want.frames)
+        assert np.array_equal(out.frames, want.frames)
 
     def test_quantized_mwl_close_but_not_exact(self):
         net, weights = tiny_net(hidden=24, layers=1)
         seq = random_frames(net, 6, 4)
-        rep = simulate(net, weights, seq, Policy.mwl, CFG, quant=QuantConfig(8),
-                       quant_calibrate=True)
+        rep, out = simulate(net, weights, seq, Policy.mwl, CFG, quant=QuantConfig(8),
+                            quant_calibrate=True)
         want = network_infer(net, weights, seq)
-        diff = np.abs(rep.outputs.frames.astype(np.float64)
+        diff = np.abs(out.frames.astype(np.float64)
                       - want.frames.astype(np.float64))
         assert diff.max() > 0  # quantization really happened
         # preactivation error is at most half a step; activations contract it
-        assert diff.max() <= QuantConfig(8, rep.pass_alphas[0]).step
+        assert diff.max() <= QuantConfig(8, rep["quant"]["pass_alphas"][0]).step
 
     @pytest.mark.parametrize("seed", range(4))
     def test_calibrated_alpha_is_the_peak_magnitude_rounded_up(self, seed):
@@ -200,25 +205,26 @@ class TestSimulateFunctional:
         rng = np.random.default_rng(seed)
         partials = rng.normal(0, 3, (48, 7)).astype(np.float32)
         partials[seed, seed] = (-1) ** seed * 40.04
-        alphas = []
-        arch._quantize_partials(QuantConfig(8), True, alphas)(partials.copy())
-        assert alphas == [calibrate_alpha(float(np.max(np.abs(partials))))] == [40.1]
+        quant = quant_entry(QuantConfig(8))
+        arch._quantize_partials(quant, True)(partials.copy())
+        assert quant["pass_alphas"] == [calibrate_alpha(float(np.max(np.abs(partials))))] \
+            == [40.1]
 
     def test_calibration_refuses_a_nan_partial(self):
         partials = np.zeros((8, 3), np.float32)
         partials[5, 1] = np.nan
         with pytest.raises(NumericError, match="calibration saw a non-finite"):
-            arch._quantize_partials(QuantConfig(8), True, [])(partials)
+            arch._quantize_partials(quant_entry(QuantConfig(8)), True)(partials)
 
     def test_fp16_simulation_matches_fp16_oracle(self):
         from epursim.model import Precision
         net, weights = random_network(404, max_layers=2, hidden_range=(8, 16),
                                       precision=Precision.fp16)
         seq = random_frames(net, 3, 5)
-        rep = simulate(net, weights, seq, Policy.conventional, CFG)
+        _, out = simulate(net, weights, seq, Policy.conventional, CFG)
         want = network_infer(net, weights, seq)
-        assert rep.outputs.frames.dtype == np.float16
-        assert np.array_equal(rep.outputs.frames, want.frames)
+        assert out.frames.dtype == np.float16
+        assert np.array_equal(out.frames, want.frames)
 
 
 class TestSimulateTiming:
@@ -226,39 +232,39 @@ class TestSimulateTiming:
         net, weights = tiny_net()
         prev = 0
         for T in (1, 2, 5, 9):
-            rep = simulate(net, weights, random_frames(net, T, 1), Policy.conventional, CFG)
-            assert rep.cycles > prev
-            prev = rep.cycles
+            rep, _ = simulate(net, weights, random_frames(net, T, 1), Policy.conventional, CFG)
+            assert rep["cycles"] > prev
+            prev = rep["cycles"]
 
     def test_wider_dpu_never_slower_when_vectors_fill_it(self):
         net, weights = tiny_net(hidden=64)
         seq = random_frames(net, 3, 2)
         cycles = []
         for n in (8, 16, 32, 64):
-            rep = simulate(net, weights, seq, Policy.conventional,
-                           HardwareConfig(dpu_width=n))
-            cycles.append(rep.cycles)
+            rep, _ = simulate(net, weights, seq, Policy.conventional,
+                              HardwareConfig(dpu_width=n))
+            cycles.append(rep["cycles"])
         assert all(a >= b for a, b in zip(cycles, cycles[1:]))
 
     def test_seconds_follow_frequency(self):
         net, weights = tiny_net()
         seq = random_frames(net, 2, 1)
-        rep = simulate(net, weights, seq, Policy.conventional, CFG)
-        assert rep.seconds == pytest.approx(rep.cycles / CFG.frequency_hz)
+        rep, _ = simulate(net, weights, seq, Policy.conventional, CFG)
+        assert rep["seconds"] == pytest.approx(rep["cycles"] / CFG.frequency_hz)
 
     def test_first_layer_fetch_stalls(self):
         net, weights = tiny_net()
-        rep = simulate(net, weights, random_frames(net, 2, 1), Policy.conventional, CFG)
-        assert rep.stall_cycles > 0
-        assert rep.cycles == rep.compute_cycles + rep.stall_cycles
+        rep, _ = simulate(net, weights, random_frames(net, 2, 1), Policy.conventional, CFG)
+        assert rep["stall_cycles"] > 0
+        assert rep["cycles"] == rep["compute_cycles"] + rep["stall_cycles"]
 
     def test_policies_have_similar_cycle_counts(self):
         net, weights = tiny_net(hidden=32)
         seq = random_frames(net, 16, 0)
-        a = simulate(net, weights, seq, Policy.conventional, CFG)
-        b = simulate(net, weights, seq, Policy.mwl, CFG)
+        a, _ = simulate(net, weights, seq, Policy.conventional, CFG)
+        b, _ = simulate(net, weights, seq, Policy.mwl, CFG)
         # the locality schedule does not change the amount of DPU work
-        assert abs(a.cycles - b.cycles) / a.cycles < 0.15
+        assert abs(a["cycles"] - b["cycles"]) / a["cycles"] < 0.15
 
 
 class TestChecksAndErrors:
@@ -269,7 +275,7 @@ class TestChecksAndErrors:
             want = rf"input \[{T}, 16\] != report's \[3, 16\]"
             with pytest.raises(ShapeError, match=want):
                 arch.simulate(net, weights, random_frames(net, T, 0), report)
-        assert report.outputs is None
+        assert report == cost_model(net, 3, Policy.conventional, CFG)
 
     def test_weight_capacity_error_names_layer_and_deficit(self):
         net, weights = tiny_net(hidden=512)
@@ -310,16 +316,16 @@ class TestChecksAndErrors:
 
     def test_run_checks_recorded(self):
         net, weights = tiny_net(layers=2, bidirectional=True)
-        rep = simulate(net, weights, random_frames(net, 3, 1), Policy.mwl, CFG)
-        assert rep.checks == {"dram_counters_consistent": True}
+        rep, _ = simulate(net, weights, random_frames(net, 3, 1), Policy.mwl, CFG)
+        assert rep["checks"] == {"dram_counters_consistent": True}
 
     def test_bandwidth_warning(self):
         net, weights = tiny_net()
         cfg = HardwareConfig(peak_dram_bandwidth=1e3)
         with pytest.warns(RuntimeWarning, match="bandwidth"):
-            rep = simulate(net, weights, random_frames(net, 1, 0),
-                           Policy.conventional, cfg)
-        assert any("bandwidth" in n for n in rep.notes)
+            rep, _ = simulate(net, weights, random_frames(net, 1, 0),
+                              Policy.conventional, cfg)
+        assert any("bandwidth" in n for n in rep["notes"])
 
     def test_row_buffer_fallback_noted(self):
         layer = LayerDescriptor(8, 2000)
@@ -328,10 +334,10 @@ class TestChecksAndErrors:
         seq = random_frames(net, 2, 0)
         with pytest.warns(RuntimeWarning, match=r"forward row \(8000 B\) exceeds the row "
                                                 r"buffer \(4096 B\)"):
-            rep = simulate(net, weights, seq, Policy.mwl, CFG)
-        assert any("row buffer" in n for n in rep.notes)
+            rep, out = simulate(net, weights, seq, Policy.mwl, CFG)
+        assert any("row buffer" in n for n in rep["notes"])
         oracle = network_infer(net, weights, seq)
-        assert np.array_equal(rep.outputs.frames, oracle.frames)
+        assert np.array_equal(out.frames, oracle.frames)
 
 
 class TestSimulateCounters:
@@ -343,30 +349,30 @@ class TestSimulateCounters:
         layer = net.layers[0]
         extras = 4 * T * 16 * 4  # per-element bias scalars, four gates
         for policy in (Policy.conventional, Policy.mwl):
-            rep = simulate(net, weights, seq, policy, CFG)
-            wb = rep.access[Target.weight_buffer, "r"][1]
+            rep, _ = simulate(net, weights, seq, policy, CFG)
+            wb = rep["access_counts"]["weight_buffer"]["r"]["bytes"]
             want = 4 * weight_buffer_read_bytes(layer, T, policy) + extras
             assert wb == want
 
     def test_mwl_partial_traffic_quantized(self):
         net, weights = tiny_net(hidden=16)
         T = 5
-        rep = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG,
-                       quant=QuantConfig(8, 2.0))
-        im = Target.intermediate_memory
+        rep, _ = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG,
+                          quant=QuantConfig(8, 2.0))
+        im = "intermediate_memory"
         partial = 4 * T * 16 * 1  # quantized to one byte per value
         # writes: input staging + h_t write-back + partials
-        assert rep.access[im, "w"][1] == T * 16 * 4 + T * 16 * 4 + partial
-        assert rep.access[im, "r"][1] == T * 16 * 4 + partial
+        assert rep["access_counts"][im]["w"]["bytes"] == T * 16 * 4 + T * 16 * 4 + partial
+        assert rep["access_counts"][im]["r"]["bytes"] == T * 16 * 4 + partial
 
     def test_mwl_partial_traffic_exact_mode_full_precision(self):
         net, weights = tiny_net(hidden=16)
         T = 5
-        rep = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG)
-        im = Target.intermediate_memory
+        rep, _ = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG)
+        im = "intermediate_memory"
         partial = 4 * T * 16 * 4  # partials kept in fp32 when not quantized
-        assert rep.access[im, "w"][1] == T * 16 * 4 + T * 16 * 4 + partial
-        assert rep.access[im, "r"][1] == T * 16 * 4 + partial
+        assert rep["access_counts"][im]["w"]["bytes"] == T * 16 * 4 + T * 16 * 4 + partial
+        assert rep["access_counts"][im]["r"]["bytes"] == T * 16 * 4 + partial
 
     def test_counters_match_materialized_traces(self):
         # the simulator counts events in closed form; the sched module can
@@ -376,8 +382,8 @@ class TestSimulateCounters:
         net = NetworkDescriptor((layer,), input_dim=20)
         weights = weights_for(net, lambda i, d, l: cell_for_layer(l, 7))
         T, qcfg = 6, QuantConfig(8, 2.0)
-        rep = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG,
-                       quant=qcfg)
+        rep, _ = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG,
+                          quant=qcfg)
         trace = trace_mwl(layer, T, elem_bytes=4, quant=qcfg,
                           row_buffer_bytes=CFG.row_buffer_bytes)
 
@@ -386,64 +392,62 @@ class TestSimulateCounters:
             return len(GATES) * int(trace.bytes[(trace.target == TARGETS.index(target))
                                                 & (trace.rw == RW.index(rw))].sum())
 
-        assert rep.access[Target.row_buffer, "r"][1] == \
+        assert rep["access_counts"]["row_buffer"]["r"]["bytes"] == \
             trace_bytes(Target.row_buffer, "r")
-        assert rep.access[Target.row_buffer, "w"][1] == \
+        assert rep["access_counts"]["row_buffer"]["w"]["bytes"] == \
             trace_bytes(Target.row_buffer, "w")
         # simulator adds h_t write-back and input staging on top of partials
         extra_w = T * 12 * 4 + T * 20 * 4
         extra_r = T * 20 * 4
-        assert rep.access[Target.intermediate_memory, "w"][1] == \
+        assert rep["access_counts"]["intermediate_memory"]["w"]["bytes"] == \
             trace_bytes(Target.intermediate_memory, "w") + extra_w
-        assert rep.access[Target.intermediate_memory, "r"][1] == \
+        assert rep["access_counts"]["intermediate_memory"]["r"]["bytes"] == \
             trace_bytes(Target.intermediate_memory, "r") + extra_r
 
     @pytest.mark.parametrize("policy", [Policy.conventional, Policy.mwl])
     def test_cost_model_reads_shapes_only(self, policy):
         T = 4
         net, _ = tiny_net(layers=2, bidirectional=True)
-        want = cost_model(net, T, policy, CFG, frames_per_second=100.0).to_json()
+        want = cost_model(net, T, policy, CFG, frames_per_second=100.0)
         for weight_seed in (0, 1):
             _, weights = tiny_net(layers=2, bidirectional=True, seed=weight_seed)
             for input_seed in (0, 1):
-                rep = simulate(net, weights, random_frames(net, T, input_seed),
-                               policy, CFG, frames_per_second=100.0)
-                assert rep.to_json() == want
+                rep, _ = simulate(net, weights, random_frames(net, T, input_seed),
+                                  policy, CFG, frames_per_second=100.0)
+                assert rep == want
 
     def test_dpu_ops_balanced_and_sized(self):
         net, weights = tiny_net(hidden=32)
         T = 3
-        rep = simulate(net, weights, random_frames(net, T, 0), Policy.conventional, CFG)
+        rep, _ = simulate(net, weights, random_frames(net, T, 0), Policy.conventional, CFG)
         kx = kh = math.ceil(32 / 16)
         per_cu = T * 32 * (kx + kh)
-        assert rep.dpu_ops_per_cu == per_cu
-        assert rep.to_json()["dpu_ops_per_cu"] == dict.fromkeys(GATES, per_cu)
+        assert rep["dpu_ops_per_cu"] == dict.fromkeys(GATES, per_cu)
 
     def test_report_json_schema(self):
         net, weights = tiny_net()
-        rep = simulate(net, weights, random_frames(net, 2, 0), Policy.conventional,
-                       CFG, frames_per_second=100.0)
-        doc = rep.to_json()
+        rep, _ = simulate(net, weights, random_frames(net, 2, 0), Policy.conventional,
+                          CFG, frames_per_second=100.0)
         for key in ("schema_version", "policy", "cycles", "seconds",
                     "access_counts", "dram", "storage", "checks", "hardware",
                     "network", "realtime"):
-            assert key in doc
-        assert doc["realtime"]["frames_per_second"] == 100.0
-        assert doc["hardware"]["weight_mem_bytes_per_cu"] == 4 * 2**20
-        text = rep.text_table()
+            assert key in rep
+        assert rep["realtime"]["frames_per_second"] == 100.0
+        assert rep["hardware"]["weight_mem_bytes_per_cu"] == 4 * 2**20
+        text = arch.text_table(rep)
         assert "cycles" in text and "dram" in text
 
     def test_storage_high_water_marks(self):
         net, weights = tiny_net(hidden=64, peephole=True)
         T = 4
-        conv = simulate(net, weights, random_frames(net, T, 0), Policy.conventional, CFG)
-        mwl = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG)
+        conv, _ = simulate(net, weights, random_frames(net, T, 0), Policy.conventional, CFG)
+        mwl, _ = simulate(net, weights, random_frames(net, T, 0), Policy.mwl, CFG)
         eb = 4
         full_gate = 64 * 64 * eb * 2 + 64 * eb * 2
-        assert conv.storage["weight_bytes_per_cu_hwm"] == full_gate
-        assert mwl.storage["weight_bytes_per_cu_hwm"] == full_gate - 64 * 64 * eb
-        assert mwl.storage["row_buffer_hwm"] == 64 * eb
-        assert conv.storage["row_buffer_hwm"] == 0
+        assert conv["storage"]["weight_bytes_per_cu_hwm"] == full_gate
+        assert mwl["storage"]["weight_bytes_per_cu_hwm"] == full_gate - 64 * 64 * eb
+        assert mwl["storage"]["row_buffer_hwm"] == 64 * eb
+        assert conv["storage"]["row_buffer_hwm"] == 0
 
 
 class TestHardwareConfig:
@@ -524,7 +528,7 @@ def cost_model_doc(net, policy, bits, hw) -> dict:
                          QuantConfig(bits) if bits else None, frames_per_second=100.0)
     except (CapacityError, MuBottleneckError) as e:
         return {"error": f"{type(e).__name__}: {e}"}
-    return json.loads(json.dumps(rep.to_json()))
+    return json.loads(json.dumps(rep))
 
 
 class TestCostModelGoldens:
@@ -553,12 +557,14 @@ class TestCostModelRelations:
     def test_affine_in_t_and_stalls_do_not_grow(self, preset, policy, bits):
         r3, r4, r5 = (shape_report(preset_descriptor(preset), T, policy, bits)
                       for T in (3, 4, 5))
-        assert (r5.compute_cycles - r4.compute_cycles
-                == r4.compute_cycles - r3.compute_cycles)
-        for key in r3.access:
-            for a, b, c in zip(r3.access[key], r4.access[key], r5.access[key]):
-                assert c - b == b - a, key
-        assert r3.stall_cycles >= r4.stall_cycles >= r5.stall_cycles
+        assert (r5["compute_cycles"] - r4["compute_cycles"]
+                == r4["compute_cycles"] - r3["compute_cycles"])
+        for target, counts in r3["access_counts"].items():
+            for rw, a in counts.items():
+                b, c = r4["access_counts"][target][rw], r5["access_counts"][target][rw]
+                for field in a:
+                    assert c[field] - b[field] == b[field] - a[field], (target, rw, field)
+        assert r3["stall_cycles"] >= r4["stall_cycles"] >= r5["stall_cycles"]
 
     @pytest.mark.parametrize("preset, policy, bits", CASES)
     def test_bidirectional_doubles_compute_cycles(self, preset, policy, bits):
@@ -566,7 +572,7 @@ class TestCostModelRelations:
             fwd, bi = (shape_report(NetworkDescriptor((replace(layer, direction=d),),
                                                       layer.input_size), 4, policy, bits)
                        for d in (Direction.forward_only, Direction.bidirectional))
-            assert bi.compute_cycles == 2 * fwd.compute_cycles
+            assert bi["compute_cycles"] == 2 * fwd["compute_cycles"]
 
     @pytest.mark.parametrize("preset, bits", itertools.product(("eesen", "ldlrnn"),
                                                                (None, 8)))
@@ -575,7 +581,7 @@ class TestCostModelRelations:
             conv, mwl = (shape_report(preset_descriptor(preset), T, p, bits)
                          for p in (Policy.conventional, Policy.mwl))
             for rw in ("r", "w"):
-                assert conv.access[Target.dram, rw] == mwl.access[Target.dram, rw]
+                assert conv["access_counts"]["dram"][rw] == mwl["access_counts"]["dram"][rw]
 
 
 @st.composite
@@ -607,9 +613,9 @@ def test_cost_model_reports_or_refuses(net, T, policy, bits, mem):
         rep = cost_model(net, T, policy, cfg, QuantConfig(bits) if bits else None)
     except (CapacityError, MuBottleneckError):
         return
-    assert all(rep.checks.values()), rep.checks
+    assert all(rep["checks"].values()), rep["checks"]
     eb = net.numeric_precision.elem_bytes
-    half = (mem - rep.storage["partial_store_hwm"]) // 2
+    half = (mem - rep["storage"]["partial_store_hwm"]) // 2
     for layer in net.layers:
         assert T * layer.input_size * eb <= half
         assert T * layer.output_size * eb <= half

@@ -159,9 +159,11 @@ class TestInfer:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["output_finite"]
 
-    def test_non_finite_output_exits_6(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cmd", ["infer", "simulate"])
+    def test_non_finite_output_exits_6(self, tmp_path, capsys, cmd):
         # each input.w_x row sums 3e38 + 3e38 (inf in fp32) and then adds
-        # -3e38 * 2 (-inf): the first hidden state is NaN
+        # -3e38 * 2 (-inf): the first hidden state is NaN.  Both commands
+        # name the layer.
         layer = model.LayerDescriptor(2, 4)
         net = model.NetworkDescriptor((layer,), input_dim=4)
 
@@ -175,7 +177,7 @@ class TestInfer:
         save_descriptor(net, desc)
         save_weights(net, [[model.WeightSet(layer, model.Precision.fp32, value_of)]], blob)
         frames.write_text("1,1,2,2\n", encoding="utf-8")
-        rc = run_cli("infer", "--network", str(desc), "--weights", str(blob),
+        rc = run_cli(cmd, "--network", str(desc), "--weights", str(blob),
                      "--input", str(frames))
         assert rc == cli.EXIT_NUMERIC
         captured = capsys.readouterr()
@@ -376,6 +378,26 @@ class TestCompare:
         assert doc["oracle_check_a"]["mode"] == "bit-exact"
         assert doc["oracle_check_b"]["mode"] == "cosine"
 
+    def test_failed_oracle_check_is_named(self, tmp_path, capsys):
+        desc, blob = tmp_path / "net.json", tmp_path / "net.bin"
+        assert run_cli("gen-network", "--layers", "2", "--hidden", "16", "--input-dim", "10",
+                       "--seed", "2", "--out-descriptor", str(desc),
+                       "--out-weights", str(blob)) == cli.EXIT_OK
+        capsys.readouterr()
+        rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "20", "--quantize", "--quant-bits", "6")
+        assert rc == cli.EXIT_CHECK
+        assert capsys.readouterr().err == \
+            "check failed: oracle_check_b (cosine 0.9336 < 0.999)\n"
+
+    def test_failed_checks_share_one_line(self, capsys):
+        reports = [{"checks": {"dram_counters_consistent": True}},
+                   {"checks": {"dram_counters_consistent": False}}]
+        assert not cli._checks_ok(reports, {
+            "oracle_check_a": {"mode": "bit-exact", "passed": False},
+            "oracle_check_b": {"mode": "cosine", "cosine_similarity": 0.99, "passed": True}})
+        assert capsys.readouterr().err == \
+            "check failed: dram_counters_consistent, oracle_check_a (bit-exact)\n"
 
     def test_one_oracle_run_serves_both_sides(self, gen, tmp_path, monkeypatch):
         # counted in a file, which a run in a forked child writes to as well

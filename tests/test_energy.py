@@ -1,12 +1,11 @@
 import copy
 
-import numpy as np
 import pytest
 
 from conftest import cell_for_layer, random_frames, simulate, weights_for
-from epursim.arch import HW_PRESETS, HardwareConfig, SimReport
+from epursim.arch import HW_PRESETS, HardwareConfig
 from epursim.energy import (EnergyConfigError, EnergyTable, account, compare)
-from epursim.model import Direction, LayerDescriptor, NetworkDescriptor, Sequence
+from epursim.model import GATES, Direction, LayerDescriptor, NetworkDescriptor
 from epursim.sched import RW, Policy, Target
 
 TABLE = EnergyTable()
@@ -20,56 +19,60 @@ def square_net(hidden, peephole=False, seed=0):
 
 
 def run(hidden, T, policy, cfg=None, peephole=False):
+    """The report of one simulated run of a square layer."""
     net, weights = square_net(hidden, peephole)
     cfg = cfg or HardwareConfig()
-    return simulate(net, weights, random_frames(net, T, 1), policy, cfg)
+    return simulate(net, weights, random_frames(net, T, 1), policy, cfg)[0]
 
 
 def empty_report():
-    return SimReport(
-        policy=Policy.conventional, exact_mode=True, quant=None, precision="fp32",
-        T=0, cycles=0, compute_cycles=0, stall_cycles=0, seconds=0.0,
-        access={(t, rw): (0, 0) for t in Target for rw in RW}, dpu_ops_per_cu=0,
-        mu_ops=0, dram={"total_bytes": 0}, storage={
-            "weight_banks_per_cu": 0, "intermediate_banks": 0},
-        checks={}, mu_critical_path=0, config=HardwareConfig(),
-        outputs=Sequence(np.zeros((1, 1))), network_summary={},
-    )
+    """A report with no events, no cost model could produce: T = 0.  Its wall
+    time is nonzero, since the energy shares divide by the total."""
+    return {
+        "policy": Policy.conventional.value, "precision": "fp32", "sequence_length": 0,
+        "network": {}, "hardware": HardwareConfig().to_json(), "seconds": 1e-6,
+        "access_counts": {t.value: {rw: {"count": 0, "bytes": 0} for rw in RW}
+                          for t in Target},
+        "dpu_ops_per_cu": dict.fromkeys(GATES, 0), "mu_ops": 0,
+        "storage": {"weight_banks_per_cu": 0, "intermediate_banks": 0},
+    }
 
 
 class TestAccount:
     def test_zero_run_zero_energy(self):
         rep = account(empty_report(), TABLE)
-        assert rep.total == 0.0
-        assert rep.dynamic_total == 0.0
-        assert rep.leakage_total == 0.0
+        assert set(rep["dynamic_by_component"].values()) == {0.0}
+        assert rep["dynamic_total"] == 0.0
+        assert rep["total"] == rep["leakage_total"]
 
     def test_linearity_in_event_counts(self):
         sim = run(16, 4, Policy.conventional)
         base = account(sim, TABLE)
         doubled = copy.deepcopy(sim)
-        doubled.access = {key: (2 * count, 2 * nbytes)
-                          for key, (count, nbytes) in sim.access.items()}
-        doubled.dpu_ops_per_cu *= 2
-        doubled.mu_ops *= 2
+        for counts in doubled["access_counts"].values():
+            for c in counts.values():
+                c["count"] *= 2
+                c["bytes"] *= 2
+        doubled["dpu_ops_per_cu"] = {g: 2 * n for g, n in sim["dpu_ops_per_cu"].items()}
+        doubled["mu_ops"] *= 2
         got = account(doubled, TABLE)
-        assert got.dynamic_total == pytest.approx(2 * base.dynamic_total, rel=1e-12)
-        assert got.leakage_total == pytest.approx(base.leakage_total, rel=1e-12)
+        assert got["dynamic_total"] == pytest.approx(2 * base["dynamic_total"], rel=1e-12)
+        assert got["leakage_total"] == pytest.approx(base["leakage_total"], rel=1e-12)
 
     def test_linearity_in_wall_time(self):
         sim = run(16, 4, Policy.conventional)
         base = account(sim, TABLE)
         slower = copy.deepcopy(sim)
-        slower.seconds *= 3
+        slower["seconds"] *= 3
         got = account(slower, TABLE)
-        assert got.leakage_total == pytest.approx(3 * base.leakage_total, rel=1e-12)
-        assert got.dynamic_total == pytest.approx(base.dynamic_total, rel=1e-12)
+        assert got["leakage_total"] == pytest.approx(3 * base["leakage_total"], rel=1e-12)
+        assert got["dynamic_total"] == pytest.approx(base["dynamic_total"], rel=1e-12)
 
     def test_fractions_sum_to_one(self):
         sim = run(16, 4, Policy.mwl)
         rep = account(sim, TABLE)
-        assert sum(rep.fractions.values()) == pytest.approx(1.0, abs=1e-9)
-        assert 0 < rep.fractions["operations"] < 1
+        assert sum(rep["fractions"].values()) == pytest.approx(1.0, abs=1e-9)
+        assert 0 < rep["fractions"]["operations"] < 1
 
     def test_dram_ordering_enforced_in_table(self):
         with pytest.raises(EnergyConfigError, match="dram"):
@@ -79,12 +82,11 @@ class TestAccount:
         sim = run(16, 4, Policy.conventional)
         base = account(sim, TABLE)
         moved = copy.deepcopy(sim)
-        wb, dram = (Target.weight_buffer, "r"), (Target.dram, "r")
-        nbytes = moved.access[wb][1]
-        moved.access[wb] = (moved.access[wb][0], 0)
-        moved.access[dram] = (moved.access[dram][0], moved.access[dram][1] + nbytes)
+        wb, dram = (moved["access_counts"][t]["r"] for t in ("weight_buffer", "dram"))
+        dram["bytes"] += wb["bytes"]
+        wb["bytes"] = 0
         got = account(moved, TABLE)
-        assert got.dynamic_total > base.dynamic_total
+        assert got["dynamic_total"] > base["dynamic_total"]
 
 
 class TestWeightBufferRatio:
@@ -92,8 +94,8 @@ class TestWeightBufferRatio:
         T = 100
         a = account(run(32, T, Policy.conventional), TABLE)
         b = account(run(32, T, Policy.mwl), TABLE)
-        ratio = (b.dynamic_by_component["weight_buffer"]
-                 / a.dynamic_by_component["weight_buffer"])
+        ratio = (b["dynamic_by_component"]["weight_buffer"]
+                 / a["dynamic_by_component"]["weight_buffer"])
         assert abs(ratio - 0.5) <= 1 / T + 0.005
 
 
@@ -121,12 +123,12 @@ class TestCompare:
         net, weights = square_net(512)
         seq = random_frames(net, 2, 0)
         a = account(simulate(net, weights, seq, Policy.conventional,
-                             HardwareConfig()), TABLE)
-        b = account(simulate(net, weights, seq, Policy.mwl, HW_PRESETS["epur-mwl"]()),
+                             HardwareConfig())[0], TABLE)
+        b = account(simulate(net, weights, seq, Policy.mwl, HW_PRESETS["epur-mwl"]())[0],
                     TABLE)
         # normalize out the (slightly) different wall times
-        ra = a.leakage_by_component["weight_memory"] / a.meta["seconds"]
-        rb = b.leakage_by_component["weight_memory"] / b.meta["seconds"]
+        ra = a["leakage_by_component"]["weight_memory"] / a["meta"]["seconds"]
+        rb = b["leakage_by_component"]["weight_memory"] / b["meta"]["seconds"]
         assert abs(rb / ra - 0.5) <= 0.1
 
     def test_mismatched_metadata_refused(self):
@@ -142,8 +144,7 @@ class TestTableSerialization:
             EnergyTable(mu_op=-1.0)
 
     def test_report_json(self):
-        rep = account(run(16, 2, Policy.conventional), TABLE)
-        doc = rep.to_json()
+        doc = account(run(16, 2, Policy.conventional), TABLE)
         assert set(doc) >= {"dynamic_by_component", "leakage_by_component",
                             "total", "fractions", "meta"}
-        assert doc["total"] == pytest.approx(rep.total)
+        assert doc["total"] == pytest.approx(doc["dynamic_total"] + doc["leakage_total"])

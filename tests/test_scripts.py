@@ -53,7 +53,7 @@ def test_output_identity_matrix_repeats(tmp_path):
                                              "--against", str(ROOT)])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     entries = json.loads(manifest.read_text(encoding="utf-8")).values()
-    assert {e["exit"] for e in entries} == {0, 2, 3, 4, 5, 7}
+    assert {e["exit"] for e in entries} == {0, 2, 3, 4, 5, 6, 7}
     # both forms of the MU refusal
     assert sum(e["stderr"].startswith("check failed: ") and "MU" in e["stderr"]
                for e in entries) == 2
