@@ -29,12 +29,12 @@ def sweep(hidden: int, ts: list[int]) -> list[dict]:
         mrb = mwl[Target.row_buffer]
         rows.append({
             "T": T,
-            "conventional_read_bytes": cwb.read_bytes,
-            "mwl_read_bytes": mwb.read_bytes,
-            "read_ratio": mwb.read_bytes / cwb.read_bytes,
-            "conventional_max_reuse": cwb.max_reuse_distance,
-            "mwl_forward_max_reuse": mrb.max_reuse_distance,
-            "mwl_recurrent_max_reuse": mwb.max_reuse_distance,
+            "conventional_read_bytes": cwb["read_bytes"],
+            "mwl_read_bytes": mwb["read_bytes"],
+            "read_ratio": mwb["read_bytes"] / cwb["read_bytes"],
+            "conventional_max_reuse": cwb["max_reuse_distance"],
+            "mwl_forward_max_reuse": mrb["max_reuse_distance"],
+            "mwl_recurrent_max_reuse": mwb["max_reuse_distance"],
             "conventional_min_storage": weight_storage_bytes(conv),
             "mwl_min_storage": weight_storage_bytes(mwl),
         })

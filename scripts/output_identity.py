@@ -11,13 +11,16 @@ matrix covers every subcommand: four generated networks (EESEN, LDLRNN, a
 2x16 fp16 bidirectional peephole network and a 1x8 layer whose 4400-byte
 forward rows overflow the row buffer), both schedules, exact, quantized
 (calibrated and not) runs, the trace CSV, runs that warn with and without
-it, and refusals for each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 6 is
-a non-finite output, from ``infer`` and ``simulate``; exit 7 comes from
-quantized runs below their oracle check's cosine bound and from both MU
-refusals, a latency tail longer than a timestep and more issue slots per
-element than the DPU's interval.  The exit-6 runs read a 1x2 network and
+it, and refusals for each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 3
+includes a hardware config whose DRAM fetch takes a non-finite number of
+cycles, and exit 5 a capacity refusal whose weight blob is missing (the
+weights are read after the cost model).  Exit 6 is a non-finite output,
+from ``infer`` and ``simulate``; exit 7 comes from quantized runs below
+their oracle check's cosine bound and from both MU refusals, a latency
+tail longer than a timestep and more issue slots per element than the
+DPU's interval.  The exit-6 runs read a 1x2 network and
 its input, and the issue-slot refusal a 1x1 network; the setup writes them
-with the hardware configs, so they are not among the 32 recorded commands.
+with the hardware configs, so they are not among the 34 recorded commands.
 ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
 A checkout's matrix runs in a new process that imports ``epursim`` from
@@ -57,6 +60,8 @@ ROOT = Path(__file__).resolve().parents[1]
 HW_FILES = {
     "bad_hw.json": {"dpu_width": 12},
     "small_hw.json": {"weight_mem_bytes_per_cu": 1024},
+    # finite, but a DRAM fetch takes more cycles than a float holds
+    "tiny_bw_hw.json": {"peak_dram_bandwidth": 1e-300},
     "slow_exp_hw.json": {"op_latency": {"exp": 400}},
     # a 1-wide DPU at unit mul and add latency: a recurrent dot of length 1
     # every 3 cycles, under the 4 issue slots of the cell updater's MU
@@ -133,9 +138,10 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--layer", "1", "--trace-csv", "reuse_mwl.csv", "--out", "reuse_mwl.json"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--trace-csv", "reuse_wide.csv", "--out", "reuse_wide.json"],
-        # refusals: exit 2 seven times, then 3 twice, 4 (after a warning), 5,
-        # 6 twice (a non-finite output) and 7 twice (the MU's latency tail,
-        # then its issue slots)
+        # refusals: exit 2 seven times, then 3 three times, 4 (after a
+        # warning), 5 twice (the second with no weight blob), 6 twice (a
+        # non-finite output) and 7 twice (the MU's latency tail, then its
+        # issue slots)
         ["simulate", *net("ldlrnn"), "--quantize", "--quant-bits", "20"],
         ["simulate", *net("ldlrnn"), "--policy", "mwl", "--quantize", "--alpha", "1e-310"],
         ["quantize-sweep", *net("ldlrnn"), "--alpha", "1e-310"],
@@ -146,9 +152,12 @@ def matrix(tiny: bool) -> list[list[str]]:
         ["compare", *net("ldlrnn"), "--policy-a", "bogus"],
         ["simulate", *net("ldlrnn"), "--hw-config", "bad_hw.json"],
         ["simulate", *net("ldlrnn"), "--synthetic-t", "-1"],
+        ["simulate", *net("ldlrnn"), "--hw-config", "tiny_bw_hw.json"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--out", "missing/reuse.json"],
         ["simulate", *net("ldlrnn"), "--hw-config", "small_hw.json"],
+        ["simulate", "--network", "ldlrnn.json", "--weights", "missing.bin",
+         "--hw-config", "small_hw.json"],
         ["infer", *net("nan"), "--input", "x.csv"],
         ["simulate", *net("nan"), "--input", "x.csv"],
         ["simulate", *net("wide"), "--hw-config", "slow_exp_hw.json"],

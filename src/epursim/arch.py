@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+import sys
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
@@ -72,10 +73,20 @@ class HardwareConfig:
     bank_bytes: int = 256 * 2**10
 
     def __post_init__(self):
+        # a bool is an int to Python, but no count or size
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and type(v) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "float" and (type(v) not in (int, float)
+                                      or not abs(v) <= sys.float_info.max):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         n = self.dpu_width
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"dpu_width must be a power of two, got {n}")
         for k, v in self.op_latency.items():
+            if type(v) is not int:
+                raise ValueError(f"op latency {k} must be an integer, got {v!r}")
             if v < 1:
                 raise ValueError(f"op latency {k} must be >= 1, got {v}")
         for name in ("weight_mem_bytes_per_cu", "input_mem_bytes_per_cu",
@@ -86,9 +97,8 @@ class HardwareConfig:
             raise ValueError("frequency and bandwidth must be positive")
         if self.mu_comm_cycles < 1:
             raise ValueError("mu_comm_cycles must be >= 1")
-
-    def to_json(self) -> dict:
-        return asdict(self)
+        if self.dram_latency_s < 0:
+            raise ValueError(f"dram_latency_s must be >= 0, got {self.dram_latency_s}")
 
     @classmethod
     def from_json(cls, obj: dict,
@@ -138,31 +148,36 @@ def dpu_dot_cycles(m: int, cfg: HardwareConfig) -> int:
 # ---------------------------------------------------------------------------
 # multifunctional-unit plan
 
-@dataclass
+@dataclass(frozen=True)
 class MuOp:
     gate: str
     name: str
     fu: str  # add | mul | exp | div | move | link
     deps: tuple[str, ...]
-    start: int = -1
-    latency: int = 0
+    start: int
+    latency: int
 
     @property
     def ready(self) -> int:
         return self.start + self.latency
 
 
-def _mu_op_list(peephole: bool) -> list[MuOp]:
-    """Dependency graph of the per-element MU work, all four gates.
+def mu_plan(cfg: HardwareConfig, peephole: bool = True) -> dict[str, MuOp]:
+    """ASAP schedule of the per-element MU dependency graph (all gates),
+    keyed "gate.name".  ``output.mul_h``'s ``ready`` cycle is the critical
+    path: when h_t is ready, measured from DPU output delivery.
 
     Dep names are "gate.op"; sigmoid is negate/exp/+1/reciprocal, tanh is the
     two-exponential ratio, matching the stage table of the design.  Sends run
-    on dedicated links and deliver their value when they complete.
+    on dedicated links and deliver their value when they complete.  Ops are
+    added in topological order, so an op starts when its last dep is ready.
     """
-    ops: list[MuOp] = []
+    plan: dict[str, MuOp] = {}
 
     def add(gate, name, fu, *deps):
-        ops.append(MuOp(gate, name, fu, deps))
+        latency = cfg.mu_comm_cycles if fu == "link" else cfg.op_latency[fu]
+        start = max((plan[d].ready for d in deps), default=0)
+        plan[f"{gate}.{name}"] = MuOp(gate, name, fu, deps, start, latency)
 
     for gate in ("input", "forget"):
         add(gate, "load", "move")  # R0 = DPU output
@@ -212,19 +227,7 @@ def _mu_op_list(peephole: bool) -> list[MuOp]:
     add(g, "recip", "div", f"{g}.inc")  # o_t
     add(g, "move_phi", "move", "cell_updater.send_phi")
     add(g, "mul_h", "mul", f"{g}.recip", f"{g}.move_phi")  # h_t
-    return ops
-
-
-def mu_plan(cfg: HardwareConfig, peephole: bool = True) -> dict[str, MuOp]:
-    """ASAP schedule of the per-element MU dependency graph (all gates),
-    keyed "gate.name".  ``output.mul_h``'s ``ready`` cycle is the critical
-    path: when h_t is ready, measured from DPU output delivery."""
-    scheduled: dict[str, MuOp] = {}
-    for op in _mu_op_list(peephole):  # the list is already in topological order
-        op.latency = cfg.mu_comm_cycles if op.fu == "link" else cfg.op_latency[op.fu]
-        op.start = max((scheduled[d].ready for d in op.deps), default=0)
-        scheduled[f"{op.gate}.{op.name}"] = op
-    return scheduled
+    return plan
 
 
 def mu_initiation_interval(plan: dict[str, MuOp], gate: str) -> int:
@@ -340,8 +343,15 @@ def _check_capacity(net: NetworkDescriptor, T: int, policy: Policy,
 
 
 def _dram_fetch_cycles(nbytes: int, cfg: HardwareConfig) -> int:
+    """Cycles to fetch ``nbytes`` from DRAM.  Raises ConfigError when the
+    config makes them non-finite."""
     per_cycle = cfg.peak_dram_bandwidth / cfg.frequency_hz
-    return math.ceil(nbytes / per_cycle) + math.ceil(cfg.dram_latency_s * cfg.frequency_hz)
+    transfer = nbytes / per_cycle if per_cycle else math.inf
+    latency = cfg.dram_latency_s * cfg.frequency_hz
+    if not math.isfinite(transfer + latency):
+        raise ConfigError(f"bad hardware config: a DRAM fetch of {nbytes} B takes "
+                          "a non-finite number of cycles")
+    return math.ceil(transfer) + math.ceil(latency)
 
 
 def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
@@ -486,7 +496,11 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
         stall_cycles += max(0, cur.dram_fetch_cycles - prev.compute_cycles)
 
     cycles = compute_cycles + stall_cycles
-    seconds = cycles / cfg.frequency_hz
+    # an int past a float's range cannot be divided by one
+    seconds = cycles / cfg.frequency_hz if cycles <= sys.float_info.max else math.inf
+    if not math.isfinite(seconds):
+        raise ConfigError(f"bad hardware config: the run's cycles take a non-finite "
+                          f"time at frequency_hz {cfg.frequency_hz}")
 
     dram_summary = dram_traffic(net, T)
     avg_bw = dram_summary["total_bytes"] / seconds
@@ -518,7 +532,7 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
         "schema_version": 2,
         "policy": policy.value,
         "exact_mode": quant is None,
-        "quant": (dict(quant.to_json(), calibrated_per_pass=False, pass_alphas=[])
+        "quant": (dict(asdict(quant), calibrated_per_pass=False, pass_alphas=[])
                   if quant is not None else None),
         "precision": net.numeric_precision.value,
         "sequence_length": T,
@@ -527,7 +541,7 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
             "precision": net.numeric_precision.value,
             "layers": descriptor_to_json(net)["layers"],
         },
-        "hardware": cfg.to_json(),
+        "hardware": asdict(cfg),
         "cycles": cycles,
         "compute_cycles": compute_cycles,
         "stall_cycles": stall_cycles,

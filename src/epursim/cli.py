@@ -94,14 +94,13 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
-                                int, Callable[[], model.Sequence]]:
-    """The network, its weights, the input's frame count T and a call that
-    returns the input sequence.  An --input file is read here, since T is
-    its frame count; a synthetic sequence is drawn only when the call is
-    made, so a run refused from shapes and T allocates no frames."""
+def _load_inputs(args) -> tuple[model.NetworkDescriptor, int,
+                                Callable[[], model.Sequence]]:
+    """The network, the input's frame count T and a call that returns the
+    input sequence.  An --input file is read here, since T is its frame
+    count; a synthetic sequence is drawn only when the call is made, so a
+    run refused from shapes and T allocates no frames."""
     net = netio.load_descriptor(args.network)
-    weights = netio.load_weights(net, args.weights)
     if args.input:
         loaded = netio.load_sequence(args.input)
         # activations are stored at the network's precision on chip; a value
@@ -111,12 +110,12 @@ def _load_inputs(args) -> tuple[model.NetworkDescriptor, model.NetworkWeights,
         seq = model.Sequence(frames)
         if seq.dim != net.input_dim:
             raise model.ShapeError(f"input dim {seq.dim} != network input_dim {net.input_dim}")
-        return net, weights, seq.length, lambda: seq
+        return net, seq.length, lambda: seq
     _check_seed("--synthetic-seed", args.synthetic_seed)
     T = args.synthetic_t
     if T < 1:
         raise model.ShapeError(f"sequence must be [T>=1, dim], got {(T, net.input_dim)}")
-    return net, weights, T, partial(presets.random_sequence, net, T, args.synthetic_seed)
+    return net, T, partial(presets.random_sequence, net, T, args.synthetic_seed)
 
 
 def _hw_config(args) -> arch.HardwareConfig:
@@ -125,7 +124,7 @@ def _hw_config(args) -> arch.HardwareConfig:
     if args.hw_config:
         try:
             obj = json.loads(Path(args.hw_config).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # bad JSON or UTF-8, or an int past Python's digit limit
             raise arch.ConfigError(f"{args.hw_config}: not valid JSON: {e}") from e
         return arch.HardwareConfig.from_json(obj, base=cfg)
     return cfg
@@ -334,7 +333,8 @@ def cmd_gen_network(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    net, weights, _, sequence = _load_inputs(args)
+    net, _, sequence = _load_inputs(args)
+    weights = netio.load_weights(net, args.weights)
     seq = sequence()
     out = model.network_infer(net, weights, seq)
     report = {
@@ -368,13 +368,14 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
                      frames_per_second: float | None = None):
     """Simulate each (policy, quantization) run with the inputs and hardware
     of args, beside one oracle run; each run gives its (report, outputs).
-    Every cost model runs first, so a refused run draws no synthetic frames
-    and starts no inference; the datapaths and the oracle are independent
-    and run concurrently."""
-    net, weights, T, sequence = _load_inputs(args)
+    Every cost model runs first, so a refused run reads no weights, draws
+    no synthetic frames and starts no inference; the datapaths and the
+    oracle are independent and run concurrently."""
+    net, T, sequence = _load_inputs(args)
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
                for policy, qcfg in runs]
+    weights = netio.load_weights(net, args.weights)
     seq = sequence()
     *results, oracle = _concurrently(
         [partial(arch.simulate, net, weights, seq, rep, args.calibrate)
@@ -460,7 +461,7 @@ def cmd_analyze_reuse(args) -> int:
     for i, per_dir in traces:
         # a layer's directions and gates share one trace
         stats = sched.reuse_analysis(per_dir[0])
-        result = {"stats": dict.fromkeys(model.GATES, {tgt.value: st.to_json()
+        result = {"stats": dict.fromkeys(model.GATES, {tgt.value: st
                                                        for tgt, st in stats.items()}),
                   "weight_storage_bytes": dict.fromkeys(
                       model.GATES, sched.weight_storage_bytes(stats))}
@@ -544,7 +545,9 @@ def cmd_quantize_sweep(args) -> int:
     for r in rows:
         print(f"{r['n_bits']:>4}  {r['quant_step']:>12.5g}  "
               f"{r['max_abs_error']:>12.5g}  {r['cosine_similarity']:>10.7f}")
-    return EXIT_OK
+    # no oracle check: low bit widths are expected to fall below the bound
+    ok = _checks_ok([rep for rep, _ in results], {})
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,17 @@ class WeightSet:
     """All four gates of one LSTM cell (one direction of one layer).
 
     The weights are held once, in the layout the datapath reads: fp32
-    views of one array of the cell's values, with the four gates stacked
-    row-wise in STACK_ORDER (see ``stacked``).  An fp16 cell rounds every
-    value through fp16 before it is held, so its values are those fp16
-    storage would hold.
+    views of one array of the cell's values.  ``stacked`` is the four
+    gates' forward matrix [4h, input_size], recurrent matrix [4h, h] and
+    bias [4h], stacked row-wise in STACK_ORDER; ``peepholes`` is None, or
+    on a peephole layer the input and forget gates' vectors as [2, h] and
+    the output gate's [h].  An fp16 cell rounds every value through fp16
+    before it is held, so its values are those fp16 storage would hold.
+
+    Stacking is a pure row concatenation: per-row accumulation order is
+    unchanged, so results are bit-identical to per-gate evaluation.  The
+    matrices are stored Fortran-ordered (shape unchanged), so a column
+    mat[:, k] and the transpose the dot kernels stream are contiguous.
     """
 
     def __init__(self, layer: LayerDescriptor, precision: Precision,
@@ -147,13 +154,11 @@ class WeightSet:
         # the [4h, K] matrices are Fortran-ordered: each is the transpose
         # of a C-ordered [K, 4h] run of the store, which the kernels stream
         wh_at, b_at, p_at = 4 * h * nx, 4 * h * (nx + h), 4 * h * (nx + h + 1)
-        self._stacked = (store[:wh_at].reshape(nx, 4 * h).T,
-                         store[wh_at:b_at].reshape(h, 4 * h).T,
-                         store[b_at:p_at])
-        peep = (store[p_at:p_at + 3 * h].reshape(len(PEEPHOLE_GATES), h)
-                if layer.peephole else None)
-        self._peep = peep
-        self._peepholes = None if peep is None else (peep[:2], peep[2])
+        self.stacked = (store[:wh_at].reshape(nx, 4 * h).T,
+                        store[wh_at:b_at].reshape(h, 4 * h).T,
+                        store[b_at:p_at])
+        peep = store[p_at:p_at + 3 * h].reshape(-1, h)  # no rows without peepholes
+        self.peepholes = (peep[:2], peep[2]) if layer.peephole else None
         dt = precision.storage_dtype
         for name, dst in self.parts():
             src = np.asarray(value_of(name, dst.shape))
@@ -177,31 +182,19 @@ class WeightSet:
         is ``"{gate}.{field}"``; a gate's rows are where STACK_ORDER puts
         them."""
         h = self.layer.hidden_size
-        wx, wh, b = self._stacked
+        wx, wh, b = self.stacked
+        peeps = {}
+        if self.peepholes is not None:
+            peep_if, peep_o = self.peepholes
+            peeps = dict(zip(PEEPHOLE_GATES, (*peep_if, peep_o)))
         out = []
         for g in GATES:
             i = STACK_ORDER.index(g)
             rows = slice(i * h, (i + 1) * h)
             out += [(f"{g}.w_x", wx[rows]), (f"{g}.w_h", wh[rows]), (f"{g}.bias", b[rows])]
-            if self._peep is not None and g in PEEPHOLE_GATES:
-                out.append((f"{g}.peephole", self._peep[PEEPHOLE_GATES.index(g)]))
+            if g in peeps:
+                out.append((f"{g}.peephole", peeps[g]))
         return out
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The four gates' fp32 forward matrix [4h, input_size], recurrent
-        matrix [4h, h] and bias [4h], stacked row-wise in STACK_ORDER.
-
-        Stacking is a pure row concatenation: per-row accumulation order is
-        unchanged, so results are bit-identical to per-gate evaluation.  The
-        matrices are stored Fortran-ordered (shape unchanged), so a column
-        mat[:, k] and the transpose the dot kernels stream are contiguous.
-        """
-        return self._stacked
-
-    def stacked_peepholes(self) -> tuple[np.ndarray, np.ndarray]:
-        """fp32 peephole vectors of a peephole layer: input and forget
-        stacked as [2, hidden], and the output gate's [hidden]."""
-        return self._peepholes
 
 
 #: A whole network's weights: per layer, one weight set per direction.
@@ -395,14 +388,14 @@ def prepare_step(weights: WeightSet, z: np.ndarray, c: np.ndarray,
     products), of the bias and of the peepholes, the fp32 state ``c`` and
     ``h``, and the storage dtype of an fp16 cell (None for fp32)."""
     n = weights.layer.hidden_size
-    _, _, bias = weights.stacked()
+    _, _, bias = weights.stacked
     dt = weights.precision.storage_dtype
     gates = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
     state = c, h, (None if dt == ACC_DTYPE else dt)
     if not weights.layer.peephole:
         # the output gate joins the others' bias add and sigmoid
         return (z, bias, z[n:], *gates, None, *state)
-    peep_if, peep_o = weights.stacked_peepholes()
+    peep_if, peep_o = weights.peepholes
     peep = (z[n:3 * n].reshape(2, n), peep_if, np.empty((2, n), ACC_DTYPE),
             peep_o, bias[3 * n:])
     return (z[:3 * n], bias[:3 * n], z[n:3 * n], *gates, peep, *state)
@@ -458,7 +451,7 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     """
     T = frames.shape[0]
     n = weights.layer.hidden_size
-    wx, wh, _ = weights.stacked()
+    wx, wh, _ = weights.stacked
 
     # einsum needs no ufunc buffer; the multiply-and-add kernels want one row
     buffer = nullcontext() if EINSUM_IN_ORDER else _one_row_ufunc_buffer(4 * n)

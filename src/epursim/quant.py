@@ -47,9 +47,6 @@ class QuantConfig:
         """Bytes one stored code occupies (byte-aligned)."""
         return (self.n_bits + 7) // 8
 
-    def to_json(self) -> dict:
-        return {"n_bits": self.n_bits, "alpha": self.alpha}
-
 
 def quantize(values: np.ndarray, cfg: QuantConfig) -> np.ndarray:
     """Store the fp32 array ``values`` as codes and read them back, in place.

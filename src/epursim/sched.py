@@ -165,25 +165,10 @@ def layer_traces(layer: LayerDescriptor, T: int, policy: Policy,
 # ---------------------------------------------------------------------------
 # reuse analysis (exact LRU stack distances, Mattson et al. 1970)
 
-@dataclass
-class TargetStats:
-    access_count: int = 0
-    read_bytes: int = 0
-    write_bytes: int = 0
-    distinct_bytes: int = 0
-    reuse_count: int = 0
-    max_reuse_distance: int = 0
-    total_reuse_distance: int = 0
-    min_buffer_bytes: int = 0
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
-
-def weight_storage_bytes(stats: dict[Target, TargetStats]) -> int:
+def weight_storage_bytes(stats: dict[Target, dict]) -> int:
     """Smallest weight storage with no capacity refetch: the sum of the
     weight-holding buffers' minimal LRU capacities."""
-    return sum(stats[tgt].min_buffer_bytes
+    return sum(stats[tgt]["min_buffer_bytes"]
                for tgt in (Target.weight_buffer, Target.row_buffer) if tgt in stats)
 
 
@@ -230,9 +215,10 @@ def _live_sums(size: np.ndarray, nxt: np.ndarray, lo: np.ndarray,
 
 
 def _analyze_stream(obj: np.ndarray, nbytes: np.ndarray,
-                    write: np.ndarray) -> TargetStats:
+                    write: np.ndarray) -> dict:
     """Access totals and exact LRU stack distances of one stream of object
-    ids, their access bytes and a write mask.
+    ids, their access bytes and a write mask, in the form ``analyze-reuse``
+    writes.
 
     The distance of a reuse at i is the bytes of the distinct objects
     touched since the previous access to the same object (at ``prev``),
@@ -251,22 +237,22 @@ def _analyze_stream(obj: np.ndarray, nbytes: np.ndarray,
     nxt[before] = reuse
     dist = _live_sums(size, nxt, before, reuse)
     max_dist = int(dist.max(initial=0))
-    return TargetStats(
-        access_count=n,
-        read_bytes=int(nbytes[~write].sum()),
-        write_bytes=int(nbytes[write].sum()),
-        distinct_bytes=int(nbytes[order[first]].sum()),
-        reuse_count=len(dist),
-        max_reuse_distance=max_dist,
-        total_reuse_distance=int(dist.sum()),
-        min_buffer_bytes=max(max_dist, int(nbytes.max())),
-    )
+    return {
+        "access_count": n,
+        "read_bytes": int(nbytes[~write].sum()),
+        "write_bytes": int(nbytes[write].sum()),
+        "distinct_bytes": int(nbytes[order[first]].sum()),
+        "reuse_count": len(dist),
+        "max_reuse_distance": max_dist,
+        "total_reuse_distance": int(dist.sum()),
+        "min_buffer_bytes": max(max_dist, int(nbytes.max())),
+    }
 
 
-def reuse_analysis(gt: GateTrace) -> dict[Target, TargetStats]:
-    """Exact LRU stack distances of a trace, in byte units, per target in
-    order of first access.  The four gates share the trace, so this is
-    every gate's result."""
+def reuse_analysis(gt: GateTrace) -> dict[Target, dict]:
+    """Exact LRU stack distances of a trace, in byte units: a stats dict
+    per target, in order of first access.  The four gates share the trace,
+    so this is every gate's result."""
     if not len(gt):
         raise ValueError("trace is empty")
     codes, first_at = np.unique(gt.target, return_index=True)

@@ -86,10 +86,10 @@ class TestCriterion4ReuseDistances:
         eb = 4
         conv = sched.reuse_analysis(sched.trace_conventional(layer, 4))
         mwl = sched.reuse_analysis(sched.trace_mwl(layer, 4))
-        assert conv[Target.weight_buffer].max_reuse_distance \
+        assert conv[Target.weight_buffer]["max_reuse_distance"] \
             == hidden * nx * eb + hidden * hidden * eb
-        assert mwl[Target.row_buffer].max_reuse_distance == nx * eb
-        assert mwl[Target.weight_buffer].max_reuse_distance == hidden * hidden * eb
+        assert mwl[Target.row_buffer]["max_reuse_distance"] == nx * eb
+        assert mwl[Target.weight_buffer]["max_reuse_distance"] == hidden * hidden * eb
 
     def test_report(self):
         _report(4, "LRU stack distances: conventional = both matrices, MWL "

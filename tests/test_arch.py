@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -157,7 +158,7 @@ def tiny_net(hidden=16, layers=1, bidirectional=False, peephole=True, seed=0):
 
 def quant_entry(qcfg):
     """A report's ``quant`` entry before any pass ran."""
-    return dict(qcfg.to_json(), calibrated_per_pass=False, pass_alphas=[])
+    return dict(dataclasses.asdict(qcfg), calibrated_per_pass=False, pass_alphas=[])
 
 
 class TestSimulateFunctional:
@@ -479,7 +480,7 @@ class TestHardwareConfig:
         # the MU ops (links ride wires and have no latency entry), the
         # quantizer's ops and the DPU's multiplier and adder tree: a latency
         # that none of them reads could change no cycle count
-        mu = {op.fu for peephole in (False, True) for op in arch._mu_op_list(peephole)}
+        mu = {op.fu for peephole in (False, True) for op in mu_plan(HardwareConfig(), peephole).values()}
         quantizer = {fu for fu, _ in arch._QUANT_FU_OPS}
         assert set(arch.DEFAULT_OP_LATENCY) == (mu - {"link"}) | quantizer | {"mul", "add"}
 
@@ -491,7 +492,7 @@ class TestHardwareConfig:
 
     def test_json_round_trip(self):
         cfg = HW_PRESETS["epur-mwl"](frequency_hz=600e6)
-        back = HardwareConfig.from_json(cfg.to_json())
+        back = HardwareConfig.from_json(dataclasses.asdict(cfg))
         assert back == cfg
 
     def test_dpu_width_must_be_power_of_two(self):

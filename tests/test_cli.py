@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import random_weights, save_descriptor, save_weights
-from epursim import arch, cli, model, presets, sched
+from epursim import arch, cli, model, netio, presets, sched
 from epursim.netio import load_sequence
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -277,7 +278,7 @@ class TestSimulate:
         run_cli("gen-network", "--layers", "1", "--hidden", "512", "--seed", "1",
                 "--out-descriptor", str(desc), "--out-weights", str(blob))
         hw = tmp_path / "hw.json"
-        cfg = arch.HardwareConfig().to_json()
+        cfg = dataclasses.asdict(arch.HardwareConfig())
         cfg["weight_mem_bytes_per_cu"] = 2**20
         hw.write_text(json.dumps(cfg), encoding="utf-8")
         rc = run_cli("simulate", "--network", str(desc), "--weights", str(blob),
@@ -464,6 +465,11 @@ class TestBoundary:
         rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
                      "--synthetic-t", "3")
         assert rc == cli.EXIT_CHECK
+        capsys.readouterr()
+        rc = run_cli("quantize-sweep", "--network", str(desc), "--weights", str(blob),
+                     "--synthetic-t", "3", "--min-bits", "8", "--max-bits", "9")
+        assert rc == cli.EXIT_CHECK
+        assert capsys.readouterr().err == "check failed: dram_counters_consistent\n"
 
     def test_quant_bits_out_of_range(self, gen, capsys):
         rc = self.simulate(gen, "--policy", "mwl", "--quantize", "--quant-bits", "20")
@@ -635,6 +641,27 @@ class TestBoundary:
     def test_hw_config_zero_exits_3(self, gen, tmp_path, key, message, capsys):
         hw = tmp_path / "hw.json"
         hw.write_text(json.dumps({key: 0}), encoding="utf-8")
+        assert self.simulate(gen, "--hw-config", str(hw)) == cli.EXIT_PARSE
+        assert self.one_line(capsys) == f"error: bad hardware config: {message}\n"
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"frequency_hz": float("inf")}, "frequency_hz must be a finite number, got inf"),
+        ({"peak_dram_bandwidth": float("nan")},
+         "peak_dram_bandwidth must be a finite number, got nan"),
+        ({"dram_latency_s": float("inf")}, "dram_latency_s must be a finite number, got inf"),
+        # finite, but the fetch cycles are not
+        ({"peak_dram_bandwidth": 1e-300},
+         "a DRAM fetch of 8640 B takes a non-finite number of cycles"),
+        ({"frequency_hz": 1e-320},
+         "the run's cycles take a non-finite time at frequency_hz 1e-320"),
+        ({"dram_latency_s": -1}, "dram_latency_s must be >= 0, got -1"),
+        ({"op_latency": {"mul": 2.5}, "mu_comm_cycles": 1.5},
+         "mu_comm_cycles must be an integer, got 1.5"),
+        ({"dpu_width": True}, "dpu_width must be an integer, got True"),
+    ])
+    def test_unusable_hw_config_value_exits_3(self, gen, tmp_path, doc, message, capsys):
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps(doc), encoding="utf-8")
         assert self.simulate(gen, "--hw-config", str(hw)) == cli.EXIT_PARSE
         assert self.one_line(capsys) == f"error: bad hardware config: {message}\n"
 
@@ -1053,6 +1080,18 @@ class TestHostMemory:
                                "--synthetic-t", str(10**8), "--policy", "conventional",
                                exit_code=cli.EXIT_CAPACITY)
         assert peak < 200 * 2**20, peak / 2**20
+
+    def test_run_refused_from_shapes_reads_no_weights(self, tmp_path, capsys):
+        # LDLRNN's weights overflow a 1 KiB weight memory, which the cost
+        # model finds from the shapes alone: the blob is never opened
+        desc, hw = tmp_path / "ldlrnn.json", tmp_path / "hw.json"
+        desc.write_bytes(netio.descriptor_to_bytes(presets.preset_descriptor("ldlrnn")))
+        hw.write_text(json.dumps({"weight_mem_bytes_per_cu": 1024}), encoding="utf-8")
+        rc = run_cli("simulate", "--network", str(desc), "--weights",
+                     str(tmp_path / "missing.bin"), "--hw-config", str(hw))
+        assert rc == cli.EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and len(err.splitlines()) == 1, err
 
 
 class TestConcurrently:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import pytest
 
@@ -30,7 +31,7 @@ def empty_report():
     time is nonzero, since the energy shares divide by the total."""
     return {
         "policy": Policy.conventional.value, "precision": "fp32", "sequence_length": 0,
-        "network": {}, "hardware": HardwareConfig().to_json(), "seconds": 1e-6,
+        "network": {}, "hardware": dataclasses.asdict(HardwareConfig()), "seconds": 1e-6,
         "access_counts": {t.value: {rw: {"count": 0, "bytes": 0} for rw in RW}
                           for t in Target},
         "dpu_ops_per_cu": dict.fromkeys(GATES, 0), "mu_ops": 0,

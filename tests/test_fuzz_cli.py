@@ -1,6 +1,8 @@
-"""Random descriptor JSON, weight blobs and input sequences fed through the
-command line: every run ends in a documented exit code, and a failed run
-prints one line on stderr and no traceback."""
+"""Random descriptor JSON, weight blobs, input sequences and hardware
+configs fed through the command line: every run ends in a documented exit
+code, and a failed run prints one line on stderr and no traceback."""
+import copy
+import dataclasses
 import json
 import struct
 import warnings
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from epursim import cli
+from epursim import arch, cli
 from epursim.netio import MAGIC, VERSION
 
 # what a parser may answer: ok, parse/format, numeric, or a failed check
@@ -188,6 +190,39 @@ def test_synthetic_input_options(tmp_path, capsys, net, t, seed):
     assert run(capsys, "infer", "--network", str(net), "--weights",
                str(net_weights(tmp_path, capsys)), "--synthetic-t", str(t),
                "--synthetic-seed", str(seed), documented={want}) == want
+
+
+_HW = dataclasses.asdict(arch.HardwareConfig())
+# any JSON scalar, half the time one at an edge: non-finite, subnormal, past
+# a float's range, a bool or a string where a number goes
+_hw_edges = st.sampled_from([None, True, False, -1, 0, 1, 2.5, 1e-300, 1e-320, 10**400,
+                             float("inf"), -float("inf"), float("nan"), "", "3"])
+_hw_scalars = st.booleans().flatmap(lambda edge: _hw_edges if edge else (
+    st.integers() | st.floats() | st.text(max_size=3)))
+
+
+@pytest.mark.parametrize("key", sorted(k for k in _HW if k != "op_latency")
+                         + [f"op_latency.{k}" for k in arch.DEFAULT_OP_LATENCY])
+@settings(FUZZ, max_examples=6)
+@given(value=_hw_scalars, policy=st.sampled_from(["conventional", "mwl"]))
+def test_hw_config_field(tmp_path, capsys, key, value, policy):
+    # a valid config with one field (or one op latency) replaced: ok,
+    # refused as a bad config or for capacity, or an MU bottleneck.  The
+    # 1x8 network runs under the valid config (NET's MU tail would refuse
+    # it), so the cost model sees the value.
+    desc, weights = tmp_path / "hw_net.json", tmp_path / "hw_net.bin"
+    if not desc.exists():
+        cli.main(["gen-network", "--layers", "1", "--hidden", "8", "--input-dim", "4",
+                  "--out-descriptor", str(desc), "--out-weights", str(weights)])
+        capsys.readouterr()
+    doc = copy.deepcopy(_HW)
+    table, _, name = key.rpartition(".")
+    (doc[table] if table else doc)[name] = value
+    hw = tmp_path / "hw.json"
+    hw.write_text(json.dumps(doc), encoding="utf-8")
+    run(capsys, "simulate", "--network", str(desc), "--weights", str(weights),
+        "--synthetic-t", "2", "--policy", policy, "--hw-config", str(hw),
+        documented={cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_CAPACITY, cli.EXIT_CHECK})
 
 
 def test_fp16_input_past_range_exits_6_with_one_line(tmp_path, capsys):

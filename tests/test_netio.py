@@ -192,7 +192,8 @@ class TestWeightBlob:
     def test_short_blob_is_refused_before_allocation(self, tmp_path, capsys, values):
         # one stacked forward matrix of this layer would take 16 EiB, so the
         # blob's size must be checked against the descriptor before any
-        # weight array is allocated
+        # weight array is allocated (infer: simulate's cost model refuses
+        # these shapes before it reads the blob)
         size = 2**30
         assert size < MAX_SIZE
         desc, path = tmp_path / "net.json", tmp_path / "w.bin"
@@ -201,7 +202,7 @@ class TestWeightBlob:
         path.write_bytes(struct.pack("<4sIII", b"LSTW", 1, 0, 0) + bytes(4 * values))
         with pytest.raises(FormatError, match="short"):
             load_weights(load_descriptor(desc), path)
-        rc = cli.main(["simulate", "--network", str(desc), "--weights", str(path),
+        rc = cli.main(["infer", "--network", str(desc), "--weights", str(path),
                        "--synthetic-t", "2"])
         assert rc == cli.EXIT_PARSE
         err = capsys.readouterr().err
@@ -312,11 +313,10 @@ class TestWeightsHeldOnce:
         for layer, sets in zip(net.layers, weights):
             h = layer.hidden_size
             for ws in sets:
-                wx, wh, b = ws.stacked()
-                peep_if, peep_o = ws.stacked_peepholes()
-                assert all(x is y for x, y in zip(ws.stacked(), ws.stacked()))
-                assert all(x is y for x, y in zip(ws.stacked_peepholes(),
-                                                  ws.stacked_peepholes()))
+                wx, wh, b = ws.stacked
+                peep_if, peep_o = ws.peepholes
+                assert all(x is y for x, y in zip(ws.stacked, ws.stacked))
+                assert all(x is y for x, y in zip(ws.peepholes, ws.peepholes))
                 peeps = {"input": peep_if[0], "forget": peep_if[1], "output": peep_o}
                 p = dict(ws.parts())
                 for g in GATES:
@@ -344,7 +344,7 @@ class TestWeightsHeldOnce:
         for layer, sets in zip(net.layers, weights):
             h, nx = layer.hidden_size, layer.input_size
             for ws in sets:
-                wx, wh, b = ws.stacked()
+                wx, wh, b = ws.stacked
                 assert wx.shape == (4 * h, nx) and wh.shape == (4 * h, h)
                 for mat in (wx, wh):
                     assert mat.dtype == np.float32

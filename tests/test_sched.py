@@ -41,7 +41,7 @@ class TestConventionalTrace:
         trace = trace_conventional(layer, 1)
         assert wb_read_bytes_from_trace(trace) == wx + wh
         stats = reuse_analysis(trace)[Target.weight_buffer]
-        assert stats.reuse_count == 0  # every access compulsory
+        assert stats["reuse_count"] == 0  # every access compulsory
 
     def test_t3_reads_every_weight_byte_three_times(self):
         layer = LayerDescriptor(5, 7)
@@ -53,8 +53,8 @@ class TestConventionalTrace:
         layer = LayerDescriptor(320, 320)
         trace = trace_conventional(layer, 2)
         st = reuse_analysis(trace)[Target.weight_buffer]
-        assert st.max_reuse_distance == 2 * 320 * 320 * 4
-        assert st.min_buffer_bytes == 2 * 320 * 320 * 4
+        assert st["max_reuse_distance"] == 2 * 320 * 320 * 4
+        assert st["min_buffer_bytes"] == 2 * 320 * 320 * 4
 
     def test_interleaves_per_neuron(self):
         layer = LayerDescriptor(3, 3)
@@ -83,13 +83,13 @@ class TestMwlTrace:
     def test_forward_phase_reuse_is_one_row(self):
         layer = LayerDescriptor(24, 40)
         rb = reuse_analysis(trace_mwl(layer, 6))[Target.row_buffer]
-        assert rb.max_reuse_distance == 40 * 4
-        assert rb.min_buffer_bytes == 40 * 4
+        assert rb["max_reuse_distance"] == 40 * 4
+        assert rb["min_buffer_bytes"] == 40 * 4
 
     def test_recurrent_phase_reuse_is_recurrent_matrix(self):
         layer = LayerDescriptor(24, 40)
         wb = reuse_analysis(trace_mwl(layer, 6))[Target.weight_buffer]
-        assert wb.max_reuse_distance == 24 * 24 * 4
+        assert wb["max_reuse_distance"] == 24 * 24 * 4
 
     def test_min_weight_storage_is_recurrent_plus_one_row(self):
         layer = LayerDescriptor(16, 16)
@@ -155,9 +155,9 @@ class TestClosedFormCounts:
 class TestReuseAnalysis:
     def test_single_repeated_row(self):
         st = stream_stats([0] * 3, [64] * 3, [False] * 3)
-        assert st.max_reuse_distance == 64
-        assert st.reuse_count == 2
-        assert st.min_buffer_bytes == 64
+        assert st["max_reuse_distance"] == 64
+        assert st["reuse_count"] == 2
+        assert st["min_buffer_bytes"] == 64
 
     def test_permutation_sensitive(self):
         layer = LayerDescriptor(6, 6)
@@ -167,8 +167,8 @@ class TestReuseAnalysis:
         grouped = np.argsort(gt.obj, kind="stable")
         sorted_stats = stream_stats(gt.obj[grouped], gt.bytes[grouped],
                                     gt.rw[grouped] == RW.index("w"))
-        assert sorted_stats.max_reuse_distance < base.max_reuse_distance
-        assert sorted_stats.max_reuse_distance == 6 * 4  # one row
+        assert sorted_stats["max_reuse_distance"] < base["max_reuse_distance"]
+        assert sorted_stats["max_reuse_distance"] == 6 * 4  # one row
 
     def test_deterministic(self):
         layer = LayerDescriptor(5, 9)
@@ -181,10 +181,10 @@ class TestReuseAnalysis:
         layer = LayerDescriptor(6, 6)
         gt = trace_conventional(layer, 3)
         write = gt.rw == RW.index("w")
-        base = stream_stats(gt.obj, gt.bytes, write).total_reuse_distance
+        base = stream_stats(gt.obj, gt.bytes, write)["total_reuse_distance"]
         shuffled = np.random.default_rng(5).permutation(len(gt))
         assert stream_stats(gt.obj[shuffled], gt.bytes[shuffled],
-                            write[shuffled]).total_reuse_distance != base
+                            write[shuffled])["total_reuse_distance"] != base
 
     def test_empty_trace_rejected(self):
         layer = LayerDescriptor(2, 2)
@@ -197,7 +197,7 @@ class TestReuseAnalysis:
     def test_min_buffer_not_more_than_footprint(self):
         layer = LayerDescriptor(10, 14)
         st = reuse_analysis(trace_conventional(layer, 3))[Target.weight_buffer]
-        assert st.min_buffer_bytes <= st.distinct_bytes
+        assert st["min_buffer_bytes"] <= st["distinct_bytes"]
 
     @staticmethod
     def _brute_force(obj, nbytes):
@@ -227,9 +227,9 @@ class TestReuseAnalysis:
         nbytes = [sizes.setdefault(o, size) for o, size in accesses]
         got = stream_stats(obj, nbytes, [False] * len(obj))
         reuses, max_dist, total = self._brute_force(obj, nbytes)
-        assert got.reuse_count == reuses
-        assert got.max_reuse_distance == max_dist
-        assert got.total_reuse_distance == total
+        assert got["reuse_count"] == reuses
+        assert got["max_reuse_distance"] == max_dist
+        assert got["total_reuse_distance"] == total
 
     # long enough that the kernel's merge-sort tree spans several levels,
     # with lengths that are rarely a power of two
@@ -243,23 +243,23 @@ class TestReuseAnalysis:
         nbytes = [sizes.setdefault(o, size) for o, size, _ in accesses]
         write = [w for _, _, w in accesses]
         got = stream_stats(obj, nbytes, write)
-        assert (got.reuse_count, got.max_reuse_distance,
-                got.total_reuse_distance) == self._brute_force(obj, nbytes)
-        assert got.access_count == len(obj)
-        assert got.write_bytes == sum(b for b, w in zip(nbytes, write) if w)
-        assert got.read_bytes == sum(b for b, w in zip(nbytes, write) if not w)
-        assert got.distinct_bytes == sum(sizes.values())
+        assert (got["reuse_count"], got["max_reuse_distance"],
+                got["total_reuse_distance"]) == self._brute_force(obj, nbytes)
+        assert got["access_count"] == len(obj)
+        assert got["write_bytes"] == sum(b for b, w in zip(nbytes, write) if w)
+        assert got["read_bytes"] == sum(b for b, w in zip(nbytes, write) if not w)
+        assert got["distinct_bytes"] == sum(sizes.values())
 
     def test_one_event_stream(self):
         st_ = stream_stats([0], [7], [True])
-        assert st_.to_json() == dict(
+        assert st_ == dict(
             access_count=1, read_bytes=0, write_bytes=7, distinct_bytes=7,
             reuse_count=0, max_reuse_distance=0, total_reuse_distance=0,
             min_buffer_bytes=7)
 
     def test_stream_without_reuse(self):
         st_ = stream_stats(range(5), [k + 1 for k in range(5)], [False] * 5)
-        assert st_.to_json() == dict(
+        assert st_ == dict(
             access_count=5, read_bytes=15, write_bytes=0, distinct_bytes=15,
             reuse_count=0, max_reuse_distance=0, total_reuse_distance=0,
             min_buffer_bytes=5)
@@ -268,7 +268,7 @@ class TestReuseAnalysis:
         # as recorded from the Fenwick-tree implementation: every distance
         # counts object 0 at 5 bytes and object 1 at 3
         assert stream_stats([0, 1, 0, 1, 0], [5, 3, 9, 1, 2],
-                            [False] * 5).to_json() == dict(
+                            [False] * 5) == dict(
             access_count=5, read_bytes=20, write_bytes=0, distinct_bytes=8,
             reuse_count=3, max_reuse_distance=8, total_reuse_distance=24,
             min_buffer_bytes=9)
@@ -290,7 +290,7 @@ class TestReuseGoldens:
 
     @staticmethod
     def check(trace, per_target):
-        got = {t.value: st.to_json() for t, st in reuse_analysis(trace).items()}
+        got = {t.value: st for t, st in reuse_analysis(trace).items()}
         assert json.dumps(got) == json.dumps(per_target)
 
     def test_mwl_quantized_partials(self):
