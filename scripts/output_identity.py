@@ -13,14 +13,18 @@ forward rows overflow the row buffer), both schedules, exact, quantized
 (calibrated and not) runs, the trace CSV, runs that warn with and without
 it, and refusals for each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 3
 includes a hardware config whose DRAM fetch takes a non-finite number of
-cycles, and exit 5 a capacity refusal whose weight blob is missing (the
-weights are read after the cost model).  Exit 6 is a non-finite output,
-from ``infer`` and ``simulate``; exit 7 comes from quantized runs below
-their oracle check's cosine bound and from both MU refusals, a latency
-tail longer than a timestep and more issue slots per element than the
-DPU's interval.  The exit-6 runs read a 1x2 network and
-its input, and the issue-slot refusal a 1x1 network; the setup writes them
-with the hardware configs, so they are not among the 34 recorded commands.
+cycles and a weight blob one value short, and exit 5 a capacity refusal
+whose weight blob is missing (the weights are read after the cost model).
+Exit 6 is a non-finite output, from ``infer`` and ``simulate``, and a NaN
+weight in the second layer, from ``simulate`` and ``compare``, which read
+the weights one layer at a time; the short blob is refused by both as
+well.  Exit 7 comes from quantized runs below their oracle check's cosine
+bound and from both MU refusals, a latency tail longer than a timestep and
+more issue slots per element than the DPU's interval.  The non-finite
+output runs read a 1x2 network and its input, the bad blobs are made from
+a 2x8 network, and the issue-slot refusal reads a 1x1 network; the setup
+writes them with the hardware configs, so they are not among the 38
+recorded commands.
 ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
 A checkout's matrix runs in a new process that imports ``epursim`` from
@@ -68,9 +72,12 @@ HW_FILES = {
     "fast_dpu_hw.json": {"dpu_width": 1, "op_latency": {"mul": 1, "add": 1}},
 }
 
-# the network of the issue-slot refusal, written before the matrix runs
-SETUP = ["gen-network", "--layers", "1", "--hidden", "1", "--input-dim", "1",
-         "--out-descriptor", "one.json", "--out-weights", "one.bin"]
+# the networks written before the matrix runs: the issue-slot refusal's,
+# and the 2x8 network the bad weight blobs are made from
+SETUP = [["gen-network", "--layers", "1", "--hidden", "1", "--input-dim", "1",
+          "--out-descriptor", "one.json", "--out-weights", "one.bin"],
+         ["gen-network", "--layers", "2", "--hidden", "8", "--input-dim", "3",
+          "--out-descriptor", "two.json", "--out-weights", "two.bin"]]
 
 
 def write_nan_network() -> None:
@@ -88,6 +95,20 @@ def write_nan_network() -> None:
     Path("nan.bin").write_bytes(b"LSTW" + struct.pack("<3I", 1, 0, 0)
                                 + struct.pack(f"<{len(values)}f", *values))
     Path("x.csv").write_text("1,1,2,2\n", encoding="utf-8")
+
+
+def write_bad_blobs() -> None:
+    """Two bad blobs of SETUP's 2x8 network, each beside a copy of its
+    descriptor: ``nan1.bin``, whose first layer-1 weight (input.w_x[0, 0])
+    is NaN, and ``short.bin``, one value short."""
+    desc, blob = Path("two.json").read_bytes(), bytearray(Path("two.bin").read_bytes())
+    # after the header, layer 0's four gates of w_x [8, 3], w_h [8, 8], bias [8]
+    at = 16 + 4 * 4 * (8 * 3 + 8 * 8 + 8)
+    Path("short.bin").write_bytes(bytes(blob[:-4]))
+    blob[at:at + 4] = struct.pack("<f", float("nan"))
+    Path("nan1.bin").write_bytes(bytes(blob))
+    for name in ("nan1", "short"):
+        Path(f"{name}.json").write_bytes(desc)
 
 
 def matrix(tiny: bool) -> list[list[str]]:
@@ -138,9 +159,10 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--layer", "1", "--trace-csv", "reuse_mwl.csv", "--out", "reuse_mwl.json"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--trace-csv", "reuse_wide.csv", "--out", "reuse_wide.json"],
-        # refusals: exit 2 seven times, then 3 three times, 4 (after a
-        # warning), 5 twice (the second with no weight blob), 6 twice (a
-        # non-finite output) and 7 twice (the MU's latency tail, then its
+        # refusals: exit 2 seven times, then 3 five times (the last two on
+        # a short blob), 4 (after a warning), 5 twice (the second with no
+        # weight blob), 6 four times (a non-finite output, then a NaN
+        # weight in layer 1) and 7 twice (the MU's latency tail, then its
         # issue slots)
         ["simulate", *net("ldlrnn"), "--quantize", "--quant-bits", "20"],
         ["simulate", *net("ldlrnn"), "--policy", "mwl", "--quantize", "--alpha", "1e-310"],
@@ -153,6 +175,8 @@ def matrix(tiny: bool) -> list[list[str]]:
         ["simulate", *net("ldlrnn"), "--hw-config", "bad_hw.json"],
         ["simulate", *net("ldlrnn"), "--synthetic-t", "-1"],
         ["simulate", *net("ldlrnn"), "--hw-config", "tiny_bw_hw.json"],
+        ["simulate", *net("short")],
+        ["compare", *net("short")],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--out", "missing/reuse.json"],
         ["simulate", *net("ldlrnn"), "--hw-config", "small_hw.json"],
@@ -160,6 +184,8 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--hw-config", "small_hw.json"],
         ["infer", *net("nan"), "--input", "x.csv"],
         ["simulate", *net("nan"), "--input", "x.csv"],
+        ["simulate", *net("nan1")],
+        ["compare", *net("nan1")],
         ["simulate", *net("wide"), "--hw-config", "slow_exp_hw.json"],
         ["simulate", *net("one"), "--synthetic-t", "2", "--policy", "mwl",
          "--hw-config", "fast_dpu_hw.json"],
@@ -178,8 +204,10 @@ def run_matrix(tiny: bool) -> dict:
         Path(name).write_text(json.dumps(doc), encoding="utf-8")
     write_nan_network()
     with contextlib.redirect_stdout(io.StringIO()):
-        if cli.main(SETUP) != 0:
-            raise SystemExit(f"error: setup failed: {' '.join(SETUP)}")
+        for argv in SETUP:
+            if cli.main(argv) != 0:
+                raise SystemExit(f"error: setup failed: {' '.join(argv)}")
+    write_bad_blobs()
     manifest = {}
     for argv in matrix(tiny):
         before = set(os.listdir())

@@ -15,14 +15,14 @@ import math
 import sys
 import warnings
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable
 
 import numpy as np
 
 from .model import (GATES, PEEPHOLE_GATES, LayerDescriptor,
-                    NetworkDescriptor, NetworkWeights, PartialsHook, Sequence,
-                    ShapeError, cell_weight_bytes, gate_matrix_bytes,
+                    NetworkDescriptor, PartialsHook, Sequence, ShapeError,
+                    WeightSet, cell_weight_bytes, gate_matrix_bytes,
                     gate_weight_bytes, network_infer)
 from .netio import descriptor_to_json
 from .quant import QuantConfig, calibrate_alpha, quantize
@@ -425,17 +425,20 @@ def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
 # ---------------------------------------------------------------------------
 # the simulator
 
-def _quantize_partials(quant: dict, calibrate: bool) -> PartialsHook:
-    """partials_hook of the quantized MWL schedule, from a report's ``quant``
-    entry: the forward partials are stored as n-bit codes and read back as
-    the table's values, in place.
+def datapath_hook(report: dict, calibrate: bool = False) -> PartialsHook | None:
+    """The partials hook of ``report``'s datapath: None in exact mode; for
+    the quantized MWL schedule, one that stores the forward partials as
+    n-bit codes and reads them back as the table's values, in place.
 
     With ``calibrate`` each pass uses its own clamp magnitude (the measured
     peak |partial|, rounded up), standing in for an offline calibration run:
     the dequantization constants travel with each layer's weights anyway.
-    The hook then appends the alpha it applied to the entry's
-    ``pass_alphas``, one per pass, and sets its ``calibrated_per_pass``.
+    The hook then appends the alpha it applied to the report's
+    ``quant.pass_alphas``, one per pass, and sets its ``calibrated_per_pass``.
     """
+    quant = report["quant"]
+    if quant is None:
+        return None
     qcfg = QuantConfig(quant["n_bits"], quant["alpha"])
 
     def hook(partials: np.ndarray) -> np.ndarray:
@@ -561,12 +564,12 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
     }
 
 
-def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
+def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet]], inp: Sequence,
              report: dict, quant_calibrate: bool = False) -> tuple[dict, Sequence]:
     """``report`` (``cost_model``'s report of ``net`` over ``inp``'s length)
     and the datapath's outputs.  ``quant_calibrate`` swaps the clamp
     magnitude of the report's quant for a per-pass calibrated one, recorded
-    in the report, which is returned since a forked run updates a copy.
+    in the report (see ``datapath_hook``).
 
     The refusals of a run (capacity, MU bottleneck) are ``cost_model``'s, so
     a caller learns of them before any datapath work starts.
@@ -577,9 +580,7 @@ def simulate(net: NetworkDescriptor, weights: NetworkWeights, inp: Sequence,
                          f"[{T}, {net.input_dim}]")
     # both schedules run the one ordered accumulation; quantized MWL stores
     # its hoisted forward partials as codes
-    quant = report["quant"]
-    hook = _quantize_partials(quant, quant_calibrate) if quant is not None else None
-    return report, network_infer(net, weights, inp, hook)
+    return report, network_infer(net, weights, inp, datapath_hook(report, quant_calibrate))
 
 
 def text_table(report: dict) -> str:

@@ -97,25 +97,31 @@ def _json_text(obj: dict) -> str:
 def _load_inputs(args) -> tuple[model.NetworkDescriptor, int,
                                 Callable[[], model.Sequence]]:
     """The network, the input's frame count T and a call that returns the
-    input sequence.  An --input file is read here, since T is its frame
-    count; a synthetic sequence is drawn only when the call is made, so a
-    run refused from shapes and T allocates no frames."""
+    input sequence.  Of a binary --input file only the header is read here,
+    checked against the network's input dim and the file's size (a CSV is
+    read in full, since T is its row count); its frames are read and checked
+    finite, and a synthetic sequence drawn, only when the call is made, so
+    a run refused from shapes and T allocates no frames."""
     net = netio.load_descriptor(args.network)
     if args.input:
-        loaded = netio.load_sequence(args.input)
-        # activations are stored at the network's precision on chip; a value
-        # past fp16's range becomes inf, which Sequence refuses (exit 6)
-        with np.errstate(over="ignore"):
-            frames = loaded.frames.astype(net.numeric_precision.storage_dtype)
-        seq = model.Sequence(frames)
-        if seq.dim != net.input_dim:
-            raise model.ShapeError(f"input dim {seq.dim} != network input_dim {net.input_dim}")
-        return net, seq.length, lambda: seq
-    _check_seed("--synthetic-seed", args.synthetic_seed)
-    T = args.synthetic_t
+        T, dim, read = netio.open_sequence(args.input)
+
+        def sequence() -> model.Sequence:
+            # activations are stored at the network's precision on chip; a
+            # value past fp16's range becomes inf, which Sequence refuses
+            # (exit 6)
+            with np.errstate(over="ignore"):
+                return model.Sequence(read().astype(net.numeric_precision.storage_dtype,
+                                                    copy=False))
+    else:
+        _check_seed("--synthetic-seed", args.synthetic_seed)
+        T, dim = args.synthetic_t, net.input_dim
+        sequence = partial(presets.random_sequence, net, T, args.synthetic_seed)
     if T < 1:
-        raise model.ShapeError(f"sequence must be [T>=1, dim], got {(T, net.input_dim)}")
-    return net, T, partial(presets.random_sequence, net, T, args.synthetic_seed)
+        raise model.ShapeError(f"sequence must be [T>=1, dim], got {(T, dim)}")
+    if dim != net.input_dim:
+        raise model.ShapeError(f"input dim {dim} != network input_dim {net.input_dim}")
+    return net, T, sequence
 
 
 def _hw_config(args) -> arch.HardwareConfig:
@@ -128,6 +134,16 @@ def _hw_config(args) -> arch.HardwareConfig:
             raise arch.ConfigError(f"{args.hw_config}: not valid JSON: {e}") from e
         return arch.HardwareConfig.from_json(obj, base=cfg)
     return cfg
+
+
+def _cpu_slots() -> int:
+    """How many calls ``_concurrently`` runs at once: one per CPU in this
+    process's affinity, the caller's own included, or one without
+    ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _concurrently(calls: list[Callable[[], object]]) -> list:
@@ -151,9 +167,7 @@ def _concurrently(calls: list[Callable[[], object]]) -> list:
     an error of the caller's own (KeyboardInterrupt included), the children
     still running are killed.
     """
-    n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    slots = n_cpus - 1 if hasattr(os, "fork") else 0
+    slots = _cpu_slots() - 1
     outcomes: list[tuple[bool, object] | None] = [None] * len(calls)
     children: dict[int, tuple[int, int, list[bytes]]] = {}  # fd: (call, pid, chunks)
 
@@ -334,9 +348,9 @@ def cmd_gen_network(args) -> int:
 
 def cmd_infer(args) -> int:
     net, _, sequence = _load_inputs(args)
-    weights = netio.load_weights(net, args.weights)
-    seq = sequence()
-    out = model.network_infer(net, weights, seq)
+    with netio.load_weights(net, args.weights) as weights:
+        seq = sequence()
+        out = model.network_infer(net, weights, seq)
     report = {
         "sequence_length": seq.length,
         "input_dim": seq.dim,
@@ -368,20 +382,36 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
                      frames_per_second: float | None = None):
     """Simulate each (policy, quantization) run with the inputs and hardware
     of args, beside one oracle run; each run gives its (report, outputs).
-    Every cost model runs first, so a refused run reads no weights, draws
-    no synthetic frames and starts no inference; the datapaths and the
-    oracle are independent and run concurrently."""
+    Every cost model runs first, so a refused run reads no weights or input
+    frames, draws no synthetic frames and starts no inference.  The runs,
+    the oracle last, are then cut in call order into one group per CPU
+    slot, and the groups run concurrently, each stepping its runs through
+    one read of the weight blob (``_infer_group``)."""
     net, T, sequence = _load_inputs(args)
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
                for policy, qcfg in runs]
-    weights = netio.load_weights(net, args.weights)
-    seq = sequence()
-    *results, oracle = _concurrently(
-        [partial(arch.simulate, net, weights, seq, rep, args.calibrate)
-         for rep in reports]
-        + [lambda: model.network_infer(net, weights, seq).frames])
+    run_reports = [*reports, None]  # None: the oracle
+    n = min(_cpu_slots(), len(run_reports))
+    cuts = [len(run_reports) * g // n for g in range(n + 1)]
+    with netio.load_weights(net, args.weights) as weights:
+        seq = sequence()
+        groups = _concurrently(
+            [partial(_infer_group, net, weights, seq, run_reports[a:b], args.calibrate)
+             for a, b in zip(cuts, cuts[1:])])
+    *results, oracle = [result for group in groups for result in group]
     return net, seq, results, oracle
+
+
+def _infer_group(net: model.NetworkDescriptor, weights: netio.WeightStream,
+                 seq: model.Sequence, reports: list[dict | None], calibrate: bool) -> list:
+    """Each run's result, its runs stepped in lockstep through one read of
+    ``weights``, one layer at a time: a report's run gives the report and
+    its datapath's outputs, and the None run, the oracle, gives the
+    reference model's output frames."""
+    hooks = [None if rep is None else arch.datapath_hook(rep, calibrate) for rep in reports]
+    outs = model.infer_in_lockstep(net, weights, seq, hooks)
+    return [out.frames if rep is None else (rep, out) for rep, out in zip(reports, outs)]
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,10 +15,10 @@ results in exact mode.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -491,18 +491,43 @@ def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
     return Sequence(np.concatenate([fwd, bwd[::-1]], axis=1))
 
 
-def network_infer(net: NetworkDescriptor, weights: NetworkWeights,
+def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet]],
                   inp: Sequence, partials_hook: PartialsHook | None = None) -> Sequence:
     """Fold layer_infer over the stack; returns the last hidden layer's output.
+    ``weights`` gives each layer's weight sets in turn: a NetworkWeights, or
+    a ``netio.WeightStream``, which reads a layer only when it is reached.
     Layer 0 refuses an input that does not match ``net.input_dim``.  An error
-    names the layer that raised it."""
-    seq = inp
-    for i, layer in enumerate(net.layers):
-        try:
-            seq = layer_infer(layer, weights[i], seq, partials_hook)
-        except (ShapeError, NumericError) as e:
-            raise type(e)(f"layer {i}: {e}") from e
-    return seq
+    of a layer names the layer that raised it."""
+    return infer_in_lockstep(net, weights, inp, [partials_hook])[0]
+
+
+def infer_in_lockstep(net: NetworkDescriptor, weights: Iterable[list[WeightSet]],
+                      inp: Sequence, hooks: list[PartialsHook | None]) -> list[Sequence]:
+    """``network_infer`` of ``inp`` once per partials hook, the runs in
+    lockstep: every run passes through layer i before layer i+1's weight
+    sets are taken from ``weights``, so each layer is taken once.
+
+    The error raised is the first failing run's, in hook order; once a run
+    fails, the runs after it stop, since their errors could not be the one
+    raised.  It is raised after every layer's weight sets have been taken,
+    so that an error of ``weights`` itself (a short blob, a non-finite
+    weight) comes first and unprefixed, as if all were taken before any run.
+    """
+    seqs = [inp] * len(hooks)
+    failed: tuple[int, Exception] | None = None
+    for i, (layer, sets) in enumerate(zip(net.layers, weights, strict=True)):
+        for r in range(len(hooks) if failed is None else failed[0]):
+            try:
+                try:
+                    seqs[r] = layer_infer(layer, sets, seqs[r], hooks[r])
+                except (ShapeError, NumericError) as e:
+                    raise type(e)(f"layer {i}: {e}") from e
+            except Exception as e:  # raised below, once every layer is taken
+                failed = r, e
+                break
+    if failed is not None:
+        raise failed[1]
+    return seqs
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ import math
 import os
 import struct
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .model import (ACC_DTYPE, Direction, LayerDescriptor, NetworkDescriptor,
-                    NetworkWeights, Precision, Sequence, WeightSet, _as_finite,
-                    cell_weight_bytes, network_weight_bytes)
+                    Precision, Sequence, WeightSet, _as_finite, cell_weight_bytes,
+                    network_weight_bytes)
 
 MAGIC = b"LSTW"
 VERSION = 1
@@ -135,7 +135,7 @@ def descriptor_to_bytes(net: NetworkDescriptor) -> bytes:
 def load_descriptor(path: str | Path) -> NetworkDescriptor:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an int past Python's digit limit
         raise FormatError(f"{path}: not valid JSON: {e}") from e
     return descriptor_from_json(obj)
 
@@ -156,15 +156,13 @@ def weight_blob_chunks(net: NetworkDescriptor, parts: Iterable[tuple[str, np.nda
         yield _as_finite(name, np.ascontiguousarray(arr, dtype=dt))
 
 
-def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
-    """The weights of a blob for ``net``.
-
-    The header and the payload size are checked against the descriptor
-    before any weight array is allocated; then each array is read, one at a
-    time, checked finite, and copied into its rows of the weight set's
-    stacked arrays, all views of one allocation for the whole network.
-    """
-    with open(path, "rb") as f:
+def load_weights(net: NetworkDescriptor, path: str | Path) -> WeightStream:
+    """The weight blob at ``path`` for ``net``, opened as a stream of its
+    layers.  The header, the precision and the payload size are checked
+    against the descriptor here; no weight array is allocated, and the
+    weights are read only as the stream is iterated."""
+    f = open(path, "rb")
+    try:
         header = f.read(16)
         if len(header) < 16:
             raise FormatError(f"{path}: truncated header")
@@ -180,40 +178,73 @@ def load_weights(net: NetworkDescriptor, path: str | Path) -> NetworkWeights:
                 f"{path}: blob precision {_TAG_PRECISION[tag].value} does not match "
                 f"descriptor precision {net.numeric_precision.value}"
             )
-        dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
+        itemsize = net.numeric_precision.elem_bytes
         payload = os.fstat(f.fileno()).st_size - 16
-        if payload % dt.itemsize:
+        if payload % itemsize:
             raise FormatError(f"{path}: payload is not a whole number of "
-                              f"{dt.itemsize}-byte values")
-        values = network_weight_bytes(net) // dt.itemsize
-        extra = payload // dt.itemsize - values
+                              f"{itemsize}-byte values")
+        extra = (payload - network_weight_bytes(net)) // itemsize
         if extra < 0:
             raise FormatError(f"{path}: blob too short")
         if extra > 0:
             raise FormatError(f"{path}: {extra} trailing values in blob")
+    except BaseException:
+        f.close()
+        raise
+    return WeightStream(net, path, f)
 
+
+class WeightStream:
+    """A checked weight blob (see ``load_weights``), read one layer at a
+    time; closed on leaving a ``with`` block.
+
+    Each iteration reads the blob from its start and yields, per layer, one
+    weight set per direction.  Every layer's weight sets are views of one
+    fp32 array sized for the largest layer, which the next layer
+    overwrites: a layer's weight sets hold until the next layer is read.
+    Each array passes through one reusable buffer, is checked finite and is
+    copied into place (see ``WeightSet``).  Reads are positional
+    (``os.preadv``), so processes forked while the file is open iterate on
+    their own, sharing no file offset.
+    """
+
+    def __init__(self, net: NetworkDescriptor, path: str | Path, file):
+        self.net, self.path, self._file = net, path, file
+
+    def __enter__(self) -> WeightStream:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def __iter__(self) -> Iterator[list[WeightSet]]:
+        net, fd = self.net, self._file.fileno()
+        dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
         # one array at a time passes through this buffer
         buf = np.empty(max(l.hidden_size * max(l.hidden_size, l.input_size)
                            for l in net.layers), dt)
+        # one array for every layer: an array per layer would fault its
+        # pages in anew for each layer
+        store = np.empty(max(cell_weight_bytes(l, 1) * l.num_directions
+                             for l in net.layers), ACC_DTYPE)
+        at = 16
 
         def read(_name: str, shape: tuple[int, ...]) -> np.ndarray:
+            nonlocal at
             chunk = buf[:math.prod(shape)]
-            if f.readinto(chunk) != chunk.nbytes:
-                raise FormatError(f"{path}: blob too short")
+            got, view = 0, chunk.view(np.uint8)
+            while got < chunk.nbytes:  # a read may stop short of the request
+                n = os.preadv(fd, [view[got:]], at + got)
+                if n == 0:
+                    raise FormatError(f"{self.path}: blob too short")
+                got += n
+            at += got
             return chunk.reshape(shape)
 
-        # the whole network's fp32 values in one allocation, each cell's
-        # weight set a view of its run; numpy advises huge pages for arrays
-        # of 4 MiB and up, so a large network's one array faults in far
-        # fewer pages than one array per cell
-        store, at, weights = np.empty(values, ACC_DTYPE), 0, []
         for layer in net.layers:
-            n, cells = cell_weight_bytes(layer, 1), []
-            for _ in range(layer.num_directions):
-                cells.append(WeightSet(layer, net.numeric_precision, read, store[at:at + n]))
-                at += n
-            weights.append(cells)
-        return weights
+            n = cell_weight_bytes(layer, 1)
+            yield [WeightSet(layer, net.numeric_precision, read, store[d * n:(d + 1) * n])
+                   for d in range(layer.num_directions)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +255,45 @@ def sequence_to_bytes(seq: Sequence) -> bytes:
             + np.ascontiguousarray(seq.frames, dtype="<f4").tobytes())
 
 
-def load_sequence(path: str | Path) -> Sequence:
+def open_sequence(path: str | Path) -> tuple[int, int, Callable[[], np.ndarray]]:
+    """A sequence file's frame count T, its frame width and a call that
+    returns its [T, dim] fp32 frames, not yet checked finite.  A CSV is read
+    here; of a binary file only the 8-byte header is, checked against the
+    file's size, and its frames when the call is made."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         try:
             with warnings.catch_warnings():
-                # an empty file is rejected below, as a sequence of no frames
+                # an empty file is rejected by the caller, as a sequence of
+                # no frames
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 frames = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as e:
             raise FormatError(f"{path}: bad CSV sequence: {e}") from e
-        return Sequence(frames)
-    raw = path.read_bytes()
-    if len(raw) < 8:
+        return *frames.shape, lambda: frames
+    with open(path, "rb") as f:
+        header = f.read(8)
+        size = os.fstat(f.fileno()).st_size
+    if len(header) < 8:
         raise FormatError(f"{path}: truncated sequence header")
-    t, dim = struct.unpack("<II", raw[:8])
-    if (len(raw) - 8) % 4:
+    t, dim = struct.unpack("<II", header)
+    if (size - 8) % 4:
         raise FormatError(f"{path}: payload is not a whole number of 4-byte values")
-    data = np.frombuffer(raw, dtype="<f4", offset=8)
-    if data.size != t * dim:
-        raise FormatError(f"{path}: header says {t}x{dim} but {data.size} values follow")
-    return Sequence(data.reshape(t, dim).astype(np.float32))
+
+    def check(values: int) -> None:
+        if values != t * dim:
+            raise FormatError(f"{path}: header says {t}x{dim} but {values} values follow")
+
+    def read() -> np.ndarray:
+        frames = np.empty((t, dim), "<f4")
+        with open(path, "rb") as f:
+            f.seek(8)
+            check(f.readinto(frames.reshape(-1).view(np.uint8)) // 4)
+        return frames.astype(np.float32, copy=False)
+
+    check((size - 8) // 4)
+    return t, dim, read
+
+
+def load_sequence(path: str | Path) -> Sequence:
+    return Sequence(open_sequence(path)[2]())

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -401,21 +402,33 @@ class TestCompare:
             "check failed: dram_counters_consistent, oracle_check_a (bit-exact)\n"
 
     def test_one_oracle_run_serves_both_sides(self, gen, tmp_path, monkeypatch):
-        # counted in a file, which a run in a forked child writes to as well
-        real, calls = model.network_infer, tmp_path / "calls"
+        # counted in a file, which a run in a forked child writes to as
+        # well: three runs in all, two of them datapaths
+        real_runs, real_hook = model.infer_in_lockstep, arch.datapath_hook
+        calls = tmp_path / "calls"
 
-        def counted(*args):
+        def record(line):
             with open(calls, "a") as f:
-                f.write("network_infer\n")
-            return real(*args)
+                f.write(line + "\n")
 
-        monkeypatch.setattr(model, "network_infer", counted)
+        def runs(net, weights, seq, hooks):
+            record(f"runs {len(hooks)}")
+            return real_runs(net, weights, seq, hooks)
+
+        def hook(*args):
+            record("datapath")
+            return real_hook(*args)
+
+        monkeypatch.setattr(model, "infer_in_lockstep", runs)
+        monkeypatch.setattr(arch, "datapath_hook", hook)
         desc, blob = gen
         out = tmp_path / "cmp.json"
         rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
                      "--synthetic-t", "5", "--out", str(out))
         assert rc == cli.EXIT_OK
-        assert calls.read_text() == "network_infer\n"
+        lines = calls.read_text().splitlines()
+        assert lines.count("datapath") == 2
+        assert sum(int(l.split()[1]) for l in lines if l.startswith("runs ")) == 3
         doc = json.loads(out.read_text())
         assert doc["oracle_check_a"] == doc["oracle_check_b"] == \
             {"mode": "bit-exact", "passed": True}
@@ -907,8 +920,8 @@ class TestBoundary:
 
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(arch, "simulate", lambda *a: started.append("datapath"))
-        monkeypatch.setattr(model, "network_infer", lambda *a: started.append("oracle"))
+        monkeypatch.setattr(model, "infer_in_lockstep", lambda *a: started.append("runs"))
+        monkeypatch.setattr(model, "layer_infer", lambda *a: started.append("layer"))
         net = model.NetworkDescriptor((model.LayerDescriptor(8, 64),
                                        model.LayerDescriptor(16, 8)), input_dim=64)
         desc, blob, hw = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "hw.json"
@@ -934,28 +947,33 @@ class TestBoundary:
         assert started == []
 
     def test_memory_error_in_the_oracle_exits_5(self, gen, tmp_path, monkeypatch, capsys):
-        def exhausted(*args):
-            raise MemoryError("Unable to allocate 1.25 GiB for an array")
+        # the quantized datapath has a partials hook; the oracle has none
+        real = model.layer_infer
 
-        monkeypatch.setattr(model, "network_infer", exhausted)
+        def exhausted(layer, weights, inp, partials_hook=None):
+            if partials_hook is None:
+                raise MemoryError("Unable to allocate 1.25 GiB for an array")
+            return real(layer, weights, inp, partials_hook)
+
+        monkeypatch.setattr(model, "layer_infer", exhausted)
         out = tmp_path / "sim.json"
-        assert self.simulate(gen, "--out", str(out)) == cli.EXIT_CAPACITY
+        assert self.simulate(gen, "--policy", "mwl", "--quantize",
+                             "--out", str(out)) == cli.EXIT_CAPACITY
         assert self.one_line(capsys).startswith("host memory error: Unable to allocate")
         assert not out.exists()
 
     def test_simulated_run_error_wins_over_the_oracle(self, gen, monkeypatch, capsys):
-        # the oracle fails first in time; the datapath comes first in call order
-        def datapath(*args):
+        # the oracle fails first in time; the datapath comes first in call
+        # order.  Its error is raised in its layer, which it names.
+        def layer(layer, weights, inp, partials_hook=None):
+            if partials_hook is None:
+                raise MemoryError("oracle allocation")
             time.sleep(0.05)
             raise model.NumericError("datapath overflow")
 
-        def oracle(*args):
-            raise MemoryError("oracle allocation")
-
-        monkeypatch.setattr(arch, "simulate", datapath)
-        monkeypatch.setattr(model, "network_infer", oracle)
-        assert self.simulate(gen) == cli.EXIT_NUMERIC
-        assert self.one_line(capsys) == "numeric error: datapath overflow\n"
+        monkeypatch.setattr(model, "layer_infer", layer)
+        assert self.simulate(gen, "--policy", "mwl", "--quantize") == cli.EXIT_NUMERIC
+        assert self.one_line(capsys) == "numeric error: layer 0: datapath overflow\n"
 
     @pytest.mark.parametrize("cmd", [["simulate", "--policy", "mwl"],
                                      ["compare"],
@@ -1002,32 +1020,24 @@ def _peak_rss_bytes(*argv, exit_code: int = cli.EXIT_OK) -> int:
 
 class TestHostMemory:
     def test_simulate_holds_the_weights_once(self, tmp_path):
-        # the peak RSS a ~33 MB blob adds to simulate, over a tiny net's:
-        # holding the weights twice (the whole blob beside per-gate copies,
-        # or per-gate copies beside stacked ones) would add twice its size
-        pytest.importorskip("resource")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(cli.__file__).parents[1]),
-                          os.environ.get("PYTHONPATH")])))
-
-        def peak_bytes(layers, hidden):
+        # the peak RSS a ~33 MB blob of 16 equal layers adds to each command
+        # that reads weights, over a tiny net's, in the caller or in any
+        # forked child: each process holds one layer (1/16 of the blob)
+        # beside one array's read buffer, never the whole network
+        def write(layers, hidden):
             desc, blob = tmp_path / f"{hidden}.json", tmp_path / f"{hidden}.bin"
             assert run_cli("gen-network", "--layers", str(layers), "--hidden", str(hidden),
                            "--seed", "1", "--out-descriptor", str(desc),
                            "--out-weights", str(blob)) == cli.EXIT_OK
-            proc = subprocess.run(
-                [sys.executable, "-c", LAUNCHER, sys.executable, "-c", PEAK_RSS_CHILD,
-                 "simulate", "--network", str(desc), "--weights", str(blob),
-                 "--synthetic-t", "2", "--policy", "conventional"],
-                env=env, capture_output=True, text=True, timeout=60)
-            assert proc.returncode == cli.EXIT_OK, proc.stderr
-            unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss in KiB on Linux
-            return int(proc.stdout.splitlines()[-1]) * unit, blob.stat().st_size
+            return ["--network", str(desc), "--weights", str(blob), "--synthetic-t", "2"]
 
-        base, _ = peak_bytes(1, 8)
-        peak, blob_bytes = peak_bytes(16, 256)
+        tiny, big = write(1, 8), write(16, 256)
+        blob_bytes = Path(big[3]).stat().st_size
         assert blob_bytes > 32 * 10**6
-        assert peak - base < 1.5 * blob_bytes, (peak - base) / blob_bytes
+        for cmd in (["infer"], ["simulate", "--policy", "conventional"], ["compare"],
+                    ["quantize-sweep", "--min-bits", "6", "--max-bits", "8"]):
+            extra = _peak_rss_bytes(*cmd, *big) - _peak_rss_bytes(*cmd, *tiny)
+            assert extra < 0.25 * blob_bytes, (cmd, extra / blob_bytes)
 
     def test_gen_network_holds_one_array(self, tmp_path):
         # the peak RSS a ~34 MB blob adds to gen-network, over a tiny net's:
@@ -1080,6 +1090,24 @@ class TestHostMemory:
                                "--synthetic-t", str(10**8), "--policy", "conventional",
                                exit_code=cli.EXIT_CAPACITY)
         assert peak < 200 * 2**20, peak / 2**20
+
+    def test_run_refused_from_shapes_reads_no_input_frames(self, tmp_path, capsys):
+        # a 128 MiB binary input (sparse on disk) overflows a 1x4 network's
+        # intermediate memory (exit 5), which the cost model finds from T in
+        # the file's header: the run must refuse before it reads a frame
+        desc, blob = tmp_path / "d.json", tmp_path / "w.bin"
+        assert run_cli("gen-network", "--layers", "1", "--hidden", "4", "--input-dim", "4",
+                       "--seed", "1", "--out-descriptor", str(desc),
+                       "--out-weights", str(blob)) == cli.EXIT_OK
+        capsys.readouterr()
+        frames, T = tmp_path / "x.bin", 2**23
+        with open(frames, "wb") as f:
+            f.write(struct.pack("<II", T, 4))
+            f.truncate(8 + 4 * T * 4)
+        peak = _peak_rss_bytes("simulate", "--network", str(desc), "--weights", str(blob),
+                               "--input", str(frames), "--policy", "conventional",
+                               exit_code=cli.EXIT_CAPACITY)
+        assert peak < 100 * 2**20, peak / 2**20
 
     def test_run_refused_from_shapes_reads_no_weights(self, tmp_path, capsys):
         # LDLRNN's weights overflow a 1 KiB weight memory, which the cost
@@ -1250,8 +1278,8 @@ class TestConcurrently:
         assert cli._concurrently([lambda: 1, lambda: 2]) == [1, 2]
 
     def test_killed_run_exits_5(self, gen, monkeypatch, capsys):
-        # both runs kill themselves if they run in a child, and never the
-        # test process itself
+        # both groups of runs kill themselves if they run in a child, and
+        # never the test process itself
         self.cpus(monkeypatch, 2)
         caller = os.getpid()
 
@@ -1262,8 +1290,8 @@ class TestConcurrently:
                 return real(*args)
             return run
 
-        monkeypatch.setattr(arch, "simulate", killed_in_a_child(arch.simulate))
-        monkeypatch.setattr(model, "network_infer", killed_in_a_child(model.network_infer))
+        monkeypatch.setattr(model, "infer_in_lockstep",
+                            killed_in_a_child(model.infer_in_lockstep))
         desc, blob = gen
         assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "3") == cli.EXIT_CAPACITY
@@ -1282,21 +1310,43 @@ class TestConcurrently:
     ])
     def test_error_in_a_child_exits_with_its_code(self, gen, monkeypatch, capsys,
                                                   error, rc, line):
-        # the datapath, call 0 of 2, is the one that runs in a child
+        # the datapath's group, call 0 of 2, is the one that runs in a child
         self.cpus(monkeypatch, 2)
-        caller, real = os.getpid(), arch.simulate
+        caller, real = os.getpid(), model.infer_in_lockstep
 
-        def datapath(*args):
+        def runs(*args):
             if os.getpid() != caller:
                 raise error
             return real(*args)
 
-        monkeypatch.setattr(arch, "simulate", datapath)
+        monkeypatch.setattr(model, "infer_in_lockstep", runs)
         desc, blob = gen
         assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "3") == rc
         assert TestBoundary.one_line(capsys) == line + "\n"
         self.no_child_left()
+
+    @pytest.mark.parametrize("cmd", [["compare", "--quantize", "--calibrate"],
+                                     ["quantize-sweep", "--min-bits", "4", "--max-bits", "8"]])
+    def test_one_cpu_reads_each_blob_byte_once(self, gen, monkeypatch, cmd):
+        # every run, the oracle included, steps through one read of the blob
+        self.cpus(monkeypatch, 1)
+        real, reads = os.preadv, []
+
+        def preadv(fd, buffers, offset):
+            n = real(fd, buffers, offset)
+            reads.append((offset, n))
+            return n
+
+        monkeypatch.setattr(netio.os, "preadv", preadv)
+        desc, blob = gen
+        assert run_cli(*cmd, "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "3") == cli.EXIT_OK
+        at = 16
+        for offset, n in reads:
+            assert offset == at
+            at += n
+        assert at == blob.stat().st_size
 
     @pytest.fixture()
     def tiny(self, tmp_path):

@@ -554,6 +554,14 @@ class TestLayerInfer:
             layer_infer(layer, [ws], Sequence(np.zeros((2, 3))))
 
 
+def two_layer_network():
+    """A bidirectional peephole layer under a forward-only one, with weights."""
+    l0 = LayerDescriptor(6, 4, Direction.bidirectional, peephole=True)
+    net = NetworkDescriptor((l0, LayerDescriptor(5, 12)), input_dim=4)
+    return net, weights_for(
+        net, lambda i, d, layer: cell_for_layer(layer, 80 + 2 * i + d))
+
+
 class TestNetworkInfer:
     def test_one_layer_equals_layer_infer(self):
         net, weights = random_network(123, max_layers=1)
@@ -593,6 +601,48 @@ class TestNetworkInfer:
         seq = random_frames(net, 2, 0)
         with pytest.raises(ShapeError, match=f"layer {len(net.layers) - 1}"):
             network_infer(net, weights, seq)
+
+    def test_lockstep_runs_equal_one_run_each(self):
+        net, weights = random_network(77, max_layers=3)
+        seq = random_frames(net, 5, 2)
+        hooks = [None, lambda p: quantize(p, QuantConfig(8, 4.0))]
+        got = model.infer_in_lockstep(net, iter(weights), seq, hooks)
+        for hook, out in zip(hooks, got, strict=True):
+            assert np.array_equal(out.frames, network_infer(net, weights, seq, hook).frames)
+
+    def test_lockstep_raises_the_first_failing_run_in_hook_order(self):
+        # run 0 fails in layer 1, after run 1 has failed in layer 0; run 2,
+        # after a failed run, stops in layer 0
+        net, weights = two_layer_network()
+        passes = Counter()
+
+        def failing(run, layer):
+            def hook(partials):
+                passes[run] += 1
+                if passes[run] > layer * len(weights[0]):
+                    raise NumericError(f"run {run}")
+                return partials
+            return hook
+
+        with pytest.raises(NumericError, match="^layer 1: run 0$"):
+            model.infer_in_lockstep(net, weights, random_frames(net, 2, 0),
+                                    [failing(0, 1), failing(1, 0), failing(2, 9)])
+        assert passes[2] == 0
+
+    def test_lockstep_raises_an_error_of_the_weights_first(self):
+        # a layer's weight sets that cannot be read come before a run that
+        # failed in an earlier layer, with no layer prefix
+        net, weights = two_layer_network()
+
+        def layers():
+            yield weights[0]
+            raise NumericError("forget.w_x contains non-finite values")
+
+        def hook(partials):
+            raise MemoryError("run")
+
+        with pytest.raises(NumericError, match="^forget.w_x contains non-finite values$"):
+            model.infer_in_lockstep(net, layers(), random_frames(net, 2, 0), [hook])
 
     def test_kernel_calls_per_pass_and_step(self, monkeypatch):
         # what a traced benchmark run counts: one forward hoist per

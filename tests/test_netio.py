@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -10,12 +11,21 @@ import pytest
 from conftest import (random_frames, random_network, random_weights,
                       save_descriptor, save_sequence, save_weights)
 from epursim import cli, netio
-from epursim.model import GATES, STACK_ORDER, NumericError, Precision, Sequence
+from epursim.model import (GATES, STACK_ORDER, NumericError, Precision, Sequence,
+                           cell_weight_bytes)
 from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
                            descriptor_to_bytes, load_descriptor, load_sequence,
                            load_weights, weight_blob_chunks)
 from epursim.presets import (PRESETS, custom_descriptor, preset_descriptor,
                              random_parts)
+
+
+def read_layers(net, path) -> list[list[dict[str, np.ndarray]]]:
+    """Every layer's weight arrays by name, per direction, copied out of the
+    stream's one buffer, which the next layer overwrites."""
+    with load_weights(net, path) as blob:
+        return [[{name: arr.copy() for name, arr in ws.parts()} for ws in sets]
+                for sets in blob]
 
 
 class TestDescriptor:
@@ -32,6 +42,20 @@ class TestDescriptor:
         })
         assert net.numeric_precision is Precision.fp32
         assert not net.layers[0].peephole
+
+    def test_integer_past_the_digit_limit_is_format_error(self, tmp_path, capsys):
+        # json.loads refuses an int of more than 4300 digits with a plain
+        # ValueError, which must end in exit 3 and one line, not a traceback
+        path = tmp_path / "big.json"
+        path.write_text('{"input_dim": 1' + "0" * 5000 + ', "layers": '
+                        '[{"hidden_size": 4, "input_size": 4}]}', encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_descriptor(path)
+        rc = cli.main(["analyze-reuse", "--network", str(path), "--policy", "mwl",
+                       "--t", "2"])
+        assert rc == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
     def test_malformed_json_is_format_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -116,13 +140,13 @@ class TestWeightBlob:
         net, weights = random_network(11, precision=precision)
         path = tmp_path / "w.bin"
         save_weights(net, weights, path)
-        back = load_weights(net, path)
+        back = read_layers(net, path)
         for li, layer in enumerate(net.layers):
             for d in range(layer.num_directions):
-                a, b = weights[li][d].parts(), back[li][d].parts()
-                assert [name for name, _ in a] == [name for name, _ in b]
-                for (_, x), (_, y) in zip(a, b):
-                    assert np.array_equal(x, y)
+                a, b = weights[li][d].parts(), back[li][d]
+                assert [name for name, _ in a] == list(b)
+                for name, x in a:
+                    assert np.array_equal(x, b[name])
 
     def test_header_layout(self, tmp_path):
         net, weights = random_network(1)
@@ -186,7 +210,7 @@ class TestWeightBlob:
         monkeypatch.setattr(netio.os, "fstat", lambda _fd: os.stat_result(
             (0,) * 6 + (full,) + (0,) * 3))
         with pytest.raises(FormatError, match="blob too short$"):
-            load_weights(net, path)
+            read_layers(net, path)
 
     @pytest.mark.parametrize("values", [0, 1000], ids=["header-only", "some-values"])
     def test_short_blob_is_refused_before_allocation(self, tmp_path, capsys, values):
@@ -248,7 +272,7 @@ class TestWeightBlob:
                          + b"".join(a.tobytes() for _, a in parts))
         msg = f"{name} contains non-finite values"
         with pytest.raises(NumericError, match=f"^{msg}$".replace(".", r"\.")):
-            load_weights(net, path)
+            read_layers(net, path)
         rc = cli.main(["simulate", "--network", str(desc), "--weights", str(path),
                        "--synthetic-t", "2"])
         assert rc == cli.EXIT_NUMERIC
@@ -298,18 +322,24 @@ class TestBlobFromDraws:
                 list(weight_blob_chunks(net, parts))
 
 
+@pytest.fixture()
+def stack():
+    with contextlib.ExitStack() as stack:
+        yield stack
+
+
 class TestWeightsHeldOnce:
     """A weight set holds each weight once: the per-gate arrays of its
     ``parts`` are rows of the stacked arrays the datapath reads."""
 
     @pytest.mark.parametrize("source", ["loaded", "generated"])
-    def test_gates_are_views_of_the_stacked_arrays(self, tmp_path, source):
+    def test_gates_are_views_of_the_stacked_arrays(self, tmp_path, source, stack):
         net = custom_descriptor(2, 6, True, True, 5)
         weights = random_weights(net, 4)
         if source == "loaded":
             path = tmp_path / "w.bin"
             save_weights(net, weights, path)
-            weights = load_weights(net, path)
+            weights = stack.enter_context(load_weights(net, path))
         for layer, sets in zip(net.layers, weights):
             h = layer.hidden_size
             for ws in sets:
@@ -332,7 +362,7 @@ class TestWeightsHeldOnce:
     @pytest.mark.parametrize("precision", [Precision.fp32, Precision.fp16])
     @pytest.mark.parametrize("source", ["loaded", "generated"])
     def test_stacked_matrices_are_what_the_kernels_stream(self, tmp_path, source,
-                                                          precision):
+                                                          precision, stack):
         # the dot kernels read mat.T; a C-contiguous fp32 transpose is used
         # as it is, anything else costs a layout copy per pass
         net = custom_descriptor(2, 6, True, True, 5, precision)
@@ -340,7 +370,7 @@ class TestWeightsHeldOnce:
         if source == "loaded":
             path = tmp_path / "w.bin"
             save_weights(net, weights, path)
-            weights = load_weights(net, path)
+            weights = stack.enter_context(load_weights(net, path))
         for layer, sets in zip(net.layers, weights):
             h, nx = layer.hidden_size, layer.input_size
             for ws in sets:
@@ -351,20 +381,42 @@ class TestWeightsHeldOnce:
                     assert mat.T.flags.c_contiguous
                 assert b.dtype == np.float32 and b.flags.c_contiguous
 
-    def test_loaded_network_is_one_allocation(self, tmp_path):
-        # every array of every cell is a view of one array, and each of its
-        # values belongs to exactly one of them
+    def test_every_layer_is_read_into_one_allocation(self, tmp_path):
+        # every array of a layer's cells is a view of one array, sized for
+        # the largest layer and shared by every layer, and each of the
+        # layer's values belongs to exactly one of them
         net = custom_descriptor(3, 6, True, True, 5)
         path = tmp_path / "w.bin"
         save_weights(net, random_weights(net, 4), path)
-        arrays = [arr for sets in load_weights(net, path) for ws in sets
-                  for _, arr in ws.parts()]
-        store = arrays[0].base
-        assert all(arr.base is store for arr in arrays)
-        assert sum(arr.size for arr in arrays) == store.size
-        for i, arr in enumerate(arrays):
-            arr[...] = i
-        assert all((arr == i).all() for i, arr in enumerate(arrays))
+        stores = []
+        with load_weights(net, path) as blob:
+            for layer, sets in zip(net.layers, blob):
+                arrays = [arr for ws in sets for _, arr in ws.parts()]
+                stores.append(arrays[0].base)
+                assert all(arr.base is stores[-1] for arr in arrays)
+                assert (sum(arr.size for arr in arrays)
+                        == cell_weight_bytes(layer, 1) * layer.num_directions)
+                for i, arr in enumerate(arrays):
+                    arr[...] = i
+                assert all((arr == i).all() for i, arr in enumerate(arrays))
+        assert all(store is stores[0] for store in stores)
+        assert stores[0].size == max(cell_weight_bytes(l, 1) * l.num_directions
+                                     for l in net.layers)
+
+    def test_iterations_share_no_file_offset(self, tmp_path):
+        # two iterations of one open stream, a layer each in turn, each read
+        # the blob from its start, as the processes forked from the caller do
+        net = custom_descriptor(3, 6, True, True, 5)
+        weights = random_weights(net, 4)
+        path = tmp_path / "w.bin"
+        save_weights(net, weights, path)
+        with load_weights(net, path) as blob:
+            iterations = iter(blob), iter(blob)
+            for want in weights:
+                for it in iterations:
+                    for ws_want, ws in zip(want, next(it), strict=True):
+                        for (_, x), (_, y) in zip(ws_want.parts(), ws.parts()):
+                            assert np.array_equal(x, y)
 
 
 class TestSequences:
