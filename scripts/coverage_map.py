@@ -9,9 +9,10 @@ Tests that run the program in a subprocess (the scripts, the host-memory
 limits) are not counted: their lines run in another interpreter, out of the
 tracer's sight, so a line only they reach is listed as unreached.
 
-The script pins its own process to one CPU, so that the command line runs
-its concurrent inference runs in this process rather than in forked
-children.  Tests that stand in more CPUs for ``cli._concurrently`` still
+The script pins its own process to one CPU, so that the command line cuts
+its inference runs into one group, which runs in this process rather than
+in a forked child.  Tests that stand in more CPUs for ``cli._cpu_slots``,
+and those that call ``cli._concurrently`` with more than one call, still
 fork.  A forked child inherits the tracer, and ``cli._child`` is wrapped so
 that the child writes the package lines it counted to a file just before
 ``os._exit``; those lines count as reached.  A child killed by a signal

@@ -40,7 +40,15 @@ manifest goes to standard output.
 
 A float output is bit-exact only against the same host and numpy build
 (``exp`` and ``tanh`` may take other SIMD paths elsewhere), so keep no
-manifest as a golden: compare two checkouts on one host.
+manifest as a golden: compare two checkouts on one host.  To see which
+entries depend on numpy's SIMD tier, write one manifest as is and one with
+``NPY_DISABLE_CPU_FEATURES`` set on the command line to the features above
+the baseline (the ``found`` list of ``numpy.show_config(mode="dicts")
+["SIMD Extensions"]``), which the matrix's process inherits, and diff the
+two files:
+
+    NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \\
+        python scripts/output_identity.py --tiny --out baseline-tier.json
 """
 from __future__ import annotations
 

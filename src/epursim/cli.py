@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import pickle
-import select
 import signal
 import sys
 import tempfile
@@ -137,9 +136,9 @@ def _hw_config(args) -> arch.HardwareConfig:
 
 
 def _cpu_slots() -> int:
-    """How many calls ``_concurrently`` runs at once: one per CPU in this
-    process's affinity, the caller's own included, or one without
-    ``os.fork``."""
+    """How many groups ``_run_simulations`` cuts its runs into, at most: one
+    per CPU in this process's affinity, the caller's own included, or one
+    without ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -147,85 +146,61 @@ def _cpu_slots() -> int:
 
 
 def _concurrently(calls: list[Callable[[], object]]) -> list:
-    """The results of the zero-argument ``calls``, in call order.
-
-    As many calls run at once as there are CPUs in this process's affinity:
-    the caller runs calls itself and forks a child process for each of the
-    rest, so that independent inference runs overlap without sharing one
-    interpreter.  A call reaches its child through the fork; only its
-    ``(ok, value)`` comes back, pickled through a pipe.  Between its own
-    calls the caller collects the children that have finished.  With one
-    CPU, or without ``os.fork``, every call runs on the caller.  The caller
-    must run no other thread, since only the forking thread lives on in a
-    child.
+    """The results of the zero-argument ``calls`` (one or more), in call
+    order, all run at once: the caller forks a child process for each call
+    but the last and runs the last itself, so that independent inference
+    runs overlap without sharing one interpreter.  How many calls, and so
+    processes, there are is the caller's choice.  A call reaches its child
+    through the fork; only its ``(ok, value)`` comes back, pickled through a
+    pipe that the caller, once its own call is done, reads to its end
+    before it reaps that child, in call order.  The caller must run no other
+    thread, since only the forking thread lives on in a child.
 
     When calls fail, the error of the first failing call in call order is
-    raised; once a call fails, calls not yet started are skipped, since
-    their errors could not be the one raised.  A child that ends without a
-    result (killed by a signal, as by the kernel's OOM killer) raises
-    MemoryError.  Every child is reaped before this returns or raises: on
-    an error of the caller's own (KeyboardInterrupt included), the children
-    still running are killed.
+    raised.  A child that ends without a result (killed by a signal, as by
+    the kernel's OOM killer) raises MemoryError.  Every child is reaped
+    before this returns or raises: on an error of the caller's own
+    (KeyboardInterrupt included), the children still running are killed.
     """
-    slots = _cpu_slots() - 1
-    outcomes: list[tuple[bool, object] | None] = [None] * len(calls)
-    children: dict[int, tuple[int, int, list[bytes]]] = {}  # fd: (call, pid, chunks)
-
-    def collect(timeout: float | None) -> bool:
-        """Reads what the children have sent, reaping each one whose pipe
-        is at its end; False when none was ready within ``timeout``."""
-        ready, _, _ = select.select(list(children), [], [], timeout)
-        for fd in ready:
-            chunk = os.read(fd, 1 << 16)
-            if chunk:
-                children[fd][2].append(chunk)
-                continue
-            i, pid, chunks = children.pop(fd)
-            os.close(fd)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status == 0:
-                outcomes[i] = pickle.loads(b"".join(chunks))
-            else:
-                how = (f"by signal {-status} ({signal.strsignal(-status)})" if status < 0
-                       else f"with exit status {status}")
-                outcomes[i] = (False, MemoryError(
-                    f"run {i + 1} of {len(calls)} ended without a result, {how}"))
-        return bool(ready)
-
+    children: list[tuple[int, int]] = []  # (its pipe's read end, pid), in call order
+    outcomes: list[tuple[bool, object]] = []
     try:
-        for i, call in enumerate(calls):
-            while children and collect(0):
-                pass
-            if any(o is not None and not o[0] for o in outcomes):
-                break
-            if len(children) < slots and i < len(calls) - 1:
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _child(call, w)
-                except OSError:
-                    os.close(r)
-                    raise
-                finally:
-                    os.close(w)  # the child's end; the child never gets here
-                children[r] = (i, pid, [])
-            else:
-                try:
-                    outcomes[i] = (True, call())
-                except Exception as e:  # raised below, in call order
-                    outcomes[i] = (False, e)
+        for call in calls[:-1]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(call, w)
+            except OSError:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)  # the child's end; the child never gets here
+            children.append((r, pid))
+        try:
+            last = (True, calls[-1]())
+        except Exception as e:  # raised below, in call order
+            last = (False, e)
         while children:
-            collect(None)
+            r, pid = children[0]
+            data = b"".join(iter(partial(os.read, r, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(r)
+            how = (f"by signal {-status} ({signal.strsignal(-status)})" if status < 0
+                   else f"with exit status {status}")
+            outcomes.append(pickle.loads(data) if status == 0 else (False, MemoryError(
+                f"run {len(outcomes) + 1} of {len(calls)} ended without a result, {how}")))
+        outcomes.append(last)
     finally:
-        for fd, (_, pid, _) in children.items():
+        for r, pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(fd)
-    for o in outcomes:
-        if o is not None and not o[0]:
-            raise o[1]
-    return [o[1] for o in outcomes]
+            os.close(r)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
 def _child(call: Callable[[], object], w: int) -> NoReturn:
@@ -325,9 +300,10 @@ def cmd_gen_network(args) -> int:
     else:
         if args.layers is None or args.hidden is None:
             raise UsageError("gen-network needs --preset or --layers/--hidden")
-        net = presets.custom_descriptor(args.layers, args.hidden,
-                                        args.bidirectional, args.peephole,
-                                        args.input_dim, precision)
+        # through the parser, which refuses sizes past netio.MAX_SIZE
+        net = netio.descriptor_from_json(netio.descriptor_to_json(presets.custom_descriptor(
+            args.layers, args.hidden, args.bidirectional, args.peephole, args.input_dim,
+            precision)))
         report = {
             "name": "custom",
             "footprint_bytes": model.network_weight_bytes(net),
@@ -385,8 +361,9 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
     Every cost model runs first, so a refused run reads no weights or input
     frames, draws no synthetic frames and starts no inference.  The runs,
     the oracle last, are then cut in call order into one group per CPU
-    slot, and the groups run concurrently, each stepping its runs through
-    one read of the weight blob (``_infer_group``)."""
+    slot, and this cut alone sets how many processes run: the groups run
+    concurrently, one process each, each stepping its runs through one read
+    of the weight blob (``_infer_group``)."""
     net, T, sequence = _load_inputs(args)
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
@@ -717,10 +694,7 @@ def _run(args) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (netio.FormatError, arch.ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except KeyError as e:
+    except (netio.FormatError, arch.ConfigError, KeyError, model.ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except arch.CapacityError as e:
@@ -735,9 +709,6 @@ def _run(args) -> int:
     except model.NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except model.ShapeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -76,19 +76,27 @@ def random_parts(net: NetworkDescriptor,
                  seed: int) -> Iterator[tuple[str, np.ndarray]]:
     """Deterministic pseudo-random weights, tame preactivation scale: every
     cell's arrays as (name, float64 array), in weight-blob order (see
-    ``WeightSet.parts``), each drawn only when it is reached."""
+    ``WeightSet.parts``), each drawn only when it is reached.  A draw too
+    large to address raises MemoryError, as one that cannot be allocated
+    does."""
     rng = np.random.default_rng(seed)
+
+    def uniform(a: float, shape) -> np.ndarray:
+        try:
+            return rng.uniform(-a, a, shape)
+        except ValueError as e:  # numpy's "array is too big"
+            raise MemoryError(f"cannot draw an array of shape {shape}: {e}") from e
+
     for layer in net.layers:
         h, nx = layer.hidden_size, layer.input_size
         a = 1.0 / np.sqrt(nx + h)
         for _ in range(layer.num_directions):
             for gate in GATES:
                 # a gate's peephole is drawn first and comes last in the blob
-                peep = (rng.uniform(-a, a, h)
-                        if layer.peephole and gate in PEEPHOLE_GATES else None)
-                yield f"{gate}.w_x", rng.uniform(-a, a, (h, nx))
-                yield f"{gate}.w_h", rng.uniform(-a, a, (h, h))
-                yield f"{gate}.bias", rng.uniform(-0.1, 0.1, h)
+                peep = uniform(a, h) if layer.peephole and gate in PEEPHOLE_GATES else None
+                yield f"{gate}.w_x", uniform(a, (h, nx))
+                yield f"{gate}.w_h", uniform(a, (h, h))
+                yield f"{gate}.bias", uniform(0.1, h)
                 if peep is not None:
                     yield f"{gate}.peephole", peep
 

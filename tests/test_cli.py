@@ -433,6 +433,33 @@ class TestCompare:
         assert doc["oracle_check_a"] == doc["oracle_check_b"] == \
             {"mode": "bit-exact", "passed": True}
 
+    def test_exact_compare_holds_under_numpy_baseline_simd_tier(self, tmp_path, capsys):
+        # numpy picks its exp and tanh code by the CPU's SIMD tier: the
+        # datapath and the oracle agree bit for bit under the baseline tier
+        # too, on whichever dot kernel the import probe picks there.  Only
+        # the features above the baseline may be disabled: numpy refuses to
+        # import without a baseline one.
+        try:
+            above = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        except (TypeError, KeyError):  # a numpy without the dicts mode
+            above = []
+        if not above:
+            pytest.skip("numpy names no SIMD feature above its baseline")
+        desc, blob, out = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "cmp.json"
+        assert run_cli("gen-network", "--layers", "2", "--hidden", "8", "--input-dim", "4",
+                       "--bidirectional", "--peephole", "--precision", "fp16",
+                       "--seed", "6", "--out-descriptor", str(desc),
+                       "--out-weights", str(blob)) == cli.EXIT_OK
+        capsys.readouterr()
+        proc = run_module("compare", "--network", str(desc), "--weights", str(blob),
+                          "--synthetic-t", "12", "--out", str(out),
+                          NPY_DISABLE_CPU_FEATURES=" ".join(above))
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["oracle_check_a"] == doc["oracle_check_b"] == \
+            {"mode": "bit-exact", "passed": True}
+
+
 class TestQuantizeSweep:
     def test_sweep_runs_and_improves_with_bits(self, gen, tmp_path):
         desc, blob = gen
@@ -700,6 +727,28 @@ class TestBoundary:
                      "--out-weights", str(tmp_path / "w.bin"))
         assert rc == cli.EXIT_PARSE
         assert self.one_line(capsys) == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("shape,rc,line", [
+        # past netio.MAX_SIZE: refused as load_descriptor refuses it
+        (["--hidden", str(2**31)], cli.EXIT_PARSE, "error: bad network descriptor: "
+         "descriptor.input_dim must be at most 2147483647, got 2147483648"),
+        (["--hidden", "4", "--input-dim", str(2**31)], cli.EXIT_PARSE,
+         "error: bad network descriptor: descriptor.input_dim must be at most "
+         "2147483647, got 2147483648"),
+        # within it, but the first draw is past any address space: 2**57
+        # bytes (numpy's own MemoryError), then more bytes than numpy counts
+        (["--hidden", str(2**27)], cli.EXIT_CAPACITY,
+         "host memory error: Unable to allocate "),
+        (["--hidden", str(2**31 - 1)], cli.EXIT_CAPACITY, "host memory error: cannot "
+         "draw an array of shape (2147483647, 2147483647): "),
+    ])
+    def test_gen_network_size_past_the_limits_exits_with_one_line(self, tmp_path, shape,
+                                                                  rc, line, capsys):
+        assert run_cli("gen-network", "--layers", "1", *shape, "--out-descriptor",
+                       str(tmp_path / "d.json"), "--out-weights",
+                       str(tmp_path / "w.bin")) == rc
+        assert self.one_line(capsys).startswith(line)
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("policy", ["conventional", "mwl"])
@@ -1123,10 +1172,11 @@ class TestHostMemory:
 
 
 class TestConcurrently:
-    """cli._concurrently: results in call order, at most one running call
-    per CPU with the caller running calls too, every child reaped, and the
-    first failing call's error.  A call in a forked child changes nothing
-    in this process, so each call records what it saw in a file."""
+    """cli._concurrently: results in call order, one process per call with
+    the caller running the last, every child reaped, and the first failing
+    call's error; and the commands' one process per CPU at most
+    (``cli._cpu_slots``).  A call in a forked child changes nothing in this
+    process, so each call records what it saw in a file."""
 
     @staticmethod
     def cpus(monkeypatch, n):
@@ -1156,38 +1206,37 @@ class TestConcurrently:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
-    def test_results_in_call_order_on_at_most_one_thread_per_cpu(self, monkeypatch,
-                                                                  tmp_path, n_cpus):
-        self.cpus(monkeypatch, n_cpus)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_results_in_call_order_with_one_process_per_call(self, monkeypatch,
+                                                             tmp_path, k):
+        # every call waits until all k have started, so they finish only if
+        # they all run at once; one call runs on the caller with no fork
+        if k == 1:
+            monkeypatch.setattr(cli.os, "fork", lambda: pytest.fail("forked for one call"))
         log = tmp_path / "calls"
 
         def call(i):
-            start = time.monotonic()
-            time.sleep(0.005 * (7 - i))  # later calls finish first
-            self.record(log, i, os.getpid(), start, time.monotonic())
+            (tmp_path / f"started{i}").touch()
+            deadline = time.monotonic() + 10
+            while len(list(tmp_path.glob("started*"))) < k:
+                assert time.monotonic() < deadline, "the calls did not all run at once"
+                time.sleep(0.001)
+            time.sleep(0.005 * (k - i))  # later calls finish first
+            self.record(log, i, os.getpid())
             return i
 
-        assert cli._concurrently([partial(call, i) for i in range(7)]) == list(range(7))
+        assert cli._concurrently([partial(call, i) for i in range(k)]) == list(range(k))
         self.no_child_left()
-        recs = self.records(log)
-        assert sorted(int(r[0]) for r in recs) == list(range(7))
-        # an end sorts before a start at the same instant
-        edges = sorted([(float(r[2]), 1) for r in recs] + [(float(r[3]), -1) for r in recs])
-        running = [sum(step for _, step in edges[:k + 1]) for k in range(len(edges))]
-        assert max(running) <= n_cpus
-        pids = {int(r[1]) for r in recs}
-        assert os.getpid() in pids  # the caller runs calls
-        assert len(pids) == 1 if n_cpus == 1 else len(pids) > 1
+        pids = {int(i): int(pid) for i, pid in self.records(log)}
+        assert sorted(pids) == list(range(k))
+        assert len(set(pids.values())) == k  # one process per call
+        assert pids[k - 1] == os.getpid()  # the caller runs the last
 
-    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
-    def test_first_failing_call_in_call_order_is_raised(self, monkeypatch, tmp_path,
-                                                        n_cpus):
-        # the first n_cpus - 1 calls go to children, which wait until the
-        # next call, on the caller, has failed: the failure of "first" comes
-        # later in time but first in call order, and the calls after the
-        # caller's never start
-        self.cpus(monkeypatch, n_cpus)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_first_failing_call_in_call_order_is_raised(self, tmp_path, k):
+        # with two calls or more, the first call fails in a child once the
+        # last call has failed on the caller: its failure comes later in
+        # time but first in call order; the calls between them succeed
         log, release, caller = tmp_path / "calls", tmp_path / "release", os.getpid()
 
         def wait_in_a_child():
@@ -1196,19 +1245,18 @@ class TestConcurrently:
                    and time.monotonic() < deadline):
                 time.sleep(0.001)
 
-        def fail(name):
+        def fail(i):
             wait_in_a_child()
-            self.record(log, name)
+            self.record(log, i)
             release.touch()
-            raise ValueError(name)
+            raise ValueError(i)
 
-        calls = ([partial(fail, "first")] + [wait_in_a_child] * (n_cpus - 2)
-                 + [partial(fail, "second")] + [partial(self.record, log, "after")] * 2)
-        with pytest.raises(ValueError, match="^first$"):
+        calls = [partial(fail, i) if i in (0, k - 1) else wait_in_a_child for i in range(k)]
+        with pytest.raises(ValueError, match="^0$"):
             cli._concurrently(calls)
         self.no_child_left()
         ran = [r[0] for r in self.records(log)]
-        assert ran == (["first"] if n_cpus == 1 else ["second", "first"])
+        assert ran == (["0"] if k == 1 else [str(k - 1), "0"])
 
     def test_interrupt_kills_the_children(self, monkeypatch):
         # the caller's own call is interrupted while a child still runs
@@ -1271,11 +1319,16 @@ class TestConcurrently:
                 os.fstat(fd)
 
     def test_cpu_count_stands_in_for_the_affinity(self, monkeypatch):
-        # where os has no sched_getaffinity; an unknown count is one CPU
+        # where os has no sched_getaffinity; an unknown count is one CPU,
+        # and so is any count where os has no fork
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._cpu_slots() == 3
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        monkeypatch.setattr(cli.os, "fork", lambda: pytest.fail("forked with one CPU"))
-        assert cli._concurrently([lambda: 1, lambda: 2]) == [1, 2]
+        assert cli._cpu_slots() == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(cli.os, "fork")
+        assert cli._cpu_slots() == 1
 
     def test_killed_run_exits_5(self, gen, monkeypatch, capsys):
         # both groups of runs kill themselves if they run in a child, and
@@ -1365,12 +1418,18 @@ class TestConcurrently:
     def test_outputs_do_not_depend_on_the_cpus(self, tiny, tmp_path, monkeypatch,
                                                capsys, cmd):
         # calibrated alphas are set inside each run: one left behind in a
-        # child would change the report
-        seen = []
+        # child would change the report.  With n CPUs a command forks
+        # min(n, runs) - 1 children, the oracle run included in its runs.
+        seen, forks = [], []
         for n_cpus in (1, 2, 3):
             self.cpus(monkeypatch, n_cpus)
+            fork, forked = cli.os.fork, []
+            monkeypatch.setattr(cli.os, "fork", lambda: forked.append(1) or fork())
             out = tmp_path / f"report{n_cpus}.json"
             assert run_cli(*cmd, *tiny, "--out", str(out)) == cli.EXIT_OK
             seen.append((capsys.readouterr(), out.read_bytes()))
+            forks.append(len(forked))
             monkeypatch.undo()
         assert seen[0] == seen[1] == seen[2]
+        assert forks == {"simulate": [0, 1, 1], "compare": [0, 1, 2],
+                         "quantize-sweep": [0, 1, 2]}[cmd[0]]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from epursim import arch, cli
+from epursim import arch, cli, presets
 from epursim.netio import MAGIC, VERSION
 
 # what a parser may answer: ok, parse/format, numeric, or a failed check
@@ -190,6 +190,22 @@ def test_synthetic_input_options(tmp_path, capsys, net, t, seed):
     assert run(capsys, "infer", "--network", str(net), "--weights",
                str(net_weights(tmp_path, capsys)), "--synthetic-t", str(t),
                "--synthetic-seed", str(seed), documented={want}) == want
+
+
+@FUZZ
+@given(t=st.integers(2**22, 2**200), command=st.sampled_from(["simulate", "compare"]))
+def test_extreme_synthetic_length_is_refused_by_the_cost_model(tmp_path, capsys, monkeypatch,
+                                                               net, t, command):
+    # refused from the shapes and T alone: no frame is drawn, and the
+    # missing weight blob is never opened
+    monkeypatch.setattr(presets, "random_sequence",
+                        lambda *args: pytest.fail("a frame was drawn"))
+    rc = cli.main([command, "--network", str(net), "--weights",
+                   str(tmp_path / "missing.bin"), "--synthetic-t", str(t)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CAPACITY, err
+    assert err.startswith("capacity error: layer 0: intermediate memory needs "), err
+    assert err.count("\n") == 1, err
 
 
 _HW = dataclasses.asdict(arch.HardwareConfig())
