@@ -11,7 +11,8 @@ matrix covers every subcommand: four generated networks (EESEN, LDLRNN, a
 2x16 fp16 bidirectional peephole network and a 1x8 layer whose 4400-byte
 forward rows overflow the row buffer), both schedules, exact, quantized
 (calibrated and not) runs, the trace CSV, runs that warn with and without
-it, and refusals for each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 3
+it, and refusals for each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 2
+includes a ``gen-network --hidden`` past the descriptor's size limit.  Exit 3
 includes a hardware config whose DRAM fetch takes a non-finite number of
 cycles and a weight blob one value short, and exit 5 a capacity refusal
 whose weight blob is missing (the weights are read after the cost model).
@@ -23,7 +24,7 @@ bound and from both MU refusals, a latency tail longer than a timestep and
 more issue slots per element than the DPU's interval.  The non-finite
 output runs read a 1x2 network and its input, the bad blobs are made from
 a 2x8 network, and the issue-slot refusal reads a 1x1 network; the setup
-writes them with the hardware configs, so they are not among the 38
+writes them with the hardware configs, so they are not among the 39
 recorded commands.
 ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
@@ -167,7 +168,8 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--layer", "1", "--trace-csv", "reuse_mwl.csv", "--out", "reuse_mwl.json"],
         ["analyze-reuse", "--network", "wide.json", "--policy", "mwl", "--t", "3",
          "--trace-csv", "reuse_wide.csv", "--out", "reuse_wide.json"],
-        # refusals: exit 2 seven times, then 3 five times (the last two on
+        # refusals: exit 2 eight times (the last a gen-network size past the
+        # descriptor's limit), then 3 five times (the last two on
         # a short blob), 4 (after a warning), 5 twice (the second with no
         # weight blob), 6 four times (a non-finite output, then a NaN
         # weight in layer 1) and 7 twice (the MU's latency tail, then its
@@ -180,6 +182,8 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--layer", "99"],
         ["infer", *net("ldlrnn"), "--synthetic-seed", "-1"],
         ["compare", *net("ldlrnn"), "--policy-a", "bogus"],
+        ["gen-network", "--layers", "1", "--hidden", "2147483648", "--out-descriptor",
+         "huge.json", "--out-weights", "huge.bin"],
         ["simulate", *net("ldlrnn"), "--hw-config", "bad_hw.json"],
         ["simulate", *net("ldlrnn"), "--synthetic-t", "-1"],
         ["simulate", *net("ldlrnn"), "--hw-config", "tiny_bw_hw.json"],

@@ -565,22 +565,23 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
 
 
 def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet]], inp: Sequence,
-             report: dict, quant_calibrate: bool = False) -> tuple[dict, Sequence]:
-    """``report`` (``cost_model``'s report of ``net`` over ``inp``'s length)
-    and the datapath's outputs.  ``quant_calibrate`` swaps the clamp
-    magnitude of the report's quant for a per-pass calibrated one, recorded
-    in the report (see ``datapath_hook``).
-
-    The refusals of a run (capacity, MU bottleneck) are ``cost_model``'s, so
-    a caller learns of them before any datapath work starts.
+             reports: list[dict | None], calibrate: bool = False
+             ) -> list[tuple[dict | None, Sequence]]:
+    """(report, outputs) of each run of ``reports``, stepped in lockstep by
+    ``network_infer``: a report (``cost_model``'s, of ``net`` over ``inp``'s
+    length) runs its ``datapath_hook``, given ``calibrate``; None is the
+    reference run.  A run's refusals (capacity, MU bottleneck) are
+    ``cost_model``'s, so they come before any datapath work starts.
     """
-    T = report["sequence_length"]
-    if inp.dim != net.input_dim or inp.length != T:
-        raise ShapeError(f"input [{inp.length}, {inp.dim}] != report's "
-                         f"[{T}, {net.input_dim}]")
+    for report in filter(None, reports):
+        T = report["sequence_length"]
+        if inp.dim != net.input_dim or inp.length != T:
+            raise ShapeError(f"input [{inp.length}, {inp.dim}] != report's "
+                             f"[{T}, {net.input_dim}]")
     # both schedules run the one ordered accumulation; quantized MWL stores
     # its hoisted forward partials as codes
-    return report, network_infer(net, weights, inp, datapath_hook(report, quant_calibrate))
+    hooks = [None if rep is None else datapath_hook(rep, calibrate) for rep in reports]
+    return list(zip(reports, network_infer(net, weights, inp, hooks)))
 
 
 def text_table(report: dict) -> str:

@@ -11,11 +11,14 @@ Set EPURSIM_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import logging
 import math
 import os
 import pickle
+import re
 import signal
 import sys
 import tempfile
@@ -300,7 +303,10 @@ def cmd_gen_network(args) -> int:
     else:
         if args.layers is None or args.hidden is None:
             raise UsageError("gen-network needs --preset or --layers/--hidden")
-        # through the parser, which refuses sizes past netio.MAX_SIZE
+        for option, size in [("--hidden", args.hidden), ("--input-dim", args.input_dim)]:
+            if size is not None and size > netio.MAX_SIZE:
+                raise UsageError(f"{option} must be at most {netio.MAX_SIZE}, got {size}")
+        # through the parser, which refuses a derived size (2h) past the limit
         net = netio.descriptor_from_json(netio.descriptor_to_json(presets.custom_descriptor(
             args.layers, args.hidden, args.bidirectional, args.peephole, args.input_dim,
             precision)))
@@ -326,7 +332,7 @@ def cmd_infer(args) -> int:
     net, _, sequence = _load_inputs(args)
     with netio.load_weights(net, args.weights) as weights:
         seq = sequence()
-        out = model.network_infer(net, weights, seq)
+        out, = model.network_infer(net, weights, seq)
     report = {
         "sequence_length": seq.length,
         "input_dim": seq.dim,
@@ -362,8 +368,8 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
     frames, draws no synthetic frames and starts no inference.  The runs,
     the oracle last, are then cut in call order into one group per CPU
     slot, and this cut alone sets how many processes run: the groups run
-    concurrently, one process each, each stepping its runs through one read
-    of the weight blob (``_infer_group``)."""
+    concurrently, one process and one ``arch.simulate`` call each, each
+    stepping its runs through one read of the weight blob."""
     net, T, sequence = _load_inputs(args)
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
@@ -374,21 +380,10 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
     with netio.load_weights(net, args.weights) as weights:
         seq = sequence()
         groups = _concurrently(
-            [partial(_infer_group, net, weights, seq, run_reports[a:b], args.calibrate)
+            [partial(arch.simulate, net, weights, seq, run_reports[a:b], args.calibrate)
              for a, b in zip(cuts, cuts[1:])])
-    *results, oracle = [result for group in groups for result in group]
-    return net, seq, results, oracle
-
-
-def _infer_group(net: model.NetworkDescriptor, weights: netio.WeightStream,
-                 seq: model.Sequence, reports: list[dict | None], calibrate: bool) -> list:
-    """Each run's result, its runs stepped in lockstep through one read of
-    ``weights``, one layer at a time: a report's run gives the report and
-    its datapath's outputs, and the None run, the oracle, gives the
-    reference model's output frames."""
-    hooks = [None if rep is None else arch.datapath_hook(rep, calibrate) for rep in reports]
-    outs = model.infer_in_lockstep(net, weights, seq, hooks)
-    return [out.frames if rep is None else (rep, out) for rep, out in zip(reports, outs)]
+    *results, (_, oracle) = [pair for group in groups for pair in group]
+    return net, seq, results, oracle.frames
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -461,11 +456,12 @@ def cmd_analyze_reuse(args) -> int:
     if args.layer is not None and not 0 <= args.layer < len(net.layers):
         raise UsageError(f"--layer must be in 0..{len(net.layers) - 1}, got {args.layer}")
     policy = sched.Policy(args.policy)
-    # the design's partial width: 8-bit codes
-    traces = list(_traces(net, args.t, policy, quant.QuantConfig(),
-                          _hw_config(args).row_buffer_bytes, args.layer))
+    # the design's partial width: 8-bit codes; each layer's trace is built
+    # when it is reached, and the CSV builds them again while it is written
+    traces = partial(_traces, net, args.t, policy, quant.QuantConfig(),
+                     _hw_config(args).row_buffer_bytes, args.layer)
     doc = {"policy": policy.value, "sequence_length": args.t, "layers": []}
-    for i, per_dir in traces:
+    for i, per_dir in traces():
         # a layer's directions and gates share one trace
         stats = sched.reuse_analysis(per_dir[0])
         result = {"stats": dict.fromkeys(model.GATES, {tgt.value: st
@@ -474,11 +470,12 @@ def cmd_analyze_reuse(args) -> int:
                       model.GATES, sched.weight_storage_bytes(stats))}
         doc["layers"].append({"layer": i, "directions": [
             {"direction": d, **result} for d in range(len(per_dir))]})
+        del per_dir  # before the next trace, or the CSV's first, is built
     outputs = {}
     if args.out:
         outputs[args.out] = _json_text(doc)
     if args.trace_csv:
-        outputs[args.trace_csv] = _trace_csv(traces)
+        outputs[args.trace_csv] = _trace_csv(traces())
     _write_atomic(outputs)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
@@ -677,6 +674,16 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     log.debug("dot kernels: %s", "einsum, unfused and in ascending k" if model.EINSUM_IN_ORDER
               else "multiply-and-add (einsum failed the import probe)")
+    if log.isEnabledFor(logging.DEBUG):
+        # output bits hold on one numpy build and SIMD tier; show_runtime
+        # prints the tier to stdout, with a threadpoolctl warning
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            np.show_runtime()
+        simd = re.search(r"'baseline': \[(.*?)\],\s*'found': \[(.*?)\]", text.getvalue(), re.S)
+        tier = ([" ".join(re.findall(r"\w+", g)) or "none" for g in simd.groups()] if simd
+                else ["unknown"] * 2)
+        log.debug("numpy %s, SIMD baseline %s, found %s", np.__version__, *tier)
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -15,7 +15,7 @@ results in exact mode.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence as SequenceOf
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -492,27 +492,17 @@ def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
 
 
 def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet]],
-                  inp: Sequence, partials_hook: PartialsHook | None = None) -> Sequence:
-    """Fold layer_infer over the stack; returns the last hidden layer's output.
-    ``weights`` gives each layer's weight sets in turn: a NetworkWeights, or
-    a ``netio.WeightStream``, which reads a layer only when it is reached.
-    Layer 0 refuses an input that does not match ``net.input_dim``.  An error
-    of a layer names the layer that raised it."""
-    return infer_in_lockstep(net, weights, inp, [partials_hook])[0]
-
-
-def infer_in_lockstep(net: NetworkDescriptor, weights: Iterable[list[WeightSet]],
-                      inp: Sequence, hooks: list[PartialsHook | None]) -> list[Sequence]:
-    """``network_infer`` of ``inp`` once per partials hook, the runs in
-    lockstep: every run passes through layer i before layer i+1's weight
-    sets are taken from ``weights``, so each layer is taken once.
-
-    The error raised is the first failing run's, in hook order; once a run
-    fails, the runs after it stop, since their errors could not be the one
-    raised.  It is raised after every layer's weight sets have been taken,
-    so that an error of ``weights`` itself (a short blob, a non-finite
-    weight) comes first and unprefixed, as if all were taken before any run.
-    """
+                  inp: Sequence, hooks: SequenceOf[PartialsHook | None] = (None,)
+                  ) -> list[Sequence]:
+    """The last hidden layer's output of ``inp`` per partials hook (or None),
+    the runs in lockstep: each passes through layer i before layer i+1's
+    weight sets are taken from ``weights`` (a NetworkWeights, or a
+    ``netio.WeightStream``, which reads a layer only when it is reached).
+    An error names its layer (layer 0 refuses an input that does not match
+    ``net.input_dim``).  The first failing run's error, in hook order, is
+    raised (the runs after it stop) once every layer is taken, so that an
+    error of ``weights`` itself (a short blob, a non-finite weight) comes
+    first and unprefixed."""
     seqs = [inp] * len(hooks)
     failed: tuple[int, Exception] | None = None
     for i, (layer, sets) in enumerate(zip(net.layers, weights, strict=True)):

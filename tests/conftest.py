@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epursim import arch, netio, presets
+from epursim import arch, model, netio, presets
 from epursim.model import (GATES, PEEPHOLE_GATES, Direction, LayerDescriptor,
                            NetworkDescriptor, NetworkWeights, Precision,
                            Sequence, WeightSet)
@@ -133,7 +133,13 @@ def simulate(net, weights, seq, policy, cfg, quant=None, quant_calibrate=False,
     """One simulated inference as the CLI runs it: the cost model's report,
     then the datapath run on it; returns the report and the outputs."""
     report = arch.cost_model(net, seq.length, policy, cfg, quant, frames_per_second)
-    return arch.simulate(net, weights, seq, report, quant_calibrate)
+    return arch.simulate(net, weights, seq, [report], quant_calibrate)[0]
+
+
+def infer(net, weights, seq, hook=None) -> Sequence:
+    """The reference model's output: ``model.network_infer``'s one run,
+    with the partials hook ``hook``."""
+    return model.network_infer(net, weights, seq, [hook])[0]
 
 
 # ---------------------------------------------------------------------------

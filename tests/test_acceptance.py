@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (cosine_similarity, gate_span, random_weights, reference_table,
-                      simulate, start_of)
+from conftest import (cosine_similarity, gate_span, infer, random_weights,
+                      reference_table, simulate, start_of)
 from epursim import arch, energy, model, presets, quant, sched
 from epursim.arch import HW_PRESETS, HardwareConfig, cost_model
 from epursim.sched import Policy, Target
@@ -33,7 +33,7 @@ def suite_runs(acceptance_suite):
     t0 = time.monotonic()
     runs = []
     for net, weights, seq in acceptance_suite:
-        oracle = model.network_infer(net, weights, seq)
+        oracle = infer(net, weights, seq)
         _, conv = simulate(net, weights, seq, Policy.conventional, CFG)
         runs.append((oracle, conv))
     elapsed = time.monotonic() - t0

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cell_for_layer, gate_span, random_frames, random_network,
+from conftest import (cell_for_layer, gate_span, infer, random_frames, random_network,
                       random_weights, simulate, start_of, weights_for)
 from epursim import arch
 from epursim.arch import (HW_PRESETS, CapacityError, HardwareConfig,
                           MuBottleneckError, cost_model, dpu_dot_cycles,
                           mu_initiation_interval, mu_plan)
 from epursim.model import (GATES, Direction, LayerDescriptor, NetworkDescriptor,
-                           NumericError, ShapeError, network_infer)
+                           NumericError, ShapeError)
 from epursim.presets import custom_descriptor, preset_descriptor
 from epursim.quant import QuantConfig, calibrate_alpha
 from epursim.sched import Policy, Target
@@ -166,7 +166,7 @@ class TestSimulateFunctional:
         net, weights = tiny_net(hidden=16, layers=1)
         seq = random_frames(net, 2, 3)
         _, out = simulate(net, weights, seq, Policy.conventional, CFG)
-        want = network_infer(net, weights, seq)
+        want = infer(net, weights, seq)
         assert np.array_equal(out.frames, want.frames)
 
     def test_mwl_exact_mode_bit_identical_to_conventional(self):
@@ -184,7 +184,7 @@ class TestSimulateFunctional:
         seq = random_sequence(net, 2000, 1)
         rep, out = simulate(net, weights, seq, Policy.mwl, CFG)
         assert rep["exact_mode"]
-        want = network_infer(net, weights, seq)
+        want = infer(net, weights, seq)
         assert np.array_equal(out.frames, want.frames)
 
     def test_quantized_mwl_close_but_not_exact(self):
@@ -192,7 +192,7 @@ class TestSimulateFunctional:
         seq = random_frames(net, 6, 4)
         rep, out = simulate(net, weights, seq, Policy.mwl, CFG, quant=QuantConfig(8),
                             quant_calibrate=True)
-        want = network_infer(net, weights, seq)
+        want = infer(net, weights, seq)
         diff = np.abs(out.frames.astype(np.float64)
                       - want.frames.astype(np.float64))
         assert diff.max() > 0  # quantization really happened
@@ -223,7 +223,7 @@ class TestSimulateFunctional:
                                       precision=Precision.fp16)
         seq = random_frames(net, 3, 5)
         _, out = simulate(net, weights, seq, Policy.conventional, CFG)
-        want = network_infer(net, weights, seq)
+        want = infer(net, weights, seq)
         assert out.frames.dtype == np.float16
         assert np.array_equal(out.frames, want.frames)
 
@@ -275,7 +275,7 @@ class TestChecksAndErrors:
         for T in (2, 4):
             want = rf"input \[{T}, 16\] != report's \[3, 16\]"
             with pytest.raises(ShapeError, match=want):
-                arch.simulate(net, weights, random_frames(net, T, 0), report)
+                arch.simulate(net, weights, random_frames(net, T, 0), [report])
         assert report == cost_model(net, 3, Policy.conventional, CFG)
 
     def test_weight_capacity_error_names_layer_and_deficit(self):
@@ -337,7 +337,7 @@ class TestChecksAndErrors:
                                                 r"buffer \(4096 B\)"):
             rep, out = simulate(net, weights, seq, Policy.mwl, CFG)
         assert any("row buffer" in n for n in rep["notes"])
-        oracle = network_infer(net, weights, seq)
+        oracle = infer(net, weights, seq)
         assert np.array_equal(out.frames, oracle.frames)
 
 

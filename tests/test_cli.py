@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -130,6 +132,24 @@ class TestGenNetwork:
         monkeypatch.delenv("EPURSIM_LOG")
         assert run_cli(*argv) == cli.EXIT_USAGE
         assert "dot kernels" not in capsys.readouterr().err
+
+    def test_debug_log_names_the_numpy_build_and_simd_tier(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # output bits depend on numpy's build and SIMD tier; numpy is asked
+        # for them only at debug level, and what it prints stays off stdout
+        argv = ["gen-network", "--layers", "1", "--out-descriptor", str(tmp_path / "n.json"),
+                "--out-weights", str(tmp_path / "n.bin")]
+        monkeypatch.setenv("EPURSIM_LOG", "debug")
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"DEBUG epursim: numpy {re.escape(np.__version__)}, "
+                            r"SIMD baseline \w[\w ]*, found \w[\w ]*", err.splitlines()[1])
+        shown = []
+        monkeypatch.setattr(np, "show_runtime", lambda: shown.append(True))
+        monkeypatch.setenv("EPURSIM_LOG", "info")
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert "numpy" not in capsys.readouterr().err and not shown
 
     def test_module_entry_point_prints_help(self):
         proc = run_module("--help")
@@ -352,6 +372,27 @@ class TestAnalyzeReuse:
         header = golden.decode().splitlines()[0]
         assert f"**Trace CSV** (`--trace-csv`): `{header}`." in README.read_text()
 
+    def test_one_layer_trace_alive_at_a_time(self, tmp_path, monkeypatch):
+        # each layer's trace is built when its stats are computed and
+        # dropped before the next is built; the CSV builds them again while
+        # it is written, holding at most the one before
+        desc = tmp_path / "net.json"
+        save_descriptor(model.NetworkDescriptor(
+            tuple(model.LayerDescriptor(4, 4) for _ in range(3)), input_dim=4), desc)
+        real, built, alive = sched.layer_traces, [], []
+
+        def layer_traces(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            traces = real(*args)
+            built.append(weakref.ref(traces[0]))
+            return traces
+
+        monkeypatch.setattr(sched, "layer_traces", layer_traces)
+        rc = run_cli("analyze-reuse", "--network", str(desc), "--policy", "mwl",
+                     "--t", "3", "--trace-csv", str(tmp_path / "trace.csv"))
+        assert rc == cli.EXIT_OK
+        assert alive == [0, 0, 0, 0, 1, 1]
+
 
 class TestCompare:
     def test_square_layer_access_ratio_prints_half(self, tmp_path, capsys):
@@ -404,7 +445,7 @@ class TestCompare:
     def test_one_oracle_run_serves_both_sides(self, gen, tmp_path, monkeypatch):
         # counted in a file, which a run in a forked child writes to as
         # well: three runs in all, two of them datapaths
-        real_runs, real_hook = model.infer_in_lockstep, arch.datapath_hook
+        real_runs, real_hook = arch.network_infer, arch.datapath_hook
         calls = tmp_path / "calls"
 
         def record(line):
@@ -419,7 +460,7 @@ class TestCompare:
             record("datapath")
             return real_hook(*args)
 
-        monkeypatch.setattr(model, "infer_in_lockstep", runs)
+        monkeypatch.setattr(arch, "network_infer", runs)
         monkeypatch.setattr(arch, "datapath_hook", hook)
         desc, blob = gen
         out = tmp_path / "cmp.json"
@@ -730,12 +771,11 @@ class TestBoundary:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("shape,rc,line", [
-        # past netio.MAX_SIZE: refused as load_descriptor refuses it
-        (["--hidden", str(2**31)], cli.EXIT_PARSE, "error: bad network descriptor: "
-         "descriptor.input_dim must be at most 2147483647, got 2147483648"),
-        (["--hidden", "4", "--input-dim", str(2**31)], cli.EXIT_PARSE,
-         "error: bad network descriptor: descriptor.input_dim must be at most "
-         "2147483647, got 2147483648"),
+        # past netio.MAX_SIZE: refused as a usage error naming the option
+        (["--hidden", str(2**31)], cli.EXIT_USAGE,
+         "usage error: --hidden must be at most 2147483647, got 2147483648"),
+        (["--hidden", "4", "--input-dim", str(2**31)], cli.EXIT_USAGE,
+         "usage error: --input-dim must be at most 2147483647, got 2147483648"),
         # within it, but the first draw is past any address space: 2**57
         # bytes (numpy's own MemoryError), then more bytes than numpy counts
         (["--hidden", str(2**27)], cli.EXIT_CAPACITY,
@@ -969,7 +1009,7 @@ class TestBoundary:
 
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(model, "infer_in_lockstep", lambda *a: started.append("runs"))
+        monkeypatch.setattr(arch, "network_infer", lambda *a: started.append("runs"))
         monkeypatch.setattr(model, "layer_infer", lambda *a: started.append("layer"))
         net = model.NetworkDescriptor((model.LayerDescriptor(8, 64),
                                        model.LayerDescriptor(16, 8)), input_dim=64)
@@ -1343,8 +1383,8 @@ class TestConcurrently:
                 return real(*args)
             return run
 
-        monkeypatch.setattr(model, "infer_in_lockstep",
-                            killed_in_a_child(model.infer_in_lockstep))
+        monkeypatch.setattr(arch, "network_infer",
+                            killed_in_a_child(arch.network_infer))
         desc, blob = gen
         assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "3") == cli.EXIT_CAPACITY
@@ -1365,14 +1405,14 @@ class TestConcurrently:
                                                   error, rc, line):
         # the datapath's group, call 0 of 2, is the one that runs in a child
         self.cpus(monkeypatch, 2)
-        caller, real = os.getpid(), model.infer_in_lockstep
+        caller, real = os.getpid(), arch.network_infer
 
         def runs(*args):
             if os.getpid() != caller:
                 raise error
             return real(*args)
 
-        monkeypatch.setattr(model, "infer_in_lockstep", runs)
+        monkeypatch.setattr(arch, "network_infer", runs)
         desc, blob = gen
         assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "3") == rc
@@ -1400,6 +1440,41 @@ class TestConcurrently:
             assert offset == at
             at += n
         assert at == blob.stat().st_size
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cmd,runs", [
+        (["infer"], 0), (["simulate"], 2), (["compare"], 3),
+        (["quantize-sweep", "--min-bits", "6", "--max-bits", "8"], 4)],
+        ids=["infer", "simulate", "compare", "quantize-sweep"])
+    def test_one_run_path(self, gen, monkeypatch, tmp_path, n, cmd, runs):
+        # a group of runs is one arch.simulate call, the oracle the None
+        # report of the last, and each call steps its runs through one
+        # network_infer call; infer is one network_infer call
+        self.cpus(monkeypatch, n)
+        calls = tmp_path / "calls"
+        real_simulate, real_infer = arch.simulate, model.network_infer
+
+        def simulate(net, weights, seq, reports, calibrate):
+            self.record(calls, "simulate", len(reports), reports[-1] is None)
+            return real_simulate(net, weights, seq, reports, calibrate)
+
+        def network_infer(net, weights, seq, hooks=(None,)):
+            self.record(calls, "network_infer", len(hooks))
+            return real_infer(net, weights, seq, hooks)
+
+        monkeypatch.setattr(arch, "simulate", simulate)
+        for module in (arch, model):
+            monkeypatch.setattr(module, "network_infer", network_infer)
+        desc, blob = gen
+        assert run_cli(*cmd, "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "3") == cli.EXIT_OK
+        want = [["network_infer", "1"]]
+        if runs:
+            groups = min(n, runs)
+            cuts = [runs * g // groups for g in range(groups + 1)]
+            want = [[name, str(b - a), *tail] for a, b in zip(cuts, cuts[1:])
+                    for name, tail in [("simulate", [str(b == runs)]), ("network_infer", [])]]
+        assert sorted(self.records(calls)) == sorted(want)
 
     @pytest.fixture()
     def tiny(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (F32, arrays_of, cell_for_layer, make_cell,
+from conftest import (F32, arrays_of, cell_for_layer, infer, make_cell,
                       naive_lstm_step, naive_preactivation, naive_sigmoid,
                       random_frames, random_network, random_weights, weight_set,
                       weights_for)
@@ -19,7 +19,7 @@ from epursim.model import (GATES, STACK_ORDER, Direction, LayerDescriptor,
                            NetworkDescriptor, NumericError,
                            Precision, Sequence, ShapeError, WeightSet,
                            accumulate_dot, accumulate_dot_all_t, finish_step,
-                           layer_infer, network_infer, run_direction)
+                           layer_infer, run_direction)
 from epursim.quant import QuantConfig, quantize
 
 
@@ -566,7 +566,7 @@ class TestNetworkInfer:
     def test_one_layer_equals_layer_infer(self):
         net, weights = random_network(123, max_layers=1)
         seq = random_frames(net, 4, 5)
-        got = network_infer(net, weights, seq)
+        got = infer(net, weights, seq)
         want = layer_infer(net.layers[0], weights[0], seq)
         assert np.array_equal(got.frames, want.frames)
 
@@ -580,7 +580,7 @@ class TestNetworkInfer:
         w1 = [make_cell(5, 12, False, 63)]
         weights = [w0, w1]
         seq = Sequence(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
-        got = network_infer(net, weights, seq)
+        got = infer(net, weights, seq)
         want = layer_infer(l1, w1, layer_infer(l0, w0, seq))
         assert np.array_equal(got.frames, want.frames)
 
@@ -590,7 +590,7 @@ class TestNetworkInfer:
         with pytest.raises(ShapeError, match=(
                 rf"^layer 0: input dim {net.input_dim + 1} != layer input_size "
                 rf"{net.input_dim}$")):
-            network_infer(net, weights, Sequence(frames))
+            infer(net, weights, Sequence(frames))
 
     def test_layer_error_names_the_layer(self):
         net, weights = random_network(5, max_layers=3)
@@ -600,15 +600,15 @@ class TestNetworkInfer:
                                           bad.layer.input_size, False, 1)
         seq = random_frames(net, 2, 0)
         with pytest.raises(ShapeError, match=f"layer {len(net.layers) - 1}"):
-            network_infer(net, weights, seq)
+            infer(net, weights, seq)
 
     def test_lockstep_runs_equal_one_run_each(self):
         net, weights = random_network(77, max_layers=3)
         seq = random_frames(net, 5, 2)
         hooks = [None, lambda p: quantize(p, QuantConfig(8, 4.0))]
-        got = model.infer_in_lockstep(net, iter(weights), seq, hooks)
+        got = model.network_infer(net, iter(weights), seq, hooks)
         for hook, out in zip(hooks, got, strict=True):
-            assert np.array_equal(out.frames, network_infer(net, weights, seq, hook).frames)
+            assert np.array_equal(out.frames, infer(net, weights, seq, hook).frames)
 
     def test_lockstep_raises_the_first_failing_run_in_hook_order(self):
         # run 0 fails in layer 1, after run 1 has failed in layer 0; run 2,
@@ -625,8 +625,8 @@ class TestNetworkInfer:
             return hook
 
         with pytest.raises(NumericError, match="^layer 1: run 0$"):
-            model.infer_in_lockstep(net, weights, random_frames(net, 2, 0),
-                                    [failing(0, 1), failing(1, 0), failing(2, 9)])
+            model.network_infer(net, weights, random_frames(net, 2, 0),
+                                [failing(0, 1), failing(1, 0), failing(2, 9)])
         assert passes[2] == 0
 
     def test_lockstep_raises_an_error_of_the_weights_first(self):
@@ -642,7 +642,7 @@ class TestNetworkInfer:
             raise MemoryError("run")
 
         with pytest.raises(NumericError, match="^forget.w_x contains non-finite values$"):
-            model.infer_in_lockstep(net, layers(), random_frames(net, 2, 0), [hook])
+            model.network_infer(net, layers(), random_frames(net, 2, 0), [hook])
 
     def test_kernel_calls_per_pass_and_step(self, monkeypatch):
         # what a traced benchmark run counts: one forward hoist per
@@ -667,7 +667,7 @@ class TestNetworkInfer:
 
         for name in ("accumulate_dot_all_t", "accumulate_dot", "finish_step"):
             monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
-        network_infer(net, weights, random_frames(net, T, 3))
+        infer(net, weights, random_frames(net, T, 3))
         passes = [l0, l0, l1]
         assert calls == {"accumulate_dot_all_t": len(passes),
                          "accumulate_dot": len(passes) * T,
@@ -690,13 +690,13 @@ class TestNetworkInfer:
                 net, lambda i, d, layer: cell_for_layer(layer, 40 + 2 * i + d))
 
         seq = random_frames(net, 9, 4)
-        want = network_infer(net, fresh(), seq).frames
+        want = infer(net, fresh(), seq).frames
         n_threads = 2 * (os.cpu_count() or 1) + 2
         outputs = []
 
         def run(shared, start):
             start.wait()
-            outputs.append(network_infer(net, shared, seq).frames)
+            outputs.append(infer(net, shared, seq).frames)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -718,8 +718,8 @@ class TestNetworkInfer:
     def test_deterministic(self):
         net, weights = random_network(77)
         seq = random_frames(net, 6, 7)
-        a = network_infer(net, weights, seq)
-        b = network_infer(net, weights, seq)
+        a = infer(net, weights, seq)
+        b = infer(net, weights, seq)
         assert np.array_equal(a.frames, b.frames)
 
     def test_eesen_shaped_network_runs_finite(self):
@@ -728,7 +728,7 @@ class TestNetworkInfer:
         assert len(net.layers) == 5
         assert all(l.hidden_size == 320 for l in net.layers)
         weights = random_weights(net, 0)
-        out = network_infer(net, weights, random_sequence(net, 100, 1))
+        out = infer(net, weights, random_sequence(net, 100, 1))
         assert out.frames.shape == (100, 640)
         assert np.all(np.isfinite(out.frames))
 
@@ -744,9 +744,9 @@ class TestNetworkInfer:
         assert model.HOIST_TILE_ELEMS // (4 * net.layers[0].hidden_size) == 192
         weights = random_weights(net, 0)
         frames = random_sequence(net, 500, 1).frames
-        whole = network_infer(net, weights, Sequence(frames)).frames
+        whole = infer(net, weights, Sequence(frames)).frames
         for t in (1, 191, 192, 193, 400):
-            part = network_infer(net, weights, Sequence(frames[:t])).frames
+            part = infer(net, weights, Sequence(frames[:t])).frames
             assert np.array_equal(part, whole[:t]), t
 
 
@@ -775,7 +775,7 @@ class TestInvariants:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8))
     def test_h_bounded_by_one(self, seed, T):
         net, weights = random_network(seed, max_layers=2, hidden_range=(2, 16))
-        out = network_infer(net, weights, random_frames(net, T, seed))
+        out = infer(net, weights, random_frames(net, T, seed))
         assert np.all(np.abs(out.frames.astype(np.float64)) <= 1.0)
 
     def test_nan_weights_rejected(self):

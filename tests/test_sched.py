@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epursim.arch import HardwareConfig, cost_model
 from epursim.model import (GATES, Direction, LayerDescriptor,
-                           NetworkDescriptor, ShapeError, gate_matrix_bytes)
+                           NetworkDescriptor, Precision, ShapeError, gate_matrix_bytes)
 from epursim.quant import QuantConfig
 from epursim.sched import (KINDS, RW, TARGETS, Policy, Target, dram_traffic,
                            gate_accesses, layer_traces, pins_forward_rows,
@@ -375,3 +376,27 @@ class TestDramTraffic:
         rep = dram_traffic(net, 100)
         mib = rep["weight_bytes"] / 2**20
         assert abs(mib / 42 - 1) < 0.15  # published size, input dims assumed
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(6, 24), T=st.integers(2, 6), precision=st.sampled_from(Precision),
+       peephole=st.booleans(), row_buffer=st.integers(64, 4096), data=st.data())
+def test_mwl_weight_storage_is_the_cost_models_weight_need(h, T, precision, peephole,
+                                                          row_buffer, data):
+    # analyze-reuse's storage and simulate's agree, the paper's memory
+    # claim: a pinned MWL layer's weight buffer holds the recurrent matrix,
+    # whose rows are reused h*eb bytes apart, and its row buffer one forward
+    # row; the cost model's weight need is the recurrent matrix, the bias
+    # and the peephole.  It holds only for h*h >= input_size: a wider
+    # forward row would set the weight buffer's own minimum.  Below h = 6
+    # the default MUs cannot keep up with the DPUs, and no report is made.
+    eb = precision.elem_bytes
+    nx = data.draw(st.integers(1, min(h * h, row_buffer // eb)), label="input_size")
+    layer = LayerDescriptor(h, nx, peephole=peephole)
+    assert pins_forward_rows(layer, eb, row_buffer)
+    storage = cost_model(NetworkDescriptor((layer,), nx, precision), T, Policy.mwl,
+                         HardwareConfig(row_buffer_bytes=row_buffer))["storage"]
+    stats = reuse_analysis(trace_mwl(layer, T, eb, QuantConfig(), row_buffer))
+    bias_and_peephole = h * eb * (1 + peephole)
+    assert weight_storage_bytes(stats) == \
+        storage["weight_bytes_per_cu_hwm"] - bias_and_peephole + nx * eb
