@@ -11,9 +11,11 @@ matrix covers every subcommand: four generated networks (EESEN, LDLRNN, a
 2x16 fp16 bidirectional peephole network and a 1x8 layer whose 4400-byte
 forward rows overflow the row buffer), both schedules, exact, quantized
 (calibrated and not) runs, the trace CSV, runs that warn with and without
-it, and refusals for each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 2
-includes a ``gen-network --hidden`` past the descriptor's size limit.  Exit 3
-includes a hardware config whose DRAM fetch takes a non-finite number of
+it, ``infer``, a calibrated quantized ``simulate``, ``compare`` and
+``quantize-sweep`` on the bidirectional EESEN network, and refusals for
+each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 2 includes a
+``gen-network --hidden`` past the descriptor's size limit.  Exit 3 includes
+a hardware config whose DRAM fetch takes a non-finite number of
 cycles and a weight blob one value short, and exit 5 a capacity refusal
 whose weight blob is missing (the weights are read after the cost model).
 Exit 6 is a non-finite output, from ``infer`` and ``simulate``, and a NaN
@@ -24,7 +26,7 @@ bound and from both MU refusals, a latency tail longer than a timestep and
 more issue slots per element than the DPU's interval.  The non-finite
 output runs read a 1x2 network and its input, the bad blobs are made from
 a 2x8 network, and the issue-slot refusal reads a 1x1 network; the setup
-writes them with the hardware configs, so they are not among the 39
+writes them with the hardware configs, so they are not among the 43
 recorded commands.
 ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
@@ -162,6 +164,15 @@ def matrix(tiny: bool) -> list[list[str]]:
          "--quant-bits", "6", "--out", "cmp6.json"],
         ["quantize-sweep", *net("ldlrnn"), "--synthetic-t", "20", "--min-bits", "4",
          "--max-bits", "7", "--calibrate", "--out", "sweep.json"],
+        # the bidirectional network through every command that runs inference
+        ["infer", *net("eesen"), "--synthetic-t", "6", "--save-output", "infer_bi.bin",
+         "--out", "infer_bi.json"],
+        ["simulate", *net("eesen"), "--synthetic-t", "6", "--policy", "mwl", "--quantize",
+         "--quant-bits", "8", "--calibrate", "--out", "sim_bi_q8.json"],
+        ["compare", *net("eesen"), "--synthetic-t", "6", "--quantize", "--calibrate",
+         "--out", "cmp_bi.json"],
+        ["quantize-sweep", *net("eesen"), "--synthetic-t", "6", "--min-bits", "6",
+         "--max-bits", "8", "--calibrate", "--out", "sweep_bi.json"],
         ["analyze-reuse", "--network", "ldlrnn.json", "--policy", "conventional",
          "--t", "6", "--trace-csv", "reuse_conv.csv", "--out", "reuse_conv.json"],
         ["analyze-reuse", "--network", "eesen.json", "--policy", "mwl", "--t", "6",
