@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .model import (GATES, PEEPHOLE_GATES, LayerDescriptor,
-                    NetworkDescriptor, PartialsHook, Sequence, ShapeError,
-                    WeightSet, cell_weight_bytes, gate_matrix_bytes,
+                    NetworkDescriptor, Outcome, PartialsHook, Sequence, ShapeError,
+                    Swap, WeightSet, cell_weight_bytes, gate_matrix_bytes,
                     gate_weight_bytes, network_infer)
 from .netio import descriptor_to_json
 from .quant import QuantConfig, calibrate_alpha, quantize
@@ -564,14 +564,16 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
     }
 
 
-def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet]], inp: Sequence,
-             reports: list[dict | None], calibrate: bool = False
-             ) -> list[tuple[dict | None, Sequence]]:
+def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet | None]],
+             inp: Sequence, reports: list[dict | None], calibrate: bool = False,
+             swap: Swap | None = None) -> list[tuple[dict | None, Outcome]]:
     """(report, outputs) of each run of ``reports``, stepped in lockstep by
-    ``network_infer``: a report (``cost_model``'s, of ``net`` over ``inp``'s
-    length) runs its ``datapath_hook``, given ``calibrate``; None is the
-    reference run.  A run's refusals (capacity, MU bottleneck) are
-    ``cost_model``'s, so they come before any datapath work starts.
+    ``network_infer`` over the lanes of ``swap`` (all of them without one):
+    a report (``cost_model``'s, of ``net`` over ``inp``'s length) runs its
+    ``datapath_hook``, given ``calibrate``; None is the reference run.  A
+    run's refusals (capacity, MU bottleneck) are ``cost_model``'s, so they
+    come before any datapath work starts.  With a swap, a run's outputs
+    are its outcome here (see ``model.settle``).
     """
     for report in filter(None, reports):
         T = report["sequence_length"]
@@ -581,7 +583,7 @@ def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet]], inp: Se
     # both schedules run the one ordered accumulation; quantized MWL stores
     # its hoisted forward partials as codes
     hooks = [None if rep is None else datapath_hook(rep, calibrate) for rep in reports]
-    return list(zip(reports, network_infer(net, weights, inp, hooks)))
+    return list(zip(reports, network_infer(net, weights, inp, hooks, swap)))
 
 
 def text_table(report: dict) -> str:

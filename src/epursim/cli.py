@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import math
+import mmap
 import os
 import pickle
 import re
@@ -139,8 +140,8 @@ def _hw_config(args) -> arch.HardwareConfig:
 
 
 def _cpu_slots() -> int:
-    """How many groups ``_run_simulations`` cuts its runs into, at most: one
-    per CPU in this process's affinity, the caller's own included, or one
+    """How many groups ``_run_lanes`` cuts its lanes into, at most: one per
+    CPU in this process's affinity, the caller's own included, or one
     without ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
@@ -229,6 +230,92 @@ def _child(call: Callable[[], object], w: int) -> NoReturn:
         status = 0
     finally:
         os._exit(status)
+
+
+class _Swap(model.Swap):
+    """The swap of one group of lanes cut across processes (see
+    ``_swaps``).  A run whose lanes are in two groups is split: each
+    writes its half of the run's layer output into the shared mapping,
+    and the two meet through their token pipes.  Any other run's output is
+    private to its process."""
+
+    def __init__(self, lanes: list[model.Lane], split: set[int], mem, slot: int,
+                 runs: int, send: list[int], recv: list[int], fds: set[int]):
+        super().__init__(lanes)
+        self._split, self._mem, self._slot, self._runs = split, mem, slot, runs
+        self._send, self._recv, self._fds = send, recv, fds
+
+    def run(self, call: Callable[[], object]) -> object:
+        """``call()`` in the process that runs this group: every token pipe
+        end but this group's is closed first, so a peer's end is closed
+        once that peer ends, and this group's after the call."""
+        mine = {*self._send, *self._recv}
+        self._close(self._fds - mine)
+        try:
+            return call()
+        finally:
+            self._close(mine)
+
+    def _close(self, fds: set[int]) -> None:
+        for fd in fds & self._fds:
+            self._fds.discard(fd)
+            os.close(fd)
+
+    def output(self, i: int, run: int, shape: tuple[int, int]) -> np.ndarray:
+        if run not in self._split:
+            return super().output(i, run, shape)
+        # a run's layers alternate between its two slots: a peer still
+        # reading layer i-1 while this process writes layer i+1 is in its
+        # layer-i lanes, which the swap of layer i waits for
+        at = (i % 2 * self._runs + run) * self._slot
+        return np.ndarray(shape, model.ACC_DTYPE, self._mem, at)
+
+    def exchange(self, i: int, stop: int) -> int | None:
+        # the token is the sender's stop, one byte: there are at most 16 runs
+        try:
+            for fd in self._send:
+                os.write(fd, bytes([stop]))
+            tokens = [os.read(fd, 1) for fd in self._recv]
+        except BrokenPipeError:
+            return None
+        if not all(tokens):  # end of file: the peer ended
+            return None
+        return min([stop, *(t[0] for t in tokens)])
+
+    def settle(self, outcomes: list[model.Outcome]) -> list[model.Outcome]:
+        # a run's error is raised across the groups, by ``model.settle``
+        return outcomes
+
+
+@contextlib.contextmanager
+def _swaps(net: model.NetworkDescriptor, T: int,
+           groups: list[list[model.Lane]]) -> Iterator[list[_Swap]]:
+    """One swap per group of lanes, each group to run in its own process.
+    Made before the fork: one pipe each way between two groups that share
+    a run, and one anonymous shared mapping with two slots of [T, the
+    widest layer output] fp32 values per run, where a split run's layer
+    outputs meet (only the pages written are faulted in).  Without a split
+    run there is neither.  Each token pipe end still open in this process
+    is closed on leaving the block."""
+    holder = {lane: g for g, lanes in enumerate(groups) for lane in lanes}
+    runs = 1 + max(r for _, r in holder)
+    split = {r for (d, r), g in holder.items() if d and g != holder[0, r]}
+    peers = sorted({(holder[d, r], holder[1 - d, r]) for r in split for d in (0, 1)})
+    pipes: dict[tuple[int, int], tuple[int, int]] = {}
+    fds: set[int] = set()
+    try:
+        for pair in peers:
+            pipes[pair] = os.pipe()
+            fds.update(pipes[pair])
+        slot = T * max(layer.output_size for layer in net.layers) * 4
+        mem = mmap.mmap(-1, 2 * runs * slot) if split else None
+        yield [_Swap(lanes, split, mem, slot, runs,
+                     send=[pipes[g, h][1] for g_, h in peers if g_ == g],
+                     recv=[pipes[h, g][0] for g_, h in peers if g_ == g], fds=fds)
+               for g, lanes in enumerate(groups)]
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _traces(net: model.NetworkDescriptor, T: int, policy: sched.Policy,
@@ -330,12 +417,10 @@ def cmd_gen_network(args) -> int:
 
 def cmd_infer(args) -> int:
     net, _, sequence = _load_inputs(args)
-    with netio.load_weights(net, args.weights) as weights:
-        seq = sequence()
-        out, = model.network_infer(net, weights, seq)
+    (_, out), = _run_lanes(net, args.weights, sequence, [None])
     report = {
-        "sequence_length": seq.length,
-        "input_dim": seq.dim,
+        "sequence_length": out.length,
+        "input_dim": net.input_dim,
         "output_dim": out.dim,
         "network": netio.descriptor_to_json(net),
         # always true: Sequence refuses a non-finite output (exit 6)
@@ -360,30 +445,65 @@ def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
         raise UsageError(e) from e
 
 
+def _run_lanes(net: model.NetworkDescriptor, weights_path: str,
+               sequence: Callable[[], model.Sequence], reports: list[dict | None],
+               calibrate: bool = False) -> list[tuple[dict | None, model.Sequence]]:
+    """(report, outputs) of each run of ``reports`` (None: the reference
+    run) over ``sequence()``, with the weights of the blob at
+    ``weights_path``.
+
+    A lane is one direction of one run.  The lanes, direction-major (every
+    run's forward direction, then every run's backward one), are cut in
+    order into one group per CPU slot, and this cut alone sets how many
+    processes run: the groups run concurrently, one process and one
+    ``arch.simulate`` call each, each reading only its lanes' directions of
+    the weight blob, one layer at a time.  A run's directions in two
+    groups swap their halves of each layer's output (``_swaps``).  The
+    first failing run's error is raised, as in one process; calibrated
+    alphas come back in (layer, direction) order.
+    """
+    directions = max(layer.num_directions for layer in net.layers)
+    lanes = [(d, r) for d in range(directions) for r in range(len(reports))]
+    n = min(_cpu_slots(), len(lanes))
+    cuts = [len(lanes) * g // n for g in range(n + 1)]
+    with netio.load_weights(net, weights_path) as weights:
+        seq = sequence()
+        with _swaps(net, seq.length, [lanes[a:b] for a, b in zip(cuts, cuts[1:])]) as swaps:
+            groups = _concurrently([
+                partial(swap.run, partial(arch.simulate, net,
+                                          weights.read({d for d, _ in swap.lanes}),
+                                          seq, reports, calibrate, swap))
+                for swap in swaps])
+    outputs = model.settle([[out for _, out in group] for group in groups])
+    holder = {lane: g for g, swap in enumerate(swaps) for lane in swap.lanes}
+    pairs = []
+    for r, out in enumerate(outputs):
+        report = groups[holder[0, r]][r][0]
+        if calibrate and report is not None and report["quant"] is not None:
+            # each group appended the alphas of its own passes of the run
+            alphas = {g: iter(groups[g][r][0]["quant"]["pass_alphas"])
+                      for (_, run), g in holder.items() if run == r}
+            report["quant"]["pass_alphas"] = [
+                next(alphas[holder[d, r]])
+                for layer in net.layers for d in range(layer.num_directions)]
+        pairs.append((report, out))
+    return pairs
+
+
 def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | None]],
                      frames_per_second: float | None = None):
     """Simulate each (policy, quantization) run with the inputs and hardware
     of args, beside one oracle run; each run gives its (report, outputs).
     Every cost model runs first, so a refused run reads no weights or input
     frames, draws no synthetic frames and starts no inference.  The runs,
-    the oracle last, are then cut in call order into one group per CPU
-    slot, and this cut alone sets how many processes run: the groups run
-    concurrently, one process and one ``arch.simulate`` call each, each
-    stepping its runs through one read of the weight blob."""
+    the oracle last, then run through ``_run_lanes``."""
     net, T, sequence = _load_inputs(args)
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
                for policy, qcfg in runs]
-    run_reports = [*reports, None]  # None: the oracle
-    n = min(_cpu_slots(), len(run_reports))
-    cuts = [len(run_reports) * g // n for g in range(n + 1)]
-    with netio.load_weights(net, args.weights) as weights:
-        seq = sequence()
-        groups = _concurrently(
-            [partial(arch.simulate, net, weights, seq, run_reports[a:b], args.calibrate)
-             for a, b in zip(cuts, cuts[1:])])
-    *results, (_, oracle) = [pair for group in groups for pair in group]
-    return net, seq, results, oracle.frames
+    *results, (_, oracle) = _run_lanes(net, args.weights, sequence, [*reports, None],
+                                       args.calibrate)
+    return net, T, results, oracle.frames
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -432,7 +552,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--frames-per-second must be positive and finite, "
                          f"got {args.frames_per_second}")
     qcfg = _quant_config(args.quant_bits, args.alpha) if args.quantize else None
-    net, seq, ((report, out),), oracle = _run_simulations(
+    net, T, ((report, out),), oracle = _run_simulations(
         args, [(policy, qcfg)], args.frames_per_second)
     report["oracle_check"] = _oracle_check(oracle, report, out)
     if args.energy:
@@ -443,7 +563,7 @@ def cmd_simulate(args) -> int:
     if args.trace_csv:
         # a conventional trace reads no partial width
         outputs[args.trace_csv] = _trace_csv(_traces(
-            net, seq.length, policy, qcfg, report["hardware"]["row_buffer_bytes"]))
+            net, T, policy, qcfg, report["hardware"]["row_buffer_bytes"]))
     _write_atomic(outputs)
     print(arch.text_table(report))
     print(f"oracle check: {report['oracle_check']}")

@@ -473,16 +473,23 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
     return out
 
 
-def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
-                inp: Sequence, partials_hook: PartialsHook | None = None) -> Sequence:
-    """Run one layer; bidirectional layers concatenate fwd and bwd outputs."""
-    if inp.dim != layer.input_size:
-        raise ShapeError(f"input dim {inp.dim} != layer input_size {layer.input_size}")
+def _check_layer(layer: LayerDescriptor, weights: list[WeightSet | None],
+                 input_dim: int) -> None:
+    """ShapeError unless ``weights`` (None for a direction another process
+    reads) are ``layer``'s and an input of ``input_dim`` fits it."""
+    if input_dim != layer.input_size:
+        raise ShapeError(f"input dim {input_dim} != layer input_size {layer.input_size}")
     if len(weights) != layer.num_directions:
         raise ShapeError(f"layer wants {layer.num_directions} weight sets, got {len(weights)}")
     for ws in weights:
-        if ws.layer != layer:
+        if ws is not None and ws.layer != layer:
             raise ShapeError("weight set does not match the layer descriptor")
+
+
+def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
+                inp: Sequence, partials_hook: PartialsHook | None = None) -> Sequence:
+    """Run one layer; bidirectional layers concatenate fwd and bwd outputs."""
+    _check_layer(layer, weights, inp.dim)
     fwd = run_direction(weights[0], inp.frames, partials_hook)
     if layer.direction is Direction.forward_only:
         return Sequence(fwd)
@@ -491,33 +498,122 @@ def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
     return Sequence(np.concatenate([fwd, bwd[::-1]], axis=1))
 
 
-def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet]],
-                  inp: Sequence, hooks: SequenceOf[PartialsHook | None] = (None,)
-                  ) -> list[Sequence]:
+#: one direction of one run of a ``network_infer`` call: (direction, run)
+Lane = tuple[int, int]
+
+#: what a ``network_infer`` call gives for each run: its output, the error it
+#: failed with, or None (stopped after an earlier run failed, or not run)
+Outcome = Sequence | Exception | None
+
+
+class Swap:
+    """Where the lanes of a ``network_infer`` call meet after each layer.
+
+    This one holds every lane of every run in one process, so each run's
+    layer output is whole where its lanes write it, and nothing is
+    exchanged (``cli`` cuts the lanes across processes with a swap of its
+    own).  ``lanes`` are the lanes this process runs, direction-major.
+    """
+
+    def __init__(self, lanes: list[Lane]):
+        self.lanes = lanes
+
+    def output(self, i: int, run: int, shape: tuple[int, int]) -> np.ndarray:
+        """The fp32 array that ``run``'s layer-``i`` output is written into."""
+        return np.empty(shape, ACC_DTYPE)
+
+    def exchange(self, i: int, stop: int) -> int | None:
+        """After this process's lanes of layer ``i``: ``stop`` (the lowest
+        run it knows to have failed, or the run count), lowered to the
+        lowest that the processes sharing a run with it know of, once their
+        halves of layer ``i`` are written; None if one of them ended."""
+        return stop
+
+    def settle(self, outcomes: list[Outcome]) -> list[Sequence]:
+        """The call's result: here, its outputs, or the first failing
+        run's error raised."""
+        return settle([outcomes])
+
+
+def settle(groups: list[list[Outcome]]) -> list[Sequence]:
+    """Each run's output, from the ``network_infer`` outcomes of the groups
+    of lanes that ran it, in the order of the cut.  Raises the first failing
+    run's error: runs in order, and within a run the first group's."""
+    outputs = []
+    for outcomes in zip(*groups, strict=True):
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        outputs.append(next(o for o in outcomes if o is not None))
+    return outputs
+
+
+def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | None]],
+                  inp: Sequence, hooks: SequenceOf[PartialsHook | None] = (None,),
+                  swap: Swap | None = None) -> list[Sequence]:
     """The last hidden layer's output of ``inp`` per partials hook (or None),
-    the runs in lockstep: each passes through layer i before layer i+1's
-    weight sets are taken from ``weights`` (a NetworkWeights, or a
-    ``netio.WeightStream``, which reads a layer only when it is reached).
+    the runs in lockstep, one lane (one direction of one run) at a time:
+    every lane of ``swap`` (all of them without one) passes through layer i
+    before layer i+1's weight sets are taken from ``weights`` (a
+    NetworkWeights, or a ``netio.WeightStream`` read, which reads a layer
+    only when it is reached and may leave None for a direction no lane
+    here runs).  Layer i+1 is taken before the swap waits for the other
+    processes' halves of layer i, so the read fills that wait.
+
     An error names its layer (layer 0 refuses an input that does not match
-    ``net.input_dim``).  The first failing run's error, in hook order, is
-    raised (the runs after it stop) once every layer is taken, so that an
-    error of ``weights`` itself (a short blob, a non-finite weight) comes
-    first and unprefixed."""
-    seqs = [inp] * len(hooks)
-    failed: tuple[int, Exception] | None = None
-    for i, (layer, sets) in enumerate(zip(net.layers, weights, strict=True)):
-        for r in range(len(hooks) if failed is None else failed[0]):
+    ``net.input_dim``).  A failed run stops, and so do the runs after it.
+    An error of ``weights`` itself (a short blob, a non-finite weight) is
+    raised as soon as it is met, unprefixed.  The result is
+    ``swap.settle`` of each run's outcome: without a swap, the outputs, or
+    the first failing run's error in hook order, raised once every layer is
+    taken.
+    """
+    if swap is None:
+        directions = max(layer.num_directions for layer in net.layers)
+        swap = Swap([(d, r) for d in range(directions) for r in range(len(hooks))])
+    T = inp.length
+    held = sorted({r for _, r in swap.lanes})
+    seqs = dict.fromkeys(held, inp)
+    outcomes: list[Outcome] = [None] * len(hooks)
+    stop = len(hooks)  # the lowest failed run: it and the runs after it stop
+    last = len(net.layers) - 1
+    layers = zip(net.layers, weights, strict=True)
+    step = next(layers)
+    for i in range(last + 1):
+        layer, sets = step
+        h = layer.hidden_size
+        outs = {r: swap.output(i, r, (T, layer.output_size)) for r in held if r < stop}
+        for d, r in swap.lanes:
+            if r >= stop or d >= layer.num_directions:
+                continue
+            # the backward direction runs over the frames reversed, and its
+            # outputs flip back to frame order
+            order = slice(None, None, -1 if d else 1)
             try:
                 try:
-                    seqs[r] = layer_infer(layer, sets, seqs[r], hooks[r])
+                    _check_layer(layer, sets, seqs[r].dim)
+                    half = run_direction(sets[d], seqs[r].frames[order], hooks[r])
                 except (ShapeError, NumericError) as e:
                     raise type(e)(f"layer {i}: {e}") from e
-            except Exception as e:  # raised below, once every layer is taken
-                failed = r, e
-                break
-    if failed is not None:
-        raise failed[1]
-    return seqs
+            except Exception as e:  # the run's outcome
+                outcomes[r], stop = e, r
+                continue
+            outs[r][:, d * h:(d + 1) * h] = half[order]
+        step = next(layers, None)
+        stop = swap.exchange(i, stop)
+        if stop is None:  # a peer ended: its error is the one raised
+            return outcomes
+        for r in held:
+            if r < stop:
+                try:
+                    seqs[r] = Sequence(outs[r] if i < last
+                                       else outs[r].astype(net.numeric_precision.storage_dtype))
+                except NumericError as e:
+                    outcomes[r], stop = NumericError(f"layer {i}: {e}"), r
+    for r in held:
+        if r < stop:
+            outcomes[r] = seqs[r]
+    return swap.settle(outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 import os
 import struct
 import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -198,14 +198,15 @@ class WeightStream:
     """A checked weight blob (see ``load_weights``), read one layer at a
     time; closed on leaving a ``with`` block.
 
-    Each iteration reads the blob from its start and yields, per layer, one
-    weight set per direction.  Every layer's weight sets are views of one
-    fp32 array sized for the largest layer, which the next layer
-    overwrites: a layer's weight sets hold until the next layer is read.
-    Each array passes through one reusable buffer, is checked finite and is
-    copied into place (see ``WeightSet``).  Reads are positional
-    (``os.preadv``), so processes forked while the file is open iterate on
-    their own, sharing no file offset.
+    Each iteration (``read``) reads the blob from its start and yields, per
+    layer, one weight set per direction.  Every layer's weight sets are
+    views of one fp32 array sized for the largest layer's directions that
+    are read, which the next layer overwrites: a layer's weight sets hold
+    until the next layer is read.  Each array passes through one reusable
+    buffer, is checked finite and is copied into place (see
+    ``WeightSet``).  Reads are positional (``os.preadv``), so processes
+    forked while the file is open iterate on their own, sharing no file
+    offset.
     """
 
     def __init__(self, net: NetworkDescriptor, path: str | Path, file):
@@ -218,14 +219,23 @@ class WeightStream:
         self._file.close()
 
     def __iter__(self) -> Iterator[list[WeightSet]]:
+        return self.read()
+
+    def read(self, directions: Collection[int] = (0, 1)
+             ) -> Iterator[list[WeightSet | None]]:
+        """Per layer, a weight set for each of its directions in
+        ``directions`` and None for each other one, whose bytes are skipped
+        unread."""
         net, fd = self.net, self._file.fileno()
         dt = np.dtype(net.numeric_precision.storage_dtype).newbyteorder("<")
+        eb = net.numeric_precision.elem_bytes
         # one array at a time passes through this buffer
         buf = np.empty(max(l.hidden_size * max(l.hidden_size, l.input_size)
                            for l in net.layers), dt)
         # one array for every layer: an array per layer would fault its
         # pages in anew for each layer
-        store = np.empty(max(cell_weight_bytes(l, 1) * l.num_directions
+        store = np.empty(max(cell_weight_bytes(l, 1)
+                             * sum(d in directions for d in range(l.num_directions))
                              for l in net.layers), ACC_DTYPE)
         at = 16
 
@@ -242,9 +252,15 @@ class WeightStream:
             return chunk.reshape(shape)
 
         for layer in net.layers:
-            n = cell_weight_bytes(layer, 1)
-            yield [WeightSet(layer, net.numeric_precision, read, store[d * n:(d + 1) * n])
-                   for d in range(layer.num_directions)]
+            n, sets = cell_weight_bytes(layer, 1), []
+            cells = (store[k * n:(k + 1) * n] for k in range(layer.num_directions))
+            for d in range(layer.num_directions):
+                if d in directions:
+                    sets.append(WeightSet(layer, net.numeric_precision, read, next(cells)))
+                else:
+                    sets.append(None)
+                    at += n * eb  # the direction's bytes, skipped unread
+            yield sets
 
 
 # ---------------------------------------------------------------------------

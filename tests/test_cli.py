@@ -445,31 +445,22 @@ class TestCompare:
     def test_one_oracle_run_serves_both_sides(self, gen, tmp_path, monkeypatch):
         # counted in a file, which a run in a forked child writes to as
         # well: three runs in all, two of them datapaths
-        real_runs, real_hook = arch.network_infer, arch.datapath_hook
+        real_simulate = arch.simulate
         calls = tmp_path / "calls"
 
-        def record(line):
+        def simulate(net, weights, seq, reports, calibrate, swap):
             with open(calls, "a") as f:
-                f.write(line + "\n")
+                for r in sorted({r for _, r in swap.lanes}):
+                    f.write("oracle\n" if reports[r] is None else "datapath\n")
+            return real_simulate(net, weights, seq, reports, calibrate, swap)
 
-        def runs(net, weights, seq, hooks):
-            record(f"runs {len(hooks)}")
-            return real_runs(net, weights, seq, hooks)
-
-        def hook(*args):
-            record("datapath")
-            return real_hook(*args)
-
-        monkeypatch.setattr(arch, "network_infer", runs)
-        monkeypatch.setattr(arch, "datapath_hook", hook)
+        monkeypatch.setattr(arch, "simulate", simulate)
         desc, blob = gen
         out = tmp_path / "cmp.json"
         rc = run_cli("compare", "--network", str(desc), "--weights", str(blob),
                      "--synthetic-t", "5", "--out", str(out))
         assert rc == cli.EXIT_OK
-        lines = calls.read_text().splitlines()
-        assert lines.count("datapath") == 2
-        assert sum(int(l.split()[1]) for l in lines if l.startswith("runs ")) == 3
+        assert sorted(calls.read_text().splitlines()) == ["datapath", "datapath", "oracle"]
         doc = json.loads(out.read_text())
         assert doc["oracle_check_a"] == doc["oracle_check_b"] == \
             {"mode": "bit-exact", "passed": True}
@@ -1037,14 +1028,14 @@ class TestBoundary:
 
     def test_memory_error_in_the_oracle_exits_5(self, gen, tmp_path, monkeypatch, capsys):
         # the quantized datapath has a partials hook; the oracle has none
-        real = model.layer_infer
+        real = model.run_direction
 
-        def exhausted(layer, weights, inp, partials_hook=None):
+        def exhausted(weights, frames, partials_hook=None):
             if partials_hook is None:
                 raise MemoryError("Unable to allocate 1.25 GiB for an array")
-            return real(layer, weights, inp, partials_hook)
+            return real(weights, frames, partials_hook)
 
-        monkeypatch.setattr(model, "layer_infer", exhausted)
+        monkeypatch.setattr(model, "run_direction", exhausted)
         out = tmp_path / "sim.json"
         assert self.simulate(gen, "--policy", "mwl", "--quantize",
                              "--out", str(out)) == cli.EXIT_CAPACITY
@@ -1054,13 +1045,13 @@ class TestBoundary:
     def test_simulated_run_error_wins_over_the_oracle(self, gen, monkeypatch, capsys):
         # the oracle fails first in time; the datapath comes first in call
         # order.  Its error is raised in its layer, which it names.
-        def layer(layer, weights, inp, partials_hook=None):
+        def layer(weights, frames, partials_hook=None):
             if partials_hook is None:
                 raise MemoryError("oracle allocation")
             time.sleep(0.05)
             raise model.NumericError("datapath overflow")
 
-        monkeypatch.setattr(model, "layer_infer", layer)
+        monkeypatch.setattr(model, "run_direction", layer)
         assert self.simulate(gen, "--policy", "mwl", "--quantize") == cli.EXIT_NUMERIC
         assert self.one_line(capsys) == "numeric error: layer 0: datapath overflow\n"
 
@@ -1443,24 +1434,25 @@ class TestConcurrently:
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("cmd,runs", [
-        (["infer"], 0), (["simulate"], 2), (["compare"], 3),
+        (["infer"], 1), (["simulate"], 2), (["compare"], 3),
         (["quantize-sweep", "--min-bits", "6", "--max-bits", "8"], 4)],
         ids=["infer", "simulate", "compare", "quantize-sweep"])
     def test_one_run_path(self, gen, monkeypatch, tmp_path, n, cmd, runs):
-        # a group of runs is one arch.simulate call, the oracle the None
-        # report of the last, and each call steps its runs through one
-        # network_infer call; infer is one network_infer call
+        # a group of lanes is one arch.simulate call, given every run's
+        # report (the oracle, and infer's one run, the None report of the
+        # last), and it steps its lanes through one network_infer call; on
+        # this one-direction network a lane is a run
         self.cpus(monkeypatch, n)
         calls = tmp_path / "calls"
         real_simulate, real_infer = arch.simulate, model.network_infer
 
-        def simulate(net, weights, seq, reports, calibrate):
-            self.record(calls, "simulate", len(reports), reports[-1] is None)
-            return real_simulate(net, weights, seq, reports, calibrate)
+        def simulate(net, weights, seq, reports, calibrate, swap):
+            self.record(calls, "simulate", len(reports), reports[-1] is None, swap.lanes)
+            return real_simulate(net, weights, seq, reports, calibrate, swap)
 
-        def network_infer(net, weights, seq, hooks=(None,)):
-            self.record(calls, "network_infer", len(hooks))
-            return real_infer(net, weights, seq, hooks)
+        def network_infer(net, weights, seq, hooks, swap):
+            self.record(calls, "network_infer", len(hooks), swap.lanes)
+            return real_infer(net, weights, seq, hooks, swap)
 
         monkeypatch.setattr(arch, "simulate", simulate)
         for module in (arch, model):
@@ -1468,12 +1460,12 @@ class TestConcurrently:
         desc, blob = gen
         assert run_cli(*cmd, "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "3") == cli.EXIT_OK
-        want = [["network_infer", "1"]]
-        if runs:
-            groups = min(n, runs)
-            cuts = [runs * g // groups for g in range(groups + 1)]
-            want = [[name, str(b - a), *tail] for a, b in zip(cuts, cuts[1:])
-                    for name, tail in [("simulate", [str(b == runs)]), ("network_infer", [])]]
+        groups = min(n, runs)
+        cuts = [runs * g // groups for g in range(groups + 1)]
+        want = [line for a, b in zip(cuts, cuts[1:])
+                for lanes in [str([(0, r) for r in range(a, b)]).split()]
+                for line in (["simulate", str(runs), "True", *lanes],
+                             ["network_infer", str(runs), *lanes])]
         assert sorted(self.records(calls)) == sorted(want)
 
     @pytest.fixture()
@@ -1489,12 +1481,16 @@ class TestConcurrently:
         ["simulate", "--policy", "mwl", "--quantize", "--quant-bits", "8", "--calibrate"],
         ["compare", "--quantize", "--calibrate"],
         ["quantize-sweep", "--min-bits", "4", "--max-bits", "8", "--calibrate"],
+        ["infer", "--save-output", "out.bin"],
     ])
     def test_outputs_do_not_depend_on_the_cpus(self, tiny, tmp_path, monkeypatch,
                                                capsys, cmd):
-        # calibrated alphas are set inside each run: one left behind in a
-        # child would change the report.  With n CPUs a command forks
-        # min(n, runs) - 1 children, the oracle run included in its runs.
+        # calibrated alphas are set inside each run, and a run's two
+        # directions may run in two processes: alphas left behind in a child
+        # or out of (layer, direction) order would change the report.  With
+        # n CPUs a command forks min(n, lanes) - 1 children, a lane being
+        # one direction of one run, the oracle run included in the runs.
+        monkeypatch.chdir(tmp_path)
         seen, forks = [], []
         for n_cpus in (1, 2, 3):
             self.cpus(monkeypatch, n_cpus)
@@ -1502,9 +1498,11 @@ class TestConcurrently:
             monkeypatch.setattr(cli.os, "fork", lambda: forked.append(1) or fork())
             out = tmp_path / f"report{n_cpus}.json"
             assert run_cli(*cmd, *tiny, "--out", str(out)) == cli.EXIT_OK
-            seen.append((capsys.readouterr(), out.read_bytes()))
+            saved = [Path(p).read_bytes() for p in cmd if p.endswith(".bin")]
+            seen.append((capsys.readouterr(), out.read_bytes(), saved))
             forks.append(len(forked))
             monkeypatch.undo()
+            monkeypatch.chdir(tmp_path)
         assert seen[0] == seen[1] == seen[2]
-        assert forks == {"simulate": [0, 1, 1], "compare": [0, 1, 2],
-                         "quantize-sweep": [0, 1, 2]}[cmd[0]]
+        assert forks == {"simulate": [0, 1, 2], "compare": [0, 1, 2],
+                         "quantize-sweep": [0, 1, 2], "infer": [0, 1, 1]}[cmd[0]]
