@@ -341,6 +341,97 @@ class TestChecksAndErrors:
         assert np.array_equal(out.frames, oracle.frames)
 
 
+class TestRefusalBoundaries:
+    """Each refusal's boundary: a need equal to what is configured runs,
+    one unit more is refused."""
+
+    @staticmethod
+    def one_layer(hidden, input_size, peephole=False):
+        return NetworkDescriptor((LayerDescriptor(hidden, input_size, peephole=peephole),),
+                                 input_dim=input_size)
+
+    def test_weight_memory_of_exactly_the_layers_need_fits(self):
+        net = self.one_layer(64, 32, peephole=True)
+        need = arch.gate_weight_bytes(net.layers[0], "input", 4)
+        rep = cost_model(net, 2, Policy.conventional,
+                         HardwareConfig(weight_mem_bytes_per_cu=need))
+        assert rep["storage"]["weight_bytes_per_cu_hwm"] == need
+        with pytest.raises(CapacityError, match=r"^layer 0: gate 'input' needs "
+                                                rf"{need} B .* 1 B over"):
+            cost_model(net, 2, Policy.conventional,
+                       HardwareConfig(weight_mem_bytes_per_cu=need - 1))
+
+    def test_input_buffer_of_exactly_the_layers_need_fits(self):
+        net = self.one_layer(64, 32)
+        need = (32 + 64) * 4  # x_t and h_{t-1}, conventional
+        rep = cost_model(net, 2, Policy.conventional,
+                         HardwareConfig(input_mem_bytes_per_cu=need))
+        assert rep["storage"]["input_buffer_hwm"] == need
+        with pytest.raises(CapacityError, match=rf"^layer 0: input buffer needs {need} B "
+                                                r"per CU, 1 B over"):
+            cost_model(net, 2, Policy.conventional,
+                       HardwareConfig(input_mem_bytes_per_cu=need - 1))
+
+    def test_mu_issue_slots_equal_to_the_dpu_interval_pass_their_check(self):
+        # the MUs need 4 issue slots per element.  A 1-wide DPU with unit
+        # multiplier latency delivers a recurrent dot of length 1 every
+        # 1 + 1 + add cycles; at 4 cycles the issue-slot check passes, and
+        # the tail check (a 4-cycle timestep) refuses the layer instead
+        net = self.one_layer(1, 1)
+        plan = mu_plan(CFG, peephole=False)
+        assert max(mu_initiation_interval(plan, g) for g in GATES) == 4
+
+        def refusal(add):
+            cfg = HardwareConfig(dpu_width=1, op_latency={**CFG.op_latency,
+                                                          "mul": 1, "add": add})
+            assert dpu_dot_cycles(1, cfg) == 2 + add
+            with pytest.raises(MuBottleneckError) as err:
+                cost_model(net, 2, Policy.mwl, cfg)
+            return str(err.value)
+
+        assert refusal(2).startswith("the MU latency tail (40 cycles) exceeds a whole "
+                                     "timestep of DPU work (4 cycles)")
+        assert refusal(1).startswith("MU of gate 'cell_updater' needs 4 issue "
+                                     "slots/element but the DPU delivers one every 3 cycles")
+
+    def test_mu_tail_equal_to_the_stream_runs(self):
+        # a 1-wide DPU, multiplier 2 and adder 3 cycles: a 1x16 layer's
+        # timestep streams 27 cycles (its forward and recurrent dots) and
+        # its MU tail is 27; a 2x6 layer's streams 36, under a 37-cycle tail
+        cfg = HardwareConfig(dpu_width=1, op_latency={**CFG.op_latency, "mul": 2, "add": 3})
+        rep = cost_model(self.one_layer(1, 16), 2, Policy.conventional, cfg)
+        assert rep["mu_critical_path"] - dpu_dot_cycles(16, cfg) == 27
+        assert dpu_dot_cycles(16, cfg) + dpu_dot_cycles(1, cfg) == 27
+        with pytest.raises(MuBottleneckError, match=r"^the MU latency tail \(37 cycles\) "
+                                                    r"exceeds a whole timestep of DPU "
+                                                    r"work \(36 cycles\)"):
+            cost_model(self.one_layer(2, 6), 2, Policy.conventional, cfg)
+
+
+class TestTimingAcrossPasses:
+    def test_a_pass_stalls_against_the_previous_pass_compute(self):
+        # at 0.3 GB/s EESEN's passes wait for their weights: pass p's fetch
+        # overlaps pass p-1's compute (against its own it would be 65,404,376)
+        rep = cost_model(preset_descriptor("eesen"), 50, Policy.conventional,
+                         HardwareConfig(peak_dram_bandwidth=0.3e9))
+        assert rep["stall_cycles"] == 65_723_396
+
+    def test_dram_transfer_and_latency_round_up_apart(self):
+        # 2176 weight bytes at 6 B a cycle take 362.67 cycles, and a 0.3 ns
+        # latency 0.15 cycles: 363 + 1, where one rounding would give 363
+        net = NetworkDescriptor((LayerDescriptor(8, 8),), input_dim=8)
+        cfg = HardwareConfig(peak_dram_bandwidth=3e9, dram_latency_s=0.3e-9)
+        assert arch.cell_weight_bytes(net.layers[0], 4) == 2176
+        assert cost_model(net, 2, Policy.conventional, cfg)["stall_cycles"] == 364
+
+    def test_mu_critical_path_is_the_longest_passs(self):
+        net = NetworkDescriptor((LayerDescriptor(8, 8), LayerDescriptor(8, 8, peephole=True)),
+                                input_dim=8)
+        paths = [mu_plan(CFG, peephole=l.peephole)["output.mul_h"].ready for l in net.layers]
+        assert paths == [46, 56]
+        assert cost_model(net, 2, Policy.conventional, CFG)["mu_critical_path"] == 56
+
+
 class TestSimulateCounters:
     def test_weight_buffer_reads_match_schedule_identity(self):
         from epursim.sched import weight_buffer_read_bytes

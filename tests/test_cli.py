@@ -1490,6 +1490,14 @@ class TestConcurrently:
         # or out of (layer, direction) order would change the report.  With
         # n CPUs a command forks min(n, lanes) - 1 children, a lane being
         # one direction of one run, the oracle run included in the runs.
+        seen, forks = self.on_1_2_3_cpus([*cmd, *tiny], tmp_path, monkeypatch, capsys)
+        assert seen[0] == seen[1] == seen[2]
+        assert forks == {"simulate": [0, 1, 2], "compare": [0, 1, 2],
+                         "quantize-sweep": [0, 1, 2], "infer": [0, 1, 1]}[cmd[0]]
+
+    def on_1_2_3_cpus(self, argv, tmp_path, monkeypatch, capsys):
+        """What the command ``argv`` printed and wrote (its --out report and
+        any .bin it names) with 1, 2 and 3 CPUs, and how often it forked."""
         monkeypatch.chdir(tmp_path)
         seen, forks = [], []
         for n_cpus in (1, 2, 3):
@@ -1497,12 +1505,206 @@ class TestConcurrently:
             fork, forked = cli.os.fork, []
             monkeypatch.setattr(cli.os, "fork", lambda: forked.append(1) or fork())
             out = tmp_path / f"report{n_cpus}.json"
-            assert run_cli(*cmd, *tiny, "--out", str(out)) == cli.EXIT_OK
-            saved = [Path(p).read_bytes() for p in cmd if p.endswith(".bin")]
+            assert run_cli(*argv, "--out", str(out)) == cli.EXIT_OK
+            saved = [Path(p).read_bytes() for p in argv if p.endswith(".bin")
+                     and not p.startswith(str(tmp_path))]
             seen.append((capsys.readouterr(), out.read_bytes(), saved))
             forks.append(len(forked))
             monkeypatch.undo()
             monkeypatch.chdir(tmp_path)
+        return seen, forks
+
+    @staticmethod
+    def network(tmp_path, *layers, input_dim=6):
+        """A network of ``layers`` (hidden, bidirectional), peephole, written
+        by hand beside its random weights: its arguments."""
+        shapes, size = [], input_dim
+        for hidden, bidirectional in layers:
+            shapes.append(model.LayerDescriptor(
+                hidden, size, model.Direction.bidirectional if bidirectional
+                else model.Direction.forward_only, peephole=True))
+            size = shapes[-1].output_size
+        net = model.NetworkDescriptor(tuple(shapes), input_dim)
+        desc, blob = tmp_path / "hand.json", tmp_path / "hand.bin"
+        save_descriptor(net, desc)
+        save_weights(net, random_weights(net, 7), blob)
+        return net, ["--network", str(desc), "--weights", str(blob), "--synthetic-t", "5"]
+
+    @pytest.mark.parametrize("cmd", [
+        ["infer", "--save-output", "out.bin"],
+        ["simulate", "--policy", "mwl", "--quantize", "--quant-bits", "8", "--calibrate"],
+        ["compare", "--quantize", "--calibrate"],
+        ["quantize-sweep", "--min-bits", "5", "--max-bits", "7", "--calibrate"],
+    ], ids=["infer", "simulate", "compare", "quantize-sweep"])
+    def test_mixed_network_outputs_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch,
+                                                             capsys, cmd):
+        # bidirectional, then forward-only, then bidirectional: a process
+        # holding only backward lanes runs nothing in the middle layer and
+        # takes that layer's output from the swap
+        _, argv = self.network(tmp_path, (8, True), (10, False), (6, True))
+        seen, _ = self.on_1_2_3_cpus([*cmd, *argv], tmp_path, monkeypatch, capsys)
         assert seen[0] == seen[1] == seen[2]
-        assert forks == {"simulate": [0, 1, 2], "compare": [0, 1, 2],
-                         "quantize-sweep": [0, 1, 2], "infer": [0, 1, 1]}[cmd[0]]
+
+    def preadv_log(self, monkeypatch, log):
+        real = os.preadv
+
+        def preadv(fd, buffers, offset):
+            n = real(fd, buffers, offset)
+            self.record(log, os.getpid(), offset, n)
+            return n
+
+        monkeypatch.setattr(netio.os, "preadv", preadv)
+
+    def test_two_cpus_read_each_blob_byte_once_together(self, tmp_path, monkeypatch):
+        # the child runs and reads every forward direction, the caller every
+        # backward one; a forward-only layer is the child's alone
+        self.cpus(monkeypatch, 2)
+        log = tmp_path / "reads"
+        self.preadv_log(monkeypatch, log)
+        net, argv = self.network(tmp_path, (8, True), (10, False), (6, True))
+        assert run_cli("simulate", *argv) == cli.EXIT_OK
+        reads = [tuple(map(int, r)) for r in self.records(log)]
+        at = 16
+        for _, offset, n in sorted(reads, key=lambda r: r[1]):
+            assert offset == at
+            at += n
+        assert at == Path(argv[3]).stat().st_size
+        cells, at = {}, 16  # the blob's bytes of each direction
+        for layer in net.layers:
+            for d in range(layer.num_directions):
+                cells[range(at, at + model.cell_weight_bytes(layer, 4))] = d
+                at += model.cell_weight_bytes(layer, 4)
+        directions = {}
+        for pid, offset, _ in reads:
+            directions.setdefault(pid, set()).update(
+                d for cell, d in cells.items() if offset in cell)
+        assert directions.pop(os.getpid()) == {1}
+        assert list(directions.values()) == [{0}]
+
+    def test_one_direction_reads_the_blob_once_per_process(self, gen, tmp_path,
+                                                           monkeypatch):
+        # a forward-only network is cut by runs, as before: the datapath in
+        # the child and the oracle in the caller each read the whole blob
+        self.cpus(monkeypatch, 2)
+        log = tmp_path / "reads"
+        self.preadv_log(monkeypatch, log)
+        desc, blob = gen
+        assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "3") == cli.EXIT_OK
+        per_pid = {}
+        for pid, offset, n in self.records(log):
+            per_pid.setdefault(pid, []).append((int(offset), int(n)))
+        assert len(per_pid) == 2
+        for reads in per_pid.values():
+            at = 16
+            for offset, n in reads:
+                assert offset == at
+                at += n
+            assert at == blob.stat().st_size
+
+    @pytest.mark.parametrize("poisoned,name", [
+        # direction 0 of layer 1, which only the child reads with 2 CPUs
+        ([(1, 0, "forget.w_h")], "forget.w_h"),
+        # both processes fail in layer 1: direction 0's array comes first
+        ([(1, 1, "input.w_x"), (1, 0, "forget.w_h")], "forget.w_h"),
+        # the caller's array comes first in the blob, the child first in
+        # call order; the child never reads layer 2
+        ([(2, 0, "forget.w_h"), (1, 1, "input.w_x")], "input.w_x"),
+    ], ids=["child", "same-layer", "earlier-layer"])
+    def test_weight_error_is_the_first_in_blob_order(self, tmp_path, monkeypatch, capsys,
+                                                     poisoned, name):
+        net, argv = self.network(tmp_path, (8, True), (6, True), (4, True))
+        blob = Path(argv[3])
+        data = bytearray(blob.read_bytes())
+        weights = random_weights(net, 7)
+        for layer, direction, array in poisoned:
+            at = 16 + sum(model.cell_weight_bytes(l, 4) * l.num_directions
+                          for l in net.layers[:layer])
+            at += model.cell_weight_bytes(net.layers[layer], 4) * direction
+            for part, values in weights[layer][direction].parts():
+                if part == array:
+                    break
+                at += values.size * 4
+            data[at:at + 4] = struct.pack("<f", float("nan"))
+        blob.write_bytes(bytes(data))
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            assert run_cli("simulate", *argv) == cli.EXIT_NUMERIC
+            assert TestBoundary.one_line(capsys) == (
+                f"numeric error: {name} contains non-finite values\n")
+            self.no_child_left()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("failures,line,oracle_passes", [
+        # the oracle (run 1) fails first, going forward in layer 0, which is
+        # the child's with 2 CPUs; the datapath (run 0) fails going
+        # backward in layer 2, in the caller: run 0's error is raised.  One
+        # process skips the oracle's backward lane once the oracle has
+        # failed; with 2 and 3 CPUs the process that holds it runs it in
+        # layer 0, before the swap tells it, and never after
+        ({("oracle", 0, False): MemoryError("oracle allocation"),
+          ("datapath", 2, True): model.NumericError("backward overflow")},
+         "numeric error: layer 2: backward overflow",
+         ["0 False"] * 3 + ["0 True"] * 2),
+        # both of the datapath's directions fail in layer 1, in two
+        # processes: the forward one's error is raised.  With 3 CPUs the
+        # oracle's forward lane is a process of its own, which runs layer 1
+        # before it learns that the datapath failed there
+        ({("datapath", 1, True): model.NumericError("backward overflow"),
+          ("datapath", 1, False): model.NumericError("forward overflow")},
+         "numeric error: layer 1: forward overflow",
+         ["0 False", "0 True"] * 3 + ["1 False"]),
+    ], ids=["hook-order", "direction-order"])
+    def test_run_error_keeps_its_layer_and_hook_order(self, tmp_path, monkeypatch, capsys,
+                                                      failures, line, oracle_passes):
+        net, argv = self.network(tmp_path, (8, True), (8, True), (6, True))
+        real, log = model.run_direction, tmp_path / "passes"
+
+        def run_direction(weights, frames, partials_hook=None):
+            lane = ("datapath" if partials_hook else "oracle",
+                    net.layers.index(weights.layer), frames.strides[0] < 0)
+            self.record(log, *lane)
+            if lane in failures:
+                raise failures[lane]
+            return real(weights, frames, partials_hook)
+
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            monkeypatch.setattr(model, "run_direction", run_direction)
+            assert run_cli("simulate", "--policy", "mwl", "--quantize", *argv) == \
+                cli.EXIT_NUMERIC
+            assert TestBoundary.one_line(capsys) == line + "\n"
+            self.no_child_left()
+            monkeypatch.undo()
+        passes = self.records(log)
+        assert sorted(" ".join(p[1:]) for p in passes if p[0] == "oracle") == \
+            sorted(oracle_passes)
+
+    def test_killed_peer_ends_the_wait_at_the_swap(self, tmp_path, monkeypatch, capsys):
+        # the child kills itself in its lanes of layer 1, after the swap of
+        # layer 0; the caller, waiting at the swap of layer 1, reads the end
+        # of its token pipe.  An alarm ends the test if the wait hangs.
+        self.cpus(monkeypatch, 2)
+        net, argv = self.network(tmp_path, (8, True), (6, True))
+        caller, real = os.getpid(), model.run_direction
+
+        def run_direction(weights, frames, partials_hook=None):
+            if os.getpid() != caller and weights.layer == net.layers[1]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(weights, frames, partials_hook)
+
+        def hung(*_):
+            raise TimeoutError("the caller still waits at the swap")
+
+        monkeypatch.setattr(model, "run_direction", run_direction)
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            assert run_cli("simulate", *argv) == cli.EXIT_CAPACITY
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert TestBoundary.one_line(capsys).startswith(
+            f"host memory error: run 1 of 2 ended without a result, by signal "
+            f"{int(signal.SIGKILL)} (")
+        self.no_child_left()

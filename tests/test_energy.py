@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import pytest
 
@@ -69,6 +70,12 @@ class TestAccount:
         assert got["leakage_total"] == pytest.approx(3 * base["leakage_total"], rel=1e-12)
         assert got["dynamic_total"] == pytest.approx(base["dynamic_total"], rel=1e-12)
 
+    def test_a_one_byte_row_buffer_leaks(self):
+        # each CU's row buffer stays powered at its capacity, however small
+        rep = run(16, 2, Policy.conventional, HardwareConfig(row_buffer_bytes=1))
+        got = account(rep, TABLE)["leakage_by_component"]["row_buffer"]
+        assert got == TABLE.sram_leakage_w_per_mib * 4 / 2**20 * rep["seconds"] > 0
+
     def test_fractions_sum_to_one(self):
         sim = run(16, 4, Policy.mwl)
         rep = account(sim, TABLE)
@@ -131,6 +138,16 @@ class TestCompare:
         ra = a["leakage_by_component"]["weight_memory"] / a["meta"]["seconds"]
         rb = b["leakage_by_component"]["weight_memory"] / b["meta"]["seconds"]
         assert abs(rb / ra - 0.5) <= 0.1
+
+    def test_baseline_of_no_energy_gives_an_infinite_ratio(self):
+        other = account(empty_report(), TABLE)
+        baseline = copy.deepcopy(other)
+        baseline["leakage_by_component"] = dict.fromkeys(other["leakage_by_component"], 0.0)
+        baseline["leakage_total"] = baseline["total"] = 0.0
+        cmp = compare(baseline, other)
+        assert cmp["total_ratio"] == math.inf
+        assert cmp["regressions"] == [f"leakage.{c}" for c, joules
+                                      in other["leakage_by_component"].items() if joules]
 
     def test_mismatched_metadata_refused(self):
         a = account(run(16, 3, Policy.conventional), TABLE)

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import os
+import re
 import sys
 import threading
 from collections import Counter
@@ -748,6 +749,14 @@ class TestNetworkInfer:
         for t in (1, 191, 192, 193, 400):
             part = infer(net, weights, Sequence(frames[:t])).frames
             assert np.array_equal(part, whole[:t]), t
+
+
+class TestSequence:
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (1, 2, 3)])
+    def test_a_sequence_is_one_frame_or_more(self, shape):
+        with pytest.raises(ShapeError, match=rf"^sequence must be \[T>=1, dim\], got "
+                                             rf"{re.escape(str(shape))}$"):
+            Sequence(np.zeros(shape, np.float32))
 
 
 class TestInvariants:
