@@ -582,7 +582,13 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
     for i in range(last + 1):
         layer, sets = step
         h = layer.hidden_size
-        outs = {r: swap.output(i, r, (T, layer.output_size)) for r in held if r < stop}
+        outs = {}  # each run's output, asked of the swap once a pass is done
+
+        def output(r: int) -> np.ndarray:
+            if r not in outs:
+                outs[r] = swap.output(i, r, (T, layer.output_size))
+            return outs[r]
+
         for d, r in swap.lanes:
             if r >= stop or d >= layer.num_directions:
                 continue
@@ -592,13 +598,12 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
             try:
                 try:
                     _check_layer(layer, sets, seqs[r].dim)
-                    half = run_direction(sets[d], seqs[r].frames[order], hooks[r])
+                    output(r)[:, d * h:(d + 1) * h] = run_direction(
+                        sets[d], seqs[r].frames[order], hooks[r])[order]
                 except (ShapeError, NumericError) as e:
                     raise type(e)(f"layer {i}: {e}") from e
             except Exception as e:  # the run's outcome
                 outcomes[r], stop = e, r
-                continue
-            outs[r][:, d * h:(d + 1) * h] = half[order]
         step = next(layers, None)
         stop = swap.exchange(i, stop)
         if stop is None:  # a peer ended: its error is the one raised
@@ -606,8 +611,8 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
         for r in held:
             if r < stop:
                 try:
-                    seqs[r] = Sequence(outs[r] if i < last
-                                       else outs[r].astype(net.numeric_precision.storage_dtype))
+                    seqs[r] = Sequence(output(r) if i < last
+                                       else output(r).astype(net.numeric_precision.storage_dtype))
                 except NumericError as e:
                     outcomes[r], stop = NumericError(f"layer {i}: {e}"), r
     for r in held:
