@@ -22,11 +22,12 @@ Exit 6 is a non-finite output, from ``infer`` and ``simulate``, and a NaN
 weight in the second layer, from ``simulate`` and ``compare``, which read
 the weights one layer at a time; the short blob is refused by both as
 well.  Exit 7 comes from quantized runs below their oracle check's cosine
-bound and from both MU refusals, a latency tail longer than a timestep and
-more issue slots per element than the DPU's interval.  The non-finite
-output runs read a 1x2 network and its input, the bad blobs are made from
-a 2x8 network, and the issue-slot refusal reads a 1x1 network; the setup
-writes them with the hardware configs, so they are not among the 43
+bound, one of whose outputs are all zero, and from both MU refusals, a
+latency tail longer than a timestep and more issue slots per element than
+the DPU's interval.  The non-finite output runs read a 1x2 network and its
+input, the bad blobs are made from a 2x8 network, the issue-slot refusal
+reads a 1x1 network and the all-zero output a 1x16 network; the setup
+writes them with the hardware configs, so they are not among the 44
 recorded commands.
 ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
@@ -84,11 +85,14 @@ HW_FILES = {
 }
 
 # the networks written before the matrix runs: the issue-slot refusal's,
-# and the 2x8 network the bad weight blobs are made from
+# the 2x8 network the bad weight blobs are made from, and the all-zero
+# output's
 SETUP = [["gen-network", "--layers", "1", "--hidden", "1", "--input-dim", "1",
           "--out-descriptor", "one.json", "--out-weights", "one.bin"],
          ["gen-network", "--layers", "2", "--hidden", "8", "--input-dim", "3",
-          "--out-descriptor", "two.json", "--out-weights", "two.bin"]]
+          "--out-descriptor", "two.json", "--out-weights", "two.bin"],
+         ["gen-network", "--layers", "1", "--hidden", "16", "--input-dim", "3",
+          "--seed", "1", "--out-descriptor", "zero.json", "--out-weights", "zero.bin"]]
 
 
 def write_nan_network() -> None:
@@ -120,6 +124,20 @@ def write_bad_blobs() -> None:
     Path("nan1.bin").write_bytes(bytes(blob))
     for name in ("nan1", "short"):
         Path(f"{name}.json").write_bytes(desc)
+
+
+def write_zero_blob() -> None:
+    """SETUP's 1x16 network over 3 inputs with every array zero but the
+    forward matrices: at 2 bits and alpha 20 the quantization step is 20,
+    every stored partial reads back as 0 and the datapath outputs zeros,
+    while the oracle's outputs are not zero."""
+    blob = bytearray(Path("zero.bin").read_bytes())
+    # after the header, per gate w_x [16, 3], then w_h [16, 16] and the bias [16]
+    w_x, rest = 4 * 16 * 3, 4 * (16 * 16 + 16)
+    for gate in range(4):
+        at = 16 + gate * (w_x + rest) + w_x
+        blob[at:at + rest] = bytes(rest)
+    Path("zero.bin").write_bytes(bytes(blob))
 
 
 def matrix(tiny: bool) -> list[list[str]]:
@@ -183,8 +201,8 @@ def matrix(tiny: bool) -> list[list[str]]:
         # descriptor's limit), then 3 five times (the last two on
         # a short blob), 4 (after a warning), 5 twice (the second with no
         # weight blob), 6 four times (a non-finite output, then a NaN
-        # weight in layer 1) and 7 twice (the MU's latency tail, then its
-        # issue slots)
+        # weight in layer 1) and 7 three times (an all-zero output, the
+        # MU's latency tail, then its issue slots)
         ["simulate", *net("ldlrnn"), "--quantize", "--quant-bits", "20"],
         ["simulate", *net("ldlrnn"), "--policy", "mwl", "--quantize", "--alpha", "1e-310"],
         ["quantize-sweep", *net("ldlrnn"), "--alpha", "1e-310"],
@@ -209,6 +227,8 @@ def matrix(tiny: bool) -> list[list[str]]:
         ["simulate", *net("nan"), "--input", "x.csv"],
         ["simulate", *net("nan1")],
         ["compare", *net("nan1")],
+        ["simulate", *net("zero"), "--synthetic-t", "4", "--policy", "mwl", "--quantize",
+         "--quant-bits", "2", "--alpha", "20"],
         ["simulate", *net("wide"), "--hw-config", "slow_exp_hw.json"],
         ["simulate", *net("one"), "--synthetic-t", "2", "--policy", "mwl",
          "--hw-config", "fast_dpu_hw.json"],
@@ -231,6 +251,7 @@ def run_matrix(tiny: bool) -> dict:
             if cli.main(argv) != 0:
                 raise SystemExit(f"error: setup failed: {' '.join(argv)}")
     write_bad_blobs()
+    write_zero_blob()
     manifest = {}
     for argv in matrix(tiny):
         before = set(os.listdir())

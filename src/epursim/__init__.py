@@ -4,7 +4,7 @@ built around four per-gate computation units, with a weight-locality
 
 from .model import (Direction, LayerDescriptor, NetworkDescriptor,
                     NetworkWeights, Precision, Sequence, WeightSet,
-                    layer_infer, network_infer)
+                    network_infer)
 from .quant import QuantConfig, quantize
 from .sched import (GateTrace, Policy, Target, dram_traffic, reuse_analysis,
                     trace_conventional, trace_mwl)
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Direction", "LayerDescriptor",
     "NetworkDescriptor", "NetworkWeights", "Precision", "Sequence",
-    "WeightSet", "layer_infer", "network_infer",
+    "WeightSet", "network_infer",
     "QuantConfig", "quantize",
     "GateTrace", "Policy", "Target",
     "dram_traffic", "reuse_analysis", "trace_conventional", "trace_mwl",

@@ -140,9 +140,9 @@ def _hw_config(args) -> arch.HardwareConfig:
 
 
 def _cpu_slots() -> int:
-    """How many groups ``_run_lanes`` cuts its lanes into, at most: one per
-    CPU in this process's affinity, the caller's own included, or one
-    without ``os.fork``."""
+    """How many processes ``_run_lanes`` may run at once: one per CPU in
+    this process's affinity, the caller's own included, or one without
+    ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -234,22 +234,22 @@ def _child(call: Callable[[], object], w: int) -> NoReturn:
 
 class _Swap(model.Swap):
     """The swap of one group of lanes cut across processes (see
-    ``_swaps``).  A run whose lanes are in two groups is split: each
-    writes its half of the run's layer output into the shared mapping,
-    and the two meet through their token pipes.  Any other run's output is
-    private to its process."""
+    ``_swaps``).  A group with a peer holds one direction of its runs and
+    the peer the other: each writes its half of a run's layer output into
+    the shared mapping, and the two meet through their token pipes.  A
+    group without a peer keeps its outputs private to its process."""
 
-    def __init__(self, lanes: list[model.Lane], split: set[int], mem, slot: int,
-                 runs: int, send: list[int], recv: list[int], fds: set[int]):
+    def __init__(self, lanes: list[model.Lane], mem, slot: int,
+                 peer: tuple[int, int] | None, fds: set[int]):
         super().__init__(lanes)
-        self._split, self._mem, self._slot, self._runs = split, mem, slot, runs
-        self._send, self._recv, self._fds = send, recv, fds
+        self._mem, self._slot = mem, slot
+        self._peer, self._fds = peer, fds  # peer: (send end, receive end)
 
     def run(self, call: Callable[[], object]) -> object:
         """``call()`` in the process that runs this group: every token pipe
         end but this group's is closed first, so a peer's end is closed
         once that peer ends, and this group's after the call."""
-        mine = {*self._send, *self._recv}
+        mine = set(self._peer or ())
         self._close(self._fds - mine)
         try:
             return call()
@@ -262,25 +262,24 @@ class _Swap(model.Swap):
             os.close(fd)
 
     def output(self, i: int, run: int, shape: tuple[int, int]) -> np.ndarray:
-        if run not in self._split:
+        if self._peer is None:
             return super().output(i, run, shape)
         # a run's layers alternate between its two slots: a peer still
         # reading layer i-1 while this process writes layer i+1 is in its
         # layer-i lanes, which the swap of layer i waits for
-        at = (i % 2 * self._runs + run) * self._slot
+        at = (2 * run + i % 2) * self._slot
         return np.ndarray(shape, model.ACC_DTYPE, self._mem, at)
 
     def exchange(self, i: int, stop: int) -> int | None:
+        if self._peer is None:
+            return stop
         # the token is the sender's stop, one byte: there are at most 16 runs
         try:
-            for fd in self._send:
-                os.write(fd, bytes([stop]))
-            tokens = [os.read(fd, 1) for fd in self._recv]
+            os.write(self._peer[0], bytes([stop]))
+            token = os.read(self._peer[1], 1)
         except BrokenPipeError:
             return None
-        if not all(tokens):  # end of file: the peer ended
-            return None
-        return min([stop, *(t[0] for t in tokens)])
+        return min(stop, token[0]) if token else None  # no token: the peer ended
 
     def settle(self, outcomes: list[model.Outcome]) -> list[model.Outcome]:
         # a run's error is raised across the groups, by ``model.settle``
@@ -288,30 +287,28 @@ class _Swap(model.Swap):
 
 
 @contextlib.contextmanager
-def _swaps(net: model.NetworkDescriptor, T: int,
-           groups: list[list[model.Lane]]) -> Iterator[list[_Swap]]:
+def _swaps(net: model.NetworkDescriptor, T: int, groups: list[list[model.Lane]],
+           paired: bool) -> Iterator[list[_Swap]]:
     """One swap per group of lanes, each group to run in its own process.
-    Made before the fork: one pipe each way between two groups that share
-    a run, and one anonymous shared mapping with two slots of [T, the
-    widest layer output] fp32 values per run, where a split run's layer
-    outputs meet (only the pages written are faulted in).  Without a split
-    run there is neither.  Each token pipe end still open in this process
-    is closed on leaving the block."""
-    holder = {lane: g for g, lanes in enumerate(groups) for lane in lanes}
-    runs = 1 + max(r for _, r in holder)
-    split = {r for (d, r), g in holder.items() if d and g != holder[0, r]}
-    peers = sorted({(holder[d, r], holder[1 - d, r]) for r in split for d in (0, 1)})
-    pipes: dict[tuple[int, int], tuple[int, int]] = {}
+    ``paired`` groups are every chunk's forward lanes, then every chunk's
+    backward lanes, and a group's peer is the group half the list away.
+    For them only, made before the fork: one pipe per group, carrying its
+    tokens to its peer, and one anonymous shared mapping with two slots of
+    [T, the widest layer output] fp32 values per run, where the halves of a
+    run's layer outputs meet (only the pages written are faulted in).  Each
+    token pipe end still open in this process is closed on leaving."""
+    runs = 1 + max(r for lanes in groups for _, r in lanes)
+    pipes: list[tuple[int, int]] = []
     fds: set[int] = set()
     try:
-        for pair in peers:
-            pipes[pair] = os.pipe()
-            fds.update(pipes[pair])
+        for _ in groups if paired else ():
+            pipes.append(os.pipe())
+            fds.update(pipes[-1])
         slot = T * max(layer.output_size for layer in net.layers) * 4
-        mem = mmap.mmap(-1, 2 * runs * slot) if split else None
-        yield [_Swap(lanes, split, mem, slot, runs,
-                     send=[pipes[g, h][1] for g_, h in peers if g_ == g],
-                     recv=[pipes[h, g][0] for g_, h in peers if g_ == g], fds=fds)
+        mem = mmap.mmap(-1, 2 * runs * slot) if paired else None
+        half = len(pipes) // 2
+        yield [_Swap(lanes, mem, slot,
+                     (pipes[g][1], pipes[g - half][0]) if paired else None, fds)
                for g, lanes in enumerate(groups)]
     finally:
         for fd in fds:
@@ -452,36 +449,40 @@ def _run_lanes(net: model.NetworkDescriptor, weights_path: str,
     run) over ``sequence()``, with the weights of the blob at
     ``weights_path``.
 
-    A lane is one direction of one run.  The lanes, direction-major (every
-    run's forward direction, then every run's backward one), are cut in
-    order into one group per CPU slot, and this cut alone sets how many
-    processes run: the groups run concurrently, one process and one
-    ``arch.simulate`` call each, each reading only its lanes' directions of
-    the weight blob, one layer at a time.  A run's directions in two
-    groups swap their halves of each layer's output (``_swaps``).  The
-    first failing run's error is raised, as in one process; calibrated
-    alphas come back in (layer, direction) order.
+    A lane is one direction of one run.  The runs are cut in order into
+    chunks, and this cut alone sets how many processes run: one per group
+    of lanes, each an ``arch.simulate`` call that reads only its lanes'
+    directions of the weight blob.  With a bidirectional layer and two CPU
+    slots or more, a chunk per two slots is two groups, its forward lanes
+    and its backward lanes, which swap their halves of each layer output
+    (``_swaps``); the caller runs the last chunk's backward lanes.
+    Otherwise a chunk per slot is one group.  The first failing run's
+    error is raised, as in one process; calibrated alphas come back in
+    (layer, direction) order.
     """
     directions = max(layer.num_directions for layer in net.layers)
-    lanes = [(d, r) for d in range(directions) for r in range(len(reports))]
-    n = min(_cpu_slots(), len(lanes))
-    cuts = [len(lanes) * g // n for g in range(n + 1)]
+    slots = _cpu_slots()
+    sides = [[0], [1]] if directions == 2 and slots > 1 else [range(directions)]
+    chunks = min(slots // len(sides), len(reports))
+    cuts = [len(reports) * c // chunks for c in range(chunks + 1)]
+    groups = [[(d, r) for d in side for r in range(a, b)]
+              for side in sides for a, b in zip(cuts, cuts[1:])]
     with netio.load_weights(net, weights_path) as weights:
         seq = sequence()
-        with _swaps(net, seq.length, [lanes[a:b] for a, b in zip(cuts, cuts[1:])]) as swaps:
-            groups = _concurrently([
+        with _swaps(net, seq.length, groups, paired=len(sides) == 2) as swaps:
+            results = _concurrently([
                 partial(swap.run, partial(arch.simulate, net,
                                           weights.read({d for d, _ in swap.lanes}),
                                           seq, reports, calibrate, swap))
                 for swap in swaps])
-    outputs = model.settle([[out for _, out in group] for group in groups])
-    holder = {lane: g for g, swap in enumerate(swaps) for lane in swap.lanes}
+    outputs = model.settle([[out for _, out in group] for group in results])
+    holder = {lane: g for g, lanes in enumerate(groups) for lane in lanes}
     pairs = []
     for r, out in enumerate(outputs):
-        report = groups[holder[0, r]][r][0]
+        report = results[holder[0, r]][r][0]
         if calibrate and report is not None and report["quant"] is not None:
             # each group appended the alphas of its own passes of the run
-            alphas = {g: iter(groups[g][r][0]["quant"]["pass_alphas"])
+            alphas = {g: iter(results[g][r][0]["quant"]["pass_alphas"])
                       for (_, run), g in holder.items() if run == r}
             report["quant"]["pass_alphas"] = [
                 next(alphas[holder[d, r]])
@@ -507,11 +508,12 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two output sequences, in float64."""
+    """Cosine similarity of two output sequences, in float64: 1.0 when both
+    are zero, and 0.0 when only one is."""
     a = a.astype(np.float64).ravel()
     b = b.astype(np.float64).ravel()
     denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    return float(a @ b / denom) if denom > 0 else 1.0
+    return float(a @ b / denom) if denom > 0 else float(not (a.any() or b.any()))
 
 
 #: the cosine similarity a quantized run's outputs must reach

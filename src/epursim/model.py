@@ -486,18 +486,6 @@ def _check_layer(layer: LayerDescriptor, weights: list[WeightSet | None],
             raise ShapeError("weight set does not match the layer descriptor")
 
 
-def layer_infer(layer: LayerDescriptor, weights: list[WeightSet],
-                inp: Sequence, partials_hook: PartialsHook | None = None) -> Sequence:
-    """Run one layer; bidirectional layers concatenate fwd and bwd outputs."""
-    _check_layer(layer, weights, inp.dim)
-    fwd = run_direction(weights[0], inp.frames, partials_hook)
-    if layer.direction is Direction.forward_only:
-        return Sequence(fwd)
-    bwd = run_direction(weights[1], inp.frames[::-1], partials_hook)
-    # bwd[i] belongs to input frame T-1-i; flip back to frame order
-    return Sequence(np.concatenate([fwd, bwd[::-1]], axis=1))
-
-
 #: one direction of one run of a ``network_infer`` call: (direction, run)
 Lane = tuple[int, int]
 
@@ -525,8 +513,8 @@ class Swap:
     def exchange(self, i: int, stop: int) -> int | None:
         """After this process's lanes of layer ``i``: ``stop`` (the lowest
         run it knows to have failed, or the run count), lowered to the
-        lowest that the processes sharing a run with it know of, once their
-        halves of layer ``i`` are written; None if one of them ended."""
+        lowest that the process sharing its runs knows of, once that
+        process's halves of layer ``i`` are written; None if it ended."""
         return stop
 
     def settle(self, outcomes: list[Outcome]) -> list[Sequence]:

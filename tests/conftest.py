@@ -209,10 +209,13 @@ def reference_readback(values, n_bits: int, alpha: float) -> np.ndarray:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """1.0 when both vectors are zero, and 0.0 when only one is."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    return float(a @ b / denom) if denom > 0 else 1.0
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    if norm_a and norm_b:
+        return float(a @ b / (norm_a * norm_b))
+    return float(norm_a == norm_b)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -415,6 +416,13 @@ class TestTimingAcrossPasses:
         rep = cost_model(preset_descriptor("eesen"), 50, Policy.conventional,
                          HardwareConfig(peak_dram_bandwidth=0.3e9))
         assert rep["stall_cycles"] == 65_723_396
+
+    def test_text_table_stall_row_is_the_reports(self):
+        rep = cost_model(preset_descriptor("eesen"), 50, Policy.conventional,
+                         HardwareConfig(peak_dram_bandwidth=0.3e9))
+        rows = dict(re.split(r"\s{2,}", line, maxsplit=1)
+                    for line in arch.text_table(rep).splitlines())
+        assert rows["stall cycles"] == "65,723,396" == f"{rep['stall_cycles']:,}"
 
     def test_dram_transfer_and_latency_round_up_apart(self):
         # 2176 weight bytes at 6 B a cycle take 362.67 cycles, and a 0.3 ns

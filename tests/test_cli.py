@@ -233,6 +233,45 @@ class TestSimulate:
         assert doc["oracle_check"]["mode"] == "cosine"
         assert doc["oracle_check"]["cosine_similarity"] >= 0.999
 
+    @pytest.fixture()
+    def zero_output(self, tmp_path):
+        """A quantized simulate whose datapath outputs only zeros: a 1x16
+        forward-only network over 3 inputs whose arrays are all zero but the
+        forward matrices.  At 2 bits and alpha 20 the quantization step is
+        20, so every partial reads back as 0, while the oracle's outputs are
+        not zero."""
+        net = presets.custom_descriptor(1, 16, False, False, 3)
+        desc, blob = tmp_path / "zero.json", tmp_path / "zero.bin"
+        save_descriptor(net, desc)
+        parts = ((name, arr if name.endswith(".w_x") else np.zeros_like(arr))
+                 for name, arr in presets.random_parts(net, 1))
+        with blob.open("wb") as f:
+            f.writelines(netio.weight_blob_chunks(net, parts))
+        return ["simulate", "--network", str(desc), "--weights", str(blob),
+                "--synthetic-t", "4", "--policy", "mwl", "--quantize",
+                "--quant-bits", "2", "--alpha", "20"]
+
+    def test_all_zero_output_fails_the_cosine_check(self, zero_output, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert run_cli(*zero_output, "--out", str(out)) == cli.EXIT_CHECK
+        assert capsys.readouterr().err == \
+            "check failed: oracle_check (cosine 0.0000 < 0.999)\n"
+        assert json.loads(out.read_text())["oracle_check"] == {
+            "mode": "cosine", "cosine_similarity": 0.0, "passed": False}
+
+    @pytest.mark.parametrize("cos,rc,err", [
+        (0.999, cli.EXIT_OK, ""),
+        (float(np.nextafter(0.999, 0)), cli.EXIT_CHECK,
+         "check failed: oracle_check (cosine 0.9990 < 0.999)\n"),
+    ], ids=["at", "below"])
+    def test_cosine_check_at_its_bound(self, gen, monkeypatch, capsys, cos, rc, err):
+        # the README's bound is 0.999, and a run that reaches it passes
+        monkeypatch.setattr(cli, "_cosine", lambda a, b: cos)
+        desc, blob = gen
+        assert run_cli("simulate", "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "5", "--policy", "mwl", "--quantize") == rc
+        assert capsys.readouterr().err == err
+
     def test_trace_csv(self, gen, tmp_path):
         desc, blob = gen
         csv_path = tmp_path / "trace.csv"
@@ -503,6 +542,60 @@ class TestQuantizeSweep:
         doc = json.loads(out.read_text())
         errs = [row["max_abs_error"] for row in doc["sweep"]]
         assert errs[-1] <= errs[0]
+
+
+class TestFieldRelations:
+    """Output fields that no golden pins, each against the same figure
+    reached another way."""
+
+    def test_compare_sides_are_the_simulate_reports(self, gen, tmp_path):
+        desc, blob = gen
+        io_args = ["--network", str(desc), "--weights", str(blob), "--synthetic-t", "4",
+                   "--quantize", "--quant-bits", "8", "--calibrate"]
+        assert run_cli("compare", *io_args, "--out", str(tmp_path / "cmp.json")) == \
+            cli.EXIT_OK
+        doc = json.loads((tmp_path / "cmp.json").read_text())
+        for side, policy in (("a", "conventional"), ("b", "mwl")):
+            out = tmp_path / f"{policy}.json"
+            assert run_cli("simulate", *io_args, "--policy", policy,
+                           "--out", str(out)) == cli.EXIT_OK
+            rep = json.loads(out.read_text())
+            assert doc[side] == {
+                "cycles": rep["cycles"],
+                "weight_buffer_read_bytes":
+                    rep["access_counts"]["weight_buffer"]["r"]["bytes"],
+                "dram_bytes": rep["dram"]["total_bytes"]}
+        assert doc["a"] != doc["b"]
+        assert doc["cycle_ratio"] == doc["b"]["cycles"] / doc["a"]["cycles"]
+
+    def test_infer_max_abs_is_the_saved_outputs(self, gen, tmp_path):
+        desc, blob = gen
+        saved, out = tmp_path / "out.bin", tmp_path / "infer.json"
+        assert run_cli("infer", "--network", str(desc), "--weights", str(blob),
+                       "--synthetic-t", "4", "--synthetic-seed", "2",
+                       "--save-output", str(saved), "--out", str(out)) == cli.EXIT_OK
+        frames = load_sequence(saved).frames
+        assert -frames.min() > frames.max() > 0  # the largest value is not the answer
+        assert json.loads(out.read_text())["output_max_abs"] == -float(frames.min())
+
+    def test_sweep_alphas_are_the_simulate_alphas(self, tmp_path, monkeypatch):
+        # on 2 CPUs each run's directions are in two processes, and the
+        # sweep's rows reassemble their alphas as simulate's report does
+        TestConcurrently.cpus(monkeypatch, 2)
+        _, argv = TestConcurrently.network(tmp_path, (8, True), (10, False), (6, True))
+        out = tmp_path / "sweep.json"
+        assert run_cli("quantize-sweep", *argv, "--min-bits", "6", "--max-bits", "8",
+                       "--calibrate", "--out", str(out)) == cli.EXIT_OK
+        rows = json.loads(out.read_text())["sweep"]
+        assert [row["n_bits"] for row in rows] == [6, 7, 8]
+        for row in rows:
+            rep = tmp_path / f"sim{row['n_bits']}.json"
+            assert run_cli("simulate", *argv, "--policy", "mwl", "--quantize",
+                           "--quant-bits", str(row["n_bits"]), "--calibrate",
+                           "--out", str(rep)) == cli.EXIT_OK
+            alphas = json.loads(rep.read_text())["quant"]["pass_alphas"]
+            assert len(alphas) == 5
+            assert row["alpha"] == alphas
 
 
 class TestBoundary:
@@ -1001,7 +1094,6 @@ class TestBoundary:
         monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(arch, "network_infer", lambda *a: started.append("runs"))
-        monkeypatch.setattr(model, "layer_infer", lambda *a: started.append("layer"))
         net = model.NetworkDescriptor((model.LayerDescriptor(8, 64),
                                        model.LayerDescriptor(16, 8)), input_dim=64)
         desc, blob, hw = tmp_path / "net.json", tmp_path / "net.bin", tmp_path / "hw.json"
@@ -1349,6 +1441,30 @@ class TestConcurrently:
             with pytest.raises(OSError):
                 os.fstat(fd)
 
+    def test_failed_fork_closes_the_token_pipes(self, tmp_path, monkeypatch, capsys):
+        # the pair's two token pipes are made before the fork, and the
+        # caller closes them when the fork fails
+        self.cpus(monkeypatch, 2)
+        pipes, real_pipe = [], os.pipe
+
+        def pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli.os, "pipe", pipe)
+        monkeypatch.setattr(cli.os, "fork", no_fork)
+        _, argv = self.network(tmp_path, (8, True), (6, True))
+        assert run_cli("simulate", *argv) == cli.EXIT_IO
+        assert TestBoundary.one_line(capsys) == \
+            f"i/o error: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
+        assert len(pipes) == 3  # two token pipes, then the child's result pipe
+        for fd in (fd for p in pipes for fd in p):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     def test_cpu_count_stands_in_for_the_affinity(self, monkeypatch):
         # where os has no sched_getaffinity; an unknown count is one CPU,
         # and so is any count where os has no fork
@@ -1486,21 +1602,23 @@ class TestConcurrently:
     def test_outputs_do_not_depend_on_the_cpus(self, tiny, tmp_path, monkeypatch,
                                                capsys, cmd):
         # calibrated alphas are set inside each run, and a run's two
-        # directions may run in two processes: alphas left behind in a child
-        # or out of (layer, direction) order would change the report.  With
-        # n CPUs a command forks min(n, lanes) - 1 children, a lane being
-        # one direction of one run, the oracle run included in the runs.
-        seen, forks = self.on_1_2_3_cpus([*cmd, *tiny], tmp_path, monkeypatch, capsys)
-        assert seen[0] == seen[1] == seen[2]
-        assert forks == {"simulate": [0, 1, 2], "compare": [0, 1, 2],
-                         "quantize-sweep": [0, 1, 2], "infer": [0, 1, 1]}[cmd[0]]
+        # directions run in two processes: alphas left behind in a child or
+        # out of (layer, direction) order would change the report.  With n
+        # CPUs the runs (the oracle included) are cut into min(n // 2, runs)
+        # chunks of two processes each, one per direction: a third CPU
+        # stays idle, and a fourth makes a second pair where there are two
+        # runs or more.
+        seen, forks = self.on_1_to_4_cpus([*cmd, *tiny], tmp_path, monkeypatch, capsys)
+        assert seen[0] == seen[1] == seen[2] == seen[3]
+        assert forks == {"simulate": [0, 1, 1, 3], "compare": [0, 1, 1, 3],
+                         "quantize-sweep": [0, 1, 1, 3], "infer": [0, 1, 1, 1]}[cmd[0]]
 
-    def on_1_2_3_cpus(self, argv, tmp_path, monkeypatch, capsys):
+    def on_1_to_4_cpus(self, argv, tmp_path, monkeypatch, capsys):
         """What the command ``argv`` printed and wrote (its --out report and
-        any .bin it names) with 1, 2 and 3 CPUs, and how often it forked."""
+        any .bin it names) with 1, 2, 3 and 4 CPUs, and how often it forked."""
         monkeypatch.chdir(tmp_path)
         seen, forks = [], []
-        for n_cpus in (1, 2, 3):
+        for n_cpus in (1, 2, 3, 4):
             self.cpus(monkeypatch, n_cpus)
             fork, forked = cli.os.fork, []
             monkeypatch.setattr(cli.os, "fork", lambda: forked.append(1) or fork())
@@ -1542,8 +1660,8 @@ class TestConcurrently:
         # holding only backward lanes runs nothing in the middle layer and
         # takes that layer's output from the swap
         _, argv = self.network(tmp_path, (8, True), (10, False), (6, True))
-        seen, _ = self.on_1_2_3_cpus([*cmd, *argv], tmp_path, monkeypatch, capsys)
-        assert seen[0] == seen[1] == seen[2]
+        seen, _ = self.on_1_to_4_cpus([*cmd, *argv], tmp_path, monkeypatch, capsys)
+        assert seen[0] == seen[1] == seen[2] == seen[3]
 
     def preadv_log(self, monkeypatch, log):
         real = os.preadv
@@ -1580,6 +1698,20 @@ class TestConcurrently:
                 d for cell, d in cells.items() if offset in cell)
         assert directions.pop(os.getpid()) == {1}
         assert list(directions.values()) == [{0}]
+
+    @pytest.mark.parametrize("n,times", [(2, 1), (3, 1), (4, 2)])
+    @pytest.mark.parametrize("cmd", ["simulate", "compare"])
+    def test_bidirectional_reads_the_payload_once_per_chunk(self, tmp_path, monkeypatch,
+                                                            cmd, n, times):
+        # each chunk of runs is a pair of processes, one per direction, and
+        # a pair reads each byte of the payload once; a third CPU stays idle
+        self.cpus(monkeypatch, n)
+        log = tmp_path / "reads"
+        self.preadv_log(monkeypatch, log)
+        _, argv = self.network(tmp_path, (8, True), (10, False), (6, True))
+        assert run_cli(cmd, *argv) == cli.EXIT_OK
+        read = sum(int(size) for _, _, size in self.records(log))
+        assert read == times * (Path(argv[3]).stat().st_size - 16)
 
     def test_one_direction_reads_the_blob_once_per_process(self, gen, tmp_path,
                                                            monkeypatch):
@@ -1627,7 +1759,7 @@ class TestConcurrently:
                 at += values.size * 4
             data[at:at + 4] = struct.pack("<f", float("nan"))
         blob.write_bytes(bytes(data))
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             self.cpus(monkeypatch, n)
             assert run_cli("simulate", *argv) == cli.EXIT_NUMERIC
             assert TestBoundary.one_line(capsys) == (
@@ -1640,20 +1772,20 @@ class TestConcurrently:
         # the child's with 2 CPUs; the datapath (run 0) fails going
         # backward in layer 2, in the caller: run 0's error is raised.  One
         # process skips the oracle's backward lane once the oracle has
-        # failed; with 2 and 3 CPUs the process that holds it runs it in
+        # failed; with 2, 3 and 4 CPUs the process that holds it runs it in
         # layer 0, before the swap tells it, and never after
         ({("oracle", 0, False): MemoryError("oracle allocation"),
           ("datapath", 2, True): model.NumericError("backward overflow")},
          "numeric error: layer 2: backward overflow",
-         ["0 False"] * 3 + ["0 True"] * 2),
+         ["0 False"] * 4 + ["0 True"] * 3),
         # both of the datapath's directions fail in layer 1, in two
-        # processes: the forward one's error is raised.  With 3 CPUs the
-        # oracle's forward lane is a process of its own, which runs layer 1
-        # before it learns that the datapath failed there
+        # processes: the forward one's error is raised.  With 4 CPUs the
+        # oracle is a pair of its own, which never learns that the
+        # datapath failed and runs every layer
         ({("datapath", 1, True): model.NumericError("backward overflow"),
           ("datapath", 1, False): model.NumericError("forward overflow")},
          "numeric error: layer 1: forward overflow",
-         ["0 False", "0 True"] * 3 + ["1 False"]),
+         ["0 False", "0 True"] * 4 + ["1 False", "1 True", "2 False", "2 True"]),
     ], ids=["hook-order", "direction-order"])
     def test_run_error_keeps_its_layer_and_hook_order(self, tmp_path, monkeypatch, capsys,
                                                       failures, line, oracle_passes):
@@ -1668,7 +1800,7 @@ class TestConcurrently:
                 raise failures[lane]
             return real(weights, frames, partials_hook)
 
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             self.cpus(monkeypatch, n)
             monkeypatch.setattr(model, "run_direction", run_direction)
             assert run_cli("simulate", "--policy", "mwl", "--quantize", *argv) == \
@@ -1706,5 +1838,39 @@ class TestConcurrently:
             signal.signal(signal.SIGALRM, old)
         assert TestBoundary.one_line(capsys).startswith(
             f"host memory error: run 1 of 2 ended without a result, by signal "
+            f"{int(signal.SIGKILL)} (")
+        self.no_child_left()
+
+    def test_killed_process_of_one_pair_ends_every_wait(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # with 4 CPUs the datapath and the oracle are two pairs.  The child
+        # running the datapath's forward lanes kills itself in layer 1: its
+        # peer reads the end of its token pipe only if every other process,
+        # the other pair's included, has closed that pipe's ends.  An alarm
+        # ends the test if a wait hangs.
+        self.cpus(monkeypatch, 4)
+        net, argv = self.network(tmp_path, (8, True), (8, True), (6, True))
+        caller, real = os.getpid(), model.run_direction
+
+        def run_direction(weights, frames, partials_hook=None):
+            if (os.getpid() != caller and partials_hook is not None
+                    and frames.strides[0] > 0 and weights.layer == net.layers[1]):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(weights, frames, partials_hook)
+
+        def hung(*_):
+            raise TimeoutError("a process still waits at the swap")
+
+        monkeypatch.setattr(model, "run_direction", run_direction)
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            assert run_cli("simulate", "--policy", "mwl", "--quantize", *argv) == \
+                cli.EXIT_CAPACITY
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert TestBoundary.one_line(capsys).startswith(
+            f"host memory error: run 1 of 4 ended without a result, by signal "
             f"{int(signal.SIGKILL)} (")
         self.no_child_left()

@@ -20,7 +20,7 @@ from epursim.model import (GATES, STACK_ORDER, Direction, LayerDescriptor,
                            NetworkDescriptor, NumericError,
                            Precision, Sequence, ShapeError, WeightSet,
                            accumulate_dot, accumulate_dot_all_t, finish_step,
-                           layer_infer, run_direction)
+                           run_direction)
 from epursim.quant import QuantConfig, quantize
 
 
@@ -411,7 +411,7 @@ class TestGatePreactivation:
     def test_non_finite_input(self):
         ws = make_cell(4, 3, False, 0)
         with pytest.raises(NumericError):
-            layer_infer(ws.layer, [ws], Sequence(np.array([[1.0, np.nan, 0.0]])))
+            infer(one_layer(ws.layer), [[ws]], Sequence(np.array([[1.0, np.nan, 0.0]])))
 
     def test_no_peephole_means_cell_state_ignored(self):
         # a forget preactivation of -200 saturates f to exactly 0, so only
@@ -505,11 +505,18 @@ class TestCellStep:
         assert np.all(np.abs(out.astype(np.float64)) <= 1.0)
 
 
+def one_layer(layer: LayerDescriptor) -> NetworkDescriptor:
+    return NetworkDescriptor((layer,), input_dim=layer.input_size)
+
+
 class TestLayerInfer:
+    """One layer through ``network_infer``: its directions are
+    ``run_direction`` passes, the backward one over the frames reversed."""
+
     def test_t1_equals_naive_step(self):
         ws = make_cell(5, 3, True, 21)
         x = np.random.default_rng(3).uniform(-1, 1, (1, 3)).astype(np.float32)
-        out = layer_infer(ws.layer, [ws], Sequence(x))
+        out = infer(one_layer(ws.layer), [[ws]], Sequence(x))
         zero = np.zeros(5, dtype=np.float32)
         _, want = naive_lstm_step(ws, x[0], zero, zero)
         assert np.array_equal(out.frames[0], want)
@@ -522,13 +529,12 @@ class TestLayerInfer:
         rng = np.random.default_rng(8)
         half = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
         frames = np.concatenate([half, half[::-1]])  # palindrome, T=6
-        out = layer_infer(layer, [ws_f, ws_b], Sequence(frames)).frames
+        out = infer(one_layer(layer), [[ws_f, ws_b]], Sequence(frames)).frames
         swapped = np.concatenate([out[::-1, 6:], out[::-1, :6]], axis=1)
         assert np.array_equal(out, swapped)
 
     def test_bidirectional_equals_two_unidirectional_runs(self):
         layer = LayerDescriptor(7, 5, Direction.bidirectional, peephole=True)
-        uni = LayerDescriptor(7, 5, Direction.forward_only, peephole=True)
         ws_f = make_cell(7, 5, True, 41)
         ws_b = make_cell(7, 5, True, 43)
         rng = np.random.default_rng(12)
@@ -536,23 +542,23 @@ class TestLayerInfer:
 
         bi_f = weight_set(layer, arrays_of(ws_f))
         bi_b = weight_set(layer, arrays_of(ws_b))
-        got = layer_infer(layer, [bi_f, bi_b], Sequence(frames)).frames
+        got = infer(one_layer(layer), [[bi_f, bi_b]], Sequence(frames)).frames
 
-        fwd = layer_infer(uni, [ws_f], Sequence(frames)).frames
-        bwd = layer_infer(uni, [ws_b], Sequence(frames[::-1])).frames
+        fwd = run_direction(ws_f, frames)
+        bwd = run_direction(ws_b, frames[::-1])
         want = np.concatenate([fwd, bwd[::-1]], axis=1)
         assert np.array_equal(got, want)
 
     def test_input_dim_mismatch(self):
         ws = make_cell(4, 3, False, 1)
-        with pytest.raises(ShapeError):
-            layer_infer(ws.layer, [ws], Sequence(np.zeros((2, 4))))
+        with pytest.raises(ShapeError, match=r"^layer 0: input dim 4 != layer input_size 3$"):
+            infer(one_layer(ws.layer), [[ws]], Sequence(np.zeros((2, 4))))
 
     def test_weight_set_count_must_match_the_directions(self):
         layer = LayerDescriptor(4, 3, Direction.bidirectional)
         ws = weight_set(layer, arrays_of(make_cell(4, 3, False, 1)))
-        with pytest.raises(ShapeError, match=r"^layer wants 2 weight sets, got 1$"):
-            layer_infer(layer, [ws], Sequence(np.zeros((2, 3))))
+        with pytest.raises(ShapeError, match=r"^layer 0: layer wants 2 weight sets, got 1$"):
+            infer(one_layer(layer), [[ws]], Sequence(np.zeros((2, 3))))
 
 
 def two_layer_network():
@@ -564,12 +570,14 @@ def two_layer_network():
 
 
 class TestNetworkInfer:
-    def test_one_layer_equals_layer_infer(self):
+    def test_one_layer_equals_run_direction(self):
         net, weights = random_network(123, max_layers=1)
         seq = random_frames(net, 4, 5)
+        assert net.layers[0].direction is Direction.bidirectional
         got = infer(net, weights, seq)
-        want = layer_infer(net.layers[0], weights[0], seq)
-        assert np.array_equal(got.frames, want.frames)
+        fwd = run_direction(weights[0][0], seq.frames)
+        bwd = run_direction(weights[0][1], seq.frames[::-1])
+        assert np.array_equal(got.frames, np.concatenate([fwd, bwd[::-1]], axis=1))
 
     def test_two_layers_equal_manual_composition(self):
         rng = np.random.default_rng(9)
@@ -582,7 +590,7 @@ class TestNetworkInfer:
         weights = [w0, w1]
         seq = Sequence(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
         got = infer(net, weights, seq)
-        want = layer_infer(l1, w1, layer_infer(l0, w0, seq))
+        want = infer(one_layer(l1), [w1], infer(one_layer(l0), [w0], seq))
         assert np.array_equal(got.frames, want.frames)
 
     def test_input_of_the_wrong_width_is_refused_by_layer_0(self):
