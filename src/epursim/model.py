@@ -228,16 +228,49 @@ class Sequence:
 _ONE = ACC_DTYPE(1.0)
 
 
+def _einsum_tile(out: np.ndarray, frames: np.ndarray, mat_t: np.ndarray) -> None:
+    """out [t, rows] = frames [t, K] @ mat_t [K, rows], each sum from +0.0
+    in ascending k."""
+    np.einsum("tk,kj->tj", frames, mat_t, out=out)
+
+
+def _multiply_add_tile(out: np.ndarray, frames: np.ndarray, mat_t: np.ndarray) -> None:
+    """``_einsum_tile`` as column steps: each step k multiplies the frames'
+    k-th values by row k of mat_t and adds the product to out."""
+    out[...] = 0.0
+    prod = np.empty_like(out)
+    for k in range(frames.shape[1]):
+        np.multiply(frames[:, k, None], mat_t[k], out=prod)
+        np.add(out, prod, out=out)
+
+
+def _hoist_tiles(out: np.ndarray, mat_t: np.ndarray, frames: np.ndarray,
+                 step: int, kernel) -> None:
+    """out [T, rows] = frames [T, K] @ mat_t [K, rows], ``step`` whole
+    frames at a time: ``kernel(out_tile, frames_tile, mat_t)`` gets each
+    tile of frames copied at fp32 into one F-ordered buffer, so the frame
+    axis has the smaller stride.  One buffer per call, rather than a copy
+    per tile, kept the caller's peak RSS from rising."""
+    buf = np.empty((frames.shape[1], min(step, out.shape[0])), ACC_DTYPE).T
+    for t0 in range(0, out.shape[0], step):
+        tile = slice(t0, t0 + step)
+        f = buf[:len(out[tile])]
+        f[...] = frames[tile]
+        kernel(out[tile], f, mat_t)
+
+
 def _einsum_adds_in_order() -> bool:
     """Whether ``np.einsum`` (without ``optimize``) sums both kernels'
     subscripts as a scalar loop does on this numpy build: per output
     element, k ascending, each product rounded to fp32 before its add.
 
     Two sums, each over accumulator rows of two 64-element SIMD blocks and
-    a ragged tail of 3, for both subscripts; every result must be 0.  With
-    a = 1 + 2**-12, fp32 rounds a*a to 1 + 2**-11, so -(1 + 2**-11) + a*a
-    is 0, but a fused multiply-add keeps the product's 2**-24.  In 1e8 +
-    1 + ... + 1 - 1e8, each 1e8 + 1 rounds back to 1e8, so only an
+    a ragged tail of 3, for both subscripts; every result must be 0.  The
+    hoist's runs as the kernel runs it (``_hoist_tiles``): three frames in
+    tiles of two, F-ordered, against the C-ordered matrix.
+    With a = 1 + 2**-12, fp32 rounds a*a to 1 + 2**-11, so -(1 + 2**-11) +
+    a*a is 0, but a fused multiply-add keeps the product's 2**-24.  In 1e8
+    + 1 + ... + 1 - 1e8, each 1e8 + 1 rounds back to 1e8, so only an
     ascending running sum ends at 0.
     """
     a = 1 + 2.0 ** -12
@@ -245,8 +278,9 @@ def _einsum_adds_in_order() -> bool:
                         ([1e8] + [1.0] * 298 + [-1e8], [1.0] * 300)]:
         mat_t = np.repeat(np.array(left, ACC_DTYPE)[:, None], 2 * 64 + 3, axis=1)
         vec = np.array(right, ACC_DTYPE)
-        if (np.einsum("kj,k->j", mat_t, vec).any()
-                or np.einsum("tk,kj->tj", np.tile(vec, (3, 1)), mat_t).any()):
+        hoist = np.empty((3, mat_t.shape[1]), ACC_DTYPE)
+        _hoist_tiles(hoist, mat_t, np.tile(vec, (3, 1)), 2, _einsum_tile)
+        if np.einsum("kj,k->j", mat_t, vec).any() or hoist.any():
             return False
     return True
 
@@ -276,6 +310,19 @@ def _one_row_ufunc_buffer(rows: int):
 #: frames of the [T, rows] accumulator, few enough that a tile and its
 #: product buffer stay in the L2 cache across all K column steps
 HOIST_TILE_ELEMS = 96 * 1024
+
+#: one tile of the einsum forward hoist, as (fewest whole frames, fp32
+#: elements of the [T, rows] accumulator): as many frames as fill 32 KiB of
+#: a 48 KiB L1d cache, and never fewer than 8.  A tile's frames are read
+#: F-ordered, so einsum loops k, t, j: each row of the [K, rows] matrix is
+#: read once per tile and used for all its frames, where C-ordered frames
+#: stream the whole matrix per frame (3.3 MB at EESEN's layers 1-4, beyond
+#: a 2 MiB L2).  Hoist time against untiled C-ordered frames (numpy 2.4.6,
+#: 2-vCPU Xeon): [50 x 640 -> 1280] 0.69-0.78x, [50 x 320 -> 1280]
+#: 0.86-1.00x, [2000 x 128 -> 512] 0.85-0.97x, where untiled F-ordered
+#: frames take 1.28-1.38x; at 4096 rows 2-frame tiles give 0.89-0.95x and
+#: 8-frame ones 0.75-0.83x, hence the floor.
+EINSUM_TILE = 8, 8 * 1024
 
 #: both dot kernels run on np.einsum (True) or, where einsum's order failed
 #: the probe at import, multiply into a product buffer and add (False)
@@ -338,35 +385,27 @@ def accumulate_dot_all_t(acc: np.ndarray, mat: np.ndarray, frames: np.ndarray) -
     """Batched form of accumulate_dot that overwrites acc: acc[j, t] is the
     sum of mat[j, k] * frames[t, k] for k ascending, from +0.0.
 
-    It is ``einsum("tk,kj->tj", frames, mat.T, out=acc.T)`` on C-contiguous
-    operands, which for every (t, j) adds the rounded products in ascending
-    k into the zero-filled ``out``.  An F-ordered acc and mat and a
-    C-ordered frames are used as they are; other layouts are copied first.
+    It is ``einsum("tk,kj->tj", frames, mat.T, out=acc.T)`` on a C-ordered
+    mat.T and out, a tile of whole frames at a time (``EINSUM_TILE``), the
+    tile's frames copied F-ordered: for every (t, j) einsum adds the
+    rounded products in ascending k into the zero-filled ``out``.  An
+    F-ordered acc and mat are used as they are; other layouts are copied.
     A single-row accumulator and a build that failed the probe take column
-    steps on acc.T instead, a tile of whole frames at a time: within a tile
-    each step k multiplies the frames' k-th values by column k of mat and
-    adds the product to the tile.  Tiling splits only the independent t
-    axis, so every acc[j, t] still sees the order of a scalar loop.
+    steps on the same tiles instead (``HOIST_TILE_ELEMS``).  Tiling splits
+    only the independent t axis, so every acc[j, t] still sees the order of
+    a scalar loop.
     """
     acc_t = acc.T
-    frames = np.ascontiguousarray(frames, dtype=ACC_DTYPE)
-    if EINSUM_IN_ORDER and acc.shape[0] > 1:
-        out = acc_t if acc_t.flags.c_contiguous else np.empty(acc_t.shape, ACC_DTYPE)
-        np.einsum("tk,kj->tj", frames, np.ascontiguousarray(mat.T), out=out)
-        if out is not acc_t:
-            acc_t[...] = out
-        return acc
-    acc_t[...] = 0.0
     T, rows = acc_t.shape
-    step = max(1, HOIST_TILE_ELEMS // rows)
-    tmp = np.empty((min(step, T), rows), dtype=ACC_DTYPE)
-    for t0 in range(0, T, step):
-        blk = acc_t[t0:t0 + step]
-        f = frames[t0:t0 + step]
-        prod = tmp[:blk.shape[0]]
-        for k in range(frames.shape[1]):
-            np.multiply(f[:, k, None], mat[:, k], out=prod)
-            np.add(blk, prod, out=blk)
+    if EINSUM_IN_ORDER and rows > 1:
+        fewest, elems = EINSUM_TILE
+        step, kernel = max(fewest, elems // rows), _einsum_tile
+    else:
+        step, kernel = max(1, HOIST_TILE_ELEMS // rows), _multiply_add_tile
+    out = acc_t if acc_t.flags.c_contiguous else np.empty(acc_t.shape, ACC_DTYPE)
+    _hoist_tiles(out, np.ascontiguousarray(mat.T), frames, step, kernel)
+    if out is not acc_t:
+        acc_t[...] = out
     return acc
 
 

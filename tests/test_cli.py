@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import random_weights, save_descriptor, save_weights
-from epursim import arch, cli, model, netio, presets, sched
+from epursim import arch, cli, model, netio, presets, quant, sched
 from epursim.netio import load_sequence
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -596,6 +596,41 @@ class TestFieldRelations:
             alphas = json.loads(rep.read_text())["quant"]["pass_alphas"]
             assert len(alphas) == 5
             assert row["alpha"] == alphas
+
+    @pytest.mark.parametrize("calibrate", [False, True])
+    def test_sweep_errors_are_the_datapaths_against_the_oracle(self, gen, tmp_path,
+                                                               calibrate):
+        # each row's cosine is simulate's oracle cosine at that width, and
+        # its max |err| the largest |datapath - oracle|, with the datapath
+        # run in process and the oracle infer's saved output
+        desc, blob = gen
+        io_args = ["--network", str(desc), "--weights", str(blob), "--synthetic-t", "5"]
+        flag = ["--calibrate"] if calibrate else []
+        sweep, saved = tmp_path / "sweep.json", tmp_path / "oracle.bin"
+        assert run_cli("quantize-sweep", *io_args, "--min-bits", "5", "--max-bits", "7",
+                       *flag, "--out", str(sweep)) == cli.EXIT_OK
+        assert run_cli("infer", *io_args, "--save-output", str(saved)) == cli.EXIT_OK
+        oracle = load_sequence(saved).frames.astype(np.float64)
+        net = netio.load_descriptor(desc)
+        rows = json.loads(sweep.read_text())["sweep"]
+        # only the calibrated 7-bit run passes the cosine bound
+        assert [row["n_bits"] for row in rows] == [5, 6, 7]
+        for row in rows:
+            bits = row["n_bits"]
+            rep = tmp_path / f"sim{bits}.json"
+            rc = run_cli("simulate", *io_args, "--policy", "mwl", "--quantize",
+                         "--quant-bits", str(bits), *flag, "--out", str(rep))
+            cos = json.loads(rep.read_text())["oracle_check"]["cosine_similarity"]
+            assert row["cosine_similarity"] == cos
+            assert rc == (cli.EXIT_OK if cos >= cli.COSINE_BOUND else cli.EXIT_CHECK)
+            # the CLI's default hardware preset and --alpha
+            report = arch.cost_model(net, 5, sched.Policy.mwl, arch.HW_PRESETS["epur"](),
+                                     quant.QuantConfig(bits, 20.0))
+            with netio.load_weights(net, blob) as weights:
+                ((_, got),) = arch.simulate(net, weights, presets.random_sequence(net, 5, 0),
+                                            [report], calibrate)
+            err = np.abs(got.frames.astype(np.float64) - oracle)
+            assert row["max_abs_error"] == float(err.max()) > 0
 
 
 class TestBoundary:

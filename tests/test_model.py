@@ -108,18 +108,26 @@ def sequential_column(rows):
 NUMPY_EINSUM = np.einsum
 
 
-def fused_einsum(subscripts, *operands):
+def _into(out, result):
+    """An einsum's result, written into ``out`` when it is given."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+def fused_einsum(subscripts, *operands, out=None):
     """einsum as a build with fused multiply-adds sums: each product keeps
     its low bits into the add (here, all of them, in float64)."""
     wide = [o.astype(np.float64) for o in operands]
-    return NUMPY_EINSUM(subscripts, *wide).astype(F32)
+    return _into(out, NUMPY_EINSUM(subscripts, *wide).astype(F32))
 
 
-def pairwise_einsum(subscripts, x, y):
+def pairwise_einsum(subscripts, x, y, out=None):
     """einsum's two subscripts as numpy's pairwise sum over a contiguous k
     axis adds them."""
     prods = x[:, None, :] * y.T[None] if subscripts == "tk,kj->tj" else (x * y[:, None]).T
-    return np.ascontiguousarray(prods).sum(axis=-1)
+    return _into(out, np.ascontiguousarray(prods).sum(axis=-1))
 
 
 class TestAccumulationOrder:
@@ -185,9 +193,10 @@ class TestAccumulationOrder:
     @pytest.mark.parametrize("rows", [1, 4, 320])
     def test_sequential_not_pairwise_across_tiles(self, monkeypatch, rows):
         # the same sum at every step of a sequence, into the transposed
-        # C-ordered accumulator run_direction uses; the multiply-and-add
-        # hoist cuts it into two-frame tiles
+        # C-ordered accumulator run_direction uses; both hoists cut it into
+        # two-frame tiles
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 2 * rows)
+        monkeypatch.setattr(model, "EINSUM_TILE", (1, 2 * rows))
         for path in kernel_paths(rows):
             with path:
                 got = accumulate_dot_all_t(np.zeros((5, rows), F32).T,
@@ -197,22 +206,25 @@ class TestAccumulationOrder:
     @pytest.mark.parametrize("orders", ["".join(o) for o in itertools.product("CF", repeat=3)])
     @pytest.mark.parametrize("rows, k, T", [(1, 3, 10), (5, 7, 23), (16, 40, 13)])
     def test_accumulate_dot_all_t_across_tiles(self, monkeypatch, rows, k, T, orders):
-        # orders are those of acc, mat and frames; einsum copies the ones
-        # it cannot use as they are.  The multiply-and-add hoist takes three
-        # frames per tile: T crosses several tile boundaries and the last
-        # tile is ragged
+        # orders are those of acc, mat and frames; the kernels copy the
+        # ones they cannot use as they are.  Both hoists take three frames
+        # per tile: T crosses several tile boundaries and the last tile is
+        # ragged.  The frames also come reversed (a negative stride, as the
+        # backward direction passes them) and as fp16
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 3 * rows)
+        monkeypatch.setattr(model, "EINSUM_TILE", (1, 3 * rows))
         rng = np.random.default_rng(1000 * rows + T)
         acc_order, mat_order, frames_order = orders
         mat = np.asarray(spread(rng, (rows, k)), order=mat_order)
         frames = np.asarray(spread(rng, (T, k)), order=frames_order)
         acc = np.asarray(spread(rng, (rows, T)), order=acc_order)
         zero = np.zeros(rows, F32)
-        want = np.stack([scalar_dot(zero, mat, frames[t]) for t in range(T)], axis=1)
-        for path in kernel_paths(rows):
-            with path:
-                got = accumulate_dot_all_t(acc.copy(order="K"), mat, frames)
-            assert np.array_equal(got, want)
+        for given in (frames, frames[::-1], frames.astype(np.float16)):
+            want = np.stack([scalar_dot(zero, mat, given[t]) for t in range(T)], axis=1)
+            for path in kernel_paths(rows):
+                with path:
+                    got = accumulate_dot_all_t(acc.copy(order="K"), mat, given)
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("stride", [1, 3, 700])
     def test_accumulate_dot_into_a_strided_accumulator(self, stride):
@@ -267,6 +279,23 @@ class TestAccumulationOrder:
                                      np.zeros(3, F32))).all()
         readback = quantize(np.array([-1e-9, -0.0, 1e-9], F32), QuantConfig(8, 1.0))
         assert not readback.any() and not np.signbit(readback).any()
+
+    def test_probe_sums_through_the_hoists_tiles(self, monkeypatch):
+        # the probe runs the hoist's subscript through the kernel's own tile
+        # loop: F-ordered frame tiles (the frame axis has the smaller
+        # stride), the last one ragged, against the C-ordered matrix, for
+        # each of its two sums
+        seen = []
+
+        def tile(out, frames, mat_t):
+            seen.append((frames.shape[0], frames.strides[0] < frames.strides[1],
+                         mat_t.flags.c_contiguous))
+            einsum_tile(out, frames, mat_t)
+
+        einsum_tile = model._einsum_tile
+        monkeypatch.setattr(model, "_einsum_tile", tile)
+        assert model._einsum_adds_in_order() is model.EINSUM_IN_ORDER
+        assert seen and seen == [(2, True, True), (1, True, True)] * (len(seen) // 2)
 
     @pytest.mark.parametrize("einsum", [fused_einsum, pairwise_einsum])
     def test_probe_refuses_an_einsum_out_of_order(self, monkeypatch, einsum):
@@ -470,11 +499,12 @@ class TestCellStep:
     def test_long_sequence_across_tiles_matches_equation_oracle(
             self, monkeypatch, peephole, precision):
         # on both kernel paths (run_direction sets the multiply-and-add
-        # path's ufunc buffer itself); the multiply-and-add hoist takes five frames
-        # per tile, so 23 frames cross four tile boundaries and end in a
-        # ragged tile
+        # path's ufunc buffer itself); both hoists take five frames per
+        # tile, so 23 frames cross four tile boundaries and end in a ragged
+        # tile
         ws = make_cell(4, 3, peephole, 19, precision)
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 5 * 16)
+        monkeypatch.setattr(model, "EINSUM_TILE", (1, 5 * 16))
         frames = (np.random.default_rng(23).uniform(-1, 1, (23, 3))
                   .astype(precision.storage_dtype))
 
@@ -744,17 +774,20 @@ class TestNetworkInfer:
     def test_prefix_of_the_sequence_gives_prefix_of_the_outputs(self):
         # a forward-only network is causal: output t depends on frames 0..t
         # only, so a prefix of the input yields exactly that prefix of the
-        # outputs, across the hoist's tile boundary (192 frames of LDLRNN's
-        # 512 stacked rows) too.  Exact mode only: under calibration a
-        # pass's alpha comes from all its partials, so a prefix may get
-        # another alpha and other bits.
+        # outputs, across the hoists' tile boundaries (16 frames of LDLRNN's
+        # 512 stacked rows for einsum, 192 for multiply-and-add) too.
+        # Exact mode only: under calibration a pass's alpha comes from all
+        # its partials, so a prefix may get another alpha and other bits.
         from epursim.presets import preset_descriptor, random_sequence
         net = preset_descriptor("ldlrnn")
-        assert model.HOIST_TILE_ELEMS // (4 * net.layers[0].hidden_size) == 192
+        rows = 4 * net.layers[0].hidden_size
+        fewest, elems = model.EINSUM_TILE
+        assert max(fewest, elems // rows) == 16
+        assert model.HOIST_TILE_ELEMS // rows == 192
         weights = random_weights(net, 0)
         frames = random_sequence(net, 500, 1).frames
         whole = infer(net, weights, Sequence(frames)).frames
-        for t in (1, 191, 192, 193, 400):
+        for t in (1, 15, 16, 17, 191, 192, 193, 400):
             part = infer(net, weights, Sequence(frames[:t])).frames
             assert np.array_equal(part, whole[:t]), t
 
