@@ -266,8 +266,8 @@ def _einsum_adds_in_order() -> bool:
 
     Two sums, each over accumulator rows of two 64-element SIMD blocks and
     a ragged tail of 3, for both subscripts; every result must be 0.  The
-    hoist's runs as the kernel runs it (``_hoist_tiles``): three frames in
-    tiles of two, F-ordered, against the C-ordered matrix.
+    hoist's subscript runs as the kernel runs it (``_hoist_tiles``): three
+    frames in tiles of two, F-ordered, against the C-ordered matrix.
     With a = 1 + 2**-12, fp32 rounds a*a to 1 + 2**-11, so -(1 + 2**-11) +
     a*a is 0, but a fused multiply-add keeps the product's 2**-24.  In 1e8
     + 1 + ... + 1 - 1e8, each 1e8 + 1 rounds back to 1e8, so only an
