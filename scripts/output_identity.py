@@ -3,6 +3,7 @@
 records what each one produced.
 
     python scripts/output_identity.py [--tiny] [--out MANIFEST] [--against DIR]
+    python scripts/output_identity.py --golden
 
 The manifest maps each command line to its exit code, the sha256 of its
 standard output, its standard error as text and the sha256 of each file it
@@ -11,7 +12,8 @@ matrix covers every subcommand: four generated networks (EESEN, LDLRNN, a
 2x16 fp16 bidirectional peephole network and a 1x8 layer whose 4400-byte
 forward rows overflow the row buffer), both schedules, exact, quantized
 (calibrated and not) runs, the trace CSV, runs that warn with and without
-it, ``infer``, a calibrated quantized ``simulate``, ``compare`` and
+it, ``infer`` (also at T=17, across two whole forward-hoist tiles and a
+ragged one), a calibrated quantized ``simulate``, ``compare`` and
 ``quantize-sweep`` on the bidirectional EESEN network, and refusals for
 each of the exit codes 2, 3, 4, 5, 6 and 7.  Exit 2 includes a
 ``gen-network --hidden`` past the descriptor's size limit.  Exit 3 includes
@@ -27,7 +29,7 @@ latency tail longer than a timestep and more issue slots per element than
 the DPU's interval.  The non-finite output runs read a 1x2 network and its
 input, the bad blobs are made from a 2x8 network, the issue-slot refusal
 reads a 1x1 network and the all-zero output a 1x16 network; the setup
-writes them with the hardware configs, so they are not among the 44
+writes them with the hardware configs, so they are not among the 45
 recorded commands.
 ``--tiny`` puts 2x16 networks in place of EESEN and LDLRNN.
 
@@ -43,16 +45,21 @@ that differs, exiting 1 if one does; DIR needs no copy of this script.  Without 
 manifest goes to standard output.
 
 A float output is bit-exact only against the same host and numpy build
-(``exp`` and ``tanh`` may take other SIMD paths elsewhere), so keep no
-manifest as a golden: compare two checkouts on one host.  To see which
-entries depend on numpy's SIMD tier, write one manifest as is and one with
-``NPY_DISABLE_CPU_FEATURES`` set on the command line to the features above
-the baseline (the ``found`` list of ``numpy.show_config(mode="dicts")
-["SIMD Extensions"]``), which the matrix's process inherits, and diff the
-two files:
+(``exp`` and ``tanh`` may take other SIMD paths elsewhere).  The ``--tiny``
+manifest of one host is kept as a golden, ``tests/data/
+output_manifest_tiny.json``, beside the list of its entries whose outputs
+depend on numpy's SIMD tier, ``tests/data/output_manifest_tiny_simd.json``;
+a test compares one run of the matrix with both, all of each entry but
+the exit code of a listed one.  ``--golden`` rewrites both files: it runs
+the tiny matrix as is and again with ``NPY_DISABLE_CPU_FEATURES`` set to
+the features found above numpy's baseline (the ``found`` list of
+``numpy.show_config(mode="dicts")["SIMD Extensions"]``), and lists the
+entries whose two runs differ.  A change that alters an output on purpose
+runs
 
-    NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" \\
-        python scripts/output_identity.py --tiny --out baseline-tier.json
+    python scripts/output_identity.py --golden
+
+and names each changed entry.
 """
 from __future__ import annotations
 
@@ -71,6 +78,8 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "output_manifest_tiny.json"
+SIMD_DEPENDENT = ROOT / "tests" / "data" / "output_manifest_tiny_simd.json"
 
 # the hardware configs the refusals read
 HW_FILES = {
@@ -185,6 +194,10 @@ def matrix(tiny: bool) -> list[list[str]]:
         # the bidirectional network through every command that runs inference
         ["infer", *net("eesen"), "--synthetic-t", "6", "--save-output", "infer_bi.bin",
          "--out", "infer_bi.json"],
+        # two whole 8-frame einsum hoist tiles of EESEN's 1280 rows and a
+        # ragged one, in both directions
+        ["infer", *net("eesen"), "--synthetic-t", "17", "--save-output", "infer_bi17.bin",
+         "--out", "infer_bi17.json"],
         ["simulate", *net("eesen"), "--synthetic-t", "6", "--policy", "mwl", "--quantize",
          "--quant-bits", "8", "--calibrate", "--out", "sim_bi_q8.json"],
         ["compare", *net("eesen"), "--synthetic-t", "6", "--quantize", "--calibrate",
@@ -276,11 +289,11 @@ def run_matrix(tiny: bool) -> dict:
     return manifest
 
 
-def checkout_manifest(checkout: Path, tiny: bool) -> dict:
+def checkout_manifest(checkout: Path, tiny: bool, **env_vars: str) -> dict:
     """The matrix's manifest for ``checkout``, from a new process that
-    imports ``epursim`` from ``checkout/src``."""
+    imports ``epursim`` from ``checkout/src``, with ``env_vars`` set."""
     src = (checkout / "src").resolve()
-    env = {k: v for k, v in os.environ.items() if k != "EPURSIM_LOG"}
+    env = {k: v for k, v in os.environ.items() if k != "EPURSIM_LOG"} | env_vars
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory(prefix="output-identity-") as work:
         proc = subprocess.run(
@@ -311,6 +324,20 @@ def differences(mine: dict, theirs: dict, name: str) -> list[str]:
     return lines
 
 
+def write_golden() -> None:
+    """Rewrite the tiny manifest's golden and its list of SIMD-tier
+    dependent entries, in matrix order."""
+    import numpy as np
+
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    mine = checkout_manifest(ROOT, True)
+    baseline = checkout_manifest(ROOT, True, NPY_DISABLE_CPU_FEATURES=" ".join(found))
+    GOLDEN.write_text(json.dumps(mine, indent=1) + "\n", encoding="utf-8")
+    SIMD_DEPENDENT.write_text(json.dumps(
+        [cmd for cmd, entry in mine.items() if baseline.get(cmd) != entry], indent=1)
+        + "\n", encoding="utf-8")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -318,12 +345,17 @@ def main() -> int:
                     help="2x16 networks in place of EESEN and LDLRNN")
     ap.add_argument("--out", help="write this checkout's manifest as JSON")
     ap.add_argument("--against", metavar="DIR", help="a checkout to compare with")
+    ap.add_argument("--golden", action="store_true",
+                    help="rewrite the tiny manifest's golden and its SIMD-tier list")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
         import epursim
         manifest = run_matrix(args.tiny)
         print(json.dumps({"epursim": epursim.__file__, "manifest": manifest}))
+        return 0
+    if args.golden:
+        write_golden()
         return 0
 
     mine = checkout_manifest(ROOT, args.tiny)

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end on tiny arguments, the energy
 comparison reproduces its recorded JSON, the output-identity matrix gives
-the same manifest twice, and the benchmark's traced functions exist."""
+the same manifest twice and matches its committed golden, and the
+benchmark's traced functions exist."""
 import ast
 import importlib
 import json
@@ -46,8 +47,7 @@ def test_energy_comparison_matches_golden(tmp_path, golden, args):
 
 def test_output_identity_matrix_repeats(tmp_path):
     # the matrix twice in this checkout, at 2x16 sizes: a difference is
-    # nondeterminism, e.g. in the concurrent runs.  No manifest is a golden,
-    # since a float output's hash holds on one host only.
+    # nondeterminism, e.g. in the concurrent runs
     manifest = tmp_path / "manifest.json"
     proc = run_script("output_identity.py", ["--tiny", "--out", str(manifest),
                                              "--against", str(ROOT)])
@@ -58,6 +58,25 @@ def test_output_identity_matrix_repeats(tmp_path):
     assert sum(e["stderr"].startswith("check failed: ") and "MU" in e["stderr"]
                for e in entries) == 2
     assert all("Traceback" not in e["stderr"] for e in entries)
+
+
+def test_output_identity_matrix_matches_golden(tmp_path):
+    # one run of the tiny matrix against the committed manifest: every
+    # field of every entry, but only the exit code of an entry whose
+    # outputs depend on numpy's SIMD tier.  Both files are this host's;
+    # ``output_identity.py --golden`` rewrites them
+    manifest = tmp_path / "manifest.json"
+    proc = run_script("output_identity.py", ["--tiny", "--out", str(manifest)])
+    assert proc.returncode == 0, proc.stderr
+    data = ROOT / "tests" / "data"
+    golden = json.loads((data / "output_manifest_tiny.json").read_text(encoding="utf-8"))
+    simd = json.loads((data / "output_manifest_tiny_simd.json").read_text(encoding="utf-8"))
+    assert simd and set(simd) < set(golden)
+
+    def pinned(entries):
+        return {cmd: {"exit": e["exit"]} if cmd in simd else e
+                for cmd, e in entries.items()}
+    assert pinned(json.loads(manifest.read_text(encoding="utf-8"))) == pinned(golden)
 
 
 def test_benchmark_traced_functions_exist():
