@@ -309,7 +309,3 @@ def open_sequence(path: str | Path) -> tuple[int, int, Callable[[], np.ndarray]]
 
     check((size - 8) // 4)
     return t, dim, read
-
-
-def load_sequence(path: str | Path) -> Sequence:
-    return Sequence(open_sequence(path)[2]())

@@ -65,6 +65,11 @@ def save_sequence(seq: Sequence, path) -> None:
     Path(path).write_bytes(netio.sequence_to_bytes(seq))
 
 
+def read_frames(path) -> np.ndarray:
+    """The [T, dim] fp32 frames of a sequence file, as the CLI reads them."""
+    return netio.open_sequence(path)[2]()
+
+
 def start_of(plan: dict[str, arch.MuOp], gate: str, name: str) -> int:
     """The cycle at which MU op ``gate.name`` starts."""
     return plan[f"{gate}.{name}"].start

@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_weights, save_descriptor, save_weights
+from conftest import random_weights, read_frames, save_descriptor, save_weights
 from epursim import arch, cli, model, netio, presets, quant, sched
-from epursim.netio import load_sequence
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -151,6 +150,17 @@ class TestGenNetwork:
         assert run_cli(*argv) == cli.EXIT_USAGE
         assert "numpy" not in capsys.readouterr().err and not shown
 
+    def test_debug_log_says_unknown_without_a_simd_tier(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # a numpy whose runtime report names no SIMD extensions
+        monkeypatch.setattr(np, "show_runtime", lambda: None)
+        monkeypatch.setenv("EPURSIM_LOG", "debug")
+        assert run_cli("gen-network", "--layers", "1", "--out-descriptor",
+                       str(tmp_path / "n.json"), "--out-weights",
+                       str(tmp_path / "n.bin")) == cli.EXIT_USAGE
+        assert (f"DEBUG epursim: numpy {np.__version__}, SIMD baseline unknown, found unknown"
+                in capsys.readouterr().err.splitlines())
+
     def test_module_entry_point_prints_help(self):
         proc = run_module("--help")
         assert proc.returncode == cli.EXIT_OK, proc.stderr
@@ -176,8 +186,7 @@ class TestInfer:
                      "--synthetic-t", "4", "--save-output", str(out),
                      "--out", str(tmp_path / "report.json"))
         assert rc == cli.EXIT_OK
-        seq = load_sequence(out)
-        assert seq.frames.shape == (4, 16)
+        assert read_frames(out).shape == (4, 16)
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["output_finite"]
 
@@ -574,7 +583,7 @@ class TestFieldRelations:
         assert run_cli("infer", "--network", str(desc), "--weights", str(blob),
                        "--synthetic-t", "4", "--synthetic-seed", "2",
                        "--save-output", str(saved), "--out", str(out)) == cli.EXIT_OK
-        frames = load_sequence(saved).frames
+        frames = read_frames(saved)
         assert -frames.min() > frames.max() > 0  # the largest value is not the answer
         assert json.loads(out.read_text())["output_max_abs"] == -float(frames.min())
 
@@ -610,7 +619,7 @@ class TestFieldRelations:
         assert run_cli("quantize-sweep", *io_args, "--min-bits", "5", "--max-bits", "7",
                        *flag, "--out", str(sweep)) == cli.EXIT_OK
         assert run_cli("infer", *io_args, "--save-output", str(saved)) == cli.EXIT_OK
-        oracle = load_sequence(saved).frames.astype(np.float64)
+        oracle = read_frames(saved).astype(np.float64)
         net = netio.load_descriptor(desc)
         rows = json.loads(sweep.read_text())["sweep"]
         # only the calibrated 7-bit run passes the cosine bound

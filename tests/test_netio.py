@@ -8,14 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (random_frames, random_network, random_weights,
+from conftest import (random_frames, random_network, random_weights, read_frames,
                       save_descriptor, save_sequence, save_weights)
 from epursim import cli, netio
 from epursim.model import (GATES, STACK_ORDER, NumericError, Precision, Sequence,
                            cell_weight_bytes)
 from epursim.netio import (MAX_SIZE, FormatError, descriptor_from_json,
-                           descriptor_to_bytes, load_descriptor, load_sequence,
-                           load_weights, weight_blob_chunks)
+                           descriptor_to_bytes, load_descriptor, load_weights,
+                           weight_blob_chunks)
 from epursim.presets import (PRESETS, custom_descriptor, preset_descriptor,
                              random_parts)
 
@@ -425,15 +425,13 @@ class TestSequences:
         seq = random_frames(net, 7, 1)
         path = tmp_path / "in.bin"
         save_sequence(seq, path)
-        back = load_sequence(path)
-        assert np.array_equal(back.frames, seq.frames.astype(np.float32))
+        assert np.array_equal(read_frames(path), seq.frames.astype(np.float32))
 
     def test_csv_round_trip(self, tmp_path):
         frames = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
         path = tmp_path / "in.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
-        back = load_sequence(path)
-        assert np.array_equal(back.frames, frames)
+        assert np.array_equal(read_frames(path), frames)
 
     def test_header_is_t_then_dim(self, tmp_path):
         seq = Sequence(np.zeros((3, 5), dtype=np.float32))
@@ -446,10 +444,10 @@ class TestSequences:
         path = tmp_path / "in.bin"
         path.write_bytes(struct.pack("<II", 3, 5) + b"\x00" * 4 * 7)
         with pytest.raises(FormatError, match="values follow"):
-            load_sequence(path)
+            read_frames(path)
 
     def test_bad_csv(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("a,b\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            load_sequence(path)
+            read_frames(path)
