@@ -24,8 +24,9 @@ import numpy as np
 
 GATES = ("input", "forget", "cell_updater", "output")
 #: row order of a cell's stacked arrays: the three sigmoid gates follow the
-#: cell updater as one contiguous block
-STACK_ORDER = ("cell_updater", "input", "forget", "output")
+#: cell updater as one contiguous block, forget before input, so that a
+#: step's work row [c, g, f, i, o] pairs c with f and g with i
+STACK_ORDER = ("cell_updater", "forget", "input", "output")
 #: gates whose preactivation includes a peephole term (the cell-updater
 #: equation has none)
 PEEPHOLE_GATES = ("input", "forget", "output")
@@ -61,10 +62,10 @@ class Direction(str, Enum):
 # narrows storage of weights and activations.
 ACC_DTYPE = np.float32
 
-#: maps a pass's hoisted forward partials [4*hidden, T] to the values its
-#: recurrent phase starts from (MWL stores them quantized); the recurrent
-#: loop overwrites the array the hook returns
-PartialsHook = Callable[[np.ndarray], np.ndarray]
+#: updates a pass's hoisted forward partials [4*hidden, T] in place to the
+#: values its recurrent phase starts from (MWL stores them quantized); what
+#: it returns is not read
+PartialsHook = Callable[[np.ndarray], object]
 
 
 @dataclass(frozen=True)
@@ -345,39 +346,34 @@ def dot_operands(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
-                   operands: tuple[np.ndarray, np.ndarray] | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """acc[j] += mat[j, k] * vec[k] for k ascending, one fp32 add per step;
-    with ``out``, the sums go there and acc is left as it was.
+                   operands: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+    """out[j] = acc[j] + mat[j, k] * vec[k] for k ascending, one fp32 add
+    per step; acc is left as it was.
 
-    It is ``einsum("kj,k->j", M, v, out=out)`` on the operands of
-    ``dot_operands(mat)``, with acc in row 0 of M and vec in v[1:]: einsum
-    keeps no product array and, per element, adds the rounded products in
-    ascending k to the 0.0 it fills ``out`` with, first 1 * acc[j].  That
-    first add keeps every value but -0.0, which becomes +0.0, so acc must
-    hold no -0.0.  The datapath never makes one: its sums start from +0.0,
-    and the quantizer reads code 0 back as +0.0.
+    It is ``einsum("kj,k->j", M, v, out=out)`` on ``operands``, the
+    ``dot_operands(mat)`` of a caller making many calls with one matrix,
+    with acc in row 0 of M and vec in v[1:] (vec may be a view of v[1:]):
+    einsum keeps no product array and, per element, adds the rounded
+    products in ascending k to the 0.0 it fills ``out`` with, first
+    1 * acc[j].  That first add keeps every value but -0.0, which becomes
+    +0.0, so acc must hold no -0.0.  The datapath never makes one: its sums
+    start from +0.0, and the quantizer reads code 0 back as +0.0.
 
-    A single-row accumulator, whose k axis einsum sums with SIMD partial
-    sums, and a build that failed the import probe (``EINSUM_IN_ORDER``)
-    take the multiply-and-add form instead: the products fill rows 1..K of
-    M under acc, and a running sum (one row) or a reduction over the outer
-    axis adds them; numpy performs the latter as K elementwise row
-    additions in ascending k.  A caller making many calls with one matrix
-    passes ``dot_operands(mat)`` as ``operands``; vec may be a view of its
-    v[1:].
+    acc must have two rows or more (ShapeError): einsum sums the k axis of
+    a single row with SIMD partial sums.  The datapath's accumulators have
+    4h rows.  A build that failed the import probe (``EINSUM_IN_ORDER``)
+    takes the multiply-and-add form instead: the products fill rows 1..K of
+    M under acc, and a reduction over the outer axis adds them, which numpy
+    performs as K elementwise row additions in ascending k.
     """
-    mat_t, v = dot_operands(mat) if operands is None else operands
+    if len(acc) < 2:
+        raise ShapeError(f"accumulate_dot needs two accumulator rows or more, got {len(acc)}")
+    mat_t, v = operands
     v[1:] = vec
     mat_t[0] = acc
-    out = acc if out is None else out
-    rows = acc.shape[0]
-    if EINSUM_IN_ORDER and rows > 1:
+    if EINSUM_IN_ORDER:
         return np.einsum("kj,k->j", mat_t, v, out=out)
     np.multiply(mat.T, v[1:, None], out=mat_t[1:])
-    if rows == 1:
-        out[:] = np.add.accumulate(mat_t, axis=0)[-1]
-        return out
     return np.add.reduce(mat_t, axis=0, out=out)
 
 
@@ -385,27 +381,26 @@ def accumulate_dot_all_t(acc: np.ndarray, mat: np.ndarray, frames: np.ndarray) -
     """Batched form of accumulate_dot that overwrites acc: acc[j, t] is the
     sum of mat[j, k] * frames[t, k] for k ascending, from +0.0.
 
-    It is ``einsum("tk,kj->tj", frames, mat.T, out=acc.T)`` on a C-ordered
-    mat.T and out, a tile of whole frames at a time (``EINSUM_TILE``), the
-    tile's frames copied F-ordered: for every (t, j) einsum adds the
-    rounded products in ascending k into the zero-filled ``out``.  An
-    F-ordered acc and mat are used as they are; other layouts are copied.
-    A single-row accumulator and a build that failed the probe take column
-    steps on the same tiles instead (``HOIST_TILE_ELEMS``).  Tiling splits
-    only the independent t axis, so every acc[j, t] still sees the order of
-    a scalar loop.
+    acc.T and mat.T must be C-contiguous (ShapeError), as run_direction's
+    [T, 4h] partials and F-ordered forward matrix give them.  It is
+    ``einsum("tk,kj->tj", frames, mat.T, out=acc.T)``, a tile of whole
+    frames at a time (``EINSUM_TILE``), the tile's frames copied F-ordered:
+    for every (t, j) einsum adds the rounded products in ascending k into
+    the zero-filled ``out``.  A single-row accumulator and a build that
+    failed the probe take column steps on the same tiles instead
+    (``HOIST_TILE_ELEMS``).  Tiling splits only the independent t axis, so
+    every acc[j, t] still sees the order of a scalar loop.
     """
-    acc_t = acc.T
+    acc_t, mat_t = acc.T, mat.T
+    if not (acc_t.flags.c_contiguous and mat_t.flags.c_contiguous):
+        raise ShapeError("accumulate_dot_all_t needs a C-contiguous acc.T and mat.T")
     T, rows = acc_t.shape
     if EINSUM_IN_ORDER and rows > 1:
         fewest, elems = EINSUM_TILE
         step, kernel = max(fewest, elems // rows), _einsum_tile
     else:
         step, kernel = max(1, HOIST_TILE_ELEMS // rows), _multiply_add_tile
-    out = acc_t if acc_t.flags.c_contiguous else np.empty(acc_t.shape, ACC_DTYPE)
-    _hoist_tiles(out, np.ascontiguousarray(mat.T), frames, step, kernel)
-    if out is not acc_t:
-        acc_t[...] = out
+    _hoist_tiles(acc_t, mat_t, frames, step, kernel)
     return acc
 
 
@@ -420,46 +415,46 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 
-def prepare_step(weights: WeightSet, z: np.ndarray, c: np.ndarray,
-                 h: np.ndarray) -> tuple:
+def prepare_step(weights: WeightSet, row: np.ndarray, h: np.ndarray) -> tuple:
     """What ``finish_step`` reads at every step of one pass of ``weights``,
-    made once per pass: views of the [4h] work row ``z`` (the step's dot
-    products), of the bias and of the peepholes, the fp32 state ``c`` and
-    ``h``, and the storage dtype of an fp16 cell (None for fp32)."""
+    made once per pass: views of the fp32 work row ``row`` of 5h values
+    (the cell state c, then the step's four dot products in STACK_ORDER:
+    g, f, i, o), of the bias and of the peepholes, the fp32 ``h``, and the
+    storage dtype of an fp16 cell (None for fp32)."""
     n = weights.layer.hidden_size
     _, _, bias = weights.stacked
     dt = weights.precision.storage_dtype
-    gates = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-    state = c, h, (None if dt == ACC_DTYPE else dt)
+    state = (row[n:2 * n], row[4 * n:], row[:2 * n].reshape(2, n),
+             row[2 * n:4 * n].reshape(2, n), row[:n], h, None if dt == ACC_DTYPE else dt)
     if not weights.layer.peephole:
         # the output gate joins the others' bias add and sigmoid
-        return (z, bias, z[n:], *gates, None, *state)
+        return (row[n:], bias, row[2 * n:], None, *state)
     peep_if, peep_o = weights.peepholes
-    peep = (z[n:3 * n].reshape(2, n), peep_if, np.empty((2, n), ACC_DTYPE),
-            peep_o, bias[3 * n:])
-    return (z[:3 * n], bias[:3 * n], z[n:3 * n], *gates, peep, *state)
+    # the stored (input, forget) vectors, reversed to the row's (f, i)
+    peep = (peep_if[::-1], np.empty((2, n), ACC_DTYPE), peep_o, bias[3 * n:])
+    return (row[n:4 * n], bias[:3 * n], row[2 * n:4 * n], peep, *state)
 
 
 def finish_step(step: tuple) -> None:
     """One step's gates from its stacked dot products in the work row of
     ``step`` (see ``prepare_step``; the row is overwritten): the fp32 state
-    c and h go from c_{t-1}, h_{t-1} to c_t, h_t in place (an fp16 cell
-    rounds them through fp16).
+    c, held in the row, and h go from c_{t-1}, h_{t-1} to c_t, h_t in
+    place (an fp16 cell rounds them through fp16).
 
     Each gate's preactivation is dot + peephole term + bias, in that order.
     The input, forget and output gates go through one sigmoid; on a
-    peephole layer the output gate waits for c_t.  The caller has already
-    read h_{t-1} and ignores exp overflow.
+    peephole layer the output gate waits for c_t.  c_t is c_{t-1} * f +
+    g * i, as one multiply of [c, g] by [f, i] and one add.  The caller has
+    already read h_{t-1} and ignores exp overflow.
     """
-    z, bias, sigmoid_gates, g_t, i_t, f_t, o_t, peep, c, h, dt = step
+    z, bias, sigmoid_gates, peep, g_t, o_t, cg, fi, c, h, dt = step
     if peep is not None:
-        z_if, peep_if, products, peep_o, bias_o = peep
-        z_if += np.multiply(peep_if, c, out=products)
+        peep_fi, products, peep_o, bias_o = peep
+        fi += np.multiply(peep_fi, c, out=products)
     z += bias
     _sigmoid_(sigmoid_gates)
     np.tanh(g_t, out=g_t)
-    c *= f_t
-    g_t *= i_t
+    cg *= fi
     c += g_t
     if peep is not None:
         # h_{t-1} is spent: h holds the peephole product
@@ -479,8 +474,9 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
 
     The forward dot products have no sequential dependence, so they are
     evaluated for the whole sequence first into a C-ordered [T, 4*hidden]
-    array; the time loop then adds the recurrent dot to each step's row
-    into one work row.  Per-scalar accumulation order is that of the
+    array, which the hook updates in place; the time loop then adds the
+    recurrent dot to each step's row into the dot products of one work
+    row, which also holds c.  Per-scalar accumulation order is that of the
     per-timestep loop, so the hoist does not change a single bit.  What a
     step reads is set up once per pass (``prepare_step``), and h lives in
     the recurrent dot's operand vector, so each step writes h_t where the
@@ -498,15 +494,16 @@ def run_direction(weights: WeightSet, frames: np.ndarray,
         steps = np.empty((T, 4 * n), dtype=ACC_DTYPE)
         accumulate_dot_all_t(steps.T, wx, frames)
         if partials_hook is not None:
-            steps = np.ascontiguousarray(partials_hook(steps.T).T)
+            partials_hook(steps.T)
 
         operands = dot_operands(wh)
         h = operands[1][1:]  # h_0 = 0
-        z = np.empty(4 * n, dtype=ACC_DTYPE)
-        step = prepare_step(weights, z, np.zeros(n, dtype=ACC_DTYPE), h)
+        row = np.zeros(5 * n, dtype=ACC_DTYPE)  # c_0 = 0
+        dots = row[n:]
+        step = prepare_step(weights, row, h)
         out = np.empty((T, n), dtype=weights.precision.storage_dtype)
         for t, partials in enumerate(steps):
-            accumulate_dot(partials, wh, h, operands, z)
+            accumulate_dot(partials, wh, h, operands, dots)
             finish_step(step)
             out[t] = h
     return out

@@ -31,12 +31,12 @@ def zeros_cell(hidden, input_size, bias=0.0):
 
 
 def step(ws, pre, c_prev):
-    """finish_step on copies of the dot products ``pre`` and of c_{t-1}:
+    """finish_step on a work row of c_{t-1} and the dot products ``pre``:
     (c_t, h_t)."""
-    z, c, h = pre.copy(), c_prev.copy(), np.zeros_like(c_prev)
+    row, h = np.concatenate([c_prev, pre]).astype(F32), np.zeros_like(c_prev)
     with np.errstate(over="ignore"):
-        assert finish_step(model.prepare_step(ws, z, c, h)) is None
-    return c, h
+        assert finish_step(model.prepare_step(ws, row, h)) is None
+    return row[:len(c_prev)], h
 
 
 def naive_run(ws, frames) -> np.ndarray:
@@ -105,6 +105,18 @@ def sequential_column(rows):
     return np.tile(prods, (rows, 1))
 
 
+def dot(acc, mat, vec):
+    """accumulate_dot of acc into a new array, on operands made for it."""
+    return accumulate_dot(acc, mat, vec, model.dot_operands(mat), np.empty_like(acc))
+
+
+def hoist(mat, frames):
+    """accumulate_dot_all_t into the layouts run_direction passes: a
+    transposed [T, rows] accumulator and an F-ordered matrix."""
+    acc = np.empty((len(frames), len(mat)), F32).T
+    return accumulate_dot_all_t(acc, np.asfortranarray(mat), frames)
+
+
 NUMPY_EINSUM = np.einsum
 
 
@@ -143,8 +155,11 @@ class TestAccumulationOrder:
            order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
     @example(rows=4, k=1, order="C", seed=0)
     @example(rows=1, k=300, order="F", seed=2)
+    @example(rows=2, k=300, order="F", seed=2)
     @example(rows=320, k=700, order="F", seed=1)
     def test_accumulate_dot_matches_scalar_loop(self, rows, k, order, seed):
+        # twice on operands built once for the matrix, as run_direction
+        # calls it; a single row, whose sum einsum would block, is refused
         rng = np.random.default_rng(seed)
         mat = np.asarray(spread(rng, (rows, k)), order=order)
         vec = spread(rng, k)
@@ -152,14 +167,14 @@ class TestAccumulationOrder:
         want = scalar_dot(acc, mat, vec)
         for path in kernel_paths(rows):
             with path:
-                got = accumulate_dot(acc.copy(), mat, vec)
-                # and twice on operands built once for the matrix, as
-                # run_direction calls it
-                operands = model.dot_operands(mat)
-                accumulate_dot(spread(rng, rows), mat, spread(rng, k), operands)
-                again = accumulate_dot(acc.copy(), mat, vec, operands)
-            assert np.array_equal(got, want)
-            assert np.array_equal(again, want)
+                operands, out = model.dot_operands(mat), np.empty(rows, F32)
+                if rows == 1:
+                    with pytest.raises(ShapeError, match="got 1$"):
+                        accumulate_dot(acc, mat, vec, operands, out)
+                    continue
+                accumulate_dot(spread(rng, rows), mat, spread(rng, k), operands, out)
+                got = accumulate_dot(acc, mat, vec, operands, out)
+            assert got is out and np.array_equal(got, want)
 
     @settings(max_examples=15, deadline=None)
     @given(rows=st.integers(1, 320), k=st.integers(1, 700), T=st.integers(1, 3),
@@ -167,15 +182,16 @@ class TestAccumulationOrder:
     @example(rows=4, k=1, T=1, order="F", seed=0)
     @example(rows=1, k=300, T=3, order="C", seed=2)
     def test_accumulate_dot_all_t_matches_scalar_loop(self, rows, k, T, order, seed):
-        # the hoist overwrites its accumulator: each sum starts from +0.0
+        # the hoist overwrites its accumulator: each sum starts from +0.0.
+        # ``order`` is the frames'
         rng = np.random.default_rng(seed)
-        mat = np.asarray(spread(rng, (rows, k)), order=order)
+        mat = np.asfortranarray(spread(rng, (rows, k)))
         frames = np.asarray(spread(rng, (T, k)), order=order)
         zero = np.zeros(rows, F32)
         want = np.stack([scalar_dot(zero, mat, frames[t]) for t in range(T)], axis=1)
         for path in kernel_paths(rows):
             with path:
-                got = accumulate_dot_all_t(spread(rng, (rows, T)), mat, frames)
+                got = accumulate_dot_all_t(spread(rng, (T, rows)).T, mat, frames)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows", [1, 4, 320])
@@ -184,10 +200,9 @@ class TestAccumulationOrder:
         zeros = np.zeros(rows, dtype=F32)
         for path in kernel_paths(rows):
             with path:
-                dot = accumulate_dot(zeros.copy(), mat, np.ones(300, F32))
-                got = accumulate_dot_all_t(np.zeros((rows, 2), F32), mat,
-                                           np.ones((2, 300), F32))
-            assert np.array_equal(dot, zeros)
+                got = hoist(mat, np.ones((2, 300), F32))
+                if rows > 1:  # accumulate_dot refuses a single row
+                    assert np.array_equal(dot(zeros, mat, np.ones(300, F32)), zeros)
             assert np.array_equal(got, np.zeros((rows, 2), F32))
 
     @pytest.mark.parametrize("rows", [1, 4, 320])
@@ -199,18 +214,18 @@ class TestAccumulationOrder:
         monkeypatch.setattr(model, "EINSUM_TILE", (1, 2 * rows))
         for path in kernel_paths(rows):
             with path:
-                got = accumulate_dot_all_t(np.zeros((5, rows), F32).T,
-                                           sequential_column(rows), np.ones((5, 300), F32))
+                got = hoist(sequential_column(rows), np.ones((5, 300), F32))
             assert np.array_equal(got, np.zeros((rows, 5), F32))
 
     @pytest.mark.parametrize("orders", ["".join(o) for o in itertools.product("CF", repeat=3)])
     @pytest.mark.parametrize("rows, k, T", [(1, 3, 10), (5, 7, 23), (16, 40, 13)])
     def test_accumulate_dot_all_t_across_tiles(self, monkeypatch, rows, k, T, orders):
-        # orders are those of acc, mat and frames; the kernels copy the
-        # ones they cannot use as they are.  Both hoists take three frames
-        # per tile: T crosses several tile boundaries and the last tile is
-        # ragged.  The frames also come reversed (a negative stride, as the
-        # backward direction passes them) and as fp16
+        # orders are those of acc, mat and frames; acc and mat must be
+        # F-ordered (a single row is both), and other layouts are refused.
+        # Both hoists take three frames per tile: T crosses several tile
+        # boundaries and the last tile is ragged.  The frames also come
+        # reversed (a negative stride, as the backward direction passes
+        # them) and as fp16
         monkeypatch.setattr(model, "HOIST_TILE_ELEMS", 3 * rows)
         monkeypatch.setattr(model, "EINSUM_TILE", (1, 3 * rows))
         rng = np.random.default_rng(1000 * rows + T)
@@ -219,6 +234,11 @@ class TestAccumulationOrder:
         frames = np.asarray(spread(rng, (T, k)), order=frames_order)
         acc = np.asarray(spread(rng, (rows, T)), order=acc_order)
         zero = np.zeros(rows, F32)
+        if rows > 1 and "C" in (acc_order, mat_order):
+            for path in kernel_paths(rows):
+                with path, pytest.raises(ShapeError, match="C-contiguous acc.T and mat.T"):
+                    accumulate_dot_all_t(acc, mat, frames)
+            return
         for given in (frames, frames[::-1], frames.astype(np.float16)):
             want = np.stack([scalar_dot(zero, mat, given[t]) for t in range(T)], axis=1)
             for path in kernel_paths(rows):
@@ -228,7 +248,8 @@ class TestAccumulationOrder:
 
     @pytest.mark.parametrize("stride", [1, 3, 700])
     def test_accumulate_dot_into_a_strided_accumulator(self, stride):
-        # a column of a C-ordered array is an accumulator with a long stride
+        # a column of a C-ordered array is an accumulator with a long
+        # stride, here summed into itself
         rng = np.random.default_rng(stride)
         mat, vec = spread(rng, (64, 300)), spread(rng, 300)
         acc = spread(rng, (64, stride))
@@ -236,7 +257,7 @@ class TestAccumulationOrder:
         for path in kernel_paths(64):
             with path:
                 got = acc.copy()
-                accumulate_dot(got[:, -1], mat, vec)
+                accumulate_dot(got[:, -1], mat, vec, model.dot_operands(mat), got[:, -1])
             assert np.array_equal(got[:, -1], want)
             assert np.array_equal(got[:, :-1], acc[:, :-1])
 
@@ -250,11 +271,10 @@ class TestAccumulationOrder:
         assert np.array_equal(scalar_dot(start, mat, [a]), np.zeros(rows, F32))
         for path in kernel_paths(rows):
             with path:
-                dot = accumulate_dot(start.copy(), mat, np.array([a]))
-                hoist = accumulate_dot_all_t(
-                    np.empty((rows, 3), F32), np.hstack([start[:, None], mat]),
-                    np.tile(np.array([1, a], F32), (3, 1)))
-            assert not dot.any() and not hoist.any()
+                got = dot(start, mat, np.array([a]))
+                hoisted = hoist(np.hstack([start[:, None], mat]),
+                                np.tile(np.array([1, a], F32), (3, 1)))
+            assert not got.any() and not hoisted.any()
 
     def test_negative_zero_products_on_a_positive_zero_start(self):
         # every sum the datapath makes starts from +0.0, and +0.0 + -0.0 is
@@ -263,10 +283,8 @@ class TestAccumulationOrder:
         zero = np.zeros(5, F32)
         for path in kernel_paths(8):
             with path:
-                dot = accumulate_dot(np.zeros(8, F32), mat, zero)
-                hoist = accumulate_dot_all_t(np.empty((8, 2), F32), mat,
-                                             np.zeros((2, 5), F32))
-            for got in (dot, hoist):
+                sums = dot(np.zeros(8, F32), mat, zero), hoist(mat, np.zeros((2, 5), F32))
+            for got in sums:
                 assert not got.any() and not np.signbit(got).any()
 
     def test_no_negative_zero_start_reaches_the_recurrent_dot(self):
@@ -311,17 +329,22 @@ class TestRecurrentDotIntoWorkRow:
 
     @pytest.mark.parametrize("rows, k", [(1, 7), (12, 5), (64, 48)])
     def test_out_gets_the_sums_and_acc_is_kept(self, rows, k):
+        # a single row is refused before anything is written
         rng = np.random.default_rng(rows)
         mat = np.asfortranarray(spread(rng, (rows, k)))
         acc, vec = spread(rng, rows), spread(rng, k)
-        want = scalar_dot(acc, mat, vec)
+        want = scalar_dot(acc, mat, vec) if rows > 1 else np.full(rows, -1.0, F32)
         for path in kernel_paths(rows):
             with path:
                 operands = model.dot_operands(mat)
                 h = operands[1][1:]
                 h[:] = vec
-                kept, out = acc.copy(), np.empty(rows, F32)
-                assert accumulate_dot(kept, mat, h, operands, out) is out
+                kept, out = acc.copy(), np.full(rows, -1.0, F32)
+                if rows == 1:
+                    with pytest.raises(ShapeError):
+                        accumulate_dot(kept, mat, h, operands, out)
+                else:
+                    assert accumulate_dot(kept, mat, h, operands, out) is out
             assert np.array_equal(out, want)
             assert np.array_equal(kept, acc)
             assert np.array_equal(h, vec)
@@ -517,6 +540,22 @@ class TestCellStep:
                 got = run_direction(ws, frames, identity)
             assert got.dtype == precision.storage_dtype
             assert np.array_equal(got, naive_run(ws, frames))
+
+    def test_hook_updates_the_partials_in_place(self):
+        # the recurrent loop reads the partials as the hook left them, not
+        # the array it returns (here, the partials before it ran)
+        ws = make_cell(6, 4, True, 7)
+        frames = np.random.default_rng(7).uniform(-1, 1, (5, 4)).astype(F32)
+        cfg = QuantConfig(4, 2.0)
+
+        def in_place(partials):
+            before = partials.copy()
+            quantize(partials, cfg)
+            return before
+
+        want = run_direction(ws, frames, lambda partials: quantize(partials, cfg))
+        assert not np.array_equal(want, run_direction(ws, frames))
+        assert np.array_equal(run_direction(ws, frames, in_place), want)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_multiply_and_add_matches_equation_oracle(self, monkeypatch, seed):
