@@ -347,8 +347,8 @@ def dot_operands(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def accumulate_dot(acc: np.ndarray, mat: np.ndarray, vec: np.ndarray,
                    operands: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
-    """out[j] = acc[j] + mat[j, k] * vec[k] for k ascending, one fp32 add
-    per step; acc is left as it was.
+    """out[j] = acc[j] plus mat[j, k] * vec[k] for k ascending, one fp32
+    add per step; acc is left as it was.
 
     It is ``einsum("kj,k->j", M, v, out=out)`` on ``operands``, the
     ``dot_operands(mat)`` of a caller making many calls with one matrix,
