@@ -573,7 +573,8 @@ def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet | None]],
     ``datapath_hook``, given ``calibrate``; None is the reference run.  A
     run's refusals (capacity, MU bottleneck) are ``cost_model``'s, so they
     come before any datapath work starts.  With a swap, a run's outputs
-    are its outcome here (see ``model.settle``).
+    are its outcome here, for the caller to settle (``model.settle``);
+    without one, its outputs, or the first failing run's error raised.
     """
     for report in filter(None, reports):
         T = report["sequence_length"]

@@ -237,7 +237,9 @@ class _Swap(model.Swap):
     ``_swaps``).  A group with a peer holds one direction of its runs and
     the peer the other: each writes its half of a run's layer output into
     the shared mapping, and the two meet through their token pipes.  A
-    group without a peer keeps its outputs private to its process."""
+    group without a peer keeps its outputs private to its process.  Given
+    this swap, ``model.network_infer`` returns each run's outcome, and
+    ``_run_lanes`` settles them across the groups."""
 
     def __init__(self, lanes: list[model.Lane], mem, slot: int,
                  peer: tuple[int, int] | None, fds: set[int]):
@@ -280,10 +282,6 @@ class _Swap(model.Swap):
         except BrokenPipeError:
             return None
         return min(stop, token[0]) if token else None  # no token: the peer ended
-
-    def settle(self, outcomes: list[model.Outcome]) -> list[model.Outcome]:
-        # a run's error is raised across the groups, by ``model.settle``
-        return outcomes
 
 
 @contextlib.contextmanager

@@ -525,8 +525,9 @@ def _check_layer(layer: LayerDescriptor, weights: list[WeightSet | None],
 #: one direction of one run of a ``network_infer`` call: (direction, run)
 Lane = tuple[int, int]
 
-#: what a ``network_infer`` call gives for each run: its output, the error it
-#: failed with, or None (stopped after an earlier run failed, or not run)
+#: what a ``network_infer`` call given a swap returns for each run: its
+#: output, the error it failed with, or None (stopped after an earlier run
+#: failed, or not run here); ``settle`` makes outputs of them
 Outcome = Sequence | Exception | None
 
 
@@ -536,7 +537,9 @@ class Swap:
     This one holds every lane of every run in one process, so each run's
     layer output is whole where its lanes write it, and nothing is
     exchanged (``cli`` cuts the lanes across processes with a swap of its
-    own).  ``lanes`` are the lanes this process runs, direction-major.
+    own).  ``lanes`` are the lanes this process runs, direction-major.  A
+    swap only places outputs and passes tokens; the outcomes are settled
+    by whoever made it (``settle``).
     """
 
     def __init__(self, lanes: list[Lane]):
@@ -552,11 +555,6 @@ class Swap:
         lowest that the process sharing its runs knows of, once that
         process's halves of layer ``i`` are written; None if it ended."""
         return stop
-
-    def settle(self, outcomes: list[Outcome]) -> list[Sequence]:
-        """The call's result: here, its outputs, or the first failing
-        run's error raised."""
-        return settle([outcomes])
 
 
 def settle(groups: list[list[Outcome]]) -> list[Sequence]:
@@ -574,25 +572,26 @@ def settle(groups: list[list[Outcome]]) -> list[Sequence]:
 
 def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | None]],
                   inp: Sequence, hooks: SequenceOf[PartialsHook | None] = (None,),
-                  swap: Swap | None = None) -> list[Sequence]:
+                  swap: Swap | None = None) -> list[Sequence] | list[Outcome]:
     """The last hidden layer's output of ``inp`` per partials hook (or None),
     the runs in lockstep, one lane (one direction of one run) at a time:
-    every lane of ``swap`` (all of them without one) passes through layer i
-    before layer i+1's weight sets are taken from ``weights`` (a
-    NetworkWeights, or a ``netio.WeightStream`` read, which reads a layer
-    only when it is reached and may leave None for a direction no lane
-    here runs).  Layer i+1 is taken before the swap waits for the other
-    processes' halves of layer i, so the read fills that wait.
+    every lane of ``swap`` (all of them without one) passes through layer i,
+    and the swap of layer i is done, before layer i+1's weight sets are
+    taken from ``weights`` (a NetworkWeights, or a ``netio.WeightStream``
+    read, which reads a layer only when it is reached and may leave None
+    for a direction no lane here runs).  So no process reads a layer past
+    one that a process sharing its runs failed to read.
 
     An error names its layer (layer 0 refuses an input that does not match
     ``net.input_dim``).  A failed run stops, and so do the runs after it.
     An error of ``weights`` itself (a short blob, a non-finite weight) is
-    raised as soon as it is met, unprefixed.  The result is
-    ``swap.settle`` of each run's outcome: without a swap, the outputs, or
-    the first failing run's error in hook order, raised once every layer is
-    taken.
+    raised as soon as it is met, unprefixed.  Without a swap, the result is
+    the outputs, or the first failing run's error in hook order (``settle``)
+    raised once every layer is taken.  Given a swap, it is each run's
+    outcome, which the caller settles across its groups.
     """
-    if swap is None:
+    own = swap is None
+    if own:
         directions = max(layer.num_directions for layer in net.layers)
         swap = Swap([(d, r) for d in range(directions) for r in range(len(hooks))])
     T = inp.length
@@ -601,10 +600,7 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
     outcomes: list[Outcome] = [None] * len(hooks)
     stop = len(hooks)  # the lowest failed run: it and the runs after it stop
     last = len(net.layers) - 1
-    layers = zip(net.layers, weights, strict=True)
-    step = next(layers)
-    for i in range(last + 1):
-        layer, sets = step
+    for i, (layer, sets) in enumerate(zip(net.layers, weights, strict=True)):
         h = layer.hidden_size
         outs = {}  # each run's output, asked of the swap once a pass is done
 
@@ -628,7 +624,6 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
                     raise type(e)(f"layer {i}: {e}") from e
             except Exception as e:  # the run's outcome
                 outcomes[r], stop = e, r
-        step = next(layers, None)
         stop = swap.exchange(i, stop)
         if stop is None:  # a peer ended: its error is the one raised
             return outcomes
@@ -642,7 +637,7 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
     for r in held:
         if r < stop:
             outcomes[r] = seqs[r]
-    return swap.settle(outcomes)
+    return settle([outcomes]) if own else outcomes
 
 
 # ---------------------------------------------------------------------------

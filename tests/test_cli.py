@@ -1786,7 +1786,11 @@ class TestConcurrently:
         # the caller's array comes first in the blob, the child first in
         # call order; the child never reads layer 2
         ([(2, 0, "forget.w_h"), (1, 1, "input.w_x")], "input.w_x"),
-    ], ids=["child", "same-layer", "earlier-layer"])
+        # the caller fails to read layer 0; the child, whose layer 1 is
+        # bad too, reads it only after the swap of layer 0, which tells it
+        # that the caller has ended
+        ([(0, 1, "input.w_x"), (1, 0, "forget.w_h")], "input.w_x"),
+    ], ids=["child", "same-layer", "earlier-layer", "caller-first-layer"])
     def test_weight_error_is_the_first_in_blob_order(self, tmp_path, monkeypatch, capsys,
                                                      poisoned, name):
         net, argv = self.network(tmp_path, (8, True), (6, True), (4, True))

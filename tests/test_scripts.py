@@ -1,7 +1,7 @@
 """The experiment scripts run end to end on tiny arguments, the energy
 comparison reproduces its recorded JSON, the output-identity matrix gives
-the same manifest twice and matches its committed golden, and the
-benchmark's traced functions exist."""
+the same manifest twice and matches its committed golden, the benchmark's
+traced functions exist, and every line the mutation probe replaces does."""
 import ast
 import importlib
 import json
@@ -91,3 +91,18 @@ def test_benchmark_traced_functions_exist():
         mod = importlib.import_module(f"epursim.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"epursim.{module}.{name}"
+
+
+def test_mutation_probe_lines_exist():
+    # read, not run: the probe runs the suite once per mutant.  A mutant
+    # whose line a refactor moved or doubled would be applied nowhere, or
+    # in the wrong place
+    tree = ast.parse((ROOT / "scripts" / "mutation_probe.py").read_text(encoding="utf-8"))
+    (mutants,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["MUTANTS"]]
+    assert mutants
+    for name, line, replacement, fault in mutants:
+        lines = (ROOT / "src" / "epursim" / name).read_text(encoding="utf-8").splitlines()
+        assert sum(text.strip() == line for text in lines) == 1, f"{name}: {line}"
+        assert replacement != line and fault
