@@ -71,6 +71,18 @@ MUTANTS = (
      "return settle([outcomes]) if own else outcomes",
      "return settle([outcomes])",
      "network_infer settles the outcomes of a swap it was given"),
+    ("cli.py",
+     "os.write(self._peer[0], bytes([stop]))",
+     "os.write(self._peer[0], bytes([len(self._mem) // (2 * self._slot)]))",
+     "the token sent is the run count, not the lowest failed run"),
+    ("cli.py",
+     "return min(stop, token[0]) if token else None  # no token: the peer ended",
+     "return min(stop, token[0]) if token else stop",
+     "exchange ignores the end of the peer's pipe"),
+    ("cli.py",
+     "chunks = min(slots // len(sides), runs)",
+     "chunks = min(slots, runs)",
+     "a paired cut makes a chunk per slot, not per two slots"),
 )
 
 

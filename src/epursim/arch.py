@@ -425,16 +425,17 @@ def _pass_cost(layer: LayerDescriptor, T: int, policy: Policy,
 # ---------------------------------------------------------------------------
 # the simulator
 
-def datapath_hook(report: dict, calibrate: bool = False) -> PartialsHook | None:
+def datapath_hook(report: dict) -> PartialsHook | None:
     """The partials hook of ``report``'s datapath: None in exact mode; for
     the quantized MWL schedule, one that stores the forward partials as
     n-bit codes and reads them back as the table's values, in place.
 
-    With ``calibrate`` each pass uses its own clamp magnitude (the measured
-    peak |partial|, rounded up), standing in for an offline calibration run:
-    the dequantization constants travel with each layer's weights anyway.
-    The hook then appends the alpha it applied to the report's
-    ``quant.pass_alphas``, one per pass, and sets its ``calibrated_per_pass``.
+    Where the report's ``quant.calibrated_per_pass`` is set, each pass uses
+    its own clamp magnitude (the measured peak |partial|, rounded up),
+    standing in for an offline calibration run: the dequantization
+    constants travel with each layer's weights anyway.  The hook then
+    appends the alpha it applied to the report's ``quant.pass_alphas``, one
+    per pass.
     """
     quant = report["quant"]
     if quant is None:
@@ -443,13 +444,12 @@ def datapath_hook(report: dict, calibrate: bool = False) -> PartialsHook | None:
 
     def hook(partials: np.ndarray) -> np.ndarray:
         applied = qcfg
-        if calibrate:
+        if quant["calibrated_per_pass"]:
             # the peak |partial| without an abs temporary; a NaN propagates
             # through max and min alike
             peak = max(float(partials.max()), -float(partials.min()))
             applied = QuantConfig(qcfg.n_bits, calibrate_alpha(peak))
             quant["pass_alphas"].append(applied.alpha)
-            quant["calibrated_per_pass"] = True
         return quantize(partials, applied)
     return hook
 
@@ -459,8 +459,10 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
                frames_per_second: float | None = None) -> dict:
     """Cycles, event counts, storage and DRAM traffic of one inference over
     a T-frame sequence, from shapes alone: the report, a dict in the JSON
-    form ``simulate`` writes (schema 2).  Its ``quant`` entry lists no
-    calibrated alphas until ``simulate`` runs the datapath.
+    form ``simulate`` writes (schema 2).  Its ``quant`` entry is not
+    calibrated (``calibrated_per_pass`` False) and lists no alphas; a
+    caller that calibrates sets the flag, and ``simulate``'s datapath
+    lists the alphas.
 
     ``quant=None`` is exact mode; a QuantConfig stores the MWL partials as
     codes (the conventional schedule stores none, so it ignores ``quant``).
@@ -565,15 +567,15 @@ def cost_model(net: NetworkDescriptor, T: int, policy: Policy,
 
 
 def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet | None]],
-             inp: Sequence, reports: list[dict | None], calibrate: bool = False,
+             inp: Sequence, reports: list[dict | None],
              swap: Swap | None = None) -> list[tuple[dict | None, Outcome]]:
     """(report, outputs) of each run of ``reports``, stepped in lockstep by
     ``network_infer`` over the lanes of ``swap`` (all of them without one):
     a report (``cost_model``'s, of ``net`` over ``inp``'s length) runs its
-    ``datapath_hook``, given ``calibrate``; None is the reference run.  A
-    run's refusals (capacity, MU bottleneck) are ``cost_model``'s, so they
-    come before any datapath work starts.  With a swap, a run's outputs
-    are its outcome here, for the caller to settle (``model.settle``);
+    ``datapath_hook``; None is the reference run.  A run's refusals
+    (capacity, MU bottleneck) are ``cost_model``'s, so they come before
+    any datapath work starts.  With a swap, a run's outputs are its
+    outcome here, for the caller to settle (``model.settle``);
     without one, its outputs, or the first failing run's error raised.
     """
     for report in filter(None, reports):
@@ -583,7 +585,7 @@ def simulate(net: NetworkDescriptor, weights: Iterable[list[WeightSet | None]],
                              f"[{T}, {net.input_dim}]")
     # both schedules run the one ordered accumulation; quantized MWL stores
     # its hoisted forward partials as codes
-    hooks = [None if rep is None else datapath_hook(rep, calibrate) for rep in reports]
+    hooks = [None if rep is None else datapath_hook(rep) for rep in reports]
     return list(zip(reports, network_infer(net, weights, inp, hooks, swap)))
 
 

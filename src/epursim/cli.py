@@ -232,18 +232,32 @@ def _child(call: Callable[[], object], w: int) -> NoReturn:
         os._exit(status)
 
 
-class _Swap(model.Swap):
-    """The swap of one group of lanes cut across processes (see
-    ``_swaps``).  A group with a peer holds one direction of its runs and
-    the peer the other: each writes its half of a run's layer output into
-    the shared mapping, and the two meet through their token pipes.  A
-    group without a peer keeps its outputs private to its process.  Given
-    this swap, ``model.network_infer`` returns each run's outcome, and
-    ``_run_lanes`` settles them across the groups."""
+def _cut(directions: int, runs: int, slots: int) -> tuple[list[tuple[range, range]], bool]:
+    """The groups of lanes (one direction of one run each) that
+    ``_run_lanes`` runs on ``slots`` CPU slots, one process each, as (range
+    of directions, range of runs), and whether they are paired.  The runs
+    are cut in order into chunks.  With two directions and two slots or
+    more, a chunk per two slots is two groups, its forward lanes and its
+    backward lanes, every chunk's forward group first (on an odd slot count
+    one slot is idle); otherwise a chunk per slot is one group.  The caller
+    runs the last group."""
+    paired = directions == 2 and slots > 1
+    sides = [range(0, 1), range(1, 2)] if paired else [range(directions)]
+    chunks = min(slots // len(sides), runs)
+    cuts = [runs * c // chunks for c in range(chunks + 1)]
+    return [(side, range(a, b)) for side in sides for a, b in zip(cuts, cuts[1:])], paired
 
-    def __init__(self, lanes: list[model.Lane], mem, slot: int,
-                 peer: tuple[int, int] | None, fds: set[int]):
-        super().__init__(lanes)
+
+class _Swap(model.Swap):
+    """The swap of one group of a paired cut (see ``_swaps``): it holds one
+    direction of its runs and its peer the other.  Each writes its half of
+    a run's layer output into the shared mapping, and the two meet through
+    their token pipes.  Given this swap, ``model.network_infer`` returns
+    each run's outcome, and ``_run_lanes`` settles them across the groups."""
+
+    def __init__(self, directions: range, runs: range, mem, slot: int,
+                 peer: tuple[int, int], fds: set[int]):
+        super().__init__(directions, runs)
         self._mem, self._slot = mem, slot
         self._peer, self._fds = peer, fds  # peer: (send end, receive end)
 
@@ -251,7 +265,7 @@ class _Swap(model.Swap):
         """``call()`` in the process that runs this group: every token pipe
         end but this group's is closed first, so a peer's end is closed
         once that peer ends, and this group's after the call."""
-        mine = set(self._peer or ())
+        mine = set(self._peer)
         self._close(self._fds - mine)
         try:
             return call()
@@ -264,8 +278,6 @@ class _Swap(model.Swap):
             os.close(fd)
 
     def output(self, i: int, run: int, shape: tuple[int, int]) -> np.ndarray:
-        if self._peer is None:
-            return super().output(i, run, shape)
         # a run's layers alternate between its two slots: a peer still
         # reading layer i-1 while this process writes layer i+1 is in its
         # layer-i lanes, which the swap of layer i waits for
@@ -273,8 +285,6 @@ class _Swap(model.Swap):
         return np.ndarray(shape, model.ACC_DTYPE, self._mem, at)
 
     def exchange(self, i: int, stop: int) -> int | None:
-        if self._peer is None:
-            return stop
         # the token is the sender's stop, one byte: there are at most 16 runs
         try:
             os.write(self._peer[0], bytes([stop]))
@@ -285,29 +295,27 @@ class _Swap(model.Swap):
 
 
 @contextlib.contextmanager
-def _swaps(net: model.NetworkDescriptor, T: int, groups: list[list[model.Lane]],
-           paired: bool) -> Iterator[list[_Swap]]:
-    """One swap per group of lanes, each group to run in its own process.
-    ``paired`` groups are every chunk's forward lanes, then every chunk's
-    backward lanes, and a group's peer is the group half the list away.
-    For them only, made before the fork: one pipe per group, carrying its
-    tokens to its peer, and one anonymous shared mapping with two slots of
-    [T, the widest layer output] fp32 values per run, where the halves of a
-    run's layer outputs meet (only the pages written are faulted in).  Each
-    token pipe end still open in this process is closed on leaving."""
-    runs = 1 + max(r for lanes in groups for _, r in lanes)
+def _swaps(net: model.NetworkDescriptor, T: int,
+           groups: list[tuple[range, range]]) -> Iterator[list[_Swap]]:
+    """One swap per group of a paired cut (``_cut``), each group to run in
+    its own process; a group's peer is the group half the list away.  Made
+    before the fork: one pipe per group, carrying its tokens to its peer,
+    and one anonymous shared mapping with two slots of [T, the widest layer
+    output] fp32 values per run, where the halves of a run's layer outputs
+    meet (only the pages written are faulted in).  Each token pipe end
+    still open in this process is closed on leaving."""
+    runs = max(chunk.stop for _, chunk in groups)
     pipes: list[tuple[int, int]] = []
     fds: set[int] = set()
     try:
-        for _ in groups if paired else ():
+        for _ in groups:
             pipes.append(os.pipe())
             fds.update(pipes[-1])
         slot = T * max(layer.output_size for layer in net.layers) * 4
-        mem = mmap.mmap(-1, 2 * runs * slot) if paired else None
-        half = len(pipes) // 2
-        yield [_Swap(lanes, mem, slot,
-                     (pipes[g][1], pipes[g - half][0]) if paired else None, fds)
-               for g, lanes in enumerate(groups)]
+        mem = mmap.mmap(-1, 2 * runs * slot)
+        half = len(groups) // 2
+        yield [_Swap(*group, mem, slot, (pipes[g][1], pipes[g - half][0]), fds)
+               for g, group in enumerate(groups)]
     finally:
         for fd in fds:
             os.close(fd)
@@ -441,50 +449,48 @@ def _quant_config(n_bits: int, alpha: float) -> quant.QuantConfig:
 
 
 def _run_lanes(net: model.NetworkDescriptor, weights_path: str,
-               sequence: Callable[[], model.Sequence], reports: list[dict | None],
-               calibrate: bool = False) -> list[tuple[dict | None, model.Sequence]]:
+               sequence: Callable[[], model.Sequence], reports: list[dict | None]
+               ) -> list[tuple[dict | None, model.Sequence]]:
     """(report, outputs) of each run of ``reports`` (None: the reference
     run) over ``sequence()``, with the weights of the blob at
     ``weights_path``.
 
-    A lane is one direction of one run.  The runs are cut in order into
-    chunks, and this cut alone sets how many processes run: one per group
-    of lanes, each an ``arch.simulate`` call that reads only its lanes'
-    directions of the weight blob.  With a bidirectional layer and two CPU
-    slots or more, a chunk per two slots is two groups, its forward lanes
-    and its backward lanes, which swap their halves of each layer output
-    (``_swaps``); the caller runs the last chunk's backward lanes.
-    Otherwise a chunk per slot is one group.  The first failing run's
-    error is raised, as in one process; calibrated alphas come back in
-    (layer, direction) order.
+    The cut (``_cut``) alone sets how many processes run: one per group of
+    lanes, each an ``arch.simulate`` call that reads only its group's
+    directions of the weight blob.  The groups of a paired cut swap their
+    halves of each layer output (``_swaps``); the others run on a
+    ``model.Swap`` of their own.  The first failing run's error is raised,
+    as in one process; a run split across a pair gets its calibrated
+    alphas back in (layer, direction) order.
     """
-    directions = max(layer.num_directions for layer in net.layers)
-    slots = _cpu_slots()
-    sides = [[0], [1]] if directions == 2 and slots > 1 else [range(directions)]
-    chunks = min(slots // len(sides), len(reports))
-    cuts = [len(reports) * c // chunks for c in range(chunks + 1)]
-    groups = [[(d, r) for d in side for r in range(a, b)]
-              for side in sides for a, b in zip(cuts, cuts[1:])]
+    groups, paired = _cut(max(layer.num_directions for layer in net.layers),
+                          len(reports), _cpu_slots())
     with netio.load_weights(net, weights_path) as weights:
         seq = sequence()
-        with _swaps(net, seq.length, groups, paired=len(sides) == 2) as swaps:
-            results = _concurrently([
-                partial(swap.run, partial(arch.simulate, net,
-                                          weights.read({d for d, _ in swap.lanes}),
-                                          seq, reports, calibrate, swap))
-                for swap in swaps])
+
+        def simulate(swap: model.Swap) -> Callable[[], list]:
+            return partial(arch.simulate, net, weights.read(swap.directions), seq,
+                           reports, swap)
+
+        if paired:
+            with _swaps(net, seq.length, groups) as swaps:
+                results = _concurrently([partial(swap.run, simulate(swap))
+                                         for swap in swaps])
+        else:
+            results = _concurrently([simulate(model.Swap(*group)) for group in groups])
     outputs = model.settle([[out for _, out in group] for group in results])
-    holder = {lane: g for g, lanes in enumerate(groups) for lane in lanes}
     pairs = []
     for r, out in enumerate(outputs):
-        report = results[holder[0, r]][r][0]
-        if calibrate and report is not None and report["quant"] is not None:
+        # the groups that ran r: its own, or a pair's forward group, then
+        # its backward one
+        report, *back = [results[g][r][0] for g, (_, runs) in enumerate(groups)
+                         if r in runs]
+        quant = report and report["quant"]
+        if back and quant and quant["calibrated_per_pass"]:
             # each group appended the alphas of its own passes of the run
-            alphas = {g: iter(results[g][r][0]["quant"]["pass_alphas"])
-                      for (_, run), g in holder.items() if run == r}
-            report["quant"]["pass_alphas"] = [
-                next(alphas[holder[d, r]])
-                for layer in net.layers for d in range(layer.num_directions)]
+            alphas = [iter(quant["pass_alphas"]), iter(back[0]["quant"]["pass_alphas"])]
+            quant["pass_alphas"] = [next(alphas[d]) for layer in net.layers
+                                    for d in range(layer.num_directions)]
         pairs.append((report, out))
     return pairs
 
@@ -500,8 +506,10 @@ def _run_simulations(args, runs: list[tuple[sched.Policy, quant.QuantConfig | No
     cfg = _hw_config(args)
     reports = [arch.cost_model(net, T, policy, cfg, qcfg, frames_per_second)
                for policy, qcfg in runs]
-    *results, (_, oracle) = _run_lanes(net, args.weights, sequence, [*reports, None],
-                                       args.calibrate)
+    for report in reports:
+        if report["quant"] is not None:
+            report["quant"]["calibrated_per_pass"] = args.calibrate
+    *results, (_, oracle) = _run_lanes(net, args.weights, sequence, [*reports, None])
     return net, T, results, oracle.frames
 
 

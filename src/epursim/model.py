@@ -19,6 +19,7 @@ from collections.abc import Callable, Iterable, Sequence as SequenceOf
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -522,9 +523,6 @@ def _check_layer(layer: LayerDescriptor, weights: list[WeightSet | None],
             raise ShapeError("weight set does not match the layer descriptor")
 
 
-#: one direction of one run of a ``network_infer`` call: (direction, run)
-Lane = tuple[int, int]
-
 #: what a ``network_infer`` call given a swap returns for each run: its
 #: output, the error it failed with, or None (stopped after an earlier run
 #: failed, or not run here); ``settle`` makes outputs of them
@@ -532,18 +530,19 @@ Outcome = Sequence | Exception | None
 
 
 class Swap:
-    """Where the lanes of a ``network_infer`` call meet after each layer.
+    """Where the lanes (one direction of one run each) of a
+    ``network_infer`` call meet after each layer.
 
-    This one holds every lane of every run in one process, so each run's
-    layer output is whole where its lanes write it, and nothing is
-    exchanged (``cli`` cuts the lanes across processes with a swap of its
-    own).  ``lanes`` are the lanes this process runs, direction-major.  A
+    This one holds the lanes ``directions`` x ``runs`` (two ranges) in one
+    process, every direction of its runs, so each run's layer output is
+    whole where its lanes write it, and nothing is exchanged (``cli`` runs
+    a pair of processes, one direction each, on a swap of its own).  A
     swap only places outputs and passes tokens; the outcomes are settled
     by whoever made it (``settle``).
     """
 
-    def __init__(self, lanes: list[Lane]):
-        self.lanes = lanes
+    def __init__(self, directions: range, runs: range):
+        self.directions, self.runs = directions, runs
 
     def output(self, i: int, run: int, shape: tuple[int, int]) -> np.ndarray:
         """The fp32 array that ``run``'s layer-``i`` output is written into."""
@@ -575,12 +574,13 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
                   swap: Swap | None = None) -> list[Sequence] | list[Outcome]:
     """The last hidden layer's output of ``inp`` per partials hook (or None),
     the runs in lockstep, one lane (one direction of one run) at a time:
-    every lane of ``swap`` (all of them without one) passes through layer i,
-    and the swap of layer i is done, before layer i+1's weight sets are
-    taken from ``weights`` (a NetworkWeights, or a ``netio.WeightStream``
-    read, which reads a layer only when it is reached and may leave None
-    for a direction no lane here runs).  So no process reads a layer past
-    one that a process sharing its runs failed to read.
+    every lane of ``swap`` (all of them without one), direction-major,
+    passes through layer i, and the swap of layer i is done, before layer
+    i+1's weight sets are taken from ``weights`` (a NetworkWeights, or a
+    ``netio.WeightStream`` read, which reads a layer only when it is
+    reached and may leave None for a direction no lane here runs).  So no
+    process reads a layer past one that a process sharing its runs failed
+    to read.
 
     An error names its layer (layer 0 refuses an input that does not match
     ``net.input_dim``).  A failed run stops, and so do the runs after it.
@@ -592,11 +592,10 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
     """
     own = swap is None
     if own:
-        directions = max(layer.num_directions for layer in net.layers)
-        swap = Swap([(d, r) for d in range(directions) for r in range(len(hooks))])
+        swap = Swap(range(max(layer.num_directions for layer in net.layers)),
+                    range(len(hooks)))
     T = inp.length
-    held = sorted({r for _, r in swap.lanes})
-    seqs = dict.fromkeys(held, inp)
+    seqs = dict.fromkeys(swap.runs, inp)
     outcomes: list[Outcome] = [None] * len(hooks)
     stop = len(hooks)  # the lowest failed run: it and the runs after it stop
     last = len(net.layers) - 1
@@ -609,7 +608,7 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
                 outs[r] = swap.output(i, r, (T, layer.output_size))
             return outs[r]
 
-        for d, r in swap.lanes:
+        for d, r in product(swap.directions, swap.runs):
             if r >= stop or d >= layer.num_directions:
                 continue
             # the backward direction runs over the frames reversed, and its
@@ -627,14 +626,14 @@ def network_infer(net: NetworkDescriptor, weights: Iterable[list[WeightSet | Non
         stop = swap.exchange(i, stop)
         if stop is None:  # a peer ended: its error is the one raised
             return outcomes
-        for r in held:
+        for r in swap.runs:
             if r < stop:
                 try:
                     seqs[r] = Sequence(output(r) if i < last
                                        else output(r).astype(net.numeric_precision.storage_dtype))
                 except NumericError as e:
                     outcomes[r], stop = NumericError(f"layer {i}: {e}"), r
-    for r in held:
+    for r in swap.runs:
         if r < stop:
             outcomes[r] = seqs[r]
     return settle([outcomes]) if own else outcomes

@@ -138,7 +138,9 @@ def simulate(net, weights, seq, policy, cfg, quant=None, quant_calibrate=False,
     """One simulated inference as the CLI runs it: the cost model's report,
     then the datapath run on it; returns the report and the outputs."""
     report = arch.cost_model(net, seq.length, policy, cfg, quant, frames_per_second)
-    return arch.simulate(net, weights, seq, [report], quant_calibrate)[0]
+    if report["quant"] is not None:
+        report["quant"]["calibrated_per_pass"] = quant_calibrate
+    return arch.simulate(net, weights, seq, [report])[0]
 
 
 def infer(net, weights, seq, hook=None) -> Sequence:

@@ -207,8 +207,8 @@ class TestSimulateFunctional:
         rng = np.random.default_rng(seed)
         partials = rng.normal(0, 3, (48, 7)).astype(np.float32)
         partials[seed, seed] = (-1) ** seed * 40.04
-        quant = quant_entry(QuantConfig(8))
-        arch.datapath_hook({"quant": quant}, True)(partials.copy())
+        quant = dict(quant_entry(QuantConfig(8)), calibrated_per_pass=True)
+        arch.datapath_hook({"quant": quant})(partials.copy())
         assert quant["pass_alphas"] == [calibrate_alpha(float(np.max(np.abs(partials))))] \
             == [40.1]
 
@@ -216,7 +216,8 @@ class TestSimulateFunctional:
         partials = np.zeros((8, 3), np.float32)
         partials[5, 1] = np.nan
         with pytest.raises(NumericError, match="calibration saw a non-finite"):
-            arch.datapath_hook({"quant": quant_entry(QuantConfig(8))}, True)(partials)
+            arch.datapath_hook({"quant": dict(quant_entry(QuantConfig(8)),
+                                              calibrated_per_pass=True)})(partials)
 
     def test_fp16_simulation_matches_fp16_oracle(self):
         from epursim.model import Precision

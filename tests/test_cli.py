@@ -5,11 +5,13 @@ import errno
 import io
 import json
 import os
+import random
 import re
 import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from conftest import random_weights, read_frames, save_descriptor, save_weights
 from epursim import arch, cli, model, netio, presets, quant, sched
@@ -496,11 +500,11 @@ class TestCompare:
         real_simulate = arch.simulate
         calls = tmp_path / "calls"
 
-        def simulate(net, weights, seq, reports, calibrate, swap):
+        def simulate(net, weights, seq, reports, swap):
             with open(calls, "a") as f:
-                for r in sorted({r for _, r in swap.lanes}):
+                for r in swap.runs:
                     f.write("oracle\n" if reports[r] is None else "datapath\n")
-            return real_simulate(net, weights, seq, reports, calibrate, swap)
+            return real_simulate(net, weights, seq, reports, swap)
 
         monkeypatch.setattr(arch, "simulate", simulate)
         desc, blob = gen
@@ -635,9 +639,10 @@ class TestFieldRelations:
             # the CLI's default hardware preset and --alpha
             report = arch.cost_model(net, 5, sched.Policy.mwl, arch.HW_PRESETS["epur"](),
                                      quant.QuantConfig(bits, 20.0))
+            report["quant"]["calibrated_per_pass"] = calibrate
             with netio.load_weights(net, blob) as weights:
                 ((_, got),) = arch.simulate(net, weights, presets.random_sequence(net, 5, 0),
-                                            [report], calibrate)
+                                            [report])
             err = np.abs(got.frames.astype(np.float64) - oracle)
             assert row["max_abs_error"] == float(err.max()) > 0
 
@@ -1606,12 +1611,15 @@ class TestConcurrently:
         calls = tmp_path / "calls"
         real_simulate, real_infer = arch.simulate, model.network_infer
 
-        def simulate(net, weights, seq, reports, calibrate, swap):
-            self.record(calls, "simulate", len(reports), reports[-1] is None, swap.lanes)
-            return real_simulate(net, weights, seq, reports, calibrate, swap)
+        def lanes(swap):
+            return [(d, r) for d in swap.directions for r in swap.runs]
+
+        def simulate(net, weights, seq, reports, swap):
+            self.record(calls, "simulate", len(reports), reports[-1] is None, lanes(swap))
+            return real_simulate(net, weights, seq, reports, swap)
 
         def network_infer(net, weights, seq, hooks, swap):
-            self.record(calls, "network_infer", len(hooks), swap.lanes)
+            self.record(calls, "network_infer", len(hooks), lanes(swap))
             return real_infer(net, weights, seq, hooks, swap)
 
         monkeypatch.setattr(arch, "simulate", simulate)
@@ -1922,3 +1930,208 @@ class TestConcurrently:
             f"host memory error: run 1 of 4 ended without a result, by signal "
             f"{int(signal.SIGKILL)} (")
         self.no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# every process cut against one process
+
+def _cut_case(seed: int):
+    """(network, command arguments, CPU slots, fault), drawn from ``seed``:
+    a network of 1-3 layers with h <= 4, a command over it, 2-5 slots and
+    at most one fault, which names the same weight arrays or lane on every
+    cut.  A fault is ("nan", [(layer, direction, array)]), NaNs in the
+    blob, ("short", bytes cut off the blob's end) or ("lane", (run, layer,
+    direction)), a pass that raises.  A random stream rather than a
+    strategy per choice keeps 25 examples as varied as 25 seeds."""
+    rng = random.Random(seed)
+    size = input_dim = rng.randint(1, 4)
+    layers = []
+    for _ in range(rng.randint(1, 3)):
+        layers.append(model.LayerDescriptor(rng.randint(1, 4), size,
+                                            rng.choice(list(model.Direction)),
+                                            rng.random() < 0.5))
+        size = layers[-1].output_size
+    net = model.NetworkDescriptor(tuple(layers), input_dim)
+    command = rng.choice(["simulate", "compare", "quantize-sweep"])
+    calibrate = ["--calibrate"] if rng.random() < 0.5 else []
+    if command == "quantize-sweep":
+        low, widths = rng.randint(2, 8), rng.randint(1, 4)
+        argv = ["--min-bits", str(low), "--max-bits", str(low + widths - 1), *calibrate]
+        runs = widths + 1
+    else:
+        quantize = (["--quantize", "--quant-bits", str(rng.randint(2, 8)), *calibrate]
+                    if rng.random() < 0.5 else [])
+        argv = ["--policy", "mwl", *quantize] if command == "simulate" else quantize
+        runs = 2 if command == "simulate" else 3
+    argv = [command, *argv, "--synthetic-t", str(rng.randint(1, 3))]
+    cells = [(i, d) for i, layer in enumerate(layers) for d in range(layer.num_directions)]
+    # a NaN fault, the one that can end a process before its peer, half the time
+    kind = rng.choice(["nan"] * 4 + ["lane"] * 2 + ["short", None])
+    fault = None
+    if kind == "nan":
+        # each cell is poisoned or not, so that a process may fail to read
+        # a layer after its peer failed to read the one before
+        spots = [cell for cell in cells if rng.random() < 0.5] or [rng.choice(cells)]
+        fault = kind, [(i, d, rng.choice([name for name, _ in _zero_cell(layers[i]).parts()]))
+                       for i, d in spots]
+    elif kind == "short":
+        fault = kind, rng.randint(1, 8)
+    elif kind == "lane":
+        fault = kind, (rng.randrange(runs), *rng.choice(cells))
+    return net, argv, rng.randint(2, 5), fault
+
+
+def _zero_cell(layer):
+    return model.WeightSet(layer, model.Precision.fp32,
+                           lambda _name, shape: np.zeros(shape, np.float32))
+
+
+class TestEveryCut:
+    """How ``cli._cut`` cuts the lanes, and that every cut of a command's
+    runs across processes gives the answer of one process: its exit code,
+    stdout, stderr and every file it writes."""
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("directions", [1, 2])
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4, 5])
+    def test_cut(self, slots, directions, runs):
+        groups, paired = cli._cut(directions, runs, slots)
+        assert paired == (directions == 2 and slots >= 2)
+        # one process per group, each on a slot of its own; on an odd slot
+        # count a pair leaves one idle
+        per_chunk = 2 if paired else 1
+        assert len(groups) == per_chunk * min(slots // per_chunk, runs) <= slots
+        if paired and runs >= slots // 2:
+            assert len(groups) == slots - slots % 2
+        lanes = [(d, r) for ds, rs in groups for d in ds for r in rs]
+        assert sorted(lanes) == [(d, r) for d in range(directions) for r in range(runs)]
+        # every chunk's forward group, then, half the list away, its
+        # backward group; a chunk of runs starts where the one before ends
+        chunks = [rs for _, rs in groups[:len(groups) // per_chunk]]
+        assert [rs for _, rs in groups] == chunks * per_chunk
+        assert all(rs.step == 1 and rs for rs in chunks)
+        assert [rs.start for rs in chunks] == [0, *(rs.stop for rs in chunks[:-1])]
+        sides = [range(0, 1), range(1, 2)] if paired else [range(directions)]
+        assert [ds for ds, _ in groups] == [ds for ds in sides for _ in chunks]
+        # the caller runs the last chunk's last direction
+        assert groups[-1][0].stop == directions and groups[-1][1].stop == runs
+
+    def test_cut_of_three_runs(self):
+        # the chunks of a cut are in run order, the larger last
+        forward, backward, both = range(0, 1), range(1, 2), range(0, 2)
+        assert cli._cut(2, 3, 5) == ([(forward, range(0, 1)), (forward, range(1, 3)),
+                                      (backward, range(0, 1)), (backward, range(1, 3))], True)
+        assert cli._cut(2, 3, 1) == ([(both, range(0, 3))], False)
+        assert cli._cut(1, 3, 2) == ([(range(0, 1), range(0, 1)),
+                                      (range(0, 1), range(1, 3))], False)
+
+    #: fast MUs beside a wide DPU, whose reduction tree makes a dot long
+    #: enough to hide the MU latency of even one neuron: the cost model
+    #: refuses no network of the cases
+    HARDWARE = {"dpu_width": 2**16, "mu_comm_cycles": 1,
+                "op_latency": dict.fromkeys(arch.DEFAULT_OP_LATENCY, 1)}
+
+    def write_network(self, tmp, net, fault):
+        """The network's and hardware's arguments, the blob written with
+        ``fault`` in it."""
+        desc, blob, hw = tmp / "net.json", tmp / "net.bin", tmp / "hw.json"
+        hw.write_text(json.dumps(self.HARDWARE), encoding="utf-8")
+        save_descriptor(net, desc)
+        save_weights(net, random_weights(net, 7), blob)
+        data = bytearray(blob.read_bytes())
+        if fault and fault[0] == "nan":
+            for i, d, array in fault[1]:
+                layer = net.layers[i]
+                at = 16 + sum(model.cell_weight_bytes(l, 4) * l.num_directions
+                              for l in net.layers[:i]) + model.cell_weight_bytes(layer, 4) * d
+                for name, values in _zero_cell(layer).parts():
+                    if name == array:
+                        break
+                    at += values.size * 4
+                data[at:at + 4] = struct.pack("<f", float("nan"))
+        elif fault and fault[0] == "short":
+            del data[-fault[1]:]
+        blob.write_bytes(bytes(data))
+        return ["--network", str(desc), "--weights", str(blob), "--hw-config", str(hw)]
+
+    @staticmethod
+    def fail_lane(mp, lane, log):
+        """Makes the pass of ``lane`` (run, layer, direction) raise, in
+        whichever process runs it, and logs the layer of each pass of that
+        run: each run's hook goes to the passes with its run's index."""
+        run, i, d = lane
+        real_infer, real_run, real_load = (model.network_infer, model.run_direction,
+                                           netio.load_descriptor)
+        loaded = []
+
+        def load_descriptor(path):
+            loaded.append(real_load(path))
+            return loaded[-1]
+
+        def network_infer(net, weights, inp, hooks, swap):
+            return real_infer(net, weights, inp, list(enumerate(hooks)), swap)
+
+        def run_direction(weights, frames, named_hook):
+            r, hook = named_hook
+            layer = [l is weights.layer for l in loaded[-1].layers].index(True)
+            if r == run:
+                TestConcurrently.record(log, "pass", layer)
+                if (layer, frames.strides[0] < 0) == (i, d == 1):
+                    raise model.NumericError(f"run {r} failed")
+            return real_run(weights, frames, hook)
+
+        mp.setattr(netio, "load_descriptor", load_descriptor)
+        mp.setattr(arch, "network_infer", network_infer)
+        mp.setattr(model, "run_direction", run_direction)
+
+    @staticmethod
+    def log_reads(mp, net, log):
+        """Logs the layer of each weight read."""
+        real, ends = os.preadv, []
+        for layer in net.layers:
+            ends.append((ends[-1] if ends else 16)
+                        + model.cell_weight_bytes(layer, 4) * layer.num_directions)
+
+        def preadv(fd, buffers, offset):
+            TestConcurrently.record(log, "read", sum(end <= offset for end in ends))
+            return real(fd, buffers, offset)
+
+        mp.setattr(netio.os, "preadv", preadv)
+
+    def answer(self, tmp, net, argv, fault, slots):
+        """What ``argv`` run with ``slots`` CPU slots, in a directory of its
+        own, gives: its exit code, stdout, stderr and {name: bytes} of the
+        files it wrote; the last layer any process read weights of; and
+        with a failing lane, the last layer its run reached.  No process
+        reads a layer past one a process sharing its runs failed to read,
+        or runs a failed run past the layer it failed in."""
+        where, log = tmp / str(slots), tmp / f"log{slots}"
+        where.mkdir()
+        log.touch()
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(where)
+            mp.setattr(cli, "_cpu_slots", lambda: slots)
+            self.log_reads(mp, net, log)
+            if fault and fault[0] == "lane":
+                self.fail_lane(mp, fault[1], log)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = run_cli(*argv, "--out", "out.json")
+        last = {}
+        for kind, layer in TestConcurrently.records(log):
+            last[kind] = max(last.get(kind, 0), int(layer))
+        return rc, out.getvalue(), err.getvalue(), {
+            p.name: p.read_bytes() for p in sorted(where.iterdir())}, last
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_cut_gives_one_process_answer(self, seed):
+        net, argv, slots, fault = case = _cut_case(seed)
+        note(case)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            argv = [*argv, *self.write_network(tmp, net, fault)]
+            one = self.answer(tmp, net, argv, fault, 1)
+            assert self.answer(tmp, net, argv, fault, slots) == one
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
